@@ -23,7 +23,7 @@ from .errors import (
     ValidityWarning,
     ZeroDecoherence,
 )
-from .params import CavitySystem, DecoherenceSpec, GateResult, Method, Scheme
+from .params import CavitySystem, DecoherenceSpec, GateResult, GateResults, Method, Scheme
 from .scattering import (
     PhotonPulse,
     ScatteringConfig,
@@ -42,7 +42,9 @@ from .exchange import (
     exchange_gate_time,
     f_pi_closed_form,
     fidelity_analytic_exchange,
+    fidelity_analytic_exchange_batch,
     fidelity_numeric_exchange,
+    fidelity_numeric_exchange_batch,
     max_fidelity_exchange,
     optimal_detuning,
     optimal_gate_time_exchange,
@@ -53,7 +55,9 @@ from .raman import (
     RamanConfig,
     build_raman_hamiltonians,
     fidelity_analytic_raman,
+    fidelity_analytic_raman_batch,
     fidelity_numeric_raman,
+    fidelity_numeric_raman_batch,
     matched_rabi_b,
     matched_rabi_b_approx,
     max_fidelity_raman,

@@ -8,6 +8,12 @@ brought into resonance (phase lands on |ud>), or the equal-spin transitions
 (phase lands on |uu>). The non-Hermitian 3x3 subspace Hamiltonians carry
 cavity decay kappa on the one-photon state and emitter decay gamma on the
 excited states.
+
+Numeric fields of ExchangeConfig may be numpy arrays that broadcast
+together (the cavity and the mode stay scalar): the *_batch evaluators then
+evaluate every row at once through the stacked propagation of `linalg` and
+return GateResults of the broadcast shape. The scalar evaluators are the
+one-configuration calls of the same functions.
 """
 from __future__ import annotations
 
@@ -21,7 +27,8 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidityWarning
-from .params import CavitySystem, GateResult, Method
+from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
+                     broadcast_shape, gate_results)
 
 
 class ExchangeMode(enum.Enum):
@@ -53,13 +60,16 @@ class ExchangeConfig:
     mode: ExchangeMode = ExchangeMode.OPPOSITE_RESONANT
 
     def __post_init__(self):
-        if not self.detuning > 0:
+        if not all_rows(self.detuning > 0):
             raise ValueError("detuning must be > 0")
-        if self.splitting_eg < 0:
+        if any_row(self.splitting_eg < 0):
             raise ValueError("splitting_eg must be >= 0 (math.inf for ideal)")
-        if self.gamma_eff < 0:
+        ideal = self.splitting_eg == math.inf
+        if any_row(ideal) and not all_rows(ideal):
+            raise ValueError("splitting_eg must be ideal (inf) in every row or in none")
+        if any_row(self.gamma_eff < 0):
             raise ValueError("gamma_eff must be >= 0")
-        if not math.isfinite(self.detuning_error):
+        if not all_rows(np.isfinite(self.detuning_error)):
             raise ValueError("detuning_error must be finite")
 
     @property
@@ -100,28 +110,54 @@ def tune_partner_detuning(detuning, g_up_a, g_down_b, splitting_eg) -> float:
 
 def exchange_gate_time(detuning, g_a, g_b) -> float:
     """Excitation dwell time for a pi phase: T = pi * Delta / (g_a * g_b)."""
-    if g_a <= 0 or g_b <= 0:
+    if any_row(g_a <= 0) or any_row(g_b <= 0):
         raise ValueError("couplings must be > 0")
     return math.pi * detuning / (g_a * g_b)
 
 
-def _subspace_matrices(detuning, g_a, g_b, offset, kappa, gamma):
-    """3x3 single-excitation block in the basis (excited-A, one-photon,
-    excited-B) with the B-state energy offset, plus its lossy variant."""
-    h = np.array([
-        [0.0, g_a, 0.0],
-        [g_a, detuning, g_b],
-        [0.0, g_b, offset],
-    ], dtype=complex)
-    h_eff = h - 0.5j * np.diag([gamma, kappa, gamma])
-    return h, h_eff
+def _subspace_block(shape, detuning, g_a, g_b, offset, kappa, gamma):
+    """Lossy 3x3 single-excitation blocks in the basis (excited-A,
+    one-photon, excited-B) with the B-state energy offset."""
+    h = np.zeros(shape + (3, 3), dtype=complex)
+    h[..., 0, 0] = -0.5j * gamma
+    h[..., 0, 1] = h[..., 1, 0] = g_a
+    h[..., 1, 1] = detuning - 0.5j * kappa
+    h[..., 1, 2] = h[..., 2, 1] = g_b
+    h[..., 2, 2] = offset - 0.5j * gamma
+    return h
 
 
-def _spectator_matrices(detuning, g_a, kappa, gamma):
+def _spectator_block(shape, detuning, g_a, kappa, gamma):
     """Far-detuned spectator in the ideal splitting limit: the third state
-    decouples, leaving the 2x2 (excited-A, one-photon) block."""
-    h = np.array([[0.0, g_a], [g_a, detuning]], dtype=complex)
-    return h, h - 0.5j * np.diag([gamma, kappa])
+    decouples, leaving the lossy 2x2 (excited-A, one-photon) block."""
+    h = np.zeros(shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = -0.5j * gamma
+    h[..., 0, 1] = h[..., 1, 0] = g_a
+    h[..., 1, 1] = detuning - 0.5j * kappa
+    return h
+
+
+def _sector_parameters(config: ExchangeConfig) -> tuple:
+    return (config.detuning, config.coupling_a, config.coupling_b_resonant,
+            config.coupling_b_spectator, config.detuning_error, config.splitting_eg)
+
+
+def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg,
+                   mode, kappa, gamma):
+    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters."""
+    shape = broadcast_shape(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg)
+    stark = (g_a**2 - g_res**2) / detuning
+    offset_res = -detuning_error - stark
+    resonant = _subspace_block(shape, detuning, g_a, g_res, offset_res, kappa, gamma)
+    if all_rows(splitting_eg == math.inf):
+        spectator = _spectator_block(shape, detuning, g_a, kappa, gamma)
+    else:
+        sign = 1.0 if mode is ExchangeMode.OPPOSITE_RESONANT else -1.0
+        offset_spec = offset_res + sign * splitting_eg
+        spectator = _subspace_block(shape, detuning, g_a, g_spec, offset_spec, kappa, gamma)
+    if mode is ExchangeMode.OPPOSITE_RESONANT:
+        return resonant, spectator
+    return spectator, resonant
 
 
 def build_hamiltonians(config: ExchangeConfig) -> ExchangeHamiltonians:
@@ -131,43 +167,71 @@ def build_hamiltonians(config: ExchangeConfig) -> ExchangeHamiltonians:
     (e2 up 0, up up 1, up e2 0). With the partner tuned, the resonant
     sector's end state sits at -detuning_error (minus the residual Stark
     offset) and the spectator's at splitting_eg above it. In the ideal
-    splitting_eg = inf limit the spectator block is returned as 2x2.
+    splitting_eg = inf limit the spectator block is returned as 2x2. An
+    array-valued config gives stacks of shape (broadcast shape) + (k, k).
+    The couplings are real, so each H is the real part of its H_eff.
     """
     cav = config.cavity
-    g_a = config.coupling_a
-    g_res = config.coupling_b_resonant
-    g_spec = config.coupling_b_spectator
-    stark = (g_a**2 - g_res**2) / config.detuning
-    offset_res = -config.detuning_error - stark
-    resonant = _subspace_matrices(config.detuning, g_a, g_res, offset_res,
-                                  cav.kappa, cav.gamma)
-    if math.isinf(config.splitting_eg):
-        spectator = _spectator_matrices(config.detuning, g_a, cav.kappa, cav.gamma)
-    else:
-        sign = 1.0 if config.mode is ExchangeMode.OPPOSITE_RESONANT else -1.0
-        offset_spec = offset_res + sign * config.splitting_eg
-        spectator = _subspace_matrices(config.detuning, g_a, g_spec, offset_spec,
-                                       cav.kappa, cav.gamma)
-    if config.mode is ExchangeMode.OPPOSITE_RESONANT:
-        (h_ud, heff_ud), (h_uu, heff_uu) = resonant, spectator
-    else:
-        (h_uu, heff_uu), (h_ud, heff_ud) = resonant, spectator
-    return ExchangeHamiltonians(h_ud, h_uu, heff_ud, heff_uu)
+    heff_ud, heff_uu = _lossy_sectors(*_sector_parameters(config), config.mode,
+                                      cav.kappa, cav.gamma)
+    return ExchangeHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
+                                heff_ud, heff_uu)
 
 
-def relative_phase_fidelity(config: ExchangeConfig, gate_time=None) -> float:
+def phase_fidelity(lossy_sectors, params, gate_time):
+    """F_pi = (1/2)|<uu-start| e^{-iT H_uu} |uu-start> - <ud-start| e^{-iT H_ud} |ud-start>|
+    for every row of the broadcast parameter arrays `params` and `gate_time`,
+    with both start states at index 0. Scalar inputs give a numpy scalar.
+
+    `lossy_sectors(*params)` returns the stacked (H_eff_ud, H_eff_uu). Both
+    sectors go into one stack of generators, the smaller block padded with
+    decoupled zero states (the eigensolver's balancing isolates them, so
+    they change neither the amplitude nor the eigenbasis condition number).
+    Batches of more than linalg.CHUNK / 2 rows are split into blocks of that
+    size, so a grid of any size is built and propagated in bounded memory.
+    """
+    shape = broadcast_shape(*params, gate_time)
+    n = math.prod(shape)
+    block = linalg.CHUNK // 2
+    if n > block:
+        flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
+        f_pi = np.concatenate([
+            phase_fidelity(lossy_sectors, [p[s:s + block] for p in flat[:-1]],
+                           flat[-1][s:s + block])
+            for s in range(0, n, block)])
+        return f_pi.reshape(shape)
+    h_ud, h_uu = lossy_sectors(*params)
+    k_ud, k_uu = h_ud.shape[-1], h_uu.shape[-1]
+    k = max(k_ud, k_uu)
+    h = np.zeros((2,) + shape + (k, k), dtype=complex)
+    h[0, ..., :k_ud, :k_ud] = h_ud
+    h[1, ..., :k_uu, :k_uu] = h_uu
+    t = np.empty((2,) + shape)
+    t[...] = gate_time
+    amp = linalg.return_amplitudes(h.reshape(-1, k, k), 0, t.ravel()).reshape(t.shape)
+    return (0.5 * np.abs(amp[1] - amp[0]))[()]
+
+
+def _default_gate_time(config: ExchangeConfig, gate_time):
+    if gate_time is None:
+        return exchange_gate_time(config.detuning, config.coupling_a,
+                                  config.coupling_b_resonant)
+    return gate_time
+
+
+def relative_phase_fidelity(config: ExchangeConfig, gate_time=None):
     """F_pi from non-Hermitian propagation of both sectors.
 
     F_pi = (1/2) |<uu-start| e^{-iT H_uu} |uu-start> -
                   <ud-start| e^{-iT H_ud} |ud-start>|.
     """
-    if gate_time is None:
-        gate_time = exchange_gate_time(config.detuning, config.coupling_a,
-                                       config.coupling_b_resonant)
-    ham = build_hamiltonians(config)
-    amp_ud = linalg.return_amplitude(ham.h_eff_up_down, 0, gate_time)
-    amp_uu = linalg.return_amplitude(ham.h_eff_up_up, 0, gate_time)
-    return 0.5 * abs(amp_uu - amp_ud)
+    gate_time = _default_gate_time(config, gate_time)
+    cav = config.cavity
+
+    def lossy_sectors(*params):
+        return _lossy_sectors(*params, config.mode, cav.kappa, cav.gamma)
+
+    return phase_fidelity(lossy_sectors, _sector_parameters(config), gate_time)
 
 
 def ridge_f_pi(detuning, kappa, cooperativity):
@@ -183,7 +247,7 @@ def ridge_f_pi(detuning, kappa, cooperativity):
     return float(out) if np.isscalar(detuning) else out
 
 
-def f_pi_closed_form(config: ExchangeConfig) -> float:
+def f_pi_closed_form(config: ExchangeConfig):
     """Adiabatic closed form of F_pi at equal couplings.
 
     F_pi = (1/2) e^{-2 pi Delta/(C kappa) - pi kappa/(2 Delta)}
@@ -193,49 +257,49 @@ def f_pi_closed_form(config: ExchangeConfig) -> float:
     """
     g_a = config.coupling_a
     g_b = config.coupling_b_resonant
-    if not math.isclose(g_a, g_b, rel_tol=1e-9):
+    mismatch = abs(g_a - g_b)
+    if any_row((mismatch > 1e-9 * abs(g_a)) & (mismatch > 1e-9 * abs(g_b))):
         warnings.warn("closed form assumes equal resonant couplings; using their "
                       "geometric mean", ValidityWarning, stacklevel=2)
     g2 = g_a * g_b
     cav = config.cavity
     delta = config.detuning
-    envelope = math.exp(-2.0 * math.pi * delta / (cav.cooperativity * cav.kappa)
-                        - math.pi * cav.kappa / (2.0 * delta))
-    if math.isinf(config.splitting_eg):
+    envelope = np.exp(-2.0 * np.pi * delta / (cav.cooperativity * cav.kappa)
+                      - np.pi * cav.kappa / (2.0 * delta))
+    if all_rows(config.splitting_eg == math.inf):
         spectator_phase = 1.0 + 0.0j
     else:
-        spectator_phase = np.exp(4j * math.pi * g2 / (delta * config.splitting_eg))
-    swap_term = (math.cosh(math.pi * cav.kappa / (2.0 * delta))
-                 * np.exp(-1j * math.pi * config.detuning_error * delta / g2))
+        spectator_phase = np.exp(4j * np.pi * g2 / (delta * config.splitting_eg))
+    swap_term = (np.cosh(np.pi * cav.kappa / (2.0 * delta))
+                 * np.exp(-1j * np.pi * config.detuning_error * delta / g2))
     return 0.5 * envelope * abs(spectator_phase + swap_term)
 
 
-def _as_result(f_gate, gate_time, method):
-    notes = ()
-    if f_gate < 0.0 or f_gate > 1.0:
-        notes = ("clamped",)
-        f_gate = min(max(f_gate, 0.0), 1.0)
-    return GateResult(fidelity=f_gate, gate_time=gate_time, success_probability=1.0,
-                      method=method, notes=notes)
+def fidelity_numeric_exchange_batch(config: ExchangeConfig, gate_time=None) -> GateResults:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation,
+    for every row of an array-valued config."""
+    gate_time = _default_gate_time(config, gate_time)
+    f_pi = relative_phase_fidelity(config, gate_time)
+    f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
+    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
 
 
 def fidelity_numeric_exchange(config: ExchangeConfig, gate_time=None) -> GateResult:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation."""
-    if gate_time is None:
-        gate_time = exchange_gate_time(config.detuning, config.coupling_a,
-                                       config.coupling_b_resonant)
-    f_pi = relative_phase_fidelity(config, gate_time)
-    f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
-    return _as_result(f_gate, gate_time, Method.NON_HERMITIAN)
+    return fidelity_numeric_exchange_batch(config, gate_time).single()
+
+
+def fidelity_analytic_exchange_batch(config: ExchangeConfig, gate_time=None) -> GateResults:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form,
+    for every row of an array-valued config."""
+    gate_time = _default_gate_time(config, gate_time)
+    f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
+    return gate_results(f_gate, gate_time, Method.ANALYTIC)
 
 
 def fidelity_analytic_exchange(config: ExchangeConfig, gate_time=None) -> GateResult:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form."""
-    if gate_time is None:
-        gate_time = exchange_gate_time(config.detuning, config.coupling_a,
-                                       config.coupling_b_resonant)
-    f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
-    return _as_result(f_gate, gate_time, Method.ANALYTIC)
+    return fidelity_analytic_exchange_batch(config, gate_time).single()
 
 
 def optimal_detuning(kappa, cooperativity) -> float:
@@ -279,4 +343,4 @@ def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:
     # cooperativity-limited ceiling
     ceiling = 0.5 * (ridge_f_pi(optimal_detuning(cav.kappa, c), cav.kappa, c) + 1.0)
     f_gate = min(f_gate, ceiling)
-    return _as_result(f_gate, t_o, Method.ANALYTIC)
+    return gate_results(f_gate, t_o, Method.ANALYTIC).single()

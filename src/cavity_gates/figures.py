@@ -39,16 +39,19 @@ def scatter_analytic(cooperativity, g_over_kappa, gamma_eff, delta_p, gate_time)
     return scattering.fidelity_analytic(cfg).fidelity
 
 
+# The exchange and Raman helpers take detuning arrays that broadcast
+# together and return the fidelity array of their broadcast shape.
+
 def exchange_numeric(cooperativity, g_over_kappa, detuning_over_kappa):
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     cfg = exchange.ExchangeConfig(cav, detuning=detuning_over_kappa * cav.kappa)
-    return exchange.fidelity_numeric_exchange(cfg).fidelity
+    return exchange.fidelity_numeric_exchange_batch(cfg).fidelity
 
 
 def exchange_analytic(cooperativity, g_over_kappa, detuning_over_kappa):
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     cfg = exchange.ExchangeConfig(cav, detuning=detuning_over_kappa * cav.kappa)
-    return exchange.fidelity_analytic_exchange(cfg).fidelity
+    return exchange.fidelity_analytic_exchange_batch(cfg).fidelity
 
 
 def raman_numeric(cooperativity, g_over_kappa, two_photon_over_kappa,
@@ -56,7 +59,7 @@ def raman_numeric(cooperativity, g_over_kappa, two_photon_over_kappa,
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     cfg = raman.symmetric_raman_config(cav, two_photon_over_kappa * cav.kappa,
                                        detuning_over_kappa * cav.kappa, rabi_over_detuning)
-    return raman.fidelity_numeric_raman(cfg).fidelity
+    return raman.fidelity_numeric_raman_batch(cfg).fidelity
 
 
 def raman_analytic(cooperativity, g_over_kappa, two_photon_over_kappa,
@@ -64,7 +67,7 @@ def raman_analytic(cooperativity, g_over_kappa, two_photon_over_kappa,
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     cfg = raman.symmetric_raman_config(cav, two_photon_over_kappa * cav.kappa,
                                        detuning_over_kappa * cav.kappa, rabi_over_detuning)
-    return raman.fidelity_analytic_raman(cfg).fidelity
+    return raman.fidelity_analytic_raman_batch(cfg).fidelity
 
 
 _SCATTER_REGIMES = (0.01, 0.5, 10.0)
@@ -132,14 +135,12 @@ def build_fig2c():
 
 def build_fig4():
     values = np.exp(np.linspace(math.log(1.0), math.log(1e4), 201))
-    rows = []
-    for dok in values:
-        rows.append([
-            float(dok),
-            exchange_numeric(8000.0, 0.1, float(dok)),
-            exchange_numeric(8000.0, 10.0, float(dok)),
-            exchange_analytic(8000.0, 0.1, float(dok)),
-        ])
+    rows = np.column_stack([
+        values,
+        exchange_numeric(8000.0, 0.1, values),
+        exchange_numeric(8000.0, 10.0, values),
+        exchange_analytic(8000.0, 0.1, values),
+    ])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.simple_exchange]", "detuning = SWEEP per_kappa",
@@ -148,18 +149,15 @@ def build_fig4():
     return FigureData(
         "fig4", comments,
         ("Delta_over_kappa", "F_numeric_weak", "F_numeric_strong", "F_analytic"),
-        np.array(rows))
+        rows)
 
 
 def build_fig6a():
     grid = np.exp(np.linspace(math.log(0.1), math.log(1e3), 121))
-    rows = []
-    for dok in grid:          # two-photon detuning / kappa
-        for lok in grid:      # laser detuning / kappa
-            rows.append([
-                float(dok), float(lok),
-                raman_numeric(8000.0, 0.1, float(dok), float(lok), 0.05),
-            ])
+    # rows run over the laser detuning within each two-photon detuning
+    dok, lok = np.meshgrid(grid, grid, indexing="ij")
+    rows = np.column_stack([dok.ravel(), lok.ravel(),
+                            raman_numeric(8000.0, 0.1, dok, lok, 0.05).ravel()])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.raman]", "two_photon = SWEEP per_kappa", "laser_detuning = SWEEP per_kappa",
@@ -168,20 +166,18 @@ def build_fig6a():
     return FigureData(
         "fig6a", comments,
         ("two_photon_over_kappa", "laser_detuning_over_kappa", "F_numeric"),
-        np.array(rows))
+        rows)
 
 
 def build_fig6b():
     ridge = 0.5 * math.sqrt(8000.0)
     values = np.exp(np.linspace(math.log(0.1), math.log(1e3), 201))
-    rows = []
-    for lok in values:
-        rows.append([
-            float(lok),
-            raman_numeric(8000.0, 0.1, ridge, float(lok), 0.05),
-            raman_numeric(8000.0, 0.1, ridge, float(lok), 1.0 / 3.0),
-            raman_analytic(8000.0, 0.1, ridge, float(lok), 0.05),
-        ])
+    rows = np.column_stack([
+        values,
+        raman_numeric(8000.0, 0.1, ridge, values, 0.05),
+        raman_numeric(8000.0, 0.1, ridge, values, 1.0 / 3.0),
+        raman_analytic(8000.0, 0.1, ridge, values, 0.05),
+    ])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.raman]", "two_photon = optimal", "laser_detuning = SWEEP per_kappa",
@@ -190,7 +186,7 @@ def build_fig6b():
     return FigureData(
         "fig6b", comments,
         ("laser_detuning_over_kappa", "F_numeric_om20", "F_numeric_om3", "F_analytic"),
-        np.array(rows))
+        rows)
 
 
 def build_fig7():
@@ -240,11 +236,13 @@ def _fig8_raman(gamma_eff, cooperativity=8000.0, g_over_kappa=0.1):
                                            min(math.exp(log_x), 0.45), gamma_eff)
         return raman.fidelity_analytic_raman(cfg).fidelity
 
-    # coarse scan first: the -Gamma*T clamp creates flat zero plateaus that
-    # defeat a bare golden section
+    # coarse scan first, in one batch: the -Gamma*T clamp creates flat zero
+    # plateaus that defeat a bare golden section
     d_grid = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)
     x_grid = np.linspace(math.log(1e-3), math.log(0.45), 31)
-    values = np.array([[f(ld, lx) for lx in x_grid] for ld in d_grid])
+    grid_cfg = raman.symmetric_raman_config(cav, two_photon, np.exp(d_grid)[:, None],
+                                            np.minimum(np.exp(x_grid), 0.45), gamma_eff)
+    values = raman.fidelity_analytic_raman_batch(grid_cfg).fidelity
     i, j = np.unravel_index(np.argmax(values), values.shape)
     d_lo, d_hi = d_grid[max(i - 1, 0)], d_grid[min(i + 1, len(d_grid) - 1)]
     x_lo, x_hi = x_grid[max(j - 1, 0)], x_grid[min(j + 1, len(x_grid) - 1)]

@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,6 +159,79 @@ class GateResult:
             "method": self.method.value,
             "notes": list(self.notes),
         }
+
+
+def any_row(condition) -> bool:
+    """True when a condition holds for at least one row. Accepts the Python
+    or numpy scalars of a one-configuration call as well as arrays."""
+    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def all_rows(condition) -> bool:
+    """True when a condition holds for every row (scalars or arrays)."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def broadcast_shape(*values) -> tuple:
+    """Broadcast shape of scalars and arrays; () when all are scalars."""
+    return np.broadcast(*values).shape
+
+
+@dataclass(frozen=True)
+class GateResults:
+    """Outcomes of a batch of configurations of a deterministic (exchange)
+    scheme that share one method, so every success probability is 1.
+
+    fidelity and gate_time are arrays of the batch's broadcast shape (numpy
+    scalars for a one-configuration batch). notes maps each note to a
+    boolean mask of the rows it applies to; a row's GateResult carries the
+    notes whose mask is set, in insertion order.
+    """
+
+    fidelity: np.ndarray
+    gate_time: np.ndarray
+    method: Method
+    notes: dict = field(default_factory=dict)
+
+    @property
+    def shape(self) -> tuple:
+        return self.fidelity.shape
+
+    def __getitem__(self, index) -> GateResult:
+        return GateResult(
+            fidelity=float(self.fidelity[index]), gate_time=float(self.gate_time[index]),
+            success_probability=1.0, method=self.method,
+            notes=tuple(note for note, mask in self.notes.items() if mask[index]))
+
+    def single(self) -> GateResult:
+        """The result of a one-configuration batch."""
+        if self.fidelity.size != 1:
+            raise ValueError(f"expected one configuration, got shape {self.shape}")
+        return self[(0,) * self.fidelity.ndim]
+
+
+def _broadcast(value, shape, dtype):
+    value = np.asarray(value, dtype=dtype)[()]
+    return value if value.shape == shape else np.broadcast_to(value, shape)
+
+
+def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None) -> GateResults:
+    """Clamp gate fidelities into [0, 1] and mark every clamped row with the
+    "clamped" note, ahead of any extra notes (note -> row mask). Raises
+    ValueError for NaN fidelities and non-positive gate times, as
+    GateResult does."""
+    # a one-configuration batch works on numpy scalars, whose comparisons
+    # are much cheaper than those of 0-d arrays
+    fidelity = np.asarray(f_gate, dtype=float)[()]
+    gate_time = _broadcast(gate_time, fidelity.shape, float)
+    if any_row(np.isnan(fidelity)):
+        raise ValueError("fidelity must lie in [0, 1], got nan")
+    if not all_rows(gate_time > 0):
+        raise ValueError("gate_time must be > 0")
+    masks = {"clamped": (fidelity < 0.0) | (fidelity > 1.0)}
+    for note, mask in (notes or {}).items():
+        masks[note] = _broadcast(mask, fidelity.shape, bool)
+    return GateResults(np.minimum(np.maximum(fidelity, 0.0), 1.0), gate_time, method, masks)
 
 
 _RATE_UNITS = {

@@ -10,6 +10,11 @@ detuning difference relative to its mean enters the fidelity.
 Sector bases: the |ud> dynamics acts on (ud 0, e-down 0, dd 1, down-e 0,
 du 0) and the shelved |uu> dynamics on (u s 0, e s 0, d s 1); the lossy
 variants put kappa on one-photon states and gamma on excited states.
+
+Numeric fields of RamanConfig may be numpy arrays that broadcast together
+(the cavity stays scalar); the *_batch evaluators then evaluate every row at
+once and return GateResults of the broadcast shape, and the scalar
+evaluators are their one-configuration calls.
 """
 from __future__ import annotations
 
@@ -20,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .errors import ValidityWarning, ZeroDecoherence
-from .exchange import ridge_f_pi
-from .params import CavitySystem, GateResult, Method
+from .exchange import phase_fidelity, ridge_f_pi
+from .params import (CavitySystem, GateResult, GateResults, Method, any_row, broadcast_shape,
+                     gate_results)
 
 
 def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_photon):
@@ -38,9 +43,9 @@ def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_pho
     """
     num = g_b**2 + two_photon * laser_detuning_b
     den = g_a**2 + two_photon * laser_detuning_a
-    if den <= 0 or num <= 0:
+    if any_row(den <= 0) or any_row(num <= 0):
         raise ValueError("g^2 + delta*Delta must be > 0 for both systems")
-    return rabi_a * math.sqrt(num / den)
+    return rabi_a * np.sqrt(num / den)
 
 
 def matched_rabi_b_approx(rabi_a, laser_detuning_a, laser_detuning_b):
@@ -68,15 +73,15 @@ class RamanConfig:
     gamma_eff: float = 0.0
 
     def __post_init__(self):
-        if self.two_photon <= 0:
+        if any_row(self.two_photon <= 0):
             raise ValueError("mean two-photon detuning must be > 0")
-        if self.rabi_a < 0:
+        if any_row(self.rabi_a < 0):
             raise ValueError("rabi_a must be >= 0")
-        if self.gamma_eff < 0:
+        if any_row(self.gamma_eff < 0):
             raise ValueError("gamma_eff must be >= 0")
-        if self.laser_detuning_a <= 0 or self.laser_detuning_b <= 0:
+        if any_row(self.laser_detuning_a <= 0) or any_row(self.laser_detuning_b <= 0):
             raise ValueError("laser detunings must be > 0")
-        if self.rabi_a / self.laser_detuning_a > 0.5:
+        if any_row(self.rabi_a / self.laser_detuning_a > 0.5):
             warnings.warn("drive is not weak against its detuning (Omega/Delta > 0.5); "
                           "adiabatic elimination is unreliable", ValidityWarning, stacklevel=2)
 
@@ -134,30 +139,38 @@ class RamanHamiltonians(NamedTuple):
     h_eff_up_up: np.ndarray
 
 
+def _sector_parameters(config: RamanConfig) -> tuple:
+    return (config.two_photon_a, config.two_photon_b, config.rabi_a, config.drive_b,
+            config.coupling_a, config.coupling_b, config.laser_detuning_a,
+            config.laser_detuning_b)
+
+
+def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
+    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters."""
+    shape = broadcast_shape(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b)
+    h = np.zeros(shape + (5, 5), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = om_a
+    h[..., 1, 1] = det_a - 0.5j * gamma
+    h[..., 1, 2] = h[..., 2, 1] = g_a
+    h[..., 2, 2] = -d_a - 0.5j * kappa
+    h[..., 2, 3] = h[..., 3, 2] = g_b
+    h[..., 3, 3] = det_b + (d_b - d_a) - 0.5j * gamma
+    h[..., 3, 4] = h[..., 4, 3] = om_b
+    h[..., 4, 4] = d_b - d_a
+    # the shelved sector is the (u s 0, e s 0, d s 1) corner of the |ud> block
+    return h, h[..., :3, :3].copy()
+
+
 def build_raman_hamiltonians(config: RamanConfig) -> RamanHamiltonians:
     """Sector Hamiltonians in the frame rotating with the drives and the
     shifted cavity; time independent at the cost of the (delta_b - delta_a)
-    offsets on the B-excitation states."""
+    offsets on the B-excitation states. An array-valued config gives stacks
+    of shape (broadcast shape) + (k, k). The couplings are real, so each H
+    is the real part of its H_eff."""
     cav = config.cavity
-    d_a, d_b = config.two_photon_a, config.two_photon_b
-    om_a, om_b = config.rabi_a, config.drive_b
-    g_a, g_b = config.coupling_a, config.coupling_b
-    h_ud = np.array([
-        [0.0,  om_a, 0.0,  0.0,                                0.0],
-        [om_a, config.laser_detuning_a, g_a, 0.0,              0.0],
-        [0.0,  g_a,  -d_a, g_b,                                0.0],
-        [0.0,  0.0,  g_b,  config.laser_detuning_b + (d_b - d_a), om_b],
-        [0.0,  0.0,  0.0,  om_b,                               d_b - d_a],
-    ], dtype=complex)
-    h_uu = np.array([
-        [0.0,  om_a, 0.0],
-        [om_a, config.laser_detuning_a, g_a],
-        [0.0,  g_a,  -d_a],
-    ], dtype=complex)
-    gamma, kappa = cav.gamma, cav.kappa
-    h_eff_ud = h_ud - 0.5j * np.diag([0.0, gamma, kappa, gamma, 0.0])
-    h_eff_uu = h_uu - 0.5j * np.diag([0.0, gamma, kappa])
-    return RamanHamiltonians(h_ud, h_uu, h_eff_ud, h_eff_uu)
+    heff_ud, heff_uu = _lossy_sectors(*_sector_parameters(config), cav.kappa, cav.gamma)
+    return RamanHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
+                             heff_ud, heff_uu)
 
 
 def raman_gate_time(config: RamanConfig) -> float:
@@ -168,7 +181,7 @@ def raman_gate_time(config: RamanConfig) -> float:
     """
     g_a, g_b = config.coupling_a, config.coupling_b
     om_a, om_b = config.rabi_a, config.drive_b
-    if g_a <= 0 or g_b <= 0 or om_a <= 0 or om_b <= 0:
+    if any_row((g_a <= 0) | (g_b <= 0) | (om_a <= 0) | (om_b <= 0)):
         raise ValueError("couplings and drives must be > 0 for a finite gate time")
     d = config.two_photon
     da, db = config.laser_detuning_a, config.laser_detuning_b
@@ -185,65 +198,69 @@ def optimal_two_photon(kappa, cooperativity) -> float:
     return 0.5 * kappa * math.sqrt(cooperativity)
 
 
-def relative_phase_fidelity_raman(config: RamanConfig, gate_time=None) -> float:
+def relative_phase_fidelity_raman(config: RamanConfig, gate_time=None):
     """F_pi = (1/2)|<uu-start|e^{-iT H_uu}|uu-start> - <ud-start|e^{-iT H_ud}|ud-start>|."""
     if gate_time is None:
         gate_time = raman_gate_time(config)
-    ham = build_raman_hamiltonians(config)
-    amp_ud = linalg.return_amplitude(ham.h_eff_up_down, 0, gate_time)
-    amp_uu = linalg.return_amplitude(ham.h_eff_up_up, 0, gate_time)
-    return 0.5 * abs(amp_uu - amp_ud)
+    cav = config.cavity
+
+    def lossy_sectors(*params):
+        return _lossy_sectors(*params, cav.kappa, cav.gamma)
+
+    return phase_fidelity(lossy_sectors, _sector_parameters(config), gate_time)
 
 
-def _as_result(f_gate, gate_time, method):
-    notes = ()
-    if f_gate < 0.0 or f_gate > 1.0:
-        notes = ("clamped",)
-        f_gate = min(max(f_gate, 0.0), 1.0)
-    return GateResult(fidelity=f_gate, gate_time=gate_time, success_probability=1.0,
-                      method=method, notes=notes)
-
-
-def fidelity_numeric_raman(config: RamanConfig, gate_time=None) -> GateResult:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from 5x5/3x3 non-Hermitian propagation."""
+def fidelity_numeric_raman_batch(config: RamanConfig, gate_time=None) -> GateResults:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from 5x5/3x3 non-Hermitian
+    propagation, for every row of an array-valued config."""
     if gate_time is None:
         gate_time = raman_gate_time(config)
     f_pi = relative_phase_fidelity_raman(config, gate_time)
     f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
-    return _as_result(f_gate, gate_time, Method.NON_HERMITIAN)
+    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
 
 
-def fidelity_analytic_raman(config: RamanConfig, gate_time=None) -> GateResult:
+def fidelity_numeric_raman(config: RamanConfig, gate_time=None) -> GateResult:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from 5x5/3x3 non-Hermitian propagation."""
+    return fidelity_numeric_raman_batch(config, gate_time).single()
+
+
+def fidelity_analytic_raman_batch(config: RamanConfig, gate_time=None) -> GateResults:
     """Adiabatic closed form including the drive-induced corrections:
 
     F = (1/2) ( cos^2(pi Omega/(4 Delta)) cos^2(pi Omega^2/(2 delta Delta))
                 sin((pi/2)/(1 + g^2/(delta Delta))) F_pi + 1 ) - Gamma*T,
 
-    with F_pi the ideal ridge form evaluated at the two-photon detuning.
-    Residual two-photon or laser-detuning errors are not modeled here.
+    with F_pi the ideal ridge form evaluated at the two-photon detuning, for
+    every row of an array-valued config. Residual two-photon or
+    laser-detuning errors are not modeled; rows that have them carry the
+    note "detuning errors not modeled".
     """
     cav = config.cavity
     d = config.two_photon
     big_d = config.laser_detuning
-    omega = math.sqrt(config.rabi_a * config.drive_b)
+    omega = np.sqrt(config.rabi_a * config.drive_b)
     g2 = config.coupling_a * config.coupling_b
-    if g2 / (d * big_d) > 0.5 or (big_d > 0 and omega / big_d > 0.5):
+    if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
         warnings.warn("inputs are at the edge of the adiabatic regime "
                       "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
     if gate_time is None:
         gate_time = raman_gate_time(config)
     f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
     prefactor = (
-        math.cos(math.pi * omega / (4.0 * big_d)) ** 2
-        * math.cos(math.pi * omega**2 / (2.0 * d * big_d)) ** 2
-        * math.sin((math.pi / 2.0) / (1.0 + g2 / (d * big_d)))
+        np.cos(np.pi * omega / (4.0 * big_d)) ** 2
+        * np.cos(np.pi * omega**2 / (2.0 * d * big_d)) ** 2
+        * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
     )
     f_gate = 0.5 * (prefactor * f_pi + 1.0) - config.gamma_eff * gate_time
-    result = _as_result(f_gate, gate_time, Method.ANALYTIC)
-    if config.two_photon_error > 0 or config.laser_detuning_error > 0:
-        result = GateResult(result.fidelity, result.gate_time, result.success_probability,
-                            result.method, result.notes + ("detuning errors not modeled",))
-    return result
+    unmodeled = (config.two_photon_error > 0) | (config.laser_detuning_error > 0)
+    return gate_results(f_gate, gate_time, Method.ANALYTIC,
+                        {"detuning errors not modeled": unmodeled})
+
+
+def fidelity_analytic_raman(config: RamanConfig, gate_time=None) -> GateResult:
+    """One-configuration call of fidelity_analytic_raman_batch."""
+    return fidelity_analytic_raman_batch(config, gate_time).single()
 
 
 def max_fidelity_raman(config: RamanConfig) -> GateResult:
@@ -275,7 +292,7 @@ def max_fidelity_raman(config: RamanConfig) -> GateResult:
     # at small C)
     ceiling = 0.5 * (ridge_f_pi(optimal_two_photon(cav.kappa, c), cav.kappa, c) + 1.0)
     f_gate = min(f_gate, ceiling)
-    return _as_result(f_gate, t_o, Method.ANALYTIC)
+    return gate_results(f_gate, t_o, Method.ANALYTIC).single()
 
 
 class SpectralSeparationPoint(NamedTuple):

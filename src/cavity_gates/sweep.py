@@ -1,15 +1,14 @@
 """Deterministic parameter sweeps with golden-section refinement.
 
-Grid cells are pure function evaluations written into preallocated slots,
-so results are byte-identical regardless of worker count. Evaluator
-failures mark cells NaN and are logged; they never abort a sweep.
+Grid cells are pure function evaluations written into preallocated slots
+in grid order, so identical specs give byte-identical results. An evaluator
+failure marks its cell NaN and is recorded in SweepResult.errors; it never
+aborts a sweep.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -18,8 +17,6 @@ import numpy as np
 from .errors import BoundaryMaximum
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-ENV_THREADS = "CAVITY_GATE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,7 @@ class SweepResult:
         return tuple(self.coords[d][self.max_index[d]] for d in range(len(self.coords)))
 
 
-def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(ENV_THREADS)
-    return max(1, int(env)) if env else 1
-
-
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; identical specs produce identical result bytes."""
     coords = tuple(ax.values() for ax in spec.axes)
     names = [ax.name for ax in spec.axes]
@@ -100,30 +90,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     shape = tuple(len(c) for c in coords)
     values = np.full(shape, np.nan)
     errors = []
-
-    flat_points = list(np.ndindex(shape))
-
-    def evaluate(idx):
+    for idx in np.ndindex(shape):
         kwargs = {names[d]: float(coords[d][idx[d]]) for d in range(len(shape))}
         kwargs.update(fixed)
         try:
-            return idx, float(spec.evaluator(**kwargs)), None
+            values[idx] = float(spec.evaluator(**kwargs))
         except Exception as exc:  # NaN cell, sweep completes
-            return idx, math.nan, f"{type(exc).__name__}: {exc}"
-
-    n_workers = _worker_count(workers)
-    if n_workers == 1:
-        results = map(evaluate, flat_points)
-    else:
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-        try:
-            results = list(pool.map(evaluate, flat_points, chunksize=16))
-        finally:
-            pool.shutdown()
-    for idx, value, err in results:
-        values[idx] = value
-        if err is not None:
-            errors.append((idx, err))
+            errors.append((idx, f"{type(exc).__name__}: {exc}"))
 
     if np.all(np.isnan(values)):
         max_index, max_value = tuple(0 for _ in shape), math.nan
@@ -135,7 +108,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         spec=spec, coords=coords, values=values,
         max_index=tuple(int(i) for i in max_index), max_value=max_value,
         errors=tuple(errors),
-        metadata={"config_hash": spec.config_hash(), "workers": n_workers},
+        metadata={"config_hash": spec.config_hash()},
     )
 
 

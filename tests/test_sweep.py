@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -57,22 +56,6 @@ def test_run_sweep_deterministic():
     b = sweep.run_sweep(spec)
     assert a.values.tobytes() == b.values.tobytes()
     assert a.metadata["config_hash"] == b.metadata["config_hash"]
-
-
-def test_parallel_serial_equivalence():
-    axes = (sweep.Axis("x", 0.5, 3.5, 21), sweep.Axis("y", 0.0, 1.5, 17))
-    spec = sweep.SweepSpec(axes=axes, evaluator=bumpy)
-    serial = sweep.run_sweep(spec, workers=1)
-    parallel = sweep.run_sweep(spec, workers=4)
-    assert serial.values.tobytes() == parallel.values.tobytes()
-    assert serial.max_index == parallel.max_index
-
-
-def test_env_var_worker_count(monkeypatch):
-    monkeypatch.setenv(sweep.ENV_THREADS, "3")
-    spec = sweep.SweepSpec(axes=(sweep.Axis("x", 0.0, 1.0, 9),), evaluator=quadratic)
-    result = sweep.run_sweep(spec)
-    assert result.metadata["workers"] == 3
 
 
 def test_nan_policy():
