@@ -11,7 +11,6 @@ schemes.
 __version__ = "0.1.0"
 
 from .errors import (
-    BoundaryMaximum,
     CavityGateError,
     ConfigError,
     ConvergenceFailure,
@@ -19,7 +18,6 @@ from .errors import (
     DivergentDenominator,
     NonFinite,
     QuadratureNotConverged,
-    StepNotConverged,
     ValidityWarning,
     ZeroDecoherence,
 )
@@ -72,18 +70,13 @@ from .lindblad import (
     exchange_open_system,
     gate_fidelity_lindblad,
     gate_fidelity_nonhermitian,
-    lindblad_propagate,
     propagate_exact,
     raman_open_system,
     trajectory_decomposition,
 )
 from .sweep import (
     Axis,
-    SweepSpec,
-    SweepResult,
     cooperativity_scaling,
     golden_section_max,
-    refine_max,
-    run_sweep,
 )
 from . import linalg

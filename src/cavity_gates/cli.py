@@ -36,6 +36,12 @@ take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
     rabi_over_detuning   = 0.1       # exactly one of this / rabi_a
     rabi_b               = matched   # or a rate
 
+`sweep --param KEY` overwrites one key of the parsed [scheme.<name>]
+section at each grid point (keys are case-insensitive, as in the file).
+A key the scheme never reads, and a grid with fewer than 2 points, a
+non-finite or unordered range or a non-positive log range, are config
+errors.
+
 Exit codes: 0 success, 2 config error, 3 evaluator error, 4 unwritable
 output. Results go to stdout; warnings and errors to stderr.
 """
@@ -56,6 +62,7 @@ from .exchange import fidelity_analytic_exchange, fidelity_numeric_exchange
 from .lindblad import exchange_open_system, gate_fidelity_lindblad, raman_open_system
 from .raman import fidelity_analytic_raman, fidelity_numeric_raman
 from .scattering import fidelity_analytic, fidelity_numeric
+from .sweep import Axis
 
 EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
@@ -217,41 +224,33 @@ def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
 def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, method,
               out_dir):
     """Sweep one scheme parameter of a config and tabulate the fidelity."""
-    import numpy as np
-
-    run_base = _load(config_file)
-    if scheme not in run_base.schemes:
+    run = _load(config_file)
+    if scheme not in run.schemes:
         _fail(EXIT_CONFIG, f"config has no [scheme.{scheme}] section")
-    import configparser
-    import io
-
-    if log_scale:
-        if vmin <= 0:
-            _fail(EXIT_CONFIG, "log sweeps need a positive range")
-        values = np.exp(np.linspace(np.log(vmin), np.log(vmax), points))
-    else:
-        values = np.linspace(vmin, vmax, points)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(config_file, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        axis = Axis(param, vmin, vmax, points, "log" if log_scale else "linear")
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, f"sweep grid: {exc}")
+    section = run.schemes[scheme]
+    key = param.lower()  # configparser lowercases option names
+    suffix = "" if unit in ("", "none") else f" {unit}"
     lines = [f"# sweep {scheme}.{param} [{unit}] method={method}",
              f"{param},fidelity,gate_time_gamma"]
-    for value in values:
-        suffix = "" if unit in ("", "none") else f" {unit}"
-        parser.set(f"scheme.{scheme}", param, f"{float(value):.17g}{suffix}")
-        buf = io.StringIO()
-        parser.write(buf)
+    for value in axis.values():
+        section.raw[key] = f"{float(value):.17g}{suffix}"
         try:
-            run = config_mod.load_config_text(buf.getvalue())
             cfg = config_mod.SCHEME_BUILDERS[scheme](run)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = _evaluate(scheme, cfg, method)
             lines.append(f"{float(value):.11e},{result.fidelity:.11e},"
                          f"{result.gate_time * run.cavity.gamma:.11e}")
-        except (ConfigError, CavityGateError) as exc:
+        except CavityGateError as exc:
             lines.append(f"{float(value):.11e},nan,nan")
             click.echo(f"warning: {param}={float(value):g}: {exc}", err=True)
+    if key not in section.used:
+        _fail(EXIT_CONFIG, f"the {scheme} scheme never reads {section.key(key)}; "
+                           "nothing was swept")
     out_text = "\n".join(lines) + "\n"
     if out_dir is not None:
         csv_path = _write_output(out_dir, "sweep.csv", out_text)

@@ -25,16 +25,8 @@ class ZeroDecoherence(CavityGateError):
     """An optimum that scales with 1/Gamma diverges at Gamma = 0."""
 
 
-class StepNotConverged(CavityGateError):
-    """Halving the integrator step changed the solution beyond tolerance."""
-
-
 class DegenerateBranch(CavityGateError):
     """Failure branch is undefined because the jump probability is ~ 0."""
-
-
-class BoundaryMaximum(CavityGateError):
-    """Best sweep cell lies on the grid boundary; the range is mis-specified."""
 
 
 class ConfigError(CavityGateError):

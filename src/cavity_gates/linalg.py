@@ -57,24 +57,6 @@ def _expm_squaring(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def mat_exp(matrix) -> np.ndarray:
-    """Matrix exponential e^M.
-
-    Diagonalizes when the eigenvector condition number is below
-    EIG_COND_LIMIT, otherwise uses scaling-and-squaring. For anti-Hermitian
-    input the result is unitary to ~1e-10.
-    """
-    m = _as_square(matrix)
-    try:
-        evals, vecs = np.linalg.eig(m)
-        cond = np.linalg.cond(vecs)
-        if np.isfinite(cond) and cond < EIG_COND_LIMIT:
-            return (vecs * np.exp(evals)) @ np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        pass
-    return _expm_squaring(m)
-
-
 def _propagate(h: np.ndarray, psi: np.ndarray, t: np.ndarray) -> np.ndarray:
     """e^{-i t_j H_j} psi_j for stacks h (n, k, k), psi (n, k) and t (n,)."""
     if not np.isfinite(h).all():

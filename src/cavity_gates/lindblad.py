@@ -4,8 +4,9 @@ Propagates the full master equation, including the recycling terms that the
 non-Hermitian subspace treatment drops, on the joint space of both evolving
 two-qubit sectors plus the recycled ground states. Because every jump in
 these gate models lands on a dynamically frozen state, the master equation
-admits an exact single-jump closure which is used for stiff operating
-points; a fixed-step RK4 integrator covers generic small systems.
+admits an exact single-jump closure, `propagate_exact`, which is the one
+master-equation path: it rejects systems whose jump destinations are not
+frozen rather than integrating them approximately.
 
 Gate fidelities are reported up to a local Z rotation on the control qubit
 (the relative-phase gauge in which the ideal gate is defined); the optimal
@@ -20,13 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranch, StepNotConverged
+from .errors import DegenerateBranch
 from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians, exchange_gate_time
-from .params import GateResult, Method
+from .params import GateResult, Method, gate_results
 from .raman import RamanConfig, build_raman_hamiltonians, raman_gate_time
-
-#: auto-chosen RK4 step counts above this raise instead of running forever
-_MAX_AUTO_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -58,64 +56,6 @@ def effective_hamiltonian(system: OpenSystem) -> np.ndarray:
         l = np.asarray(op, dtype=complex)
         h -= 0.5j * rate * (l.conj().T @ l)
     return h
-
-
-def _rhs(system: OpenSystem, rho: np.ndarray) -> np.ndarray:
-    h = system.hamiltonian
-    drho = -1j * (h @ rho - rho @ h)
-    for rate, op in system.jumps:
-        l = np.asarray(op, dtype=complex)
-        ld = l.conj().T
-        ldl = ld @ l
-        drho += rate * (l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
-    return drho
-
-
-def _rk4(system: OpenSystem, rho0: np.ndarray, t: float, steps: int) -> np.ndarray:
-    dt = t / steps
-    rho = rho0.astype(complex).copy()
-    for _ in range(steps):
-        k1 = _rhs(system, rho)
-        k2 = _rhs(system, rho + 0.5 * dt * k1)
-        k3 = _rhs(system, rho + 0.5 * dt * k2)
-        k4 = _rhs(system, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return 0.5 * (rho + rho.conj().T)
-
-
-def default_steps(system: OpenSystem, t: float) -> int:
-    return max(10_000, int(math.ceil(20.0 * t * np.linalg.norm(system.hamiltonian, 2))))
-
-
-def lindblad_propagate(system: OpenSystem, rho0, t: float, steps: int | None = None,
-                       check: bool = True) -> np.ndarray:
-    """Fixed-step RK4 solution of the master equation.
-
-    The default step count resolves the Hamiltonian timescale
-    (max(1e4, 20*T*||H||)); a Richardson step-halving check guards the
-    result. For stiff absorbing gate models use propagate_exact instead.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if np.abs(rho0 - rho0.conj().T).max() > 1e-10:
-        raise ValueError("rho0 must be Hermitian")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
-        raise ValueError("rho0 must have unit trace")
-    if np.linalg.eigvalsh(rho0).min() < -1e-10:
-        raise ValueError("rho0 must be positive semidefinite")
-    if steps is None:
-        steps = default_steps(system, t)
-        if steps > _MAX_AUTO_STEPS:
-            raise ValueError(
-                f"auto-chosen step count {steps} is impractically large; use "
-                "propagate_exact (absorbing jump structure) or pass steps explicitly")
-    rho_coarse = _rk4(system, rho0, t, steps)
-    if not check:
-        return rho_coarse
-    rho_fine = _rk4(system, rho0, t, 2 * steps)
-    if np.abs(rho_fine - rho_coarse).max() > 1e-8:
-        raise StepNotConverged(
-            f"halving the RK4 step changed the state by {np.abs(rho_fine - rho_coarse).max():.2e}")
-    return rho_fine
 
 
 def _check_absorbing(system: OpenSystem):
@@ -314,12 +254,13 @@ def _gauge_maximized(rho: np.ndarray, frozen: np.ndarray, active: np.ndarray) ->
 
 def gate_fidelity_lindblad(gos: GateOpenSystem, gamma_eff: float = 0.0) -> GateResult:
     """Full master-equation gate fidelity (local-Z gauge maximized),
-    with the slow decoherence applied as the usual -Gamma*T correction."""
+    with the slow decoherence applied as the usual -Gamma*T correction.
+    A corrected fidelity outside [0, 1] is clamped and carries the
+    "clamped" note, as on the numeric path."""
     _, rho = propagate_exact(gos.system, gos.psi0, gos.gate_time)
     f = math.sqrt(min(max(_gauge_maximized(rho, gos.ideal_frozen, gos.ideal_active), 0.0), 1.0))
     f -= gamma_eff * gos.gate_time
-    return GateResult(fidelity=min(max(f, 0.0), 1.0), gate_time=gos.gate_time,
-                      success_probability=1.0, method=Method.LINDBLAD)
+    return gate_results(f, gos.gate_time, Method.LINDBLAD).single()
 
 
 def gate_fidelity_nonhermitian(gos: GateOpenSystem) -> float:

@@ -210,6 +210,74 @@ def test_cli_sweep_roundtrip(yb_path, tmp_path):
     assert len(lines) == 4
 
 
+def _sweep_detuning(path, param="detuning", minimum="50", maximum="200", points="3",
+                    scale="--log"):
+    return CliRunner().invoke(main, [
+        "sweep", "simple_exchange", path, "--param", param, "--minimum", minimum,
+        "--maximum", maximum, "--points", points, scale, "--unit", "per_kappa",
+        "--method", "analytic"])
+
+
+def _sweep_rows(stdout):
+    return [[float(x) for x in line.split(",")] for line in stdout.splitlines()[2:]]
+
+
+def test_cli_sweep_rows_match_evaluate(yb_path, tmp_path):
+    """Each sweep row equals `evaluate` on a config file with the swept key
+    rewritten to that row's value."""
+    rows = _sweep_rows(_sweep_detuning(yb_path).stdout)
+    assert len(rows) == 3
+    runner = CliRunner()
+    for value, fidelity, gate_time_gamma in rows:
+        path = tmp_path / "point.ini"
+        path.write_text(YB_CONFIG.replace("detuning = optimal",
+                                          f"detuning = {value!r} per_kappa"))
+        record = json.loads(runner.invoke(
+            main, ["evaluate", "simple_exchange", str(path)]).stdout)
+        assert fidelity == pytest.approx(record["fidelity"], rel=1e-10)
+        assert gate_time_gamma == pytest.approx(record["gate_time_gamma"], rel=1e-10)
+
+
+def test_cli_sweep_key_is_case_insensitive(yb_path):
+    lower = _sweep_detuning(yb_path)
+    upper = _sweep_detuning(yb_path, param="DETUNING")
+    assert upper.exit_code == 0
+    assert _sweep_rows(upper.stdout) == _sweep_rows(lower.stdout)
+    fidelities = [row[1] for row in _sweep_rows(upper.stdout)]
+    assert len(set(fidelities)) == 3
+
+
+def test_cli_sweep_rejects_unread_key(yb_path):
+    result = _sweep_detuning(yb_path, param="detunin")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "scheme.simple_exchange.detunin" in result.stderr
+
+
+@pytest.mark.parametrize("grid", [
+    {"points": "0"}, {"points": "1"},
+    {"minimum": "200", "maximum": "200"}, {"minimum": "200", "maximum": "50"},
+    {"minimum": "0", "maximum": "50"}, {"minimum": "-5", "maximum": "50"},
+    {"minimum": "50", "maximum": "inf"},
+])
+def test_cli_sweep_rejects_bad_grid(yb_path, grid):
+    result = _sweep_detuning(yb_path, **grid)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "sweep grid" in result.stderr
+
+
+def test_cli_sweep_nan_row_on_point_error(yb_path):
+    """A point whose config is invalid becomes a NaN row with a warning;
+    the sweep still completes."""
+    result = _sweep_detuning(yb_path, minimum="-100", maximum="100", scale="--linear")
+    assert result.exit_code == 0
+    rows = _sweep_rows(result.stdout)
+    assert [math.isnan(row[1]) for row in rows] == [True, True, False]
+    assert 0.0 < rows[2][1] < 1.0
+    assert result.stderr.count("warning: detuning=") == 2
+
+
 def test_figure_csv_roundtrip_through_evaluate(tmp_path):
     """Rebuilding a row's config from the CSV parameter block reproduces the
     numeric column through the evaluate command."""

@@ -20,13 +20,13 @@ def taylor_expm(m, terms=30):
 
 
 def test_exp_zero_is_identity():
-    out = linalg.mat_exp(np.zeros((4, 4)))
+    out = linalg._expm_squaring(np.zeros((4, 4), dtype=complex))
     assert np.abs(out - np.eye(4)).max() < 1e-12
 
 
 def test_exp_diagonal_phases():
     thetas = np.array([0.3, -1.7])
-    out = linalg.mat_exp(-1j * np.diag(thetas))
+    out = linalg._expm_squaring(-1j * np.diag(thetas))
     assert np.abs(out - np.diag(np.exp(-1j * thetas))).max() < 1e-12
 
 
@@ -35,14 +35,14 @@ def test_exp_matches_taylor_oracle():
     for _ in range(5):
         m = random_complex((5, 5), rng, scale=0.1)
         assert np.linalg.norm(m) < 1.0
-        assert np.abs(linalg.mat_exp(m) - taylor_expm(m)).max() < 1e-10
+        assert np.abs(linalg._expm_squaring(m) - taylor_expm(m)).max() < 1e-10
 
 
 def test_exp_unitary_for_anti_hermitian():
     rng = np.random.default_rng(11)
     a = random_complex((6, 6), rng)
     h = a + a.conj().T
-    u = linalg.mat_exp(-1j * h)
+    u = linalg._expm_squaring(-1j * h)
     assert np.abs(u @ u.conj().T - np.eye(6)).max() < 1e-10
 
 
@@ -50,13 +50,15 @@ def test_eig_path_agrees_with_squaring():
     rng = np.random.default_rng(3)
     for dim in (3, 5):
         for _ in range(4):
-            m = random_complex((dim, dim), rng, scale=0.7)
-            assert np.abs(linalg.mat_exp(m) - linalg._expm_squaring(m)).max() < 1e-9
+            h = random_complex((dim, dim), rng, scale=0.7)
+            psi = random_complex(dim, rng)
+            expected = linalg._expm_squaring(-1j * 1.3 * h) @ psi
+            assert np.abs(linalg.propagate(h, psi, 1.3) - expected).max() < 1e-9
 
 
 def test_squaring_handles_defective_matrix():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # Jordan block
-    out = linalg.mat_exp(m)
+    out = linalg._expm_squaring(m)
     assert np.abs(out - np.array([[1.0, 1.0], [0.0, 1.0]])).max() < 1e-12
 
 
@@ -103,14 +105,14 @@ def test_norm_monotone_under_decay():
 
 def test_non_finite_rejected():
     with pytest.raises(NonFinite):
-        linalg.mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        linalg.propagate(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.ones(2), 1.0)
     with pytest.raises(NonFinite):
         linalg.propagate(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        linalg.mat_exp(np.ones((2, 3)))
+        linalg.propagate(np.ones((2, 3)), np.ones(2), 1.0)
     with pytest.raises(ValueError):
         linalg.propagate(np.eye(3), np.ones(2), 1.0)
 
