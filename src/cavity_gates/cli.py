@@ -40,7 +40,9 @@ take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
 section at each grid point (keys are case-insensitive, as in the file).
 A key the scheme never reads, and a grid with fewer than 2 points, a
 non-finite or unordered range or a non-positive log range, are config
-errors.
+errors. A point that fails becomes a `nan,nan` row; when every point
+fails (say, an unknown `--unit`), no table is printed and the exit code is
+that of the first point's error.
 
 Exit codes: 0 success, 2 config error, 3 evaluator error, 4 unwritable
 output. Results go to stdout; warnings and errors to stderr.
@@ -236,6 +238,7 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
     suffix = "" if unit in ("", "none") else f" {unit}"
     lines = [f"# sweep {scheme}.{param} [{unit}] method={method}",
              f"{param},fidelity,gate_time_gamma"]
+    errors = []
     for value in axis.values():
         section.raw[key] = f"{float(value):.17g}{suffix}"
         try:
@@ -246,8 +249,12 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
             lines.append(f"{float(value):.11e},{result.fidelity:.11e},"
                          f"{result.gate_time * run.cavity.gamma:.11e}")
         except CavityGateError as exc:
+            errors.append(exc)
             lines.append(f"{float(value):.11e},nan,nan")
             click.echo(f"warning: {param}={float(value):g}: {exc}", err=True)
+    if len(errors) == axis.points:
+        _fail(EXIT_CONFIG if isinstance(errors[0], ConfigError) else EXIT_EVALUATOR,
+              f"no grid point evaluated; the first failed with: {errors[0]}")
     if key not in section.used:
         _fail(EXIT_CONFIG, f"the {scheme} scheme never reads {section.key(key)}; "
                            "nothing was swept")

@@ -90,7 +90,9 @@ class ExchangeConfig:
         return self.cavity.g if self.g_down_b is None else self.g_down_b
 
 
-class ExchangeHamiltonians(NamedTuple):
+class SectorHamiltonians(NamedTuple):
+    """Hermitian and lossy |ud>/|uu> sector generators of either exchange gate."""
+
     h_up_down: np.ndarray
     h_up_up: np.ndarray
     h_eff_up_down: np.ndarray
@@ -160,7 +162,7 @@ def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg,
     return spectator, resonant
 
 
-def build_hamiltonians(config: ExchangeConfig) -> ExchangeHamiltonians:
+def build_hamiltonians(config: ExchangeConfig) -> SectorHamiltonians:
     """Subspace Hamiltonians of the two evolving two-qubit sectors.
 
     Bases: |ud> sector (e2 down 0, up down 1, up e1 0) and |uu> sector
@@ -174,8 +176,8 @@ def build_hamiltonians(config: ExchangeConfig) -> ExchangeHamiltonians:
     cav = config.cavity
     heff_ud, heff_uu = _lossy_sectors(*_sector_parameters(config), config.mode,
                                       cav.kappa, cav.gamma)
-    return ExchangeHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
-                                heff_ud, heff_uu)
+    return SectorHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
+                              heff_ud, heff_uu)
 
 
 def phase_fidelity(lossy_sectors, params, gate_time):
@@ -245,6 +247,13 @@ def ridge_f_pi(detuning, kappa, cooperativity):
     out = (np.exp(-2.0 * np.pi * d / (cooperativity * kappa) - np.pi * kappa / (2.0 * d))
            * np.cosh(np.pi * kappa / (4.0 * d)) ** 2)
     return float(out) if np.isscalar(detuning) else out
+
+
+def cooperativity_limited_max_exchange(cooperativity):
+    """Fidelity ceiling of both exchange schemes from finite cooperativity
+    alone: (ridge_f_pi + 1)/2 at 2 Delta = kappa sqrt(C), where kappa drops
+    out: (e^{-2 pi/sqrt(C)} cosh^2(pi/(2 sqrt(C))) + 1)/2."""
+    return 0.5 * (ridge_f_pi(0.5 * np.sqrt(cooperativity), 1.0, cooperativity) + 1.0)
 
 
 def f_pi_closed_form(config: ExchangeConfig):
@@ -339,8 +348,6 @@ def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:
             - 12.0 / c)
         - config.gamma_eff * t_o
     )
-    # the expansion overshoots at small C; never report above the unexpanded
-    # cooperativity-limited ceiling
-    ceiling = 0.5 * (ridge_f_pi(optimal_detuning(cav.kappa, c), cav.kappa, c) + 1.0)
-    f_gate = min(f_gate, ceiling)
+    # the expansion overshoots at small C; cap it by the unexpanded ceiling
+    f_gate = min(f_gate, cooperativity_limited_max_exchange(c))
     return gate_results(f_gate, t_o, Method.ANALYTIC).single()

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranch
-from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians, exchange_gate_time
+from .exchange import (ExchangeConfig, ExchangeMode, SectorHamiltonians, _default_gate_time,
+                       build_hamiltonians)
 from .params import GateResult, Method, gate_results
 from .raman import RamanConfig, build_raman_hamiltonians, raman_gate_time
 
@@ -149,11 +150,29 @@ class GateOpenSystem(NamedTuple):
         return self.ideal_frozen + self.ideal_active
 
 
-def _embed(block: np.ndarray, full_dim: int, offset: int) -> np.ndarray:
-    out = np.zeros((full_dim, full_dim), dtype=complex)
-    n = block.shape[0]
-    out[offset:offset + n, offset:offset + n] = block
-    return out
+def _gate_open_system(ham: SectorHamiltonians, n_recycled: int, jumps, gate_time,
+                      phase_on_ud: bool) -> GateOpenSystem:
+    """Basis: the |ud> block, the |uu> block (each starting in its first
+    state), the two frozen ground states of the other sectors, then
+    n_recycled frozen jump destinations. jumps: (rate, [(dest, src), ...])."""
+    n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
+    dim = n_ud + n_uu + 2 + n_recycled
+    frozen_states = [n_ud + n_uu, n_ud + n_uu + 1]
+    h = np.zeros((dim, dim), dtype=complex)
+    h[:n_ud, :n_ud] = ham.h_up_down.real
+    h[n_ud:n_ud + n_uu, n_ud:n_ud + n_uu] = ham.h_up_up.real
+    ops = []
+    for rate, pairs in jumps:
+        l = np.zeros((dim, dim), dtype=complex)
+        l[tuple(zip(*pairs))] = 1.0
+        ops.append((rate, l))
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[[0, n_ud] + frozen_states] = 0.5
+    frozen = np.zeros(dim, dtype=complex)
+    frozen[frozen_states] = 0.5
+    active = psi0 - frozen
+    active[0 if phase_on_ud else n_ud] = -0.5   # the pi phase of the ideal gate
+    return GateOpenSystem(OpenSystem(h, tuple(ops)), psi0, frozen, active, gate_time)
 
 
 def exchange_open_system(config: ExchangeConfig, gate_time=None) -> GateOpenSystem:
@@ -166,45 +185,17 @@ def exchange_open_system(config: ExchangeConfig, gate_time=None) -> GateOpenSyst
     overlaps the target.
     """
     ham = build_hamiltonians(config)
-    n_ud = ham.h_up_down.shape[0]
-    n_uu = ham.h_up_up.shape[0]
-    dim = n_ud + n_uu + 4
-    i_du, i_dd, i_guu, i_gud = n_ud + n_uu, n_ud + n_uu + 1, n_ud + n_uu + 2, n_ud + n_uu + 3
-    h = _embed(np.real(ham.h_up_down), dim, 0) + _embed(np.real(ham.h_up_up), dim, n_ud)
+    n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
+    i_guu, i_gud = n_ud + n_uu + 2, n_ud + n_uu + 3
     cav = config.cavity
-
-    def op(pairs):
-        l = np.zeros((dim, dim), dtype=complex)
-        for dest, src in pairs:
-            l[dest, src] = 1.0
-        return l
-
     # sector state indices: [0]=excited-A, [1]=one-photon, [2]=excited-B (if 3x3)
-    a_pairs = [(i_gud, 1), (i_guu, n_ud + 1)]
-    sigma_a_pairs = [(i_gud, 0), (i_guu, n_ud + 0)]
-    sigma_b_pairs = []
-    if n_ud == 3:
-        sigma_b_pairs.append((i_gud, 2))
-    if n_uu == 3:
-        sigma_b_pairs.append((i_guu, n_ud + 2))
-    jumps = [(cav.kappa, op(a_pairs)), (cav.gamma, op(sigma_a_pairs))]
-    if sigma_b_pairs:
-        jumps.append((cav.gamma, op(sigma_b_pairs)))
-    system = OpenSystem(h, tuple(jumps))
-
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[[0, n_ud, i_du, i_dd]] = 0.5
-    frozen = np.zeros(dim, dtype=complex)
-    frozen[[i_du, i_dd]] = 0.5
-    active = np.zeros(dim, dtype=complex)
-    if config.mode is ExchangeMode.OPPOSITE_RESONANT:
-        active[0], active[n_ud] = -0.5, 0.5   # pi phase on |ud>
-    else:
-        active[0], active[n_ud] = 0.5, -0.5   # pi phase on |uu>
-    if gate_time is None:
-        gate_time = exchange_gate_time(config.detuning, config.coupling_a,
-                                       config.coupling_b_resonant)
-    return GateOpenSystem(system, psi0, frozen, active, gate_time)
+    sigma_b = [(dest, offset + 2) for dest, offset, n in ((i_gud, 0, n_ud), (i_guu, n_ud, n_uu))
+               if n == 3]
+    jumps = ((cav.kappa, [(i_gud, 1), (i_guu, n_ud + 1)]),
+             (cav.gamma, [(i_gud, 0), (i_guu, n_ud)]),
+             (cav.gamma, sigma_b))
+    return _gate_open_system(ham, 2, jumps, _default_gate_time(config, gate_time),
+                             phase_on_ud=config.mode is ExchangeMode.OPPOSITE_RESONANT)
 
 
 def raman_open_system(config: RamanConfig, gate_time=None) -> GateOpenSystem:
@@ -215,33 +206,17 @@ def raman_open_system(config: RamanConfig, gate_time=None) -> GateOpenSystem:
     destinations (photon loss and emitter decay both leave the emitters in
     their cavity-coupled ground states).
     """
-    ham = build_raman_hamiltonians(config)
-    dim = 10
     i_ds, i_dd = 8, 9
-    h = _embed(np.real(ham.h_up_down), dim, 0) + _embed(np.real(ham.h_up_up), dim, 5)
     cav = config.cavity
-
-    def op(pairs):
-        l = np.zeros((dim, dim), dtype=complex)
-        for dest, src in pairs:
-            l[dest, src] = 1.0
-        return l
-
     jumps = (
-        (cav.kappa, op([(i_dd, 2), (i_ds, 7)])),   # cavity photon loss
-        (cav.gamma, op([(i_dd, 1), (i_ds, 6)])),   # emitter A decay
-        (cav.gamma, op([(i_dd, 3)])),              # emitter B decay
+        (cav.kappa, [(i_dd, 2), (i_ds, 7)]),   # cavity photon loss
+        (cav.gamma, [(i_dd, 1), (i_ds, 6)]),   # emitter A decay
+        (cav.gamma, [(i_dd, 3)]),              # emitter B decay
     )
-    system = OpenSystem(h, jumps)
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[[0, 5, i_ds, i_dd]] = 0.5
-    frozen = np.zeros(dim, dtype=complex)
-    frozen[[i_ds, i_dd]] = 0.5
-    active = np.zeros(dim, dtype=complex)
-    active[0], active[5] = -0.5, 0.5   # pi phase on |ud>
     if gate_time is None:
         gate_time = raman_gate_time(config)
-    return GateOpenSystem(system, psi0, frozen, active, gate_time)
+    return _gate_open_system(build_raman_hamiltonians(config), 0, jumps, gate_time,
+                             phase_on_ud=True)
 
 
 def _gauge_maximized(rho: np.ndarray, frozen: np.ndarray, active: np.ndarray) -> float:

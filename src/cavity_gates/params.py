@@ -99,10 +99,6 @@ class DecoherenceSpec:
         if self.qubit_t2 is not None and self.qubit_t2 <= 0:
             raise ValueError("DecoherenceSpec.qubit_t2 must be > 0 when given")
 
-    @classmethod
-    def from_t2(cls, qubit_t2, **rates) -> "DecoherenceSpec":
-        return cls(qubit_t2=qubit_t2, **rates)
-
     def qubit_rate(self) -> float:
         """Scheme-independent floor: relaxation/8 + pure dephasing/4 (+ 1/(2 T2))."""
         rate = self.qubit_relaxation / 8.0 + self.qubit_pure_dephasing / 4.0
@@ -150,15 +146,6 @@ class GateResult:
             raise ValueError("success_probability must lie in [0, 1]")
         if not self.gate_time > 0:
             raise ValueError("gate_time must be > 0")
-
-    def as_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "gate_time": self.gate_time,
-            "success_probability": self.success_probability,
-            "method": self.method.value,
-            "notes": list(self.notes),
-        }
 
 
 def any_row(condition) -> bool:

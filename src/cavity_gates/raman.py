@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidityWarning, ZeroDecoherence
-from .exchange import phase_fidelity, ridge_f_pi
+from .exchange import (SectorHamiltonians, cooperativity_limited_max_exchange, phase_fidelity,
+                       ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, any_row, broadcast_shape,
                      gate_results)
 
@@ -132,13 +133,6 @@ def symmetric_raman_config(cavity, two_photon, laser_detuning, rabi_over_detunin
     )
 
 
-class RamanHamiltonians(NamedTuple):
-    h_up_down: np.ndarray
-    h_up_up: np.ndarray
-    h_eff_up_down: np.ndarray
-    h_eff_up_up: np.ndarray
-
-
 def _sector_parameters(config: RamanConfig) -> tuple:
     return (config.two_photon_a, config.two_photon_b, config.rabi_a, config.drive_b,
             config.coupling_a, config.coupling_b, config.laser_detuning_a,
@@ -161,7 +155,7 @@ def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
     return h, h[..., :3, :3].copy()
 
 
-def build_raman_hamiltonians(config: RamanConfig) -> RamanHamiltonians:
+def build_raman_hamiltonians(config: RamanConfig) -> SectorHamiltonians:
     """Sector Hamiltonians in the frame rotating with the drives and the
     shifted cavity; time independent at the cost of the (delta_b - delta_a)
     offsets on the B-excitation states. An array-valued config gives stacks
@@ -169,8 +163,8 @@ def build_raman_hamiltonians(config: RamanConfig) -> RamanHamiltonians:
     is the real part of its H_eff."""
     cav = config.cavity
     heff_ud, heff_uu = _lossy_sectors(*_sector_parameters(config), cav.kappa, cav.gamma)
-    return RamanHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
-                             heff_ud, heff_uu)
+    return SectorHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
+                              heff_ud, heff_uu)
 
 
 def raman_gate_time(config: RamanConfig) -> float:
@@ -288,10 +282,8 @@ def max_fidelity_raman(config: RamanConfig) -> GateResult:
             - 18.0 / c)
         - config.gamma_eff * t_o
     )
-    # cap by the unexpanded cooperativity ceiling (the expansion overshoots
-    # at small C)
-    ceiling = 0.5 * (ridge_f_pi(optimal_two_photon(cav.kappa, c), cav.kappa, c) + 1.0)
-    f_gate = min(f_gate, ceiling)
+    # the expansion overshoots at small C; cap it by the unexpanded ceiling
+    f_gate = min(f_gate, cooperativity_limited_max_exchange(c))
     return gate_results(f_gate, t_o, Method.ANALYTIC).single()
 
 

@@ -7,9 +7,14 @@ tracing the photon out of the joint state yields the reduced two-qubit
 density matrix and with it the gate fidelity. The closed-form fidelity
 approximation is valid for high cooperativity and small photon detuning
 and bandwidth relative to gamma*C.
+
+The numeric path integrates the photon spectrum on panels refined around
+the reflection poles (eigenvalues of the lossy cavity-emitter generator)
+with fixed 32- and 64-node Gauss-Legendre rules that must agree.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,34 +123,19 @@ def spin_amplitudes(config: ScatteringConfig, omega):
 def _denominator_features(config: ScatteringConfig):
     """(center, half-width) of every reflection-denominator resonance.
 
-    Roots of the denominators of the four amplitudes, used to refine the
-    frequency quadrature where the integrand has narrow structure.
+    The zeros w = center - i*half-width of kappa/2 - i*w + sum_k g^2/r_k(w),
+    one set per amplitude, are the eigenvalues of the lossy single-excitation
+    generator: cavity at -i*kappa/2, each coupled emitter at delta_k - i*gamma/2,
+    g between the cavity and each emitter.
     """
     cav = config.cavity
-    k2 = cav.kappa / 2.0
-    g2 = cav.g**2
-    features = [(0.0, k2)]
-    linear_cavity = np.array([-1j, k2])
-
-    def emitter_linear(delta):
-        # gamma/2 + i*(delta - omega) as a polynomial in omega
-        return np.array([-1j, cav.gamma / 2.0 + 1j * delta])
-
+    features = [(0.0, cav.kappa / 2.0)]
     for deltas in ((config.delta_eps_a,), (config.delta_eps_b,),
                    (config.delta_eps_a, config.delta_eps_b)):
-        poly = linear_cavity
-        for d in deltas:
-            poly = np.polymul(poly, emitter_linear(d))
-        # add g^2 * (product of the other emitter terms) for each coupled emitter
-        for i in range(len(deltas)):
-            other = np.array([1.0 + 0j])
-            for j, d in enumerate(deltas):
-                if j != i:
-                    other = np.polymul(other, emitter_linear(d))
-            pad = np.zeros(len(poly) - len(other), dtype=complex)
-            poly = poly + np.concatenate([pad, g2 * other])
-        for root in np.roots(poly):
-            features.append((float(root.real), abs(float(root.imag)) + 1e-12))
+        generator = np.diag([-0.5j * cav.kappa] + [d - 0.5j * cav.gamma for d in deltas])
+        generator[0, 1:] = generator[1:, 0] = cav.g
+        for pole in np.linalg.eigvals(generator):
+            features.append((float(pole.real), abs(float(pole.imag)) + 1e-12))
     return features
 
 
@@ -171,14 +161,13 @@ def _frequency_panels(config: ScatteringConfig):
     return pts[keep]
 
 
-def _integrate_outer(config: ScatteringConfig, nodes: int):
+def _integrate_outer(config: ScatteringConfig, panels: np.ndarray, rule) -> np.ndarray:
     """Gaussian-weighted integrals of the amplitude outer products.
 
     Returns the 4x4 matrix integral of s_i(w) s_j(w)* |f(w)|^2 dw evaluated
-    with per-panel Gauss-Legendre rules of the given order.
+    with the Gauss-Legendre rule (nodes, weights) on every panel.
     """
-    panels = _frequency_panels(config)
-    x, wgt = leggauss(nodes)
+    x, wgt = rule
     lo = panels[:-1][:, None]
     hi = panels[1:][:, None]
     t = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
@@ -190,25 +179,31 @@ def _integrate_outer(config: ScatteringConfig, nodes: int):
     return np.einsum("n,in,jn->ij", weights, s, s.conj())
 
 
-def reduced_density_matrix(config: ScatteringConfig, quadrature_nodes: int = 32,
-                           check: bool = True) -> np.ndarray:
+@functools.cache
+def _rules():
+    """The per-panel Gauss-Legendre (nodes, weights) and the doubled check rule,
+    built on first use: at import, their LAPACK call costs time and memory."""
+    return leggauss(32), leggauss(64)
+
+
+def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     """Two-qubit reduced density matrix after reflection of the pulse.
 
     rho = (1/4) * integral |f(w)|^2 s_ij(w) s_kl(w)* |ij><kl| dw in the basis
     (uu, ud, du, dd). Hermitian; trace <= 1, the deficit being the
     photon-loss-weighted amplitude reduction.
+
+    The panels are built once and integrated with the fixed 32- and 64-node
+    rules; the 64-node result is returned, and QuadratureNotConverged is
+    raised when any element of the two differs by more than 1e-10.
     """
-    if quadrature_nodes < 32:
-        raise ValueError("quadrature_nodes must be >= 32")
-    rho = _integrate_outer(config, quadrature_nodes) / 4.0
-    if check:
-        rho2 = _integrate_outer(config, 2 * quadrature_nodes) / 4.0
-        if np.abs(rho - rho2).max() > 1e-10:
-            raise QuadratureNotConverged(
-                f"doubling quadrature nodes changed the density matrix by "
-                f"{np.abs(rho - rho2).max():.2e}")
-        rho = rho2
-    return 0.5 * (rho + rho.conj().T)
+    panels = _frequency_panels(config)
+    rho, rho2 = (_integrate_outer(config, panels, rule) / 4.0 for rule in _rules())
+    change = np.abs(rho - rho2).max()
+    if change > 1e-10:
+        raise QuadratureNotConverged(
+            f"doubling quadrature nodes changed the density matrix by {change:.2e}")
+    return 0.5 * (rho2 + rho2.conj().T)
 
 
 def _apply_dephasing(rho: np.ndarray, gamma_eff: float, gate_time: float) -> np.ndarray:
@@ -223,8 +218,7 @@ def _apply_dephasing(rho: np.ndarray, gamma_eff: float, gate_time: float) -> np.
     return out
 
 
-def fidelity_numeric(config: ScatteringConfig, quadrature_nodes: int = 32,
-                     check: bool = True) -> GateResult:
+def fidelity_numeric(config: ScatteringConfig) -> GateResult:
     """Gate fidelity from the exact amplitude integral (no small-parameter
     expansion), conditioned on photon detection.
 
@@ -234,7 +228,7 @@ def fidelity_numeric(config: ScatteringConfig, quadrature_nodes: int = 32,
     probability proxy.
     """
     t_gate = config.pulse.gate_time
-    rho = reduced_density_matrix(config, quadrature_nodes, check=check)
+    rho = reduced_density_matrix(config)
     trace = float(np.trace(rho).real)
     rho = _apply_dephasing(rho, config.gamma_eff, t_gate)
     f2 = float(np.real(IDEAL_TARGET @ rho @ IDEAL_TARGET))

@@ -14,6 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from .exchange import cooperativity_limited_max_exchange
+from .scattering import cooperativity_limited_max
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -65,23 +68,18 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def cooperativity_scaling(c_values) -> dict:
-    """Cooperativity-limited maximum fidelity per scheme, with the large-C
-    asymptotes, all error terms zeroed.
-
-    Scattering: 1 - 1/(C+1) - 1/(4C+2), asymptote 1 - 5/(4C). Both exchange
-    schemes share the unexpanded optimum (e^{-2 pi/sqrt(C)}
-    cosh^2(pi/(2 sqrt(C))) + 1)/2 at 2*detuning = kappa*sqrt(C), asymptote
-    1 - pi/sqrt(C); the asymptotes underestimate at low C.
+    """Cooperativity-limited maximum fidelity per scheme, all error terms
+    zeroed: scattering.cooperativity_limited_max and, shared by both exchange
+    schemes, exchange.cooperativity_limited_max_exchange; with the large-C
+    asymptotes 1 - 5/(4C) and 1 - pi/sqrt(C), which underestimate at low C.
     """
     c = np.asarray(c_values, dtype=float)
     if np.any(c < 1):
         raise ValueError("cooperativity values must be >= 1")
-    scattering = 1.0 - 1.0 / (c + 1.0) - 1.0 / (4.0 * c + 2.0)
-    f_pi = np.exp(-2.0 * np.pi / np.sqrt(c)) * np.cosh(0.5 * np.pi / np.sqrt(c)) ** 2
-    exchange = 0.5 * (f_pi + 1.0)
+    exchange = cooperativity_limited_max_exchange(c)
     return {
         "cooperativity": c,
-        "scattering": scattering,
+        "scattering": cooperativity_limited_max(c),
         "scattering_asymptote": 1.0 - 5.0 / (4.0 * c),
         "simple_exchange": exchange,
         "raman": exchange.copy(),

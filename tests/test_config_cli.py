@@ -211,10 +211,10 @@ def test_cli_sweep_roundtrip(yb_path, tmp_path):
 
 
 def _sweep_detuning(path, param="detuning", minimum="50", maximum="200", points="3",
-                    scale="--log"):
+                    scale="--log", unit="per_kappa"):
     return CliRunner().invoke(main, [
         "sweep", "simple_exchange", path, "--param", param, "--minimum", minimum,
-        "--maximum", maximum, "--points", points, scale, "--unit", "per_kappa",
+        "--maximum", maximum, "--points", points, scale, "--unit", unit,
         "--method", "analytic"])
 
 
@@ -276,6 +276,26 @@ def test_cli_sweep_nan_row_on_point_error(yb_path):
     assert [math.isnan(row[1]) for row in rows] == [True, True, False]
     assert 0.0 < rows[2][1] < 1.0
     assert result.stderr.count("warning: detuning=") == 2
+
+
+@pytest.mark.parametrize("unit", ["per_kapa", "s"])
+def test_cli_sweep_fails_when_no_point_evaluates(yb_path, unit):
+    """A misspelled unit, or a duration unit on a rate key, fails at every
+    point: no table, and the config-error exit code."""
+    result = _sweep_detuning(yb_path, unit=unit)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "no grid point evaluated" in result.stderr
+    assert f"unknown rate unit '{unit}'" in result.stderr
+
+
+def test_cli_sweep_evaluator_error_at_every_point(yb_path):
+    result = CliRunner().invoke(main, [
+        "sweep", "scattering", yb_path, "--param", "delta_p", "--minimum", "1",
+        "--maximum", "5", "--points", "3", "--unit", "per_gamma", "--method", "lindblad"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "no Lindblad path" in result.stderr
 
 
 def test_figure_csv_roundtrip_through_evaluate(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavity_gates.errors import DivergentDenominator, ValidityWarning
+from cavity_gates.errors import DivergentDenominator, QuadratureNotConverged, ValidityWarning
 from cavity_gates.params import CavitySystem
 from cavity_gates import scattering as sc
 
@@ -238,8 +238,50 @@ def test_quadrature_converges_in_strong_coupling():
     # narrow polariton dips inside the pulse envelope must not break the
     # node-doubling convergence check
     cfg = make_config(g_over_kappa=10.0, gate_time=2.0, delta_p=100.0)
-    rho = sc.reduced_density_matrix(cfg, check=True)
+    rho = sc.reduced_density_matrix(cfg)
     assert float(np.trace(rho).real) <= 1.0 + 1e-9
+
+
+def test_unrefined_panels_fail_the_doubling_check(monkeypatch):
+    """Without the pole refinement the narrow polariton dips of the
+    strong-coupling case are under-resolved: the 32/64-node check raises
+    instead of returning a number."""
+    cfg = make_config(g_over_kappa=10.0, gate_time=2.0, delta_p=100.0)
+    monkeypatch.setattr(sc, "_frequency_panels", lambda config: np.array([-8.0, 8.0]))
+    with pytest.raises(QuadratureNotConverged):
+        sc.reduced_density_matrix(cfg)
+    with pytest.raises(QuadratureNotConverged):
+        sc.fidelity_numeric(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 1e5), st.floats(0.01, 10.0), st.floats(-100.0, 100.0),
+       st.floats(-100.0, 100.0))
+def test_denominator_features_are_reflection_poles(cooperativity, g_over_kappa, delta_a, delta_b):
+    """The bare cavity gives the first feature; every other feature
+    w = center - i*half-width zeroes the reflection denominator of its
+    emitter set (a, b, both). The denominator is cleared of its emitter
+    factors r_k = gamma/2 + i(delta_k - w), so a cavity-decoupled dark state
+    at equal detunings counts too, and the residual is taken relative to
+    the size of its coefficients at |w| (the root's backward error). The
+    1e-12 floor that keeps those half-widths positive is taken off first."""
+    cfg = make_config(cooperativity, g_over_kappa, delta_eps_a=delta_a, delta_eps_b=delta_b)
+    cav = cfg.cavity
+    features = sc._denominator_features(cfg)
+    assert len(features) == 8
+    assert features[0] == (0.0, cav.kappa / 2)
+    emitter_sets = [(delta_a,)] * 2 + [(delta_b,)] * 2 + [(delta_a, delta_b)] * 3
+    for (center, half_width), deltas in zip(features[1:], emitter_sets):
+        w = center - 1j * (half_width - 1e-12)
+
+        def cleared(cavity_factor, emitter_factors):
+            others = [np.prod(emitter_factors[:k] + emitter_factors[k + 1:])
+                      for k in range(len(emitter_factors))]
+            return cavity_factor * np.prod(emitter_factors) + cav.g**2 * sum(others)
+
+        value = cleared(cav.kappa / 2 - 1j * w, [cav.gamma / 2 + 1j * (d - w) for d in deltas])
+        size = cleared(cav.kappa / 2 + abs(w), [cav.gamma / 2 + abs(d) + abs(w) for d in deltas])
+        assert abs(value) <= 1e-10 * size
 
 
 def test_cooperativity_limited_max_formula():
