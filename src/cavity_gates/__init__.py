@@ -30,7 +30,6 @@ from .scattering import (
     fidelity_numeric,
     optimal_gate_time,
     reduced_density_matrix,
-    reflection_ratio,
     spin_amplitudes,
 )
 from .exchange import (

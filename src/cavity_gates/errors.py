@@ -10,7 +10,8 @@ class NonFinite(CavityGateError):
 
 
 class ConvergenceFailure(CavityGateError):
-    """Neither the eigendecomposition nor the series path converged."""
+    """No propagation path converged, or the exact Lindblad closure's eigenbasis
+    is too ill-conditioned (near an exceptional point) to be trusted."""
 
 
 class DivergentDenominator(CavityGateError):

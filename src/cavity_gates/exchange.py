@@ -1,4 +1,5 @@
-"""Simple virtual-photon-exchange controlled phase-flip gate.
+"""Simple virtual-photon-exchange controlled phase-flip gate, and the one
+numeric path of both exchange gates.
 
 One emitter is excited by a fast optical pi pulse; a dispersively coupled
 cavity then mediates a resonant excitation swap with the other emitter,
@@ -7,9 +8,13 @@ state. Two equivalent operating modes exist: the opposite-spin transitions
 brought into resonance (phase lands on |ud>), or the equal-spin transitions
 (phase lands on |uu>). The non-Hermitian 3x3 subspace Hamiltonians carry
 cavity decay kappa on the one-photon state and emitter decay gamma on the
-excited states.
+excited states. splitting_eg = inf is the ideal spectator: a decoupled
+third state, not a separate code path.
 
-Numeric fields of ExchangeConfig may be numpy arrays that broadcast
+The Raman gate gets its pi phase from the same lossy swap, so the numeric
+functions here take an ExchangeConfig or a RamanConfig; each supplies its
+sector builder and parameters (`sectors()`) and its pi-phase `gate_time`.
+Numeric fields of either config may be numpy arrays that broadcast
 together (the cavity and the mode stay scalar): the *_batch evaluators then
 evaluate every row at once through the stacked propagation of `linalg` and
 return GateResults of the broadcast shape. The scalar evaluators are the
@@ -18,10 +23,11 @@ one-configuration calls of the same functions.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -29,6 +35,9 @@ from . import linalg
 from .errors import ValidityWarning
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
                      broadcast_shape, gate_results)
+
+if TYPE_CHECKING:
+    from .raman import RamanConfig
 
 
 class ExchangeMode(enum.Enum):
@@ -44,8 +53,8 @@ class ExchangeConfig:
 
     detuning is the cavity detuning of the excited system (Delta_A > 0).
     splitting_eg is the spectator-transition splitting; math.inf marks the
-    ideal isolated-spectator limit. detuning_error is the residual error in
-    the partner's tuned resonance condition. Per-transition couplings
+    ideal isolated-spectator limit, row by row. detuning_error is the
+    residual error in the partner's tuned resonance condition. Per-transition couplings
     default to the cavity's g.
     """
 
@@ -64,9 +73,6 @@ class ExchangeConfig:
             raise ValueError("detuning must be > 0")
         if any_row(self.splitting_eg < 0):
             raise ValueError("splitting_eg must be >= 0 (math.inf for ideal)")
-        ideal = self.splitting_eg == math.inf
-        if any_row(ideal) and not all_rows(ideal):
-            raise ValueError("splitting_eg must be ideal (inf) in every row or in none")
         if any_row(self.gamma_eff < 0):
             raise ValueError("gamma_eff must be >= 0")
         if not all_rows(np.isfinite(self.detuning_error)):
@@ -88,6 +94,19 @@ class ExchangeConfig:
         if self.mode is ExchangeMode.OPPOSITE_RESONANT:
             return self.cavity.g if self.g_up_b is None else self.g_up_b
         return self.cavity.g if self.g_down_b is None else self.g_down_b
+
+    @property
+    def gate_time(self):
+        """Excitation dwell time for a pi phase (exchange_gate_time)."""
+        return exchange_gate_time(self.detuning, self.coupling_a, self.coupling_b_resonant)
+
+    def sectors(self):
+        """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
+        cav = self.cavity
+        params = (self.detuning, self.coupling_a, self.coupling_b_resonant,
+                  self.coupling_b_spectator, self.detuning_error, self.splitting_eg)
+        return functools.partial(_lossy_sectors, mode=self.mode, kappa=cav.kappa,
+                                 gamma=cav.gamma), params
 
 
 class SectorHamiltonians(NamedTuple):
@@ -129,53 +148,37 @@ def _subspace_block(shape, detuning, g_a, g_b, offset, kappa, gamma):
     return h
 
 
-def _spectator_block(shape, detuning, g_a, kappa, gamma):
-    """Far-detuned spectator in the ideal splitting limit: the third state
-    decouples, leaving the lossy 2x2 (excited-A, one-photon) block."""
-    h = np.zeros(shape + (2, 2), dtype=complex)
-    h[..., 0, 0] = -0.5j * gamma
-    h[..., 0, 1] = h[..., 1, 0] = g_a
-    h[..., 1, 1] = detuning - 0.5j * kappa
-    return h
-
-
-def _sector_parameters(config: ExchangeConfig) -> tuple:
-    return (config.detuning, config.coupling_a, config.coupling_b_resonant,
-            config.coupling_b_spectator, config.detuning_error, config.splitting_eg)
-
-
 def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg,
                    mode, kappa, gamma):
-    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters."""
+    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters;
+    an infinite splitting_eg decouples the spectator end state (g = offset = 0)."""
     shape = broadcast_shape(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg)
     stark = (g_a**2 - g_res**2) / detuning
     offset_res = -detuning_error - stark
     resonant = _subspace_block(shape, detuning, g_a, g_res, offset_res, kappa, gamma)
-    if all_rows(splitting_eg == math.inf):
-        spectator = _spectator_block(shape, detuning, g_a, kappa, gamma)
-    else:
-        sign = 1.0 if mode is ExchangeMode.OPPOSITE_RESONANT else -1.0
-        offset_spec = offset_res + sign * splitting_eg
-        spectator = _subspace_block(shape, detuning, g_a, g_spec, offset_spec, kappa, gamma)
+    sign = 1.0 if mode is ExchangeMode.OPPOSITE_RESONANT else -1.0
+    ideal = np.isinf(splitting_eg)
+    spectator = _subspace_block(shape, detuning, g_a, np.where(ideal, 0.0, g_spec),
+                                np.where(ideal, 0.0, offset_res + sign * splitting_eg),
+                                kappa, gamma)
     if mode is ExchangeMode.OPPOSITE_RESONANT:
         return resonant, spectator
     return spectator, resonant
 
 
-def build_hamiltonians(config: ExchangeConfig) -> SectorHamiltonians:
-    """Subspace Hamiltonians of the two evolving two-qubit sectors.
+def build_hamiltonians(config: ExchangeConfig | RamanConfig) -> SectorHamiltonians:
+    """Subspace Hamiltonians of the two evolving two-qubit sectors of either gate.
 
-    Bases: |ud> sector (e2 down 0, up down 1, up e1 0) and |uu> sector
-    (e2 up 0, up up 1, up e2 0). With the partner tuned, the resonant
-    sector's end state sits at -detuning_error (minus the residual Stark
-    offset) and the spectator's at splitting_eg above it. In the ideal
-    splitting_eg = inf limit the spectator block is returned as 2x2. An
-    array-valued config gives stacks of shape (broadcast shape) + (k, k).
-    The couplings are real, so each H is the real part of its H_eff.
+    Exchange bases: |ud> sector (e2 down 0, up down 1, up e1 0) and |uu>
+    sector (e2 up 0, up up 1, up e2 0). With the partner tuned, the
+    resonant sector's end state sits at -detuning_error (minus the residual
+    Stark offset) and the spectator's at splitting_eg above it (decoupled
+    at splitting_eg = inf); the Raman bases are in `raman`. An array-valued
+    config gives stacks of shape (broadcast shape) + (k, k). The couplings
+    are real, so each H is the real part of its H_eff.
     """
-    cav = config.cavity
-    heff_ud, heff_uu = _lossy_sectors(*_sector_parameters(config), config.mode,
-                                      cav.kappa, cav.gamma)
+    lossy_sectors, params = config.sectors()
+    heff_ud, heff_uu = lossy_sectors(*params)
     return SectorHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
                               heff_ud, heff_uu)
 
@@ -202,38 +205,25 @@ def phase_fidelity(lossy_sectors, params, gate_time):
                            flat[-1][s:s + block])
             for s in range(0, n, block)])
         return f_pi.reshape(shape)
-    h_ud, h_uu = lossy_sectors(*params)
-    k_ud, k_uu = h_ud.shape[-1], h_uu.shape[-1]
-    k = max(k_ud, k_uu)
+    sectors = lossy_sectors(*params)
+    k = max(sector.shape[-1] for sector in sectors)
     h = np.zeros((2,) + shape + (k, k), dtype=complex)
-    h[0, ..., :k_ud, :k_ud] = h_ud
-    h[1, ..., :k_uu, :k_uu] = h_uu
-    t = np.empty((2,) + shape)
-    t[...] = gate_time
+    for stack, sector in zip(h, sectors):
+        stack[..., :sector.shape[-1], :sector.shape[-1]] = sector
+    t = np.broadcast_to(gate_time, h.shape[:-2])
     amp = linalg.return_amplitudes(h.reshape(-1, k, k), 0, t.ravel()).reshape(t.shape)
     return (0.5 * np.abs(amp[1] - amp[0]))[()]
 
 
-def _default_gate_time(config: ExchangeConfig, gate_time):
-    if gate_time is None:
-        return exchange_gate_time(config.detuning, config.coupling_a,
-                                  config.coupling_b_resonant)
-    return gate_time
-
-
-def relative_phase_fidelity(config: ExchangeConfig, gate_time=None):
-    """F_pi from non-Hermitian propagation of both sectors.
+def relative_phase_fidelity(config: ExchangeConfig | RamanConfig, gate_time=None):
+    """F_pi from non-Hermitian propagation of both sectors of either gate.
 
     F_pi = (1/2) |<uu-start| e^{-iT H_uu} |uu-start> -
                   <ud-start| e^{-iT H_ud} |ud-start>|.
     """
-    gate_time = _default_gate_time(config, gate_time)
-    cav = config.cavity
-
-    def lossy_sectors(*params):
-        return _lossy_sectors(*params, config.mode, cav.kappa, cav.gamma)
-
-    return phase_fidelity(lossy_sectors, _sector_parameters(config), gate_time)
+    lossy_sectors, params = config.sectors()
+    return phase_fidelity(lossy_sectors, params,
+                          config.gate_time if gate_time is None else gate_time)
 
 
 def ridge_f_pi(detuning, kappa, cooperativity):
@@ -275,25 +265,23 @@ def f_pi_closed_form(config: ExchangeConfig):
     delta = config.detuning
     envelope = np.exp(-2.0 * np.pi * delta / (cav.cooperativity * cav.kappa)
                       - np.pi * cav.kappa / (2.0 * delta))
-    if all_rows(config.splitting_eg == math.inf):
-        spectator_phase = 1.0 + 0.0j
-    else:
-        spectator_phase = np.exp(4j * np.pi * g2 / (delta * config.splitting_eg))
+    spectator_phase = np.exp(4j * np.pi * g2 / (delta * config.splitting_eg))
     swap_term = (np.cosh(np.pi * cav.kappa / (2.0 * delta))
                  * np.exp(-1j * np.pi * config.detuning_error * delta / g2))
     return 0.5 * envelope * abs(spectator_phase + swap_term)
 
 
-def fidelity_numeric_exchange_batch(config: ExchangeConfig, gate_time=None) -> GateResults:
+def fidelity_numeric_exchange_batch(config: ExchangeConfig | RamanConfig,
+                                    gate_time=None) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation,
-    for every row of an array-valued config."""
-    gate_time = _default_gate_time(config, gate_time)
+    for every row of an array-valued config of either gate."""
+    gate_time = config.gate_time if gate_time is None else gate_time
     f_pi = relative_phase_fidelity(config, gate_time)
     f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
 
 
-def fidelity_numeric_exchange(config: ExchangeConfig, gate_time=None) -> GateResult:
+def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig, gate_time=None) -> GateResult:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation."""
     return fidelity_numeric_exchange_batch(config, gate_time).single()
 
@@ -301,7 +289,7 @@ def fidelity_numeric_exchange(config: ExchangeConfig, gate_time=None) -> GateRes
 def fidelity_analytic_exchange_batch(config: ExchangeConfig, gate_time=None) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form,
     for every row of an array-valued config."""
-    gate_time = _default_gate_time(config, gate_time)
+    gate_time = config.gate_time if gate_time is None else gate_time
     f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.ANALYTIC)
 
@@ -335,16 +323,12 @@ def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:
     if c < 10:
         warnings.warn("expansion assumes C >> 1", ValidityWarning, stacklevel=2)
     t_o = optimal_gate_time_exchange(cav.gamma, c)
-    if math.isinf(config.splitting_eg):
-        spectator_term = 0.0
-    else:
-        spectator_term = (2.0 * math.pi / (t_o * config.splitting_eg)) ** 2
     f_gate = (
         1.0
         - math.pi / math.sqrt(c)
         - (3.0 * math.pi**2 / 32.0) * (
             (t_o * config.detuning_error / (2.0 * math.pi)) ** 2
-            + spectator_term
+            + (2.0 * math.pi / (t_o * config.splitting_eg)) ** 2
             - 12.0 / c)
         - config.gamma_eff * t_o
     )

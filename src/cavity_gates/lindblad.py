@@ -21,11 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranch
-from .exchange import (ExchangeConfig, ExchangeMode, SectorHamiltonians, _default_gate_time,
-                       build_hamiltonians)
+from .errors import ConvergenceFailure, DegenerateBranch
+from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians
 from .params import GateResult, Method, gate_results
-from .raman import RamanConfig, build_raman_hamiltonians, raman_gate_time
+from .raman import RamanConfig
+
+#: eigenvector condition number of H_eff above which propagate_exact refuses:
+#: its closed-form jump integral loses about cond^2 * machine epsilon
+EXACT_COND_LIMIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,17 @@ def propagate_exact(system: OpenSystem, psi0, t: float):
 
     with the time integral done in closed form over the eigenbasis of H_eff.
     Exact (up to the eigendecomposition) because jumped population is frozen.
+    Raises ConvergenceFailure when that eigenbasis has a condition number of
+    EXACT_COND_LIMIT or more (near an exceptional point of H_eff).
     """
     _check_absorbing(system)
     psi0 = np.asarray(psi0, dtype=complex)
     h_eff = effective_hamiltonian(system)
     evals, vecs = np.linalg.eig(h_eff)
+    cond = np.linalg.cond(vecs)
+    if not cond < EXACT_COND_LIMIT:   # NaN counts as failed
+        raise ConvergenceFailure(f"eigenbasis condition number {cond:.2e} >= "
+                                 f"{EXACT_COND_LIMIT:.0e}: too near an exceptional point")
     coeff = np.linalg.solve(vecs, psi0)
     phi_t = vecs @ (coeff * np.exp(-1j * evals * t))
     rho = np.outer(phi_t, phi_t.conj())
@@ -150,11 +159,13 @@ class GateOpenSystem(NamedTuple):
         return self.ideal_frozen + self.ideal_active
 
 
-def _gate_open_system(ham: SectorHamiltonians, n_recycled: int, jumps, gate_time,
+def _gate_open_system(config: ExchangeConfig | RamanConfig, n_recycled: int, jumps, gate_time,
                       phase_on_ud: bool) -> GateOpenSystem:
     """Basis: the |ud> block, the |uu> block (each starting in its first
     state), the two frozen ground states of the other sectors, then
-    n_recycled frozen jump destinations. jumps: (rate, [(dest, src), ...])."""
+    n_recycled frozen jump destinations. jumps: (rate, [(dest, src), ...]).
+    gate_time defaults to the config's pi-phase time."""
+    ham = build_hamiltonians(config)
     n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
     dim = n_ud + n_uu + 2 + n_recycled
     frozen_states = [n_ud + n_uu, n_ud + n_uu + 1]
@@ -172,29 +183,25 @@ def _gate_open_system(ham: SectorHamiltonians, n_recycled: int, jumps, gate_time
     frozen[frozen_states] = 0.5
     active = psi0 - frozen
     active[0 if phase_on_ud else n_ud] = -0.5   # the pi phase of the ideal gate
-    return GateOpenSystem(OpenSystem(h, tuple(ops)), psi0, frozen, active, gate_time)
+    return GateOpenSystem(OpenSystem(h, tuple(ops)), psi0, frozen, active,
+                          config.gate_time if gate_time is None else gate_time)
 
 
 def exchange_open_system(config: ExchangeConfig, gate_time=None) -> GateOpenSystem:
     """Joint open system of the simple-exchange gate.
 
-    Basis: the |ud> sector block, the |uu> sector block, the frozen |du>,
-    |dd> ground states, then the recycled A-ground states |uu,0> and |ud,0>.
+    Basis: the 3-state |ud> and |uu> sector blocks, the frozen |du>, |dd>
+    ground states, then the recycled A-ground states |uu,0> and |ud,0>.
     The cavity jump and each emitter decay recycle into those A-ground
     states, which the closing pi pulse re-excites, so a failed gate never
     overlaps the target.
     """
-    ham = build_hamiltonians(config)
-    n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
-    i_guu, i_gud = n_ud + n_uu + 2, n_ud + n_uu + 3
+    i_guu, i_gud = 8, 9
     cav = config.cavity
-    # sector state indices: [0]=excited-A, [1]=one-photon, [2]=excited-B (if 3x3)
-    sigma_b = [(dest, offset + 2) for dest, offset, n in ((i_gud, 0, n_ud), (i_guu, n_ud, n_uu))
-               if n == 3]
-    jumps = ((cav.kappa, [(i_gud, 1), (i_guu, n_ud + 1)]),
-             (cav.gamma, [(i_gud, 0), (i_guu, n_ud)]),
-             (cav.gamma, sigma_b))
-    return _gate_open_system(ham, 2, jumps, _default_gate_time(config, gate_time),
+    jumps = ((cav.kappa, [(i_gud, 1), (i_guu, 4)]),   # cavity photon loss
+             (cav.gamma, [(i_gud, 0), (i_guu, 3)]),   # emitter A decay
+             (cav.gamma, [(i_gud, 2), (i_guu, 5)]))   # emitter B decay
+    return _gate_open_system(config, 2, jumps, gate_time,
                              phase_on_ud=config.mode is ExchangeMode.OPPOSITE_RESONANT)
 
 
@@ -213,10 +220,7 @@ def raman_open_system(config: RamanConfig, gate_time=None) -> GateOpenSystem:
         (cav.gamma, [(i_dd, 1), (i_ds, 6)]),   # emitter A decay
         (cav.gamma, [(i_dd, 3)]),              # emitter B decay
     )
-    if gate_time is None:
-        gate_time = raman_gate_time(config)
-    return _gate_open_system(build_raman_hamiltonians(config), 0, jumps, gate_time,
-                             phase_on_ud=True)
+    return _gate_open_system(config, 0, jumps, gate_time, phase_on_ud=True)
 
 
 def _gauge_maximized(rho: np.ndarray, frozen: np.ndarray, active: np.ndarray) -> float:

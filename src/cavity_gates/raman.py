@@ -11,6 +11,8 @@ Sector bases: the |ud> dynamics acts on (ud 0, e-down 0, dd 1, down-e 0,
 du 0) and the shelved |uu> dynamics on (u s 0, e s 0, d s 1); the lossy
 variants put kappa on one-photon states and gamma on excited states.
 
+The numeric path is the one in `exchange`, fed by RamanConfig.sectors() and
+RamanConfig.gate_time; the Raman numeric names here are its aliases.
 Numeric fields of RamanConfig may be numpy arrays that broadcast together
 (the cavity stays scalar); the *_batch evaluators then evaluate every row at
 once and return GateResults of the broadcast shape, and the scalar
@@ -18,6 +20,7 @@ evaluators are their one-configuration calls.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,8 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidityWarning, ZeroDecoherence
-from .exchange import (SectorHamiltonians, cooperativity_limited_max_exchange, phase_fidelity,
-                       ridge_f_pi)
+from .exchange import (build_hamiltonians, cooperativity_limited_max_exchange,
+                       fidelity_numeric_exchange, fidelity_numeric_exchange_batch,
+                       optimal_detuning, relative_phase_fidelity, ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, any_row, broadcast_shape,
                      gate_results)
 
@@ -118,6 +122,19 @@ class RamanConfig:
     def two_photon_error(self) -> float:
         return abs(self.two_photon_a - self.two_photon_b)
 
+    @property
+    def gate_time(self):
+        """Drive duration for a pi phase (raman_gate_time)."""
+        return raman_gate_time(self)
+
+    def sectors(self):
+        """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
+        cav = self.cavity
+        params = (self.two_photon_a, self.two_photon_b, self.rabi_a, self.drive_b,
+                  self.coupling_a, self.coupling_b, self.laser_detuning_a,
+                  self.laser_detuning_b)
+        return functools.partial(_lossy_sectors, kappa=cav.kappa, gamma=cav.gamma), params
+
 
 def symmetric_raman_config(cavity, two_photon, laser_detuning, rabi_over_detuning,
                            gamma_eff=0.0) -> RamanConfig:
@@ -133,14 +150,10 @@ def symmetric_raman_config(cavity, two_photon, laser_detuning, rabi_over_detunin
     )
 
 
-def _sector_parameters(config: RamanConfig) -> tuple:
-    return (config.two_photon_a, config.two_photon_b, config.rabi_a, config.drive_b,
-            config.coupling_a, config.coupling_b, config.laser_detuning_a,
-            config.laser_detuning_b)
-
-
 def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
-    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters."""
+    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters, in
+    the frame rotating with the drives and the shifted cavity: time independent
+    at the cost of the (delta_b - delta_a) offsets on the B-excitation states."""
     shape = broadcast_shape(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b)
     h = np.zeros(shape + (5, 5), dtype=complex)
     h[..., 0, 1] = h[..., 1, 0] = om_a
@@ -155,16 +168,11 @@ def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
     return h, h[..., :3, :3].copy()
 
 
-def build_raman_hamiltonians(config: RamanConfig) -> SectorHamiltonians:
-    """Sector Hamiltonians in the frame rotating with the drives and the
-    shifted cavity; time independent at the cost of the (delta_b - delta_a)
-    offsets on the B-excitation states. An array-valued config gives stacks
-    of shape (broadcast shape) + (k, k). The couplings are real, so each H
-    is the real part of its H_eff."""
-    cav = config.cavity
-    heff_ud, heff_uu = _lossy_sectors(*_sector_parameters(config), cav.kappa, cav.gamma)
-    return SectorHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
-                              heff_ud, heff_uu)
+#: the Raman gate's numeric path is the exchange one, on a RamanConfig
+build_raman_hamiltonians = build_hamiltonians
+relative_phase_fidelity_raman = relative_phase_fidelity
+fidelity_numeric_raman_batch = fidelity_numeric_exchange_batch
+fidelity_numeric_raman = fidelity_numeric_exchange
 
 
 def raman_gate_time(config: RamanConfig) -> float:
@@ -187,36 +195,8 @@ def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
     return detuning_over_rabi**2 * 2.0 * math.pi / (gamma * math.sqrt(cooperativity))
 
 
-def optimal_two_photon(kappa, cooperativity) -> float:
-    """Two-photon detuning of maximum fidelity: 2 delta = kappa sqrt(C)."""
-    return 0.5 * kappa * math.sqrt(cooperativity)
-
-
-def relative_phase_fidelity_raman(config: RamanConfig, gate_time=None):
-    """F_pi = (1/2)|<uu-start|e^{-iT H_uu}|uu-start> - <ud-start|e^{-iT H_ud}|ud-start>|."""
-    if gate_time is None:
-        gate_time = raman_gate_time(config)
-    cav = config.cavity
-
-    def lossy_sectors(*params):
-        return _lossy_sectors(*params, cav.kappa, cav.gamma)
-
-    return phase_fidelity(lossy_sectors, _sector_parameters(config), gate_time)
-
-
-def fidelity_numeric_raman_batch(config: RamanConfig, gate_time=None) -> GateResults:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from 5x5/3x3 non-Hermitian
-    propagation, for every row of an array-valued config."""
-    if gate_time is None:
-        gate_time = raman_gate_time(config)
-    f_pi = relative_phase_fidelity_raman(config, gate_time)
-    f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
-    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
-
-
-def fidelity_numeric_raman(config: RamanConfig, gate_time=None) -> GateResult:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from 5x5/3x3 non-Hermitian propagation."""
-    return fidelity_numeric_raman_batch(config, gate_time).single()
+#: two-photon detuning of maximum fidelity, 2 delta = kappa sqrt(C)
+optimal_two_photon = optimal_detuning
 
 
 def fidelity_analytic_raman_batch(config: RamanConfig, gate_time=None) -> GateResults:
@@ -238,8 +218,7 @@ def fidelity_analytic_raman_batch(config: RamanConfig, gate_time=None) -> GateRe
     if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
         warnings.warn("inputs are at the edge of the adiabatic regime "
                       "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
-    if gate_time is None:
-        gate_time = raman_gate_time(config)
+    gate_time = config.gate_time if gate_time is None else gate_time
     f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
     prefactor = (
         np.cos(np.pi * omega / (4.0 * big_d)) ** 2

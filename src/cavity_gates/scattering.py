@@ -83,41 +83,24 @@ class ScatteringConfig:
             raise ValueError("gamma_eff must be >= 0")
 
 
-def reflection_ratio(cavity: CavitySystem, delta_a, delta_b, omega, g_a=None, g_b=None):
-    """Cavity reflection amplitude a_out/a_in for a plane wave at detuning
-    omega, with the two emitters detuned by delta_a and delta_b.
-
-    ratio = 1 - kappa / (kappa/2 + g_a^2/r_a + g_b^2/r_b - i*omega),
-    r_k = gamma/2 + i*(delta_k - omega). An infinite delta_k removes that
-    emitter (its term vanishes).
-    """
-    g_a = cavity.g if g_a is None else g_a
-    g_b = cavity.g if g_b is None else g_b
-    w = np.asarray(omega, dtype=float)
-    denom = cavity.kappa / 2.0 - 1j * w
-    for delta, g in ((delta_a, g_a), (delta_b, g_b)):
-        if not math.isinf(delta):
-            denom = denom + g**2 / (cavity.gamma / 2.0 + 1j * (delta - w))
-    if np.any(np.abs(denom) < 1e-300):
-        raise DivergentDenominator("reflection denominator vanished")
-    ratio = 1.0 - cavity.kappa / denom
-    return complex(ratio) if np.isscalar(omega) else ratio
-
-
 def spin_amplitudes(config: ScatteringConfig, omega):
-    """The four spin-conditioned reflection amplitudes (s_uu, s_ud, s_du, s_dd).
+    """The four spin-conditioned reflection amplitudes (s_uu, s_ud, s_du, s_dd)
+    a_out/a_in of a plane wave at detuning omega.
 
-    Spin-up emitters sit at their detuning delta_eps; spin-down emitters are
-    treated in the far-detuned (infinite-detuning) limit.
+    s = 1 - kappa / (kappa/2 - i*omega + sum_k g^2/r_k), r_k = gamma/2 + i*(delta_k - omega),
+    summed over the spin-up emitters, which sit at their detuning delta_eps;
+    spin-down emitters are far detuned (their term vanishes).
     """
     cav = config.cavity
-    inf = math.inf
-    return (
-        reflection_ratio(cav, config.delta_eps_a, config.delta_eps_b, omega),
-        reflection_ratio(cav, config.delta_eps_a, inf, omega),
-        reflection_ratio(cav, inf, config.delta_eps_b, omega),
-        reflection_ratio(cav, inf, inf, omega),
-    )
+    w = np.asarray(omega, dtype=float)
+    bare = cav.kappa / 2.0 - 1j * w
+    term_a = cav.g**2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
+    term_b = cav.g**2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
+    denoms = (bare + term_a + term_b, bare + term_a, bare + term_b, bare)
+    if any(np.any(np.abs(d) < 1e-300) for d in denoms):
+        raise DivergentDenominator("reflection denominator vanished")
+    ratios = (1.0 - cav.kappa / d for d in denoms)
+    return tuple(complex(r) if np.isscalar(omega) else r for r in ratios)
 
 
 def _denominator_features(config: ScatteringConfig):
@@ -126,7 +109,9 @@ def _denominator_features(config: ScatteringConfig):
     The zeros w = center - i*half-width of kappa/2 - i*w + sum_k g^2/r_k(w),
     one set per amplitude, are the eigenvalues of the lossy single-excitation
     generator: cavity at -i*kappa/2, each coupled emitter at delta_k - i*gamma/2,
-    g between the cavity and each emitter.
+    g between the cavity and each emitter. A mode whose unit-norm eigenvector
+    has a cavity component <= 1e-8 (the dark state at delta_a == delta_b) is
+    dropped: its residue in the amplitudes is about that component squared.
     """
     cav = config.cavity
     features = [(0.0, cav.kappa / 2.0)]
@@ -134,8 +119,10 @@ def _denominator_features(config: ScatteringConfig):
                    (config.delta_eps_a, config.delta_eps_b)):
         generator = np.diag([-0.5j * cav.kappa] + [d - 0.5j * cav.gamma for d in deltas])
         generator[0, 1:] = generator[1:, 0] = cav.g
-        for pole in np.linalg.eigvals(generator):
-            features.append((float(pole.real), abs(float(pole.imag)) + 1e-12))
+        poles, modes = np.linalg.eig(generator)
+        for pole, cavity_part in zip(poles, np.abs(modes[0])):
+            if cavity_part > 1e-8:
+                features.append((float(pole.real), abs(float(pole.imag)) + 1e-12))
     return features
 
 

@@ -36,11 +36,10 @@ def random_cavity(rng):
 def exchange_batch(seed, n):
     rng = np.random.default_rng(seed)
     cav = random_cavity(rng)
-    ideal = rng.random() < 0.5
+    ideal = rng.random(n) < 0.5
     fields = dict(
         detuning=log_uniform(rng, 0.5, 10.0, n) * 0.5 * math.sqrt(cav.cooperativity) * cav.kappa,
-        splitting_eg=(np.full(n, math.inf) if ideal
-                      else log_uniform(rng, 1e2, 1e5, n) * cav.kappa),
+        splitting_eg=np.where(ideal, math.inf, log_uniform(rng, 1e2, 1e5, n) * cav.kappa),
         detuning_error=rng.uniform(-0.05, 0.05, n),
         gamma_eff=log_uniform(rng, 1e-7, 10.0, n),   # the top decade clamps
         mode=list(ex.ExchangeMode)[rng.integers(2)],
@@ -209,7 +208,18 @@ def test_config_checks_are_vectorised():
     with pytest.raises(ValueError):
         ex.ExchangeConfig(cav, detuning=np.array([1.0, -1.0, 2.0]))
     with pytest.raises(ValueError):
-        ex.ExchangeConfig(cav, detuning=np.ones(2), splitting_eg=np.array([math.inf, 5.0]))
+        ex.ExchangeConfig(cav, detuning=np.ones(2), splitting_eg=np.array([math.inf, -5.0]))
+    # the ideal spectator (splitting_eg = inf) is a decoupled state, not a
+    # separate code path, so ideal and finite rows share one batch
+    for mode in ex.ExchangeMode:
+        mixed = ex.ExchangeConfig(
+            cav, detuning=np.full(4, 40.0 * cav.kappa), mode=mode,
+            splitting_eg=np.array([math.inf, 300.0, math.inf, 3000.0]) * cav.kappa,
+            detuning_error=np.array([0.0, 0.01, 0.02, 0.0]))
+        assert_rows_match(ex.fidelity_numeric_exchange_batch(mixed),
+                          lambda i: ex.fidelity_numeric_exchange(row(mixed, i)), range(4))
+        assert_rows_match(ex.fidelity_analytic_exchange_batch(mixed),
+                          lambda i: ex.fidelity_analytic_exchange(row(mixed, i)), range(4))
     laser = np.array([10.0, 10.0, 10.0])
     with pytest.warns(ValidityWarning) as record:
         rm.RamanConfig(cav, laser, laser, 40.0, 40.0, rabi_a=np.array([1.0, 6.0, 7.0]))

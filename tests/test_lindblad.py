@@ -5,8 +5,9 @@ import pytest
 
 from cavity_gates import lindblad as lb
 from cavity_gates import linalg
-from cavity_gates.errors import DegenerateBranch
-from cavity_gates.exchange import ExchangeConfig, fidelity_numeric_exchange, optimal_detuning
+from cavity_gates.errors import ConvergenceFailure, DegenerateBranch
+from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, build_hamiltonians,
+                                   fidelity_numeric_exchange, optimal_detuning)
 from cavity_gates.params import CavitySystem
 from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
 
@@ -179,17 +180,57 @@ def test_nonhermitian_equals_relative_phase_form():
         fidelity_numeric_raman(cfg).fidelity, abs=1e-10)
 
 
-def test_effective_hamiltonian_matches_scheme_blocks():
-    from cavity_gates.raman import build_raman_hamiltonians
-
+def scheme_case(case):
+    """(config, open system) of the Raman gate or of an exchange (mode, splitting) case."""
     cav = CavitySystem.from_cooperativity(500.0, 0.5, 1.0)
-    cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 500.0),
-                                 2.0 * cav.kappa, 0.05)
-    gos = lb.raman_open_system(cfg)
+    if case == "raman":
+        cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 500.0),
+                                     2.0 * cav.kappa, 0.05)
+        return cfg, lb.raman_open_system(cfg)
+    mode, splitting_eg = case
+    cfg = ExchangeConfig(cav, detuning=optimal_detuning(cav.kappa, 500.0),
+                         splitting_eg=splitting_eg, detuning_error=0.01, mode=mode)
+    return cfg, lb.exchange_open_system(cfg)
+
+
+@pytest.mark.parametrize("case", ["raman", *((mode, splitting_eg) for mode in ExchangeMode
+                                              for splitting_eg in (math.inf, 300.0))],
+                         ids=lambda case: case if case == "raman"
+                         else f"exchange-{case[0].value}-{case[1]:g}")
+def test_effective_hamiltonian_matches_scheme_blocks(case):
+    cfg, gos = scheme_case(case)
     h_eff = lb.effective_hamiltonian(gos.system)
-    ham = build_raman_hamiltonians(cfg)
-    assert np.abs(h_eff[:5, :5] - ham.h_eff_up_down).max() < 1e-12
-    assert np.abs(h_eff[5:8, 5:8] - ham.h_eff_up_up).max() < 1e-12
+    ham = build_hamiltonians(cfg)
+    n_ud, n_uu = ham.h_eff_up_down.shape[0], ham.h_eff_up_up.shape[0]
+    assert np.abs(h_eff[:n_ud, :n_ud] - ham.h_eff_up_down).max() < 1e-12
+    assert np.abs(h_eff[n_ud:n_ud + n_uu, n_ud:n_ud + n_uu] - ham.h_eff_up_up).max() < 1e-12
+
+
+def emitter_cavity_pair(g, kappa=1.0):
+    """Emitter-cavity pair at gamma = Delta = 0 whose photon is lost into a
+    frozen sink: H_eff = [[0, g], [g, -i kappa/2]] on (emitter, photon) has a
+    second-order exceptional point at g = kappa/4."""
+    h = np.zeros((3, 3))
+    h[0, 1] = h[1, 0] = g
+    loss = np.zeros((3, 3))
+    loss[2, 1] = 1.0
+    return lb.OpenSystem(h, ((kappa, loss),))
+
+
+def test_exact_closure_raises_at_exceptional_point():
+    # the eigenbasis condition number is ~1e8 there, and the closed-form
+    # jump integral would be off by 0.31 against the superoperator oracle
+    with pytest.raises(ConvergenceFailure):
+        lb.propagate_exact(emitter_cavity_pair(0.25), np.array([1.0, 0.0, 0.0]), 3.0)
+
+
+def test_exact_closure_matches_superoperator_near_exceptional_point():
+    system = emitter_cavity_pair(1.01 * 0.25)
+    vecs = np.linalg.eig(lb.effective_hamiltonian(system))[1]
+    assert 10.0 < np.linalg.cond(vecs) < lb.EXACT_COND_LIMIT
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    _, rho = lb.propagate_exact(system, psi0, 3.0)
+    assert np.abs(rho - superoperator_rho(system, psi0, 3.0)).max() < 1e-10
 
 
 def test_clamped_note_on_lindblad_and_numeric_paths():
