@@ -50,13 +50,11 @@ from .exchange import (
 )
 from .raman import (
     RamanConfig,
-    build_raman_hamiltonians,
     fidelity_analytic_raman,
     fidelity_analytic_raman_batch,
     fidelity_numeric_raman,
     fidelity_numeric_raman_batch,
     matched_rabi_b,
-    matched_rabi_b_approx,
     max_fidelity_raman,
     max_spectral_separation,
     optimal_gate_time_raman,
@@ -68,7 +66,6 @@ from .lindblad import (
     OpenSystem,
     exchange_open_system,
     gate_fidelity_lindblad,
-    gate_fidelity_nonhermitian,
     propagate_exact,
     raman_open_system,
     trajectory_decomposition,

@@ -24,7 +24,7 @@ take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
 
     [scheme.simple_exchange]
     detuning       = optimal         # or a rate, e.g. 44.7 per_kappa
-    splitting_eg   = 0.2e9 hz        # or "ideal"
+    splitting_eg   = 0.2e9 hz        # > 0, or "ideal"
     detuning_error = 0 rad_s
     mode           = opposite        # or "equal"
 
@@ -44,11 +44,17 @@ errors. A point that fails becomes a `nan,nan` row; when every point
 fails (say, an unknown `--unit`), no table is printed and the exit code is
 that of the first point's error.
 
+Every number must be finite: `nan` and `inf` are config errors, as are
+values the scheme's inputs reject (a `splitting_eg` or a `gate_time`
+<= 0, a negative decoherence rate). Use `ideal` for an infinite splitting.
+
 Exit codes: 0 success, 2 config error, 3 evaluator error, 4 unwritable
-output. Results go to stdout; warnings and errors to stderr.
+output. Results go to stdout; warnings (`warning: <message>`, from
+`evaluate` and `casestudy`) and errors (`error: <message>`) to stderr.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
@@ -94,6 +100,16 @@ def _build_scheme(run, scheme):
         _fail(EXIT_CONFIG, str(exc))
 
 
+@contextlib.contextmanager
+def _echo_warnings():
+    """Echo the warnings of a block that completes as `warning: <message>`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        click.echo(f"warning: {w.message}", err=True)
+
+
 def _evaluate(scheme, cfg, method):
     if scheme == "scattering":
         if method == "lindblad":
@@ -129,14 +145,11 @@ def evaluate(scheme, config_file, method):
     """Evaluate one gate configuration; emit a JSON record on stdout."""
     run = _load(config_file)
     cfg = _build_scheme(run, scheme)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _echo_warnings():
         try:
             result = _evaluate(scheme, cfg, method)
         except CavityGateError as exc:
             _fail(EXIT_EVALUATOR, str(exc))
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
     record = {"schema_version": 1, "scheme": scheme, "method": result.method.value,
               "fidelity": result.fidelity, "gate_time": result.gate_time,
               "gate_time_gamma": result.gate_time * run.cavity.gamma,
@@ -195,10 +208,11 @@ def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
         overrides["cooperativity"] = cooperativity
     if g_over_kappa is not None:
         overrides["g_over_kappa"] = g_over_kappa
-    try:
-        report = casestudy.run_case_study(**overrides)
-    except (CavityGateError, ValueError) as exc:
-        _fail(EXIT_EVALUATOR, str(exc))
+    with _echo_warnings():
+        try:
+            report = casestudy.run_case_study(**overrides)
+        except (CavityGateError, ValueError) as exc:
+            _fail(EXIT_EVALUATOR, str(exc))
     text = json.dumps(report, indent=2) + "\n"
     if out_dir is not None:
         path = _write_output(out_dir, "casestudy.json", text)

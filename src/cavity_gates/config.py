@@ -22,7 +22,7 @@ _SCHEME_PREFIX = "scheme."
 
 
 def _split_quantity(raw: str, key: str):
-    """Parse '596 hz', 'hz: 596' or a bare number into (value, unit|None)."""
+    """Parse '596 hz', 'hz: 596' or a bare finite number into (value, unit|None)."""
     text = raw.strip()
     if ":" in text:
         unit, _, number = text.partition(":")
@@ -39,6 +39,8 @@ def _split_quantity(raw: str, key: str):
         value = float(number)
     except ValueError:
         raise ConfigError(f"{key}: {number!r} is not a number", key=key)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {number!r} is not a finite number", key=key)
     return value, unit
 
 
@@ -185,11 +187,12 @@ def build_scattering(run: RunConfig) -> ScatteringConfig:
     if (sigma_p > 0.0) == (gate_time is not None):
         raise ConfigError("scheme.scattering needs exactly one of sigma_p or gate_time",
                           key=sec.key("sigma_p"))
-    if gate_time is not None:
-        pulse = PhotonPulse.from_gate_time(gate_time, delta_p=sec.rate("delta_p", 0.0))
-    else:
-        pulse = PhotonPulse(sigma_p=sigma_p, delta_p=sec.rate("delta_p", 0.0))
+    delta_p = sec.rate("delta_p", 0.0)
     try:
+        if gate_time is not None:
+            pulse = PhotonPulse.from_gate_time(gate_time, delta_p=delta_p)
+        else:
+            pulse = PhotonPulse(sigma_p=sigma_p, delta_p=delta_p)
         return ScatteringConfig(
             cavity=run.cavity, pulse=pulse,
             delta_eps_a=sec.rate("delta_eps_a", 0.0),

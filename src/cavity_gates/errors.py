@@ -10,8 +10,10 @@ class NonFinite(CavityGateError):
 
 
 class ConvergenceFailure(CavityGateError):
-    """No propagation path converged, or the exact Lindblad closure's eigenbasis
-    is too ill-conditioned (near an exceptional point) to be trusted."""
+    """No propagation path converged: the Taylor fallback of `linalg.propagate`
+    did not truncate, or `lindblad.propagate_exact`, which has no fallback,
+    met an eigenbasis that `linalg.eigenbasis` does not trust (condition
+    number at or past its one limit, near an exceptional point)."""
 
 
 class DivergentDenominator(CavityGateError):

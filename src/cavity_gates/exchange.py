@@ -52,8 +52,8 @@ class ExchangeConfig:
     """Inputs of the simple-exchange gate.
 
     detuning is the cavity detuning of the excited system (Delta_A > 0).
-    splitting_eg is the spectator-transition splitting; math.inf marks the
-    ideal isolated-spectator limit, row by row. detuning_error is the
+    splitting_eg (> 0) is the spectator-transition splitting; math.inf marks
+    the ideal isolated-spectator limit, row by row. detuning_error is the
     residual error in the partner's tuned resonance condition. Per-transition couplings
     default to the cavity's g.
     """
@@ -69,12 +69,13 @@ class ExchangeConfig:
     mode: ExchangeMode = ExchangeMode.OPPOSITE_RESONANT
 
     def __post_init__(self):
-        if not all_rows(self.detuning > 0):
-            raise ValueError("detuning must be > 0")
-        if any_row(self.splitting_eg < 0):
-            raise ValueError("splitting_eg must be >= 0 (math.inf for ideal)")
-        if any_row(self.gamma_eff < 0):
-            raise ValueError("gamma_eff must be >= 0")
+        # written so that NaN fails every check
+        if not all_rows((self.detuning > 0) & (self.detuning < math.inf)):
+            raise ValueError("detuning must be finite and > 0")
+        if not all_rows(self.splitting_eg > 0):
+            raise ValueError("splitting_eg must be > 0 (math.inf for ideal)")
+        if not all_rows((self.gamma_eff >= 0) & (self.gamma_eff < math.inf)):
+            raise ValueError("gamma_eff must be finite and >= 0")
         if not all_rows(np.isfinite(self.detuning_error)):
             raise ValueError("detuning_error must be finite")
 
@@ -192,12 +193,13 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     sectors go into one stack of generators, the smaller block padded with
     decoupled zero states (the eigensolver's balancing isolates them, so
     they change neither the amplitude nor the eigenbasis condition number).
-    Batches of more than linalg.CHUNK / 2 rows are split into blocks of that
-    size, so a grid of any size is built and propagated in bounded memory.
+    Batches of more than 512 rows are split into blocks of that size, so a
+    grid of any size is built and propagated in bounded memory, at most
+    1,024 generators per `linalg` call.
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
-    block = linalg.CHUNK // 2
+    block = 512
     if n > block:
         flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
         f_pi = np.concatenate([

@@ -1,41 +1,69 @@
 """Small dense complex matrix algebra for subspace Hamiltonians.
 
-Matrices here are <= 16x16 numpy arrays. Propagation works on stacks: the
-generators H_j (n, k, k), states psi_j and times t_j of many configurations
-are evolved together, CHUNK rows at a time, with one stacked
-`np.linalg.eig`, one `np.linalg.cond` and one `np.linalg.solve` per chunk
-(chunks keep the LAPACK workspace and temporaries small for grids of any
-size). The eigendecomposition is cheap and exact for long propagation
-times. A row whose eigenvector matrix has condition number EIG_COND_LIMIT
-or more (near an exceptional point of a non-Hermitian block), and every
-row of a chunk whose stacked call raises LinAlgError, falls back one row
-at a time to scaling-and-squaring with a truncated Taylor series. NaN or
-Inf anywhere in a stack or its times raises NonFinite. `propagate` and
-`return_amplitude` are one-row calls of the same path.
+Matrices here are <= 16x16 numpy arrays in stacks: generators H_j (n, k, k)
+and states psi_j (n, k) of many configurations. One kernel, `eigenbasis`,
+makes one stacked `np.linalg.eig`, `np.linalg.cond` and `np.linalg.solve`
+and holds the one trust rule: a row is trusted when its eigenvector matrix
+has a condition number below EIG_COND_LIMIT. A NaN condition number, and
+every row of a stack whose eigensolve raises LinAlgError, are untrusted
+(near an exceptional point the closed forms on the basis lose about
+cond^2 * machine epsilon); NaN or Inf input raises NonFinite. `propagate`
+(and `return_amplitudes`, its basis-state call) sends untrusted rows to
+Taylor scaling-and-squaring, one row at a time; `lindblad.propagate_exact`
+refuses them with ConvergenceFailure. No stack is split here: the callers
+bound its size (`exchange.phase_fidelity` passes at most 1,024 generators).
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceFailure, NonFinite
 
-#: condition-number threshold above which the eigenvector basis is distrusted
-EIG_COND_LIMIT = 1e8
+#: eigenvector condition number from which an eigenbasis is not trusted
+EIG_COND_LIMIT = 1e3
 
 #: truncation tolerance of the Taylor fallback
 SERIES_TOL = 1e-12
 
-#: largest number of matrices handed to one stacked LAPACK call
-CHUNK = 1024
+
+class Eigenbasis(NamedTuple):
+    """H_j = V_j diag(values_j) V_j^-1 and coeff_j = V_j^-1 psi_j per row;
+    untrusted rows hold no usable basis."""
+
+    values: np.ndarray   # (n, k)
+    vectors: np.ndarray  # (n, k, k)
+    coeff: np.ndarray    # (n, k)
+    cond: np.ndarray     # (n,) condition number of each V_j; NaN if eig failed
+    trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
 
-def _as_square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+def eigenbasis(h, psi) -> Eigenbasis:
+    """Eigenbasis of every generator of a stack h (n, k, k), with the
+    coordinates of the states psi (n, k) in it."""
+    h = np.asarray(h, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
+    if psi.shape != h.shape[:2]:
+        raise ValueError(f"state shape {psi.shape} does not match generators {h.shape}")
+    if not np.isfinite(h).all():
         raise NonFinite("matrix contains NaN or Inf entries")
-    return m
+    if not np.isfinite(psi).all():
+        raise NonFinite("state contains NaN or Inf entries")
+    try:
+        values, vectors = np.linalg.eig(h)
+        cond = np.linalg.cond(vectors)
+    except np.linalg.LinAlgError:
+        values = np.full(psi.shape, np.nan, dtype=complex)
+        vectors = np.empty_like(h)
+        cond = np.full(len(h), np.nan)
+    trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
+    # the identity keeps the stacked solve well-posed on untrusted rows
+    vectors[~trusted] = np.eye(h.shape[-1])
+    coeff = np.linalg.solve(vectors, psi[:, :, None])[:, :, 0]
+    return Eigenbasis(values, vectors, coeff, cond, trusted)
 
 
 def _expm_squaring(m: np.ndarray) -> np.ndarray:
@@ -57,66 +85,30 @@ def _expm_squaring(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def _propagate(h: np.ndarray, psi: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """e^{-i t_j H_j} psi_j for stacks h (n, k, k), psi (n, k) and t (n,)."""
-    if not np.isfinite(h).all():
-        raise NonFinite("matrix contains NaN or Inf entries")
-    if not np.isfinite(t).all():
-        raise NonFinite("propagation time contains NaN or Inf entries")
-    out = np.empty_like(psi)
-    for start in range(0, len(h), CHUNK):
-        rows = slice(start, start + CHUNK)
-        out[rows] = _propagate_chunk(h[rows], psi[rows], t[rows])
-    return out
-
-
-def _propagate_chunk(h, psi, t):
-    try:
-        evals, vecs = np.linalg.eig(h)
-        fallback = ~(np.linalg.cond(vecs) < EIG_COND_LIMIT)  # NaN counts as failed
-        if fallback.any():
-            # recomputed below; the identity keeps the stacked solve well-posed
-            vecs[fallback] = np.eye(h.shape[-1])
-        coeff = np.linalg.solve(vecs, psi[:, :, None])
-        out = (vecs @ (np.exp(-1j * t[:, None] * evals)[:, :, None] * coeff))[:, :, 0]
-    except np.linalg.LinAlgError:
-        fallback = np.ones(len(h), dtype=bool)
-        out = np.empty_like(psi)
-    for i in fallback.nonzero()[0]:
-        out[i] = _expm_squaring(-1j * t[i] * h[i]) @ psi[i]
-    return out
-
-
-def propagate(h_eff, psi0, t: float) -> np.ndarray:
-    """Propagate a state under a (generally non-Hermitian) generator.
-
-    Returns e^{-i t H_eff} psi0. For H_eff = H - (i/2) * sum of nonnegative
-    decay projectors the output norm never exceeds the input norm.
+def propagate(h, psi, t) -> np.ndarray:
+    """e^{-i t_j H_j} psi_j for a stack of (generally non-Hermitian)
+    generators h (n, k, k) and states psi (n, k); t is a scalar or has
+    shape (n,). For H_eff = H - (i/2) * sum of nonnegative decay
+    projectors the output norm never exceeds the input norm.
     """
-    h = _as_square(h_eff)
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (h.shape[0],):
-        raise ValueError(f"state dimension {psi.shape} does not match generator {h.shape}")
-    if not np.isfinite(psi).all():
-        raise NonFinite("state contains NaN or Inf entries")
-    return _propagate(h[None], psi[None], np.array([t], dtype=float))[0]
+    h = np.asarray(h, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    basis = eigenbasis(h, psi)
+    times = np.empty(len(h))
+    times[:] = t
+    if not np.isfinite(times).all():
+        raise NonFinite("propagation time contains NaN or Inf entries")
+    phases = np.exp(-1j * times[:, None] * basis.values)
+    out = (basis.vectors @ (phases * basis.coeff)[:, :, None])[:, :, 0]
+    for i in (~basis.trusted).nonzero()[0]:
+        out[i] = _expm_squaring(-1j * times[i] * h[i]) @ psi[i]
+    return out
 
 
 def return_amplitudes(h_eff, index: int, t) -> np.ndarray:
-    """<index| e^{-i t_j H_j} |index> for every generator of a stack.
-
-    h_eff has shape (n, k, k); t is a scalar or has shape (n,).
-    """
+    """<index| e^{-i t_j H_j} |index> for every generator of a stack
+    h_eff (n, k, k); t is a scalar or has shape (n,)."""
     h = np.asarray(h_eff, dtype=complex)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
     psi = np.zeros(h.shape[:2], dtype=complex)
-    psi[:, index] = 1.0
-    times = np.empty(len(h))
-    times[:] = t
-    return _propagate(h, psi, times)[:, index]
-
-
-def return_amplitude(h_eff, index: int, t: float) -> complex:
-    """<index| e^{-i t H_eff} |index> for a basis state of the generator."""
-    return complex(return_amplitudes(np.asarray(h_eff)[None], index, t)[0])
+    psi[..., index] = 1.0
+    return propagate(h, psi, t)[:, index]

@@ -26,10 +26,6 @@ from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians
 from .params import GateResult, Method, gate_results
 from .raman import RamanConfig
 
-#: eigenvector condition number of H_eff above which propagate_exact refuses:
-#: its closed-form jump integral loses about cond^2 * machine epsilon
-EXACT_COND_LIMIT = 1e3
-
 
 @dataclass(frozen=True)
 class OpenSystem:
@@ -91,20 +87,21 @@ def propagate_exact(system: OpenSystem, psi0, t: float):
         rho(t) = |phi(t)><phi(t)| +
                  sum_c rate_c int_0^t (L_c phi(s)) (L_c phi(s))^dag ds,
 
-    with the time integral done in closed form over the eigenbasis of H_eff.
-    Exact (up to the eigendecomposition) because jumped population is frozen.
-    Raises ConvergenceFailure when that eigenbasis has a condition number of
-    EXACT_COND_LIMIT or more (near an exceptional point of H_eff).
+    with the time integral done in closed form over the eigenbasis of H_eff
+    from `linalg.eigenbasis`. Exact (up to the eigendecomposition) because
+    jumped population is frozen. There is no fallback: the closed-form jump
+    integral loses about cond^2 * machine epsilon, so an eigenbasis that
+    `linalg` does not trust (near an exceptional point of H_eff) raises
+    ConvergenceFailure. NaN or Inf in the system or the state raises
+    NonFinite.
     """
     _check_absorbing(system)
-    psi0 = np.asarray(psi0, dtype=complex)
     h_eff = effective_hamiltonian(system)
-    evals, vecs = np.linalg.eig(h_eff)
-    cond = np.linalg.cond(vecs)
-    if not cond < EXACT_COND_LIMIT:   # NaN counts as failed
-        raise ConvergenceFailure(f"eigenbasis condition number {cond:.2e} >= "
-                                 f"{EXACT_COND_LIMIT:.0e}: too near an exceptional point")
-    coeff = np.linalg.solve(vecs, psi0)
+    basis = linalg.eigenbasis(h_eff[None], np.asarray(psi0, dtype=complex)[None])
+    if not basis.trusted[0]:
+        raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
+                                 f"{basis.cond[0]:.2e}): too near an exceptional point")
+    evals, vecs, coeff = basis.values[0], basis.vectors[0], basis.coeff[0]
     phi_t = vecs @ (coeff * np.exp(-1j * evals * t))
     rho = np.outer(phi_t, phi_t.conj())
     z = evals[:, None] - evals.conj()[None, :]
@@ -240,10 +237,3 @@ def gate_fidelity_lindblad(gos: GateOpenSystem, gamma_eff: float = 0.0) -> GateR
     f = math.sqrt(min(max(_gauge_maximized(rho, gos.ideal_frozen, gos.ideal_active), 0.0), 1.0))
     f -= gamma_eff * gos.gate_time
     return gate_results(f, gos.gate_time, Method.LINDBLAD).single()
-
-
-def gate_fidelity_nonhermitian(gos: GateOpenSystem) -> float:
-    """No-jump-only gate fidelity in the same gauge:
-    |<frozen|phi(T)>| + |<active|phi(T)>|, which equals (F_pi + 1)/2."""
-    phi = linalg.propagate(effective_hamiltonian(gos.system), gos.psi0, gos.gate_time)
-    return abs(np.vdot(gos.ideal_frozen, phi)) + abs(np.vdot(gos.ideal_active, phi))

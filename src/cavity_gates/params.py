@@ -68,14 +68,6 @@ class CavitySystem:
         kappa = cooperativity * gamma / (4.0 * g_over_kappa**2)
         return cls(g=g_over_kappa * kappa, kappa=kappa, gamma=gamma)
 
-    def in_gamma_units(self) -> "CavitySystem":
-        """Return the same system with all rates expressed in units of gamma."""
-        return CavitySystem(self.g / self.gamma, self.kappa / self.gamma, 1.0)
-
-    def scaled(self, factor) -> "CavitySystem":
-        """Uniformly rescale all rates; cooperativity is invariant."""
-        return CavitySystem(self.g * factor, self.kappa * factor, self.gamma * factor)
-
 
 @dataclass(frozen=True)
 class DecoherenceSpec:
@@ -94,9 +86,9 @@ class DecoherenceSpec:
     def __post_init__(self):
         for name in ("qubit_relaxation", "qubit_pure_dephasing",
                      "optical_pure_dephasing", "shelving_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"DecoherenceSpec.{name} must be >= 0")
-        if self.qubit_t2 is not None and self.qubit_t2 <= 0:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"DecoherenceSpec.{name} must be finite and >= 0")
+        if self.qubit_t2 is not None and not self.qubit_t2 > 0:
             raise ValueError("DecoherenceSpec.qubit_t2 must be > 0 when given")
 
     def qubit_rate(self) -> float:

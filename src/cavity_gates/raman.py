@@ -12,7 +12,7 @@ du 0) and the shelved |uu> dynamics on (u s 0, e s 0, d s 1); the lossy
 variants put kappa on one-photon states and gamma on excited states.
 
 The numeric path is the one in `exchange`, fed by RamanConfig.sectors() and
-RamanConfig.gate_time; the Raman numeric names here are its aliases.
+RamanConfig.gate_time; `fidelity_numeric_raman[_batch]` are its aliases.
 Numeric fields of RamanConfig may be numpy arrays that broadcast together
 (the cavity stays scalar); the *_batch evaluators then evaluate every row at
 once and return GateResults of the broadcast shape, and the scalar
@@ -29,11 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidityWarning, ZeroDecoherence
-from .exchange import (build_hamiltonians, cooperativity_limited_max_exchange,
-                       fidelity_numeric_exchange, fidelity_numeric_exchange_batch,
-                       optimal_detuning, relative_phase_fidelity, ridge_f_pi)
-from .params import (CavitySystem, GateResult, GateResults, Method, any_row, broadcast_shape,
-                     gate_results)
+from .exchange import (cooperativity_limited_max_exchange, fidelity_numeric_exchange,
+                       fidelity_numeric_exchange_batch, optimal_detuning, ridge_f_pi)
+from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
+                     broadcast_shape, gate_results)
 
 
 def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_photon):
@@ -51,11 +50,6 @@ def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_pho
     if any_row(den <= 0) or any_row(num <= 0):
         raise ValueError("g^2 + delta*Delta must be > 0 for both systems")
     return rabi_a * np.sqrt(num / den)
-
-
-def matched_rabi_b_approx(rabi_a, laser_detuning_a, laser_detuning_b):
-    """Large-detuning limit of matched_rabi_b: Omega_A * sqrt(Delta_B/Delta_A)."""
-    return rabi_a * math.sqrt(laser_detuning_b / laser_detuning_a)
 
 
 @dataclass(frozen=True)
@@ -78,14 +72,16 @@ class RamanConfig:
     gamma_eff: float = 0.0
 
     def __post_init__(self):
-        if any_row(self.two_photon <= 0):
-            raise ValueError("mean two-photon detuning must be > 0")
-        if any_row(self.rabi_a < 0):
-            raise ValueError("rabi_a must be >= 0")
-        if any_row(self.gamma_eff < 0):
-            raise ValueError("gamma_eff must be >= 0")
-        if any_row(self.laser_detuning_a <= 0) or any_row(self.laser_detuning_b <= 0):
-            raise ValueError("laser detunings must be > 0")
+        # written so that NaN fails every check
+        if not all_rows((self.two_photon > 0) & (self.two_photon < math.inf)):
+            raise ValueError("two-photon detunings must be finite, with a mean > 0")
+        if not all_rows((self.laser_detuning_a > 0) & (self.laser_detuning_a < math.inf)
+                        & (self.laser_detuning_b > 0) & (self.laser_detuning_b < math.inf)):
+            raise ValueError("laser detunings must be finite and > 0")
+        for name in ("rabi_a", "gamma_eff"):
+            value = getattr(self, name)
+            if not all_rows((value >= 0) & (value < math.inf)):
+                raise ValueError(f"{name} must be finite and >= 0")
         if any_row(self.rabi_a / self.laser_detuning_a > 0.5):
             warnings.warn("drive is not weak against its detuning (Omega/Delta > 0.5); "
                           "adiabatic elimination is unreliable", ValidityWarning, stacklevel=2)
@@ -169,8 +165,6 @@ def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
 
 
 #: the Raman gate's numeric path is the exchange one, on a RamanConfig
-build_raman_hamiltonians = build_hamiltonians
-relative_phase_fidelity_raman = relative_phase_fidelity
 fidelity_numeric_raman_batch = fidelity_numeric_exchange_batch
 fidelity_numeric_raman = fidelity_numeric_exchange
 

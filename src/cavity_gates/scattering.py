@@ -48,6 +48,8 @@ class PhotonPulse:
     def __post_init__(self):
         if not self.sigma_p > 0:
             raise ValueError("PhotonPulse.sigma_p must be > 0")
+        if not math.isfinite(self.delta_p):
+            raise ValueError("PhotonPulse.delta_p must be finite")
 
     @property
     def gate_time(self) -> float:

@@ -1,8 +1,8 @@
 """The array evaluation core against the one-configuration path.
 
 Batches span sizes below, at and above the row block of `phase_fidelity`
-(linalg.CHUNK // 2 rows, one stack of linalg.CHUNK generators) and the
-linalg chunk itself; rows at the block boundaries are always compared.
+(512 rows, one stack of 1,024 generators) and that stack size itself; rows
+at the block boundaries are always compared.
 """
 import dataclasses
 import math
@@ -16,10 +16,12 @@ from cavity_gates import exchange as ex
 from cavity_gates import linalg
 from cavity_gates import raman as rm
 from cavity_gates.errors import NonFinite, ValidityWarning
-from cavity_gates.params import CavitySystem
+from cavity_gates.params import CavitySystem, DecoherenceSpec
+from cavity_gates.scattering import PhotonPulse
 
-CHUNK = linalg.CHUNK
-BLOCK = CHUNK // 2
+#: rows per block of exchange.phase_fidelity, and generators per linalg call
+BLOCK = 512
+CHUNK = 2 * BLOCK
 SIZES = (1, 7, BLOCK, BLOCK + 1, CHUNK + 3)
 REL = 1e-12
 
@@ -137,12 +139,14 @@ def random_lossy(rng, n, k):
 
 @pytest.mark.parametrize("n", (CHUNK - 1, CHUNK, CHUNK + 1))
 def test_return_amplitudes_across_chunks(n):
+    # one stacked call of any size; each row equals its one-row call
     rng = np.random.default_rng(n)
     h = random_lossy(rng, n, 3)
     t = rng.uniform(0.1, 3.0, n)
     amps = linalg.return_amplitudes(h, 1, t)
     for i in sorted({0, CHUNK - 1, CHUNK, n - 1} & set(range(n))):
-        assert amps[i] == pytest.approx(linalg.return_amplitude(h[i], 1, t[i]), rel=REL)
+        assert amps[i] == pytest.approx(linalg.return_amplitudes(h[i:i + 1], 1, t[i])[0],
+                                        rel=REL)
         assert amps[i] == pytest.approx(linalg._expm_squaring(-1j * t[i] * h[i])[1, 1], rel=1e-9)
 
 
@@ -169,32 +173,48 @@ def test_exceptional_point_row_takes_fallback(monkeypatch):
     monkeypatch.setattr(linalg, "_expm_squaring", spy)
     amps = linalg.return_amplitudes(h, 0, t)
     assert len(calls) == 1 and np.array_equal(calls[0], -1j * 2.0 * h[4])
-    assert amps[4] == linalg.return_amplitude(h[4], 0, 2.0)
+    assert amps[4] == linalg.return_amplitudes(h[4:5], 0, 2.0)[0]
     # e^{-itH} = e^{-sqrt(2) g t} (1 - i t N - t^2 N^2 / 2) with N nilpotent
     gt = 0.7 * 2.0
     exact = math.exp(-math.sqrt(2.0) * gt) * (1.0 + math.sqrt(2.0) * gt + 0.5 * gt**2)
     assert amps[4] == pytest.approx(exact, rel=1e-12)
 
 
-def test_second_order_exceptional_point_row():
+def test_second_order_exceptional_point_row(monkeypatch):
     # the emitter-cavity pair at g = kappa/4, gamma = Delta = 0: its
-    # eigenvector condition number (~1e8) sits at EIG_COND_LIMIT, so the row
-    # may take either path; both agree with the closed form to 1e-7
+    # eigenvector condition number (~1e8) is far past EIG_COND_LIMIT, so
+    # both of its rows take the Taylor fallback and match the closed form
     kappa, t = 1.0, 3.0
     ep = np.array([[0.0, kappa / 4.0], [kappa / 4.0, -0.5j * kappa]])
     h = np.stack([ep, np.diag([0.3, -0.2j]), ep])
+    calls = []
+    squaring = linalg._expm_squaring
+
+    def spy(m):
+        calls.append(m)
+        return squaring(m)
+
+    monkeypatch.setattr(linalg, "_expm_squaring", spy)
     amps = linalg.return_amplitudes(h, 0, t)
+    assert len(calls) == 2
+    assert all(np.array_equal(m, -1j * t * ep) for m in calls)
     exact = math.exp(-kappa * t / 4.0) * (1.0 + kappa * t / 4.0)
-    assert amps[0] == amps[2] == linalg.return_amplitude(ep, 0, t)
-    assert amps[0] == pytest.approx(exact, rel=1e-7)
+    assert amps[0] == amps[2] == linalg.return_amplitudes(ep[None], 0, t)[0]
+    assert amps[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_nan_row_raises_non_finite():
+    # a NaN detuning is rejected by the config; a NaN coupling (not checked
+    # there) reaches the propagation, which raises NonFinite
     cfg = raman_batch(5, 12)
     bad = cfg.two_photon_b.copy()
     bad[7] = np.nan
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, two_photon_b=bad)
+    bad = np.full(12, cfg.cavity.g)
+    bad[7] = np.nan
     with pytest.raises(NonFinite):
-        rm.fidelity_numeric_raman_batch(dataclasses.replace(cfg, two_photon_b=bad))
+        rm.fidelity_numeric_raman_batch(dataclasses.replace(cfg, g_b=bad))
     h = random_lossy(np.random.default_rng(1), 4, 3)
     h[2, 0, 1] = np.nan
     with pytest.raises(NonFinite):
@@ -209,6 +229,32 @@ def test_config_checks_are_vectorised():
         ex.ExchangeConfig(cav, detuning=np.array([1.0, -1.0, 2.0]))
     with pytest.raises(ValueError):
         ex.ExchangeConfig(cav, detuning=np.ones(2), splitting_eg=np.array([math.inf, -5.0]))
+    # a NaN row fails every check, and so does a zero splitting
+    nan_row = np.array([1.0, np.nan, 2.0])
+    exchange_bad = [dict(detuning=nan_row), dict(detuning=np.array([1.0, math.inf])),
+                    dict(splitting_eg=nan_row), dict(splitting_eg=np.array([math.inf, 0.0])),
+                    dict(splitting_eg=0.0), dict(gamma_eff=nan_row),
+                    dict(gamma_eff=np.array([0.0, math.inf]))]
+    for bad in exchange_bad:
+        with pytest.raises(ValueError):
+            ex.ExchangeConfig(cav, **{"detuning": np.ones(3), **bad})
+    raman_good = dict(laser_detuning_a=np.full(3, 10.0), laser_detuning_b=np.full(3, 10.0),
+                      two_photon_a=np.full(3, 40.0), two_photon_b=np.full(3, 40.0),
+                      rabi_a=np.full(3, 0.5), gamma_eff=np.zeros(3))
+    for name in raman_good:
+        with pytest.raises(ValueError):
+            rm.RamanConfig(cav, **{**raman_good, name: nan_row})
+    with pytest.raises(ValueError):
+        rm.RamanConfig(cav, **{**raman_good, "laser_detuning_b": np.array([10.0, math.inf, 10.0])})
+    for delta_p in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PhotonPulse(sigma_p=1.0, delta_p=delta_p)
+    rates = ("qubit_relaxation", "qubit_pure_dephasing", "optical_pure_dephasing",
+             "shelving_decay")
+    for name, value in [(name, v) for name in rates for v in (math.nan, math.inf)] + [
+            ("qubit_t2", math.nan)]:
+        with pytest.raises(ValueError):
+            DecoherenceSpec(**{name: value})
     # the ideal spectator (splitting_eg = inf) is a decoupled state, not a
     # separate code path, so ideal and finite rows share one batch
     for mode in ex.ExchangeMode:

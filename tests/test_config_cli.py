@@ -133,6 +133,26 @@ def test_cli_exit_code_config_error(tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("scheme, old, new, method", [
+    ("raman", "two_photon = optimal", "two_photon = nan rad_s", "analytic"),
+    ("simple_exchange", "detuning = optimal", "detuning = inf rad_s", "lindblad"),
+    ("scattering", "delta_p = 30 per_gamma", "delta_p = inf rad_s", "analytic"),
+    ("scattering", "gate_time = 1 inv_gamma", "gate_time = -1 inv_gamma", "analytic"),
+    *(("simple_exchange", "splitting_eg = 0.2e9 hz", "splitting_eg = 0 per_kappa", method)
+      for method in ("analytic", "numeric", "lindblad")),
+], ids=["raman-nan", "exchange-inf", "scattering-inf", "scattering-negative-time",
+        "zero-splitting-analytic", "zero-splitting-numeric", "zero-splitting-lindblad"])
+def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
+    assert old in YB_CONFIG
+    path = tmp_path / "bad.ini"
+    path.write_text(YB_CONFIG.replace(old, new))
+    result = CliRunner().invoke(main, ["evaluate", scheme, str(path), "--method", method])
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)   # no traceback
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_cli_exit_code_evaluator_error(yb_path):
     runner = CliRunner()
     result = runner.invoke(main, ["evaluate", "scattering", yb_path,
@@ -196,6 +216,19 @@ def test_cli_casestudy_defaults_and_overrides(tmp_path):
     low = json.loads(runner.invoke(main, ["casestudy", "--cooperativity", "1"]).stdout)
     for scheme in ("scattering", "simple_exchange", "raman"):
         assert low[scheme]["fidelity"] < 0.7
+
+
+def test_cli_casestudy_warnings_on_stderr():
+    # warnings are echoed as `warning: <message>` lines, as by evaluate,
+    # without source locations, and stdout stays the JSON report
+    result = CliRunner().invoke(main, ["casestudy", "--cooperativity", "5"])
+    assert result.exit_code == 0
+    lines = result.stderr.splitlines()
+    assert lines == ["warning: inputs outside the closed-form validity domain "
+                     "(C >> 1, detunings small against gamma*C)",
+                     "warning: expansion assumes C >> 1",
+                     "warning: expansion assumes C >> 1"]
+    assert json.loads(result.stdout)["parameters"]["cooperativity"] == 5.0
 
 
 def test_cli_sweep_roundtrip(yb_path, tmp_path):

@@ -146,7 +146,7 @@ def test_decoupled_amplitude_is_bare_decay():
                       splitting_eg=100.0)
     ham = ex.build_hamiltonians(cfg)
     t = 2.0
-    amp = linalg.return_amplitude(ham.h_eff_up_down, 0, t)
+    amp = linalg.return_amplitudes(ham.h_eff_up_down[None], 0, t)[0]
     assert amp == pytest.approx(math.exp(-t / 2.0), rel=1e-12)
     assert ex.relative_phase_fidelity(cfg, gate_time=t) == pytest.approx(0.0, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -16,3 +17,18 @@ def test_package_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_one_eigenbasis_trust_rule():
+    """The eigenbasis trust decision lives in `linalg` alone: no other module
+    computes a condition number, solves in an eigenbasis or keeps its own
+    condition-number limit."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    pattern = re.compile(r"np\.linalg\.(cond|solve)\b|\w*_COND_LIMIT\b")
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "linalg.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                offenders += [f"{name}:{i}: {m.group(0)}" for i, line in enumerate(fh, 1)
+                              for m in pattern.finditer(line)]
+    assert offenders == []

@@ -19,6 +19,11 @@ def taylor_expm(m, terms=30):
     return result
 
 
+def propagate_one(h, psi, t):
+    """e^{-i t H} psi as a one-row stack."""
+    return linalg.propagate(np.asarray(h)[None], np.asarray(psi)[None], t)[0]
+
+
 def test_exp_zero_is_identity():
     out = linalg._expm_squaring(np.zeros((4, 4), dtype=complex))
     assert np.abs(out - np.eye(4)).max() < 1e-12
@@ -53,7 +58,7 @@ def test_eig_path_agrees_with_squaring():
             h = random_complex((dim, dim), rng, scale=0.7)
             psi = random_complex(dim, rng)
             expected = linalg._expm_squaring(-1j * 1.3 * h) @ psi
-            assert np.abs(linalg.propagate(h, psi, 1.3) - expected).max() < 1e-9
+            assert np.abs(propagate_one(h, psi, 1.3) - expected).max() < 1e-9
 
 
 def test_squaring_handles_defective_matrix():
@@ -64,7 +69,7 @@ def test_squaring_handles_defective_matrix():
 
 def test_propagate_pure_decay():
     h = np.array([[-0.5j * 2.0]])
-    out = linalg.propagate(h, np.array([1.0]), 3.0)
+    out = propagate_one(h, np.array([1.0]), 3.0)
     assert out[0] == pytest.approx(np.exp(-3.0), rel=1e-12)
 
 
@@ -74,7 +79,7 @@ def test_propagate_norm_preserved_for_hermitian():
     h = a + a.conj().T
     psi = random_complex(4, rng)
     psi /= np.linalg.norm(psi)
-    out = linalg.propagate(h, psi, 2.3)
+    out = propagate_one(h, psi, 2.3)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -84,8 +89,8 @@ def test_propagate_semigroup():
     h = a + a.conj().T - 0.5j * np.diag(rng.uniform(0, 1, 4))
     psi = random_complex(4, rng)
     psi /= np.linalg.norm(psi)
-    one_shot = linalg.propagate(h, psi, 1.7)
-    two_step = linalg.propagate(h, linalg.propagate(h, psi, 0.9), 0.8)
+    one_shot = propagate_one(h, psi, 1.7)
+    two_step = propagate_one(h, propagate_one(h, psi, 0.9), 0.8)
     assert np.abs(one_shot - two_step).max() < 1e-9
 
 
@@ -96,8 +101,10 @@ def test_norm_monotone_under_decay():
         h = a + a.conj().T - 0.5j * np.diag(rng.uniform(0.0, 2.0, 5))
         psi = random_complex(5, rng)
         psi /= np.linalg.norm(psi)
-        norms = [np.linalg.norm(linalg.propagate(h, psi, t))
-                 for t in np.linspace(0.0, 4.0, 20)]
+        times = np.linspace(0.0, 4.0, 20)
+        out = linalg.propagate(np.broadcast_to(h, (20, 5, 5)), np.broadcast_to(psi, (20, 5)),
+                               times)
+        norms = np.linalg.norm(out, axis=1)
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-9)
         assert norms[0] <= 1.0 + 1e-9
@@ -105,16 +112,24 @@ def test_norm_monotone_under_decay():
 
 def test_non_finite_rejected():
     with pytest.raises(NonFinite):
-        linalg.propagate(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.ones(2), 1.0)
+        propagate_one(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.ones(2), 1.0)
     with pytest.raises(NonFinite):
-        linalg.propagate(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
+        propagate_one(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
+    with pytest.raises(NonFinite):
+        propagate_one(np.eye(2), np.array([1.0, np.nan]), 1.0)
+    with pytest.raises(NonFinite):
+        propagate_one(np.eye(2), np.ones(2), np.nan)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        linalg.propagate(np.ones((2, 3)), np.ones(2), 1.0)
+        linalg.propagate(np.ones((1, 2, 3)), np.ones((1, 2)), 1.0)
     with pytest.raises(ValueError):
-        linalg.propagate(np.eye(3), np.ones(2), 1.0)
+        linalg.propagate(np.eye(3)[None], np.ones((1, 2)), 1.0)
+    with pytest.raises(ValueError):
+        linalg.propagate(np.eye(2), np.ones(2), 1.0)   # one matrix is not a stack
+    with pytest.raises(ValueError):
+        linalg.propagate(np.stack([np.eye(2)] * 3), np.ones((3, 2)), np.ones(2))
 
 
 def test_return_amplitude_matches_propagate():
@@ -122,5 +137,36 @@ def test_return_amplitude_matches_propagate():
     a = random_complex((3, 3), rng)
     h = a + a.conj().T - 0.5j * np.diag([1.0, 0.2, 0.0])
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    assert linalg.return_amplitude(h, 0, 2.0) == pytest.approx(
-        complex(linalg.propagate(h, psi0, 2.0)[0]), rel=1e-12)
+    assert linalg.return_amplitudes(h[None], 0, 2.0)[0] == pytest.approx(
+        complex(propagate_one(h, psi0, 2.0)[0]), rel=1e-12)
+
+
+def test_eigenbasis_trust_flag():
+    # a random lossy row is trusted and its coordinates solve V c = psi; the
+    # emitter-cavity pair at g = kappa/4 (cond ~ 1e8) is not
+    rng = np.random.default_rng(19)
+    a = random_complex((2, 2), rng)
+    ep = np.array([[0.0, 0.25], [0.25, -0.5j]])
+    h = np.stack([a + a.conj().T - 0.5j * np.diag([0.4, 0.0]), ep])
+    psi = random_complex((2, 2), rng)
+    basis = linalg.eigenbasis(h, psi)
+    assert basis.trusted.tolist() == [True, False]
+    assert basis.cond[0] < linalg.EIG_COND_LIMIT <= basis.cond[1]
+    assert np.abs(basis.vectors[0] @ basis.coeff[0] - psi[0]).max() < 1e-12
+
+
+def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
+    rng = np.random.default_rng(23)
+    a = random_complex((3, 4, 4), rng)
+    h = a + a.conj().swapaxes(1, 2) - 0.5j * np.eye(4)
+    psi = random_complex((3, 4), rng)
+
+    def failing_eig(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    basis = linalg.eigenbasis(h, psi)
+    assert not basis.trusted.any() and np.isnan(basis.cond).all()
+    out = linalg.propagate(h, psi, 0.7)
+    for i in range(3):
+        assert np.abs(out[i] - linalg._expm_squaring(-0.7j * h[i]) @ psi[i]).max() < 1e-12
