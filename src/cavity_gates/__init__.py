@@ -28,6 +28,7 @@ from .scattering import (
     cooperativity_limited_max,
     fidelity_analytic,
     fidelity_numeric,
+    fidelity_numeric_batch,
     optimal_gate_time,
     reduced_density_matrix,
     spin_amplitudes,

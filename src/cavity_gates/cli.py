@@ -45,8 +45,10 @@ fails (say, an unknown `--unit`), no table is printed and the exit code is
 that of the first point's error.
 
 Every number must be finite: `nan` and `inf` are config errors, as are
-values the scheme's inputs reject (a `splitting_eg` or a `gate_time`
-<= 0, a negative decoherence rate). Use `ideal` for an infinite splitting.
+values the scheme's inputs reject (a `splitting_eg`, a `gate_time`, a
+`rabi_over_detuning` or a `rabi_b` <= 0, a negative decoherence rate), and
+`casestudy` option values that are not finite and > 0. Use `ideal` for an
+infinite splitting.
 
 Exit codes: 0 success, 2 config error, 3 evaluator error, 4 unwritable
 output. Results go to stdout; warnings (`warning: <message>`, from
@@ -58,6 +60,7 @@ import contextlib
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -202,12 +205,13 @@ def figure(name, out_dir):
 def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
     """Three-scheme gate comparison for the default narrow-line emitter."""
     overrides = {}
-    if t2_ms is not None:
-        overrides["qubit_t2"] = t2_ms * 1e-3
-    if cooperativity is not None:
-        overrides["cooperativity"] = cooperativity
-    if g_over_kappa is not None:
-        overrides["g_over_kappa"] = g_over_kappa
+    for option, key, value, scale in (("--t2-ms", "qubit_t2", t2_ms, 1e-3),
+                                      ("--cooperativity", "cooperativity", cooperativity, 1.0),
+                                      ("--g-over-kappa", "g_over_kappa", g_over_kappa, 1.0)):
+        if value is not None:
+            if not 0 < value < math.inf:
+                _fail(EXIT_CONFIG, f"{option} must be finite and > 0, got {value!r}")
+            overrides[key] = value * scale
     with _echo_warnings():
         try:
             report = casestudy.run_case_study(**overrides)

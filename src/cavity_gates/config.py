@@ -248,10 +248,17 @@ def build_raman(run: RunConfig) -> RamanConfig:
     if (rabi_over is None) == (rabi_a == 0.0):
         raise ConfigError("scheme.raman needs exactly one of rabi_over_detuning or rabi_a",
                           key=sec.key("rabi_a"))
+    # a zero drive has no finite gate time
+    if rabi_over is not None and not rabi_over > 0:
+        raise ConfigError(f"{sec.key('rabi_over_detuning')} must be > 0, got {rabi_over!r}",
+                          key=sec.key("rabi_over_detuning"))
     kwargs = {}
     rabi_b_word = sec.word("rabi_b", "matched")
     if rabi_b_word != "matched":
         kwargs["rabi_b"] = sec.rate("rabi_b")
+        if not kwargs["rabi_b"] > 0:
+            raise ConfigError(f"{sec.key('rabi_b')} must be > 0 or matched, got "
+                              f"{kwargs['rabi_b']!r}", key=sec.key("rabi_b"))
     try:
         det_a = laser + 0.5 * laser_eps
         det_b = laser - 0.5 * laser_eps

@@ -21,7 +21,10 @@ class DivergentDenominator(CavityGateError):
 
 
 class QuadratureNotConverged(CavityGateError):
-    """Doubling the frequency-quadrature density changed the result too much."""
+    """The scattering frequency quadrature, which a row takes only when its
+    reflection poles cannot be trusted (near an exceptional point of a
+    cavity-emitter generator), changed by more than 1e-10 from its 32- to
+    its 64-node rule."""
 
 
 class ZeroDecoherence(CavityGateError):

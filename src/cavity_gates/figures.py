@@ -75,20 +75,16 @@ _SCATTER_REGIMES = (0.01, 0.5, 10.0)
 
 def _fig2(axis_name, axis_values, fixed, variable):
     """Shared builder for the scattering sweeps: three cavity regimes,
-    numeric and analytic columns each."""
+    numeric (one batch call per regime) and analytic columns each."""
     header = [axis_name]
+    columns = [axis_values]
     for gk in _SCATTER_REGIMES:
         header += [f"F_numeric_gk{gk:g}", f"F_analytic_gk{gk:g}"]
-    rows = []
-    for x in axis_values:
-        params = dict(fixed)
-        params[variable] = float(x)
-        row = [float(x)]
-        for gk in _SCATTER_REGIMES:
-            row.append(scatter_numeric(g_over_kappa=gk, **params))
-            row.append(scatter_analytic(g_over_kappa=gk, **params))
-        rows.append(row)
-    return header, np.array(rows)
+        batch = _scatter_configs(g_over_kappa=gk, **fixed, **{variable: axis_values})
+        columns.append(scattering.fidelity_numeric_batch(batch).fidelity)
+        columns.append([scatter_analytic(g_over_kappa=gk, **fixed, **{variable: float(x)})
+                        for x in axis_values])
+    return header, np.column_stack(columns)
 
 
 def build_fig2a():

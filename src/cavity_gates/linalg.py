@@ -7,11 +7,15 @@ and holds the one trust rule: a row is trusted when its eigenvector matrix
 has a condition number below EIG_COND_LIMIT. A NaN condition number, and
 every row of a stack whose eigensolve raises LinAlgError, are untrusted
 (near an exceptional point the closed forms on the basis lose about
-cond^2 * machine epsilon); NaN or Inf input raises NonFinite. `propagate`
-(and `return_amplitudes`, its basis-state call) sends untrusted rows to
-Taylor scaling-and-squaring, one row at a time; `lindblad.propagate_exact`
-refuses them with ConvergenceFailure. No stack is split here: the callers
-bound its size (`exchange.phase_fidelity` passes at most 1,024 generators).
+cond^2 * machine epsilon); NaN or Inf input raises NonFinite. It has
+three callers. `propagate` (and `return_amplitudes`, its basis-state call)
+sends untrusted rows to Taylor scaling-and-squaring, one row at a time;
+`lindblad.propagate_exact` refuses them with ConvergenceFailure; and the
+scattering pole sum (`scattering.reduced_density_matrix`) takes its
+reflection poles and residues from it and sends untrusted rows to the
+frequency quadrature. No stack is split here: the callers size it
+(`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
+pole sum passes four per row of its config, in one call).
 """
 from __future__ import annotations
 

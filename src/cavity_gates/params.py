@@ -158,28 +158,34 @@ def broadcast_shape(*values) -> tuple:
 
 @dataclass(frozen=True)
 class GateResults:
-    """Outcomes of a batch of configurations of a deterministic (exchange)
-    scheme that share one method, so every success probability is 1.
+    """Outcomes of a batch of configurations that share one scheme and method.
 
     fidelity and gate_time are arrays of the batch's broadcast shape (numpy
-    scalars for a one-configuration batch). notes maps each note to a
-    boolean mask of the rows it applies to; a row's GateResult carries the
-    notes whose mask is set, in insertion order.
+    scalars for a one-configuration batch). success_probability is such an
+    array on the scattering numeric path (the heralding-probability proxy)
+    and the scalar 1.0 of the deterministic schemes, which holds for every
+    row. notes maps each note to a boolean mask of the rows it applies to;
+    a row's GateResult carries the notes whose mask is set, in insertion
+    order.
     """
 
     fidelity: np.ndarray
     gate_time: np.ndarray
     method: Method
     notes: dict = field(default_factory=dict)
+    success_probability: np.ndarray | float = 1.0
 
     @property
     def shape(self) -> tuple:
         return self.fidelity.shape
 
     def __getitem__(self, index) -> GateResult:
+        probability = self.success_probability
         return GateResult(
             fidelity=float(self.fidelity[index]), gate_time=float(self.gate_time[index]),
-            success_probability=1.0, method=self.method,
+            success_probability=float(probability if isinstance(probability, float)
+                                      else probability[index]),
+            method=self.method,
             notes=tuple(note for note, mask in self.notes.items() if mask[index]))
 
     def single(self) -> GateResult:
@@ -194,11 +200,13 @@ def _broadcast(value, shape, dtype):
     return value if value.shape == shape else np.broadcast_to(value, shape)
 
 
-def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None) -> GateResults:
-    """Clamp gate fidelities into [0, 1] and mark every clamped row with the
-    "clamped" note, ahead of any extra notes (note -> row mask). Raises
-    ValueError for NaN fidelities and non-positive gate times, as
-    GateResult does."""
+def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
+                 success_probability=None) -> GateResults:
+    """Clamp gate fidelities into [0, 1], and success probabilities when
+    given (a deterministic scheme gives none: every row's is 1), and mark
+    every row where either was clamped with the "clamped" note, ahead of
+    any extra notes (note -> row mask). Raises ValueError for NaN fidelities
+    or probabilities and non-positive gate times, as GateResult does."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
@@ -207,10 +215,19 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None) -
         raise ValueError("fidelity must lie in [0, 1], got nan")
     if not all_rows(gate_time > 0):
         raise ValueError("gate_time must be > 0")
-    masks = {"clamped": (fidelity < 0.0) | (fidelity > 1.0)}
+    clamped = (fidelity < 0.0) | (fidelity > 1.0)
+    probability = 1.0
+    if success_probability is not None:
+        probability = _broadcast(success_probability, fidelity.shape, float)
+        if any_row(np.isnan(probability)):
+            raise ValueError("success_probability must lie in [0, 1], got nan")
+        clamped = clamped | (probability < 0.0) | (probability > 1.0)
+        probability = np.minimum(np.maximum(probability, 0.0), 1.0)
+    masks = {"clamped": clamped}
     for note, mask in (notes or {}).items():
         masks[note] = _broadcast(mask, fidelity.shape, bool)
-    return GateResults(np.minimum(np.maximum(fidelity, 0.0), 1.0), gate_time, method, masks)
+    return GateResults(np.minimum(np.maximum(fidelity, 0.0), 1.0), gate_time, method, masks,
+                       probability)
 
 
 _RATE_UNITS = {

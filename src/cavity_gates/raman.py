@@ -78,9 +78,9 @@ class RamanConfig:
         if not all_rows((self.laser_detuning_a > 0) & (self.laser_detuning_a < math.inf)
                         & (self.laser_detuning_b > 0) & (self.laser_detuning_b < math.inf)):
             raise ValueError("laser detunings must be finite and > 0")
-        for name in ("rabi_a", "gamma_eff"):
+        for name in ("rabi_a", "rabi_b", "gamma_eff"):
             value = getattr(self, name)
-            if not all_rows((value >= 0) & (value < math.inf)):
+            if value is not None and not all_rows((value >= 0) & (value < math.inf)):
                 raise ValueError(f"{name} must be finite and >= 0")
         if any_row(self.rabi_a / self.laser_detuning_a > 0.5):
             warnings.warn("drive is not weak against its detuning (Omega/Delta > 0.5); "

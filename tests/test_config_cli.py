@@ -140,8 +140,13 @@ def test_cli_exit_code_config_error(tmp_path):
     ("scattering", "gate_time = 1 inv_gamma", "gate_time = -1 inv_gamma", "analytic"),
     *(("simple_exchange", "splitting_eg = 0.2e9 hz", "splitting_eg = 0 per_kappa", method)
       for method in ("analytic", "numeric", "lindblad")),
+    *(("raman", "rabi_over_detuning = 0.1", new, method)
+      for new in ("rabi_over_detuning = 0.1\nrabi_b = -1 rad_s", "rabi_over_detuning = 0")
+      for method in ("analytic", "numeric", "lindblad")),
 ], ids=["raman-nan", "exchange-inf", "scattering-inf", "scattering-negative-time",
-        "zero-splitting-analytic", "zero-splitting-numeric", "zero-splitting-lindblad"])
+        "zero-splitting-analytic", "zero-splitting-numeric", "zero-splitting-lindblad",
+        *(f"raman-{case}-{method}" for case in ("negative-rabi-b", "zero-rabi-over-detuning")
+          for method in ("analytic", "numeric", "lindblad"))])
 def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     assert old in YB_CONFIG
     path = tmp_path / "bad.ini"
@@ -216,6 +221,16 @@ def test_cli_casestudy_defaults_and_overrides(tmp_path):
     low = json.loads(runner.invoke(main, ["casestudy", "--cooperativity", "1"]).stdout)
     for scheme in ("scattering", "simple_exchange", "raman"):
         assert low[scheme]["fidelity"] < 0.7
+
+
+@pytest.mark.parametrize("option, value", [("--cooperativity", "nan"),
+                                           ("--g-over-kappa", "inf"), ("--t2-ms", "-1")])
+def test_cli_casestudy_bad_option_is_config_error(option, value):
+    result = CliRunner().invoke(main, ["casestudy", option, value])
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)   # no traceback
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {option}") and result.stderr.count("\n") == 1
 
 
 def test_cli_casestudy_warnings_on_stderr():

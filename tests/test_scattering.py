@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cavity_gates.errors import DivergentDenominator, QuadratureNotConverged, ValidityWarning
 from cavity_gates.params import CavitySystem
-from cavity_gates import scattering as sc
+from cavity_gates import linalg, scattering as sc
 
 
 def make_config(cooperativity=4000.0, g_over_kappa=0.1, gate_time=2.0, delta_p=0.0,
@@ -234,9 +235,11 @@ def test_optimal_gate_time_matches_analytic_argmax():
     assert t_best == pytest.approx(sc.optimal_gate_time(4000.0, 1.0, 1e-5), rel=0.02)
 
 
-def test_quadrature_converges_in_strong_coupling():
+def test_quadrature_converges_in_strong_coupling(monkeypatch):
     # narrow polariton dips inside the pulse envelope must not break the
-    # node-doubling convergence check
+    # node-doubling convergence check of the quadrature, which every row
+    # takes once no eigenbasis is trusted
+    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
     cfg = make_config(g_over_kappa=10.0, gate_time=2.0, delta_p=100.0)
     rho = sc.reduced_density_matrix(cfg)
     assert float(np.trace(rho).real) <= 1.0 + 1e-9
@@ -245,8 +248,10 @@ def test_quadrature_converges_in_strong_coupling():
 def test_unrefined_panels_fail_the_doubling_check(monkeypatch):
     """Without the pole refinement the narrow polariton dips of the
     strong-coupling case are under-resolved: the 32/64-node check raises
-    instead of returning a number."""
+    instead of returning a number. No eigenbasis is trusted, so every row
+    takes the quadrature."""
     cfg = make_config(g_over_kappa=10.0, gate_time=2.0, delta_p=100.0)
+    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
     monkeypatch.setattr(sc, "_frequency_panels", lambda config: np.array([-8.0, 8.0]))
     with pytest.raises(QuadratureNotConverged):
         sc.reduced_density_matrix(cfg)
@@ -295,3 +300,143 @@ def test_denominator_features_are_reflection_poles(cooperativity, g_over_kappa, 
 def test_cooperativity_limited_max_formula():
     assert sc.cooperativity_limited_max(100.0) == pytest.approx(
         1 - 1 / 101.0 - 1 / 402.0, rel=1e-14)
+
+
+# -- the pole sum and its Faddeeva function -----------------------------------
+
+def test_faddeeva_matches_scipy_wofz():
+    """Relative error <= 1e-13 over Im z in [1e-6, 1e10] and |Re z| <= 1e10,
+    log-uniform in both, plus the box |Re z| <= 30, Im z <= 30 where the
+    pulse-scale poles land."""
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(0)
+    n = 50_000
+    imag = np.exp(rng.uniform(math.log(1e-6), math.log(1e10), 2 * n))
+    real = np.concatenate([
+        rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-8), math.log(1e10), n)),
+        rng.uniform(-30.0, 30.0, n)])
+    imag[n:] = np.minimum(imag[n:], 30.0)
+    z = real + 1j * imag
+    ref = wofz(z)
+    assert np.max(np.abs(sc._faddeeva(z) - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [0.5 + 1e-9j, 2.0 + 1e-6j, -3.0 + 1e-6j, 7.0 + 1e-5j,
+                               1e9j, 6e8 + 8e8j, -1e9 + 1e-3j, 5.0 + 5.0j])
+def test_faddeeva_matches_mpmath(z):
+    """Against exp(-z^2) erfc(-iz) at 40 digits: near the real axis, at
+    |z| = 1e9 and at 5 + 5i."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        mz = mpmath.mpc(z.real, z.imag)
+        ref = complex(mpmath.exp(-mz**2) * mpmath.erfc(-1j * mz))
+    assert abs(complex(sc._faddeeva(z)) - ref) <= 1e-13 * abs(ref)
+
+
+def generator_cond(cfg):
+    """The largest eigenvector condition number of a config's four generators."""
+    start = np.zeros((4, 3))
+    start[:, 0] = 1.0
+    return linalg.eigenbasis(sc._generators(cfg, ()).reshape(4, 3, 3), start).cond.max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(cooperativity=st.floats(1.0, 1e5), g_over_kappa=st.floats(0.01, 10.0),
+       delta_p=st.floats(-100.0, 100.0), gate_time=st.floats(0.1, 50.0),
+       delta_a=st.floats(-0.5, 0.5), delta_b=st.none() | st.floats(-0.5, 0.5))
+@example(98957.46087836934, 0.01, 34.39448638576931, 0.10914788527523304,
+         0.33513733476497287, 0.2777630102690055)   # a nearly dark mode, residue 2e-8
+def test_pole_sum_matches_quadrature(cooperativity, g_over_kappa, delta_p, gate_time,
+                                     delta_a, delta_b):
+    """The pole sum against the kept Gauss-Legendre path, within
+    1e-12 + 1e-16 cond^2 (the pole sum loses about cond^2 * machine epsilon
+    near an exceptional point); delta_b = None puts both emitters at delta_a."""
+    cfg = make_config(cooperativity, g_over_kappa, gate_time, delta_p, 0.0, delta_a,
+                      delta_a if delta_b is None else delta_b)
+    change = np.abs(sc.reduced_density_matrix(cfg) - sc._quadrature(cfg)).max()
+    assert change <= 1e-12 + 1e-16 * generator_cond(cfg) ** 2
+
+
+def spy_on_quadrature(monkeypatch):
+    calls = []
+    quadrature = sc._quadrature
+
+    def spy(config):
+        calls.append(config)
+        return quadrature(config)
+
+    monkeypatch.setattr(sc, "_quadrature", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cavity", [
+    CavitySystem(g=1.0, kappa=5.0, gamma=1.0),                      # g = (kappa - gamma)/4
+    CavitySystem(g=1.0, kappa=1.0 + 4.0 * math.sqrt(2.0), gamma=1.0),  # sqrt(2) g = ...
+], ids=["single-emitter", "bright-state"])
+def test_exceptional_point_row_takes_quadrature(monkeypatch, cavity):
+    """At a generator's exceptional point (resonant emitters) `linalg` does
+    not trust the eigenbasis: that row, and only that row, takes the
+    quadrature and says so, and its density matrix is the quadrature's."""
+    calls = spy_on_quadrature(monkeypatch)
+    detuning = np.array([0.0, 0.3])
+    cfg = sc.ScatteringConfig(cavity, sc.PhotonPulse.from_gate_time(20.0, delta_p=0.5),
+                              delta_eps_a=detuning, delta_eps_b=detuning)
+    assert generator_cond(dataclasses.replace(cfg, delta_eps_a=0.0, delta_eps_b=0.0)) > 1e6
+    assert generator_cond(dataclasses.replace(cfg, delta_eps_a=0.3, delta_eps_b=0.3)) < 10
+    rho = sc.reduced_density_matrix(cfg)
+    assert [c.delta_eps_a for c in calls] == [0.0]
+    assert np.array_equal(rho[0], sc._quadrature(calls[0]))
+    batch = sc.fidelity_numeric_batch(cfg)
+    assert [batch[i].notes for i in range(2)] == [("quadrature fallback",), ()]
+
+
+def test_pole_above_the_real_axis_takes_quadrature(monkeypatch):
+    """I(lambda) is the Faddeeva form for Im lambda <= 0 only. Rounding can
+    put a pole just above the real axis (seen for gamma = 4e-11 against an
+    emitter detuning of 3e10); such a row takes the quadrature."""
+    eigenbasis = linalg.eigenbasis
+
+    def lifted(h, psi):
+        basis = eigenbasis(h, psi)
+        return basis._replace(values=basis.values.real + 1e-9j)
+
+    monkeypatch.setattr(linalg, "eigenbasis", lifted)
+    calls = spy_on_quadrature(monkeypatch)
+    assert sc.fidelity_numeric(make_config()).notes == ("quadrature fallback",)
+    assert len(calls) == 1
+
+
+def test_clamped_rows_are_marked(monkeypatch):
+    """F^2 and the trace are clamped into [0, 1] and the row says so: a
+    density matrix 1.1 |psi_T><psi_T| (F^2 and trace 1.1) and one with
+    F^2 = -0.05 come back as 1 and 0, marked "clamped"."""
+    target = np.outer(sc.IDEAL_TARGET, sc.IDEAL_TARGET)
+    rhos = np.stack([0.9 * target, 1.1 * target, 0.25 * np.eye(4) - 0.3 * target])
+    monkeypatch.setattr(sc, "_pole_sum", lambda config, shape: (
+        np.moveaxis(rhos, 0, -1).astype(complex), np.ones(3, dtype=bool)))
+    cav = CavitySystem.from_cooperativity(4000.0, 0.1, 1.0)
+    cfg = sc.ScatteringConfig(cav, sc.PhotonPulse(1.0, delta_p=np.array([0.0, 1.0, 2.0])))
+    batch = sc.fidelity_numeric_batch(cfg)
+    assert batch.notes["clamped"].tolist() == [False, True, True]
+    assert batch.fidelity.tolist() == pytest.approx([math.sqrt(0.9), 1.0, 0.0])
+    assert batch.success_probability.tolist() == pytest.approx([0.9, 1.0, 0.7])
+    assert batch[1].notes == ("clamped",)
+
+
+def test_batch_rows_match_one_row_calls():
+    """An array-valued config keeps its grid shape, and every row equals the
+    one-configuration call."""
+    cav = CavitySystem.from_cooperativity(4000.0, 0.5, 1.0)
+    gate_time = np.array([0.5, 2.0, 20.0])[:, None]
+    delta_p = np.array([0.0, 30.0])
+    cfg = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(gate_time, delta_p=delta_p),
+                              delta_eps_a=0.2, gamma_eff=1e-4)
+    batch = sc.fidelity_numeric_batch(cfg)
+    assert batch.shape == (3, 2)
+    for i, j in np.ndindex(3, 2):
+        single = sc.fidelity_numeric(sc.ScatteringConfig(
+            cav, sc.PhotonPulse.from_gate_time(float(gate_time[i, 0]), float(delta_p[j])),
+            delta_eps_a=0.2, gamma_eff=1e-4))
+        assert batch[i, j] == single
