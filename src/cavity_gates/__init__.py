@@ -27,6 +27,7 @@ from .scattering import (
     ScatteringConfig,
     cooperativity_limited_max,
     fidelity_analytic,
+    fidelity_analytic_batch,
     fidelity_numeric,
     fidelity_numeric_batch,
     optimal_gate_time,

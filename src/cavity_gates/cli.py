@@ -36,6 +36,9 @@ take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
     rabi_over_detuning   = 0.1       # exactly one of this / rabi_a
     rabi_b               = matched   # or a rate
 
+A key that nothing reads in [cavity], [decoherence] or the evaluated
+[scheme.<name>] section (a misspelling, say) is a config error.
+
 `sweep --param KEY` overwrites one key of the parsed [scheme.<name>]
 section at each grid point (keys are case-insensitive, as in the file).
 A key the scheme never reads, and a grid with fewer than 2 points, a
@@ -87,18 +90,10 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _load(config_path):
+def _config_step(step, *args):
+    """step(*args); a ConfigError exits with the config-error code."""
     try:
-        return config_mod.load_config(config_path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except OSError as exc:
-        _fail(EXIT_CONFIG, f"cannot read config: {exc}")
-
-
-def _build_scheme(run, scheme):
-    try:
-        return config_mod.SCHEME_BUILDERS[scheme](run)
+        return step(*args)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
@@ -146,8 +141,9 @@ def main():
               default="analytic", show_default=True)
 def evaluate(scheme, config_file, method):
     """Evaluate one gate configuration; emit a JSON record on stdout."""
-    run = _load(config_file)
-    cfg = _build_scheme(run, scheme)
+    run = _config_step(config_mod.load_config, config_file)
+    cfg = _config_step(config_mod.SCHEME_BUILDERS[scheme], run)
+    _config_step(run.check_all_read, scheme)
     with _echo_warnings():
         try:
             result = _evaluate(scheme, cfg, method)
@@ -244,14 +240,12 @@ def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
 def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, method,
               out_dir):
     """Sweep one scheme parameter of a config and tabulate the fidelity."""
-    run = _load(config_file)
-    if scheme not in run.schemes:
-        _fail(EXIT_CONFIG, f"config has no [scheme.{scheme}] section")
+    run = _config_step(config_mod.load_config, config_file)
+    section = _config_step(run.scheme_section, scheme)
     try:
         axis = Axis(param, vmin, vmax, points, "log" if log_scale else "linear")
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"sweep grid: {exc}")
-    section = run.schemes[scheme]
     key = param.lower()  # configparser lowercases option names
     suffix = "" if unit in ("", "none") else f" {unit}"
     lines = [f"# sweep {scheme}.{param} [{unit}] method={method}",
@@ -273,9 +267,7 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
     if len(errors) == axis.points:
         _fail(EXIT_CONFIG if isinstance(errors[0], ConfigError) else EXIT_EVALUATOR,
               f"no grid point evaluated; the first failed with: {errors[0]}")
-    if key not in section.used:
-        _fail(EXIT_CONFIG, f"the {scheme} scheme never reads {section.key(key)}; "
-                           "nothing was swept")
+    _config_step(run.check_all_read, scheme)
     out_text = "\n".join(lines) + "\n"
     if out_dir is not None:
         csv_path = _write_output(out_dir, "sweep.csv", out_text)

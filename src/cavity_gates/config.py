@@ -58,9 +58,6 @@ class _Section:
     def key(self, option):
         return f"{self.name}.{option}"
 
-    def has(self, option):
-        return option in self.raw
-
     def rate(self, option, default=_REQUIRED):
         if option not in self.raw:
             if default is _REQUIRED:
@@ -104,17 +101,26 @@ class RunConfig:
     cavity: CavitySystem
     decoherence: DecoherenceSpec
     schemes: dict  # scheme name -> _Section
+    common: tuple  # the [cavity] and [decoherence] _Sections, which every scheme reads
 
     def scheme_section(self, name: str) -> _Section:
         if name not in self.schemes:
             raise ConfigError(f"config has no [scheme.{name}] section", key=f"scheme.{name}")
         return self.schemes[name]
 
+    def check_all_read(self, name: str):
+        """After the scheme is built: raise ConfigError naming the first key
+        of [cavity], [decoherence] or [scheme.<name>] that nothing read."""
+        for section in (*self.common, self.scheme_section(name)):
+            unread = [section.key(option) for option in section.raw if option not in section.used]
+            if unread:
+                raise ConfigError(f"{unread[0]} is never read (misspelled?)", key=unread[0])
+
 
 def _build_cavity(section: _Section) -> CavitySystem:
     gamma = section.rate("gamma")
     section.gamma = gamma
-    if section.has("cooperativity"):
+    if "cooperativity" in section.raw:
         c = section.number("cooperativity")
         gok = section.number("g_over_kappa")
         if gok is None:
@@ -135,9 +141,7 @@ def _build_cavity(section: _Section) -> CavitySystem:
         raise ConfigError(f"cavity: {exc}", key="cavity.g")
 
 
-def _build_decoherence(section: _Section | None) -> DecoherenceSpec:
-    if section is None:
-        return DecoherenceSpec()
+def _build_decoherence(section: _Section) -> DecoherenceSpec:
     try:
         return DecoherenceSpec(
             qubit_relaxation=section.rate("qubit_relaxation", 0.0),
@@ -160,10 +164,9 @@ def load_config_text(text: str) -> RunConfig:
         raise ConfigError("missing [cavity] section", key="cavity")
     cavity_section = _Section("cavity", parser["cavity"])
     cavity = _build_cavity(cavity_section)
-    deco_section = None
-    if "decoherence" in parser:
-        deco_section = _Section("decoherence", parser["decoherence"],
-                                gamma=cavity.gamma, kappa=cavity.kappa)
+    # an absent [decoherence] section reads as an empty one: every rate 0
+    deco_section = _Section("decoherence", parser["decoherence"] if "decoherence" in parser
+                            else {}, gamma=cavity.gamma, kappa=cavity.kappa)
     decoherence = _build_decoherence(deco_section)
     schemes = {}
     for section_name in parser.sections():
@@ -171,12 +174,17 @@ def load_config_text(text: str) -> RunConfig:
             name = section_name[len(_SCHEME_PREFIX):]
             schemes[name] = _Section(section_name, parser[section_name],
                                      gamma=cavity.gamma, kappa=cavity.kappa)
-    return RunConfig(cavity=cavity, decoherence=decoherence, schemes=schemes)
+    return RunConfig(cavity=cavity, decoherence=decoherence, schemes=schemes,
+                     common=(cavity_section, deco_section))
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    return load_config_text(text)
 
 
 def build_scattering(run: RunConfig) -> ScatteringConfig:

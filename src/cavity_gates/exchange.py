@@ -14,11 +14,11 @@ third state, not a separate code path.
 The Raman gate gets its pi phase from the same lossy swap, so the numeric
 functions here take an ExchangeConfig or a RamanConfig; each supplies its
 sector builder and parameters (`sectors()`) and its pi-phase `gate_time`.
-Numeric fields of either config may be numpy arrays that broadcast
-together (the cavity and the mode stay scalar): the *_batch evaluators then
-evaluate every row at once through the stacked propagation of `linalg` and
-return GateResults of the broadcast shape. The scalar evaluators are the
-one-configuration calls of the same functions.
+Numeric fields of either config, the cavity's included, may be numpy arrays
+that broadcast together (the mode stays one value): the *_batch evaluators
+then evaluate every row at once through the stacked propagation of `linalg`
+and return GateResults of the broadcast shape. The scalar evaluators are
+the one-configuration calls of the same functions.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import ValidityWarning
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     broadcast_shape, gate_results)
+                     broadcast_shape, gate_results, one_configuration)
 
 if TYPE_CHECKING:
     from .raman import RamanConfig
@@ -103,11 +103,10 @@ class ExchangeConfig:
 
     def sectors(self):
         """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
-        cav = self.cavity
         params = (self.detuning, self.coupling_a, self.coupling_b_resonant,
-                  self.coupling_b_spectator, self.detuning_error, self.splitting_eg)
-        return functools.partial(_lossy_sectors, mode=self.mode, kappa=cav.kappa,
-                                 gamma=cav.gamma), params
+                  self.coupling_b_spectator, self.detuning_error, self.splitting_eg,
+                  self.cavity.kappa, self.cavity.gamma)
+        return functools.partial(_lossy_sectors, mode=self.mode), params
 
 
 class SectorHamiltonians(NamedTuple):
@@ -149,11 +148,12 @@ def _subspace_block(shape, detuning, g_a, g_b, offset, kappa, gamma):
     return h
 
 
-def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg,
-                   mode, kappa, gamma):
+def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa, gamma,
+                   mode):
     """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters;
     an infinite splitting_eg decouples the spectator end state (g = offset = 0)."""
-    shape = broadcast_shape(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg)
+    shape = broadcast_shape(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa,
+                            gamma)
     stark = (g_a**2 - g_res**2) / detuning
     offset_res = -detuning_error - stark
     resonant = _subspace_block(shape, detuning, g_a, g_res, offset_res, kappa, gamma)
@@ -233,12 +233,12 @@ def ridge_f_pi(detuning, kappa, cooperativity):
     exp(-2 pi Delta/(C kappa) - pi kappa/(2 Delta)) * cosh^2(pi kappa/(4 Delta)).
 
     The same function governs the Raman scheme with the two-photon detuning
-    in place of the cavity detuning.
+    in place of the cavity detuning. An array when any input is an array.
     """
     d = np.asarray(detuning, dtype=float)
     out = (np.exp(-2.0 * np.pi * d / (cooperativity * kappa) - np.pi * kappa / (2.0 * d))
            * np.cosh(np.pi * kappa / (4.0 * d)) ** 2)
-    return float(out) if np.isscalar(detuning) else out
+    return out if np.ndim(out) else float(out)
 
 
 def cooperativity_limited_max_exchange(cooperativity):
@@ -319,7 +319,9 @@ def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:
               - Gamma T_o,   T_o = 2 pi/(gamma sqrt(C)).
 
     The config's detuning field is ignored; only the error terms enter.
+    One configuration only.
     """
+    one_configuration(config)
     cav = config.cavity
     c = cav.cooperativity
     if c < 10:

@@ -23,67 +23,40 @@ class FigureData(NamedTuple):
     rows: np.ndarray     # shape (n_rows, len(header))
 
 
+# The config helpers take arrays that broadcast together, the cavity's
+# (C, g/kappa) included, so that a builder evaluates its columns in batches.
+
 def _scatter_configs(cooperativity, g_over_kappa, gamma_eff, delta_p, gate_time):
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     pulse = scattering.PhotonPulse.from_gate_time(gate_time, delta_p=delta_p)
     return scattering.ScatteringConfig(cav, pulse, gamma_eff=gamma_eff)
 
 
-def scatter_numeric(cooperativity, g_over_kappa, gamma_eff, delta_p, gate_time):
-    cfg = _scatter_configs(cooperativity, g_over_kappa, gamma_eff, delta_p, gate_time)
-    return scattering.fidelity_numeric(cfg).fidelity
-
-
-def scatter_analytic(cooperativity, g_over_kappa, gamma_eff, delta_p, gate_time):
-    cfg = _scatter_configs(cooperativity, g_over_kappa, gamma_eff, delta_p, gate_time)
-    return scattering.fidelity_analytic(cfg).fidelity
-
-
-# The exchange and Raman helpers take detuning arrays that broadcast
-# together and return the fidelity array of their broadcast shape.
-
-def exchange_numeric(cooperativity, g_over_kappa, detuning_over_kappa):
+def _exchange_configs(cooperativity, g_over_kappa, detuning_over_kappa):
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
-    cfg = exchange.ExchangeConfig(cav, detuning=detuning_over_kappa * cav.kappa)
-    return exchange.fidelity_numeric_exchange_batch(cfg).fidelity
+    return exchange.ExchangeConfig(cav, detuning=detuning_over_kappa * cav.kappa)
 
 
-def exchange_analytic(cooperativity, g_over_kappa, detuning_over_kappa):
+def _raman_configs(cooperativity, g_over_kappa, two_photon_over_kappa, detuning_over_kappa,
+                   rabi_over_detuning):
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
-    cfg = exchange.ExchangeConfig(cav, detuning=detuning_over_kappa * cav.kappa)
-    return exchange.fidelity_analytic_exchange_batch(cfg).fidelity
-
-
-def raman_numeric(cooperativity, g_over_kappa, two_photon_over_kappa,
-                  detuning_over_kappa, rabi_over_detuning):
-    cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
-    cfg = raman.symmetric_raman_config(cav, two_photon_over_kappa * cav.kappa,
-                                       detuning_over_kappa * cav.kappa, rabi_over_detuning)
-    return raman.fidelity_numeric_raman_batch(cfg).fidelity
-
-
-def raman_analytic(cooperativity, g_over_kappa, two_photon_over_kappa,
-                   detuning_over_kappa, rabi_over_detuning):
-    cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
-    cfg = raman.symmetric_raman_config(cav, two_photon_over_kappa * cav.kappa,
-                                       detuning_over_kappa * cav.kappa, rabi_over_detuning)
-    return raman.fidelity_analytic_raman_batch(cfg).fidelity
+    return raman.symmetric_raman_config(cav, two_photon_over_kappa * cav.kappa,
+                                        detuning_over_kappa * cav.kappa, rabi_over_detuning)
 
 
 _SCATTER_REGIMES = (0.01, 0.5, 10.0)
 
 
 def _fig2(axis_name, axis_values, fixed, variable):
-    """Shared builder for the scattering sweeps: three cavity regimes,
-    numeric (one batch call per regime) and analytic columns each."""
+    """Shared builder for the scattering sweeps: three cavity regimes, with
+    a numeric and an analytic column each (one batch call apiece)."""
     header = [axis_name]
     columns = [axis_values]
     for gk in _SCATTER_REGIMES:
         header += [f"F_numeric_gk{gk:g}", f"F_analytic_gk{gk:g}"]
         batch = _scatter_configs(g_over_kappa=gk, **fixed, **{variable: axis_values})
         columns.append(scattering.fidelity_numeric_batch(batch).fidelity)
-        columns.append([scatter_analytic(g_over_kappa=gk, **fixed, **{variable: float(x)})
-                        for x in axis_values])
+        columns.append(scattering.fidelity_analytic_batch(batch).fidelity)
     return header, np.column_stack(columns)
 
 
@@ -113,30 +86,23 @@ def build_fig2b():
 
 def build_fig2c():
     values = np.exp(np.linspace(math.log(0.01), math.log(10.0), 121))
-    rows = []
-    for gk in values:
-        rows.append([
-            float(gk),
-            scatter_numeric(4000.0, float(gk), 1e-5, 30.0, 2.0),
-            scatter_analytic(4000.0, float(gk), 1e-5, 30.0, 2.0),
-        ])
+    batch = _scatter_configs(4000.0, values, 1e-5, 30.0, 2.0)
+    rows = np.column_stack([values, scattering.fidelity_numeric_batch(batch).fidelity,
+                            scattering.fidelity_analytic_batch(batch).fidelity])
     comments = (
         "[cavity]", "cooperativity = 4000", "g_over_kappa = SWEEP", "gamma = 1 rad_s",
         "[decoherence]", "qubit_pure_dephasing = 4e-5 per_gamma",
         "[scheme.scattering]", "delta_p = 30 per_gamma", "gate_time = 2 inv_gamma",
     )
-    return FigureData("fig2c", comments, ("g_over_kappa", "F_numeric", "F_analytic"),
-                      np.array(rows))
+    return FigureData("fig2c", comments, ("g_over_kappa", "F_numeric", "F_analytic"), rows)
 
 
 def build_fig4():
     values = np.exp(np.linspace(math.log(1.0), math.log(1e4), 201))
-    rows = np.column_stack([
-        values,
-        exchange_numeric(8000.0, 0.1, values),
-        exchange_numeric(8000.0, 10.0, values),
-        exchange_analytic(8000.0, 0.1, values),
-    ])
+    weak_and_strong = _exchange_configs(8000.0, np.array([[0.1], [10.0]]), values)
+    numeric = exchange.fidelity_numeric_exchange_batch(weak_and_strong).fidelity
+    analytic = exchange.fidelity_analytic_exchange_batch(_exchange_configs(8000.0, 0.1, values))
+    rows = np.column_stack([values, *numeric, analytic.fidelity])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.simple_exchange]", "detuning = SWEEP per_kappa",
@@ -152,8 +118,8 @@ def build_fig6a():
     grid = np.exp(np.linspace(math.log(0.1), math.log(1e3), 121))
     # rows run over the laser detuning within each two-photon detuning
     dok, lok = np.meshgrid(grid, grid, indexing="ij")
-    rows = np.column_stack([dok.ravel(), lok.ravel(),
-                            raman_numeric(8000.0, 0.1, dok, lok, 0.05).ravel()])
+    numeric = raman.fidelity_numeric_raman_batch(_raman_configs(8000.0, 0.1, dok, lok, 0.05))
+    rows = np.column_stack([dok.ravel(), lok.ravel(), numeric.fidelity.ravel()])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.raman]", "two_photon = SWEEP per_kappa", "laser_detuning = SWEEP per_kappa",
@@ -168,12 +134,10 @@ def build_fig6a():
 def build_fig6b():
     ridge = 0.5 * math.sqrt(8000.0)
     values = np.exp(np.linspace(math.log(0.1), math.log(1e3), 201))
-    rows = np.column_stack([
-        values,
-        raman_numeric(8000.0, 0.1, ridge, values, 0.05),
-        raman_numeric(8000.0, 0.1, ridge, values, 1.0 / 3.0),
-        raman_analytic(8000.0, 0.1, ridge, values, 0.05),
-    ])
+    numeric = raman.fidelity_numeric_raman_batch(
+        _raman_configs(8000.0, 0.1, ridge, values, np.array([[0.05], [1.0 / 3.0]]))).fidelity
+    analytic = raman.fidelity_analytic_raman_batch(_raman_configs(8000.0, 0.1, ridge, values, 0.05))
+    rows = np.column_stack([values, *numeric, analytic.fidelity])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.raman]", "two_photon = optimal", "laser_detuning = SWEEP per_kappa",
@@ -201,7 +165,8 @@ def _fig8_scattering(gamma_eff, cooperativity=8000.0, g_over_kappa=0.1):
     t_guess = scattering.optimal_gate_time(cooperativity, 1.0, gamma_eff)
 
     def f(log_t):
-        return scatter_analytic(cooperativity, g_over_kappa, gamma_eff, 0.0, math.exp(log_t))
+        cfg = _scatter_configs(cooperativity, g_over_kappa, gamma_eff, 0.0, math.exp(log_t))
+        return scattering.fidelity_analytic(cfg).fidelity
 
     log_t, _ = sweep.golden_section_max(f, math.log(t_guess / 10.0), math.log(10.0 * t_guess),
                                         tol=1e-6)

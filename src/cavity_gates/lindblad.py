@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import ConvergenceFailure, DegenerateBranch
 from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians
-from .params import GateResult, Method, gate_results
+from .params import GateResult, Method, gate_results, one_configuration
 from .raman import RamanConfig
 
 
@@ -161,7 +161,8 @@ def _gate_open_system(config: ExchangeConfig | RamanConfig, n_recycled: int, jum
     """Basis: the |ud> block, the |uu> block (each starting in its first
     state), the two frozen ground states of the other sectors, then
     n_recycled frozen jump destinations. jumps: (rate, [(dest, src), ...]).
-    gate_time defaults to the config's pi-phase time."""
+    gate_time defaults to the config's pi-phase time; one configuration only."""
+    one_configuration(config)
     ham = build_hamiltonians(config)
     n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
     dim = n_ud + n_uu + 2 + n_recycled

@@ -7,6 +7,7 @@ as T2 contribute 1/(2*T2) to the effective decoherence rate.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ class CavitySystem:
     rate gamma, all in the same (angular) units.
 
     The figure of merit is the cooperativity C = 4 g^2 / (kappa * gamma).
+    Each rate may be a numpy array, broadcast with the config's other fields.
     """
 
     g: float
@@ -45,7 +47,8 @@ class CavitySystem:
     def __post_init__(self):
         for name in ("g", "kappa", "gamma"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            # written so that NaN fails
+            if not all_rows((value > 0) & (value < math.inf)):
                 raise ValueError(f"CavitySystem.{name} must be finite and > 0, got {value!r}")
 
     @property
@@ -58,12 +61,12 @@ class CavitySystem:
 
     @classmethod
     def from_cooperativity(cls, cooperativity, g_over_kappa, gamma=1.0):
-        """Build a system from (C, g/kappa, gamma).
+        """Build a system from (C, g/kappa, gamma), scalars or arrays.
 
         Solves C = 4 g^2/(kappa gamma) with g = (g/kappa)*kappa, so
         kappa = C*gamma / (4*(g/kappa)^2).
         """
-        if cooperativity <= 0 or g_over_kappa <= 0 or gamma <= 0:
+        if not all_rows((cooperativity > 0) & (g_over_kappa > 0) & (gamma > 0)):
             raise ValueError("cooperativity, g_over_kappa and gamma must be > 0")
         kappa = cooperativity * gamma / (4.0 * g_over_kappa**2)
         return cls(g=g_over_kappa * kappa, kappa=kappa, gamma=gamma)
@@ -156,6 +159,33 @@ def broadcast_shape(*values) -> tuple:
     return np.broadcast(*values).shape
 
 
+def config_shape(config) -> tuple:
+    """Broadcast shape of a config dataclass's array fields, those of the
+    configs it holds (cavity, pulse) included; () for one configuration."""
+    return np.broadcast_shapes(*(
+        config_shape(value) if dataclasses.is_dataclass(value) else np.shape(value)
+        for value in vars(config).values()))
+
+
+def config_row(config, shape: tuple, index: tuple):
+    """The one-configuration config at `index` of an array-valued config of
+    broadcast shape `shape`."""
+    return dataclasses.replace(config, **{
+        name: config_row(value, shape, index) if dataclasses.is_dataclass(value)
+        else float(np.broadcast_to(value, shape)[index])
+        for name, value in vars(config).items()
+        if dataclasses.is_dataclass(value) or isinstance(value, np.ndarray)})
+
+
+def one_configuration(config):
+    """Raise ValueError unless a config holds one configuration: the paths
+    that call this (Lindblad, the expanded maxima) have no array form."""
+    shape = config_shape(config)
+    if shape != ():
+        raise ValueError(f"this path takes one configuration, but the {type(config).__name__} "
+                         f"has array fields of shape {shape}")
+
+
 @dataclass(frozen=True)
 class GateResults:
     """Outcomes of a batch of configurations that share one scheme and method.
@@ -166,7 +196,7 @@ class GateResults:
     and the scalar 1.0 of the deterministic schemes, which holds for every
     row. notes maps each note to a boolean mask of the rows it applies to;
     a row's GateResult carries the notes whose mask is set, in insertion
-    order.
+    order: the evaluator's own notes first, "clamped" last.
     """
 
     fidelity: np.ndarray
@@ -204,8 +234,8 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
                  success_probability=None) -> GateResults:
     """Clamp gate fidelities into [0, 1], and success probabilities when
     given (a deterministic scheme gives none: every row's is 1), and mark
-    every row where either was clamped with the "clamped" note, ahead of
-    any extra notes (note -> row mask). Raises ValueError for NaN fidelities
+    every row where either was clamped with the "clamped" note, after the
+    caller's notes (note -> row mask). Raises ValueError for NaN fidelities
     or probabilities and non-positive gate times, as GateResult does."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
@@ -223,9 +253,8 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
             raise ValueError("success_probability must lie in [0, 1], got nan")
         clamped = clamped | (probability < 0.0) | (probability > 1.0)
         probability = np.minimum(np.maximum(probability, 0.0), 1.0)
-    masks = {"clamped": clamped}
-    for note, mask in (notes or {}).items():
-        masks[note] = _broadcast(mask, fidelity.shape, bool)
+    masks = {note: _broadcast(mask, fidelity.shape, bool) for note, mask in (notes or {}).items()}
+    masks["clamped"] = clamped
     return GateResults(np.minimum(np.maximum(fidelity, 0.0), 1.0), gate_time, method, masks,
                        probability)
 

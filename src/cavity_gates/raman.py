@@ -13,14 +13,13 @@ variants put kappa on one-photon states and gamma on excited states.
 
 The numeric path is the one in `exchange`, fed by RamanConfig.sectors() and
 RamanConfig.gate_time; `fidelity_numeric_raman[_batch]` are its aliases.
-Numeric fields of RamanConfig may be numpy arrays that broadcast together
-(the cavity stays scalar); the *_batch evaluators then evaluate every row at
+Numeric fields of RamanConfig, its cavity's included, may be numpy arrays
+that broadcast together; the *_batch evaluators then evaluate every row at
 once and return GateResults of the broadcast shape, and the scalar
 evaluators are their one-configuration calls.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .errors import ValidityWarning, ZeroDecoherence
 from .exchange import (cooperativity_limited_max_exchange, fidelity_numeric_exchange,
                        fidelity_numeric_exchange_batch, optimal_detuning, ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     broadcast_shape, gate_results)
+                     broadcast_shape, gate_results, one_configuration)
 
 
 def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_photon):
@@ -125,11 +124,10 @@ class RamanConfig:
 
     def sectors(self):
         """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
-        cav = self.cavity
         params = (self.two_photon_a, self.two_photon_b, self.rabi_a, self.drive_b,
                   self.coupling_a, self.coupling_b, self.laser_detuning_a,
-                  self.laser_detuning_b)
-        return functools.partial(_lossy_sectors, kappa=cav.kappa, gamma=cav.gamma), params
+                  self.laser_detuning_b, self.cavity.kappa, self.cavity.gamma)
+        return _lossy_sectors, params
 
 
 def symmetric_raman_config(cavity, two_photon, laser_detuning, rabi_over_detuning,
@@ -150,7 +148,7 @@ def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
     """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters, in
     the frame rotating with the drives and the shifted cavity: time independent
     at the cost of the (delta_b - delta_a) offsets on the B-excitation states."""
-    shape = broadcast_shape(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b)
+    shape = broadcast_shape(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma)
     h = np.zeros(shape + (5, 5), dtype=complex)
     h[..., 0, 1] = h[..., 1, 0] = om_a
     h[..., 1, 1] = det_a - 0.5j * gamma
@@ -238,8 +236,9 @@ def max_fidelity_raman(config: RamanConfig) -> GateResult:
               - Gamma T_o,   T_o = (Delta/Omega)^2 * 2 pi/(gamma sqrt(C)).
 
     The config's two-photon detunings fix only the error delta_eps; the mean
-    is assumed optimal.
+    is assumed optimal. One configuration only.
     """
+    one_configuration(config)
     cav = config.cavity
     c = cav.cooperativity
     if c < 10:

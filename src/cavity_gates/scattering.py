@@ -21,10 +21,11 @@ generator, where the pole sum can lose up to cond^2 * machine epsilon)
 take the Gauss-Legendre path instead: panels refined around the
 reflection poles, fixed 32- and 64-node rules that must agree.
 
-Numeric fields of PhotonPulse and ScatteringConfig may be numpy arrays that
-broadcast together (the cavity stays scalar); `fidelity_numeric_batch`
-then evaluates every row at once and returns GateResults of the broadcast
-shape, and `fidelity_numeric` is its one-configuration call.
+Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
+may be numpy arrays that broadcast together; `fidelity_numeric_batch` and
+`fidelity_analytic_batch` then evaluate every row at once and return
+GateResults of the broadcast shape, and `fidelity_numeric` and
+`fidelity_analytic` are their one-configuration calls.
 """
 from __future__ import annotations
 
@@ -38,8 +39,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import linalg
 from .errors import DivergentDenominator, QuadratureNotConverged, ValidityWarning, ZeroDecoherence
-from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, broadcast_shape,
-                     gate_results)
+from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
+                     config_row, config_shape, gate_results)
 
 LN2 = math.log(2.0)
 
@@ -89,8 +90,8 @@ class ScatteringConfig:
 
     delta_eps_a/b are the emitter-cavity detunings of the coupled (spin-up)
     transitions; gamma_eff is the lumped slow-decoherence rate. All rates
-    share the cavity's unit system. The detunings, gamma_eff and the pulse
-    fields may be arrays that broadcast together; the cavity stays scalar.
+    share the cavity's unit system. The detunings, gamma_eff, the pulse
+    fields and the cavity rates may be arrays that broadcast together.
     """
 
     cavity: CavitySystem
@@ -189,7 +190,7 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
         return np.moveaxis(x.reshape((4,) + shape + (3,)), -1, 1)
 
     poles = rows_last(basis.values)
-    residues = rows_last(-1j * config.cavity.kappa * basis.vectors[:, 0, :] * basis.coeff)
+    residues = -1j * config.cavity.kappa * rows_last(basis.vectors[:, 0, :] * basis.coeff)
     sbar = np.conj(spin_amplitudes(config, np.conj(poles)))   # (4_j, 4_i, 3_k) + shape
     sigma = config.pulse.sigma_p
     z = (np.conj(poles) - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
@@ -293,19 +294,12 @@ def _quadrature(config: ScatteringConfig) -> np.ndarray:
 def _density_matrices(config: ScatteringConfig):
     """(rho of the config's broadcast shape + (4, 4), mask of the rows that
     took the quadrature)."""
-    shape = broadcast_shape(config.pulse.sigma_p, config.pulse.delta_p, config.delta_eps_a,
-                            config.delta_eps_b, config.gamma_eff)
+    shape = config_shape(config)
     rho, trusted = _pole_sum(config, shape)
     flat = rho.reshape(4, 4, -1)
     fallback = ~trusted
-    if fallback.any():
-        fields = (config.pulse.sigma_p, config.pulse.delta_p, config.delta_eps_a,
-                  config.delta_eps_b)
-        sigma, delta_p, delta_a, delta_b = (np.broadcast_to(v, shape).ravel() for v in fields)
-        for i in fallback.nonzero()[0]:
-            row = ScatteringConfig(config.cavity, PhotonPulse(float(sigma[i]), float(delta_p[i])),
-                                   float(delta_a[i]), float(delta_b[i]))
-            flat[:, :, i] = _quadrature(row)
+    for i in fallback.nonzero()[0]:
+        flat[:, :, i] = _quadrature(config_row(config, shape, np.unravel_index(i, shape)))
     return np.moveaxis(rho, (0, 1), (-2, -1)), fallback.reshape(shape)
 
 
@@ -365,48 +359,46 @@ def fidelity_numeric(config: ScatteringConfig) -> GateResult:
     return fidelity_numeric_batch(config).single()
 
 
-def fidelity_analytic(config: ScatteringConfig) -> GateResult:
-    """Closed-form fidelity of the scattering gate.
+def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
+    """Closed-form fidelity of the scattering gate, for every row of an
+    array-valued config.
 
     F = 1 - 5/(4C)
           - (delta_p^2 + sigma_p^2)/(8 gamma^2 C^2) * [11 - 20(2g/kappa)^2 + 12(2g/kappa)^4]
           - (delta_eps_a - delta_eps_b)^2/(4 gamma^2 C) - Gamma*T.
 
     Valid for C >> 1 and delta_p, sigma_p small against gamma*C (and
-    delta_eps small against gamma); a ValidityWarning is emitted outside
-    that domain and the result is clamped to [0, 1]. Takes a
-    one-configuration config only.
+    delta_eps small against gamma); rows outside that domain carry the note
+    "outside validity domain" and emit a ValidityWarning. Fidelities are
+    clamped to [0, 1] (rows marked "clamped").
     """
     cav = config.cavity
     c = cav.cooperativity
     gamma = cav.gamma
-    t_gate = config.pulse.gate_time
-    notes = []
+    pulse = config.pulse
+    t_gate = pulse.gate_time
     scale = gamma * c
-    if c < 10 or abs(config.pulse.delta_p) > 0.25 * scale or config.pulse.sigma_p > 0.25 * scale \
-            or max(abs(config.delta_eps_a), abs(config.delta_eps_b)) > gamma:
+    outside = ((c < 10) | (abs(pulse.delta_p) > 0.25 * scale) | (pulse.sigma_p > 0.25 * scale)
+               | (abs(config.delta_eps_a) > gamma) | (abs(config.delta_eps_b) > gamma))
+    if any_row(outside):
         warnings.warn("inputs outside the closed-form validity domain "
                       "(C >> 1, detunings small against gamma*C)", ValidityWarning, stacklevel=2)
-        notes.append("outside validity domain")
     u = (2.0 * cav.g / cav.kappa) ** 2
     bracket = 11.0 - 20.0 * u + 12.0 * u**2
     fidelity = (
         1.0
         - 5.0 / (4.0 * c)
-        - (config.pulse.delta_p**2 + config.pulse.sigma_p**2) / (8.0 * scale**2) * bracket
+        - (pulse.delta_p**2 + pulse.sigma_p**2) / (8.0 * scale**2) * bracket
         - (config.delta_eps_a - config.delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
         - config.gamma_eff * t_gate
     )
-    if fidelity < 0.0 or fidelity > 1.0:
-        notes.append("clamped")
-        fidelity = min(max(fidelity, 0.0), 1.0)
-    return GateResult(
-        fidelity=fidelity,
-        gate_time=t_gate,
-        success_probability=1.0,
-        method=Method.ANALYTIC,
-        notes=tuple(notes),
-    )
+    return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside})
+
+
+def fidelity_analytic(config: ScatteringConfig) -> GateResult:
+    """Closed-form fidelity of a one-configuration config (see
+    fidelity_analytic_batch)."""
+    return fidelity_analytic_batch(config).single()
 
 
 def optimal_gate_time(cooperativity, gamma, gamma_eff) -> float:
@@ -422,4 +414,4 @@ def cooperativity_limited_max(cooperativity) -> float:
     1 - 1/(C+1) - 1/(4C+2), approaching 1 - 5/(4C) for large C."""
     c = np.asarray(cooperativity, dtype=float)
     out = 1.0 - 1.0 / (c + 1.0) - 1.0 / (4.0 * c + 2.0)
-    return float(out) if np.isscalar(cooperativity) else out
+    return out if np.ndim(out) else float(out)

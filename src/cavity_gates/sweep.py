@@ -4,7 +4,8 @@
 builds its grid with it. `golden_section_max` refines a 1-D maximum, as
 the figure builders' optima do. `cooperativity_scaling` tabulates the
 cooperativity-limited fidelity of every scheme. Whole-grid evaluation runs
-on the batch evaluators of `exchange` and `raman`.
+on the batch evaluators of the three gates: `scattering.fidelity_*_batch`,
+`exchange.fidelity_*_exchange_batch` and `raman.fidelity_*_raman_batch`.
 """
 from __future__ import annotations
 

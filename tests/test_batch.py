@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavity_gates import exchange as ex
-from cavity_gates import linalg
+from cavity_gates import linalg, lindblad
 from cavity_gates import raman as rm
 from cavity_gates.errors import NonFinite, ValidityWarning
 from cavity_gates.params import CavitySystem, DecoherenceSpec
@@ -30,17 +30,21 @@ def log_uniform(rng, lo, hi, n):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
 
 
-def random_cavity(rng):
-    c = float(log_uniform(rng, 1e2, 1e5, 1)[0])
-    return CavitySystem.from_cooperativity(c, float(log_uniform(rng, 1e-2, 10.0, 1)[0]), 1.0)
+def random_cavity(rng, n=None):
+    """One cavity, or one drawn per row when n is given."""
+    c = log_uniform(rng, 1e2, 1e5, n or 1)
+    g_over_kappa = log_uniform(rng, 1e-2, 10.0, n or 1)
+    if n is None:
+        c, g_over_kappa = float(c[0]), float(g_over_kappa[0])
+    return CavitySystem.from_cooperativity(c, g_over_kappa, 1.0)
 
 
-def exchange_batch(seed, n):
+def exchange_batch(seed, n, per_row_cavity=False):
     rng = np.random.default_rng(seed)
-    cav = random_cavity(rng)
+    cav = random_cavity(rng, n if per_row_cavity else None)
     ideal = rng.random(n) < 0.5
     fields = dict(
-        detuning=log_uniform(rng, 0.5, 10.0, n) * 0.5 * math.sqrt(cav.cooperativity) * cav.kappa,
+        detuning=log_uniform(rng, 0.5, 10.0, n) * 0.5 * np.sqrt(cav.cooperativity) * cav.kappa,
         splitting_eg=np.where(ideal, math.inf, log_uniform(rng, 1e2, 1e5, n) * cav.kappa),
         detuning_error=rng.uniform(-0.05, 0.05, n),
         gamma_eff=log_uniform(rng, 1e-7, 10.0, n),   # the top decade clamps
@@ -51,10 +55,10 @@ def exchange_batch(seed, n):
     return ex.ExchangeConfig(cav, **fields)
 
 
-def raman_batch(seed, n):
+def raman_batch(seed, n, per_row_cavity=False):
     rng = np.random.default_rng(seed)
-    cav = random_cavity(rng)
-    ridge = 0.5 * math.sqrt(cav.cooperativity) * cav.kappa
+    cav = random_cavity(rng, n if per_row_cavity else None)
+    ridge = 0.5 * np.sqrt(cav.cooperativity) * cav.kappa
     laser_a = log_uniform(rng, 0.5, 50.0, n) * cav.kappa
     fields = dict(
         laser_detuning_a=laser_a,
@@ -70,10 +74,16 @@ def raman_batch(seed, n):
 
 
 def row(config, i):
-    """The one-configuration config of row i of an array-valued config."""
-    return dataclasses.replace(config, **{
-        f.name: float(getattr(config, f.name)[i]) for f in dataclasses.fields(config)
-        if isinstance(getattr(config, f.name), np.ndarray)})
+    """The one-configuration config of row i of an array-valued config, its
+    cavity included."""
+    changes = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, CavitySystem):
+            changes[f.name] = row(value, i)
+        elif isinstance(value, np.ndarray):
+            changes[f.name] = float(value[i])
+    return dataclasses.replace(config, **changes)
 
 
 def rows_to_check(seed, n):
@@ -92,9 +102,9 @@ def assert_rows_match(batch, scalar, rows):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES))
-def test_exchange_batch_matches_scalar(seed, n):
-    cfg = exchange_batch(seed, n)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES), per_row_cavity=st.booleans())
+def test_exchange_batch_matches_scalar(seed, n, per_row_cavity):
+    cfg = exchange_batch(seed, n, per_row_cavity)
     rows = rows_to_check(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
@@ -106,9 +116,9 @@ def test_exchange_batch_matches_scalar(seed, n):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES))
-def test_raman_batch_matches_scalar(seed, n):
-    cfg = raman_batch(seed, n)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES), per_row_cavity=st.booleans())
+def test_raman_batch_matches_scalar(seed, n, per_row_cavity):
+    cfg = raman_batch(seed, n, per_row_cavity)
     rows = rows_to_check(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
@@ -129,6 +139,44 @@ def test_grid_shape_is_kept():
     single = rm.symmetric_raman_config(cav, float(two_photon[2, 0]), float(laser[0, 1]), 0.05)
     assert rm.fidelity_numeric_raman(single).fidelity == pytest.approx(
         batch.fidelity[2, 1], rel=REL, abs=0.0)
+    # a cavity per row broadcasts with scalar detunings, on both paths
+    cavities = CavitySystem.from_cooperativity(np.array([800.0, 8000.0]), 0.1, 1.0)
+    cfg = rm.symmetric_raman_config(cavities, 40.0 * cavities.kappa, 3.0 * cavities.kappa, 0.05)
+    for batch_path, scalar_path in ((rm.fidelity_numeric_raman_batch, rm.fidelity_numeric_raman),
+                                    (rm.fidelity_analytic_raman_batch,
+                                     rm.fidelity_analytic_raman)):
+        assert_rows_match(batch_path(cfg), lambda i: scalar_path(row(cfg, i)), range(2))
+
+
+def array_configs():
+    """(paths, config) of configs holding two configurations, with the
+    one-configuration paths of their gate."""
+    cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+    cavities = CavitySystem.from_cooperativity(np.array([800.0, 8000.0]), 0.1, 1.0)
+    exchange = ex.ExchangeConfig(cav, detuning=40.0 * cav.kappa, splitting_eg=300.0 * cav.kappa)
+    raman = rm.symmetric_raman_config(cav, 40.0 * cav.kappa, 3.0 * cav.kappa, 0.05)
+    exchange_paths = (lindblad.exchange_open_system, ex.max_fidelity_exchange)
+    raman_paths = (lindblad.raman_open_system, rm.max_fidelity_raman)
+    two_rates = np.array([0.0, 1e-3])
+    return [
+        pytest.param(exchange_paths, dataclasses.replace(exchange, gamma_eff=two_rates),
+                     id="exchange-gamma-eff"),
+        pytest.param(exchange_paths, dataclasses.replace(exchange, cavity=cavities),
+                     id="exchange-cavity"),
+        pytest.param(raman_paths, dataclasses.replace(
+            raman, two_photon_a=np.array([40.0, 50.0]) * cav.kappa), id="raman-two-photon"),
+        pytest.param(raman_paths, dataclasses.replace(raman, gamma_eff=two_rates),
+                     id="raman-gamma-eff"),
+    ]
+
+
+@pytest.mark.parametrize("paths, config", array_configs())
+def test_one_configuration_paths_reject_arrays(paths, config):
+    """The Lindblad builders and the expanded maxima have no array form:
+    an array config is refused with a ValueError that says so."""
+    for path in paths:
+        with pytest.raises(ValueError, match="takes one configuration"):
+            path(config)
 
 
 def random_lossy(rng, n, k):
@@ -249,6 +297,12 @@ def test_config_checks_are_vectorised():
     for delta_p in (math.nan, math.inf):
         with pytest.raises(ValueError):
             PhotonPulse(sigma_p=1.0, delta_p=delta_p)
+    for bad in (dict(g=nan_row), dict(kappa=np.array([1.0, math.inf, 1.0])),
+                dict(gamma=np.array([1.0, 0.0, 1.0]))):
+        with pytest.raises(ValueError):
+            CavitySystem(**{"g": np.ones(3), "kappa": np.ones(3), "gamma": 1.0, **bad})
+    with pytest.raises(ValueError):
+        CavitySystem.from_cooperativity(np.array([10.0, math.nan]), 0.1)
     rates = ("qubit_relaxation", "qubit_pure_dephasing", "optical_pure_dephasing",
              "shelving_decay")
     for name, value in [(name, v) for name in rates for v in (math.nan, math.inf)] + [

@@ -158,6 +158,25 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("scheme, old, key", [
+    ("simple_exchange", "splitting_eg = 0.2e9 hz", "scheme.simple_exchange.detuning_eror"),
+    ("raman", "qubit_t2 = 6.6e-3 s", "decoherence.qubit_t3"),
+    ("scattering", "gamma = 596 hz", "cavity.kappa"),   # g + kappa are read without C only
+])
+@pytest.mark.parametrize("method", ["analytic", "numeric"])
+def test_cli_unread_key_is_config_error(tmp_path, scheme, old, key, method):
+    """A key that nothing reads (a misspelling, say) exits 2 naming it,
+    where it used to be ignored; keys of other schemes' sections are not
+    read and are no error (every YB_CONFIG evaluation above)."""
+    option = key.rsplit(".", 1)[1]
+    path = tmp_path / "unread.ini"
+    path.write_text(YB_CONFIG.replace(old, f"{old}\n{option} = 5 per_gamma"))
+    result = CliRunner().invoke(main, ["evaluate", scheme, str(path), "--method", method])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert result.stderr == f"error: {key} is never read (misspelled?)\n"
+
+
 def test_cli_exit_code_evaluator_error(yb_path):
     runner = CliRunner()
     result = runner.invoke(main, ["evaluate", "scattering", yb_path,

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cavity_gates import figures
+from cavity_gates import figures, scattering
 
 
 def test_figure_names():
@@ -32,6 +34,25 @@ def test_fig7_columns():
     assert np.allclose(rows[:, 1], 1 - 1 / (c + 1) - 1 / (4 * c + 2), rtol=1e-12)
     assert np.allclose(rows[:, 3], rows[:, 4], rtol=1e-14)
     assert rows[-1, 1] > 1 - 1e-5 and rows[-1, 3] > 1 - 1e-2
+
+
+def test_fig2_builders_make_batch_calls_only(monkeypatch):
+    """fig2a-c evaluate whole columns at once: no one-row fidelity_numeric
+    or fidelity_analytic call, and fig2c is one call of each batch path."""
+    calls = []
+    for name in ("fidelity_numeric", "fidelity_analytic", "fidelity_numeric_batch",
+                 "fidelity_analytic_batch"):
+        def spy(config, _name=name, _evaluate=getattr(scattering, name)):
+            calls.append(_name)
+            return _evaluate(config)
+        monkeypatch.setattr(scattering, name, spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("fig2a", "fig2b", "fig2c"):
+            calls.clear()
+            figures.build_figure(name)
+            assert "fidelity_numeric" not in calls and "fidelity_analytic" not in calls
+    assert sorted(calls) == ["fidelity_analytic_batch", "fidelity_numeric_batch"]
 
 
 def test_fig2c_most_robust_regime_near_critical_coupling():

@@ -32,3 +32,16 @@ def test_one_eigenbasis_trust_rule():
                 offenders += [f"{name}:{i}: {m.group(0)}" for i, line in enumerate(fh, 1)
                               for m in pattern.finditer(line)]
     assert offenders == []
+
+
+def test_one_result_builder():
+    """Results are built in `params` alone (`gate_results`, `GateResults`):
+    no other module constructs a GateResult itself."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "params.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                offenders += [f"{name}:{i}" for i, line in enumerate(fh, 1)
+                              if re.search(r"\bGateResult\(", line)]
+    assert offenders == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -440,3 +441,33 @@ def test_batch_rows_match_one_row_calls():
             cav, sc.PhotonPulse.from_gate_time(float(gate_time[i, 0]), float(delta_p[j])),
             delta_eps_a=0.2, gamma_eff=1e-4))
         assert batch[i, j] == single
+
+
+def test_cavity_rows_match_one_row_calls(monkeypatch):
+    """A cavity per row: the numeric and the analytic batch equal their
+    one-row calls. Row 0 sits at an exceptional point, so its fallback
+    quadrature must run on that row's own cavity; row 2 (C = 2, a large
+    Gamma*T) is outside the closed form's domain and clamped."""
+    calls = spy_on_quadrature(monkeypatch)
+    cavities = CavitySystem(g=np.array([1.0, 2000.0, 1.0]), kappa=np.array([5.0, 4000.0, 2.0]),
+                            gamma=1.0)
+    cfg = sc.ScatteringConfig(cavities, sc.PhotonPulse.from_gate_time(20.0, delta_p=0.5),
+                              gamma_eff=np.array([0.0, 1e-4, 1.0]))
+    with pytest.warns(ValidityWarning):
+        analytic = sc.fidelity_analytic_batch(cfg)
+    numeric = sc.fidelity_numeric_batch(cfg)
+    assert [c.cavity for c in calls] == [CavitySystem(1.0, 5.0, 1.0)]
+    assert numeric[0].notes == ("quadrature fallback",)
+    assert analytic[2].notes == ("outside validity domain", "clamped")
+    for i in range(3):
+        one_row = sc.ScatteringConfig(
+            CavitySystem(float(cavities.g[i]), float(cavities.kappa[i]), 1.0), cfg.pulse,
+            gamma_eff=float(cfg.gamma_eff[i]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            single = (sc.fidelity_numeric(one_row), sc.fidelity_analytic(one_row))
+        for batch, result in zip((numeric, analytic), single):
+            assert batch[i].fidelity == pytest.approx(result.fidelity, rel=1e-12, abs=1e-15)
+            assert batch[i].success_probability == pytest.approx(result.success_probability,
+                                                                 rel=1e-12)
+            assert batch[i].notes == result.notes
