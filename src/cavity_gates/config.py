@@ -130,11 +130,11 @@ def _build_cavity(section: _Section) -> CavitySystem:
             return CavitySystem.from_cooperativity(c, gok, gamma)
         except ValueError as exc:
             raise ConfigError(f"cavity: {exc}", key="cavity.cooperativity")
-    g = section.rate("g")
-    kappa = section.rate("kappa")
+    g = section.rate("g", None)
+    kappa = section.rate("kappa", None)
     if g is None or kappa is None:
         raise ConfigError("cavity needs either cooperativity+g_over_kappa or g+kappa",
-                          key="cavity.g")
+                          key="cavity.g" if g is None else "cavity.kappa")
     try:
         return CavitySystem(g=g, kappa=kappa, gamma=gamma)
     except ValueError as exc:

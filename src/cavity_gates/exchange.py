@@ -303,12 +303,12 @@ def fidelity_analytic_exchange(config: ExchangeConfig, gate_time=None) -> GateRe
 
 def optimal_detuning(kappa, cooperativity) -> float:
     """Detuning of maximum fidelity in the adiabatic regime: 2 Delta = kappa sqrt(C)."""
-    return 0.5 * kappa * math.sqrt(cooperativity)
+    return 0.5 * kappa * np.sqrt(cooperativity)
 
 
 def optimal_gate_time_exchange(gamma, cooperativity) -> float:
     """Gate time at the optimal detuning: T_o = 2 pi / (gamma sqrt(C))."""
-    return 2.0 * math.pi / (gamma * math.sqrt(cooperativity))
+    return 2.0 * math.pi / (gamma * np.sqrt(cooperativity))
 
 
 def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:

@@ -3,7 +3,9 @@
 All builders work in units of the emitter decay rate (gamma = 1). Each
 figure carries a `#`-prefixed parameter block; swept quantities are marked
 with the SWEEP token so a single row can be reproduced through the
-command-line evaluate path.
+command-line evaluate path. Every builder evaluates whole columns through
+the batch evaluators; the fig8 optima are row-wise golden-section searches
+over the Gamma column, which fig8a and fig8b each run.
 """
 from __future__ import annotations
 
@@ -161,85 +163,73 @@ def build_fig7():
     return FigureData("fig7", comments, header, rows)
 
 
-def _fig8_scattering(gamma_eff, cooperativity=8000.0, g_over_kappa=0.1):
-    t_guess = scattering.optimal_gate_time(cooperativity, 1.0, gamma_eff)
-
-    def f(log_t):
-        cfg = _scatter_configs(cooperativity, g_over_kappa, gamma_eff, 0.0, math.exp(log_t))
-        return scattering.fidelity_analytic(cfg).fidelity
-
-    log_t, _ = sweep.golden_section_max(f, math.log(t_guess / 10.0), math.log(10.0 * t_guess),
-                                        tol=1e-6)
-    t_opt = math.exp(log_t)
-    return f(log_t), t_opt
-
-
-def _fig8_exchange(gamma_eff, cooperativity=8000.0, g_over_kappa=0.1):
+def _fig8_table(cooperativity=8000.0, g_over_kappa=0.1):
+    """Optimal fidelities and gate times of the three gates over the fig8
+    Gamma column, each a row-wise search through the analytic batch paths."""
+    gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     g2 = cav.g**2
 
-    def f(log_d):
-        d = math.exp(log_d)
+    def scatter(log_t):
+        cfg = _scatter_configs(cooperativity, g_over_kappa, gammas, 0.0, np.exp(log_t))
+        return scattering.fidelity_analytic_batch(cfg).fidelity
+
+    t_guess = scattering.optimal_gate_time(cooperativity, 1.0, gammas)
+    log_t, best_s = sweep.golden_section_max(scatter, np.log(t_guess / 10.0),
+                                             np.log(10.0 * t_guess), tol=1e-6)
+
+    def simple(log_d):
+        d = np.exp(log_d)
         return (0.5 * (exchange.ridge_f_pi(d, cav.kappa, cooperativity) + 1.0)
-                - gamma_eff * math.pi * d / g2)
+                - gammas * math.pi * d / g2)
 
     ridge = math.log(exchange.optimal_detuning(cav.kappa, cooperativity))
-    log_d, best = sweep.golden_section_max(f, ridge - 5.0, ridge + 3.0, tol=1e-6)
-    return best, math.pi * math.exp(log_d) / g2
+    log_e, best_e = sweep.golden_section_max(simple, np.full_like(gammas, ridge - 5.0),
+                                             ridge + 3.0, tol=1e-6)
 
-
-def _fig8_raman(gamma_eff, cooperativity=8000.0, g_over_kappa=0.1):
-    cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     two_photon = raman.optimal_two_photon(cav.kappa, cooperativity)
 
+    def raman_configs(log_d, log_x, gamma_eff=gammas):
+        return raman.symmetric_raman_config(cav, two_photon, np.exp(log_d),
+                                            np.minimum(np.exp(log_x), 0.45), gamma_eff)
+
     def f(log_d, log_x):
-        cfg = raman.symmetric_raman_config(cav, two_photon, math.exp(log_d),
-                                           min(math.exp(log_x), 0.45), gamma_eff)
-        return raman.fidelity_analytic_raman(cfg).fidelity
+        return raman.fidelity_analytic_raman_batch(raman_configs(log_d, log_x)).fidelity
 
     # coarse scan first, in one batch: the -Gamma*T clamp creates flat zero
     # plateaus that defeat a bare golden section
     d_grid = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)
     x_grid = np.linspace(math.log(1e-3), math.log(0.45), 31)
-    grid_cfg = raman.symmetric_raman_config(cav, two_photon, np.exp(d_grid)[:, None],
-                                            np.minimum(np.exp(x_grid), 0.45), gamma_eff)
-    values = raman.fidelity_analytic_raman_batch(grid_cfg).fidelity
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    d_lo, d_hi = d_grid[max(i - 1, 0)], d_grid[min(i + 1, len(d_grid) - 1)]
-    x_lo, x_hi = x_grid[max(j - 1, 0)], x_grid[min(j + 1, len(x_grid) - 1)]
-    log_d, log_x = float(d_grid[i]), float(x_grid[j])
-    best = float(values[i, j])
+    values = raman.fidelity_analytic_raman_batch(
+        raman_configs(d_grid[:, None], x_grid, gammas[:, None, None])).fidelity
+    i, j = np.unravel_index(values.reshape(len(gammas), -1).argmax(axis=1), values.shape[1:])
+    d_lo, d_hi = d_grid[np.maximum(i - 1, 0)], d_grid[np.minimum(i + 1, len(d_grid) - 1)]
+    x_lo, x_hi = x_grid[np.maximum(j - 1, 0)], x_grid[np.minimum(j + 1, len(x_grid) - 1)]
+    log_d, log_x, best = d_grid[i], x_grid[j], values[np.arange(len(gammas)), i, j]
+    active = np.ones(len(gammas), dtype=bool)   # rows whose x has not yet converged
     for _ in range(10):
-        log_d, _ = sweep.golden_section_max(lambda v: f(v, log_x), d_lo, d_hi, tol=1e-6)
-        new_x, best = sweep.golden_section_max(lambda v: f(log_d, v), x_lo, x_hi, tol=1e-6)
-        if abs(new_x - log_x) < 1e-6:
-            log_x = new_x
-            break
+        new_d, _ = sweep.golden_section_max(lambda v: f(v, log_x), d_lo, d_hi, tol=1e-6)
+        new_x, new_best = sweep.golden_section_max(lambda v: f(new_d, v), x_lo, x_hi, tol=1e-6)
+        log_d, new_x, best = np.where(active, (new_d, new_x, new_best), (log_d, log_x, best))
+        active &= ~(abs(new_x - log_x) < 1e-6)
         log_x = new_x
-    cfg = raman.symmetric_raman_config(cav, two_photon, math.exp(log_d),
-                                       min(math.exp(log_x), 0.45), gamma_eff)
-    return best, raman.raman_gate_time(cfg)
+        if not active.any():
+            break
+    return (np.column_stack([gammas, best_s, best_e, best]),
+            np.column_stack([gammas, np.exp(log_t), math.pi * np.exp(log_e) / g2,
+                             raman_configs(log_d, log_x).gate_time]))
 
 
 def build_fig8(which):
-    gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))
-    rows = []
-    for ge in gammas:
-        fs, ts = _fig8_scattering(float(ge))
-        fe, te = _fig8_exchange(float(ge))
-        fr, tr = _fig8_raman(float(ge))
-        if which == "fig8a":
-            rows.append([float(ge), fs, fe, fr])
-        else:
-            rows.append([float(ge), ts, te, tr])
+    fidelity, gate_time = _fig8_table()
     comments = ("cooperativity = 8000", "g_over_kappa = 0.1",
                 "per-point optimum over gate time / detuning / drive strength")
     if which == "fig8a":
         header = ("gamma_eff_over_gamma", "F_scattering", "F_simple_exchange", "F_raman")
-    else:
-        header = ("gamma_eff_over_gamma", "T_scattering_gamma", "T_simple_exchange_gamma",
-                  "T_raman_gamma")
-    return FigureData(which, comments, header, np.array(rows))
+        return FigureData(which, comments, header, fidelity)
+    header = ("gamma_eff_over_gamma", "T_scattering_gamma", "T_simple_exchange_gamma",
+              "T_raman_gamma")
+    return FigureData(which, comments, header, gate_time)
 
 
 BUILDERS: dict[str, Callable[[], FigureData]] = {

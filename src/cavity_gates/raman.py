@@ -184,7 +184,7 @@ def raman_gate_time(config: RamanConfig) -> float:
 
 def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
     """Gate time on the optimal ridge: T_o = (Delta/Omega)^2 * 2 pi/(gamma sqrt(C))."""
-    return detuning_over_rabi**2 * 2.0 * math.pi / (gamma * math.sqrt(cooperativity))
+    return detuning_over_rabi**2 * 2.0 * math.pi / (gamma * np.sqrt(cooperativity))
 
 
 #: two-photon detuning of maximum fidelity, 2 delta = kappa sqrt(C)
@@ -273,10 +273,10 @@ def max_spectral_separation(kappa, gamma, gamma_eff, cooperativity) -> SpectralS
     Delta_eps = kappa*gamma/(pi*Gamma*sqrt(8)), with Omega/Delta = 2 sqrt(Gamma/gamma),
     2 Delta = Delta_eps sqrt(pi sqrt(C)) and T = pi/(2 Gamma sqrt(C)).
     """
-    if gamma_eff <= 0:
+    if any_row(gamma_eff <= 0):
         raise ZeroDecoherence("spectral-separation optimum diverges for gamma_eff = 0")
     separation = kappa * gamma / (math.pi * gamma_eff * math.sqrt(8.0))
-    rabi_over_detuning = 2.0 * math.sqrt(gamma_eff / gamma)
-    laser_detuning = 0.5 * separation * math.sqrt(math.pi * math.sqrt(cooperativity))
-    gate_time = math.pi / (2.0 * gamma_eff * math.sqrt(cooperativity))
+    rabi_over_detuning = 2.0 * np.sqrt(gamma_eff / gamma)
+    laser_detuning = 0.5 * separation * np.sqrt(math.pi * np.sqrt(cooperativity))
+    gate_time = math.pi / (2.0 * gamma_eff * np.sqrt(cooperativity))
     return SpectralSeparationPoint(separation, rabi_over_detuning, laser_detuning, gate_time)

@@ -404,7 +404,7 @@ def fidelity_analytic(config: ScatteringConfig) -> GateResult:
 def optimal_gate_time(cooperativity, gamma, gamma_eff) -> float:
     """Gate time balancing finite photon bandwidth against decoherence:
     T^3 = 352 pi^2 ln2 / (gamma^2 C^2 Gamma)."""
-    if gamma_eff <= 0:
+    if any_row(gamma_eff <= 0):
         raise ZeroDecoherence("optimal gate time diverges for gamma_eff = 0")
     return (352.0 * math.pi**2 * LN2 / (gamma**2 * cooperativity**2 * gamma_eff)) ** (1.0 / 3.0)
 

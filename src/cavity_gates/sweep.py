@@ -1,8 +1,9 @@
 """Grid axes, golden-section maximization and the cooperativity table.
 
 `Axis` validates and lays out a linear or logarithmic grid; CLI `sweep`
-builds its grid with it. `golden_section_max` refines a 1-D maximum, as
-the figure builders' optima do. `cooperativity_scaling` tabulates the
+builds its grid with it. `golden_section_max` refines a 1-D maximum on
+every row of an array of brackets at once, as the fig8 optima do, and a
+scalar bracket is its 0-d case. `cooperativity_scaling` tabulates the
 cooperativity-limited fidelity of every scheme. Whole-grid evaluation runs
 on the batch evaluators of the three gates: `scattering.fidelity_*_batch`,
 `exchange.fidelity_*_exchange_batch` and `raman.fidelity_*_raman_batch`.
@@ -47,23 +48,26 @@ class Axis:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-4) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; tol is relative in x."""
-    a, b = float(lo), float(hi)
-    span = max(abs(a), abs(b), 1.0)
+def golden_section_max(f: Callable, lo, hi, tol: float = 1e-4):
+    """Golden-section maximization on [lo, hi]; tol is relative in x.
+
+    lo and hi may be arrays that broadcast together, one bracket per row,
+    and f then maps an array of that shape to one. Each row takes its own
+    steps and freezes once its bracket is below tol * max(|lo|, |hi|, 1),
+    so its (x, f(x)) is bit for bit that of its own scalar (0-d) call.
+    """
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    span = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol * span:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    while np.any(live := abs(b - a) > tol * span):
+        left = fc >= fd   # the maximum lies in [a, d], else in [c, b]
+        a = np.where(live & ~left, c, a)
+        b = np.where(live & left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        c, fc, d, fd = np.where(left, (x, fx, c, fc), (d, fd, x, fx))
     x = 0.5 * (a + b)
     return x, f(x)
 

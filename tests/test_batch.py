@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from cavity_gates import exchange as ex
 from cavity_gates import linalg, lindblad
 from cavity_gates import raman as rm
-from cavity_gates.errors import NonFinite, ValidityWarning
+from cavity_gates import scattering as sc
+from cavity_gates.errors import NonFinite, ValidityWarning, ZeroDecoherence
 from cavity_gates.params import CavitySystem, DecoherenceSpec
 from cavity_gates.scattering import PhotonPulse
 
@@ -335,3 +336,27 @@ def test_clamped_note_same_on_both_paths():
     assert batch.fidelity[1] == 0.0
     single = ex.fidelity_numeric_exchange(row(cfg, 1))
     assert single.notes == ("clamped",) and single.fidelity == 0.0
+
+
+def test_optimum_helpers_take_arrays():
+    """Each closed-form optimum evaluates a column of rows exactly as its
+    per-row scalar calls, and a zero-Gamma row still raises."""
+    c = np.array([10.0, 8000.0, 5e4, 1e6])
+    gamma_eff = np.array([1e-6, 1e-3, 0.05, 0.5])
+    kappa = np.array([0.5, 3.0, 40.0, 7.0])
+    helpers = [(ex.optimal_detuning, (kappa, c)), (rm.optimal_two_photon, (kappa, c)),
+               (ex.optimal_gate_time_exchange, (1.5, c)),
+               (rm.optimal_gate_time_raman, (1.0, c, np.array([1.0, 3.0, 20.0, 50.0]))),
+               (sc.optimal_gate_time, (c, 1.0, gamma_eff))]
+    for helper, args in helpers:
+        column = helper(*args)
+        for i in range(len(c)):
+            assert column[i] == helper(*(a[i] if np.ndim(a) else a for a in args))
+    separation = rm.max_spectral_separation(kappa, 1.0, gamma_eff, c)
+    for i in range(len(c)):
+        assert tuple(field[i] for field in separation) == rm.max_spectral_separation(
+            kappa[i], 1.0, gamma_eff[i], c[i])
+    with pytest.raises(ZeroDecoherence):
+        sc.optimal_gate_time(c, 1.0, np.array([1e-3, 0.0, 1e-3, 1e-3]))
+    with pytest.raises(ZeroDecoherence):
+        rm.max_spectral_separation(kappa, 1.0, np.array([1e-3, 1e-3, 0.0, 1e-3]), c)

@@ -79,6 +79,12 @@ def test_config_errors_name_keys():
     with pytest.raises(ConfigError) as err:
         cfg_mod.load_config_text("[cavity]\ngamma = 1 rad_s\ncooperativity = 10\n")
     assert "g_over_kappa" in str(err.value)
+    # without a cooperativity the cavity needs both g and kappa
+    for cavity, key in (("", "cavity.g"), ("g = 2 rad_s\n", "cavity.kappa")):
+        with pytest.raises(ConfigError) as err:
+            cfg_mod.load_config_text("[cavity]\ngamma = 1 rad_s\n" + cavity)
+        assert "cooperativity+g_over_kappa or g+kappa" in str(err.value)
+        assert err.value.key == key
     run = cfg_mod.load_config_text("[cavity]\ngamma = 1 rad_s\n"
                                    "cooperativity = 10\ng_over_kappa = 0.1\n")
     with pytest.raises(ConfigError) as err:

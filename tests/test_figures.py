@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavity_gates import figures, scattering
+from cavity_gates import figures, raman, scattering
 
 
 def test_figure_names():
@@ -37,21 +37,24 @@ def test_fig7_columns():
 
 
 def test_fig2_builders_make_batch_calls_only(monkeypatch):
-    """fig2a-c evaluate whole columns at once: no one-row fidelity_numeric
-    or fidelity_analytic call, and fig2c is one call of each batch path."""
+    """fig2a-c and fig8a-b evaluate whole columns at once: no one-row
+    scattering or Raman analytic call, and fig2c is one call of each
+    scattering batch path."""
     calls = []
-    for name in ("fidelity_numeric", "fidelity_analytic", "fidelity_numeric_batch",
-                 "fidelity_analytic_batch"):
-        def spy(config, _name=name, _evaluate=getattr(scattering, name)):
+    one_row = ("fidelity_numeric", "fidelity_analytic", "fidelity_analytic_raman")
+    for module, name in ((scattering, "fidelity_numeric_batch"),
+                         (scattering, "fidelity_analytic_batch"), (scattering, one_row[0]),
+                         (scattering, one_row[1]), (raman, one_row[2])):
+        def spy(*args, _name=name, _evaluate=getattr(module, name), **kwargs):
             calls.append(_name)
-            return _evaluate(config)
-        monkeypatch.setattr(scattering, name, spy)
+            return _evaluate(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name in ("fig2a", "fig2b", "fig2c"):
+        for name in ("fig8a", "fig8b", "fig2a", "fig2b", "fig2c"):
             calls.clear()
             figures.build_figure(name)
-            assert "fidelity_numeric" not in calls and "fidelity_analytic" not in calls
+            assert not set(one_row) & set(calls), name
     assert sorted(calls) == ["fidelity_analytic_batch", "fidelity_numeric_batch"]
 
 

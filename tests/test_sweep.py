@@ -30,6 +30,38 @@ def test_golden_section_cosine():
     x, fx = sweep.golden_section_max(math.cos, -2.0, 2.0, tol=1e-6)
     assert x == pytest.approx(0.0, abs=1e-5)
     assert fx == pytest.approx(1.0, abs=1e-9)
+    # a scalar call with a plain Python callable gives scalars
+    for f in (math.cos, lambda v: -v * v):
+        assert all(np.ndim(value) == 0 and isinstance(value, float)
+                   for value in sweep.golden_section_max(f, -1.0, 1.0, tol=1e-6))
+    # array brackets: rows of different width and span stop after different
+    # numbers of steps, and a flat row ties every comparison; each row's
+    # (x, f(x)) is that of its own scalar call, bit for bit
+    lo = np.array([-2.0, -0.5, 3.0, 100.0, -7.0])
+    hi = np.array([2.0, 0.1, 3.5, 180.0, 5.0])
+    peak = np.array([0.3, -0.2, 3.4, 150.0, 0.0])
+    slope = np.array([1.0, 4.0, 0.5, 1e-3, 0.0])   # the last row is flat
+
+    def objective(rows):
+        return lambda v: np.cos(slope[rows] * (v - peak[rows]))
+
+    xs, fxs = sweep.golden_section_max(objective(slice(None)), lo, hi, tol=1e-6)
+    steps = set()
+    for i in range(len(lo)):
+        evals = []
+
+        def scalar(v, f=objective(i)):
+            evals.append(v)
+            return f(v)
+
+        x, fx = sweep.golden_section_max(scalar, lo[i], hi[i], tol=1e-6)
+        assert (xs[i], fxs[i]) == (x, fx)
+        steps.add(len(evals))
+    assert len(steps) > 1
+    # brackets that broadcast: a scalar hi against a column of lo
+    xs, fxs = sweep.golden_section_max(objective(slice(0, 2)), lo[:2], 2.0, tol=1e-6)
+    for i in range(2):
+        assert (xs[i], fxs[i]) == sweep.golden_section_max(objective(i), lo[i], 2.0, tol=1e-6)
 
 
 def test_cooperativity_scaling_table():
