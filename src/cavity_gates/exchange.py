@@ -189,13 +189,11 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     for every row of the broadcast parameter arrays `params` and `gate_time`,
     with both start states at index 0. Scalar inputs give a numpy scalar.
 
-    `lossy_sectors(*params)` returns the stacked (H_eff_ud, H_eff_uu). Both
-    sectors go into one stack of generators, the smaller block padded with
-    decoupled zero states (the eigensolver's balancing isolates them, so
-    they change neither the amplitude nor the eigenbasis condition number).
-    Batches of more than 512 rows are split into blocks of that size, so a
-    grid of any size is built and propagated in bounded memory, at most
-    1,024 generators per `linalg` call.
+    `lossy_sectors(*params)` returns the stacked (H_eff_ud, H_eff_uu). Sectors
+    of one size share a `linalg` call (its fixed cost dominates small batches)
+    and the Raman 5x5 and 3x3 get one each, unpadded. Batches of more than 512
+    rows are split into blocks of that size, so a grid of any size is built
+    and propagated in bounded memory, at most 1,024 generators per call.
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
@@ -207,14 +205,13 @@ def phase_fidelity(lossy_sectors, params, gate_time):
                            flat[-1][s:s + block])
             for s in range(0, n, block)])
         return f_pi.reshape(shape)
-    sectors = lossy_sectors(*params)
-    k = max(sector.shape[-1] for sector in sectors)
-    h = np.zeros((2,) + shape + (k, k), dtype=complex)
-    for stack, sector in zip(h, sectors):
-        stack[..., :sector.shape[-1], :sector.shape[-1]] = sector
-    t = np.broadcast_to(gate_time, h.shape[:-2])
-    amp = linalg.return_amplitudes(h.reshape(-1, k, k), 0, t.ravel()).reshape(t.shape)
-    return (0.5 * np.abs(amp[1] - amp[0]))[()]
+    t = np.broadcast_to(gate_time, shape).ravel()
+    sectors = [np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
+               for h in lossy_sectors(*params)]
+    if sectors[0].shape == sectors[1].shape:
+        sectors, t = [np.concatenate(sectors)], np.tile(t, 2)
+    amp = np.concatenate([linalg.return_amplitudes(h, 0, t) for h in sectors]).reshape(2, n)
+    return (0.5 * np.abs(amp[1] - amp[0])).reshape(shape)[()]
 
 
 def relative_phase_fidelity(config: ExchangeConfig | RamanConfig, gate_time=None):

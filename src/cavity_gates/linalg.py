@@ -2,14 +2,15 @@
 
 Matrices here are <= 16x16 numpy arrays in stacks: generators H_j (n, k, k)
 and states psi_j (n, k) of many configurations. One kernel, `eigenbasis`,
-makes one stacked `np.linalg.eig`, `np.linalg.cond` and `np.linalg.solve`
-and holds the one trust rule: a row is trusted when its eigenvector matrix
-has a condition number below EIG_COND_LIMIT. A NaN condition number, and
-every row of a stack whose eigensolve raises LinAlgError, are untrusted
-(near an exceptional point the closed forms on the basis lose about
-cond^2 * machine epsilon); NaN or Inf input raises NonFinite. It has
-three callers. `propagate` (and `return_amplitudes`, its basis-state call)
-sends untrusted rows to Taylor scaling-and-squaring, one row at a time;
+makes one stacked `np.linalg.eig` and one stacked `np.linalg.inv` of the
+eigenvectors V and holds the one trust rule: a row is trusted when its
+Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
+times it) is below EIG_COND_LIMIT. A NaN or Inf one, and every row of a
+stack whose eig or inv raises LinAlgError, are untrusted (near an
+exceptional point the closed forms on the basis lose about cond^2 *
+machine epsilon); NaN or Inf input raises NonFinite. It has three callers.
+`propagate` (and `return_amplitudes`, its basis-state call) sends untrusted
+rows to Taylor scaling-and-squaring, one row at a time;
 `lindblad.propagate_exact` refuses them with ConvergenceFailure; and the
 scattering pole sum (`scattering.reduced_density_matrix`) takes its
 reflection poles and residues from it and sends untrusted rows to the
@@ -39,7 +40,7 @@ class Eigenbasis(NamedTuple):
     values: np.ndarray   # (n, k)
     vectors: np.ndarray  # (n, k, k)
     coeff: np.ndarray    # (n, k)
-    cond: np.ndarray     # (n,) condition number of each V_j; NaN if eig failed
+    cond: np.ndarray     # (n,) ||V_j||_F ||V_j^-1||_F in [cond_2, k cond_2]; NaN: eig/inv raised
     trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
 
@@ -58,15 +59,17 @@ def eigenbasis(h, psi) -> Eigenbasis:
         raise NonFinite("state contains NaN or Inf entries")
     try:
         values, vectors = np.linalg.eig(h)
-        cond = np.linalg.cond(vectors)
+        inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
         values = np.full(psi.shape, np.nan, dtype=complex)
-        vectors = np.empty_like(h)
-        cond = np.full(len(h), np.nan)
+        vectors = inverse = np.full_like(h, np.nan)
+    # ||V||_F^2 = k (eig's columns are unit); a defective row's ||V^-1||^2 is inf
+    with np.errstate(over="ignore"):
+        cond = np.sqrt(h.shape[-1] * (abs(inverse)**2).sum((1, 2)))
     trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
-    # the identity keeps the stacked solve well-posed on untrusted rows
-    vectors[~trusted] = np.eye(h.shape[-1])
-    coeff = np.linalg.solve(vectors, psi[:, :, None])[:, :, 0]
+    if not trusted.all():   # the identity keeps untrusted coordinates finite
+        vectors[~trusted] = inverse[~trusted] = np.eye(h.shape[-1])
+    coeff = (inverse @ psi[:, :, None])[:, :, 0]
     return Eigenbasis(values, vectors, coeff, cond, trusted)
 
 
@@ -98,8 +101,7 @@ def propagate(h, psi, t) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     basis = eigenbasis(h, psi)
-    times = np.empty(len(h))
-    times[:] = t
+    times = np.broadcast_to(np.asarray(t, dtype=float), len(h))
     if not np.isfinite(times).all():
         raise NonFinite("propagation time contains NaN or Inf entries")
     phases = np.exp(-1j * times[:, None] * basis.values)

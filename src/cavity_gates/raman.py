@@ -20,6 +20,7 @@ evaluators are their one-configuration calls.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -93,7 +94,7 @@ class RamanConfig:
     def coupling_b(self) -> float:
         return self.coupling_a if self.g_b is None else self.g_b
 
-    @property
+    @functools.cached_property   # matched_rabi_b runs once per config
     def drive_b(self) -> float:
         if self.rabi_b is not None:
             return self.rabi_b

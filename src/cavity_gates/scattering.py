@@ -317,14 +317,14 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma)
     it agrees with the quadrature to 1.4e-14. Its error bound grows as
     cond^2 * machine epsilon towards an exceptional point of a generator;
-    measured, it stays below 7e-14 up to cond 816, just inside the trust
-    limit. A row whose eigenbasis `linalg.eigenbasis` does not trust (cond
-    at or past its limit; at the exceptional point itself, cond ~ 1e8 and
-    the pole sum is off by up to 9e-9), or that has a pole rounded above
-    the real axis, takes the Gauss-Legendre quadrature, one row at a time:
-    panels refined around the poles, fixed 32- and 64-node rules, and
-    QuadratureNotConverged when the two differ by more than 1e-10 in any
-    element.
+    measured, it stays below 5e-14 up to a Frobenius cond of 910 (2-norm
+    743), just inside the trust limit. A row whose eigenbasis
+    `linalg.eigenbasis` does not trust (cond at or past its limit; at the
+    exceptional point itself, cond ~ 1e8 and the pole sum is off by up to
+    9e-9), or that has a pole rounded above the real axis, takes the
+    Gauss-Legendre quadrature, one row at a time: panels refined around the
+    poles, fixed 32- and 64-node rules, and QuadratureNotConverged when the
+    two differ by more than 1e-10 in any element.
     """
     return _density_matrices(config)[0]
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavity_gates import linalg
 from cavity_gates.errors import NonFinite
@@ -155,18 +158,67 @@ def test_eigenbasis_trust_flag():
     assert np.abs(basis.vectors[0] @ basis.coeff[0] - psi[0]).max() < 1e-12
 
 
+def lossy_stack(rng, n, k):
+    """n random generators H - (i/2) diag(decay) of size k."""
+    a = random_complex((n, k, k), rng)
+    return a + a.conj().swapaxes(1, 2) - 0.5j * rng.uniform(0.0, 2.0, (n, k))[:, None] * np.eye(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), n=st.integers(1, 6))
+def test_eigenbasis_cond_bounds_two_norm_cond(seed, k, n):
+    # the Frobenius condition number lies between cond_2(V) and k cond_2(V),
+    # and the coordinates reproduce the state to within cond * 1e-12
+    rng = np.random.default_rng(seed)
+    h = lossy_stack(rng, n, k)
+    psi = random_complex((n, k), rng)
+    basis = linalg.eigenbasis(h, psi)
+    cond_2 = np.linalg.cond(np.linalg.eig(h)[1])
+    assert np.all(cond_2 <= basis.cond * (1 + 1e-12))
+    assert np.all(basis.cond <= k * cond_2 * (1 + 1e-12))
+    residual = np.abs(np.einsum("nij,nj->ni", basis.vectors, basis.coeff) - psi).max(axis=1)
+    assert np.all(residual <= 1e-12 * basis.cond * np.abs(psi).max(axis=1))
+
+
+def test_defective_row_is_untrusted():
+    # an exactly defective row (||V^-1|| ~ 1e292) in a stack of good rows:
+    # cond = inf without a RuntimeWarning, the Taylor fallback on that row,
+    # and the other rows bit for bit their one-row calls
+    rng = np.random.default_rng(29)
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    h = lossy_stack(rng, 4, 2)
+    h[2] = jordan
+    psi = random_complex((4, 2), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        basis = linalg.eigenbasis(h, psi)
+        out = linalg.propagate(h, psi, 0.7)
+    assert basis.trusted.tolist() == [True, True, False, True]
+    assert basis.cond[2] == np.inf
+    assert np.array_equal(out[2], linalg._expm_squaring(-0.7j * jordan) @ psi[2])
+    for i in (0, 1, 3):
+        one = linalg.eigenbasis(h[i:i + 1], psi[i:i + 1])
+        for field, value in zip(basis, one):
+            assert np.array_equal(field[i], value[0])
+        assert np.array_equal(out[i], propagate_one(h[i], psi[i], 0.7))
+
+
 def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
+    # a LinAlgError from the eigensolve or from the inverse of its vectors
+    # leaves every row of the stack untrusted
     rng = np.random.default_rng(23)
     a = random_complex((3, 4, 4), rng)
     h = a + a.conj().swapaxes(1, 2) - 0.5j * np.eye(4)
     psi = random_complex((3, 4), rng)
 
-    def failing_eig(m):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def fail(m):
+        raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", failing_eig)
-    basis = linalg.eigenbasis(h, psi)
-    assert not basis.trusted.any() and np.isnan(basis.cond).all()
-    out = linalg.propagate(h, psi, 0.7)
-    for i in range(3):
-        assert np.abs(out[i] - linalg._expm_squaring(-0.7j * h[i]) @ psi[i]).max() < 1e-12
+    for failing in ("eig", "inv"):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, failing, fail)
+            basis = linalg.eigenbasis(h, psi)
+            assert not basis.trusted.any() and np.isnan(basis.cond).all()
+            out = linalg.propagate(h, psi, 0.7)
+        for i in range(3):
+            assert np.abs(out[i] - linalg._expm_squaring(-0.7j * h[i]) @ psi[i]).max() < 1e-12

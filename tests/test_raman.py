@@ -95,6 +95,16 @@ def test_matched_rabi_coupling_correction():
     assert exact / approx - 1.0 == pytest.approx(expected_shift, rel=0.01)
 
 
+def test_matched_rabi_computed_once_per_evaluator_call(monkeypatch):
+    calls = []
+    matched = rm.matched_rabi_b
+    monkeypatch.setattr(rm, "matched_rabi_b", lambda *args: calls.append(args) or matched(*args))
+    for detuning in (2.0, np.array([1.0, 2.0, 4.0])):
+        calls.clear()
+        rm.fidelity_analytic_raman_batch(make_config(detuning_over_kappa=detuning))
+        assert len(calls) == 1
+
+
 def test_gate_time_reduces_to_exchange_form():
     assert rm.optimal_gate_time_raman(1.0, 8000.0, 1.0) == pytest.approx(
         optimal_gate_time_exchange(1.0, 8000.0), rel=1e-12)
@@ -239,6 +249,29 @@ def test_max_spectral_separation_values():
     assert ratio < 2.0 * math.sqrt(2.0 / (math.pi * math.sqrt(8000.0)))
     with pytest.raises(ZeroDecoherence):
         rm.max_spectral_separation(10.0, 1.0, 0.0, 8000.0)
+
+
+#: fig6a grid: two-photon and laser detuning over kappa, 121 log-spaced values each
+FIG6A_GRID = np.exp(np.linspace(math.log(0.1), math.log(1e3), 121))
+
+
+@pytest.mark.parametrize("i, j", [(0, 21), (30, 30), (60, 60), (90, 20), (120, 0),
+                                  (120, 120), (0, 120)])
+def test_phase_fidelity_matches_mpmath_expm(i, j):
+    # accuracy oracle at ||H|| T from 1e4 to 1.3e11: F_pi against a 60-digit
+    # matrix exponential, within 1e-2 machine epsilons per unit of ||H||_2 T
+    # (measured up to 2.5e-3 of it, on the (0, 120) row)
+    import mpmath
+    cfg = make_config(two_photon_over_kappa=FIG6A_GRID[i], detuning_over_kappa=FIG6A_GRID[j])
+    t = cfg.gate_time
+    ham = build_hamiltonians(cfg)
+    sectors = (ham.h_eff_up_down, ham.h_eff_up_up)
+    with mpmath.workdps(60):
+        ud, uu = (mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(h.tolist()))[0, 0]
+                  for h in sectors)
+        exact = float(abs(uu - ud) / 2)
+    norm_t = max(np.linalg.norm(h, 2) for h in sectors) * t
+    assert abs(relative_phase_fidelity(cfg) - exact) <= 1e-2 * np.finfo(float).eps * norm_t
 
 
 def test_shelved_sectors_carry_no_phase():
