@@ -155,7 +155,8 @@ def _build_decoherence(section: _Section) -> DecoherenceSpec:
 
 
 def load_config_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # the format has no interpolation: a "%" in a value is read as it stands
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

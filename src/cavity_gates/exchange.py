@@ -18,13 +18,17 @@ Numeric fields of either config, the cavity's included, may be numpy arrays
 that broadcast together (the mode stays one value): the *_batch evaluators
 then evaluate every row at once through the stacked propagation of `linalg`
 and return GateResults of the broadcast shape. The scalar evaluators are
-the one-configuration calls of the same functions.
+the one-configuration calls of the same functions. `phase_fidelity` runs
+batches of more than 512 rows in 512-row blocks on every available CPU.
 """
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -184,6 +188,13 @@ def build_hamiltonians(config: ExchangeConfig | RamanConfig) -> SectorHamiltonia
                               heff_ud, heff_uu)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def phase_fidelity(lossy_sectors, params, gate_time):
     """F_pi = (1/2)|<uu-start| e^{-iT H_uu} |uu-start> - <ud-start| e^{-iT H_ud} |ud-start>|
     for every row of the broadcast parameter arrays `params` and `gate_time`,
@@ -194,16 +205,50 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     and the Raman 5x5 and 3x3 get one each, unpadded. Batches of more than 512
     rows are split into blocks of that size, so a grid of any size is built
     and propagated in bounded memory, at most 1,024 generators per call.
+
+    The blocks run on W threads: W is the number of CPUs this process may
+    use (`os.sched_getaffinity`, else `os.cpu_count`), capped by the number
+    of blocks. Block i runs on worker i mod W and the calling thread is
+    worker 0, so W - 1 threads start, and all are joined before the call
+    returns (numpy's linalg gufuncs release the GIL). Each block's arithmetic
+    is that of a one-thread call, so every row is bit for bit the same
+    whatever W is; 512 rows or fewer start no thread. Each worker runs in a
+    copy of the caller's context, so the caller's `np.errstate` holds there,
+    and the first exception of any block (NonFinite, ConvergenceFailure, a
+    warning escalated to an error) is raised here after the joins.
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
     block = 512
     if n > block:
         flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
-        f_pi = np.concatenate([
-            phase_fidelity(lossy_sectors, [p[s:s + block] for p in flat[:-1]],
-                           flat[-1][s:s + block])
-            for s in range(0, n, block)])
+        f_pi = np.empty(n)
+        workers = min(_cpus(), -(-n // block))
+        errors = []
+
+        def work(first):
+            try:
+                for s in range(first * block, n, workers * block):
+                    if errors:   # another block failed: its error is raised
+                        return
+                    f_pi[s:s + block] = phase_fidelity(
+                        lossy_sectors, [p[s:s + block] for p in flat[:-1]], flat[-1][s:s + block])
+            except BaseException as exc:   # raised by the caller, after the joins
+                errors.append(exc)
+
+        threads = []
+        try:
+            for first in range(1, workers):
+                thread = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(work, first))
+                thread.start()
+                threads.append(thread)
+            work(0)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
         return f_pi.reshape(shape)
     t = np.broadcast_to(gate_time, shape).ravel()
     sectors = [np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])

@@ -16,7 +16,8 @@ scattering pole sum (`scattering.reduced_density_matrix`) takes its
 reflection poles and residues from it and sends untrusted rows to the
 frequency quadrature. No stack is split here: the callers size it
 (`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
-pole sum passes four per row of its config, in one call).
+pole sum passes four per row of its config, in one call), and callers may
+run their stacks on several threads; numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 

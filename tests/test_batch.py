@@ -2,10 +2,14 @@
 
 Batches span sizes below, at and above the row block of `phase_fidelity`
 (512 rows, one stack of 1,024 generators) and that stack size itself; rows
-at the block boundaries are always compared.
+at the block boundaries are always compared. The blocks of a larger batch
+run on threads, which must leave every row bit for bit unchanged.
 """
 import dataclasses
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,7 +20,8 @@ from cavity_gates import exchange as ex
 from cavity_gates import linalg, lindblad
 from cavity_gates import raman as rm
 from cavity_gates import scattering as sc
-from cavity_gates.errors import NonFinite, ValidityWarning, ZeroDecoherence
+from cavity_gates.errors import (ConvergenceFailure, NonFinite, ValidityWarning,
+                                 ZeroDecoherence)
 from cavity_gates.params import CavitySystem, DecoherenceSpec
 from cavity_gates.scattering import PhotonPulse
 
@@ -360,3 +365,136 @@ def test_optimum_helpers_take_arrays():
         sc.optimal_gate_time(c, 1.0, np.array([1e-3, 0.0, 1e-3, 1e-3]))
     with pytest.raises(ZeroDecoherence):
         rm.max_spectral_separation(kappa, 1.0, np.array([1e-3, 1e-3, 0.0, 1e-3]), c)
+
+
+# -- the threaded blocks of exchange.phase_fidelity ---------------------------
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Names of the threads started while the test runs."""
+    names = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return names
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def fig6a_config():
+    """The fig6a grid: 121 x 121 two-photon and laser detunings, 14,641 rows."""
+    cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+    grid = np.exp(np.linspace(math.log(0.1), math.log(1e3), 121))
+    dok, lok = np.meshgrid(grid, grid, indexing="ij")
+    return rm.symmetric_raman_config(cav, dok * cav.kappa, lok * cav.kappa, 0.05)
+
+
+@pytest.fixture(scope="module")
+def fig6a_blocks():
+    """(config, F_pi from one phase_fidelity call per 512-row block)."""
+    cfg = fig6a_config()
+    lossy_sectors, params = cfg.sectors()
+    shape = (121, 121)
+    flat = [np.broadcast_to(p, shape).ravel() for p in (*params, cfg.gate_time)]
+    blocks = [ex.phase_fidelity(lossy_sectors, [p[s:s + BLOCK] for p in flat[:-1]],
+                                flat[-1][s:s + BLOCK]) for s in range(0, flat[0].size, BLOCK)]
+    return cfg, np.concatenate(blocks).reshape(shape)
+
+
+@pytest.mark.parametrize("cpus", (1, 4))
+def test_threaded_blocks_are_bit_identical(monkeypatch, started_threads, fig6a_blocks, cpus):
+    # more workers than this machine may have cores, switching often
+    cfg, expected = fig6a_blocks
+    set_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        f_pi = ex.relative_phase_fidelity(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert f_pi.shape == expected.shape and np.array_equal(f_pi, expected)
+    assert len(started_threads) == cpus - 1
+    assert threading.active_count() == before   # every worker was joined
+
+
+def lossy_pairs(n, marked):
+    """phase_fidelity inputs of n rows of 2x2 generators: every row is a
+    diagonal (trusted) pair but the marked ones, which sit at the g = kappa/4
+    exceptional point (untrusted: they take the Taylor fallback)."""
+    ep = np.array([[0.0, 0.25], [0.25, -0.5j]])
+    diag = np.diag([0.3, -0.2j])
+    flag = np.zeros(n)
+    flag[list(marked)] = 1.0
+
+    def lossy_sectors(flag):
+        h = np.where(flag[..., None, None] == 1.0, ep, diag)
+        return h, 0.5 * h
+
+    return lossy_sectors, [flag]
+
+
+def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
+    set_cpus(monkeypatch, 4)
+    n = 3 * BLOCK + 5
+    lossy_sectors, params = lossy_pairs(n, ())
+    t = np.full(n, 2.0)
+    t[-1] = np.nan
+    with pytest.raises(NonFinite):
+        ex.phase_fidelity(lossy_sectors, params, t)
+    assert len(started_threads) == 3
+
+
+def test_worker_exception_reaches_caller(monkeypatch, started_threads):
+    # with four blocks on four workers, block 1 runs on a started thread
+    set_cpus(monkeypatch, 4)
+    seen = []
+
+    def fail(m):
+        seen.append(threading.current_thread())
+        raise ConvergenceFailure("injected")
+
+    monkeypatch.setattr(linalg, "_expm_squaring", fail)
+    n = 4 * BLOCK
+    lossy_sectors, params = lossy_pairs(n, [BLOCK + 7])
+    with pytest.raises(ConvergenceFailure, match="injected"):
+        ex.phase_fidelity(lossy_sectors, params, 3.0)
+    assert len(started_threads) == 3
+    assert len(seen) == 1 and seen[0] is not threading.main_thread()
+
+
+def test_single_block_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    lossy_sectors, params = lossy_pairs(BLOCK, [3])
+    f_pi = ex.phase_fidelity(lossy_sectors, params, 3.0)
+    assert f_pi.shape == (BLOCK,)
+    rm.fidelity_numeric_raman(row(raman_batch(2, 1), 0))   # a one-row evaluation
+
+
+def test_workers_see_the_callers_errstate(monkeypatch, started_threads):
+    set_cpus(monkeypatch, 4)
+    seen = []
+    amplitudes = linalg.return_amplitudes
+
+    def record(h, index, t):
+        seen.append((threading.current_thread(), np.geterr()))
+        return amplitudes(h, index, t)
+
+    monkeypatch.setattr(linalg, "return_amplitudes", record)
+    lossy_sectors, params = lossy_pairs(4 * BLOCK, ())
+    with np.errstate(over="ignore", under="raise"):
+        caller = np.geterr()
+        ex.phase_fidelity(lossy_sectors, params, 3.0)
+    assert caller != np.geterr()
+    assert {thread.name for thread, _ in seen} >= set(started_threads)
+    assert len(seen) == 4 and all(err == caller for _, err in seen)

@@ -149,10 +149,12 @@ def test_cli_exit_code_config_error(tmp_path):
     *(("raman", "rabi_over_detuning = 0.1", new, method)
       for new in ("rabi_over_detuning = 0.1\nrabi_b = -1 rad_s", "rabi_over_detuning = 0")
       for method in ("analytic", "numeric", "lindblad")),
+    # the format has no interpolation, so a "%" is part of the value
+    ("simple_exchange", "detuning = optimal", "detuning = 5% per_kappa", "numeric"),
 ], ids=["raman-nan", "exchange-inf", "scattering-inf", "scattering-negative-time",
         "zero-splitting-analytic", "zero-splitting-numeric", "zero-splitting-lindblad",
         *(f"raman-{case}-{method}" for case in ("negative-rabi-b", "zero-rabi-over-detuning")
-          for method in ("analytic", "numeric", "lindblad"))])
+          for method in ("analytic", "numeric", "lindblad")), "exchange-percent"])
 def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     assert old in YB_CONFIG
     path = tmp_path / "bad.ini"
