@@ -36,6 +36,16 @@ take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
     rabi_over_detuning   = 0.1       # exactly one of this / rabi_a
     rabi_b               = matched   # or a rate
 
+Grammar: a line whose first non-blank character is `#` or `;` is a
+comment, as is the rest of a line from a `#` or `;` that follows
+whitespace. `[name]` starts a section (names are case-sensitive; unknown
+sections are ignored). `key = value` or `key: value` splits at the first
+`=` or `:`, so `gamma = hz: 596` works; keys are stripped and lowercased,
+values stripped, and `%` is read as it stands. A duplicate section, a
+duplicate key and a key before the first section are config errors, and so,
+naming the line, are an indented continuation line, a `[DEFAULT]` section
+and a line with no `=` or `:` or with an empty key.
+
 A key that nothing reads in [cavity], [decoherence] or the evaluated
 [scheme.<name>] section (a misspelling, say) is a config error.
 
@@ -51,7 +61,9 @@ Every number must be finite: `nan` and `inf` are config errors, as are
 values the scheme's inputs reject (a `splitting_eg`, a `gate_time`, a
 `rabi_over_detuning` or a `rabi_b` <= 0, a negative decoherence rate), and
 `casestudy` option values that are not finite and > 0. Use `ideal` for an
-infinite splitting.
+infinite splitting. Finite numbers whose cavity rates leave the double range
+(a kappa, g or C that is not finite and > 0) are config errors too; an
+evaluation that overflows is an evaluator error.
 
 Exit codes: 0 success, 2 config error, 3 evaluator error, 4 unwritable
 output. Results go to stdout; warnings (`warning: <message>`, from
@@ -246,7 +258,7 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
         axis = Axis(param, vmin, vmax, points, "log" if log_scale else "linear")
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"sweep grid: {exc}")
-    key = param.lower()  # configparser lowercases option names
+    key = param.lower()  # the config reader lowercases keys
     suffix = "" if unit in ("", "none") else f" {unit}"
     lines = [f"# sweep {scheme}.{param} [{unit}] method={method}",
              f"{param},fidelity,gate_time_gamma"]

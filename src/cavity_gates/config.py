@@ -1,14 +1,31 @@
 """Run-configuration files: INI-style sections with unit-suffixed values.
 
 Sections: [cavity], [decoherence] (optional) and one or more
-[scheme.<name>] blocks (scattering, simple_exchange, raman). Rates accept
-the suffixes rad_s, hz (multiplied by 2*pi), per_gamma and per_kappa;
-durations accept s and inv_gamma. The prefix form "hz: 596" is accepted as
-an alternative to "596 hz". Exact keys are documented in the cli module.
+[scheme.<name>] blocks (scattering, simple_exchange, raman); unknown
+sections are ignored. Rates accept the suffixes rad_s, hz (multiplied by
+2*pi), per_gamma and per_kappa; durations accept s and inv_gamma. The
+prefix form "hz: 596" is accepted as an alternative to "596 hz". Exact
+keys are documented in the cli module.
+
+The grammar, read in one pass over the lines (split at "\n" only, so a
+trailing "\r" is whitespace):
+
+- a line whose first non-blank character is "#" or ";" is a comment, and
+  so is the rest of any line from a "#" or ";" that follows whitespace;
+- "[name]" starts a section; names are case-sensitive;
+- "key = value" or "key: value" splits at the first "=" or ":" (so
+  "gamma = hz: 596" works); keys are stripped and lowercased, values
+  stripped, and "%" is read as it stands;
+- blank lines are ignored.
+
+A duplicate section, a duplicate key in one section, a key line before
+the first section and a "[" line that is not a whole "[name]" are config
+errors naming the line. So are three constructs of Python's configparser
+that the format does not have: an indented continuation line, a [DEFAULT]
+section and a line with no "=" or ":" or with an empty key.
 """
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
@@ -19,6 +36,60 @@ from .raman import RamanConfig, optimal_two_photon
 from .scattering import PhotonPulse, ScatteringConfig
 
 _SCHEME_PREFIX = "scheme."
+
+
+def _strip_comment(line: str) -> str:
+    """The line up to its first "#" or ";" that starts it or follows whitespace."""
+    for prefix in "#;":
+        i = line.find(prefix)
+        while i > 0 and not line[i - 1].isspace():
+            i = line.find(prefix, i + 1)
+        if i >= 0:
+            line = line[:i]
+    return line
+
+
+def _read_ini(text: str) -> dict:
+    """Parse config text into {section: {key: value}} (grammar in the
+    module docstring). Every text it accepts reads as with configparser."""
+    sections = {}
+    section = None
+    key_indent = None  # indent of the section's last key line, None before one
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line or ";" in line:
+            line = _strip_comment(line)
+        content = line.strip()
+        if not content:
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key_indent is not None and indent > key_indent:
+            raise ConfigError(f"config line {lineno}: indented continuation line "
+                              f"{content!r}; a value must fit on its key's line")
+        if content[0] == "[":
+            name = content[1:-1]
+            if content[-1] != "]" or not name:
+                raise ConfigError(f"config line {lineno}: malformed section header {content!r}")
+            if name == "DEFAULT":
+                raise ConfigError(f"config line {lineno}: the format has no [DEFAULT] section")
+            if name in sections:
+                raise ConfigError(f"config line {lineno}: duplicate section [{name}]", key=name)
+            section = sections[name] = {}
+            key_indent = None
+            continue
+        if section is None:
+            raise ConfigError(f"config line {lineno}: {content!r} comes before the first "
+                              "[section] header")
+        equals, colon = content.find("="), content.find(":")
+        split = equals if colon < 0 or 0 <= equals < colon else colon
+        key = content[:split].rstrip().lower()
+        if split < 0 or not key:
+            raise ConfigError(f"config line {lineno}: expected 'key = value', got {content!r}")
+        if key in section:
+            raise ConfigError(f"config line {lineno}: duplicate key {name}.{key}",
+                              key=f"{name}.{key}")
+        section[key] = content[split + 1:].strip()
+        key_indent = indent
+    return sections
 
 
 def _split_quantity(raw: str, key: str):
@@ -50,7 +121,7 @@ _REQUIRED = object()
 class _Section:
     def __init__(self, name, mapping, gamma=None, kappa=None):
         self.name = name
-        self.raw = dict(mapping)
+        self.raw = mapping
         self.gamma = gamma
         self.kappa = kappa
         self.used = set()
@@ -136,9 +207,14 @@ def _build_cavity(section: _Section) -> CavitySystem:
         raise ConfigError("cavity needs either cooperativity+g_over_kappa or g+kappa",
                           key="cavity.g" if g is None else "cavity.kappa")
     try:
-        return CavitySystem(g=g, kappa=kappa, gamma=gamma)
+        cavity = CavitySystem(g=g, kappa=kappa, gamma=gamma)
     except ValueError as exc:
         raise ConfigError(f"cavity: {exc}", key="cavity.g")
+    # CavitySystem lets C underflow to 0, but every scheme divides by it
+    if not cavity.cooperativity > 0:
+        raise ConfigError("cavity: cooperativity 4 g^2/(kappa gamma) underflows to 0",
+                          key="cavity.g")
+    return cavity
 
 
 def _build_decoherence(section: _Section) -> DecoherenceSpec:
@@ -155,25 +231,20 @@ def _build_decoherence(section: _Section) -> DecoherenceSpec:
 
 
 def load_config_text(text: str) -> RunConfig:
-    # the format has no interpolation: a "%" in a value is read as it stands
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}")
-    if "cavity" not in parser:
+    sections = _read_ini(text)
+    if "cavity" not in sections:
         raise ConfigError("missing [cavity] section", key="cavity")
-    cavity_section = _Section("cavity", parser["cavity"])
+    cavity_section = _Section("cavity", sections["cavity"])
     cavity = _build_cavity(cavity_section)
     # an absent [decoherence] section reads as an empty one: every rate 0
-    deco_section = _Section("decoherence", parser["decoherence"] if "decoherence" in parser
-                            else {}, gamma=cavity.gamma, kappa=cavity.kappa)
+    deco_section = _Section("decoherence", sections.get("decoherence", {}),
+                            gamma=cavity.gamma, kappa=cavity.kappa)
     decoherence = _build_decoherence(deco_section)
     schemes = {}
-    for section_name in parser.sections():
+    for section_name, mapping in sections.items():
         if section_name.startswith(_SCHEME_PREFIX):
             name = section_name[len(_SCHEME_PREFIX):]
-            schemes[name] = _Section(section_name, parser[section_name],
+            schemes[name] = _Section(section_name, mapping,
                                      gamma=cavity.gamma, kappa=cavity.kappa)
     return RunConfig(cavity=cavity, decoherence=decoherence, schemes=schemes,
                      common=(cavity_section, deco_section))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure, DegenerateBranch
+from .errors import ConvergenceFailure, DegenerateBranch, NonFinite
 from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians
 from .params import GateResult, Method, gate_results, one_configuration
 from .raman import RamanConfig
@@ -223,10 +223,17 @@ def raman_open_system(config: RamanConfig, gate_time=None) -> GateOpenSystem:
 
 def _gauge_maximized(rho: np.ndarray, frozen: np.ndarray, active: np.ndarray) -> float:
     """max over the local-Z phase of <psi(chi)| rho |psi(chi)>,
-    psi(chi) = frozen + e^{i chi} active."""
+    psi(chi) = frozen + e^{i chi} active. Raises NonFinite when the
+    propagation overflowed (say, at a detuning near the double range)."""
     direct = float(np.vdot(frozen, rho @ frozen).real + np.vdot(active, rho @ active).real)
     cross = complex(np.vdot(frozen, rho @ active))
-    return direct + 2.0 * abs(cross)
+    try:
+        overlap = direct + 2.0 * abs(cross)
+    except OverflowError:  # abs of a complex past the double range
+        overlap = math.inf
+    if not math.isfinite(overlap):
+        raise NonFinite(f"gate overlap is {overlap!r}: the propagation overflowed")
+    return overlap
 
 
 def gate_fidelity_lindblad(gos: GateOpenSystem, gamma_eff: float = 0.0) -> GateResult:

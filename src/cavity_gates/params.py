@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFinite
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,6 +51,17 @@ class CavitySystem:
             # written so that NaN fails
             if not all_rows((value > 0) & (value < math.inf)):
                 raise ValueError(f"CavitySystem.{name} must be finite and > 0, got {value!r}")
+        # finite rates can still give a C that overflows. One that underflows
+        # to 0 stays allowed, for the DivergentDenominator check of
+        # scattering.spin_amplitudes; config refuses it.
+        try:
+            with np.errstate(over="ignore"):
+                cooperativity = self.cooperativity
+        except OverflowError:  # a float g**2 past the double range
+            cooperativity = math.inf
+        if not all_rows(cooperativity < math.inf):
+            raise ValueError(f"CavitySystem cooperativity 4 g^2/(kappa gamma) must be finite, "
+                             f"got {cooperativity!r}")
 
     @property
     def cooperativity(self) -> float:
@@ -68,8 +80,15 @@ class CavitySystem:
         """
         if not all_rows((cooperativity > 0) & (g_over_kappa > 0) & (gamma > 0)):
             raise ValueError("cooperativity, g_over_kappa and gamma must be > 0")
-        kappa = cooperativity * gamma / (4.0 * g_over_kappa**2)
-        return cls(g=g_over_kappa * kappa, kappa=kappa, gamma=gamma)
+        try:
+            with np.errstate(over="ignore", divide="ignore"):
+                kappa = cooperativity * gamma / (4.0 * g_over_kappa**2)
+                g = g_over_kappa * kappa
+        except (OverflowError, ZeroDivisionError):  # a float g_over_kappa**2 out of range
+            raise ValueError(f"g_over_kappa = {g_over_kappa!r} puts kappa = "
+                             "C*gamma/(4*(g/kappa)^2) out of the double range") from None
+        # an array row out of range is inf or 0 here, which __post_init__ refuses
+        return cls(g=g, kappa=kappa, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -235,14 +254,15 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     """Clamp gate fidelities into [0, 1], and success probabilities when
     given (a deterministic scheme gives none: every row's is 1), and mark
     every row where either was clamped with the "clamped" note, after the
-    caller's notes (note -> row mask). Raises ValueError for NaN fidelities
-    or probabilities and non-positive gate times, as GateResult does."""
+    caller's notes (note -> row mask). Raises NonFinite for NaN fidelities
+    or probabilities (an evaluator that overflowed) and ValueError for
+    non-positive gate times, as GateResult does."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
     gate_time = _broadcast(gate_time, fidelity.shape, float)
     if any_row(np.isnan(fidelity)):
-        raise ValueError("fidelity must lie in [0, 1], got nan")
+        raise NonFinite("fidelity is nan: the evaluation overflowed")
     if not all_rows(gate_time > 0):
         raise ValueError("gate_time must be > 0")
     clamped = (fidelity < 0.0) | (fidelity > 1.0)
@@ -250,7 +270,7 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     if success_probability is not None:
         probability = _broadcast(success_probability, fidelity.shape, float)
         if any_row(np.isnan(probability)):
-            raise ValueError("success_probability must lie in [0, 1], got nan")
+            raise NonFinite("success_probability is nan: the evaluation overflowed")
         clamped = clamped | (probability < 0.0) | (probability > 1.0)
         probability = np.minimum(np.maximum(probability, 0.0), 1.0)
     masks = {note: _broadcast(mask, fidelity.shape, bool) for note, mask in (notes or {}).items()}

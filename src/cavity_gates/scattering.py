@@ -38,7 +38,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import linalg
-from .errors import DivergentDenominator, QuadratureNotConverged, ValidityWarning, ZeroDecoherence
+from .errors import (DivergentDenominator, NonFinite, QuadratureNotConverged, ValidityWarning,
+                     ZeroDecoherence)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
                      config_row, config_shape, gate_results)
 
@@ -370,7 +371,8 @@ def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
     Valid for C >> 1 and delta_p, sigma_p small against gamma*C (and
     delta_eps small against gamma); rows outside that domain carry the note
     "outside validity domain" and emit a ValidityWarning. Fidelities are
-    clamped to [0, 1] (rows marked "clamped").
+    clamped to [0, 1] (rows marked "clamped"); a one-configuration config
+    whose terms overflow raises NonFinite.
     """
     cav = config.cavity
     c = cav.cooperativity
@@ -385,13 +387,16 @@ def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
                       "(C >> 1, detunings small against gamma*C)", ValidityWarning, stacklevel=2)
     u = (2.0 * cav.g / cav.kappa) ** 2
     bracket = 11.0 - 20.0 * u + 12.0 * u**2
-    fidelity = (
-        1.0
-        - 5.0 / (4.0 * c)
-        - (pulse.delta_p**2 + pulse.sigma_p**2) / (8.0 * scale**2) * bracket
-        - (config.delta_eps_a - config.delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
-        - config.gamma_eff * t_gate
-    )
+    try:
+        fidelity = (
+            1.0
+            - 5.0 / (4.0 * c)
+            - (pulse.delta_p**2 + pulse.sigma_p**2) / (8.0 * scale**2) * bracket
+            - (config.delta_eps_a - config.delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
+            - config.gamma_eff * t_gate
+        )
+    except OverflowError as exc:  # a float ** past the double range
+        raise NonFinite(f"closed-form scattering fidelity overflows: {exc}") from None
     return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside})
 
 

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from cavity_gates import config as cfg_mod
 from cavity_gates.cli import main
@@ -164,6 +166,42 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     assert isinstance(result.exception, SystemExit)   # no traceback
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+# C = 1000, where each of these numbers used to end in a traceback (exit 1)
+@pytest.mark.parametrize("scheme, old, new, method, code", [
+    ("scattering", "g_over_kappa = 0.1", "g_over_kappa = 1e-200", "analytic", 2),
+    ("simple_exchange", "gamma = 596 hz", "gamma = 1e300 hz", "analytic", 2),
+    ("simple_exchange", "detuning = optimal", "detuning = 1e-300 rad_s", "analytic", 3),
+    ("raman", "two_photon = optimal", "two_photon = 1e300 rad_s", "analytic", 3),
+    ("scattering", "delta_p = 30 per_gamma", "delta_p = 1e160 rad_s", "analytic", 3),
+    ("simple_exchange", "detuning = optimal", "detuning = 1e300 rad_s", "lindblad", 3),
+], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
+        "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow"])
+def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, old, new, method, code):
+    """Finite numbers past what the double range can carry through an
+    evaluation: cavity rates are config errors, the rest evaluator errors."""
+    text = YB_CONFIG.replace("cooperativity = 50000", "cooperativity = 1000")
+    assert old in text
+    path = tmp_path / "extreme.ini"
+    path.write_text(text.replace(old, new))
+    result = CliRunner().invoke(main, ["evaluate", scheme, str(path), "--method", method])
+    assert result.exit_code == code, result.exception
+    assert isinstance(result.exception, SystemExit)   # no traceback
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_cli_cooperativity_underflow_is_config_error(tmp_path):
+    """g and kappa that are finite and > 0 but give C = 0 in doubles, which
+    every scheme divides by (the scattering closed form used to raise
+    ZeroDivisionError)."""
+    path = tmp_path / "tiny-g.ini"
+    path.write_text(YB_CONFIG.replace("cooperativity = 50000\ng_over_kappa = 0.1",
+                                      "g = 1e-200 rad_s\nkappa = 1 rad_s"))
+    result = CliRunner().invoke(main, ["evaluate", "scattering", str(path)])
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == "error: cavity: cooperativity 4 g^2/(kappa gamma) underflows to 0\n"
 
 
 @pytest.mark.parametrize("scheme, old, key", [
@@ -409,3 +447,191 @@ def test_fig4_csv_roundtrip_through_evaluate(tmp_path):
     record = json.loads(runner.invoke(
         main, ["evaluate", "simple_exchange", str(path), "--method", "analytic"]).stdout)
     assert record["fidelity"] == pytest.approx(row[3], abs=1e-9)
+
+
+# --- the INI reader ---------------------------------------------------------
+
+def _configparser_sections(text):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser.read_string(text)
+    return [(name, list(parser[name].items())) for name in parser.sections()]
+
+
+_INDENTS = st.sampled_from(["", "", "", "", "", " ", "\t", "\xa0"])
+_COMMENTS = st.sampled_from(["", "", "", " # note", "\t; note", "#x", ";x", " ;"])
+_VALUES = st.text(alphabet=" \t\r\xa0\x0b\x85\u2028#;:=%[]aZ9.-\u0130", max_size=6)
+_SECTION_NAMES = st.sampled_from(["cavity", "scheme.raman", "Cavity", "default", " x ", "a]b",
+                                  "a\x85b", "a\u2028b", "decoherence", "other", "DEFAULT", ""])
+_KEYS = st.builds("{}{}".format, st.sampled_from(["gamma", "Gamma", "a b", "\u0130", "k\x0b", ""]),
+                  st.text(alphabet="aZ9_ \u0130", max_size=3))
+_DELIMITERS = st.sampled_from(["=", ":", " = ", " : ", "\t=", "\xa0:", "=", ":", " =", ""])
+_BLANK_LINES = st.sampled_from(["", "  ", "\r", "# comment", "; comment", "  # c"])
+
+
+@st.composite
+def _ini_texts(draw):
+    """Mostly well-formed INI text, with each refused construct now and then."""
+    lines = draw(st.lists(_BLANK_LINES, max_size=2))
+    for name in draw(st.lists(_SECTION_NAMES, max_size=3, unique=True)):
+        lines.append(draw(_INDENTS) + f"[{name}]" + draw(st.sampled_from(["", " # note", "\t;"])))
+        indent = draw(_INDENTS)
+        for i, key in enumerate(draw(st.lists(_KEYS, max_size=4,
+                                              unique_by=lambda k: k.strip().lower()))):
+            # a line indented past the key line before it is a continuation
+            deeper = draw(st.sampled_from(["", "", "", "", "", "", " "])) if i else ""
+            lines.append(indent + deeper + key + draw(_DELIMITERS) + draw(_VALUES)
+                         + draw(_COMMENTS))
+            lines += draw(st.lists(_BLANK_LINES, max_size=1))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_ini_texts())
+def test_read_ini_matches_configparser(text):
+    """Every text the reader accepts reads as it does with configparser
+    (inline comments on, interpolation off), sections and keys in order."""
+    try:
+        sections = cfg_mod._read_ini(text)
+    except ConfigError:
+        return
+    assert [(name, list(keys.items())) for name, keys in sections.items()] == \
+        _configparser_sections(text)
+
+
+def test_read_ini_grammar():
+    # a key line indented no deeper than the one before it starts a new key
+    text = ("; leading comment\r\n[cavity]\r\n  Gamma = hz: 596 # inline\r\n"
+            "\r\nG:2;not a comment ; a comment\r\n[Cavity]\r\n\tx = 5% per_kappa\r\n"
+            "\ty = 1\r\n[other]\r\nempty =\r\n")
+    expected = {"cavity": {"gamma": "hz: 596", "g": "2;not a comment"},
+                "Cavity": {"x": "5% per_kappa", "y": "1"}, "other": {"empty": ""}}
+    assert cfg_mod._read_ini(text) == expected
+    assert dict((name, dict(keys)) for name, keys in _configparser_sections(text)) == expected
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[cavity]\ndetuning = 5\n  per_kappa\n", 3, "continuation"),
+    ("[cavity]\ngamma = 1\n\n# note\n\tx = 2\n", 5, "continuation"),
+    ("[cavity]\n  gamma = 1\n   g = 2\n", 3, "continuation"),
+    ("[DEFAULT]\ngamma = 1\n[cavity]\n", 1, "DEFAULT"),
+    ("[cavity]\ngamma 1 rad_s\n", 2, "expected 'key = value'"),
+    ("[cavity]\n = 1 rad_s\n", 2, "expected 'key = value'"),
+    ("[cavity]\ngamma = 1\n[cavity]\n", 3, "duplicate section [cavity]"),
+    ("[cavity]\ngamma = 1\nGAMMA = 2\n", 3, "duplicate key cavity.gamma"),
+    ("gamma = 1\n[cavity]\n", 1, "before the first [section]"),
+    ("[cavity\ngamma = 1\n", 1, "malformed section header"),
+])
+def test_read_ini_refusals_name_the_line(text, line, message):
+    with pytest.raises(ConfigError) as err:
+        cfg_mod._read_ini(text)
+    assert str(err.value).startswith(f"config line {line}: ")
+    assert message in str(err.value)
+
+
+# --- no traceback from any CLI input ----------------------------------------
+
+#: every documented key: its value in a config that evaluates, or None to leave it out
+_FUZZ_BASE = {
+    "cavity": {"cooperativity": "1000", "g_over_kappa": "0.1", "gamma": "596 hz",
+               "g": None, "kappa": None},
+    "decoherence": {"qubit_t2": "6.6e-3 s", "optical_pure_dephasing": "9e3 rad_s",
+                    "qubit_relaxation": None, "qubit_pure_dephasing": None,
+                    "shelving_decay": None},
+    "scheme.scattering": {"delta_p": "30 per_gamma", "gate_time": "1 inv_gamma",
+                          "sigma_p": None, "delta_eps_a": None, "delta_eps_b": None},
+    "scheme.simple_exchange": {"detuning": "optimal", "splitting_eg": "0.2e9 hz",
+                               "detuning_error": None, "mode": None},
+    "scheme.raman": {"two_photon": "optimal", "laser_detuning": "2 per_kappa",
+                     "rabi_over_detuning": "0.1", "two_photon_error": None,
+                     "laser_detuning_error": None, "rabi_a": None, "rabi_b": None},
+}
+_FUZZ_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
+                                 "1e160", "5%", "", "2", "0.5", "40", "1e4"])
+_FUZZ_UNITS = st.sampled_from(["", " rad_s", " hz", " per_gamma", " per_kappa", " s",
+                               " inv_gamma", " bogus"])
+_FUZZ_VALUES = (st.builds("{}{}".format, _FUZZ_NUMBERS, _FUZZ_UNITS)
+                | st.builds("hz: {}".format, _FUZZ_NUMBERS)
+                | st.sampled_from(["optimal", "ideal", "matched", "equal", "opposite", "% x"]))
+_FUZZ_EXTRAS = st.sampled_from(["[scheme.raman]\nrabi_a = 1 rad_s", "[DEFAULT]\ngamma = 1 rad_s",
+                                "[unknown]\nfoo = 1", "[cavity]\ngamma = 1 rad_s",
+                                "  per_kappa", "gamma = 1 rad_s", "x"])
+_FUZZ_OPTIONS = st.sampled_from(["nan", "inf", "0", "-1", "1e300", "1e-300", "5", "3000", "0.1"])
+
+
+_FUZZ_KEYS = [(section, key) for section, keys in _FUZZ_BASE.items() for key in keys]
+
+
+@st.composite
+def _fuzz_config(draw):
+    """INI text from the documented keys: up to three keys dropped, added or
+    given a random value, plus now and then a construct the format refuses
+    or ignores, inline comments and CRLF line endings."""
+    changed = draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=3, unique=True))
+    lines = []
+    for section, keys in _FUZZ_BASE.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if (section, key) in changed:
+                value = draw(st.none() | _FUZZ_VALUES)
+            if value is not None:
+                comment = draw(st.sampled_from(["", "", "", " # note", " ;note"]))
+                lines.append(f"{key} = {value}{comment}")
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(_FUZZ_EXTRAS))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+_FUZZ_COMMANDS = st.one_of(
+    st.tuples(st.just("evaluate"), st.sampled_from([
+        (scheme, method) for scheme in ("scattering", "simple_exchange", "raman")
+        for method in ("analytic", "numeric", "lindblad")])),
+    st.tuples(st.just("sweep"), st.sampled_from([
+        ("scattering", "delta_p"), ("simple_exchange", "detuning"),
+        ("raman", "laser_detuning"), ("raman", "two_photon"), ("simple_exchange", "mode")]),
+        st.sampled_from(["1", "0.5"]) | _FUZZ_OPTIONS, st.sampled_from(["5", "50"]) | _FUZZ_OPTIONS, st.sampled_from(["--log", "--linear"]),
+        st.sampled_from(["per_kappa", "per_gamma", "rad_s", "s", "none", "bogus"])),
+    st.tuples(st.just("casestudy"), st.sampled_from(["--t2-ms", "--cooperativity",
+                                                     "--g-over-kappa"]), _FUZZ_OPTIONS),
+)
+
+
+def _fidelities(command, stdout):
+    if command == "evaluate":
+        return [json.loads(stdout)["fidelity"]]
+    if command == "casestudy":
+        report = json.loads(stdout)
+        return [report[s]["fidelity"] for s in ("scattering", "simple_exchange", "raman")]
+    # a sweep point that failed is a nan row
+    rows = [line.split(",") for line in stdout.splitlines()[2:]]
+    fidelities = [float(row[1]) for row in rows if row[1] != "nan"]
+    assert fidelities, "a sweep that exits 0 evaluates at least one point"
+    return fidelities
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_fuzz_config(), _FUZZ_COMMANDS)
+def test_cli_fuzz_never_tracebacks(tmp_path_factory, text, command):
+    """Whatever the config text and options, evaluate, sweep and casestudy
+    exit 0, 2 or 3, never with a Python exception, and a success reports
+    finite fidelities in [0, 1]."""
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.ini"
+    path.write_bytes(text.encode())
+    kind = command[0]
+    if kind == "evaluate":
+        argv = ["evaluate", command[1][0], str(path), "--method", command[1][1]]
+    elif kind == "sweep":
+        (scheme, param), lo, hi, scale, unit = command[1:]
+        argv = ["sweep", scheme, str(path), "--param", param, "--minimum", lo, "--maximum", hi,
+                "--points", "3", scale, "--unit", unit, "--method", "analytic"]
+    else:
+        argv = ["casestudy", command[1], command[2]]
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (argv, text, result.exc_info)
+    assert result.exit_code in (0, 2, 3), (argv, text, result.stderr)
+    if result.exit_code == 0:
+        for fidelity in _fidelities(kind, result.stdout):
+            assert math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0, (argv, text)
+    else:
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("error: ")
