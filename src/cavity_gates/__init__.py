@@ -14,10 +14,8 @@ from .errors import (
     CavityGateError,
     ConfigError,
     ConvergenceFailure,
-    DegenerateBranch,
     DivergentDenominator,
     NonFinite,
-    QuadratureNotConverged,
     ValidityWarning,
     ZeroDecoherence,
 )
@@ -48,7 +46,6 @@ from .exchange import (
     optimal_detuning,
     optimal_gate_time_exchange,
     ridge_f_pi,
-    tune_partner_detuning,
 )
 from .raman import (
     RamanConfig,
@@ -70,7 +67,6 @@ from .lindblad import (
     gate_fidelity_lindblad,
     propagate_exact,
     raman_open_system,
-    trajectory_decomposition,
 )
 from .sweep import (
     Axis,

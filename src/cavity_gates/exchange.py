@@ -122,17 +122,6 @@ class SectorHamiltonians(NamedTuple):
     h_eff_up_up: np.ndarray
 
 
-def tune_partner_detuning(detuning, g_up_a, g_down_b, splitting_eg) -> float:
-    """Partner detuning that puts the swap on resonance, compensating the
-    unequal cavity Stark shifts: Delta_B = Delta + (g_a^2 - g_b^2)/Delta - delta_eg."""
-    if math.isinf(splitting_eg):
-        raise ValueError("splitting_eg is the ideal flag (inf); the resonance condition "
-                         "is then fixed by the equal-transition mode (EQUAL_RESONANT)")
-    if not detuning > 0:
-        raise ValueError("detuning must be > 0")
-    return detuning + (g_up_a**2 - g_down_b**2) / detuning - splitting_eg
-
-
 def exchange_gate_time(detuning, g_a, g_b) -> float:
     """Excitation dwell time for a pi phase: T = pi * Delta / (g_a * g_b)."""
     if any_row(g_a <= 0) or any_row(g_b <= 0):

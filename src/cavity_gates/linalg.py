@@ -12,12 +12,12 @@ machine epsilon); NaN or Inf input raises NonFinite. It has three callers.
 `propagate` (and `return_amplitudes`, its basis-state call) sends untrusted
 rows to Taylor scaling-and-squaring, one row at a time;
 `lindblad.propagate_exact` refuses them with ConvergenceFailure; and the
-scattering pole sum (`scattering.reduced_density_matrix`) takes its
-reflection poles and residues from it and sends untrusted rows to the
-frequency quadrature. No stack is split here: the callers size it
-(`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
-pole sum passes four per row of its config, in one call), and callers may
-run their stacks on several threads; numpy's linalg gufuncs release the GIL.
+scattering pole sum takes its poles and residues from it and sends
+untrusted rows to a matrix function of the generators, built on `solve`.
+No stack is split here: the callers size it (`exchange.phase_fidelity`
+passes at most 1,024 generators; the scattering pole sum passes four per
+row of its config, in one call), and callers may run their stacks on
+several threads; numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 
@@ -72,6 +72,22 @@ def eigenbasis(h, psi) -> Eigenbasis:
         vectors[~trusted] = inverse[~trusted] = np.eye(h.shape[-1])
     coeff = (inverse @ psi[:, :, None])[:, :, 0]
     return Eigenbasis(values, vectors, coeff, cond, trusted)
+
+
+def solve(a, b) -> np.ndarray:
+    """x_j = a_j^-1 b_j for square matrices a (..., k, k) and vectors b
+    (..., k, one axis fewer than a) or matrices b (..., k, m). NaN or Inf
+    input raises NonFinite, and a singular a_j ConvergenceFailure."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFinite("linear system contains NaN or Inf entries")
+    vectors = b.ndim == a.ndim - 1
+    try:
+        x = np.linalg.solve(a, b[..., None] if vectors else b)
+    except np.linalg.LinAlgError:
+        raise ConvergenceFailure("singular matrix in a stacked linear solve") from None
+    return x[..., 0] if vectors else x
 
 
 def _expm_squaring(m: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure, DegenerateBranch, NonFinite
+from .errors import ConvergenceFailure, NonFinite
 from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians
 from .params import GateResult, Method, gate_results, one_configuration
 from .raman import RamanConfig
@@ -115,33 +115,6 @@ def propagate_exact(system: OpenSystem, psi0, t: float):
         lv = np.asarray(op, dtype=complex) @ vecs
         rho += rate * (lv @ weight @ lv.conj().T)
     return phi_t, 0.5 * (rho + rho.conj().T)
-
-
-class TrajectoryBranches(NamedTuple):
-    success_probability: float   # p = ||phi(T)||^2
-    fidelity_success: float      # F_0 = |<ideal|phi(T)>| / sqrt(p)
-    rho_fail: np.ndarray         # (rho - |phi><phi|)/(1 - p)
-    fidelity_fail: float         # sqrt(<ideal| rho_fail |ideal>)
-
-
-def trajectory_decomposition(system: OpenSystem, psi0, psi_ideal, t: float) -> TrajectoryBranches:
-    """Split the master-equation solution into no-jump and failure branches.
-
-    The total fidelity satisfies F = sqrt(p F_0^2 + (1-p) F_fail^2).
-    Raises DegenerateBranch when no jump ever occurs (p ~ 1).
-    """
-    psi_ideal = np.asarray(psi_ideal, dtype=complex)
-    phi_t, rho = propagate_exact(system, psi0, t)
-    p = float(np.vdot(phi_t, phi_t).real)
-    if 1.0 - p < 1e-12:
-        raise DegenerateBranch("jump probability ~ 0; failure branch undefined")
-    rho_fail = (rho - np.outer(phi_t, phi_t.conj())) / (1.0 - p)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho_fail + rho_fail.conj().T)).min())
-    if min_eig < -1e-8:
-        raise ValueError(f"failure branch is not positive semidefinite (min eig {min_eig:.2e})")
-    f_success = abs(np.vdot(psi_ideal, phi_t)) / math.sqrt(p)
-    f_fail = math.sqrt(max(float(np.vdot(psi_ideal, rho_fail @ psi_ideal).real), 0.0))
-    return TrajectoryBranches(p, f_success, rho_fail, f_fail)
 
 
 class GateOpenSystem(NamedTuple):

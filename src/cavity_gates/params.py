@@ -186,16 +186,6 @@ def config_shape(config) -> tuple:
         for value in vars(config).values()))
 
 
-def config_row(config, shape: tuple, index: tuple):
-    """The one-configuration config at `index` of an array-valued config of
-    broadcast shape `shape`."""
-    return dataclasses.replace(config, **{
-        name: config_row(value, shape, index) if dataclasses.is_dataclass(value)
-        else float(np.broadcast_to(value, shape)[index])
-        for name, value in vars(config).items()
-        if dataclasses.is_dataclass(value) or isinstance(value, np.ndarray)})
-
-
 def one_configuration(config):
     """Raise ValueError unless a config holds one configuration: the paths
     that call this (Lindblad, the expanded maxima) have no array form."""

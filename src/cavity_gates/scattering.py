@@ -18,8 +18,8 @@ Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
 with scipy's `wofz` to 2.3e-14 relative over the upper half plane. Rows
 whose eigenbasis `linalg` does not trust (near an exceptional point of a
 generator, where the pole sum can lose up to cond^2 * machine epsilon)
-take the Gauss-Legendre path instead: panels refined around the
-reflection poles, fixed 32- and 64-node rules that must agree.
+take the same sum as a rational matrix function of the generators, which
+needs no eigenbasis, instead.
 
 Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
 may be numpy arrays that broadcast together; `fidelity_numeric_batch` and
@@ -35,13 +35,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import linalg
-from .errors import (DivergentDenominator, NonFinite, QuadratureNotConverged, ValidityWarning,
-                     ZeroDecoherence)
+from .errors import DivergentDenominator, NonFinite, ValidityWarning, ZeroDecoherence
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     config_row, config_shape, gate_results)
+                     config_shape, gate_results)
 
 LN2 = math.log(2.0)
 
@@ -51,11 +49,11 @@ GATE_TIME_FACTOR = 8.0 * math.pi * math.sqrt(2.0 * LN2)
 #: ideal two-qubit target (1/2)(|uu> + |ud> + |du> - |dd>)
 IDEAL_TARGET = np.array([0.5, 0.5, 0.5, -0.5])
 
-#: Gaussian-envelope half-width of the frequency integration, in units of sigma_p
-_T_SPAN = 8.0
-
 #: terms of the rational expansion of the Faddeeva function
 _W_TERMS = 36
+
+#: which emitters (a, b) are coupled to the cavity in (s_uu, s_ud, s_du, s_dd)
+_COUPLED = np.array([[True, True], [True, False], [False, True], [False, False]])
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,8 @@ def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
     cav = config.cavity
     h = np.zeros((4,) + shape + (3, 3), dtype=complex)
     h[..., 0, 0] = -0.5j * cav.kappa
-    for slot, delta, amplitudes in ((1, config.delta_eps_a, [0, 1]),
-                                    (2, config.delta_eps_b, [0, 2])):
+    for slot, delta, amplitudes in ((1, config.delta_eps_a, _COUPLED[:, 0]),
+                                    (2, config.delta_eps_b, _COUPLED[:, 1])):
         h[amplitudes, ..., slot, slot] = delta - 0.5j * cav.gamma
         h[amplitudes, ..., 0, slot] = h[amplitudes, ..., slot, 0] = cav.g
     return h
@@ -204,104 +202,65 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     return rho, trusted.reshape(4, n).all(axis=0)
 
 
-def _denominator_features(config: ScatteringConfig):
-    """(center, half-width) of every reflection-denominator resonance.
+def _arrow_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of symmetric arrowhead matrices (..., 3, 3) (the
+    cavity row and column, an emitter diagonal b), entry by entry from the
+    cavity's Schur complement s = a_00 - sum_k a_0k^2/b_k: v v^T/s + diag(0, 1/b)
+    with v = (1, -a_0k/b_k). A pivoted LU would lose up to cond(a) relative
+    to the largest entry, which the fallback multiplies by g^2."""
+    b = np.diagonal(a, axis1=-2, axis2=-1)[..., 1:]
+    v = np.concatenate([np.ones(b.shape[:-1] + (1,)), -a[..., 0, 1:] / b], axis=-1)
+    s = a[..., 0, 0] + (v[..., 1:] * a[..., 0, 1:]).sum(-1)
+    diag = np.concatenate([np.zeros(b.shape[:-1] + (1,)), 1.0 / b], axis=-1)
+    return v[..., :, None] * v[..., None, :] / s[..., None, None] + diag[..., None] * np.eye(3)
 
-    The zeros w = center - i*half-width of kappa/2 - i*w + sum_k g^2/r_k(w),
-    one set per amplitude, are the eigenvalues of the lossy single-excitation
-    generator: cavity at -i*kappa/2, each coupled emitter at delta_k - i*gamma/2,
-    g between the cavity and each emitter. A mode whose unit-norm eigenvector
-    has a cavity component <= 1e-12 (the dark state at delta_a == delta_b) is
-    dropped: its residue in the amplitudes is about kappa times that
-    component squared. A mode that is nearly dark (unequal detunings against
-    a Purcell-broadened bright mode, a cavity component of 8e-9 at C = 1e5)
-    still carries a residue of 2e-8 and is kept.
+
+def _matrix_function(config: ScatteringConfig, shape: tuple, rows: np.ndarray) -> np.ndarray:
+    """Density matrices (4, 4, m) of the m flat rows selected by the mask
+    `rows`, as matrix functions of their generators: no eigenbasis.
+
+    The pole sum's 4 rho_ij = 1 + t_ij + conj(t_ji) holds with
+    t_ij = -i kappa e_0^T sbar_j(H_i) I(H_i) e_0. I(H) = -i sqrt(pi/2)/sigma_p w(U),
+    U = (delta_p - H)/(sqrt(2) sigma_p), is Weideman's expansion on the matrix:
+    w(U) = (2 p(Z) + d/sqrt(pi)) d^-2 with d = L - iU and Z = 2L d^-1 - 1.
+    sbar_j(H) v = v + i kappa M^-1 v, M = H - i kappa/2 - sum_k g^2 (H - delta_k - i gamma/2)^-1
+    over the emitters k coupled in amplitude j. For H with its spectrum in the
+    closed lower half plane, exceptional point or not, all three are invertible.
     """
-    cav = config.cavity
-    features = [(0.0, cav.kappa / 2.0)]
-    for deltas in ((config.delta_eps_a,), (config.delta_eps_b,),
-                   (config.delta_eps_a, config.delta_eps_b)):
-        generator = np.diag([-0.5j * cav.kappa] + [d - 0.5j * cav.gamma for d in deltas])
-        generator[0, 1:] = generator[1:, 0] = cav.g
-        poles, modes = np.linalg.eig(generator)
-        for pole, cavity_part in zip(poles, np.abs(modes[0])):
-            if cavity_part > 1e-12:
-                features.append((float(pole.real), abs(float(pole.imag)) + 1e-12))
-    return features
+    def at(x):  # the selected rows of a field, to broadcast against (m, 3, 3)
+        return np.broadcast_to(x, shape).reshape(-1)[rows][:, None, None]
 
-
-def _frequency_panels(config: ScatteringConfig):
-    """Panel breakpoints (in pulse-normalized units t = (w - delta_p)/sigma_p)
-    covering the Gaussian envelope and refining every narrow resonance."""
-    sp = config.pulse.sigma_p
-    dp = config.pulse.delta_p
-    points = {-_T_SPAN, _T_SPAN}
-    points.update(s * x for s in (-1, 1) for x in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
-    for center, width in _denominator_features(config):
-        ct = (center - dp) / sp
-        wt = width / sp
-        if wt >= 1.0 or abs(ct) > _T_SPAN + 50.0 * wt:
-            continue  # broad relative to the pulse, or negligible weight
-        for mult in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            for s in (-1, 1):
-                x = ct + s * mult * wt
-                if -_T_SPAN < x < _T_SPAN:
-                    points.add(x)
-    pts = np.array(sorted(points))
-    keep = np.concatenate([[True], np.diff(pts) > 1e-12])
-    return pts[keep]
-
-
-def _integrate_outer(config: ScatteringConfig, panels: np.ndarray, rule) -> np.ndarray:
-    """Gaussian-weighted integrals of the amplitude outer products.
-
-    Returns the 4x4 matrix integral of s_i(w) s_j(w)* |f(w)|^2 dw evaluated
-    with the Gauss-Legendre rule (nodes, weights) on every panel.
-    """
-    x, wgt = rule
-    lo = panels[:-1][:, None]
-    hi = panels[1:][:, None]
-    t = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
-    w_quad = (0.5 * (hi - lo) * wgt[None, :]).ravel()
-    envelope = np.exp(-0.5 * t**2) / math.sqrt(2.0 * math.pi)
-    omega = config.pulse.delta_p + config.pulse.sigma_p * t
-    s = np.vstack(spin_amplitudes(config, omega))
-    weights = w_quad * envelope
-    return np.einsum("n,in,jn->ij", weights, s, s.conj())
-
-
-@functools.cache
-def _rules():
-    """The per-panel Gauss-Legendre (nodes, weights) and the doubled check rule,
-    built on first use: at import, their LAPACK call costs time and memory."""
-    return leggauss(32), leggauss(64)
-
-
-def _quadrature(config: ScatteringConfig) -> np.ndarray:
-    """The density matrix of a one-configuration config from the frequency
-    quadrature: the panels are built once and integrated with the fixed 32-
-    and 64-node rules; the 64-node result is returned, and
-    QuadratureNotConverged is raised when any element of the two differs by
-    more than 1e-10."""
-    panels = _frequency_panels(config)
-    rho, rho2 = (_integrate_outer(config, panels, rule) / 4.0 for rule in _rules())
-    change = np.abs(rho - rho2).max()
-    if change > 1e-10:
-        raise QuadratureNotConverged(
-            f"doubling quadrature nodes changed the density matrix by {change:.2e}")
-    return 0.5 * (rho2 + rho2.conj().T)
+    cav, pulse = config.cavity, config.pulse
+    kappa, scaled = at(cav.kappa), math.sqrt(2.0) * at(pulse.sigma_p)
+    h = _generators(config, shape).reshape(4, -1, 3, 3)[:, rows]
+    eye = np.eye(3)
+    scale, coeff = _weideman()
+    inv_d = linalg.solve((scale - 1j * at(pulse.delta_p) / scaled) * eye + 1j * h / scaled, eye)
+    big_z = 2.0 * scale * inv_d - eye
+    y = inv_d[..., 0]                                # d^-1 e_0
+    y2 = np.einsum("...ab,...b->...a", inv_d, y)     # d^-2 e_0
+    p = coeff[-1] * y2
+    for c in coeff[-2::-1]:
+        p = np.einsum("...ab,...b->...a", big_z, p) + c * y2
+    u = -1j * math.sqrt(math.pi) / scaled[..., 0] * (2.0 * p + y / math.sqrt(math.pi))
+    shifts = np.stack([at(config.delta_eps_a), at(config.delta_eps_b)]) + 0.5j * at(cav.gamma)
+    resolvents = _arrow_inverse(h[:, None] - shifts * eye)            # (4_i, 2_k, m, 3, 3)
+    m = (h[:, None] - 0.5j * kappa * eye
+         - at(cav.g)**2 * np.einsum("jk,ik...->ij...", _COUPLED, resolvents))   # (4_i, 4_j, ...)
+    x = linalg.solve(m, u[:, None])
+    t = -1j * kappa[:, 0, 0] * (u[:, None, :, 0] + 1j * kappa[:, 0, 0] * x[..., 0])
+    return 0.25 * (1.0 + t + np.conj(np.swapaxes(t, 0, 1)))
 
 
 def _density_matrices(config: ScatteringConfig):
     """(rho of the config's broadcast shape + (4, 4), mask of the rows that
-    took the quadrature)."""
+    took the matrix-function fallback)."""
     shape = config_shape(config)
     rho, trusted = _pole_sum(config, shape)
-    flat = rho.reshape(4, 4, -1)
-    fallback = ~trusted
-    for i in fallback.nonzero()[0]:
-        flat[:, :, i] = _quadrature(config_row(config, shape, np.unravel_index(i, shape)))
-    return np.moveaxis(rho, (0, 1), (-2, -1)), fallback.reshape(shape)
+    flat, fallback = rho.reshape(4, 4, -1), ~trusted
+    if fallback.any():
+        flat[:, :, fallback] = _matrix_function(config, shape, fallback)
+    return np.moveaxis(flat.reshape(rho.shape), (0, 1), (-2, -1)), fallback.reshape(shape)
 
 
 def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
@@ -316,16 +275,17 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     Gaussian average of each pole term a Faddeeva function w(z) (see the
     module docstring). Over 9,000 random configs (C from 1 to 1e5, g/kappa
     from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma)
-    it agrees with the quadrature to 1.4e-14. Its error bound grows as
-    cond^2 * machine epsilon towards an exceptional point of a generator;
-    measured, it stays below 5e-14 up to a Frobenius cond of 910 (2-norm
-    743), just inside the trust limit. A row whose eigenbasis
+    it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its error bound
+    grows as cond^2 * machine epsilon towards an exceptional point of a
+    generator; measured, it stays below 5e-14 up to a Frobenius cond of 910
+    (2-norm 743), just inside the trust limit. The rows whose eigenbasis
     `linalg.eigenbasis` does not trust (cond at or past its limit; at the
     exceptional point itself, cond ~ 1e8 and the pole sum is off by up to
-    9e-9), or that has a pole rounded above the real axis, takes the
-    Gauss-Legendre quadrature, one row at a time: panels refined around the
-    poles, fixed 32- and 64-node rules, and QuadratureNotConverged when the
-    two differ by more than 1e-10 in any element.
+    9e-9), or that have a pole rounded above the real axis, take the
+    matrix-function form of the same sum, in one stacked evaluation. It is
+    within 3e-16 of an adaptive quadrature at an exceptional point, but off
+    the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole sum
+    is the more accurate.
     """
     return _density_matrices(config)[0]
 
@@ -340,8 +300,8 @@ def fidelity_numeric_batch(config: ScatteringConfig) -> GateResults:
     of rho by e^{-(8/3) Gamma T}, which reproduces F = 1 - Gamma*T to first
     order. The reduced-state trace is reported as the heralding probability
     proxy. F^2 and the trace are clamped into [0, 1] (rows marked
-    "clamped"), and rows that took the quadrature are marked
-    "quadrature fallback".
+    "clamped"), and rows that took the matrix-function form are marked
+    "matrix-function fallback".
     """
     t_gate = config.pulse.gate_time
     rho, fallback = _density_matrices(config)
@@ -351,7 +311,7 @@ def fidelity_numeric_batch(config: ScatteringConfig) -> GateResults:
     # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
     f2 = np.exp(decay) * coherent - np.expm1(decay) * trace / 4.0
     return gate_results(np.copysign(np.sqrt(np.abs(f2)), f2), t_gate, Method.NUMERIC_AMPLITUDE,
-                        {"quadrature fallback": fallback}, success_probability=trace)
+                        {"matrix-function fallback": fallback}, success_probability=trace)
 
 
 def fidelity_numeric(config: ScatteringConfig) -> GateResult:
@@ -371,11 +331,14 @@ def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
     Valid for C >> 1 and delta_p, sigma_p small against gamma*C (and
     delta_eps small against gamma); rows outside that domain carry the note
     "outside validity domain" and emit a ValidityWarning. Fidelities are
-    clamped to [0, 1] (rows marked "clamped"); a one-configuration config
-    whose terms overflow raises NonFinite.
+    clamped to [0, 1] (rows marked "clamped"). A C that underflows to 0, and
+    any row whose terms overflow, raise NonFinite.
     """
     cav = config.cavity
     c = cav.cooperativity
+    if any_row(c == 0):
+        raise NonFinite("closed-form scattering fidelity divides by the cooperativity, "
+                        "and C = 4 g^2/(kappa gamma) underflows to 0")
     gamma = cav.gamma
     pulse = config.pulse
     t_gate = pulse.gate_time
@@ -385,18 +348,21 @@ def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
     if any_row(outside):
         warnings.warn("inputs outside the closed-form validity domain "
                       "(C >> 1, detunings small against gamma*C)", ValidityWarning, stacklevel=2)
-    u = (2.0 * cav.g / cav.kappa) ** 2
-    bracket = 11.0 - 20.0 * u + 12.0 * u**2
     try:
-        fidelity = (
-            1.0
-            - 5.0 / (4.0 * c)
-            - (pulse.delta_p**2 + pulse.sigma_p**2) / (8.0 * scale**2) * bracket
-            - (config.delta_eps_a - config.delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
-            - config.gamma_eff * t_gate
-        )
-    except OverflowError as exc:  # a float ** past the double range
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u = (2.0 * cav.g / cav.kappa) ** 2
+            bracket = 11.0 - 20.0 * u + 12.0 * u**2
+            fidelity = (
+                1.0
+                - 5.0 / (4.0 * c)
+                - (pulse.delta_p**2 + pulse.sigma_p**2) / (8.0 * scale**2) * bracket
+                - (config.delta_eps_a - config.delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
+                - config.gamma_eff * t_gate
+            )
+    except (OverflowError, ZeroDivisionError) as exc:  # float arithmetic past the double range
         raise NonFinite(f"closed-form scattering fidelity overflows: {exc}") from None
+    if not all_rows(np.isfinite(fidelity)):
+        raise NonFinite("closed-form scattering fidelity overflows in some rows")
     return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside})
 
 

@@ -54,13 +54,6 @@ def test_resonant_degeneracy_after_tuning():
     assert ham2.h_up_down[2, 2] == pytest.approx(-(4.0 - 1.0) / cfg2.detuning)
 
 
-def test_tune_partner_detuning_values():
-    assert ex.tune_partner_detuning(10.0, 1.0, 0.5, 0.0) == pytest.approx(10.075)
-    assert ex.tune_partner_detuning(10.0, 1.0, 1.0, 3.0) == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        ex.tune_partner_detuning(10.0, 1.0, 0.5, math.inf)
-
-
 def test_tuning_maximizes_phase_fidelity():
     # the resonance-error argmax of F_pi sits at zero error, up to the
     # higher-order phase mismatch between the two sectors (~0.06 g^2/Delta)

@@ -11,11 +11,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cavity_gates.__file__)))
 def test_package_imports_without_scipy():
     """scipy is a test-only dependency: importing the package, its CLI and
     its figure builders must not load it. Nor may they load `concurrent`
-    (an eager thread pool), `logging` or `configparser` (the config reader
-    is `config._read_ini`), which cost start-up time and memory."""
+    (an eager thread pool), `logging`, `configparser` (the config reader
+    is `config._read_ini`) or `numpy.polynomial`, which cost start-up time
+    and memory."""
     code = ("import sys, cavity_gates, cavity_gates.cli, cavity_gates.figures; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging', 'configparser')))")
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging', 'configparser') "
+            "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavity_gates import linalg
-from cavity_gates.errors import NonFinite
+from cavity_gates.errors import ConvergenceFailure, NonFinite
 
 
 def random_complex(shape, rng, scale=1.0):
@@ -222,3 +222,25 @@ def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
             out = linalg.propagate(h, psi, 0.7)
         for i in range(3):
             assert np.abs(out[i] - linalg._expm_squaring(-0.7j * h[i]) @ psi[i]).max() < 1e-12
+
+
+def test_solve_stacks_of_vectors_and_matrices():
+    """`solve` takes a stack of vectors (one axis fewer than the matrices)
+    or of matrices, refuses NaN or Inf with NonFinite and a singular matrix
+    with ConvergenceFailure."""
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
+    b = rng.normal(size=(2, 5, 3))
+    x = linalg.solve(a, b)
+    assert x.shape == (2, 5, 3)
+    assert np.abs(np.einsum("...ij,...j->...i", a, x) - b).max() < 1e-12
+    inverse = linalg.solve(a, np.eye(3))
+    assert np.abs(a @ inverse - np.eye(3)).max() < 1e-12
+    with pytest.raises(NonFinite):
+        linalg.solve(np.where(np.eye(3), np.nan, a), b)
+    with pytest.raises(NonFinite):
+        linalg.solve(a, np.full_like(b, np.inf))
+    singular = a.copy()
+    singular[1, 2, 0] = 0.0
+    with pytest.raises(ConvergenceFailure):
+        linalg.solve(singular, b)

@@ -5,7 +5,7 @@ import pytest
 
 from cavity_gates import lindblad as lb
 from cavity_gates import linalg
-from cavity_gates.errors import ConvergenceFailure, DegenerateBranch, NonFinite
+from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, build_hamiltonians,
                                    fidelity_numeric_exchange, optimal_detuning)
 from cavity_gates.params import CavitySystem
@@ -126,35 +126,40 @@ def test_trace_preserved_while_trajectory_decays():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)  # recycling restores it
 
 
+def trajectory_branches(gos):
+    """No-jump and failure branches of the master-equation solution:
+    p = ||phi(T)||^2, F_0 = |<ideal|phi(T)>|/sqrt(p), the failure state
+    rho_fail = (rho - |phi><phi|)/(1 - p) (positive semidefinite) and
+    F_fail = sqrt(<ideal| rho_fail |ideal>)."""
+    phi, rho = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    p = float(np.vdot(phi, phi).real)
+    assert 1.0 - p > 1e-6
+    rho_fail = (rho - np.outer(phi, phi.conj())) / (1.0 - p)
+    assert np.linalg.eigvalsh(0.5 * (rho_fail + rho_fail.conj().T)).min() > -1e-8
+    f_success = abs(np.vdot(gos.ideal, phi)) / math.sqrt(p)
+    f_fail = math.sqrt(max(float(np.vdot(gos.ideal, rho_fail @ gos.ideal).real), 0.0))
+    return p, f_success, f_fail, rho
+
+
 def test_decomposition_identity_and_branches():
     gos = mild_raman_gos()
-    branches = lb.trajectory_decomposition(gos.system, gos.psi0, gos.ideal, gos.gate_time)
-    _, rho = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    p, f_success, f_fail, rho = trajectory_branches(gos)
     f_direct = math.sqrt(float(np.vdot(gos.ideal, rho @ gos.ideal).real))
-    combined = math.sqrt(branches.success_probability * branches.fidelity_success**2
-                         + (1 - branches.success_probability) * branches.fidelity_fail**2)
+    combined = math.sqrt(p * f_success**2 + (1 - p) * f_fail**2)
     assert combined == pytest.approx(f_direct, abs=1e-6)
 
 
-def test_degenerate_branch_without_decay():
-    h = np.diag([0.0, 1.0]).astype(complex)
-    system = lb.OpenSystem(h, ((0.0, np.zeros((2, 2))),))
-    with pytest.raises(DegenerateBranch):
-        lb.trajectory_decomposition(system, np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
-
-
 def test_raman_failure_branch_half_fidelity():
-    gos = mild_raman_gos(cooperativity=2000.0)
-    branches = lb.trajectory_decomposition(gos.system, gos.psi0, gos.ideal, gos.gate_time)
-    assert branches.fidelity_fail == pytest.approx(0.5, abs=0.05)
+    _, _, f_fail, _ = trajectory_branches(mild_raman_gos(cooperativity=2000.0))
+    assert f_fail == pytest.approx(0.5, abs=0.05)
 
 
 def test_exchange_failure_branch_vanishes():
     cav = CavitySystem.from_cooperativity(2000.0, 0.1, 1.0)
     cfg = ExchangeConfig(cav, detuning=optimal_detuning(cav.kappa, 2000.0))
     gos = lb.exchange_open_system(cfg)
-    branches = lb.trajectory_decomposition(gos.system, gos.psi0, gos.ideal, gos.gate_time)
-    assert branches.fidelity_fail < 1e-8
+    _, _, f_fail, _ = trajectory_branches(gos)
+    assert f_fail < 1e-8
     # hence the no-jump treatment is exact for this scheme
     f_lind = lb.gate_fidelity_lindblad(gos).fidelity
     f_nh = fidelity_numeric_exchange(cfg).fidelity

@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cavity_gates.errors import DivergentDenominator, QuadratureNotConverged, ValidityWarning
+from cavity_gates.errors import DivergentDenominator, NonFinite, ValidityWarning
 from cavity_gates.params import CavitySystem
-from cavity_gates import linalg, scattering as sc
+from cavity_gates import figures, linalg, scattering as sc
 
 
 def make_config(cooperativity=4000.0, g_over_kappa=0.1, gate_time=2.0, delta_p=0.0,
@@ -202,6 +202,30 @@ def test_fidelity_analytic_warns_outside_validity():
         sc.fidelity_analytic(cfg)
 
 
+@pytest.mark.parametrize("g", [1e-200, np.array([1.0, 1e-200])], ids=["scalar", "array"])
+def test_fidelity_analytic_zero_cooperativity_raises(g):
+    """A C that underflows to 0 (g^2 = 0) raises NonFinite naming C = 0,
+    not a ZeroDivisionError or an inf row."""
+    cfg = sc.ScatteringConfig(CavitySystem(g=g, kappa=1.0, gamma=1.0),
+                              sc.PhotonPulse.from_gate_time(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(NonFinite, match="C = 4 g"):
+            sc.fidelity_analytic_batch(cfg)
+
+
+@pytest.mark.parametrize("delta_p", [1e160, np.array([30.0, 1e160])], ids=["scalar", "array"])
+def test_fidelity_analytic_overflow_raises_for_every_shape(delta_p):
+    """A row whose closed-form terms overflow raises NonFinite whether it
+    comes alone or in an array config, with no RuntimeWarning."""
+    cav = CavitySystem.from_cooperativity(1000.0, 0.1, 1.0)
+    cfg = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(1.0, delta_p=delta_p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(NonFinite, match="overflows"):
+            sc.fidelity_analytic_batch(cfg)
+
+
 def test_spectral_wandering_average_equals_substitution():
     # Gaussian averaging over delta_p with std sigma_star equals replacing
     # delta_p by sigma_star; exact because the fidelity is linear in delta_p^2
@@ -237,65 +261,18 @@ def test_optimal_gate_time_matches_analytic_argmax():
 
 
 def test_quadrature_converges_in_strong_coupling(monkeypatch):
-    # narrow polariton dips inside the pulse envelope must not break the
-    # node-doubling convergence check of the quadrature, which every row
-    # takes once no eigenbasis is trusted
-    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
-    cfg = make_config(g_over_kappa=10.0, gate_time=2.0, delta_p=100.0)
-    rho = sc.reduced_density_matrix(cfg)
-    assert float(np.trace(rho).real) <= 1.0 + 1e-9
-
-
-def test_unrefined_panels_fail_the_doubling_check(monkeypatch):
-    """Without the pole refinement the narrow polariton dips of the
-    strong-coupling case are under-resolved: the 32/64-node check raises
-    instead of returning a number. No eigenbasis is trusted, so every row
-    takes the quadrature."""
-    cfg = make_config(g_over_kappa=10.0, gate_time=2.0, delta_p=100.0)
-    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
-    monkeypatch.setattr(sc, "_frequency_panels", lambda config: np.array([-8.0, 8.0]))
-    with pytest.raises(QuadratureNotConverged):
-        sc.reduced_density_matrix(cfg)
-    with pytest.raises(QuadratureNotConverged):
-        sc.fidelity_numeric(cfg)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(1.0, 1e5), st.floats(0.01, 10.0), st.floats(-100.0, 100.0),
-       st.floats(-100.0, 100.0))
-@example(4000.0, 0.1, 0.0, 0.0)
-@example(100.0, 2.0, 3.5, 3.5)
-def test_denominator_features_are_reflection_poles(cooperativity, g_over_kappa, delta_a, delta_b):
-    """The bare cavity gives the first feature; every other feature
-    w = center - i*half-width zeroes the reflection denominator of its
-    emitter set (a, b, both). At equal detunings the two-emitter dark state
-    is decoupled from the cavity and is not a feature (7 in all); emitters
-    at least gamma apart give all 8. The denominator is cleared of its
-    emitter factors r_k = gamma/2 + i(delta_k - w), and the residual is
-    taken relative to the size of its coefficients at |w| (the root's
-    backward error). The 1e-12 floor that keeps those half-widths positive
-    is taken off first."""
-    cfg = make_config(cooperativity, g_over_kappa, delta_eps_a=delta_a, delta_eps_b=delta_b)
-    cav = cfg.cavity
-    features = sc._denominator_features(cfg)
-    assert len(features) in (7, 8)
-    if delta_a == delta_b:
-        assert len(features) == 7
-    elif abs(delta_a - delta_b) >= cav.gamma:
-        assert len(features) == 8
-    assert features[0] == (0.0, cav.kappa / 2)
-    emitter_sets = [(delta_a,)] * 2 + [(delta_b,)] * 2 + [(delta_a, delta_b)] * 3
-    for (center, half_width), deltas in zip(features[1:], emitter_sets):
-        w = center - 1j * (half_width - 1e-12)
-
-        def cleared(cavity_factor, emitter_factors):
-            others = [np.prod(emitter_factors[:k] + emitter_factors[k + 1:])
-                      for k in range(len(emitter_factors))]
-            return cavity_factor * np.prod(emitter_factors) + cav.g**2 * sum(others)
-
-        value = cleared(cav.kappa / 2 - 1j * w, [cav.gamma / 2 + 1j * (d - w) for d in deltas])
-        size = cleared(cav.kappa / 2 + abs(w), [cav.gamma / 2 + abs(d) + abs(w) for d in deltas])
-        assert abs(value) <= 1e-10 * size
+    """With no eigenbasis trusted, every row of the fig2a-c grids (narrow
+    polariton dips inside the pulse envelope at g/kappa up to 10 among them)
+    takes the matrix-function fallback, and every cell stays within 1e-12
+    relative of the pole sum's."""
+    names = ("fig2a", "fig2b", "fig2c")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        pole_sum = [figures.build_figure(name).rows for name in names]
+        monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
+        forced = [figures.build_figure(name).rows for name in names]
+    for rows, reference in zip(forced, pole_sum):
+        np.testing.assert_allclose(rows, reference, rtol=1e-12, atol=0.0)
 
 
 def test_cooperativity_limited_max_formula():
@@ -336,6 +313,25 @@ def test_faddeeva_matches_mpmath(z):
     assert abs(complex(sc._faddeeva(z)) - ref) <= 1e-13 * abs(ref)
 
 
+def quadrature_reference(cfg, span=12.0):
+    """Independent oracle: rho from scipy's adaptive `quad_vec` of the
+    amplitude outer products over the Gaussian pulse, in t = (omega -
+    delta_p)/sigma_p on |t| <= span, with breakpoints at the real parts of
+    the generator poles."""
+    from scipy.integrate import quad_vec
+
+    sigma, delta_p = cfg.pulse.sigma_p, cfg.pulse.delta_p
+    poles = np.linalg.eigvals(sc._generators(cfg, ()).reshape(4, 3, 3)).ravel()
+    points = np.unique((poles.real - delta_p) / sigma)
+
+    def integrand(t):
+        s = np.array(sc.spin_amplitudes(cfg, delta_p + sigma * t))
+        return math.exp(-0.5 * t * t) / math.sqrt(32.0 * math.pi) * np.outer(s, s.conj())
+
+    return quad_vec(integrand, -span, span, epsabs=1e-13, epsrel=0.0, norm="max",
+                    points=points[abs(points) < span], limit=10_000)[0]
+
+
 def generator_cond(cfg):
     """The largest eigenvector condition number of a config's four generators."""
     start = np.zeros((4, 3))
@@ -351,24 +347,44 @@ def generator_cond(cfg):
          0.33513733476497287, 0.2777630102690055)   # a nearly dark mode, residue 2e-8
 def test_pole_sum_matches_quadrature(cooperativity, g_over_kappa, delta_p, gate_time,
                                      delta_a, delta_b):
-    """The pole sum against the kept Gauss-Legendre path, within
+    """The pole sum against an adaptive quadrature, within
     1e-12 + 1e-16 cond^2 (the pole sum loses about cond^2 * machine epsilon
     near an exceptional point); delta_b = None puts both emitters at delta_a."""
     cfg = make_config(cooperativity, g_over_kappa, gate_time, delta_p, 0.0, delta_a,
                       delta_a if delta_b is None else delta_b)
-    change = np.abs(sc.reduced_density_matrix(cfg) - sc._quadrature(cfg)).max()
+    change = np.abs(sc.reduced_density_matrix(cfg) - quadrature_reference(cfg)).max()
     assert change <= 1e-12 + 1e-16 * generator_cond(cfg) ** 2
 
 
-def spy_on_quadrature(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(cooperativity=st.floats(1.0, 1e5), g_over_kappa=st.floats(0.01, 10.0),
+       delta_p=st.floats(-100.0, 100.0), gate_time=st.floats(0.1, 50.0),
+       delta_a=st.floats(-0.5, 0.5), delta_b=st.none() | st.floats(-0.5, 0.5))
+def test_forced_fallback_matches_pole_sum(cooperativity, g_over_kappa, delta_p, gate_time,
+                                          delta_a, delta_b):
+    """On rows whose eigenbasis is trusted, the matrix-function fallback,
+    forced by a zero trust limit, agrees with the pole sum to 1e-11."""
+    cfg = make_config(cooperativity, g_over_kappa, gate_time, delta_p, 0.0, delta_a,
+                      delta_a if delta_b is None else delta_b)
+    assume(generator_cond(cfg) < linalg.EIG_COND_LIMIT)
+    pole_sum = sc.reduced_density_matrix(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
+        assert sc.fidelity_numeric(cfg).notes == ("matrix-function fallback",)
+        change = np.abs(sc.reduced_density_matrix(cfg) - pole_sum).max()
+    assert change <= 1e-11
+
+
+def spy_on_fallback(monkeypatch):
+    """Record the row mask of every matrix-function fallback call."""
     calls = []
-    quadrature = sc._quadrature
+    fallback = sc._matrix_function
 
-    def spy(config):
-        calls.append(config)
-        return quadrature(config)
+    def spy(config, shape, rows):
+        calls.append(rows.tolist())
+        return fallback(config, shape, rows)
 
-    monkeypatch.setattr(sc, "_quadrature", spy)
+    monkeypatch.setattr(sc, "_matrix_function", spy)
     return calls
 
 
@@ -379,24 +395,27 @@ def spy_on_quadrature(monkeypatch):
 def test_exceptional_point_row_takes_quadrature(monkeypatch, cavity):
     """At a generator's exceptional point (resonant emitters) `linalg` does
     not trust the eigenbasis: that row, and only that row, takes the
-    quadrature and says so, and its density matrix is the quadrature's."""
-    calls = spy_on_quadrature(monkeypatch)
+    matrix-function fallback and says so, and its density matrix is within
+    1e-13 of an adaptive quadrature (the pole sum is off by about 0.25 there)."""
+    calls = spy_on_fallback(monkeypatch)
     detuning = np.array([0.0, 0.3])
     cfg = sc.ScatteringConfig(cavity, sc.PhotonPulse.from_gate_time(20.0, delta_p=0.5),
                               delta_eps_a=detuning, delta_eps_b=detuning)
     assert generator_cond(dataclasses.replace(cfg, delta_eps_a=0.0, delta_eps_b=0.0)) > 1e6
     assert generator_cond(dataclasses.replace(cfg, delta_eps_a=0.3, delta_eps_b=0.3)) < 10
     rho = sc.reduced_density_matrix(cfg)
-    assert [c.delta_eps_a for c in calls] == [0.0]
-    assert np.array_equal(rho[0], sc._quadrature(calls[0]))
+    assert calls == [[True, False]]
+    at_ep = dataclasses.replace(cfg, delta_eps_a=0.0, delta_eps_b=0.0)
+    assert np.abs(rho[0] - quadrature_reference(at_ep)).max() <= 1e-13
     batch = sc.fidelity_numeric_batch(cfg)
-    assert [batch[i].notes for i in range(2)] == [("quadrature fallback",), ()]
+    assert [batch[i].notes for i in range(2)] == [("matrix-function fallback",), ()]
 
 
 def test_pole_above_the_real_axis_takes_quadrature(monkeypatch):
     """I(lambda) is the Faddeeva form for Im lambda <= 0 only. Rounding can
     put a pole just above the real axis (seen for gamma = 4e-11 against an
-    emitter detuning of 3e10); such a row takes the quadrature."""
+    emitter detuning of 3e10); such a row takes the matrix-function fallback,
+    which needs no poles, and matches an adaptive quadrature to 1e-13."""
     eigenbasis = linalg.eigenbasis
 
     def lifted(h, psi):
@@ -404,9 +423,11 @@ def test_pole_above_the_real_axis_takes_quadrature(monkeypatch):
         return basis._replace(values=basis.values.real + 1e-9j)
 
     monkeypatch.setattr(linalg, "eigenbasis", lifted)
-    calls = spy_on_quadrature(monkeypatch)
-    assert sc.fidelity_numeric(make_config()).notes == ("quadrature fallback",)
-    assert len(calls) == 1
+    calls = spy_on_fallback(monkeypatch)
+    cfg = make_config()
+    assert sc.fidelity_numeric(cfg).notes == ("matrix-function fallback",)
+    assert calls == [[True]]
+    assert np.abs(sc.reduced_density_matrix(cfg) - quadrature_reference(cfg)).max() <= 1e-13
 
 
 def test_clamped_rows_are_marked(monkeypatch):
@@ -445,10 +466,10 @@ def test_batch_rows_match_one_row_calls():
 
 def test_cavity_rows_match_one_row_calls(monkeypatch):
     """A cavity per row: the numeric and the analytic batch equal their
-    one-row calls. Row 0 sits at an exceptional point, so its fallback
-    quadrature must run on that row's own cavity; row 2 (C = 2, a large
-    Gamma*T) is outside the closed form's domain and clamped."""
-    calls = spy_on_quadrature(monkeypatch)
+    one-row calls. Row 0 sits at an exceptional point, so it alone takes the
+    matrix-function fallback, which must use that row's own cavity; row 2
+    (C = 2, a large Gamma*T) is outside the closed form's domain and clamped."""
+    calls = spy_on_fallback(monkeypatch)
     cavities = CavitySystem(g=np.array([1.0, 2000.0, 1.0]), kappa=np.array([5.0, 4000.0, 2.0]),
                             gamma=1.0)
     cfg = sc.ScatteringConfig(cavities, sc.PhotonPulse.from_gate_time(20.0, delta_p=0.5),
@@ -456,8 +477,8 @@ def test_cavity_rows_match_one_row_calls(monkeypatch):
     with pytest.warns(ValidityWarning):
         analytic = sc.fidelity_analytic_batch(cfg)
     numeric = sc.fidelity_numeric_batch(cfg)
-    assert [c.cavity for c in calls] == [CavitySystem(1.0, 5.0, 1.0)]
-    assert numeric[0].notes == ("quadrature fallback",)
+    assert calls == [[True, False, False]]
+    assert numeric[0].notes == ("matrix-function fallback",)
     assert analytic[2].notes == ("outside validity domain", "clamped")
     for i in range(3):
         one_row = sc.ScatteringConfig(
