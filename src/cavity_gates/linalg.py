@@ -15,9 +15,10 @@ rows to Taylor scaling-and-squaring, one row at a time;
 scattering pole sum takes its poles and residues from it and sends
 untrusted rows to a matrix function of the generators, built on `solve`.
 No stack is split here: the callers size it (`exchange.phase_fidelity`
-passes at most 1,024 generators; the scattering pole sum passes four per
-row of its config, in one call), and callers may run their stacks on
-several threads; numpy's linalg gufuncs release the GIL.
+passes at most 1,024 generators; the scattering pole sum passes one 3x3
+generator per row of its config in one call and two 2x2 ones per row in
+another), and callers may run their stacks on several threads; numpy's
+linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 

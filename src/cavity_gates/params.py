@@ -181,9 +181,9 @@ def broadcast_shape(*values) -> tuple:
 def config_shape(config) -> tuple:
     """Broadcast shape of a config dataclass's array fields, those of the
     configs it holds (cavity, pulse) included; () for one configuration."""
-    return np.broadcast_shapes(*(
-        config_shape(value) if dataclasses.is_dataclass(value) else np.shape(value)
-        for value in vars(config).values()))
+    shapes = [config_shape(value) if dataclasses.is_dataclass(value) else np.shape(value)
+              for value in vars(config).values()]
+    return np.broadcast_shapes(*shapes) if any(shapes) else ()
 
 
 def one_configuration(config):

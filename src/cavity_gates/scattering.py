@@ -10,8 +10,12 @@ and bandwidth relative to gamma*C.
 
 The numeric path needs no frequency quadrature. Each amplitude is rational
 in omega, s_i = 1 + sum_k a_ik/(omega - lambda_ik), with its poles lambda_ik
-the eigenvalues of a lossy cavity-emitter generator; `linalg.eigenbasis`
-gives the poles and residues of all four amplitudes in one stacked call.
+the eigenvalues of the lossy generator of the cavity and the emitters that
+couple in it (only spin-up emitters do). `linalg.eigenbasis` gives the
+poles and residues of s_uu (cavity and two emitters) in one stacked call
+of 3x3 generators, and those of s_ud and s_du (cavity and one emitter) in
+one stacked call of 2x2 generators; s_dd, the bare cavity, has the one
+pole -i*kappa/2 with residue -i*kappa and needs no eigensolve.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -124,10 +128,10 @@ def spin_amplitudes(config: ScatteringConfig, omega):
     term_a = cav.g**2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
     term_b = cav.g**2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
     denoms = (bare + term_a + term_b, bare + term_a, bare + term_b, bare)
-    if any(np.any(np.abs(d) < 1e-300) for d in denoms):
+    if any((abs(d) < 1e-300).any() for d in denoms):
         raise DivergentDenominator("reflection denominator vanished")
     ratios = (1.0 - cav.kappa / d for d in denoms)
-    return tuple(complex(r) if np.ndim(r) == 0 else r for r in ratios)
+    return tuple(complex(r) if r.ndim == 0 else r for r in ratios)
 
 
 @functools.cache
@@ -149,8 +153,9 @@ def _faddeeva(z):
     d = scale - 1j * z
     big_z = (scale + 1j * z) / d
     p = np.full_like(big_z, coeff[-1])
-    for c in coeff[-2::-1]:
-        p = p * big_z + c
+    for c in coeff[-2::-1]:   # in place: for a few poles the loop is call overhead
+        p *= big_z
+        p += c
     return (2.0 * p / d + 1.0 / math.sqrt(math.pi)) / d
 
 
@@ -162,44 +167,73 @@ def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
     cav = config.cavity
     h = np.zeros((4,) + shape + (3, 3), dtype=complex)
     h[..., 0, 0] = -0.5j * cav.kappa
-    for slot, delta, amplitudes in ((1, config.delta_eps_a, _COUPLED[:, 0]),
-                                    (2, config.delta_eps_b, _COUPLED[:, 1])):
+    # emitter a is coupled in (s_uu, s_ud), emitter b in (s_uu, s_du): see _COUPLED
+    for slot, delta, amplitudes in ((1, config.delta_eps_a, slice(0, 2)),
+                                    (2, config.delta_eps_b, slice(0, 3, 2))):
         h[amplitudes, ..., slot, slot] = delta - 0.5j * cav.gamma
         h[amplitudes, ..., 0, slot] = h[amplitudes, ..., slot, 0] = cav.g
     return h
+
+
+def _coupled_generators(config: ScatteringConfig, shape: tuple):
+    """The stacks the pole sum eigensolves, each amplitude over its coupled
+    states only: s_uu's generators (n, 3, 3), and s_ud's (cavity, emitter a)
+    blocks followed by s_du's (cavity, emitter b) blocks (2n, 2, 2), with
+    n = prod(shape). s_dd couples no emitter and has no stack."""
+    n = math.prod(shape)
+    h = _generators(config, shape)
+    pairs = np.stack([h[1, ..., :2, :2], h[2, ..., ::2, ::2]])
+    return h[0].reshape(n, 3, 3), pairs.reshape(2 * n, 2, 2)
+
+
+#: which amplitude (s_uu, s_ud, s_du, s_dd) owns each of the eight poles of `_pole_sum`
+_POLE_OWNER = np.repeat(np.eye(4), (3, 2, 2, 1), axis=1)
 
 
 def _pole_sum(config: ScatteringConfig, shape: tuple):
     """Density matrices (4, 4) + shape of the pole sum, and the rows (flat,
     of size prod(shape)) whose eigenbasis `linalg` trusts.
 
-    s_i = 1 + sum_k a_ik/(omega - lambda_ik), with a_ik = -i kappa V[0,k] (V^-1 e_0)_k,
-    and s_i s_j* has simple poles only, so
+    s_i = 1 + sum_k a_ik/(omega - lambda_ik) over the poles of amplitude i:
+    the eigenvalues of its coupled generator (three for s_uu, two each for
+    s_ud and s_du, from one `linalg.eigenbasis` call per stack of
+    `_coupled_generators`), with a_ik = -i kappa V[0,k] (V^-1 e_0)_k, and for
+    s_dd the bare cavity pole -i kappa/2 with residue -i kappa. s_i s_j* has
+    simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
     sbar_j(x) = conj(s_j(conj x)) and I(lambda) = integral N(omega)/(omega - lambda) d omega
     = conj(i sqrt(pi/2)/sigma_p w(z)), z = (conj(lambda) - delta_p)/(sqrt(2) sigma_p).
     """
     n = math.prod(shape)
-    h = _generators(config, shape).reshape(4 * n, 3, 3)
-    start = np.zeros((4 * n, 3))
-    start[:, 0] = 1.0
-    basis = linalg.eigenbasis(h, start)
-
-    def rows_last(x):  # (4n, 3) -> (4, 3) + shape
-        return np.moveaxis(x.reshape((4,) + shape + (3,)), -1, 1)
-
-    poles = rows_last(basis.values)
-    residues = -1j * config.cavity.kappa * rows_last(basis.vectors[:, 0, :] * basis.coeff)
-    sbar = np.conj(spin_amplitudes(config, np.conj(poles)))   # (4_j, 4_i, 3_k) + shape
-    sigma = config.pulse.sigma_p
-    z = (np.conj(poles) - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
-    weights = residues * np.conj(1j * math.sqrt(0.5 * math.pi) / sigma * _faddeeva(z))
-    t = np.einsum("ik...,jik...->ij...", weights, sbar)
-    rho = 0.25 * (1.0 + t + np.conj(np.swapaxes(t, 0, 1)))
-    # I(lambda) above needs Im lambda <= 0, which rounding can break for an
+    kappa = config.cavity.kappa
+    # the poles of s_uu, s_ud, s_du and s_dd in turn, as `_POLE_OWNER` lists them
+    poles = np.empty((8,) + shape, dtype=complex)
+    residues = np.empty_like(poles)   # divided by -i kappa until scaled below
+    trusted = np.ones(n, dtype=bool)
+    for h, count, owned in zip(_coupled_generators(config, shape), (1, 2),
+                               (slice(0, 3), slice(3, 7))):
+        start = np.zeros(h.shape[:2])
+        start[:, 0] = 1.0
+        basis = linalg.eigenbasis(h, start)
+        k = h.shape[-1]
+        for out, x in ((poles, basis.values), (residues, basis.vectors[:, 0, :] * basis.coeff)):
+            out[owned] = x.reshape(count, n, k).transpose(0, 2, 1).reshape((count * k,) + shape)
+        trusted &= basis.trusted.reshape(count, n).all(axis=0)
+    poles[7] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
+    residues[7] = 1.0
+    residues *= -1j * kappa
+    # I(lambda) below needs Im lambda <= 0, which rounding can break for an
     # emitter whose gamma is below machine epsilon times the generator's norm
-    trusted = basis.trusted & (basis.values.imag <= 0.0).all(axis=1)
-    return rho, trusted.reshape(4, n).all(axis=0)
+    trusted &= (poles.imag <= 0.0).all(axis=0).reshape(n)
+    mirrored = np.conj(poles)
+    sbar = np.conj(spin_amplitudes(config, mirrored))   # (4_j, 8_k) + shape
+    sigma = config.pulse.sigma_p
+    z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
+    weights = residues * np.conj(1j * math.sqrt(0.5 * math.pi) / sigma * _faddeeva(z))
+    # t_ij sums amplitude i's poles; the other poles add exact zeros
+    t = np.einsum("ik,k...,jk...->ij...", _POLE_OWNER, weights, sbar)
+    rho = 0.25 * (1.0 + t + np.conj(np.swapaxes(t, 0, 1)))
+    return rho, trusted
 
 
 def _arrow_inverse(a: np.ndarray) -> np.ndarray:
@@ -260,7 +294,7 @@ def _density_matrices(config: ScatteringConfig):
     flat, fallback = rho.reshape(4, 4, -1), ~trusted
     if fallback.any():
         flat[:, :, fallback] = _matrix_function(config, shape, fallback)
-    return np.moveaxis(flat.reshape(rho.shape), (0, 1), (-2, -1)), fallback.reshape(shape)
+    return rho.transpose(tuple(range(2, rho.ndim)) + (0, 1)), fallback.reshape(shape)
 
 
 def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
@@ -277,15 +311,26 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma)
     it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its error bound
     grows as cond^2 * machine epsilon towards an exceptional point of a
-    generator; measured, it stays below 5e-14 up to a Frobenius cond of 910
-    (2-norm 743), just inside the trust limit. The rows whose eigenbasis
-    `linalg.eigenbasis` does not trust (cond at or past its limit; at the
-    exceptional point itself, cond ~ 1e8 and the pole sum is off by up to
-    9e-9), or that have a pole rounded above the real axis, take the
+    generator; measured against an adaptive quadrature near both exceptional
+    points (s_uu's bright state and the one-emitter blocks of s_ud and s_du,
+    T from 2/gamma to 50/gamma), it stays below 9e-14 up to a Frobenius cond
+    of 921 (2-norm 752), just inside the trust limit. The rows whose
+    eigenbasis `linalg.eigenbasis` does not trust (cond at or past its limit;
+    at the exceptional point itself, cond ~ 1e8 and the pole sum is off by up
+    to 9e-9), or that have a pole rounded above the real axis, take the
     matrix-function form of the same sum, in one stacked evaluation. It is
     within 3e-16 of an adaptive quadrature at an exceptional point, but off
     the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole sum
     is the more accurate.
+
+    One gap is not seen by the trust rule: the eigenvalues carry absolute
+    errors of about machine epsilon times ||H||, so an emitter detuned far
+    past the pulse-scale poles moves them by a visible fraction of their
+    width. At delta_eps_a = 6e10 against kappa = 190 (g = 0.45, T = 0.6,
+    delta_p = 3.5) a trusted row, cond 3, is off by 4e-9, where the
+    matrix-function form is within 3e-16. Closing it moves other results by
+    up to that much, so it is left to the eigenvalue-only kernel of
+    ROADMAP.md item 2.
     """
     return _density_matrices(config)[0]
 

@@ -317,26 +317,36 @@ def quadrature_reference(cfg, span=12.0):
     """Independent oracle: rho from scipy's adaptive `quad_vec` of the
     amplitude outer products over the Gaussian pulse, in t = (omega -
     delta_p)/sigma_p on |t| <= span, with breakpoints at the real parts of
-    the generator poles."""
+    the poles the pole sum uses. The amplitudes are written out in scalar
+    complex arithmetic, as in `spin_amplitudes`."""
     from scipy.integrate import quad_vec
 
-    sigma, delta_p = cfg.pulse.sigma_p, cfg.pulse.delta_p
-    poles = np.linalg.eigvals(sc._generators(cfg, ()).reshape(4, 3, 3)).ravel()
+    sigma, delta_p = float(cfg.pulse.sigma_p), float(cfg.pulse.delta_p)
+    kappa, g2, gamma = float(cfg.cavity.kappa), float(cfg.cavity.g) ** 2, float(cfg.cavity.gamma)
+    delta_a, delta_b = float(cfg.delta_eps_a), float(cfg.delta_eps_b)
+    triple, pairs = sc._coupled_generators(cfg, ())
+    poles = np.concatenate([np.linalg.eigvals(triple).ravel(), np.linalg.eigvals(pairs).ravel(),
+                            [-0.5j * kappa]])
     points = np.unique((poles.real - delta_p) / sigma)
 
     def integrand(t):
-        s = np.array(sc.spin_amplitudes(cfg, delta_p + sigma * t))
-        return math.exp(-0.5 * t * t) / math.sqrt(32.0 * math.pi) * np.outer(s, s.conj())
+        omega = delta_p + sigma * t
+        bare = 0.5 * kappa - 1j * omega
+        term_a = g2 / (0.5 * gamma + 1j * (delta_a - omega))
+        term_b = g2 / (0.5 * gamma + 1j * (delta_b - omega))
+        s = np.array([1.0 - kappa / d for d in (bare + term_a + term_b, bare + term_a,
+                                                bare + term_b, bare)])
+        return math.exp(-0.5 * t * t) / math.sqrt(32.0 * math.pi) * s[:, None] * s.conj()
 
     return quad_vec(integrand, -span, span, epsabs=1e-13, epsrel=0.0, norm="max",
                     points=points[abs(points) < span], limit=10_000)[0]
 
 
 def generator_cond(cfg):
-    """The largest eigenvector condition number of a config's four generators."""
-    start = np.zeros((4, 3))
-    start[:, 0] = 1.0
-    return linalg.eigenbasis(sc._generators(cfg, ()).reshape(4, 3, 3), start).cond.max()
+    """The largest eigenvector condition number of the generators the pole
+    sum eigensolves: s_uu's 3x3 and the 2x2 blocks of s_ud and s_du."""
+    return max(linalg.eigenbasis(h, np.eye(h.shape[-1])[[0] * len(h)]).cond.max()
+               for h in sc._coupled_generators(cfg, ()))
 
 
 @settings(max_examples=80, deadline=None)
@@ -354,6 +364,39 @@ def test_pole_sum_matches_quadrature(cooperativity, g_over_kappa, delta_p, gate_
                       delta_a if delta_b is None else delta_b)
     change = np.abs(sc.reduced_density_matrix(cfg) - quadrature_reference(cfg)).max()
     assert change <= 1e-12 + 1e-16 * generator_cond(cfg) ** 2
+
+
+def test_pole_sum_eigensolves_coupled_states_only(monkeypatch):
+    """One batch call of n rows makes exactly two eigensolves: s_uu's (n, 3, 3)
+    stack and one (2n, 2, 2) stack of the s_ud and s_du blocks. Every
+    generator couples each of its states to the cavity, so s_dd (the bare
+    cavity) and decoupled states are never eigensolved."""
+    stacks = []
+    eigenbasis = linalg.eigenbasis
+
+    def spy(h, psi):
+        stacks.append(np.array(h))
+        return eigenbasis(h, psi)
+
+    monkeypatch.setattr(linalg, "eigenbasis", spy)
+    cav = CavitySystem.from_cooperativity(4000.0, 0.5, 1.0)
+    pulse = sc.PhotonPulse.from_gate_time(np.array([0.5, 2.0, 20.0])[:, None],
+                                          delta_p=np.array([0.0, 30.0]))
+    sc.fidelity_numeric_batch(sc.ScatteringConfig(cav, pulse, delta_eps_a=0.2, delta_eps_b=-0.1))
+    assert [h.shape for h in stacks] == [(6, 3, 3), (12, 2, 2)]
+    assert all((h[:, 0, 1:] != 0).all() for h in stacks)
+
+
+@settings(deadline=None)
+@given(cooperativity=st.floats(1.0, 1e5), g_over_kappa=st.floats(0.01, 10.0),
+       delta_p=st.floats(-100.0, 100.0), gate_time=st.floats(0.1, 50.0),
+       delta_a=st.floats(-0.5, 0.5), delta_b=st.floats(-0.5, 0.5))
+def test_bare_cavity_population_is_a_quarter(cooperativity, g_over_kappa, delta_p, gate_time,
+                                             delta_a, delta_b):
+    """|s_dd| = 1 on the real axis, so rho_dd,dd = 1/4 whatever the pulse:
+    an oracle for the bare cavity pole that needs no quadrature."""
+    cfg = make_config(cooperativity, g_over_kappa, gate_time, delta_p, 0.0, delta_a, delta_b)
+    assert abs(sc.reduced_density_matrix(cfg)[..., 3, 3] - 0.25) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
