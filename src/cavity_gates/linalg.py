@@ -1,24 +1,35 @@
 """Small dense complex matrix algebra for subspace Hamiltonians.
 
 Matrices here are <= 16x16 numpy arrays in stacks: generators H_j (n, k, k)
-and states psi_j (n, k) of many configurations. One kernel, `eigenbasis`,
-makes one stacked `np.linalg.eig` and one stacked `np.linalg.inv` of the
-eigenvectors V and holds the one trust rule: a row is trusted when its
-Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
-times it) is below EIG_COND_LIMIT. A NaN or Inf one, and every row of a
-stack whose eig or inv raises LinAlgError, are untrusted (near an
-exceptional point the closed forms on the basis lose about cond^2 *
-machine epsilon); NaN or Inf input raises NonFinite. It has three callers.
-`propagate` (and `return_amplitudes`, its basis-state call) sends untrusted
-rows to Taylor scaling-and-squaring, one row at a time;
-`lindblad.propagate_exact` refuses them with ConvergenceFailure; and the
-scattering pole sum takes its poles and residues from it and sends
-untrusted rows to a matrix function of the generators, built on `solve`.
-No stack is split here: the callers size it (`exchange.phase_fidelity`
-passes at most 1,024 generators; the scattering pole sum passes one 3x3
-generator per row of its config in one call and two 2x2 ones per row in
-another), and callers may run their stacks on several threads; numpy's
-linalg gufuncs release the GIL.
+and states psi_j (n, k) of many configurations. Two spectral kernels share
+one trust limit, EIG_COND_LIMIT; near an exceptional point the closed forms
+on a spectrum lose about its trust measure squared times machine epsilon.
+
+- `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
+  `np.linalg.inv` of the eigenvectors V. A row is trusted when its
+  Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
+  times it) is below the limit. It has two callers: `propagate` (and
+  `return_amplitudes`, its basis-state call) sends untrusted rows to Taylor
+  scaling-and-squaring, one row at a time, and `lindblad.propagate_exact`
+  refuses them with ConvergenceFailure.
+- `resolvent_poles` serves generators in star form (state 0 coupled to
+  every other state, those uncoupled from each other) and needs no
+  eigenvectors: one stacked `np.linalg.eigvals` gives the poles of
+  <0|(z - H)^-1|0> and a product formula their residues w_k. A row is
+  trusted when 2 sum_k |w_k| is below the limit; for a complex-symmetric
+  2x2 that is exactly the Frobenius condition number, and on the
+  scattering 3x3 generators (fig2a-c and 20,000 random configs)
+  cond_F / sum_k |w_k| lies between 2.4 and 6.9.
+  Its one caller, the scattering pole sum, sends untrusted rows to a
+  matrix function of the generators, built on `solve`.
+
+In both kernels a NaN or Inf trust measure, and every row of a stack whose
+eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
+raises NonFinite. No stack is split here: the callers size it
+(`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
+pole sum passes one 3x3 generator per row of its config in one call and two
+2x2 ones per row in another), and callers may run their stacks on several
+threads; numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 
@@ -28,7 +39,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NonFinite
 
-#: eigenvector condition number from which an eigenbasis is not trusted
+#: eigenvector condition number (or twice the residue sum of `resolvent_poles`)
+#: from which a spectrum is not trusted
 EIG_COND_LIMIT = 1e3
 
 #: truncation tolerance of the Taylor fallback
@@ -44,6 +56,15 @@ class Eigenbasis(NamedTuple):
     coeff: np.ndarray    # (n, k)
     cond: np.ndarray     # (n,) ||V_j||_F ||V_j^-1||_F in [cond_2, k cond_2]; NaN: eig/inv raised
     trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
+
+
+class Poles(NamedTuple):
+    """<0|(z - H_j)^-1|0> = sum_k weights_jk / (z - values_jk) per row;
+    untrusted rows hold no usable weights."""
+
+    values: np.ndarray   # (n, k) eigenvalues of H_j
+    weights: np.ndarray  # (n, k) residues; they sum to 1
+    trusted: np.ndarray  # (n,) 2 sum_k |weights_jk| < EIG_COND_LIMIT
 
 
 def eigenbasis(h, psi) -> Eigenbasis:
@@ -73,6 +94,34 @@ def eigenbasis(h, psi) -> Eigenbasis:
         vectors[~trusted] = inverse[~trusted] = np.eye(h.shape[-1])
     coeff = (inverse @ psi[:, :, None])[:, :, 0]
     return Eigenbasis(values, vectors, coeff, cond, trusted)
+
+
+def resolvent_poles(h) -> Poles:
+    """Poles and residues of <0|(z - H_j)^-1|0> for every generator of a
+    stack h (n, k, k) in star form: state 0 is coupled to every other state,
+    and those are not coupled to each other.
+
+    The residue at the eigenvalue lambda_k is the adjugate formula
+    w_k = prod_{i>=1} (lambda_k - h_ii) / prod_{j!=k} (lambda_k - lambda_j),
+    equal to V[0,k] (V^-1 e_0)_k, so one `np.linalg.eigvals` call suffices.
+    A row is trusted when 2 sum_k |w_k| < EIG_COND_LIMIT (a row with a
+    double eigenvalue divides by zero and is not).
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise NonFinite("matrix contains NaN or Inf entries")
+    try:
+        values = np.linalg.eigvals(h)
+    except np.linalg.LinAlgError:
+        values = np.full(h.shape[:2], np.nan, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        below = values[:, :, None] - np.diagonal(h, axis1=1, axis2=2)[:, None, 1:]
+        gaps = values[:, :, None] - values[:, None, :] + np.eye(h.shape[-1])   # 1 at j = k
+        weights = below.prod(-1) / gaps.prod(-1)
+        trusted = 2.0 * abs(weights).sum(-1) < EIG_COND_LIMIT   # NaN counts as untrusted
+    return Poles(values, weights, trusted)
 
 
 def solve(a, b) -> np.ndarray:

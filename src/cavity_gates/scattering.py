@@ -10,20 +10,24 @@ and bandwidth relative to gamma*C.
 
 The numeric path needs no frequency quadrature. Each amplitude is rational
 in omega, s_i = 1 + sum_k a_ik/(omega - lambda_ik), with its poles lambda_ik
-the eigenvalues of the lossy generator of the cavity and the emitters that
-couple in it (only spin-up emitters do). `linalg.eigenbasis` gives the
-poles and residues of s_uu (cavity and two emitters) in one stacked call
-of 3x3 generators, and those of s_ud and s_du (cavity and one emitter) in
-one stacked call of 2x2 generators; s_dd, the bare cavity, has the one
-pole -i*kappa/2 with residue -i*kappa and needs no eigensolve.
+the eigenvalues of the lossy generator H of the cavity and the emitters that
+couple in it (only spin-up emitters do). H is a star: the cavity couples to
+each emitter, and the emitters do not couple to each other. So the residues
+need no eigenvectors: a_ik = -i*kappa*w_k with
+w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j) over the
+emitter levels H_ee. `linalg.resolvent_poles` gives the poles (an
+eigenvalue-only solve) and the w_k of s_uu (cavity and two emitters) in one
+stacked call of 3x3 generators, and those of s_ud and s_du (cavity and one
+emitter) in one stacked call of 2x2 generators; s_dd, the bare cavity, has
+the one pole -i*kappa/2 with residue -i*kappa and needs no eigensolve.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
 with scipy's `wofz` to 2.3e-14 relative over the upper half plane. Rows
-whose eigenbasis `linalg` does not trust (near an exceptional point of a
-generator, where the pole sum can lose up to cond^2 * machine epsilon)
-take the same sum as a rational matrix function of the generators, which
-needs no eigenbasis, instead.
+whose poles `linalg` does not trust (2 sum_k |w_k| at or past its limit,
+near an exceptional point of a generator, where the pole sum can lose up
+to (sum_k |w_k|)^2 * machine epsilon) take the same sum as a rational
+matrix function of the generators, which needs no spectrum, instead.
 
 Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
 may be numpy arrays that broadcast together; `fidelity_numeric_batch` and
@@ -192,13 +196,15 @@ _POLE_OWNER = np.repeat(np.eye(4), (3, 2, 2, 1), axis=1)
 
 def _pole_sum(config: ScatteringConfig, shape: tuple):
     """Density matrices (4, 4) + shape of the pole sum, and the rows (flat,
-    of size prod(shape)) whose eigenbasis `linalg` trusts.
+    of size prod(shape)) whose poles `linalg` trusts.
 
     s_i = 1 + sum_k a_ik/(omega - lambda_ik) over the poles of amplitude i:
-    the eigenvalues of its coupled generator (three for s_uu, two each for
-    s_ud and s_du, from one `linalg.eigenbasis` call per stack of
-    `_coupled_generators`), with a_ik = -i kappa V[0,k] (V^-1 e_0)_k, and for
-    s_dd the bare cavity pole -i kappa/2 with residue -i kappa. s_i s_j* has
+    the eigenvalues of its coupled generator H (three for s_uu, two each for
+    s_ud and s_du, from one `linalg.resolvent_poles` call per stack of
+    `_coupled_generators`: eigenvalues only, no eigenvectors), with
+    a_ik = -i kappa w_k, w_k = prod_{e>=1} (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j)
+    the residue of <0|(omega - H)^-1|0>, and for s_dd the bare cavity pole
+    -i kappa/2 with residue -i kappa. s_i s_j* has
     simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
     sbar_j(x) = conj(s_j(conj x)) and I(lambda) = integral N(omega)/(omega - lambda) d omega
@@ -212,13 +218,11 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     trusted = np.ones(n, dtype=bool)
     for h, count, owned in zip(_coupled_generators(config, shape), (1, 2),
                                (slice(0, 3), slice(3, 7))):
-        start = np.zeros(h.shape[:2])
-        start[:, 0] = 1.0
-        basis = linalg.eigenbasis(h, start)
+        found = linalg.resolvent_poles(h)
         k = h.shape[-1]
-        for out, x in ((poles, basis.values), (residues, basis.vectors[:, 0, :] * basis.coeff)):
+        for out, x in ((poles, found.values), (residues, found.weights)):
             out[owned] = x.reshape(count, n, k).transpose(0, 2, 1).reshape((count * k,) + shape)
-        trusted &= basis.trusted.reshape(count, n).all(axis=0)
+        trusted &= found.trusted.reshape(count, n).all(axis=0)
     poles[7] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[7] = 1.0
     residues *= -1j * kappa
@@ -310,27 +314,33 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     module docstring). Over 9,000 random configs (C from 1 to 1e5, g/kappa
     from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma)
     it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its error bound
-    grows as cond^2 * machine epsilon towards an exceptional point of a
-    generator; measured against an adaptive quadrature near both exceptional
-    points (s_uu's bright state and the one-emitter blocks of s_ud and s_du,
-    T from 2/gamma to 50/gamma), it stays below 9e-14 up to a Frobenius cond
-    of 921 (2-norm 752), just inside the trust limit. The rows whose
-    eigenbasis `linalg.eigenbasis` does not trust (cond at or past its limit;
-    at the exceptional point itself, cond ~ 1e8 and the pole sum is off by up
-    to 9e-9), or that have a pole rounded above the real axis, take the
-    matrix-function form of the same sum, in one stacked evaluation. It is
-    within 3e-16 of an adaptive quadrature at an exceptional point, but off
-    the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole sum
-    is the more accurate.
+    grows as (sum_k |w_k|)^2 * machine epsilon towards an exceptional point
+    of a generator, with w_k the residues of `linalg.resolvent_poles`.
+    Measured against an adaptive quadrature near both exceptional points
+    (s_uu's bright state and the one-emitter blocks of s_ud and s_du, both
+    emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to 50/gamma), it
+    stays below 2.7e-14 up to a 2 sum_k |w_k| of 632 (one-emitter block,
+    Frobenius cond 632) and 752 (bright state, cond 921), just inside the
+    trust limit; the eigenvector residues it replaced were off by as much
+    (3.2e-14). The rows whose poles `linalg` does not trust (2 sum_k |w_k|
+    at or past its limit; at the exceptional point itself it is ~1e8 and the
+    pole sum is off by up to 5e-9), or that have a pole rounded above the
+    real axis, take the matrix-function form of the same sum, in one stacked
+    evaluation. It is within 3e-16 of an adaptive quadrature at an
+    exceptional point, but off the pole sum by up to 3e-12 at large
+    kappa/sigma_p, where the pole sum is the more accurate.
 
     One gap is not seen by the trust rule: the eigenvalues carry absolute
     errors of about machine epsilon times ||H||, so an emitter detuned far
     past the pulse-scale poles moves them by a visible fraction of their
     width. At delta_eps_a = 6e10 against kappa = 190 (g = 0.45, T = 0.6,
-    delta_p = 3.5) a trusted row, cond 3, is off by 4e-9, where the
-    matrix-function form is within 3e-16. Closing it moves other results by
-    up to that much, so it is left to the eigenvalue-only kernel of
-    ROADMAP.md item 2.
+    delta_p = 3.5, delta_eps_b = 0.1) a trusted row, 2 sum_k |w_k| = 2, is
+    off by 8.2e-9 (at gamma = 1e-3 and at 8e-11), and at g = 2, kappa = 0.1,
+    gamma = 2e-10, delta_eps_a = 8e10 by 2.1e-8, where the matrix-function
+    form is within 3e-16 (the eigenvector residues gave 2.7e-9, 4.1e-9 and
+    2.1e-8). Refining the poles by Newton steps on the secular equation is
+    left to ROADMAP.md item 2: one step closed two of these rows but not
+    the third.
     """
     return _density_matrices(config)[0]
 

@@ -244,3 +244,82 @@ def test_solve_stacks_of_vectors_and_matrices():
     singular[1, 2, 0] = 0.0
     with pytest.raises(ConvergenceFailure):
         linalg.solve(singular, b)
+
+
+def star_stack(rng, n, k, symmetric=False):
+    """n random lossy generators in star form: state 0 coupled to every
+    other state, those uncoupled from each other; complex-symmetric or not."""
+    h = np.zeros((n, k, k), dtype=complex)
+    diag = rng.standard_normal((n, k)) - 0.5j * rng.uniform(0.0, 2.0, (n, k))
+    h[:, np.arange(k), np.arange(k)] = diag
+    h[:, 0, 1:] = random_complex((n, k - 1), rng)
+    h[:, 1:, 0] = h[:, 0, 1:] if symmetric else random_complex((n, k - 1), rng)
+    return h
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_resolvent_poles_match_eigenbasis(k):
+    # the eigenvalue-only weights equal V[0,k] (V^-1 e_0)_k to within
+    # about eps (sum |w|)^2, and sum to 1 (the z -> infinity limit of z <0|(z - H)^-1|0>)
+    rng = np.random.default_rng(31 + k)
+    h = star_stack(rng, 2000, k)
+    start = np.zeros((2000, k))
+    start[:, 0] = 1.0
+    basis = linalg.eigenbasis(h, start)
+    poles = linalg.resolvent_poles(h)
+    spread = abs(poles.weights).sum(-1)
+    assert np.array_equal(poles.values, basis.values)
+    change = abs(poles.weights - basis.vectors[:, 0, :] * basis.coeff).max(-1)
+    assert np.all(change <= 50 * np.finfo(float).eps * spread**2)
+    assert abs(poles.weights.sum(-1) - 1.0).max() <= 50 * np.finfo(float).eps * spread.max()
+    assert np.array_equal(poles.trusted, 2.0 * spread < linalg.EIG_COND_LIMIT)
+
+
+def test_resolvent_poles_trust_is_frobenius_cond_for_symmetric_pairs():
+    # for a complex-symmetric 2x2, 2 sum |w| is the Frobenius condition
+    # number of its eigenvectors, so both kernels draw the trust line alike:
+    # on random pairs, on pairs detuned by 1e-6 to 1e-5 from the exceptional
+    # point at g = (kappa - gamma)/4 (cond 2/sqrt(detuning), 630 to 2,000,
+    # across the limit) and at that point itself (cond ~ 1e8)
+    rng = np.random.default_rng(37)
+    detuning = np.geomspace(1e-6, 1e-5, 40)
+    near = np.zeros((40, 2, 2), dtype=complex)
+    near[:, 0, 0], near[:, 1, 1] = -2.5j, detuning - 0.5j
+    near[:, 0, 1] = near[:, 1, 0] = 1.0
+    h = np.concatenate([star_stack(rng, 2000, 2, symmetric=True), near,
+                        [[[-2.5j, 1.0], [1.0, -0.5j]]]])
+    basis = linalg.eigenbasis(h, np.eye(2)[[0] * len(h)])
+    poles = linalg.resolvent_poles(h)
+    spread = 2.0 * abs(poles.weights).sum(-1)
+    # both carry a relative rounding error of about eps * cond
+    cond = basis.cond[:-1]
+    assert np.all(abs(spread[:-1] - cond) <= 64 * np.finfo(float).eps * cond**2)
+    assert np.array_equal(poles.trusted, basis.trusted)
+    assert poles.trusted[-41:-1].any() and not poles.trusted[-41:].all()
+    assert not poles.trusted[-1]
+
+
+def test_resolvent_poles_refuse_and_distrust():
+    # NaN or Inf input raises NonFinite; a defective row (a double
+    # eigenvalue, weights 0/0) is untrusted, and a LinAlgError from the
+    # eigensolve leaves every row untrusted with NaN poles, both without a
+    # RuntimeWarning
+    with pytest.raises(NonFinite):
+        linalg.resolvent_poles(np.array([[[np.nan, 1.0], [1.0, 0.0]]]))
+    with pytest.raises(NonFinite):
+        linalg.resolvent_poles(np.array([[[0.0, np.inf], [1.0, 0.0]]]))
+    with pytest.raises(ValueError):
+        linalg.resolvent_poles(np.eye(2))
+    h = star_stack(np.random.default_rng(41), 3, 3)
+
+    def fail(m):
+        raise np.linalg.LinAlgError("did not converge")
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pair = np.array([[[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, -1.0]]])
+        jordan = linalg.resolvent_poles(pair)
+        assert jordan.trusted.tolist() == [False, True]
+        patch.setattr(np.linalg, "eigvals", fail)
+        poles = linalg.resolvent_poles(h)
+    assert not poles.trusted.any() and np.isnan(poles.values).all()
