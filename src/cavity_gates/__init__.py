@@ -4,7 +4,7 @@ Three schemes share one cavity-emitter parameterization: photon scattering
 off a single-sided cavity, simple virtual photon exchange, and
 Raman-assisted virtual photon exchange. Each scheme offers a closed-form
 fidelity and an independent numerical path (amplitude integration or
-non-Hermitian propagation), plus a Lindblad oracle for the exchange
+non-Hermitian propagation), plus a batched Lindblad check of the exchange
 schemes.
 """
 
@@ -35,7 +35,6 @@ from .scattering import (
 from .exchange import (
     ExchangeConfig,
     ExchangeMode,
-    build_hamiltonians,
     exchange_gate_time,
     f_pi_closed_form,
     fidelity_analytic_exchange,
@@ -61,13 +60,7 @@ from .raman import (
     raman_gate_time,
     symmetric_raman_config,
 )
-from .lindblad import (
-    OpenSystem,
-    exchange_open_system,
-    gate_fidelity_lindblad,
-    propagate_exact,
-    raman_open_system,
-)
+from .lindblad import gate_fidelity_lindblad, gate_fidelity_lindblad_batch
 from .sweep import (
     Axis,
     cooperativity_scaling,

@@ -85,7 +85,7 @@ import click
 from . import __version__, casestudy, config as config_mod, figures
 from .errors import CavityGateError, ConfigError
 from .exchange import fidelity_analytic_exchange, fidelity_numeric_exchange
-from .lindblad import exchange_open_system, gate_fidelity_lindblad, raman_open_system
+from .lindblad import gate_fidelity_lindblad
 from .raman import fidelity_analytic_raman, fidelity_numeric_raman
 from .scattering import fidelity_analytic, fidelity_numeric
 from .sweep import Axis
@@ -121,20 +121,18 @@ def _echo_warnings():
 
 
 def _evaluate(scheme, cfg, method):
-    if scheme == "scattering":
-        if method == "lindblad":
+    if method == "lindblad":
+        if scheme == "scattering":
             raise CavityGateError(
                 "the scattering gate has no Lindblad path; its numeric route is the "
                 "exact amplitude integral (use --method numeric)")
+        return gate_fidelity_lindblad(cfg)
+    if scheme == "scattering":
         return fidelity_numeric(cfg) if method == "numeric" else fidelity_analytic(cfg)
     if scheme == "simple_exchange":
-        if method == "lindblad":
-            return gate_fidelity_lindblad(exchange_open_system(cfg), cfg.gamma_eff)
         if method == "numeric":
             return fidelity_numeric_exchange(cfg)
         return fidelity_analytic_exchange(cfg)
-    if method == "lindblad":
-        return gate_fidelity_lindblad(raman_open_system(cfg), cfg.gamma_eff)
     if method == "numeric":
         return fidelity_numeric_raman(cfg)
     return fidelity_analytic_raman(cfg)

@@ -31,7 +31,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -113,15 +113,6 @@ class ExchangeConfig:
         return functools.partial(_lossy_sectors, mode=self.mode), params
 
 
-class SectorHamiltonians(NamedTuple):
-    """Hermitian and lossy |ud>/|uu> sector generators of either exchange gate."""
-
-    h_up_down: np.ndarray
-    h_up_up: np.ndarray
-    h_eff_up_down: np.ndarray
-    h_eff_up_up: np.ndarray
-
-
 def exchange_gate_time(detuning, g_a, g_b) -> float:
     """Excitation dwell time for a pi phase: T = pi * Delta / (g_a * g_b)."""
     if any_row(g_a <= 0) or any_row(g_b <= 0):
@@ -143,8 +134,14 @@ def _subspace_block(shape, detuning, g_a, g_b, offset, kappa, gamma):
 
 def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa, gamma,
                    mode):
-    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters;
-    an infinite splitting_eg decouples the spectator end state (g = offset = 0)."""
+    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters.
+
+    Bases: |ud> sector (e2 down 0, up down 1, up e1 0) and |uu> sector
+    (e2 up 0, up up 1, up e2 0). With the partner tuned, the resonant
+    sector's end state sits at -detuning_error (minus the residual Stark
+    offset) and the spectator's at splitting_eg above it; an infinite
+    splitting_eg decouples the spectator end state (g = offset = 0).
+    """
     shape = broadcast_shape(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa,
                             gamma)
     stark = (g_a**2 - g_res**2) / detuning
@@ -158,23 +155,6 @@ def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, k
     if mode is ExchangeMode.OPPOSITE_RESONANT:
         return resonant, spectator
     return spectator, resonant
-
-
-def build_hamiltonians(config: ExchangeConfig | RamanConfig) -> SectorHamiltonians:
-    """Subspace Hamiltonians of the two evolving two-qubit sectors of either gate.
-
-    Exchange bases: |ud> sector (e2 down 0, up down 1, up e1 0) and |uu>
-    sector (e2 up 0, up up 1, up e2 0). With the partner tuned, the
-    resonant sector's end state sits at -detuning_error (minus the residual
-    Stark offset) and the spectator's at splitting_eg above it (decoupled
-    at splitting_eg = inf); the Raman bases are in `raman`. An array-valued
-    config gives stacks of shape (broadcast shape) + (k, k). The couplings
-    are real, so each H is the real part of its H_eff.
-    """
-    lossy_sectors, params = config.sectors()
-    heff_ud, heff_uu = lossy_sectors(*params)
-    return SectorHamiltonians(heff_ud.real.astype(complex), heff_uu.real.astype(complex),
-                              heff_ud, heff_uu)
 
 
 def _cpus() -> int:

@@ -10,8 +10,9 @@ on a spectrum lose about its trust measure squared times machine epsilon.
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
   times it) is below the limit. It has two callers: `propagate` (and
   `return_amplitudes`, its basis-state call) sends untrusted rows to Taylor
-  scaling-and-squaring, one row at a time, and `lindblad.propagate_exact`
-  refuses them with ConvergenceFailure.
+  scaling-and-squaring, one row at a time, and
+  `lindblad.gate_fidelity_lindblad_batch` refuses a whole batch with
+  ConvergenceFailure when any of its rows is untrusted.
 - `resolvent_poles` serves generators in star form (state 0 coupled to
   every other state, those uncoupled from each other) and needs no
   eigenvectors: one stacked `np.linalg.eigvals` gives the poles of
@@ -28,8 +29,9 @@ eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
 raises NonFinite. No stack is split here: the callers size it
 (`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
 pole sum passes one 3x3 generator per row of its config in one call and two
-2x2 ones per row in another), and callers may run their stacks on several
-threads; numpy's linalg gufuncs release the GIL.
+2x2 ones per row in another; the Lindblad closure passes each sector stack
+of its config whole), and callers may run their stacks on several threads;
+numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 

@@ -1,220 +1,110 @@
-"""Lindblad master-equation oracle for the exchange schemes.
+"""Lindblad master-equation check of both exchange gates, for array configs.
 
-Propagates the full master equation, including the recycling terms that the
-non-Hermitian subspace treatment drops, on the joint space of both evolving
-two-qubit sectors plus the recycled ground states. Because every jump in
-these gate models lands on a dynamically frozen state, the master equation
-admits an exact single-jump closure, `propagate_exact`, which is the one
-master-equation path: it rejects systems whose jump destinations are not
-frozen rather than integrating them approximately.
+The full master equation keeps the recycling terms that the non-Hermitian
+treatment drops. Its no-jump generator is block-diagonal: the evolving |ud>
+and |uu> sector blocks of `config.sectors()`, and the two other sectors,
+whose ground states are frozen. Every jump lands on a frozen state, so the
+density matrix at the gate time has an exact single-jump closure. The start
+state holds the four sector states with amplitude 1/2 each. Its overlap
+with the target, maximized over the local-Z phase of the control qubit (the
+gauge in which the ideal gate is defined), gives
 
-Gate fidelities are reported up to a local Z rotation on the control qubit
-(the relative-phase gauge in which the ideal gate is defined); the optimal
-phase is maximized in closed form.
+    F = sqrt(clip((1/2 (1 + F_pi))^2 + J/4, 0, 1)) - Gamma_eff T,
+
+with F_pi = 1/2 |<0|e^{-iTH_uu}|0> - <0|e^{-iTH_ud}|0>| as on the numeric
+path, and the recycled weight
+
+    J = sum_c r_c int_0^T |a_c(s)|^2 ds,
+    a_c(s) = 1/2 (<src_ud| e^{-isH_ud} |0> + <src_uu| e^{-isH_uu} |0>),
+
+summed over the jumps c (rate r_c, source states src_ud and src_uu) that
+land on a state the target holds. The time integral is closed form over the
+eigenvalue pairs lambda_k - conj(lambda_l) of both sectors. F_pi and J come
+from one `linalg.eigenbasis` call per sector stack.
+
+Raman gate: photon loss and emitter decay leave the emitters in the frozen
+|d,s> and |d,d> ground states, which the target holds, so recycled
+population lands on the target and J > 0. Exchange gate: every jump lands
+in an A-ground state that the closing pi pulse re-excites, which the target
+does not hold. So J = 0 there, and the result equals the numeric path's
+(F_pi + 1)/2 - Gamma_eff T.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, NonFinite
-from .exchange import ExchangeConfig, ExchangeMode, build_hamiltonians
-from .params import GateResult, Method, gate_results, one_configuration
+from .exchange import ExchangeConfig
+from .params import GateResult, GateResults, Method, broadcast_shape, gate_results
 from .raman import RamanConfig
 
-
-@dataclass(frozen=True)
-class OpenSystem:
-    """Hermitian Hamiltonian plus jump channels [(rate, operator), ...]."""
-
-    hamiltonian: np.ndarray
-    jumps: tuple
-
-    def __post_init__(self):
-        h = np.asarray(self.hamiltonian)
-        if np.abs(h - h.conj().T).max() > 1e-12:
-            raise ValueError("hamiltonian must be Hermitian to 1e-12")
-        for rate, op in self.jumps:
-            if rate < 0:
-                raise ValueError("jump rates must be >= 0")
-            if np.asarray(op).shape != h.shape:
-                raise ValueError("jump operators must match the Hamiltonian dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+#: jumps that land on a target state: (cavity rate, source in the |ud> block,
+#: source in the |uu> block or None)
+_TARGET_JUMPS = {
+    RamanConfig: (("kappa", 2, 2),       # cavity photon loss
+                  ("gamma", 1, 1),       # emitter A decay
+                  ("gamma", 3, None)),   # emitter B decay
+    ExchangeConfig: (),
+}
 
 
-def effective_hamiltonian(system: OpenSystem) -> np.ndarray:
-    """No-jump generator H - (i/2) sum_c rate_c L_c^dag L_c."""
-    h = np.asarray(system.hamiltonian, dtype=complex).copy()
-    for rate, op in system.jumps:
-        l = np.asarray(op, dtype=complex)
-        h -= 0.5j * rate * (l.conj().T @ l)
-    return h
+def gate_fidelity_lindblad_batch(config: ExchangeConfig | RamanConfig) -> GateResults:
+    """Full master-equation gate fidelity for every row of an array-valued
+    config of either exchange gate, at its pi-phase gate time. A corrected
+    fidelity outside [0, 1] is clamped and carries the "clamped" note, as
+    on the numeric path.
 
-
-def _check_absorbing(system: OpenSystem):
-    """The exact closure requires every jump destination to be frozen:
-    unmoved by H and annihilated by every jump channel."""
-    h = np.asarray(system.hamiltonian, dtype=complex)
-    scale = max(np.abs(h).max(), 1.0)
-    for rate, op in system.jumps:
-        if rate == 0:
-            continue
-        l = np.asarray(op, dtype=complex)
-        if np.abs(h @ l).max() > 1e-9 * scale * max(np.abs(l).max(), 1.0):
-            raise ValueError("jump destinations are moved by the Hamiltonian; "
-                             "the absorbing closure does not apply")
-        for rate2, op2 in system.jumps:
-            if rate2 == 0:
-                continue
-            if np.abs(np.asarray(op2, dtype=complex) @ l).max() > 1e-12:
-                raise ValueError("jump destinations themselves decay; "
-                                 "the absorbing closure does not apply")
-
-
-def propagate_exact(system: OpenSystem, psi0, t: float):
-    """Exact master-equation solution for absorbing jump structure.
-
-    Returns (phi_t, rho_t): the no-jump trajectory e^{-i t H_eff} psi0 and
-    the full density matrix
-
-        rho(t) = |phi(t)><phi(t)| +
-                 sum_c rate_c int_0^t (L_c phi(s)) (L_c phi(s))^dag ds,
-
-    with the time integral done in closed form over the eigenbasis of H_eff
-    from `linalg.eigenbasis`. Exact (up to the eigendecomposition) because
-    jumped population is frozen. There is no fallback: the closed-form jump
-    integral loses about cond^2 * machine epsilon, so an eigenbasis that
-    `linalg` does not trust (near an exceptional point of H_eff) raises
-    ConvergenceFailure. NaN or Inf in the system or the state raises
+    There is no fallback: the closed-form jump integral loses about cond^2
+    times machine epsilon, so a sector eigenbasis that `linalg` does not
+    trust on any row (near an exceptional point) raises ConvergenceFailure.
+    NaN or Inf in a generator, and an overlap that overflowed, raise
     NonFinite.
     """
-    _check_absorbing(system)
-    h_eff = effective_hamiltonian(system)
-    basis = linalg.eigenbasis(h_eff[None], np.asarray(psi0, dtype=complex)[None])
-    if not basis.trusted[0]:
-        raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
-                                 f"{basis.cond[0]:.2e}): too near an exceptional point")
-    evals, vecs, coeff = basis.values[0], basis.vectors[0], basis.coeff[0]
-    phi_t = vecs @ (coeff * np.exp(-1j * evals * t))
-    rho = np.outer(phi_t, phi_t.conj())
-    z = evals[:, None] - evals.conj()[None, :]
-    small = np.abs(z) * t < 1e-9
-    z_safe = np.where(small, 1.0, z)
-    integral = np.where(small, t * (1.0 - 0.5j * z * t), (1.0 - np.exp(-1j * z_safe * t)) / (1j * z_safe))
-    weight = coeff[:, None] * coeff.conj()[None, :] * integral
-    for rate, op in system.jumps:
-        if rate == 0:
-            continue
-        lv = np.asarray(op, dtype=complex) @ vecs
-        rho += rate * (lv @ weight @ lv.conj().T)
-    return phi_t, 0.5 * (rho + rho.conj().T)
+    lossy_sectors, params = config.sectors()
+    gate_time = config.gate_time
+    shape = broadcast_shape(*params, gate_time)
+    n = math.prod(shape)
+    t = np.broadcast_to(gate_time, shape).reshape(n, 1)
+    values, amplitudes = [], []   # per sector: lambda_k (n, k), <i|V|k> c_k (n, k, k)
+    for h in lossy_sectors(*params):
+        h = np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
+        basis = linalg.eigenbasis(h, np.broadcast_to(np.eye(h.shape[-1])[0], h.shape[:2]))
+        if not basis.trusted.all():
+            row = int(np.argmin(basis.trusted))
+            raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
+                                     f"{basis.cond[row]:.2e} on row {row}): too near an "
+                                     f"exceptional point")
+        values.append(basis.values)
+        amplitudes.append(basis.vectors * basis.coeff[:, None, :])
+    ud, uu = ((a[:, 0] * np.exp(-1j * t * v)).sum(-1) for a, v in zip(amplitudes, values))
+    overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
+    jumps = _TARGET_JUMPS[type(config)]
+    if jumps:
+        # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
+        u = np.stack([np.concatenate([np.zeros_like(a[:, 0]) if src is None else 0.5 * a[:, src]
+                                      for a, src in zip(amplitudes, sources)], axis=-1)
+                      for _, *sources in jumps], axis=1)
+        lam = np.concatenate(values, axis=-1)
+        # int_0^T e^{-isz} ds over z = lambda_k - conj(lambda_l), with a small-|z|T branch
+        z = lam[:, :, None] - lam.conj()[:, None, :]
+        span = t[:, :, None]
+        small = np.abs(z) * span < 1e-9
+        z_safe = np.where(small, 1.0, z)
+        integral = np.where(small, span * (1.0 - 0.5j * z * span),
+                            (1.0 - np.exp(-1j * z_safe * span)) / (1j * z_safe))
+        rates = np.stack([np.broadcast_to(getattr(config.cavity, name), shape).ravel()
+                          for name, *_ in jumps], axis=1)
+        weights = np.einsum("nck,nkl,ncl->nc", u, integral, u.conj()).real
+        overlap = overlap + 0.25 * (rates * weights).sum(-1)
+    if not np.isfinite(overlap).all():
+        raise NonFinite("gate overlap is not finite: the propagation overflowed")
+    f_gate = np.sqrt(np.clip(overlap, 0.0, 1.0)).reshape(shape) - config.gamma_eff * gate_time
+    return gate_results(f_gate, gate_time, Method.LINDBLAD)
 
 
-class GateOpenSystem(NamedTuple):
-    system: OpenSystem
-    psi0: np.ndarray
-    ideal_frozen: np.ndarray   # unshelved/unexcited sector part of the target
-    ideal_active: np.ndarray   # evolving sector part, defined up to a local Z phase
-    gate_time: float
-
-    @property
-    def ideal(self) -> np.ndarray:
-        return self.ideal_frozen + self.ideal_active
-
-
-def _gate_open_system(config: ExchangeConfig | RamanConfig, n_recycled: int, jumps, gate_time,
-                      phase_on_ud: bool) -> GateOpenSystem:
-    """Basis: the |ud> block, the |uu> block (each starting in its first
-    state), the two frozen ground states of the other sectors, then
-    n_recycled frozen jump destinations. jumps: (rate, [(dest, src), ...]).
-    gate_time defaults to the config's pi-phase time; one configuration only."""
-    one_configuration(config)
-    ham = build_hamiltonians(config)
-    n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
-    dim = n_ud + n_uu + 2 + n_recycled
-    frozen_states = [n_ud + n_uu, n_ud + n_uu + 1]
-    h = np.zeros((dim, dim), dtype=complex)
-    h[:n_ud, :n_ud] = ham.h_up_down.real
-    h[n_ud:n_ud + n_uu, n_ud:n_ud + n_uu] = ham.h_up_up.real
-    ops = []
-    for rate, pairs in jumps:
-        l = np.zeros((dim, dim), dtype=complex)
-        l[tuple(zip(*pairs))] = 1.0
-        ops.append((rate, l))
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[[0, n_ud] + frozen_states] = 0.5
-    frozen = np.zeros(dim, dtype=complex)
-    frozen[frozen_states] = 0.5
-    active = psi0 - frozen
-    active[0 if phase_on_ud else n_ud] = -0.5   # the pi phase of the ideal gate
-    return GateOpenSystem(OpenSystem(h, tuple(ops)), psi0, frozen, active,
-                          config.gate_time if gate_time is None else gate_time)
-
-
-def exchange_open_system(config: ExchangeConfig, gate_time=None) -> GateOpenSystem:
-    """Joint open system of the simple-exchange gate.
-
-    Basis: the 3-state |ud> and |uu> sector blocks, the frozen |du>, |dd>
-    ground states, then the recycled A-ground states |uu,0> and |ud,0>.
-    The cavity jump and each emitter decay recycle into those A-ground
-    states, which the closing pi pulse re-excites, so a failed gate never
-    overlaps the target.
-    """
-    i_guu, i_gud = 8, 9
-    cav = config.cavity
-    jumps = ((cav.kappa, [(i_gud, 1), (i_guu, 4)]),   # cavity photon loss
-             (cav.gamma, [(i_gud, 0), (i_guu, 3)]),   # emitter A decay
-             (cav.gamma, [(i_gud, 2), (i_guu, 5)]))   # emitter B decay
-    return _gate_open_system(config, 2, jumps, gate_time,
-                             phase_on_ud=config.mode is ExchangeMode.OPPOSITE_RESONANT)
-
-
-def raman_open_system(config: RamanConfig, gate_time=None) -> GateOpenSystem:
-    """Joint open system of the Raman gate.
-
-    Basis: the five |ud>-sector states, the three shelved-sector states,
-    then the frozen |d,s> and |d,d> ground states which double as the jump
-    destinations (photon loss and emitter decay both leave the emitters in
-    their cavity-coupled ground states).
-    """
-    i_ds, i_dd = 8, 9
-    cav = config.cavity
-    jumps = (
-        (cav.kappa, [(i_dd, 2), (i_ds, 7)]),   # cavity photon loss
-        (cav.gamma, [(i_dd, 1), (i_ds, 6)]),   # emitter A decay
-        (cav.gamma, [(i_dd, 3)]),              # emitter B decay
-    )
-    return _gate_open_system(config, 0, jumps, gate_time, phase_on_ud=True)
-
-
-def _gauge_maximized(rho: np.ndarray, frozen: np.ndarray, active: np.ndarray) -> float:
-    """max over the local-Z phase of <psi(chi)| rho |psi(chi)>,
-    psi(chi) = frozen + e^{i chi} active. Raises NonFinite when the
-    propagation overflowed (say, at a detuning near the double range)."""
-    direct = float(np.vdot(frozen, rho @ frozen).real + np.vdot(active, rho @ active).real)
-    cross = complex(np.vdot(frozen, rho @ active))
-    try:
-        overlap = direct + 2.0 * abs(cross)
-    except OverflowError:  # abs of a complex past the double range
-        overlap = math.inf
-    if not math.isfinite(overlap):
-        raise NonFinite(f"gate overlap is {overlap!r}: the propagation overflowed")
-    return overlap
-
-
-def gate_fidelity_lindblad(gos: GateOpenSystem, gamma_eff: float = 0.0) -> GateResult:
-    """Full master-equation gate fidelity (local-Z gauge maximized),
-    with the slow decoherence applied as the usual -Gamma*T correction.
-    A corrected fidelity outside [0, 1] is clamped and carries the
-    "clamped" note, as on the numeric path."""
-    _, rho = propagate_exact(gos.system, gos.psi0, gos.gate_time)
-    f = math.sqrt(min(max(_gauge_maximized(rho, gos.ideal_frozen, gos.ideal_active), 0.0), 1.0))
-    f -= gamma_eff * gos.gate_time
-    return gate_results(f, gos.gate_time, Method.LINDBLAD).single()
+def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResult:
+    """Full master-equation gate fidelity of one configuration."""
+    return gate_fidelity_lindblad_batch(config).single()

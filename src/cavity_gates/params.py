@@ -188,7 +188,7 @@ def config_shape(config) -> tuple:
 
 def one_configuration(config):
     """Raise ValueError unless a config holds one configuration: the paths
-    that call this (Lindblad, the expanded maxima) have no array form."""
+    that call this (the expanded maxima) have no array form."""
     shape = config_shape(config)
     if shape != ():
         raise ValueError(f"this path takes one configuration, but the {type(config).__name__} "
@@ -245,14 +245,17 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     given (a deterministic scheme gives none: every row's is 1), and mark
     every row where either was clamped with the "clamped" note, after the
     caller's notes (note -> row mask). Raises NonFinite for NaN fidelities
-    or probabilities (an evaluator that overflowed) and ValueError for
-    non-positive gate times, as GateResult does."""
+    or probabilities and for non-finite gate times (an evaluator that
+    overflowed), and ValueError for non-positive gate times, as GateResult
+    does."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
     gate_time = _broadcast(gate_time, fidelity.shape, float)
     if any_row(np.isnan(fidelity)):
         raise NonFinite("fidelity is nan: the evaluation overflowed")
+    if not all_rows(np.isfinite(gate_time)):
+        raise NonFinite("gate_time is not finite: the evaluation overflowed")
     if not all_rows(gate_time > 0):
         raise ValueError("gate_time must be > 0")
     clamped = (fidelity < 0.0) | (fidelity > 1.0)

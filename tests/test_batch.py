@@ -135,6 +135,19 @@ def test_raman_batch_matches_scalar(seed, n, per_row_cavity):
         assert_rows_match(analytic, lambda i: rm.fidelity_analytic_raman(row(cfg, i)), rows)
 
 
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES), per_row_cavity=st.booleans(),
+       raman=st.booleans())
+def test_lindblad_batch_matches_scalar(seed, n, per_row_cavity, raman):
+    cfg = (raman_batch if raman else exchange_batch)(seed, n, per_row_cavity)
+    rows = rows_to_check(seed, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        batch = lindblad.gate_fidelity_lindblad_batch(cfg)
+        assert batch.shape == (n,)
+        assert_rows_match(batch, lambda i: lindblad.gate_fidelity_lindblad(row(cfg, i)), rows)
+
+
 def test_grid_shape_is_kept():
     cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
     two_photon = np.array([20.0, 40.0, 60.0])[:, None] * cav.kappa
@@ -156,13 +169,13 @@ def test_grid_shape_is_kept():
 
 def array_configs():
     """(paths, config) of configs holding two configurations, with the
-    one-configuration paths of their gate."""
+    one-configuration paths of their gate (the expanded maxima)."""
     cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
     cavities = CavitySystem.from_cooperativity(np.array([800.0, 8000.0]), 0.1, 1.0)
     exchange = ex.ExchangeConfig(cav, detuning=40.0 * cav.kappa, splitting_eg=300.0 * cav.kappa)
     raman = rm.symmetric_raman_config(cav, 40.0 * cav.kappa, 3.0 * cav.kappa, 0.05)
-    exchange_paths = (lindblad.exchange_open_system, ex.max_fidelity_exchange)
-    raman_paths = (lindblad.raman_open_system, rm.max_fidelity_raman)
+    exchange_paths = (ex.max_fidelity_exchange,)
+    raman_paths = (rm.max_fidelity_raman,)
     two_rates = np.array([0.0, 1e-3])
     return [
         pytest.param(exchange_paths, dataclasses.replace(exchange, gamma_eff=two_rates),
@@ -178,8 +191,8 @@ def array_configs():
 
 @pytest.mark.parametrize("paths, config", array_configs())
 def test_one_configuration_paths_reject_arrays(paths, config):
-    """The Lindblad builders and the expanded maxima have no array form:
-    an array config is refused with a ValueError that says so."""
+    """The expanded maxima have no array form: an array config is refused
+    with a ValueError that says so."""
     for path in paths:
         with pytest.raises(ValueError, match="takes one configuration"):
             path(config)

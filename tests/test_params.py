@@ -3,8 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
+from cavity_gates.errors import NonFinite
 from cavity_gates.params import (
-    CavitySystem, DecoherenceSpec, GateResult, Method, Scheme,
+    CavitySystem, DecoherenceSpec, GateResult, Method, Scheme, gate_results,
     rate_to_angular, time_to_seconds,
 )
 
@@ -85,6 +88,20 @@ def test_gate_result_validation():
     with pytest.raises(ValueError):
         GateResult(fidelity=0.5, gate_time=1.0, success_probability=-0.1,
                    method=Method.ANALYTIC)
+
+
+@pytest.mark.parametrize("gate_time", [math.inf, -math.inf, math.nan,
+                                       np.array([1.0, math.inf])])
+def test_gate_results_refuse_non_finite_gate_time(gate_time):
+    # an overflowed gate time is an evaluator error, not a result
+    with pytest.raises(NonFinite, match="gate_time is not finite"):
+        gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
+
+
+@pytest.mark.parametrize("gate_time", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_gate_results_refuse_non_positive_gate_time(gate_time):
+    with pytest.raises(ValueError, match="gate_time must be > 0"):
+        gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
 
 
 def test_rate_units():

@@ -5,9 +5,10 @@ import pytest
 
 from cavity_gates import raman as rm
 from cavity_gates.errors import ValidityWarning, ZeroDecoherence
-from cavity_gates.exchange import (build_hamiltonians, optimal_gate_time_exchange,
-                                   relative_phase_fidelity, ridge_f_pi)
+from cavity_gates.exchange import (optimal_gate_time_exchange, relative_phase_fidelity,
+                                   ridge_f_pi)
 from cavity_gates.params import CavitySystem
+from lindblad_oracle import raman_open_system, sector_hamiltonians
 
 
 def make_config(cooperativity=8000.0, g_over_kappa=0.1, two_photon_over_kappa=None,
@@ -26,21 +27,21 @@ def test_hamiltonian_uncoupled_diagonal():
     cfg = rm.RamanConfig(cav, laser_detuning_a=7.0, laser_detuning_b=5.0,
                          two_photon_a=3.0, two_photon_b=2.0,
                          rabi_a=0.0, rabi_b=0.0, g_a=0.0, g_b=0.0)
-    ham = build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     assert np.allclose(ham.h_up_down, np.diag([0.0, 7.0, -3.0, 5.0 + (2.0 - 3.0), 2.0 - 3.0]))
     assert np.allclose(ham.h_up_up, np.diag([0.0, 7.0, -3.0]))
 
 
 def test_two_photon_resonance_degenerate_corners():
     cfg = make_config()
-    ham = build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     assert ham.h_up_down[0, 0] == 0.0
     assert ham.h_up_down[4, 4] == 0.0
 
 
 def test_hamiltonian_symmetric_and_decay():
     cfg = make_config()
-    ham = build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     assert np.abs(ham.h_up_down - ham.h_up_down.T).max() == 0.0
     kappa = cfg.cavity.kappa
     decay_ud = -2.0 * np.imag(np.diag(ham.h_eff_up_down))
@@ -264,7 +265,7 @@ def test_phase_fidelity_matches_mpmath_expm(i, j):
     import mpmath
     cfg = make_config(two_photon_over_kappa=FIG6A_GRID[i], detuning_over_kappa=FIG6A_GRID[j])
     t = cfg.gate_time
-    ham = build_hamiltonians(cfg)
+    ham = sector_hamiltonians(cfg)
     sectors = (ham.h_eff_up_down, ham.h_eff_up_up)
     with mpmath.workdps(60):
         ud, uu = (mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(h.tolist()))[0, 0]
@@ -275,7 +276,6 @@ def test_phase_fidelity_matches_mpmath_expm(i, j):
 
 
 def test_shelved_sectors_carry_no_phase():
-    from cavity_gates.lindblad import raman_open_system
     gos = raman_open_system(make_config())
     h = gos.system.hamiltonian
     for idx in (8, 9):  # the |d,s> and |d,d> ground states
