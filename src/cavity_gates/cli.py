@@ -1,8 +1,7 @@
 """Command-line front end: `cavity-gate <evaluate|figure|casestudy|sweep>`.
 
-Config files are INI-style. Keys (units in parentheses; rates take
-`rad_s`, `hz` (multiplied by 2*pi), `per_gamma`, `per_kappa`; durations
-take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
+Config files are INI-style; the `config` module gives their grammar and
+units. The keys, with example values:
 
     [cavity]
     cooperativity = 50000            # with g_over_kappa, or give g + kappa
@@ -36,26 +35,17 @@ take `s`, `inv_gamma`; the prefix form `hz: 596` is also accepted):
     rabi_over_detuning   = 0.1       # exactly one of this / rabi_a
     rabi_b               = matched   # or a rate
 
-Grammar: a line whose first non-blank character is `#` or `;` is a
-comment, as is the rest of a line from a `#` or `;` that follows
-whitespace. `[name]` starts a section (names are case-sensitive; unknown
-sections are ignored). `key = value` or `key: value` splits at the first
-`=` or `:`, so `gamma = hz: 596` works; keys are stripped and lowercased,
-values stripped, and `%` is read as it stands. A duplicate section, a
-duplicate key and a key before the first section are config errors, and so,
-naming the line, are an indented continuation line, a `[DEFAULT]` section
-and a line with no `=` or `:` or with an empty key.
-
 A key that nothing reads in [cavity], [decoherence] or the evaluated
 [scheme.<name>] section (a misspelling, say) is a config error.
 
 `sweep --param KEY` overwrites one key of the parsed [scheme.<name>]
 section at each grid point (keys are case-insensitive, as in the file).
-A key the scheme never reads, and a grid with fewer than 2 points, a
-non-finite or unordered range or a non-positive log range, are config
-errors. A point that fails becomes a `nan,nan` row; when every point
-fails (say, an unknown `--unit`), no table is printed and the exit code is
-that of the first point's error.
+The values take the `--unit` suffix; without one they are bare numbers,
+which `config` reads in the key's own unit. A key the scheme never reads,
+and a grid with fewer than 2 points, a non-finite or unordered range or a
+non-positive log range, are config errors. A point that fails becomes a
+`nan,nan` row; when every point fails (say, an unknown `--unit`), no table
+is printed and the exit code is that of the first point's error.
 
 Every number must be finite: `nan` and `inf` are config errors, as are
 values the scheme's inputs reject (a `splitting_eg`, a `gate_time`, a
@@ -241,7 +231,7 @@ def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
 @click.option("--maximum", "vmax", type=float, required=True)
 @click.option("--points", type=int, default=41, show_default=True)
 @click.option("--log/--linear", "log_scale", default=False, show_default=True)
-@click.option("--unit", default="rad_s", show_default=True,
+@click.option("--unit", default=None, show_default="the key's own unit",
               help="Unit suffix applied to the swept values.")
 @click.option("--method", type=click.Choice(["analytic", "numeric", "lindblad"]),
               default="numeric", show_default=True)
@@ -257,8 +247,8 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
     except ValueError as exc:
         _fail(EXIT_CONFIG, f"sweep grid: {exc}")
     key = param.lower()  # the config reader lowercases keys
-    suffix = "" if unit in ("", "none") else f" {unit}"
-    lines = [f"# sweep {scheme}.{param} [{unit}] method={method}",
+    suffix = "" if unit in (None, "", "none") else f" {unit}"
+    lines = [f"# sweep {scheme}.{param} [{unit or 'default unit'}] method={method}",
              f"{param},fidelity,gate_time_gamma"]
     errors = []
     for value in axis.values():

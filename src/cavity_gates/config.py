@@ -2,10 +2,21 @@
 
 Sections: [cavity], [decoherence] (optional) and one or more
 [scheme.<name>] blocks (scattering, simple_exchange, raman); unknown
-sections are ignored. Rates accept the suffixes rad_s, hz (multiplied by
-2*pi), per_gamma and per_kappa; durations accept s and inv_gamma. The
-prefix form "hz: 596" is accepted as an alternative to "596 hz". Exact
-keys are documented in the cli module.
+sections are ignored. Exact keys are documented in the cli module.
+
+A value is "<number> [unit]" or "unit: <number>" ("596 hz" or "hz: 596").
+This module is the package's one unit converter; its units are
+
+    rates      rad_s      x 1 (the unit of a bare number)
+               hz         x 2 pi
+               per_gamma  x gamma
+               per_kappa  x kappa
+    durations  s          / 1 (the unit of a bare number)
+               inv_gamma  / gamma
+
+and dimensionless keys take no unit. per_gamma, per_kappa and inv_gamma
+need that cavity rate read first: [cavity] reads gamma, then g and kappa,
+so gamma itself takes neither, and g and kappa take no per_kappa.
 
 The grammar, read in one pass over the lines (split at "\n" only, so a
 trailing "\r" is whitespace):
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .exchange import ExchangeConfig, ExchangeMode, optimal_detuning
-from .params import CavitySystem, DecoherenceSpec, Scheme, rate_to_angular, time_to_seconds
+from .params import CavitySystem, DecoherenceSpec, Scheme
 from .raman import RamanConfig, optimal_two_photon
 from .scattering import PhotonPulse, ScatteringConfig
 
@@ -117,6 +128,13 @@ def _split_quantity(raw: str, key: str):
 
 _REQUIRED = object()
 
+#: unit -> scale of a rate: the value times the scale is the angular rate.
+#: A scale named "gamma" or "kappa" is that cavity rate, once it is known.
+#: In both tables the first unit is that of a bare number.
+_RATE_UNITS = {"rad_s": 1.0, "hz": 2.0 * math.pi, "per_gamma": "gamma", "per_kappa": "kappa"}
+#: unit -> scale of a duration: the value divided by the scale is the time
+_TIME_UNITS = {"s": 1.0, "inv_gamma": "gamma"}
+
 
 class _Section:
     def __init__(self, name, mapping, gamma=None, kappa=None):
@@ -129,42 +147,56 @@ class _Section:
     def key(self, option):
         return f"{self.name}.{option}"
 
-    def rate(self, option, default=_REQUIRED):
+    def _text(self, option, default):
+        """The option's text, marked read; None when it is absent and has a default."""
         if option not in self.raw:
             if default is _REQUIRED:
                 raise ConfigError(f"{self.key(option)} is required", key=self.key(option))
-            return default
+            return None
         self.used.add(option)
-        value, unit = _split_quantity(self.raw[option], self.key(option))
-        try:
-            return rate_to_angular(value, unit or "rad_s", gamma=self.gamma, kappa=self.kappa)
-        except ValueError as exc:
-            raise ConfigError(f"{self.key(option)}: {exc}", key=self.key(option))
+        return self.raw[option]
+
+    def _quantity(self, option, text, units, kind):
+        """(value, scale) of a quantity whose bare number is in the table's first unit."""
+        value, unit = _split_quantity(text, self.key(option))
+        unit = unit or next(iter(units))
+        if unit not in units:
+            raise ConfigError(f"{self.key(option)}: unknown {kind} unit {unit!r}; expected one "
+                              f"of {sorted(units)}", key=self.key(option))
+        scale = units[unit]
+        if isinstance(scale, str):   # the section's gamma or kappa
+            name, scale = scale, getattr(self, scale)
+            if scale is None:
+                raise ConfigError(f"{self.key(option)}: {unit} unit requires {name}",
+                                  key=self.key(option))
+        return value, scale
+
+    def rate(self, option, default=_REQUIRED):
+        text = self._text(option, default)
+        if text is None:
+            return default
+        value, scale = self._quantity(option, text, _RATE_UNITS, "rate")
+        return value * scale
 
     def duration(self, option, default=None):
-        if option not in self.raw:
+        text = self._text(option, default)
+        if text is None:
             return default
-        self.used.add(option)
-        value, unit = _split_quantity(self.raw[option], self.key(option))
-        try:
-            return time_to_seconds(value, unit or "s", gamma=self.gamma)
-        except ValueError as exc:
-            raise ConfigError(f"{self.key(option)}: {exc}", key=self.key(option))
+        value, scale = self._quantity(option, text, _TIME_UNITS, "time")
+        return value / scale
 
     def number(self, option, default=None):
-        if option not in self.raw:
+        text = self._text(option, default)
+        if text is None:
             return default
-        self.used.add(option)
-        value, unit = _split_quantity(self.raw[option], self.key(option))
+        value, unit = _split_quantity(text, self.key(option))
         if unit is not None:
             raise ConfigError(f"{self.key(option)} must be dimensionless", key=self.key(option))
         return value
 
     def word(self, option, default=None):
-        if option not in self.raw:
-            return default
-        self.used.add(option)
-        return self.raw[option].strip().lower()
+        text = self._text(option, default)
+        return default if text is None else text.strip().lower()
 
 
 @dataclass
@@ -207,14 +239,9 @@ def _build_cavity(section: _Section) -> CavitySystem:
         raise ConfigError("cavity needs either cooperativity+g_over_kappa or g+kappa",
                           key="cavity.g" if g is None else "cavity.kappa")
     try:
-        cavity = CavitySystem(g=g, kappa=kappa, gamma=gamma)
+        return CavitySystem(g=g, kappa=kappa, gamma=gamma)
     except ValueError as exc:
         raise ConfigError(f"cavity: {exc}", key="cavity.g")
-    # CavitySystem lets C underflow to 0, but every scheme divides by it
-    if not cavity.cooperativity > 0:
-        raise ConfigError("cavity: cooperativity 4 g^2/(kappa gamma) underflows to 0",
-                          key="cavity.g")
-    return cavity
 
 
 def _build_decoherence(section: _Section) -> DecoherenceSpec:

@@ -228,15 +228,14 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     return (0.5 * np.abs(amp[1] - amp[0])).reshape(shape)[()]
 
 
-def relative_phase_fidelity(config: ExchangeConfig | RamanConfig, gate_time=None):
-    """F_pi from non-Hermitian propagation of both sectors of either gate.
+def relative_phase_fidelity(config: ExchangeConfig | RamanConfig):
+    """F_pi from non-Hermitian propagation of both sectors of either gate,
+    at the config's pi-phase gate time T:
 
     F_pi = (1/2) |<uu-start| e^{-iT H_uu} |uu-start> -
                   <ud-start| e^{-iT H_ud} |ud-start>|.
     """
-    lossy_sectors, params = config.sectors()
-    return phase_fidelity(lossy_sectors, params,
-                          config.gate_time if gate_time is None else gate_time)
+    return phase_fidelity(*config.sectors(), config.gate_time)
 
 
 def ridge_f_pi(detuning, kappa, cooperativity):
@@ -284,32 +283,35 @@ def f_pi_closed_form(config: ExchangeConfig):
     return 0.5 * envelope * abs(spectator_phase + swap_term)
 
 
-def fidelity_numeric_exchange_batch(config: ExchangeConfig | RamanConfig,
-                                    gate_time=None) -> GateResults:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation,
-    for every row of an array-valued config of either gate."""
-    gate_time = config.gate_time if gate_time is None else gate_time
-    f_pi = relative_phase_fidelity(config, gate_time)
+def fidelity_numeric_exchange_batch(config: ExchangeConfig | RamanConfig) -> GateResults:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation
+    at the config's pi-phase gate time T, for every row of an array-valued
+    config of either gate."""
+    gate_time = config.gate_time
+    f_pi = relative_phase_fidelity(config)
     f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
 
 
-def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig, gate_time=None) -> GateResult:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation."""
-    return fidelity_numeric_exchange_batch(config, gate_time).single()
+def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResult:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation
+    at the config's pi-phase gate time T."""
+    return fidelity_numeric_exchange_batch(config).single()
 
 
-def fidelity_analytic_exchange_batch(config: ExchangeConfig, gate_time=None) -> GateResults:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form,
-    for every row of an array-valued config."""
-    gate_time = config.gate_time if gate_time is None else gate_time
+def fidelity_analytic_exchange_batch(config: ExchangeConfig) -> GateResults:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
+    at the config's pi-phase gate time T, for every row of an array-valued
+    config."""
+    gate_time = config.gate_time
     f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.ANALYTIC)
 
 
-def fidelity_analytic_exchange(config: ExchangeConfig, gate_time=None) -> GateResult:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form."""
-    return fidelity_analytic_exchange_batch(config, gate_time).single()
+def fidelity_analytic_exchange(config: ExchangeConfig) -> GateResult:
+    """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
+    at the config's pi-phase gate time T."""
+    return fidelity_analytic_exchange_batch(config).single()
 
 
 def optimal_detuning(kappa, cooperativity) -> float:

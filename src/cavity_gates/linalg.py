@@ -26,7 +26,8 @@ on a spectrum lose about its trust measure squared times machine epsilon.
 
 In both kernels a NaN or Inf trust measure, and every row of a stack whose
 eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
-raises NonFinite. No stack is split here: the callers size it
+raises NonFinite, and so does a phase e^{-i t lambda} of a trusted row that
+overflows (`phases`, which `propagate` and the Lindblad closure share). No stack is split here: the callers size it
 (`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
 pole sum passes one 3x3 generator per row of its config in one call and two
 2x2 ones per row in another; the Lindblad closure passes each sector stack
@@ -161,6 +162,22 @@ def _expm_squaring(m: np.ndarray) -> np.ndarray:
     return result
 
 
+def phases(values, t, trusted=True) -> np.ndarray:
+    """e^{-i t_j lambda_jk} for eigenvalues values (n, k) and times t (n, 1)
+    (or a scalar). Raises NonFinite when a trusted row's phase overflows
+    (||H|| t past the double range); an untrusted row's phase that does is
+    set to 0, as that row's eigenbasis is not used."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-1j * t * values)
+    finite = np.isfinite(out)
+    if not finite.all():
+        if not (finite.all(-1) | ~np.asarray(trusted)).all():
+            raise NonFinite("propagation phase e^{-i t lambda} overflows: ||H|| t is past "
+                            "the double range")
+        out[~finite] = 0.0
+    return out
+
+
 def propagate(h, psi, t) -> np.ndarray:
     """e^{-i t_j H_j} psi_j for a stack of (generally non-Hermitian)
     generators h (n, k, k) and states psi (n, k); t is a scalar or has
@@ -173,8 +190,8 @@ def propagate(h, psi, t) -> np.ndarray:
     times = np.broadcast_to(np.asarray(t, dtype=float), len(h))
     if not np.isfinite(times).all():
         raise NonFinite("propagation time contains NaN or Inf entries")
-    phases = np.exp(-1j * times[:, None] * basis.values)
-    out = (basis.vectors @ (phases * basis.coeff)[:, :, None])[:, :, 0]
+    out = (basis.vectors @ (phases(basis.values, times[:, None], basis.trusted)
+                            * basis.coeff)[:, :, None])[:, :, 0]
     for i in (~basis.trusted).nonzero()[0]:
         out[i] = _expm_squaring(-1j * times[i] * h[i]) @ psi[i]
     return out

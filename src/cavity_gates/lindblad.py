@@ -79,7 +79,7 @@ def gate_fidelity_lindblad_batch(config: ExchangeConfig | RamanConfig) -> GateRe
                                      f"exceptional point")
         values.append(basis.values)
         amplitudes.append(basis.vectors * basis.coeff[:, None, :])
-    ud, uu = ((a[:, 0] * np.exp(-1j * t * v)).sum(-1) for a, v in zip(amplitudes, values))
+    ud, uu = ((a[:, 0] * linalg.phases(v, t)).sum(-1) for a, v in zip(amplitudes, values))
     overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
     jumps = _TARGET_JUMPS[type(config)]
     if jumps:

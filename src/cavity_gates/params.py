@@ -1,9 +1,7 @@
-"""Canonical domain types and unit conventions shared by all gate schemes.
+"""Canonical domain types shared by all gate schemes.
 
-All rates are angular frequencies (rad/s, or any consistent unit system such
-as multiples of the emitter decay rate). Configuration ingestion converts
-ordinary frequencies (Hz) by multiplying with 2*pi; coherence times entered
-as T2 contribute 1/(2*T2) to the effective decoherence rate.
+All rates are angular frequencies in one consistent unit system (rad/s, or
+multiples of the emitter decay rate), and all times are in its inverse.
 """
 from __future__ import annotations
 
@@ -15,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite
-
-TWO_PI = 2.0 * math.pi
 
 
 class Scheme(enum.Enum):
@@ -51,9 +47,8 @@ class CavitySystem:
             # written so that NaN fails
             if not all_rows((value > 0) & (value < math.inf)):
                 raise ValueError(f"CavitySystem.{name} must be finite and > 0, got {value!r}")
-        # finite rates can still give a C that overflows. One that underflows
-        # to 0 stays allowed, for the DivergentDenominator check of
-        # scattering.spin_amplitudes; config refuses it.
+        # finite rates can still give a C that overflows, or one that
+        # underflows to 0, which every scheme divides by
         try:
             with np.errstate(over="ignore"):
                 cooperativity = self.cooperativity
@@ -62,6 +57,8 @@ class CavitySystem:
         if not all_rows(cooperativity < math.inf):
             raise ValueError(f"CavitySystem cooperativity 4 g^2/(kappa gamma) must be finite, "
                              f"got {cooperativity!r}")
+        if not all_rows(cooperativity > 0):
+            raise ValueError("cooperativity 4 g^2/(kappa gamma) underflows to 0")
 
     @property
     def cooperativity(self) -> float:
@@ -270,46 +267,3 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     masks["clamped"] = clamped
     return GateResults(np.minimum(np.maximum(fidelity, 0.0), 1.0), gate_time, method, masks,
                        probability)
-
-
-_RATE_UNITS = {
-    "rad_s": lambda v, gamma, kappa: v,
-    "hz": lambda v, gamma, kappa: TWO_PI * v,
-    "per_gamma": lambda v, gamma, kappa: v * gamma,
-    "per_kappa": lambda v, gamma, kappa: v * kappa,
-}
-
-_TIME_UNITS = {
-    "s": lambda v, gamma: v,
-    "inv_gamma": lambda v, gamma: v / gamma,
-}
-
-
-def rate_to_angular(value, unit, gamma=None, kappa=None):
-    """Convert a (value, unit) rate to angular units.
-
-    Supported units: rad_s, hz (multiplied by 2*pi), per_gamma, per_kappa.
-    """
-    try:
-        conv = _RATE_UNITS[unit]
-    except KeyError:
-        raise ValueError(f"unknown rate unit {unit!r}; expected one of {sorted(_RATE_UNITS)}")
-    if unit == "per_gamma" and gamma is None:
-        raise ValueError("per_gamma unit requires gamma")
-    if unit == "per_kappa" and kappa is None:
-        raise ValueError("per_kappa unit requires kappa")
-    return conv(value, gamma, kappa)
-
-
-def time_to_seconds(value, unit, gamma=None):
-    """Convert a (value, unit) duration to the canonical time unit.
-
-    Supported units: s, inv_gamma (multiples of 1/gamma).
-    """
-    try:
-        conv = _TIME_UNITS[unit]
-    except KeyError:
-        raise ValueError(f"unknown time unit {unit!r}; expected one of {sorted(_TIME_UNITS)}")
-    if unit == "inv_gamma" and gamma is None:
-        raise ValueError("inv_gamma unit requires gamma")
-    return conv(value, gamma)

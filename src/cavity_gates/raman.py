@@ -192,8 +192,9 @@ def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
 optimal_two_photon = optimal_detuning
 
 
-def fidelity_analytic_raman_batch(config: RamanConfig, gate_time=None) -> GateResults:
-    """Adiabatic closed form including the drive-induced corrections:
+def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
+    """Adiabatic closed form including the drive-induced corrections, at the
+    config's pi-phase gate time T:
 
     F = (1/2) ( cos^2(pi Omega/(4 Delta)) cos^2(pi Omega^2/(2 delta Delta))
                 sin((pi/2)/(1 + g^2/(delta Delta))) F_pi + 1 ) - Gamma*T,
@@ -211,7 +212,7 @@ def fidelity_analytic_raman_batch(config: RamanConfig, gate_time=None) -> GateRe
     if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
         warnings.warn("inputs are at the edge of the adiabatic regime "
                       "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
-    gate_time = config.gate_time if gate_time is None else gate_time
+    gate_time = config.gate_time
     f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
     prefactor = (
         np.cos(np.pi * omega / (4.0 * big_d)) ** 2
@@ -224,9 +225,10 @@ def fidelity_analytic_raman_batch(config: RamanConfig, gate_time=None) -> GateRe
                         {"detuning errors not modeled": unmodeled})
 
 
-def fidelity_analytic_raman(config: RamanConfig, gate_time=None) -> GateResult:
-    """One-configuration call of fidelity_analytic_raman_batch."""
-    return fidelity_analytic_raman_batch(config, gate_time).single()
+def fidelity_analytic_raman(config: RamanConfig) -> GateResult:
+    """One-configuration call of fidelity_analytic_raman_batch, at the
+    config's pi-phase gate time."""
+    return fidelity_analytic_raman_batch(config).single()
 
 
 def max_fidelity_raman(config: RamanConfig) -> GateResult:

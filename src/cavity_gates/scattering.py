@@ -386,14 +386,11 @@ def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
     Valid for C >> 1 and delta_p, sigma_p small against gamma*C (and
     delta_eps small against gamma); rows outside that domain carry the note
     "outside validity domain" and emit a ValidityWarning. Fidelities are
-    clamped to [0, 1] (rows marked "clamped"). A C that underflows to 0, and
-    any row whose terms overflow, raise NonFinite.
+    clamped to [0, 1] (rows marked "clamped"). Any row whose terms overflow
+    raises NonFinite.
     """
     cav = config.cavity
     c = cav.cooperativity
-    if any_row(c == 0):
-        raise NonFinite("closed-form scattering fidelity divides by the cooperativity, "
-                        "and C = 4 g^2/(kappa gamma) underflows to 0")
     gamma = cav.gamma
     pulse = config.pulse
     t_gate = pulse.gate_time

@@ -55,6 +55,48 @@ def test_load_config_units():
     assert sc.gamma_eff == pytest.approx(0.5 / 6.6e-3)
 
 
+def _config_error(text):
+    with pytest.raises(ConfigError) as excinfo:
+        cfg_mod.load_config_text(text)
+    return str(excinfo.value)
+
+
+def test_rate_units():
+    """Each rate unit scales exactly as the table of `config` says, and a
+    bare number is rad_s. An unknown unit, and a per_gamma or per_kappa read
+    before that cavity rate is known, are config errors naming the key."""
+    run = cfg_mod.load_config_text(
+        "[cavity]\ngamma = 4\ng = 0.5 per_gamma\nkappa = 3 hz\n"
+        "[decoherence]\nqubit_relaxation = 2 rad_s\nqubit_pure_dephasing = 0.25 per_kappa\n"
+        "optical_pure_dephasing = 1.5 per_gamma\n")
+    kappa = 3.0 * (2.0 * math.pi)
+    assert (run.cavity.gamma, run.cavity.g, run.cavity.kappa) == (4.0, 2.0, kappa)
+    deco = run.decoherence
+    assert (deco.qubit_relaxation, deco.qubit_pure_dephasing, deco.optical_pure_dephasing) == (
+        2.0, 0.25 * kappa, 6.0)
+    assert _config_error("[cavity]\ngamma = 1 thz\n") == (
+        "cavity.gamma: unknown rate unit 'thz'; expected one of "
+        "['hz', 'per_gamma', 'per_kappa', 'rad_s']")
+    assert _config_error("[cavity]\ngamma = 1 per_gamma\n") == (
+        "cavity.gamma: per_gamma unit requires gamma")
+    assert _config_error("[cavity]\ngamma = 1\ng = 1 per_kappa\nkappa = 1\n") == (
+        "cavity.g: per_kappa unit requires kappa")
+
+
+def test_time_units():
+    """Each duration unit scales exactly as the table of `config` says, and
+    a bare number is s; an unknown unit, a rate unit among them, is a config
+    error naming the key."""
+    def t2(value):
+        return f"[cavity]\ngamma = 4\ng = 1\nkappa = 1\n[decoherence]\nqubit_t2 = {value}\n"
+
+    for value, seconds in (("3", 3.0), ("3 s", 3.0), ("s: 3", 3.0), ("2 inv_gamma", 0.5)):
+        assert cfg_mod.load_config_text(t2(value)).decoherence.qubit_t2 == seconds
+    for unit in ("fortnight", "hz"):
+        assert _config_error(t2(f"1 {unit}")) == (
+            f"decoherence.qubit_t2: unknown time unit '{unit}'; expected one of ['inv_gamma', 's']")
+
+
 def test_prefix_unit_form_equivalent():
     a = cfg_mod.load_config_text(YB_CONFIG)
     b = cfg_mod.load_config_text(YB_CONFIG.replace("gamma = 596 hz", "gamma = hz: 596"))
@@ -410,6 +452,25 @@ def test_cli_sweep_fails_when_no_point_evaluates(yb_path, unit):
     assert result.stdout == ""
     assert "no grid point evaluated" in result.stderr
     assert f"unknown rate unit '{unit}'" in result.stderr
+
+
+@pytest.mark.parametrize("scheme, param, minimum, maximum", [
+    ("scattering", "gate_time", "1e-4", "1e-3"),          # a duration: s
+    ("raman", "rabi_over_detuning", "0.05", "0.2"),       # dimensionless
+    ("simple_exchange", "detuning", "1e11", "1e12"),      # a rate: rad_s
+])
+def test_cli_sweep_without_unit_uses_the_key_unit(yb_path, scheme, param, minimum, maximum):
+    """Without --unit the swept values are bare numbers, in the key's own
+    unit: every point evaluates, and a rate key's rows are those of
+    --unit rad_s."""
+    argv = ["sweep", scheme, yb_path, "--param", param, "--minimum", minimum,
+            "--maximum", maximum, "--points", "3", "--method", "analytic"]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.stderr
+    rows = _sweep_rows(result.stdout)
+    assert len(rows) == 3 and not any(math.isnan(row[1]) for row in rows)
+    if param == "detuning":
+        assert rows == _sweep_rows(CliRunner().invoke(main, argv + ["--unit", "rad_s"]).stdout)
 
 
 def test_cli_sweep_evaluator_error_at_every_point(yb_path):

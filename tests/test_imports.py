@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -50,4 +51,21 @@ def test_one_result_builder():
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 offenders += [f"{name}:{i}" for i, line in enumerate(fh, 1)
                               if re.search(r"\bGateResult\(", line)]
+    assert offenders == []
+
+
+def test_one_unit_table():
+    """Units are converted in `config` alone: no other module holds a unit
+    name of its tables as a string literal (a second table, converter or
+    default unit)."""
+    from cavity_gates import config
+    units = set(config._RATE_UNITS) | set(config._TIME_UNITS)
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "config.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            offenders += [f"{name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Constant) and node.value in units]
     assert offenders == []

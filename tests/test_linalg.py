@@ -323,3 +323,15 @@ def test_resolvent_poles_refuse_and_distrust():
         patch.setattr(np.linalg, "eigvals", fail)
         poles = linalg.resolvent_poles(h)
     assert not poles.trusted.any() and np.isnan(poles.values).all()
+
+
+def test_phases_refuse_overflow_on_trusted_rows_only():
+    """An overflowing phase raises NonFinite on a trusted row; on an
+    untrusted row, whose eigenbasis is not used, it is set to 0."""
+    values = np.array([[1.0, -0.5j], [1e300, 1.0]])
+    t = np.array([[1.0], [1e10]])
+    with pytest.raises(NonFinite, match="overflows"):
+        linalg.phases(values, t)
+    out = linalg.phases(values, t, trusted=np.array([True, False]))
+    assert out[1, 0] == 0.0
+    assert np.array_equal(out[[0, 0, 1], [0, 1, 1]], np.exp(-1j * np.array([1.0, -0.5j, 1e10])))

@@ -13,7 +13,7 @@ from cavity_gates import linalg
 from cavity_gates.cli import main
 from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, fidelity_numeric_exchange,
-                                   optimal_detuning)
+                                   fidelity_numeric_exchange_batch, optimal_detuning)
 from cavity_gates.params import CavitySystem
 from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
 
@@ -360,3 +360,16 @@ def test_exceptional_point_row_is_refused(tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("error: eigenbasis of H_eff not trusted")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("detuning", [1e300, 1e308, np.array([10.0, 1e300])],
+                         ids=["1e300", "1e308", "array"])
+@pytest.mark.parametrize("evaluate", [fidelity_numeric_exchange_batch,
+                                      lb.gate_fidelity_lindblad_batch],
+                         ids=["numeric", "lindblad"])
+def test_overflowing_phase_is_non_finite(evaluate, detuning):
+    """||H|| T past the double range raises NonFinite on both paths, and no
+    RuntimeWarning escapes first: the suite turns those into errors."""
+    cav = CavitySystem(g=0.1, kappa=1.0, gamma=1.0)
+    with pytest.raises(NonFinite):
+        evaluate(ExchangeConfig(cav, detuning=detuning))

@@ -8,7 +8,6 @@ import numpy as np
 from cavity_gates.errors import NonFinite
 from cavity_gates.params import (
     CavitySystem, DecoherenceSpec, GateResult, Method, Scheme, gate_results,
-    rate_to_angular, time_to_seconds,
 )
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -16,6 +15,15 @@ positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 def test_cooperativity_direct_substitution():
     assert CavitySystem(g=1.0, kappa=4.0, gamma=1.0).cooperativity == 1.0
+
+
+@pytest.mark.parametrize("g", [1e-200, np.array([1.0, 1e-200])], ids=["scalar", "array"])
+def test_cavity_refuses_underflowed_cooperativity(g):
+    """A C that underflows to 0 (g^2 = 0), which every scheme divides by, is
+    refused when the cavity is built, for a scalar g and an array row."""
+    with pytest.raises(ValueError, match=r"^cooperativity 4 g\^2/\(kappa gamma\) underflows "
+                                         r"to 0$"):
+        CavitySystem(g=g, kappa=1.0, gamma=1.0)
 
 
 @pytest.mark.parametrize("c, gok, gamma", [
@@ -102,21 +110,3 @@ def test_gate_results_refuse_non_finite_gate_time(gate_time):
 def test_gate_results_refuse_non_positive_gate_time(gate_time):
     with pytest.raises(ValueError, match="gate_time must be > 0"):
         gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
-
-
-def test_rate_units():
-    assert rate_to_angular(596.0, "hz") == pytest.approx(2.0 * math.pi * 596.0)
-    assert rate_to_angular(3.0, "rad_s") == 3.0
-    assert rate_to_angular(2.0, "per_gamma", gamma=5.0) == 10.0
-    assert rate_to_angular(2.0, "per_kappa", kappa=4.0) == 8.0
-    with pytest.raises(ValueError):
-        rate_to_angular(1.0, "thz")
-    with pytest.raises(ValueError):
-        rate_to_angular(1.0, "per_gamma")
-
-
-def test_time_units():
-    assert time_to_seconds(1.0, "s") == 1.0
-    assert time_to_seconds(2.0, "inv_gamma", gamma=4.0) == 0.5
-    with pytest.raises(ValueError):
-        time_to_seconds(1.0, "fortnight")

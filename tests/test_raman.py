@@ -5,8 +5,8 @@ import pytest
 
 from cavity_gates import raman as rm
 from cavity_gates.errors import ValidityWarning, ZeroDecoherence
-from cavity_gates.exchange import (optimal_gate_time_exchange, relative_phase_fidelity,
-                                   ridge_f_pi)
+from cavity_gates.exchange import (optimal_gate_time_exchange, phase_fidelity,
+                                   relative_phase_fidelity, ridge_f_pi)
 from cavity_gates.params import CavitySystem
 from lindblad_oracle import raman_open_system, sector_hamiltonians
 
@@ -138,8 +138,9 @@ def test_gate_time_requires_drive():
 
 def test_drives_off_gives_half():
     cfg = make_config(rabi_over_detuning=0.0)
-    result = rm.fidelity_numeric_raman(cfg, gate_time=5.0)
-    assert result.fidelity == pytest.approx(0.5, abs=1e-12)
+    # no drive, no finite gate time: propagate for a fixed one
+    f_pi = phase_fidelity(*cfg.sectors(), 5.0)
+    assert 0.5 * (f_pi + 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_strong_drive_oscillates_on_ridge():
@@ -165,7 +166,7 @@ def test_ridge_maximum_mini_grid():
 def test_analytic_reduces_to_ridge_form_for_weak_drive():
     cfg = make_config(rabi_over_detuning=1e-4, detuning_over_kappa=10.0)
     expected = 0.5 * (ridge_f_pi(cfg.two_photon, cfg.cavity.kappa, 8000.0) + 1.0)
-    assert rm.fidelity_analytic_raman(cfg, gate_time=1.0).fidelity == pytest.approx(
+    assert rm.fidelity_analytic_raman(cfg).fidelity == pytest.approx(
         expected, abs=1e-5)
 
 
@@ -187,7 +188,7 @@ def test_analytic_rabi_boundary_dip():
     f_pi = ridge_f_pi(two_photon, cav.kappa, 8000.0)
     expected = 0.5 * (math.sin(math.pi / 4.0) * f_pi + 1.0)
     with pytest.warns(ValidityWarning):  # cavity-Rabi adiabatic boundary
-        result = rm.fidelity_analytic_raman(cfg, gate_time=1.0)
+        result = rm.fidelity_analytic_raman(cfg)
     assert result.fidelity == pytest.approx(expected, abs=1e-4)
 
 

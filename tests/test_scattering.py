@@ -54,7 +54,9 @@ def test_uncoupled_reflection_is_pure_phase(omega):
 
 
 def test_divergent_denominator():
-    cav = CavitySystem(g=1e-301, kappa=1e-301, gamma=1.0)
+    # C = 4 g^2/(kappa gamma) = 4e-19 > 0, but every reflection denominator,
+    # about kappa/2 = 5e-302 at omega = 0, is below the 1e-300 guard
+    cav = CavitySystem(g=1e-160, kappa=1e-301, gamma=1.0)
     with pytest.raises(DivergentDenominator):
         sc.spin_amplitudes(sc.ScatteringConfig(cav, sc.PhotonPulse(1.0)), 0.0)
 
@@ -200,18 +202,6 @@ def test_fidelity_analytic_warns_outside_validity():
     cfg = make_config(cooperativity=4000.0, g_over_kappa=0.1, delta_p=2000.0)
     with pytest.warns(ValidityWarning):
         sc.fidelity_analytic(cfg)
-
-
-@pytest.mark.parametrize("g", [1e-200, np.array([1.0, 1e-200])], ids=["scalar", "array"])
-def test_fidelity_analytic_zero_cooperativity_raises(g):
-    """A C that underflows to 0 (g^2 = 0) raises NonFinite naming C = 0,
-    not a ZeroDivisionError or an inf row."""
-    cfg = sc.ScatteringConfig(CavitySystem(g=g, kappa=1.0, gamma=1.0),
-                              sc.PhotonPulse.from_gate_time(1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        with pytest.raises(NonFinite, match="C = 4 g"):
-            sc.fidelity_analytic_batch(cfg)
 
 
 @pytest.mark.parametrize("delta_p", [1e160, np.array([30.0, 1e160])], ids=["scalar", "array"])
