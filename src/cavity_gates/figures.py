@@ -4,8 +4,9 @@ All builders work in units of the emitter decay rate (gamma = 1). Each
 figure carries a `#`-prefixed parameter block; swept quantities are marked
 with the SWEEP token so a single row can be reproduced through the
 command-line evaluate path. Every builder evaluates whole columns through
-the batch evaluators; the fig8 optima are row-wise golden-section searches
-over the Gamma column, which fig8a and fig8b each run.
+the batch evaluators, a fig2 builder in one call of each scattering path
+(its g/kappa regimes a (3, 1) column); the fig8 optima are row-wise
+golden-section searches over the Gamma column, which fig8a and fig8b each run.
 """
 from __future__ import annotations
 
@@ -51,15 +52,15 @@ _SCATTER_REGIMES = (0.01, 0.5, 10.0)
 
 def _fig2(axis_name, axis_values, fixed, variable):
     """Shared builder for the scattering sweeps: three cavity regimes, with
-    a numeric and an analytic column each (one batch call apiece)."""
+    a numeric and an analytic column each (one (3, n) batch call apiece)."""
     header = [axis_name]
-    columns = [axis_values]
     for gk in _SCATTER_REGIMES:
         header += [f"F_numeric_gk{gk:g}", f"F_analytic_gk{gk:g}"]
-        batch = _scatter_configs(g_over_kappa=gk, **fixed, **{variable: axis_values})
-        columns.append(scattering.fidelity_numeric_batch(batch).fidelity)
-        columns.append(scattering.fidelity_analytic_batch(batch).fidelity)
-    return header, np.column_stack(columns)
+    batch = _scatter_configs(g_over_kappa=np.array(_SCATTER_REGIMES)[:, None], **fixed,
+                             **{variable: axis_values})
+    columns = np.stack([scattering.fidelity_numeric_batch(batch).fidelity,
+                        scattering.fidelity_analytic_batch(batch).fidelity], axis=1)
+    return header, np.column_stack([axis_values, *columns.reshape(-1, len(axis_values))])
 
 
 def build_fig2a():

@@ -15,11 +15,12 @@ on a spectrum lose about its trust measure squared times machine epsilon.
   ConvergenceFailure when any of its rows is untrusted.
 - `resolvent_poles` serves generators in star form (state 0 coupled to
   every other state, those uncoupled from each other) and needs no
-  eigenvectors: one stacked `np.linalg.eigvals` gives the poles of
-  <0|(z - H)^-1|0> and a product formula their residues w_k. A row is
-  trusted when 2 sum_k |w_k| is below the limit; for a complex-symmetric
-  2x2 that is exactly the Frobenius condition number, and on the
-  scattering 3x3 generators (fig2a-c and 20,000 random configs)
+  eigenvectors: the poles of <0|(z - H)^-1|0> are the eigenvalues (of a
+  2x2 stack in closed form with no LAPACK call, of larger ones from one
+  stacked `np.linalg.eigvals`) and a product formula gives their residues
+  w_k. A row is trusted when 2 sum_k |w_k| is below the limit; for a
+  complex-symmetric 2x2 that is exactly the Frobenius condition number, and
+  on the scattering 3x3 generators (fig2a-c and 20,000 random configs)
   cond_F / sum_k |w_k| lies between 2.4 and 6.9.
   Its one caller, the scattering pole sum, sends untrusted rows to a
   matrix function of the generators, built on `solve`.
@@ -106,7 +107,10 @@ def resolvent_poles(h) -> Poles:
 
     The residue at the eigenvalue lambda_k is the adjugate formula
     w_k = prod_{i>=1} (lambda_k - h_ii) / prod_{j!=k} (lambda_k - lambda_j),
-    equal to V[0,k] (V^-1 e_0)_k, so one `np.linalg.eigvals` call suffices.
+    equal to V[0,k] (V^-1 e_0)_k, so eigenvalues suffice: one `np.linalg.eigvals`
+    call, or for pairs [[a, b], [c, d]] the closed form lambda_1 = m + r of the
+    larger modulus, m = (a + d)/2, r = +-sqrt(((a - d)/2)^2 + bc), and
+    lambda_2 = (ad - bc)/lambda_1, whose small root keeps its relative accuracy.
     A row is trusted when 2 sum_k |w_k| < EIG_COND_LIMIT (a row with a
     double eigenvalue divides by zero and is not).
     """
@@ -115,14 +119,22 @@ def resolvent_poles(h) -> Poles:
         raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise NonFinite("matrix contains NaN or Inf entries")
-    try:
-        values = np.linalg.eigvals(h)
-    except np.linalg.LinAlgError:
-        values = np.full(h.shape[:2], np.nan, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        below = values[:, :, None] - np.diagonal(h, axis1=1, axis2=2)[:, None, 1:]
-        gaps = values[:, :, None] - values[:, None, :] + np.eye(h.shape[-1])   # 1 at j = k
-        weights = below.prod(-1) / gaps.prod(-1)
+        if h.shape[-1] == 2:
+            a, b, c, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
+            mean, root = 0.5 * (a + d), np.sqrt((0.5 * (a - d))**2 + b * c)   # m, r
+            values = np.empty((len(h), 2), dtype=complex)
+            big = values[:, 0] = mean + np.where((mean.conj() * root).real < 0.0, -root, root)
+            values[:, 1] = (a * d - b * c) / big
+            weights = (values - d[:, None]) / (values - values[:, ::-1])
+        else:
+            try:
+                values = np.linalg.eigvals(h)
+            except np.linalg.LinAlgError:
+                values = np.full(h.shape[:2], np.nan, dtype=complex)
+            below = values[:, :, None] - np.diagonal(h, axis1=1, axis2=2)[:, None, 1:]
+            gaps = values[:, :, None] - values[:, None, :] + np.eye(h.shape[-1])   # 1 at j = k
+            weights = below.prod(-1) / gaps.prod(-1)
         trusted = 2.0 * abs(weights).sum(-1) < EIG_COND_LIMIT   # NaN counts as untrusted
     return Poles(values, weights, trusted)
 

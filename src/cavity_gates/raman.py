@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidityWarning, ZeroDecoherence
+from .errors import NonFinite, ValidityWarning, ZeroDecoherence
 from .exchange import (cooperativity_limited_max_exchange, fidelity_numeric_exchange,
                        fidelity_numeric_exchange_batch, optimal_detuning, ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
@@ -173,6 +173,7 @@ def raman_gate_time(config: RamanConfig) -> float:
 
     T = pi (g_A^2 Delta_A + g_B^2 Delta_B + delta Delta_A Delta_B)
           / (g_A g_B Omega_A Omega_B).
+    A T out of the double range raises NonFinite, with no RuntimeWarning.
     """
     g_a, g_b = config.coupling_a, config.coupling_b
     om_a, om_b = config.rabi_a, config.drive_b
@@ -180,7 +181,14 @@ def raman_gate_time(config: RamanConfig) -> float:
         raise ValueError("couplings and drives must be > 0 for a finite gate time")
     d = config.two_photon
     da, db = config.laser_detuning_a, config.laser_detuning_b
-    return math.pi * (g_a**2 * da + g_b**2 * db + d * da * db) / (g_a * g_b * om_a * om_b)
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = math.pi * (g_a**2 * da + g_b**2 * db + d * da * db) / (g_a * g_b * om_a * om_b)
+    except (OverflowError, ZeroDivisionError):  # float arithmetic past the double range
+        t = math.inf
+    if not all_rows((t > 0) & (t < math.inf)):
+        raise NonFinite("Raman gate time leaves the double range")
+    return t
 
 
 def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
@@ -204,6 +212,7 @@ def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
     laser-detuning errors are not modeled; rows that have them carry the
     note "detuning errors not modeled".
     """
+    gate_time = config.gate_time   # first: a T out of range raises NonFinite, not a warning
     cav = config.cavity
     d = config.two_photon
     big_d = config.laser_detuning
@@ -212,7 +221,6 @@ def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
     if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
         warnings.warn("inputs are at the edge of the adiabatic regime "
                       "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
-    gate_time = config.gate_time
     f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
     prefactor = (
         np.cos(np.pi * omega / (4.0 * big_d)) ** 2

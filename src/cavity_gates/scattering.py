@@ -18,8 +18,9 @@ w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j) over the
 emitter levels H_ee. `linalg.resolvent_poles` gives the poles (an
 eigenvalue-only solve) and the w_k of s_uu (cavity and two emitters) in one
 stacked call of 3x3 generators, and those of s_ud and s_du (cavity and one
-emitter) in one stacked call of 2x2 generators; s_dd, the bare cavity, has
-the one pole -i*kappa/2 with residue -i*kappa and needs no eigensolve.
+emitter) in one stacked call of 2x2 generators, solved in closed form with
+no LAPACK call; s_dd, the bare cavity, has the one pole -i*kappa/2 with
+residue -i*kappa and needs no eigensolve.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -201,10 +202,11 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     s_i = 1 + sum_k a_ik/(omega - lambda_ik) over the poles of amplitude i:
     the eigenvalues of its coupled generator H (three for s_uu, two each for
     s_ud and s_du, from one `linalg.resolvent_poles` call per stack of
-    `_coupled_generators`: eigenvalues only, no eigenvectors), with
+    `_coupled_generators`: `eigvals` on the 3x3 stack, the closed form on the
+    pairs), with
     a_ik = -i kappa w_k, w_k = prod_{e>=1} (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j)
-    the residue of <0|(omega - H)^-1|0>, and for s_dd the bare cavity pole
-    -i kappa/2 with residue -i kappa. s_i s_j* has
+    the residue of <0|(omega - H)^-1|0> (zeroed on untrusted rows, inf at a double pole),
+    and for s_dd the bare cavity pole -i kappa/2 with residue -i kappa. s_i s_j* has
     simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
     sbar_j(x) = conj(s_j(conj x)) and I(lambda) = integral N(omega)/(omega - lambda) d omega
@@ -223,6 +225,8 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
         for out, x in ((poles, found.values), (residues, found.weights)):
             out[owned] = x.reshape(count, n, k).transpose(0, 2, 1).reshape((count * k,) + shape)
         trusted &= found.trusted.reshape(count, n).all(axis=0)
+    if not trusted.all():
+        residues.reshape(8, n)[:, ~trusted] = 0.0
     poles[7] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[7] = 1.0
     residues *= -1j * kappa
@@ -339,7 +343,7 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     gamma = 2e-10, delta_eps_a = 8e10 by 2.1e-8, where the matrix-function
     form is within 3e-16 (the eigenvector residues gave 2.7e-9, 4.1e-9 and
     2.1e-8). Refining the poles by Newton steps on the secular equation is
-    left to ROADMAP.md item 2: one step closed two of these rows but not
+    left to ROADMAP.md item 6: one step closed two of these rows but not
     the third.
     """
     return _density_matrices(config)[0]

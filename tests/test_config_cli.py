@@ -225,9 +225,14 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
                          "qubit_t2 = 6.6e-3 s\noptical_pure_dephasing = 9e3 rad_s":
                          "qubit_pure_dephasing = 0.01 rad_s",
                          "detuning = optimal": "detuning = 1e308 rad_s"}, "analytic", 3),
+    # T = pi (... + delta Delta_A Delta_B)/(...) overflows on every Raman method
+    *(("raman", {"two_photon = optimal": "two_photon = 10 rad_s",
+                 "laser_detuning = 2 per_kappa": "laser_detuning = 1e300 rad_s"}, method, 3)
+      for method in ("analytic", "numeric", "lindblad")),
 ], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
         "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow",
-        "infinite-gate-time"])
+        "infinite-gate-time",
+        *(f"raman-gate-time-overflow-{method}" for method in ("analytic", "numeric", "lindblad"))])
 def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, code):
     """Finite numbers past what the double range can carry through an
     evaluation: cavity rates are config errors, the rest evaluator errors."""

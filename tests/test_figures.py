@@ -38,8 +38,9 @@ def test_fig7_columns():
 
 def test_fig2_builders_make_batch_calls_only(monkeypatch):
     """fig2a-c and fig8a-b evaluate whole columns at once: no one-row
-    scattering or Raman analytic call, and fig2c is one call of each
-    scattering batch path."""
+    scattering or Raman analytic call, and each fig2 builder is one call of
+    each scattering batch path (fig2a and fig2b stack their three cavity
+    regimes)."""
     calls = []
     one_row = ("fidelity_numeric", "fidelity_analytic", "fidelity_analytic_raman")
     for module, name in ((scattering, "fidelity_numeric_batch"),
@@ -55,7 +56,26 @@ def test_fig2_builders_make_batch_calls_only(monkeypatch):
             calls.clear()
             figures.build_figure(name)
             assert not set(one_row) & set(calls), name
-    assert sorted(calls) == ["fidelity_analytic_batch", "fidelity_numeric_batch"]
+            if name.startswith("fig2"):
+                assert sorted(calls) == ["fidelity_analytic_batch", "fidelity_numeric_batch"], name
+
+
+def test_fig2_pair_poles_make_no_lapack_call(monkeypatch):
+    """The fig2 builders eigensolve only s_uu's 3x3 stacks with
+    np.linalg.eigvals; the 2x2 stacks of s_ud and s_du are solved in closed
+    form."""
+    shapes = []
+
+    def spy(a, _eigvals=np.linalg.eigvals):
+        shapes.append(np.shape(a))
+        return _eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("fig2a", "fig2b", "fig2c"):
+            figures.build_figure(name)
+    assert shapes and all(shape[-2:] == (3, 3) for shape in shapes), shapes
 
 
 def test_fig2c_most_robust_regime_near_critical_coupling():

@@ -257,10 +257,49 @@ def star_stack(rng, n, k, symmetric=False):
     return h
 
 
+def mpmath_pairs(h):
+    """(lambda_1, lambda_2, unit eigenvectors) of every 2x2 [[a, b], [c, d]]
+    of the stack h with b != 0, at the caller's mpmath precision: the roots
+    of the characteristic polynomial, with the vectors (b, lambda - a)."""
+    import mpmath
+    for (a, b), (c, d) in h.tolist():
+        a, b, c, d = (mpmath.mpc(x) for x in (a, b, c, d))
+        mean, root = (a + d) / 2, mpmath.sqrt(((a - d) / 2)**2 + b * c)
+        values = (mean + root, mean - root)
+        yield values, [(b / n, (x - a) / n) for x in values
+                       for n in [mpmath.sqrt(abs(b)**2 + abs(x - a)**2)]]
+
+
+def mpmath_pair_eigenvalues(h):
+    """Both eigenvalues of every 2x2 of the stack h, at 50 digits."""
+    import mpmath
+    with mpmath.workdps(50):
+        return np.array([[complex(x) for x in values] for values, _ in mpmath_pairs(h)])
+
+
+def mpmath_pair_cond(h):
+    """Frobenius condition number ||V||_F ||V^-1||_F of the unit eigenvectors
+    of every 2x2 of the stack h, at 50 digits: 2/|det V|, as a 2x2 and its
+    adjugate have the same entries."""
+    import mpmath
+    with mpmath.workdps(50):
+        return np.array([float(2 / abs(u0 * v1 - u1 * v0))
+                         for _, ((u0, u1), (v0, v1)) in mpmath_pairs(h)])
+
+
+def nearest(values, reference):
+    """reference (n, k) reordered so that each entry is the one nearest to
+    the same entry of values."""
+    order = abs(values[:, :, None] - reference[:, None, :]).argmin(-1)
+    return np.take_along_axis(reference, order, -1)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_resolvent_poles_match_eigenbasis(k):
     # the eigenvalue-only weights equal V[0,k] (V^-1 e_0)_k to within
-    # about eps (sum |w|)^2, and sum to 1 (the z -> infinity limit of z <0|(z - H)^-1|0>)
+    # about eps (sum |w|)^2, and sum to 1 (the z -> infinity limit of z <0|(z - H)^-1|0>);
+    # 3x3 poles are eig's eigenvalues, and pairs, solved in closed form, are
+    # within a few eps relative of their 50-digit values
     rng = np.random.default_rng(31 + k)
     h = star_stack(rng, 2000, k)
     start = np.zeros((2000, k))
@@ -268,11 +307,43 @@ def test_resolvent_poles_match_eigenbasis(k):
     basis = linalg.eigenbasis(h, start)
     poles = linalg.resolvent_poles(h)
     spread = abs(poles.weights).sum(-1)
-    assert np.array_equal(poles.values, basis.values)
-    change = abs(poles.weights - basis.vectors[:, 0, :] * basis.coeff).max(-1)
+    residues = basis.vectors[:, 0, :] * basis.coeff
+    if k == 2:
+        exact = nearest(poles.values, mpmath_pair_eigenvalues(h))
+        assert np.all(abs(poles.values - exact) <= 8 * np.finfo(float).eps * abs(exact))
+        # eig lists a pair's eigenvalues in an order of its own
+        residues = np.take_along_axis(
+            residues, abs(poles.values[:, :, None] - basis.values[:, None, :]).argmin(-1), -1)
+    else:
+        assert np.array_equal(poles.values, basis.values)
+    change = abs(poles.weights - residues).max(-1)
     assert np.all(change <= 50 * np.finfo(float).eps * spread**2)
     assert abs(poles.weights.sum(-1) - 1.0).max() <= 50 * np.finfo(float).eps * spread.max()
     assert np.array_equal(poles.trusted, 2.0 * spread < linalg.EIG_COND_LIMIT)
+
+
+def test_resolvent_pair_kernel_closed_form(monkeypatch):
+    """Pairs are solved with no LAPACK call. A far-detuned pair keeps its
+    small (pulse-scale) root and its residue accurate relative to
+    themselves; a Jordan pair, a defective pair with a nonzero double root
+    and the exceptional point g = (kappa - gamma)/4 divide by zero and are
+    untrusted; none of them warns."""
+    def fail(m):
+        raise AssertionError("a 2x2 stack reached np.linalg.eigvals")
+
+    far = np.array([[-0.25j, 1.0], [1.0, 1e10 - 0.5e-3j]])
+    double = -0.5j * np.eye(2) + np.array([[1.0, 1.0], [-1.0, -1.0]])
+    h = np.array([far, [[0.0, 1.0], [0.0, 0.0]], double, [[-2.5j, 1.0], [1.0, -0.5j]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        poles = linalg.resolvent_poles(h)
+    assert poles.trusted.tolist() == [True, False, False, False]
+    exact = nearest(poles.values[:1], mpmath_pair_eigenvalues(far[None]))[0]
+    small = abs(poles.values[0]).argmin()
+    eps = np.finfo(float).eps
+    assert np.all(abs(poles.values[0] - exact) <= 4 * eps * abs(exact))
+    assert abs(poles.weights[0, small] - 1.0) <= 4 * eps
 
 
 def test_resolvent_poles_trust_is_frobenius_cond_for_symmetric_pairs():
@@ -291,8 +362,10 @@ def test_resolvent_poles_trust_is_frobenius_cond_for_symmetric_pairs():
     basis = linalg.eigenbasis(h, np.eye(2)[[0] * len(h)])
     poles = linalg.resolvent_poles(h)
     spread = 2.0 * abs(poles.weights).sum(-1)
-    # both carry a relative rounding error of about eps * cond
-    cond = basis.cond[:-1]
+    # the closed-form pair poles carry a relative rounding error of about
+    # eps * cond; eig's cond, from other eigenvalues, is up to ~500 eps cond^2
+    # off the 50-digit value near the exceptional point, so that is the reference
+    cond = mpmath_pair_cond(h[:-1])
     assert np.all(abs(spread[:-1] - cond) <= 64 * np.finfo(float).eps * cond**2)
     assert np.array_equal(poles.trusted, basis.trusted)
     assert poles.trusted[-41:-1].any() and not poles.trusted[-41:].all()

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cavity_gates import raman as rm
-from cavity_gates.errors import ValidityWarning, ZeroDecoherence
+from cavity_gates import lindblad, raman as rm
+from cavity_gates.errors import NonFinite, ValidityWarning, ZeroDecoherence
 from cavity_gates.exchange import (optimal_gate_time_exchange, phase_fidelity,
                                    relative_phase_fidelity, ridge_f_pi)
 from cavity_gates.params import CavitySystem
@@ -287,3 +288,18 @@ def test_shelved_sectors_carry_no_phase():
 def test_config_warns_for_strong_drive():
     with pytest.warns(ValidityWarning):
         make_config(rabi_over_detuning=0.6)
+
+
+@pytest.mark.parametrize("evaluate", [rm.raman_gate_time, rm.fidelity_analytic_raman,
+                                      rm.fidelity_numeric_raman, lindblad.gate_fidelity_lindblad],
+                         ids=["gate-time", "analytic", "numeric", "lindblad"])
+def test_overflowing_gate_time_is_non_finite(evaluate):
+    """A gate time past the double range (d Delta_A Delta_B overflows) raises
+    NonFinite on every Raman path, and no RuntimeWarning escapes first."""
+    config = rm.RamanConfig(CavitySystem(0.1, 1.0, 1.0), 1e300, 1e300, 10.0, 10.0,
+                            rabi_a=1e299)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match="gate time"):
+            evaluate(config)
+

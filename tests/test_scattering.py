@@ -550,3 +550,39 @@ def test_cavity_rows_match_one_row_calls(monkeypatch):
             assert batch[i].success_probability == pytest.approx(result.success_probability,
                                                                  rel=1e-12)
             assert batch[i].notes == result.notes
+
+
+#: a cavity at the one-emitter exceptional point g = (kappa - gamma)/4, whose
+#: rows with a resonant emitter take the matrix-function fallback
+_EP_CAVITY = (1.0, 5.0)
+_REGIME = st.just(_EP_CAVITY) | st.builds(
+    lambda c, gk: (c / (4.0 * gk), c / (4.0 * gk**2)),   # (g, kappa) of (C, g/kappa), gamma = 1
+    st.floats(1.0, 1e5), st.floats(0.01, 10.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(regimes=st.lists(_REGIME, min_size=3, max_size=3),
+       rows=st.lists(st.tuples(st.floats(0.1, 50.0), st.floats(-100.0, 100.0),
+                               st.just(0.0) | st.floats(-0.5, 0.5)), min_size=1, max_size=6))
+@example(regimes=[_EP_CAVITY, (0.5, 10.0), _EP_CAVITY],
+         rows=[(1.0, 0.0, 0.0), (2.0, 30.0, 0.3)])   # fallback and pole-sum rows together
+def test_stacked_regimes_match_their_slices(regimes, rows):
+    """A (3, n) config, three cavities as a column against n pulses and
+    detunings, gives row for row the fidelity, trace and "matrix-function
+    fallback" note of its three (n,) slices, up to rounding."""
+    (g, kappa), (gate_time, delta_p, delta) = np.array(regimes).T, np.array(rows).T
+
+    def config(g, kappa):
+        return sc.ScatteringConfig(CavitySystem(g, kappa, 1.0),
+                                   sc.PhotonPulse.from_gate_time(gate_time, delta_p),
+                                   delta_eps_a=delta, delta_eps_b=delta, gamma_eff=1e-5)
+
+    stacked = sc.fidelity_numeric_batch(config(g[:, None], kappa[:, None]))
+    assert stacked.shape == (3, len(rows))
+    for i in range(3):
+        alone = sc.fidelity_numeric_batch(config(g[i], kappa[i]))
+        for field in ("fidelity", "success_probability"):
+            np.testing.assert_allclose(getattr(stacked, field)[i], getattr(alone, field),
+                                       rtol=1e-14, atol=1e-15)
+        for note in ("matrix-function fallback", "clamped"):
+            assert np.array_equal(stacked.notes[note][i], alone.notes[note])
