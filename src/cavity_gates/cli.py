@@ -142,9 +142,9 @@ def main():
 def evaluate(scheme, config_file, method):
     """Evaluate one gate configuration; emit a JSON record on stdout."""
     run = _config_step(config_mod.load_config, config_file)
-    cfg = _config_step(config_mod.SCHEME_BUILDERS[scheme], run)
-    _config_step(run.check_all_read, scheme)
-    with _echo_warnings():
+    with _echo_warnings():   # a config's own validity warnings, too
+        cfg = _config_step(config_mod.SCHEME_BUILDERS[scheme], run)
+        _config_step(run.check_all_read, scheme)
         try:
             result = _evaluate(scheme, cfg, method)
         except CavityGateError as exc:
@@ -254,10 +254,9 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
     for value in axis.values():
         section.raw[key] = f"{float(value):.17g}{suffix}"
         try:
-            cfg = config_mod.SCHEME_BUILDERS[scheme](run)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = _evaluate(scheme, cfg, method)
+                result = _evaluate(scheme, config_mod.SCHEME_BUILDERS[scheme](run), method)
             lines.append(f"{float(value):.11e},{result.fidelity:.11e},"
                          f"{result.gate_time * run.cavity.gamma:.11e}")
         except CavityGateError as exc:

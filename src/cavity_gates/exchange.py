@@ -165,9 +165,9 @@ def _cpus() -> int:
 
 
 def phase_fidelity(lossy_sectors, params, gate_time):
-    """F_pi = (1/2)|<uu-start| e^{-iT H_uu} |uu-start> - <ud-start| e^{-iT H_ud} |ud-start>|
-    for every row of the broadcast parameter arrays `params` and `gate_time`,
-    with both start states at index 0. Scalar inputs give a numpy scalar.
+    """F_pi = (1/2)|<0| e^{-iT H_uu} |0> - <0| e^{-iT H_ud} |0>| (each sector
+    starts in its state 0) for every row of the broadcast parameter arrays
+    `params` and `gate_time`. Scalar inputs give a numpy scalar.
 
     `lossy_sectors(*params)` returns the stacked (H_eff_ud, H_eff_uu). Sectors
     of one size share a `linalg` call (its fixed cost dominates small batches)
@@ -224,7 +224,7 @@ def phase_fidelity(lossy_sectors, params, gate_time):
                for h in lossy_sectors(*params)]
     if sectors[0].shape == sectors[1].shape:
         sectors, t = [np.concatenate(sectors)], np.tile(t, 2)
-    amp = np.concatenate([linalg.return_amplitudes(h, 0, t) for h in sectors]).reshape(2, n)
+    amp = np.concatenate([linalg.return_amplitudes(h, t) for h in sectors]).reshape(2, n)
     return (0.5 * np.abs(amp[1] - amp[0])).reshape(shape)[()]
 
 

@@ -1,18 +1,18 @@
 """Small dense complex matrix algebra for subspace Hamiltonians.
 
 Matrices here are <= 16x16 numpy arrays in stacks: generators H_j (n, k, k)
-and states psi_j (n, k) of many configurations. Two spectral kernels share
-one trust limit, EIG_COND_LIMIT; near an exceptional point the closed forms
-on a spectrum lose about its trust measure squared times machine epsilon.
+of many configurations, each started in its state 0. Two spectral kernels
+share one trust limit, EIG_COND_LIMIT; near an exceptional point the closed
+forms on a spectrum lose about its trust measure squared times epsilon.
 
 - `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
   `np.linalg.inv` of the eigenvectors V. A row is trusted when its
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
-  times it) is below the limit. It has two callers: `propagate` (and
-  `return_amplitudes`, its basis-state call) sends untrusted rows to Taylor
-  scaling-and-squaring, one row at a time, and
-  `lindblad.gate_fidelity_lindblad_batch` refuses a whole batch with
-  ConvergenceFailure when any of its rows is untrusted.
+  times it) is below the limit. It has two callers: `return_amplitudes`
+  sends untrusted rows to Taylor scaling-and-squaring, one row at a time,
+  and `lindblad.gate_fidelity_lindblad_batch` refuses a whole batch with
+  ConvergenceFailure when any of its rows is untrusted. Both form
+  <0|e^{-itH}|0> with the same products in the same order.
 - `resolvent_poles` serves generators in star form (state 0 coupled to
   every other state, those uncoupled from each other) and needs no
   eigenvectors: the poles of <0|(z - H)^-1|0> are the eigenvalues (of a
@@ -28,7 +28,8 @@ on a spectrum lose about its trust measure squared times machine epsilon.
 In both kernels a NaN or Inf trust measure, and every row of a stack whose
 eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
 raises NonFinite, and so does a phase e^{-i t lambda} of a trusted row that
-overflows (`phases`, which `propagate` and the Lindblad closure share). No stack is split here: the callers size it
+overflows (`phases`, which `return_amplitudes` and the Lindblad closure
+share). No stack is split here: the callers size it
 (`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
 pole sum passes one 3x3 generator per row of its config in one call and two
 2x2 ones per row in another; the Lindblad closure passes each sector stack
@@ -52,12 +53,12 @@ SERIES_TOL = 1e-12
 
 
 class Eigenbasis(NamedTuple):
-    """H_j = V_j diag(values_j) V_j^-1 and coeff_j = V_j^-1 psi_j per row;
-    untrusted rows hold no usable basis."""
+    """H_j = V_j diag(values_j) V_j^-1 per row (column 0 of V_j^-1: the start
+    state's coordinates); untrusted rows hold the identity, no usable basis."""
 
     values: np.ndarray   # (n, k)
-    vectors: np.ndarray  # (n, k, k)
-    coeff: np.ndarray    # (n, k)
+    vectors: np.ndarray  # (n, k, k) V
+    inverse: np.ndarray  # (n, k, k) V^-1
     cond: np.ndarray     # (n,) ||V_j||_F ||V_j^-1||_F in [cond_2, k cond_2]; NaN: eig/inv raised
     trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
@@ -71,24 +72,18 @@ class Poles(NamedTuple):
     trusted: np.ndarray  # (n,) 2 sum_k |weights_jk| < EIG_COND_LIMIT
 
 
-def eigenbasis(h, psi) -> Eigenbasis:
-    """Eigenbasis of every generator of a stack h (n, k, k), with the
-    coordinates of the states psi (n, k) in it."""
+def eigenbasis(h) -> Eigenbasis:
+    """Eigenbasis of every generator of a stack h (n, k, k)."""
     h = np.asarray(h, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
-    if psi.shape != h.shape[:2]:
-        raise ValueError(f"state shape {psi.shape} does not match generators {h.shape}")
     if not np.isfinite(h).all():
         raise NonFinite("matrix contains NaN or Inf entries")
-    if not np.isfinite(psi).all():
-        raise NonFinite("state contains NaN or Inf entries")
     try:
         values, vectors = np.linalg.eig(h)
         inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
-        values = np.full(psi.shape, np.nan, dtype=complex)
+        values = np.full(h.shape[:2], np.nan, dtype=complex)
         vectors = inverse = np.full_like(h, np.nan)
     # ||V||_F^2 = k (eig's columns are unit); a defective row's ||V^-1||^2 is inf
     with np.errstate(over="ignore"):
@@ -96,8 +91,7 @@ def eigenbasis(h, psi) -> Eigenbasis:
     trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
     if not trusted.all():   # the identity keeps untrusted coordinates finite
         vectors[~trusted] = inverse[~trusted] = np.eye(h.shape[-1])
-    coeff = (inverse @ psi[:, :, None])[:, :, 0]
-    return Eigenbasis(values, vectors, coeff, cond, trusted)
+    return Eigenbasis(values, vectors, inverse, cond, trusted)
 
 
 def resolvent_poles(h) -> Poles:
@@ -190,29 +184,18 @@ def phases(values, t, trusted=True) -> np.ndarray:
     return out
 
 
-def propagate(h, psi, t) -> np.ndarray:
-    """e^{-i t_j H_j} psi_j for a stack of (generally non-Hermitian)
-    generators h (n, k, k) and states psi (n, k); t is a scalar or has
-    shape (n,). For H_eff = H - (i/2) * sum of nonnegative decay
-    projectors the output norm never exceeds the input norm.
-    """
+def return_amplitudes(h, t) -> np.ndarray:
+    """<0| e^{-i t_j H_j} |0> = sum_k V_0k (V^-1)_k0 e^{-i t_j lambda_k} for
+    every generator of a stack h (n, k, k) of (generally non-Hermitian)
+    generators; t is a scalar or has shape (n,). Untrusted rows take Taylor
+    scaling-and-squaring."""
     h = np.asarray(h, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    basis = eigenbasis(h, psi)
+    basis = eigenbasis(h)
     times = np.broadcast_to(np.asarray(t, dtype=float), len(h))
     if not np.isfinite(times).all():
         raise NonFinite("propagation time contains NaN or Inf entries")
-    out = (basis.vectors @ (phases(basis.values, times[:, None], basis.trusted)
-                            * basis.coeff)[:, :, None])[:, :, 0]
+    out = (basis.vectors[:, 0] * basis.inverse[:, :, 0]
+           * phases(basis.values, times[:, None], basis.trusted)).sum(-1)
     for i in (~basis.trusted).nonzero()[0]:
-        out[i] = _expm_squaring(-1j * times[i] * h[i]) @ psi[i]
+        out[i] = _expm_squaring(-1j * times[i] * h[i])[0, 0]
     return out
-
-
-def return_amplitudes(h_eff, index: int, t) -> np.ndarray:
-    """<index| e^{-i t_j H_j} |index> for every generator of a stack
-    h_eff (n, k, k); t is a scalar or has shape (n,)."""
-    h = np.asarray(h_eff, dtype=complex)
-    psi = np.zeros(h.shape[:2], dtype=complex)
-    psi[..., index] = 1.0
-    return propagate(h, psi, t)[:, index]

@@ -27,7 +27,8 @@ Raman gate: photon loss and emitter decay leave the emitters in the frozen
 population lands on the target and J > 0. Exchange gate: every jump lands
 in an A-ground state that the closing pi pulse re-excites, which the target
 does not hold. So J = 0 there, and the result equals the numeric path's
-(F_pi + 1)/2 - Gamma_eff T.
+(F_pi + 1)/2 - Gamma_eff T bit for bit: F_pi comes from the same eigenbasis
+and the same products as `linalg.return_amplitudes`.
 """
 from __future__ import annotations
 
@@ -68,17 +69,17 @@ def gate_fidelity_lindblad_batch(config: ExchangeConfig | RamanConfig) -> GateRe
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
     t = np.broadcast_to(gate_time, shape).reshape(n, 1)
-    values, amplitudes = [], []   # per sector: lambda_k (n, k), <i|V|k> c_k (n, k, k)
+    values, amplitudes = [], []   # per sector: lambda_k (n, k), V_ik (V^-1)_k0 (n, k, k)
     for h in lossy_sectors(*params):
         h = np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
-        basis = linalg.eigenbasis(h, np.broadcast_to(np.eye(h.shape[-1])[0], h.shape[:2]))
+        basis = linalg.eigenbasis(h)
         if not basis.trusted.all():
             row = int(np.argmin(basis.trusted))
             raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
                                      f"{basis.cond[row]:.2e} on row {row}): too near an "
                                      f"exceptional point")
         values.append(basis.values)
-        amplitudes.append(basis.vectors * basis.coeff[:, None, :])
+        amplitudes.append(basis.vectors * basis.inverse[:, None, :, 0])
     ud, uu = ((a[:, 0] * linalg.phases(v, t)).sum(-1) for a, v in zip(amplitudes, values))
     overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
     jumps = _TARGET_JUMPS[type(config)]

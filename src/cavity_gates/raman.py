@@ -216,18 +216,19 @@ def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
     cav = config.cavity
     d = config.two_photon
     big_d = config.laser_detuning
-    omega = np.sqrt(config.rabi_a * config.drive_b)
-    g2 = config.coupling_a * config.coupling_b
-    if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
-        warnings.warn("inputs are at the edge of the adiabatic regime "
-                      "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
-    f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
-    prefactor = (
-        np.cos(np.pi * omega / (4.0 * big_d)) ** 2
-        * np.cos(np.pi * omega**2 / (2.0 * d * big_d)) ** 2
-        * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
-    )
-    f_gate = 0.5 * (prefactor * f_pi + 1.0) - config.gamma_eff * gate_time
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow: a NaN row, NonFinite
+        omega = np.sqrt(config.rabi_a * config.drive_b)
+        g2 = config.coupling_a * config.coupling_b
+        if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
+            warnings.warn("inputs are at the edge of the adiabatic regime "
+                          "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
+        f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
+        prefactor = (
+            np.cos(np.pi * omega / (4.0 * big_d)) ** 2
+            * np.cos(np.pi * omega**2 / (2.0 * d * big_d)) ** 2
+            * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
+        )
+        f_gate = 0.5 * (prefactor * f_pi + 1.0) - config.gamma_eff * gate_time
     unmodeled = (config.two_photon_error > 0) | (config.laser_detuning_error > 0)
     return gate_results(f_gate, gate_time, Method.ANALYTIC,
                         {"detuning errors not modeled": unmodeled})

@@ -118,11 +118,14 @@ def propagate_exact(system: OpenSystem, psi0, t: float):
     """
     _check_absorbing(system)
     h_eff = effective_hamiltonian(system)
-    basis = linalg.eigenbasis(h_eff[None], np.asarray(psi0, dtype=complex)[None])
+    psi0 = np.asarray(psi0, dtype=complex)
+    if not np.isfinite(psi0).all():
+        raise NonFinite("state contains NaN or Inf entries")
+    basis = linalg.eigenbasis(h_eff[None])
     if not basis.trusted[0]:
         raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
                                  f"{basis.cond[0]:.2e}): too near an exceptional point")
-    evals, vecs, coeff = basis.values[0], basis.vectors[0], basis.coeff[0]
+    evals, vecs, coeff = basis.values[0], basis.vectors[0], basis.inverse[0] @ psi0
     phi_t = vecs @ (coeff * np.exp(-1j * evals * t))
     rho = np.outer(phi_t, phi_t.conj())
     z = evals[:, None] - evals.conj()[None, :]

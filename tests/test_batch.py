@@ -210,11 +210,10 @@ def test_return_amplitudes_across_chunks(n):
     rng = np.random.default_rng(n)
     h = random_lossy(rng, n, 3)
     t = rng.uniform(0.1, 3.0, n)
-    amps = linalg.return_amplitudes(h, 1, t)
+    amps = linalg.return_amplitudes(h, t)
     for i in sorted({0, CHUNK - 1, CHUNK, n - 1} & set(range(n))):
-        assert amps[i] == pytest.approx(linalg.return_amplitudes(h[i:i + 1], 1, t[i])[0],
-                                        rel=REL)
-        assert amps[i] == pytest.approx(linalg._expm_squaring(-1j * t[i] * h[i])[1, 1], rel=1e-9)
+        assert amps[i] == pytest.approx(linalg.return_amplitudes(h[i:i + 1], t[i])[0], rel=REL)
+        assert amps[i] == pytest.approx(linalg._expm_squaring(-1j * t[i] * h[i])[0, 0], rel=1e-9)
 
 
 def triple_exceptional_point(g):
@@ -238,9 +237,9 @@ def test_exceptional_point_row_takes_fallback(monkeypatch):
         return squaring(m)
 
     monkeypatch.setattr(linalg, "_expm_squaring", spy)
-    amps = linalg.return_amplitudes(h, 0, t)
+    amps = linalg.return_amplitudes(h, t)
     assert len(calls) == 1 and np.array_equal(calls[0], -1j * 2.0 * h[4])
-    assert amps[4] == linalg.return_amplitudes(h[4:5], 0, 2.0)[0]
+    assert amps[4] == linalg.return_amplitudes(h[4:5], 2.0)[0]
     # e^{-itH} = e^{-sqrt(2) g t} (1 - i t N - t^2 N^2 / 2) with N nilpotent
     gt = 0.7 * 2.0
     exact = math.exp(-math.sqrt(2.0) * gt) * (1.0 + math.sqrt(2.0) * gt + 0.5 * gt**2)
@@ -262,11 +261,11 @@ def test_second_order_exceptional_point_row(monkeypatch):
         return squaring(m)
 
     monkeypatch.setattr(linalg, "_expm_squaring", spy)
-    amps = linalg.return_amplitudes(h, 0, t)
+    amps = linalg.return_amplitudes(h, t)
     assert len(calls) == 2
     assert all(np.array_equal(m, -1j * t * ep) for m in calls)
     exact = math.exp(-kappa * t / 4.0) * (1.0 + kappa * t / 4.0)
-    assert amps[0] == amps[2] == linalg.return_amplitudes(ep[None], 0, t)[0]
+    assert amps[0] == amps[2] == linalg.return_amplitudes(ep[None], t)[0]
     assert amps[0] == pytest.approx(exact, rel=1e-12)
 
 
@@ -285,9 +284,9 @@ def test_nan_row_raises_non_finite():
     h = random_lossy(np.random.default_rng(1), 4, 3)
     h[2, 0, 1] = np.nan
     with pytest.raises(NonFinite):
-        linalg.return_amplitudes(h, 0, 1.0)
+        linalg.return_amplitudes(h, 1.0)
     with pytest.raises(NonFinite):
-        linalg.return_amplitudes(h[:2], 0, np.array([1.0, np.inf]))
+        linalg.return_amplitudes(h[:2], np.array([1.0, np.inf]))
 
 
 def test_config_checks_are_vectorised():
@@ -499,9 +498,9 @@ def test_workers_see_the_callers_errstate(monkeypatch, started_threads):
     seen = []
     amplitudes = linalg.return_amplitudes
 
-    def record(h, index, t):
+    def record(h, t):
         seen.append((threading.current_thread(), np.geterr()))
-        return amplitudes(h, index, t)
+        return amplitudes(h, t)
 
     monkeypatch.setattr(linalg, "return_amplitudes", record)
     lossy_sectors, params = lossy_pairs(4 * BLOCK, ())

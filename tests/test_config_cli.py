@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -229,10 +230,17 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     *(("raman", {"two_photon = optimal": "two_photon = 10 rad_s",
                  "laser_detuning = 2 per_kappa": "laser_detuning = 1e300 rad_s"}, method, 3)
       for method in ("analytic", "numeric", "lindblad")),
+    # T = 3e-299 is finite, but Omega_A Omega_B overflows in the closed form
+    ("raman", {"cooperativity = 1000\ng_over_kappa = 0.1\ngamma = 596 hz":
+               "g = 1e-10 rad_s\nkappa = 1 rad_s\ngamma = 1 rad_s",
+               "two_photon = optimal": "two_photon = 10 rad_s",
+               "laser_detuning = 2 per_kappa": "laser_detuning = 1 rad_s",
+               "rabi_over_detuning = 0.1": "rabi_a = 1e160 rad_s"}, "analytic", 3),
 ], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
         "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow",
         "infinite-gate-time",
-        *(f"raman-gate-time-overflow-{method}" for method in ("analytic", "numeric", "lindblad"))])
+        *(f"raman-gate-time-overflow-{method}" for method in ("analytic", "numeric", "lindblad")),
+        "raman-drive-overflow"])
 def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, code):
     """Finite numbers past what the double range can carry through an
     evaluation: cavity rates are config errors, the rest evaluator errors."""
@@ -247,6 +255,31 @@ def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, 
     assert isinstance(result.exception, SystemExit)   # no traceback
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["analytic", "numeric", "lindblad"])
+def test_cli_config_warnings_are_echoed(tmp_path, method):
+    """A warning raised while the scheme config is built (a strong Raman
+    drive) reaches `evaluate`'s stderr as a `warning: <message>` line, like
+    the evaluator's own, and `sweep` ignores it at every point."""
+    path = tmp_path / "strong-drive.ini"
+    path.write_text(YB_CONFIG.replace("rabi_over_detuning = 0.1", "rabi_over_detuning = 0.6"))
+    result = CliRunner().invoke(main, ["evaluate", "raman", str(path), "--method", method])
+    assert result.exit_code == 0, result.exception
+    assert json.loads(result.stdout)["scheme"] == "raman"
+    lines = result.stderr.splitlines()
+    assert "warning: drive is not weak against its detuning (Omega/Delta > 0.5); " \
+        "adiabatic elimination is unreliable" in lines
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
+    with warnings.catch_warnings(record=True) as caught:   # what would reach stderr
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["sweep", "raman", str(path), "--method", method,
+                                           "--param", "laser_detuning", "--minimum", "1",
+                                           "--maximum", "3", "--points", "3",
+                                           "--unit", "per_kappa"])
+    assert result.exit_code == 0, result.exception
+    assert len(_sweep_rows(result.stdout)) == 3
+    assert caught == [] and "ValidityWarning" not in result.stderr
 
 
 def test_cli_cooperativity_underflow_is_config_error(tmp_path):

@@ -140,7 +140,7 @@ def test_decoupled_amplitude_is_bare_decay():
                       splitting_eg=100.0)
     ham = sector_hamiltonians(cfg)
     t = 2.0
-    amp = linalg.return_amplitudes(ham.h_eff_up_down[None], 0, t)[0]
+    amp = linalg.return_amplitudes(ham.h_eff_up_down[None], t)[0]
     assert amp == pytest.approx(math.exp(-t / 2.0), rel=1e-12)
     # zero couplings, no finite gate time: propagate for a fixed one
     assert ex.phase_fidelity(*cfg.sectors(), t) == pytest.approx(0.0, abs=1e-12)

@@ -69,3 +69,22 @@ def test_one_unit_table():
             offenders += [f"{name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
                           if isinstance(node, ast.Constant) and node.value in units]
     assert offenders == []
+
+
+def test_linalg_has_no_test_only_kernel():
+    """Every public function of `linalg` is called from another module of the
+    package: a kernel that only the tests call is dead code."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+
+    def tree(name):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            return ast.parse(fh.read())
+
+    public = {node.name for node in tree("linalg.py").body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = {node.func.attr for name in sorted(os.listdir(package))
+              if name.endswith(".py") and name != "linalg.py"
+              for node in ast.walk(tree(name))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "linalg"}
+    assert public and sorted(public - called) == []

@@ -22,9 +22,9 @@ def taylor_expm(m, terms=30):
     return result
 
 
-def propagate_one(h, psi, t):
-    """e^{-i t H} psi as a one-row stack."""
-    return linalg.propagate(np.asarray(h)[None], np.asarray(psi)[None], t)[0]
+def amplitude_one(h, t):
+    """<0| e^{-i t H} |0> as a one-row stack."""
+    return linalg.return_amplitudes(np.asarray(h)[None], t)[0]
 
 
 def test_exp_zero_is_identity():
@@ -59,9 +59,8 @@ def test_eig_path_agrees_with_squaring():
     for dim in (3, 5):
         for _ in range(4):
             h = random_complex((dim, dim), rng, scale=0.7)
-            psi = random_complex(dim, rng)
-            expected = linalg._expm_squaring(-1j * 1.3 * h) @ psi
-            assert np.abs(propagate_one(h, psi, 1.3) - expected).max() < 1e-9
+            expected = linalg._expm_squaring(-1j * 1.3 * h)[0, 0]
+            assert abs(amplitude_one(h, 1.3) - expected) < 1e-9
 
 
 def test_squaring_handles_defective_matrix():
@@ -72,90 +71,74 @@ def test_squaring_handles_defective_matrix():
 
 def test_propagate_pure_decay():
     h = np.array([[-0.5j * 2.0]])
-    out = propagate_one(h, np.array([1.0]), 3.0)
-    assert out[0] == pytest.approx(np.exp(-3.0), rel=1e-12)
+    assert amplitude_one(h, 3.0) == pytest.approx(np.exp(-3.0), rel=1e-12)
 
 
 def test_propagate_norm_preserved_for_hermitian():
+    # e^{-itH} is unitary: |<0|U(t)|0>| <= 1, and <0|U(-t)|0> = conj(<0|U(t)|0>)
     rng = np.random.default_rng(5)
     a = random_complex((4, 4), rng)
     h = a + a.conj().T
-    psi = random_complex(4, rng)
-    psi /= np.linalg.norm(psi)
-    out = propagate_one(h, psi, 2.3)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
-
-
-def test_propagate_semigroup():
-    rng = np.random.default_rng(9)
-    a = random_complex((4, 4), rng)
-    h = a + a.conj().T - 0.5j * np.diag(rng.uniform(0, 1, 4))
-    psi = random_complex(4, rng)
-    psi /= np.linalg.norm(psi)
-    one_shot = propagate_one(h, psi, 1.7)
-    two_step = propagate_one(h, propagate_one(h, psi, 0.9), 0.8)
-    assert np.abs(one_shot - two_step).max() < 1e-9
+    forward, backward = linalg.return_amplitudes(np.stack([h, h]), np.array([2.3, -2.3]))
+    assert abs(forward) <= 1.0 + 1e-10
+    assert abs(backward - forward.conjugate()) < 1e-10
 
 
 def test_norm_monotone_under_decay():
+    # the return amplitude of a lossy generator starts at 1 and never exceeds
+    # it: |<0|e^{-itH}|0>| <= ||e^{-itH} e_0|| <= 1
     rng = np.random.default_rng(13)
     for _ in range(5):
         a = random_complex((5, 5), rng)
         h = a + a.conj().T - 0.5j * np.diag(rng.uniform(0.0, 2.0, 5))
-        psi = random_complex(5, rng)
-        psi /= np.linalg.norm(psi)
         times = np.linspace(0.0, 4.0, 20)
-        out = linalg.propagate(np.broadcast_to(h, (20, 5, 5)), np.broadcast_to(psi, (20, 5)),
-                               times)
-        norms = np.linalg.norm(out, axis=1)
-        diffs = np.diff(norms)
-        assert np.all(diffs <= 1e-9)
-        assert norms[0] <= 1.0 + 1e-9
+        out = linalg.return_amplitudes(np.broadcast_to(h, (20, 5, 5)), times)
+        assert abs(out[0] - 1.0) <= 1e-9
+        assert np.all(abs(out) <= 1.0 + 1e-9)
 
 
 def test_non_finite_rejected():
     with pytest.raises(NonFinite):
-        propagate_one(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.ones(2), 1.0)
+        amplitude_one(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(NonFinite):
-        propagate_one(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
+        amplitude_one(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
     with pytest.raises(NonFinite):
-        propagate_one(np.eye(2), np.array([1.0, np.nan]), 1.0)
-    with pytest.raises(NonFinite):
-        propagate_one(np.eye(2), np.ones(2), np.nan)
+        amplitude_one(np.eye(2), np.nan)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        linalg.propagate(np.ones((1, 2, 3)), np.ones((1, 2)), 1.0)
+        linalg.return_amplitudes(np.ones((1, 2, 3)), 1.0)
     with pytest.raises(ValueError):
-        linalg.propagate(np.eye(3)[None], np.ones((1, 2)), 1.0)
+        linalg.return_amplitudes(np.eye(2), 1.0)   # one matrix is not a stack
     with pytest.raises(ValueError):
-        linalg.propagate(np.eye(2), np.ones(2), 1.0)   # one matrix is not a stack
-    with pytest.raises(ValueError):
-        linalg.propagate(np.stack([np.eye(2)] * 3), np.ones((3, 2)), np.ones(2))
+        linalg.return_amplitudes(np.stack([np.eye(2)] * 3), np.ones(2))
 
 
-def test_return_amplitude_matches_propagate():
+def test_return_amplitude_is_eigenbasis_sum():
+    # <0|e^{-itH}|0> = sum_k V_0k (V^-1)_k0 e^{-it lambda_k}, bit for bit the
+    # product order of the Lindblad closure, and within 1e-12 of the Taylor form
     rng = np.random.default_rng(17)
     a = random_complex((3, 3), rng)
     h = a + a.conj().T - 0.5j * np.diag([1.0, 0.2, 0.0])
-    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    assert linalg.return_amplitudes(h[None], 0, 2.0)[0] == pytest.approx(
-        complex(propagate_one(h, psi0, 2.0)[0]), rel=1e-12)
+    basis = linalg.eigenbasis(h[None])
+    terms = basis.vectors[0, 0] * basis.inverse[0, :, 0] * linalg.phases(basis.values, 2.0)[0]
+    assert amplitude_one(h, 2.0) == terms.sum()
+    assert amplitude_one(h, 2.0) == pytest.approx(
+        complex(linalg._expm_squaring(-2.0j * h)[0, 0]), rel=1e-12)
 
 
 def test_eigenbasis_trust_flag():
-    # a random lossy row is trusted and its coordinates solve V c = psi; the
-    # emitter-cavity pair at g = kappa/4 (cond ~ 1e8) is not
+    # a random lossy row is trusted and its start-state coordinates solve
+    # V c = e_0; the emitter-cavity pair at g = kappa/4 (cond ~ 1e8) is not
     rng = np.random.default_rng(19)
     a = random_complex((2, 2), rng)
     ep = np.array([[0.0, 0.25], [0.25, -0.5j]])
     h = np.stack([a + a.conj().T - 0.5j * np.diag([0.4, 0.0]), ep])
-    psi = random_complex((2, 2), rng)
-    basis = linalg.eigenbasis(h, psi)
+    basis = linalg.eigenbasis(h)
     assert basis.trusted.tolist() == [True, False]
     assert basis.cond[0] < linalg.EIG_COND_LIMIT <= basis.cond[1]
-    assert np.abs(basis.vectors[0] @ basis.coeff[0] - psi[0]).max() < 1e-12
+    assert np.abs(basis.vectors[0] @ basis.inverse[0, :, 0] - np.eye(2)[0]).max() < 1e-12
 
 
 def lossy_stack(rng, n, k):
@@ -168,16 +151,16 @@ def lossy_stack(rng, n, k):
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), n=st.integers(1, 6))
 def test_eigenbasis_cond_bounds_two_norm_cond(seed, k, n):
     # the Frobenius condition number lies between cond_2(V) and k cond_2(V),
-    # and the coordinates reproduce the state to within cond * 1e-12
+    # and the start-state coordinates reproduce e_0 to within cond * 1e-12
     rng = np.random.default_rng(seed)
     h = lossy_stack(rng, n, k)
-    psi = random_complex((n, k), rng)
-    basis = linalg.eigenbasis(h, psi)
+    basis = linalg.eigenbasis(h)
     cond_2 = np.linalg.cond(np.linalg.eig(h)[1])
     assert np.all(cond_2 <= basis.cond * (1 + 1e-12))
     assert np.all(basis.cond <= k * cond_2 * (1 + 1e-12))
-    residual = np.abs(np.einsum("nij,nj->ni", basis.vectors, basis.coeff) - psi).max(axis=1)
-    assert np.all(residual <= 1e-12 * basis.cond * np.abs(psi).max(axis=1))
+    residual = np.abs(np.einsum("nij,nj->ni", basis.vectors, basis.inverse[:, :, 0])
+                      - np.eye(k)[0]).max(axis=1)
+    assert np.all(residual <= 1e-12 * basis.cond)
 
 
 def test_defective_row_is_untrusted():
@@ -188,19 +171,18 @@ def test_defective_row_is_untrusted():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     h = lossy_stack(rng, 4, 2)
     h[2] = jordan
-    psi = random_complex((4, 2), rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        basis = linalg.eigenbasis(h, psi)
-        out = linalg.propagate(h, psi, 0.7)
+        basis = linalg.eigenbasis(h)
+        out = linalg.return_amplitudes(h, 0.7)
     assert basis.trusted.tolist() == [True, True, False, True]
     assert basis.cond[2] == np.inf
-    assert np.array_equal(out[2], linalg._expm_squaring(-0.7j * jordan) @ psi[2])
+    assert out[2] == linalg._expm_squaring(-0.7j * jordan)[0, 0]
     for i in (0, 1, 3):
-        one = linalg.eigenbasis(h[i:i + 1], psi[i:i + 1])
+        one = linalg.eigenbasis(h[i:i + 1])
         for field, value in zip(basis, one):
             assert np.array_equal(field[i], value[0])
-        assert np.array_equal(out[i], propagate_one(h[i], psi[i], 0.7))
+        assert out[i] == amplitude_one(h[i], 0.7)
 
 
 def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
@@ -209,7 +191,6 @@ def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
     rng = np.random.default_rng(23)
     a = random_complex((3, 4, 4), rng)
     h = a + a.conj().swapaxes(1, 2) - 0.5j * np.eye(4)
-    psi = random_complex((3, 4), rng)
 
     def fail(m):
         raise np.linalg.LinAlgError("did not converge")
@@ -217,11 +198,11 @@ def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
     for failing in ("eig", "inv"):
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, failing, fail)
-            basis = linalg.eigenbasis(h, psi)
+            basis = linalg.eigenbasis(h)
             assert not basis.trusted.any() and np.isnan(basis.cond).all()
-            out = linalg.propagate(h, psi, 0.7)
+            out = linalg.return_amplitudes(h, 0.7)
         for i in range(3):
-            assert np.abs(out[i] - linalg._expm_squaring(-0.7j * h[i]) @ psi[i]).max() < 1e-12
+            assert abs(out[i] - linalg._expm_squaring(-0.7j * h[i])[0, 0]) < 1e-12
 
 
 def test_solve_stacks_of_vectors_and_matrices():
@@ -302,12 +283,10 @@ def test_resolvent_poles_match_eigenbasis(k):
     # within a few eps relative of their 50-digit values
     rng = np.random.default_rng(31 + k)
     h = star_stack(rng, 2000, k)
-    start = np.zeros((2000, k))
-    start[:, 0] = 1.0
-    basis = linalg.eigenbasis(h, start)
+    basis = linalg.eigenbasis(h)
     poles = linalg.resolvent_poles(h)
     spread = abs(poles.weights).sum(-1)
-    residues = basis.vectors[:, 0, :] * basis.coeff
+    residues = basis.vectors[:, 0, :] * basis.inverse[:, :, 0]
     if k == 2:
         exact = nearest(poles.values, mpmath_pair_eigenvalues(h))
         assert np.all(abs(poles.values - exact) <= 8 * np.finfo(float).eps * abs(exact))
@@ -359,7 +338,7 @@ def test_resolvent_poles_trust_is_frobenius_cond_for_symmetric_pairs():
     near[:, 0, 1] = near[:, 1, 0] = 1.0
     h = np.concatenate([star_stack(rng, 2000, 2, symmetric=True), near,
                         [[[-2.5j, 1.0], [1.0, -0.5j]]]])
-    basis = linalg.eigenbasis(h, np.eye(2)[[0] * len(h)])
+    basis = linalg.eigenbasis(h)
     poles = linalg.resolvent_poles(h)
     spread = 2.0 * abs(poles.weights).sum(-1)
     # the closed-form pair poles carry a relative rounding error of about

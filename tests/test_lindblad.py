@@ -241,12 +241,15 @@ def test_exact_closure_raises_at_exceptional_point():
 
 def test_exact_closure_rejects_non_finite():
     # NaN passes the Hermiticity and absorbing checks, whose comparisons are
-    # all false; the eigenbasis kernel rejects it before the eigensolver
+    # all false; the eigenbasis kernel rejects it before the eigensolver, and
+    # the oracle rejects a NaN start state itself
     system = emitter_cavity_pair(0.3)
     h = system.hamiltonian.copy()
     h[0, 1] = h[1, 0] = np.nan
     with pytest.raises(NonFinite):
         orc.propagate_exact(orc.OpenSystem(h, system.jumps), np.array([1.0, 0.0, 0.0]), 3.0)
+    with pytest.raises(NonFinite):
+        orc.propagate_exact(system, np.array([1.0, np.nan, 0.0]), 3.0)
 
 
 def test_exact_closure_matches_superoperator_near_exceptional_point():
@@ -320,6 +323,31 @@ def test_batch_agrees_with_oracle_on_figure_grids(name):
 def test_batch_agrees_with_oracle_on_scheme_cases(case):
     cfg, _ = scheme_case(case)
     assert_batch_matches_oracle(cfg)
+
+
+def random_exchange_batch(mode, n=400, seed=19):
+    """n seeded rows of either mode with finite splittings, detuning errors
+    and dephasing, from weak (g/kappa = 0.05) to strong (20) coupling."""
+    rng = np.random.default_rng(seed)
+    cooperativity = np.exp(rng.uniform(math.log(10.0), math.log(1e5), n))
+    cav = CavitySystem.from_cooperativity(cooperativity, np.exp(rng.uniform(-3.0, 3.0, n)), 1.0)
+    detuning = np.exp(rng.uniform(-1.0, 2.0, n)) * optimal_detuning(cav.kappa, cooperativity)
+    return ExchangeConfig(cav, detuning=detuning,
+                          splitting_eg=np.exp(rng.uniform(0.0, 8.0, n)) * cav.g,
+                          detuning_error=rng.uniform(-0.2, 0.2, n) * cav.g**2 / detuning,
+                          gamma_eff=rng.uniform(0.0, 1e-3, n), mode=mode)
+
+
+@pytest.mark.parametrize("name", ["fig4", *(mode.value for mode in ExchangeMode)])
+def test_exchange_lindblad_is_the_numeric_kernel(name):
+    """With no recycled weight (J = 0), the Lindblad closure of the exchange
+    gate takes F_pi from the same eigenbasis and the same products as the
+    numeric path, so the two fidelities agree bit for bit: on fig4's weak
+    and strong grids and on seeded random rows of both modes."""
+    cfg = figure_grid(name) if name == "fig4" else random_exchange_batch(ExchangeMode(name))
+    lindblad = lb.gate_fidelity_lindblad_batch(cfg).fidelity
+    numeric = fidelity_numeric_exchange_batch(cfg).fidelity
+    assert np.array_equal(lindblad, numeric), np.count_nonzero(lindblad != numeric)
 
 
 def test_raman_recycling_lands_on_target():

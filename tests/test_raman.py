@@ -303,3 +303,20 @@ def test_overflowing_gate_time_is_non_finite(evaluate):
         with pytest.raises(NonFinite, match="gate time"):
             evaluate(config)
 
+
+
+def test_overflowing_drive_is_non_finite_on_the_closed_form():
+    """With a finite gate time, Omega_A Omega_B past the double range makes
+    the closed form's drive terms NaN: it raises NonFinite, and no
+    RuntimeWarning escapes first. The numeric and Lindblad paths, which
+    need no Omega, return F = 1/2 (the gate time is ~3e-299)."""
+    with pytest.warns(ValidityWarning, match="drive is not weak"):
+        config = rm.RamanConfig(CavitySystem(1e-10, 1.0, 1.0), 1.0, 1.0, 10.0, 10.0,
+                                rabi_a=1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", ValidityWarning)   # the drive is past the edge
+        with pytest.raises(NonFinite, match="fidelity is nan"):
+            rm.fidelity_analytic_raman(config)
+        for evaluate in (rm.fidelity_numeric_raman, lindblad.gate_fidelity_lindblad):
+            assert evaluate(config).fidelity == 0.5

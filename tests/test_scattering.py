@@ -340,7 +340,7 @@ def quadrature_reference(cfg, span=12.0):
 def generator_cond(cfg):
     """The largest eigenvector condition number of the generators the pole
     sum eigensolves: s_uu's 3x3 and the 2x2 blocks of s_ud and s_du."""
-    return max(linalg.eigenbasis(h, np.eye(h.shape[-1])[[0] * len(h)]).cond.max()
+    return max(linalg.eigenbasis(h).cond.max()
                for h in sc._coupled_generators(cfg, ()))
 
 
