@@ -56,13 +56,15 @@ infinite splitting. Finite numbers whose cavity rates leave the double range
 evaluation that overflows is an evaluator error.
 
 Exit codes: 0 success, 2 config error, 3 evaluator error, 4 unwritable
-output. Results go to stdout; warnings (`warning: <message>`, from
-`evaluate` and `casestudy`) and errors (`error: <message>`) to stderr.
+output. Results go to stdout, warnings and errors to stderr. Every command
+prints the warnings it raised, as `warning: <message>` lines, when it ends,
+so a command that fails prints them before its `error: <message>` line
+(`sweep` ignores the warnings of its grid points).
 """
 from __future__ import annotations
 
-import contextlib
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -84,7 +86,23 @@ EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
 EXIT_OUTPUT = 4
 
-SCHEMES = ("scattering", "simple_exchange", "raman")
+#: (scheme, method) -> the library's one-configuration evaluator
+_EVALUATORS = {
+    ("scattering", "analytic"): fidelity_analytic,
+    ("scattering", "numeric"): fidelity_numeric,
+    ("simple_exchange", "analytic"): fidelity_analytic_exchange,
+    ("simple_exchange", "numeric"): fidelity_numeric_exchange,
+    ("simple_exchange", "lindblad"): gate_fidelity_lindblad,
+    ("raman", "analytic"): fidelity_analytic_raman,
+    ("raman", "numeric"): fidelity_numeric_raman,
+    ("raman", "lindblad"): gate_fidelity_lindblad,
+}
+SCHEMES = tuple(dict.fromkeys(scheme for scheme, _ in _EVALUATORS))
+METHODS = tuple(dict.fromkeys(method for _, method in _EVALUATORS))
+
+
+class _Unwritable(Exception):
+    """An output file could not be written."""
 
 
 def _fail(code, message):
@@ -92,40 +110,37 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _config_step(step, *args):
-    """step(*args); a ConfigError exits with the config-error code."""
-    try:
-        return step(*args)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-
-@contextlib.contextmanager
-def _echo_warnings():
-    """Echo the warnings of a block that completes as `warning: <message>`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
+def _boundary(command):
+    """The one error boundary of every command: the warnings it raises are
+    echoed as `warning: <message>` lines when it ends, then a ConfigError
+    exits with the config-error code, any other CavityGateError with the
+    evaluator-error code and an unwritable output with the output code."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    return command(*args, **kwargs)
+                finally:
+                    for w in caught:
+                        click.echo(f"warning: {w.message}", err=True)
+        except ConfigError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        except CavityGateError as exc:
+            _fail(EXIT_EVALUATOR, str(exc))
+        except _Unwritable as exc:
+            _fail(EXIT_OUTPUT, str(exc))
+    return run
 
 
 def _evaluate(scheme, cfg, method):
-    if method == "lindblad":
-        if scheme == "scattering":
-            raise CavityGateError(
-                "the scattering gate has no Lindblad path; its numeric route is the "
-                "exact amplitude integral (use --method numeric)")
-        return gate_fidelity_lindblad(cfg)
-    if scheme == "scattering":
-        return fidelity_numeric(cfg) if method == "numeric" else fidelity_analytic(cfg)
-    if scheme == "simple_exchange":
-        if method == "numeric":
-            return fidelity_numeric_exchange(cfg)
-        return fidelity_analytic_exchange(cfg)
-    if method == "numeric":
-        return fidelity_numeric_raman(cfg)
-    return fidelity_analytic_raman(cfg)
+    evaluator = _EVALUATORS.get((scheme, method))
+    if evaluator is None:   # the scattering gate with --method lindblad
+        raise CavityGateError(
+            "the scattering gate has no Lindblad path; its numeric route is the "
+            "exact amplitude integral (use --method numeric)")
+    return evaluator(cfg)
 
 
 @click.group()
@@ -137,18 +152,14 @@ def main():
 @main.command()
 @click.argument("scheme", type=click.Choice(SCHEMES))
 @click.argument("config_file", type=click.Path())
-@click.option("--method", type=click.Choice(["analytic", "numeric", "lindblad"]),
-              default="analytic", show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default="analytic", show_default=True)
+@_boundary
 def evaluate(scheme, config_file, method):
     """Evaluate one gate configuration; emit a JSON record on stdout."""
-    run = _config_step(config_mod.load_config, config_file)
-    with _echo_warnings():   # a config's own validity warnings, too
-        cfg = _config_step(config_mod.SCHEME_BUILDERS[scheme], run)
-        _config_step(run.check_all_read, scheme)
-        try:
-            result = _evaluate(scheme, cfg, method)
-        except CavityGateError as exc:
-            _fail(EXIT_EVALUATOR, str(exc))
+    run = config_mod.load_config(config_file)
+    cfg = config_mod.SCHEME_BUILDERS[scheme](run)
+    run.check_all_read(scheme)
+    result = _evaluate(scheme, cfg, method)
     record = {"schema_version": 1, "scheme": scheme, "method": result.method.value,
               "fidelity": result.fidelity, "gate_time": result.gate_time,
               "gate_time_gamma": result.gate_time * run.cavity.gamma,
@@ -157,40 +168,39 @@ def evaluate(scheme, config_file, method):
     click.echo(json.dumps(record))
 
 
-def _write_output(directory, filename, text):
-    try:
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, filename)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        return path
-    except OSError as exc:
-        _fail(EXIT_OUTPUT, f"cannot write {filename}: {exc}")
-
-
-def _manifest(command, config_hash, outputs):
-    return {
-        "schema_version": 1,
-        "command": command,
-        "config_hash": config_hash,
-        "tool_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": [os.path.basename(p) for p in outputs],
-    }
+def _write_run(directory, filename, text, command, hashed):
+    """Write `text` to `filename` in `directory`, and beside it the run
+    manifest `<stem>.manifest.json`, whose config_hash is a sha256 prefix of
+    the string `hashed`. Returns both paths."""
+    manifest = {"schema_version": 1, "command": command,
+                "config_hash": hashlib.sha256(hashed.encode()).hexdigest()[:16],
+                "tool_version": __version__,
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "outputs": [filename]}
+    files = {filename: text, f"{os.path.splitext(filename)[0]}.manifest.json":
+             json.dumps(manifest, indent=2) + "\n"}
+    paths = []
+    for name, content in files.items():
+        try:
+            os.makedirs(directory, exist_ok=True)
+            paths.append(os.path.join(directory, name))
+            with open(paths[-1], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise _Unwritable(f"cannot write {name}: {exc}") from None
+    return paths
 
 
 @main.command()
 @click.argument("name", type=click.Choice(figures.FIGURE_NAMES))
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
+@_boundary
 def figure(name, out_dir):
     """Emit the CSV data behind one survey figure plus a run manifest."""
     data = figures.build_figure(name)
-    csv_text = figures.format_csv(data)
-    csv_path = _write_output(out_dir, f"{name}.csv", csv_text)
-    config_hash = hashlib.sha256("\n".join(data.comments).encode()).hexdigest()[:16]
-    manifest = _manifest(f"figure {name}", config_hash, [csv_path])
-    manifest_path = _write_output(out_dir, f"{name}.manifest.json", json.dumps(manifest, indent=2) + "\n")
-    click.echo(json.dumps({"outputs": [csv_path, manifest_path]}))
+    paths = _write_run(out_dir, f"{name}.csv", figures.format_csv(data), f"figure {name}",
+                       "\n".join(data.comments))
+    click.echo(json.dumps({"outputs": paths}))
 
 
 @main.command("casestudy")
@@ -198,6 +208,7 @@ def figure(name, out_dir):
 @click.option("--t2-ms", type=float, default=None, help="Qubit T2 in milliseconds.")
 @click.option("--cooperativity", type=float, default=None)
 @click.option("--g-over-kappa", type=float, default=None)
+@_boundary
 def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
     """Three-scheme gate comparison for the default narrow-line emitter."""
     overrides = {}
@@ -206,19 +217,16 @@ def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
                                       ("--g-over-kappa", "g_over_kappa", g_over_kappa, 1.0)):
         if value is not None:
             if not 0 < value < math.inf:
-                _fail(EXIT_CONFIG, f"{option} must be finite and > 0, got {value!r}")
+                raise ConfigError(f"{option} must be finite and > 0, got {value!r}")
             overrides[key] = value * scale
-    with _echo_warnings():
-        try:
-            report = casestudy.run_case_study(**overrides)
-        except (CavityGateError, ValueError) as exc:
-            _fail(EXIT_EVALUATOR, str(exc))
+    try:
+        report = casestudy.run_case_study(**overrides)
+    except ValueError as exc:   # inputs the schemes refuse: an evaluator error
+        raise CavityGateError(str(exc)) from None
     text = json.dumps(report, indent=2) + "\n"
     if out_dir is not None:
-        path = _write_output(out_dir, "casestudy.json", text)
-        blob = json.dumps(report, sort_keys=True).encode()
-        manifest = _manifest("casestudy", hashlib.sha256(blob).hexdigest()[:16], [path])
-        _write_output(out_dir, "casestudy.manifest.json", json.dumps(manifest, indent=2) + "\n")
+        _write_run(out_dir, "casestudy.json", text, "casestudy",
+                   json.dumps(report, sort_keys=True))
     click.echo(text, nl=False)
 
 
@@ -233,19 +241,19 @@ def casestudy_cmd(out_dir, t2_ms, cooperativity, g_over_kappa):
 @click.option("--log/--linear", "log_scale", default=False, show_default=True)
 @click.option("--unit", default=None, show_default="the key's own unit",
               help="Unit suffix applied to the swept values.")
-@click.option("--method", type=click.Choice(["analytic", "numeric", "lindblad"]),
-              default="numeric", show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default="numeric", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Write CSV here instead of stdout.")
+@_boundary
 def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, method,
               out_dir):
     """Sweep one scheme parameter of a config and tabulate the fidelity."""
-    run = _config_step(config_mod.load_config, config_file)
-    section = _config_step(run.scheme_section, scheme)
+    run = config_mod.load_config(config_file)
+    section = run.scheme_section(scheme)
     try:
         axis = Axis(param, vmin, vmax, points, "log" if log_scale else "linear")
     except ValueError as exc:
-        _fail(EXIT_CONFIG, f"sweep grid: {exc}")
+        raise ConfigError(f"sweep grid: {exc}") from None
     key = param.lower()  # the config reader lowercases keys
     suffix = "" if unit in (None, "", "none") else f" {unit}"
     lines = [f"# sweep {scheme}.{param} [{unit or 'default unit'}] method={method}",
@@ -264,15 +272,13 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
             lines.append(f"{float(value):.11e},nan,nan")
             click.echo(f"warning: {param}={float(value):g}: {exc}", err=True)
     if len(errors) == axis.points:
-        _fail(EXIT_CONFIG if isinstance(errors[0], ConfigError) else EXIT_EVALUATOR,
-              f"no grid point evaluated; the first failed with: {errors[0]}")
-    _config_step(run.check_all_read, scheme)
+        error = ConfigError if isinstance(errors[0], ConfigError) else CavityGateError
+        raise error(f"no grid point evaluated; the first failed with: {errors[0]}")
+    run.check_all_read(scheme)
     out_text = "\n".join(lines) + "\n"
     if out_dir is not None:
-        csv_path = _write_output(out_dir, "sweep.csv", out_text)
-        manifest = _manifest(f"sweep {scheme} {param}",
-                             hashlib.sha256(out_text.encode()).hexdigest()[:16], [csv_path])
-        _write_output(out_dir, "sweep.manifest.json", json.dumps(manifest, indent=2) + "\n")
+        csv_path, _ = _write_run(out_dir, "sweep.csv", out_text, f"sweep {scheme} {param}",
+                                 out_text)
         click.echo(json.dumps({"outputs": [csv_path]}))
     else:
         click.echo(out_text, nl=False)

@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .errors import ValidityWarning
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     broadcast_shape, gate_results, one_configuration)
+                     broadcast_shape, gate_results)
 
 if TYPE_CHECKING:
     from .raman import RamanConfig
@@ -302,9 +302,11 @@ def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResul
 def fidelity_analytic_exchange_batch(config: ExchangeConfig) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
     at the config's pi-phase gate time T, for every row of an array-valued
-    config."""
+    config. A detuning far below kappa overflows cosh: that row is NaN, and
+    NonFinite, with no RuntimeWarning."""
     gate_time = config.gate_time
-    f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.ANALYTIC)
 
 
@@ -324,6 +326,19 @@ def optimal_gate_time_exchange(gamma, cooperativity) -> float:
     return 2.0 * math.pi / (gamma * np.sqrt(cooperativity))
 
 
+def expanded_max_fidelity(cooperativity, penalty, gamma_eff, t_o) -> GateResult:
+    """1 - pi/sqrt(C) - penalty - Gamma T_o, the expanded maximum of both
+    exchange gates (each gives its error penalty and T_o), capped by the
+    unexpanded ceiling cooperativity_limited_max_exchange where it overshoots
+    at small C; C < 10 warns. One configuration only."""
+    if any_row(cooperativity < 10):
+        warnings.warn("expansion assumes C >> 1", ValidityWarning, stacklevel=3)
+    f_gate = 1.0 - math.pi / np.sqrt(cooperativity) - penalty - gamma_eff * t_o
+    cap = cooperativity_limited_max_exchange(cooperativity)
+    f_gate = np.where(cap < f_gate, cap, f_gate)   # min(f_gate, cap), NaN as Python's min
+    return gate_results(f_gate, t_o, Method.ANALYTIC).single()
+
+
 def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:
     """Expanded maximum fidelity at the optimal detuning 2 Delta = kappa sqrt(C):
 
@@ -334,21 +349,10 @@ def max_fidelity_exchange(config: ExchangeConfig) -> GateResult:
     The config's detuning field is ignored; only the error terms enter.
     One configuration only.
     """
-    one_configuration(config)
-    cav = config.cavity
-    c = cav.cooperativity
-    if c < 10:
-        warnings.warn("expansion assumes C >> 1", ValidityWarning, stacklevel=2)
-    t_o = optimal_gate_time_exchange(cav.gamma, c)
-    f_gate = (
-        1.0
-        - math.pi / math.sqrt(c)
-        - (3.0 * math.pi**2 / 32.0) * (
-            (t_o * config.detuning_error / (2.0 * math.pi)) ** 2
-            + (2.0 * math.pi / (t_o * config.splitting_eg)) ** 2
-            - 12.0 / c)
-        - config.gamma_eff * t_o
-    )
-    # the expansion overshoots at small C; cap it by the unexpanded ceiling
-    f_gate = min(f_gate, cooperativity_limited_max_exchange(c))
-    return gate_results(f_gate, t_o, Method.ANALYTIC).single()
+    c = config.cavity.cooperativity
+    t_o = optimal_gate_time_exchange(config.cavity.gamma, c)
+    penalty = (3.0 * math.pi**2 / 32.0) * (
+        (t_o * config.detuning_error / (2.0 * math.pi)) ** 2
+        + (2.0 * math.pi / (t_o * config.splitting_eg)) ** 2
+        - 12.0 / c)
+    return expanded_max_fidelity(c, penalty, config.gamma_eff, t_o)

@@ -183,15 +183,6 @@ def config_shape(config) -> tuple:
     return np.broadcast_shapes(*shapes) if any(shapes) else ()
 
 
-def one_configuration(config):
-    """Raise ValueError unless a config holds one configuration: the paths
-    that call this (the expanded maxima) have no array form."""
-    shape = config_shape(config)
-    if shape != ():
-        raise ValueError(f"this path takes one configuration, but the {type(config).__name__} "
-                         f"has array fields of shape {shape}")
-
-
 @dataclass(frozen=True)
 class GateResults:
     """Outcomes of a batch of configurations that share one scheme and method.
@@ -225,9 +216,12 @@ class GateResults:
             notes=tuple(note for note, mask in self.notes.items() if mask[index]))
 
     def single(self) -> GateResult:
-        """The result of a one-configuration batch."""
+        """The result of a one-configuration batch: the one guard of every
+        path that takes one configuration (the scalar evaluators, the
+        expanded maxima), which raises ValueError for any other batch."""
         if self.fidelity.size != 1:
-            raise ValueError(f"expected one configuration, got shape {self.shape}")
+            raise ValueError(f"this path takes one configuration, got results of shape "
+                             f"{self.shape}")
         return self[(0,) * self.fidelity.ndim]
 
 

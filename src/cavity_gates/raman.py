@@ -29,10 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, ValidityWarning, ZeroDecoherence
-from .exchange import (cooperativity_limited_max_exchange, fidelity_numeric_exchange,
+from .exchange import (expanded_max_fidelity, fidelity_numeric_exchange,
                        fidelity_numeric_exchange_batch, optimal_detuning, ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     broadcast_shape, gate_results, one_configuration)
+                     broadcast_shape, gate_results)
 
 
 def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_photon):
@@ -250,25 +250,14 @@ def max_fidelity_raman(config: RamanConfig) -> GateResult:
     The config's two-photon detunings fix only the error delta_eps; the mean
     is assumed optimal. One configuration only.
     """
-    one_configuration(config)
-    cav = config.cavity
-    c = cav.cooperativity
-    if c < 10:
-        warnings.warn("expansion assumes C >> 1", ValidityWarning, stacklevel=2)
-    omega = math.sqrt(config.rabi_a * config.drive_b)
-    t_o = optimal_gate_time_raman(cav.gamma, c, config.laser_detuning / omega)
-    f_gate = (
-        1.0
-        - math.pi / math.sqrt(c)
-        - (math.pi**2 / 16.0) * (
-            (t_o * config.two_photon_error / (2.0 * math.pi)) ** 2
-            + (config.laser_detuning_error / config.laser_detuning) ** 2
-            - 18.0 / c)
-        - config.gamma_eff * t_o
-    )
-    # the expansion overshoots at small C; cap it by the unexpanded ceiling
-    f_gate = min(f_gate, cooperativity_limited_max_exchange(c))
-    return gate_results(f_gate, t_o, Method.ANALYTIC).single()
+    c = config.cavity.cooperativity
+    omega = np.sqrt(config.rabi_a * config.drive_b)
+    t_o = optimal_gate_time_raman(config.cavity.gamma, c, config.laser_detuning / omega)
+    penalty = (math.pi**2 / 16.0) * (
+        (t_o * config.two_photon_error / (2.0 * math.pi)) ** 2
+        + (config.laser_detuning_error / config.laser_detuning) ** 2
+        - 18.0 / c)
+    return expanded_max_fidelity(c, penalty, config.gamma_eff, t_o)
 
 
 class SpectralSeparationPoint(NamedTuple):

@@ -26,7 +26,7 @@ import numpy as np
 from cavity_gates import linalg
 from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import ExchangeConfig, ExchangeMode
-from cavity_gates.params import one_configuration
+from cavity_gates.params import config_shape
 from cavity_gates.raman import RamanConfig
 
 
@@ -159,7 +159,7 @@ def _gate_open_system(config: ExchangeConfig | RamanConfig, n_recycled: int, jum
     state), the two frozen ground states of the other sectors, then
     n_recycled frozen jump destinations. jumps: (rate, [(dest, src), ...]).
     One configuration only."""
-    one_configuration(config)
+    assert config_shape(config) == (), "the oracle takes one configuration"
     ham = sector_hamiltonians(config)
     n_ud, n_uu = ham.h_up_down.shape[0], ham.h_up_up.shape[0]
     dim = n_ud + n_uu + 2 + n_recycled

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cavity_gates import config as cfg_mod
+from cavity_gates import config as cfg_mod, exchange, lindblad, raman, scattering
 from cavity_gates.cli import main
 from cavity_gates.errors import ConfigError
 
@@ -211,39 +211,62 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+OVERFLOW = "error: fidelity is nan: the evaluation overflowed"
+RAMAN_TIME = "error: Raman gate time leaves the double range"
+
+
 # C = 1000, where each of these numbers used to end in a traceback (exit 1),
-# or in an infinite gate time printed as a valid result (exit 0)
-@pytest.mark.parametrize("scheme, edits, method, code", [
-    ("scattering", {"g_over_kappa = 0.1": "g_over_kappa = 1e-200"}, "analytic", 2),
-    ("simple_exchange", {"gamma = 596 hz": "gamma = 1e300 hz"}, "analytic", 2),
-    ("simple_exchange", {"detuning = optimal": "detuning = 1e-300 rad_s"}, "analytic", 3),
-    ("raman", {"two_photon = optimal": "two_photon = 1e300 rad_s"}, "analytic", 3),
-    ("scattering", {"delta_p = 30 per_gamma": "delta_p = 1e160 rad_s"}, "analytic", 3),
-    ("simple_exchange", {"detuning = optimal": "detuning = 1e300 rad_s"}, "lindblad", 3),
+# or in an infinite gate time printed as a valid result (exit 0); stderr is
+# the warnings the evaluation raised, then the error line
+@pytest.mark.parametrize("scheme, edits, method, code, stderr", [
+    ("scattering", {"g_over_kappa = 0.1": "g_over_kappa = 1e-200"}, "analytic", 2,
+     ["error: cavity: g_over_kappa = 1e-200 puts kappa = C*gamma/(4*(g/kappa)^2) out of "
+      "the double range"]),
+    ("simple_exchange", {"gamma = 596 hz": "gamma = 1e300 hz"}, "analytic", 2,
+     ["error: cavity: CavitySystem cooperativity 4 g^2/(kappa gamma) must be finite, got inf"]),
+    ("simple_exchange", {"detuning = optimal": "detuning = 1e-300 rad_s"}, "analytic", 3,
+     [OVERFLOW]),
+    ("raman", {"two_photon = optimal": "two_photon = 1e300 rad_s"}, "analytic", 3,
+     [RAMAN_TIME]),
+    ("scattering", {"delta_p = 30 per_gamma": "delta_p = 1e160 rad_s"}, "analytic", 3,
+     ["warning: inputs outside the closed-form validity domain (C >> 1, detunings small "
+      "against gamma*C)",
+      "error: closed-form scattering fidelity overflows: (34, 'Numerical result out of range')"]),
+    ("simple_exchange", {"detuning = optimal": "detuning = 1e300 rad_s"}, "lindblad", 3,
+     ["error: propagation phase e^{-i t lambda} overflows: ||H|| t is past the double range"]),
     # T = pi Delta/g^2 overflows at g = 0.1 rad/s
     ("simple_exchange", {"cooperativity = 1000\ng_over_kappa = 0.1\ngamma = 596 hz":
                          "g = 0.1 rad_s\nkappa = 1 rad_s\ngamma = 1 rad_s",
                          "qubit_t2 = 6.6e-3 s\noptical_pure_dephasing = 9e3 rad_s":
                          "qubit_pure_dephasing = 0.01 rad_s",
-                         "detuning = optimal": "detuning = 1e308 rad_s"}, "analytic", 3),
+                         "detuning = optimal": "detuning = 1e308 rad_s"}, "analytic", 3,
+     ["error: gate_time is not finite: the evaluation overflowed"]),
     # T = pi (... + delta Delta_A Delta_B)/(...) overflows on every Raman method
     *(("raman", {"two_photon = optimal": "two_photon = 10 rad_s",
-                 "laser_detuning = 2 per_kappa": "laser_detuning = 1e300 rad_s"}, method, 3)
+                 "laser_detuning = 2 per_kappa": "laser_detuning = 1e300 rad_s"}, method, 3,
+       [RAMAN_TIME])
       for method in ("analytic", "numeric", "lindblad")),
     # T = 3e-299 is finite, but Omega_A Omega_B overflows in the closed form
     ("raman", {"cooperativity = 1000\ng_over_kappa = 0.1\ngamma = 596 hz":
                "g = 1e-10 rad_s\nkappa = 1 rad_s\ngamma = 1 rad_s",
                "two_photon = optimal": "two_photon = 10 rad_s",
                "laser_detuning = 2 per_kappa": "laser_detuning = 1 rad_s",
-               "rabi_over_detuning = 0.1": "rabi_a = 1e160 rad_s"}, "analytic", 3),
+               "rabi_over_detuning = 0.1": "rabi_a = 1e160 rad_s"}, "analytic", 3,
+     ["warning: drive is not weak against its detuning (Omega/Delta > 0.5); adiabatic "
+      "elimination is unreliable",
+      "warning: inputs are at the edge of the adiabatic regime (cavity Rabi or drive Rabi "
+      "limit)",
+      OVERFLOW]),
 ], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
         "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow",
         "infinite-gate-time",
         *(f"raman-gate-time-overflow-{method}" for method in ("analytic", "numeric", "lindblad")),
         "raman-drive-overflow"])
-def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, code):
+def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, code, stderr):
     """Finite numbers past what the double range can carry through an
-    evaluation: cavity rates are config errors, the rest evaluator errors."""
+    evaluation: cavity rates are config errors, the rest evaluator errors.
+    The warnings that explain an error are printed before it, and no
+    numpy RuntimeWarning is among them."""
     text = YB_CONFIG.replace("cooperativity = 50000", "cooperativity = 1000")
     for old, new in edits.items():
         assert old in text
@@ -254,7 +277,7 @@ def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, 
     assert result.exit_code == code, result.exception
     assert isinstance(result.exception, SystemExit)   # no traceback
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stderr.splitlines() == stderr
 
 
 @pytest.mark.parametrize("method", ["analytic", "numeric", "lindblad"])
@@ -311,6 +334,31 @@ def test_cli_unread_key_is_config_error(tmp_path, scheme, old, key, method):
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
     assert result.stderr == f"error: {key} is never read (misspelled?)\n"
+
+
+@pytest.mark.parametrize("scheme, method, evaluator", [
+    ("scattering", "analytic", scattering.fidelity_analytic),
+    ("scattering", "numeric", scattering.fidelity_numeric),
+    ("simple_exchange", "analytic", exchange.fidelity_analytic_exchange),
+    ("simple_exchange", "numeric", exchange.fidelity_numeric_exchange),
+    ("simple_exchange", "lindblad", lindblad.gate_fidelity_lindblad),
+    ("raman", "analytic", raman.fidelity_analytic_raman),
+    ("raman", "numeric", raman.fidelity_numeric_raman),
+    ("raman", "lindblad", lindblad.gate_fidelity_lindblad),
+])
+def test_cli_evaluate_dispatches_to_the_library(yb_path, scheme, method, evaluator):
+    """Each (scheme, method) of `evaluate` is the library evaluator of that
+    pair: its record carries that evaluator's GateResult exactly."""
+    result = CliRunner().invoke(main, ["evaluate", scheme, yb_path, "--method", method])
+    assert result.exit_code == 0, result.stderr
+    record = json.loads(result.stdout)
+    run = cfg_mod.load_config_text(YB_CONFIG)
+    expected = evaluator(cfg_mod.SCHEME_BUILDERS[scheme](run))
+    assert (record["method"], record["fidelity"], record["gate_time"],
+            record["success_probability"], record["notes"]) == (
+        expected.method.value, expected.fidelity, expected.gate_time,
+        expected.success_probability, list(expected.notes))
+    assert record["gate_time_gamma"] == expected.gate_time * run.cavity.gamma
 
 
 def test_cli_exit_code_evaluator_error(yb_path):

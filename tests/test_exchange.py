@@ -5,6 +5,7 @@ import pytest
 
 from cavity_gates import exchange as ex
 from cavity_gates import linalg
+from cavity_gates.errors import NonFinite
 from cavity_gates.params import CavitySystem
 from lindblad_oracle import sector_hamiltonians
 
@@ -219,3 +220,17 @@ def test_analytic_result_wrapper():
     assert result.method.value == "analytic"
     assert result.success_probability == 1.0
     assert 0.9 < result.fidelity < 1.0
+
+
+@pytest.mark.parametrize("detuning", [1e-20, 1e-100, 1e-300])
+def test_closed_form_far_below_kappa_is_non_finite(detuning):
+    """cosh(pi kappa/(2 Delta)) overflows for Delta below about kappa/450:
+    the closed form refuses the row with NonFinite, on the scalar and the
+    batch path, and raises no RuntimeWarning (an error in this suite)."""
+    cfg = make_config(cooperativity=1000.0, g_over_kappa=0.1)
+    tiny = ex.ExchangeConfig(cfg.cavity, detuning=detuning)
+    with pytest.raises(NonFinite, match="fidelity is nan"):
+        ex.fidelity_analytic_exchange(tiny)
+    with pytest.raises(NonFinite, match="fidelity is nan"):
+        ex.fidelity_analytic_exchange_batch(
+            ex.ExchangeConfig(cfg.cavity, detuning=np.array([cfg.detuning, detuning])))

@@ -54,6 +54,28 @@ def test_one_result_builder():
     assert offenders == []
 
 
+def test_one_cli_error_boundary():
+    """The CLI maps errors to exit codes in one place: `sys.exit` is called
+    in `_fail` alone, and a ConfigError or CavityGateError is caught only by
+    the `_boundary` decorator and by `sweep`'s per-point handler."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    with open(os.path.join(package, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    owners = {"sys.exit": [], "except": []}
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and ast.unparse(node.func) == "sys.exit"):
+                    owners["sys.exit"].append(function.name)
+                elif (isinstance(node, ast.ExceptHandler) and node.type is not None
+                      and {"ConfigError", "CavityGateError"} & {
+                          n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
+                    owners["except"].append(function.name)
+    assert owners == {"sys.exit": ["_fail"],
+                      "except": ["_boundary", "_boundary", "sweep_cmd"]}
+
+
 def test_one_unit_table():
     """Units are converted in `config` alone: no other module holds a unit
     name of its tables as a string literal (a second table, converter or
