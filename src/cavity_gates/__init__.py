@@ -4,8 +4,9 @@ Three schemes share one cavity-emitter parameterization: photon scattering
 off a single-sided cavity, simple virtual photon exchange, and
 Raman-assisted virtual photon exchange. Each scheme offers a closed-form
 fidelity and an independent numerical path (amplitude integration or
-non-Hermitian propagation), plus a batched Lindblad check of the exchange
-schemes.
+non-Hermitian propagation), plus a Lindblad check of the exchange schemes.
+Each (scheme, method) has one evaluator, which takes a config whose fields
+may be arrays and returns GateResults of their broadcast shape.
 """
 
 __version__ = "0.1.0"
@@ -25,9 +26,7 @@ from .scattering import (
     ScatteringConfig,
     cooperativity_limited_max,
     fidelity_analytic,
-    fidelity_analytic_batch,
     fidelity_numeric,
-    fidelity_numeric_batch,
     optimal_gate_time,
     reduced_density_matrix,
     spin_amplitudes,
@@ -38,9 +37,7 @@ from .exchange import (
     exchange_gate_time,
     f_pi_closed_form,
     fidelity_analytic_exchange,
-    fidelity_analytic_exchange_batch,
     fidelity_numeric_exchange,
-    fidelity_numeric_exchange_batch,
     max_fidelity_exchange,
     optimal_detuning,
     optimal_gate_time_exchange,
@@ -49,9 +46,7 @@ from .exchange import (
 from .raman import (
     RamanConfig,
     fidelity_analytic_raman,
-    fidelity_analytic_raman_batch,
     fidelity_numeric_raman,
-    fidelity_numeric_raman_batch,
     matched_rabi_b,
     max_fidelity_raman,
     max_spectral_separation,
@@ -60,7 +55,7 @@ from .raman import (
     raman_gate_time,
     symmetric_raman_config,
 )
-from .lindblad import gate_fidelity_lindblad, gate_fidelity_lindblad_batch
+from .lindblad import gate_fidelity_lindblad
 from .sweep import (
     Axis,
     cooperativity_scaling,

@@ -47,7 +47,7 @@ def run_case_study(**overrides) -> dict:
                                        delta_p=p["delta_p_over_gamma"] * cavity.gamma)
     scattering_cfg = ScatteringConfig(
         cavity, pulse, gamma_eff=decoherence.effective_rate(Scheme.SCATTERING))
-    scattering_res = fidelity_analytic(scattering_cfg)
+    scattering_res = fidelity_analytic(scattering_cfg).single()
 
     exchange_cfg = ExchangeConfig(
         cavity,

@@ -41,11 +41,13 @@ A key that nothing reads in [cavity], [decoherence] or the evaluated
 `sweep --param KEY` overwrites one key of the parsed [scheme.<name>]
 section at each grid point (keys are case-insensitive, as in the file).
 The values take the `--unit` suffix; without one they are bare numbers,
-which `config` reads in the key's own unit. A key the scheme never reads,
-and a grid with fewer than 2 points, a non-finite or unordered range or a
-non-positive log range, are config errors. A point that fails becomes a
-`nan,nan` row; when every point fails (say, an unknown `--unit`), no table
-is printed and the exit code is that of the first point's error.
+which `config` reads in the key's own unit. The points are evaluated in one
+batch call, and point by point only if the evaluator refuses that batch. A
+key the scheme never reads, and a grid with fewer than 2 points, a
+non-finite or unordered range or a non-positive log range, are config
+errors. A point that fails becomes a `nan,nan` row; when every point fails
+(say, an unknown `--unit`), no table is printed and the exit code is that
+of the first point's error.
 
 Every number must be finite: `nan` and `inf` are config errors, as are
 values the scheme's inputs reject (a `splitting_eg`, a `gate_time`, a
@@ -73,12 +75,14 @@ import sys
 import warnings
 
 import click
+import numpy as np
 
 from . import __version__, casestudy, config as config_mod, figures
 from .errors import CavityGateError, ConfigError
 from .exchange import fidelity_analytic_exchange, fidelity_numeric_exchange
 from .lindblad import gate_fidelity_lindblad
 from .raman import fidelity_analytic_raman, fidelity_numeric_raman
+from .params import stack_configs
 from .scattering import fidelity_analytic, fidelity_numeric
 from .sweep import Axis
 
@@ -86,7 +90,7 @@ EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
 EXIT_OUTPUT = 4
 
-#: (scheme, method) -> the library's one-configuration evaluator
+#: (scheme, method) -> the library's evaluator, which takes an array-valued config
 _EVALUATORS = {
     ("scattering", "analytic"): fidelity_analytic,
     ("scattering", "numeric"): fidelity_numeric,
@@ -143,6 +147,28 @@ def _evaluate(scheme, cfg, method):
     return evaluator(cfg)
 
 
+def _evaluate_grid(scheme, grid, method):
+    """Replace each grid point's config in `grid` by its (fidelity, gate
+    time), or by the CavityGateError of its evaluation (a point whose config
+    failed holds its error already). The configs are stacked and evaluated
+    in one batch call; only a refused batch is evaluated point by point."""
+    built = {i: cfg for i, cfg in grid.items() if not isinstance(cfg, CavityGateError)}
+    if not built:
+        return
+    try:
+        batch = _evaluate(scheme, stack_configs(list(built.values())), method)
+    except CavityGateError:
+        for i, cfg in built.items():
+            try:
+                result = _evaluate(scheme, cfg, method).single()
+                grid[i] = (result.fidelity, result.gate_time)
+            except CavityGateError as exc:
+                grid[i] = exc
+    else:
+        rows = np.stack([batch.fidelity, batch.gate_time], axis=-1)
+        grid.update(zip(built, np.broadcast_to(rows, (len(built), 2))))
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="cavity-gate")
 def main():
@@ -159,7 +185,7 @@ def evaluate(scheme, config_file, method):
     run = config_mod.load_config(config_file)
     cfg = config_mod.SCHEME_BUILDERS[scheme](run)
     run.check_all_read(scheme)
-    result = _evaluate(scheme, cfg, method)
+    result = _evaluate(scheme, cfg, method).single()
     record = {"schema_version": 1, "scheme": scheme, "method": result.method.value,
               "fidelity": result.fidelity, "gate_time": result.gate_time,
               "gate_time_gamma": result.gate_time * run.cavity.gamma,
@@ -258,19 +284,25 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
     suffix = "" if unit in (None, "", "none") else f" {unit}"
     lines = [f"# sweep {scheme}.{param} [{unit or 'default unit'}] method={method}",
              f"{param},fidelity,gate_time_gamma"]
+    values = [float(value) for value in axis.values()]
+    grid = {}   # point index -> its config, then its (fidelity, gate time), or its error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, value in enumerate(values):
+            section.raw[key] = f"{value:.17g}{suffix}"
+            try:
+                grid[i] = config_mod.SCHEME_BUILDERS[scheme](run)
+            except CavityGateError as exc:
+                grid[i] = exc
+        _evaluate_grid(scheme, grid, method)
     errors = []
-    for value in axis.values():
-        section.raw[key] = f"{float(value):.17g}{suffix}"
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = _evaluate(scheme, config_mod.SCHEME_BUILDERS[scheme](run), method)
-            lines.append(f"{float(value):.11e},{result.fidelity:.11e},"
-                         f"{result.gate_time * run.cavity.gamma:.11e}")
-        except CavityGateError as exc:
-            errors.append(exc)
-            lines.append(f"{float(value):.11e},nan,nan")
-            click.echo(f"warning: {param}={float(value):g}: {exc}", err=True)
+    for value, point in zip(values, grid.values()):
+        if isinstance(point, CavityGateError):
+            errors.append(point)
+            lines.append(f"{value:.11e},nan,nan")
+            click.echo(f"warning: {param}={value:g}: {point}", err=True)
+        else:
+            lines.append(f"{value:.11e},{point[0]:.11e},{point[1] * run.cavity.gamma:.11e}")
     if len(errors) == axis.points:
         error = ConfigError if isinstance(errors[0], ConfigError) else CavityGateError
         raise error(f"no grid point evaluated; the first failed with: {errors[0]}")

@@ -15,11 +15,11 @@ The Raman gate gets its pi phase from the same lossy swap, so the numeric
 functions here take an ExchangeConfig or a RamanConfig; each supplies its
 sector builder and parameters (`sectors()`) and its pi-phase `gate_time`.
 Numeric fields of either config, the cavity's included, may be numpy arrays
-that broadcast together (the mode stays one value): the *_batch evaluators
-then evaluate every row at once through the stacked propagation of `linalg`
-and return GateResults of the broadcast shape. The scalar evaluators are
-the one-configuration calls of the same functions. `phase_fidelity` runs
-batches of more than 512 rows in 512-row blocks on every available CPU.
+that broadcast together (the mode stays one value); each evaluator takes
+every row at once, through the stacked propagation of `linalg` on the
+numeric path, and returns GateResults of the broadcast shape.
+`phase_fidelity` runs batches of more than 512 rows in 512-row blocks on
+every available CPU.
 """
 from __future__ import annotations
 
@@ -228,33 +228,26 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     return (0.5 * np.abs(amp[1] - amp[0])).reshape(shape)[()]
 
 
-def relative_phase_fidelity(config: ExchangeConfig | RamanConfig):
-    """F_pi from non-Hermitian propagation of both sectors of either gate,
-    at the config's pi-phase gate time T:
-
-    F_pi = (1/2) |<uu-start| e^{-iT H_uu} |uu-start> -
-                  <ud-start| e^{-iT H_ud} |ud-start>|.
-    """
-    return phase_fidelity(*config.sectors(), config.gate_time)
-
-
 def ridge_f_pi(detuning, kappa, cooperativity):
-    """Ideal-error F_pi of a virtual exchange at the given detuning:
-    exp(-2 pi Delta/(C kappa) - pi kappa/(2 Delta)) * cosh^2(pi kappa/(4 Delta)).
+    """Ideal-error F_pi of a virtual exchange at the given detuning,
+    exp(-2 pi Delta/(C kappa) - pi kappa/(2 Delta)) cosh^2(pi kappa/(4 Delta)),
+    written as exp(-2 pi Delta/(C kappa)) (1 + exp(-pi kappa/(2 Delta)))^2 / 4,
+    which cannot overflow.
 
     The same function governs the Raman scheme with the two-photon detuning
     in place of the cavity detuning. An array when any input is an array.
     """
     d = np.asarray(detuning, dtype=float)
-    out = (np.exp(-2.0 * np.pi * d / (cooperativity * kappa) - np.pi * kappa / (2.0 * d))
-           * np.cosh(np.pi * kappa / (4.0 * d)) ** 2)
+    out = (np.exp(-2.0 * np.pi * d / (cooperativity * kappa))
+           * 0.25 * (1.0 + np.exp(-np.pi * kappa / (2.0 * d))) ** 2)
     return out if np.ndim(out) else float(out)
 
 
 def cooperativity_limited_max_exchange(cooperativity):
     """Fidelity ceiling of both exchange schemes from finite cooperativity
     alone: (ridge_f_pi + 1)/2 at 2 Delta = kappa sqrt(C), where kappa drops
-    out: (e^{-2 pi/sqrt(C)} cosh^2(pi/(2 sqrt(C))) + 1)/2."""
+    out: (e^{-2 pi/sqrt(C)} cosh^2(pi/(2 sqrt(C))) + 1)/2, which tends to
+    1/2 as C -> 0."""
     return 0.5 * (ridge_f_pi(0.5 * np.sqrt(cooperativity), 1.0, cooperativity) + 1.0)
 
 
@@ -283,37 +276,25 @@ def f_pi_closed_form(config: ExchangeConfig):
     return 0.5 * envelope * abs(spectator_phase + swap_term)
 
 
-def fidelity_numeric_exchange_batch(config: ExchangeConfig | RamanConfig) -> GateResults:
+def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation
-    at the config's pi-phase gate time T, for every row of an array-valued
-    config of either gate."""
+    at the config's pi-phase gate time T, for every row of a config of
+    either gate, with F_pi the `phase_fidelity` of its two sectors."""
     gate_time = config.gate_time
-    f_pi = relative_phase_fidelity(config)
+    f_pi = phase_fidelity(*config.sectors(), gate_time)
     f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
 
 
-def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResult:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation
-    at the config's pi-phase gate time T."""
-    return fidelity_numeric_exchange_batch(config).single()
-
-
-def fidelity_analytic_exchange_batch(config: ExchangeConfig) -> GateResults:
+def fidelity_analytic_exchange(config: ExchangeConfig) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
-    at the config's pi-phase gate time T, for every row of an array-valued
-    config. A detuning far below kappa overflows cosh: that row is NaN, and
+    at the config's pi-phase gate time T, for every row of the config. A
+    detuning far below kappa overflows cosh: that row is NaN, and
     NonFinite, with no RuntimeWarning."""
     gate_time = config.gate_time
     with np.errstate(over="ignore", invalid="ignore"):
         f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.ANALYTIC)
-
-
-def fidelity_analytic_exchange(config: ExchangeConfig) -> GateResult:
-    """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
-    at the config's pi-phase gate time T."""
-    return fidelity_analytic_exchange_batch(config).single()
 
 
 def optimal_detuning(kappa, cooperativity) -> float:
@@ -334,8 +315,7 @@ def expanded_max_fidelity(cooperativity, penalty, gamma_eff, t_o) -> GateResult:
     if any_row(cooperativity < 10):
         warnings.warn("expansion assumes C >> 1", ValidityWarning, stacklevel=3)
     f_gate = 1.0 - math.pi / np.sqrt(cooperativity) - penalty - gamma_eff * t_o
-    cap = cooperativity_limited_max_exchange(cooperativity)
-    f_gate = np.where(cap < f_gate, cap, f_gate)   # min(f_gate, cap), NaN as Python's min
+    f_gate = np.minimum(f_gate, cooperativity_limited_max_exchange(cooperativity))
     return gate_results(f_gate, t_o, Method.ANALYTIC).single()
 
 

@@ -3,8 +3,8 @@
 All builders work in units of the emitter decay rate (gamma = 1). Each
 figure carries a `#`-prefixed parameter block; swept quantities are marked
 with the SWEEP token so a single row can be reproduced through the
-command-line evaluate path. Every builder evaluates whole columns through
-the batch evaluators, a fig2 builder in one call of each scattering path
+command-line evaluate path. Every builder evaluates whole columns in one
+evaluator call each, a fig2 builder in one call of each scattering path
 (its g/kappa regimes a (3, 1) column); the fig8 optima are row-wise
 golden-section searches over the Gamma column, which fig8a and fig8b each run.
 """
@@ -58,8 +58,8 @@ def _fig2(axis_name, axis_values, fixed, variable):
         header += [f"F_numeric_gk{gk:g}", f"F_analytic_gk{gk:g}"]
     batch = _scatter_configs(g_over_kappa=np.array(_SCATTER_REGIMES)[:, None], **fixed,
                              **{variable: axis_values})
-    columns = np.stack([scattering.fidelity_numeric_batch(batch).fidelity,
-                        scattering.fidelity_analytic_batch(batch).fidelity], axis=1)
+    columns = np.stack([scattering.fidelity_numeric(batch).fidelity,
+                        scattering.fidelity_analytic(batch).fidelity], axis=1)
     return header, np.column_stack([axis_values, *columns.reshape(-1, len(axis_values))])
 
 
@@ -90,8 +90,8 @@ def build_fig2b():
 def build_fig2c():
     values = np.exp(np.linspace(math.log(0.01), math.log(10.0), 121))
     batch = _scatter_configs(4000.0, values, 1e-5, 30.0, 2.0)
-    rows = np.column_stack([values, scattering.fidelity_numeric_batch(batch).fidelity,
-                            scattering.fidelity_analytic_batch(batch).fidelity])
+    rows = np.column_stack([values, scattering.fidelity_numeric(batch).fidelity,
+                            scattering.fidelity_analytic(batch).fidelity])
     comments = (
         "[cavity]", "cooperativity = 4000", "g_over_kappa = SWEEP", "gamma = 1 rad_s",
         "[decoherence]", "qubit_pure_dephasing = 4e-5 per_gamma",
@@ -103,8 +103,8 @@ def build_fig2c():
 def build_fig4():
     values = np.exp(np.linspace(math.log(1.0), math.log(1e4), 201))
     weak_and_strong = _exchange_configs(8000.0, np.array([[0.1], [10.0]]), values)
-    numeric = exchange.fidelity_numeric_exchange_batch(weak_and_strong).fidelity
-    analytic = exchange.fidelity_analytic_exchange_batch(_exchange_configs(8000.0, 0.1, values))
+    numeric = exchange.fidelity_numeric_exchange(weak_and_strong).fidelity
+    analytic = exchange.fidelity_analytic_exchange(_exchange_configs(8000.0, 0.1, values))
     rows = np.column_stack([values, *numeric, analytic.fidelity])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
@@ -121,7 +121,7 @@ def build_fig6a():
     grid = np.exp(np.linspace(math.log(0.1), math.log(1e3), 121))
     # rows run over the laser detuning within each two-photon detuning
     dok, lok = np.meshgrid(grid, grid, indexing="ij")
-    numeric = raman.fidelity_numeric_raman_batch(_raman_configs(8000.0, 0.1, dok, lok, 0.05))
+    numeric = raman.fidelity_numeric_raman(_raman_configs(8000.0, 0.1, dok, lok, 0.05))
     rows = np.column_stack([dok.ravel(), lok.ravel(), numeric.fidelity.ravel()])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
@@ -137,9 +137,9 @@ def build_fig6a():
 def build_fig6b():
     ridge = 0.5 * math.sqrt(8000.0)
     values = np.exp(np.linspace(math.log(0.1), math.log(1e3), 201))
-    numeric = raman.fidelity_numeric_raman_batch(
+    numeric = raman.fidelity_numeric_raman(
         _raman_configs(8000.0, 0.1, ridge, values, np.array([[0.05], [1.0 / 3.0]]))).fidelity
-    analytic = raman.fidelity_analytic_raman_batch(_raman_configs(8000.0, 0.1, ridge, values, 0.05))
+    analytic = raman.fidelity_analytic_raman(_raman_configs(8000.0, 0.1, ridge, values, 0.05))
     rows = np.column_stack([values, *numeric, analytic.fidelity])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
@@ -166,14 +166,14 @@ def build_fig7():
 
 def _fig8_table(cooperativity=8000.0, g_over_kappa=0.1):
     """Optimal fidelities and gate times of the three gates over the fig8
-    Gamma column, each a row-wise search through the analytic batch paths."""
+    Gamma column, each a row-wise search through the analytic evaluators."""
     gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
     g2 = cav.g**2
 
     def scatter(log_t):
         cfg = _scatter_configs(cooperativity, g_over_kappa, gammas, 0.0, np.exp(log_t))
-        return scattering.fidelity_analytic_batch(cfg).fidelity
+        return scattering.fidelity_analytic(cfg).fidelity
 
     t_guess = scattering.optimal_gate_time(cooperativity, 1.0, gammas)
     log_t, best_s = sweep.golden_section_max(scatter, np.log(t_guess / 10.0),
@@ -195,13 +195,13 @@ def _fig8_table(cooperativity=8000.0, g_over_kappa=0.1):
                                             np.minimum(np.exp(log_x), 0.45), gamma_eff)
 
     def f(log_d, log_x):
-        return raman.fidelity_analytic_raman_batch(raman_configs(log_d, log_x)).fidelity
+        return raman.fidelity_analytic_raman(raman_configs(log_d, log_x)).fidelity
 
     # coarse scan first, in one batch: the -Gamma*T clamp creates flat zero
     # plateaus that defeat a bare golden section
     d_grid = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)
     x_grid = np.linspace(math.log(1e-3), math.log(0.45), 31)
-    values = raman.fidelity_analytic_raman_batch(
+    values = raman.fidelity_analytic_raman(
         raman_configs(d_grid[:, None], x_grid, gammas[:, None, None])).fidelity
     i, j = np.unravel_index(values.reshape(len(gammas), -1).argmax(axis=1), values.shape[1:])
     d_lo, d_hi = d_grid[np.maximum(i - 1, 0)], d_grid[np.minimum(i + 1, len(d_grid) - 1)]

@@ -10,7 +10,7 @@ forms on a spectrum lose about its trust measure squared times epsilon.
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
   times it) is below the limit. It has two callers: `return_amplitudes`
   sends untrusted rows to Taylor scaling-and-squaring, one row at a time,
-  and `lindblad.gate_fidelity_lindblad_batch` refuses a whole batch with
+  and `lindblad.gate_fidelity_lindblad` refuses a whole batch with
   ConvergenceFailure when any of its rows is untrusted. Both form
   <0|e^{-itH}|0> with the same products in the same order.
 - `resolvent_poles` serves generators in star form (state 0 coupled to

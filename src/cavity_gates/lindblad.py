@@ -1,4 +1,5 @@
-"""Lindblad master-equation check of both exchange gates, for array configs.
+"""Lindblad master-equation check of both exchange gates, for array configs:
+`gate_fidelity_lindblad` evaluates every row of a config in one call.
 
 The full master equation keeps the recycling terms that the non-Hermitian
 treatment drops. Its no-jump generator is block-diagonal: the evolving |ud>
@@ -39,7 +40,7 @@ import numpy as np
 from . import linalg
 from .errors import ConvergenceFailure, NonFinite
 from .exchange import ExchangeConfig
-from .params import GateResult, GateResults, Method, broadcast_shape, gate_results
+from .params import GateResults, Method, broadcast_shape, gate_results
 from .raman import RamanConfig
 
 #: jumps that land on a target state: (cavity rate, source in the |ud> block,
@@ -52,9 +53,9 @@ _TARGET_JUMPS = {
 }
 
 
-def gate_fidelity_lindblad_batch(config: ExchangeConfig | RamanConfig) -> GateResults:
-    """Full master-equation gate fidelity for every row of an array-valued
-    config of either exchange gate, at its pi-phase gate time. A corrected
+def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
+    """Full master-equation gate fidelity for every row of a config of
+    either exchange gate, at its pi-phase gate time. A corrected
     fidelity outside [0, 1] is clamped and carries the "clamped" note, as
     on the numeric path.
 
@@ -104,8 +105,3 @@ def gate_fidelity_lindblad_batch(config: ExchangeConfig | RamanConfig) -> GateRe
         raise NonFinite("gate overlap is not finite: the propagation overflowed")
     f_gate = np.sqrt(np.clip(overlap, 0.0, 1.0)).reshape(shape) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.LINDBLAD)
-
-
-def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResult:
-    """Full master-equation gate fidelity of one configuration."""
-    return gate_fidelity_lindblad_batch(config).single()

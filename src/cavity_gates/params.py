@@ -183,6 +183,20 @@ def config_shape(config) -> tuple:
     return np.broadcast_shapes(*shapes) if any(shapes) else ()
 
 
+def stack_configs(configs):
+    """One array-valued config whose rows are the given configs of one type.
+    A field equal in all of them stays as it is (a mode, a None, a shared
+    cavity), a config field is stacked in turn, and any other field becomes
+    an array of its values."""
+    first = configs[0]
+    if all(config == first for config in configs):
+        return first
+    if not dataclasses.is_dataclass(first):
+        return np.array(configs, dtype=float)
+    return type(first)(**{field.name: stack_configs([getattr(c, field.name) for c in configs])
+                          for field in dataclasses.fields(first)})
+
+
 @dataclass(frozen=True)
 class GateResults:
     """Outcomes of a batch of configurations that share one scheme and method.
@@ -217,8 +231,8 @@ class GateResults:
 
     def single(self) -> GateResult:
         """The result of a one-configuration batch: the one guard of every
-        path that takes one configuration (the scalar evaluators, the
-        expanded maxima), which raises ValueError for any other batch."""
+        caller that takes one configuration (CLI `evaluate`, the case study,
+        the expanded maxima), which raises ValueError for any other batch."""
         if self.fidelity.size != 1:
             raise ValueError(f"this path takes one configuration, got results of shape "
                              f"{self.shape}")

@@ -12,11 +12,11 @@ du 0) and the shelved |uu> dynamics on (u s 0, e s 0, d s 1); the lossy
 variants put kappa on one-photon states and gamma on excited states.
 
 The numeric path is the one in `exchange`, fed by RamanConfig.sectors() and
-RamanConfig.gate_time; `fidelity_numeric_raman[_batch]` are its aliases.
-Numeric fields of RamanConfig, its cavity's included, may be numpy arrays
-that broadcast together; the *_batch evaluators then evaluate every row at
-once and return GateResults of the broadcast shape, and the scalar
-evaluators are their one-configuration calls.
+RamanConfig.gate_time; `fidelity_numeric_raman` is its alias. Numeric fields
+of RamanConfig, its cavity's included, may be numpy arrays that broadcast
+together; each evaluator takes every row at once and returns GateResults of
+the broadcast shape, and a one-configuration caller takes its GateResult
+with `.single()`.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, ValidityWarning, ZeroDecoherence
-from .exchange import (expanded_max_fidelity, fidelity_numeric_exchange,
-                       fidelity_numeric_exchange_batch, optimal_detuning, ridge_f_pi)
+from .exchange import (expanded_max_fidelity, fidelity_numeric_exchange, optimal_detuning,
+                       ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
                      broadcast_shape, gate_results)
 
@@ -164,7 +164,6 @@ def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
 
 
 #: the Raman gate's numeric path is the exchange one, on a RamanConfig
-fidelity_numeric_raman_batch = fidelity_numeric_exchange_batch
 fidelity_numeric_raman = fidelity_numeric_exchange
 
 
@@ -200,7 +199,7 @@ def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
 optimal_two_photon = optimal_detuning
 
 
-def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
+def fidelity_analytic_raman(config: RamanConfig) -> GateResults:
     """Adiabatic closed form including the drive-induced corrections, at the
     config's pi-phase gate time T:
 
@@ -208,7 +207,7 @@ def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
                 sin((pi/2)/(1 + g^2/(delta Delta))) F_pi + 1 ) - Gamma*T,
 
     with F_pi the ideal ridge form evaluated at the two-photon detuning, for
-    every row of an array-valued config. Residual two-photon or
+    every row of the config. Residual two-photon or
     laser-detuning errors are not modeled; rows that have them carry the
     note "detuning errors not modeled".
     """
@@ -232,12 +231,6 @@ def fidelity_analytic_raman_batch(config: RamanConfig) -> GateResults:
     unmodeled = (config.two_photon_error > 0) | (config.laser_detuning_error > 0)
     return gate_results(f_gate, gate_time, Method.ANALYTIC,
                         {"detuning errors not modeled": unmodeled})
-
-
-def fidelity_analytic_raman(config: RamanConfig) -> GateResult:
-    """One-configuration call of fidelity_analytic_raman_batch, at the
-    config's pi-phase gate time."""
-    return fidelity_analytic_raman_batch(config).single()
 
 
 def max_fidelity_raman(config: RamanConfig) -> GateResult:

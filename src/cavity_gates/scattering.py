@@ -31,10 +31,10 @@ to (sum_k |w_k|)^2 * machine epsilon) take the same sum as a rational
 matrix function of the generators, which needs no spectrum, instead.
 
 Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
-may be numpy arrays that broadcast together; `fidelity_numeric_batch` and
-`fidelity_analytic_batch` then evaluate every row at once and return
-GateResults of the broadcast shape, and `fidelity_numeric` and
-`fidelity_analytic` are their one-configuration calls.
+may be numpy arrays that broadcast together. `fidelity_numeric` and
+`fidelity_analytic` evaluate every row at once and return GateResults of the
+broadcast shape; a one-configuration caller takes its GateResult with
+`.single()`.
 """
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DivergentDenominator, NonFinite, ValidityWarning, ZeroDecoherence
-from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     config_shape, gate_results)
+from .params import (CavitySystem, GateResults, Method, all_rows, any_row, config_shape,
+                     gate_results)
 
 LN2 = math.log(2.0)
 
@@ -349,10 +349,10 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     return _density_matrices(config)[0]
 
 
-def fidelity_numeric_batch(config: ScatteringConfig) -> GateResults:
+def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     """Gate fidelity from the exact amplitude integral (no small-parameter
-    expansion), conditioned on photon detection, for every row of an
-    array-valued config.
+    expansion), conditioned on photon detection, for every row of the
+    config.
 
     F = sqrt(<psi_T| rho' |psi_T>) against the ideal state
     (1/2)(|uu> + |ud> + |du> - |dd>), where rho' scales every spin coherence
@@ -373,15 +373,9 @@ def fidelity_numeric_batch(config: ScatteringConfig) -> GateResults:
                         {"matrix-function fallback": fallback}, success_probability=trace)
 
 
-def fidelity_numeric(config: ScatteringConfig) -> GateResult:
-    """Gate fidelity from the exact amplitude integral for a
-    one-configuration config (see fidelity_numeric_batch)."""
-    return fidelity_numeric_batch(config).single()
-
-
-def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
-    """Closed-form fidelity of the scattering gate, for every row of an
-    array-valued config.
+def fidelity_analytic(config: ScatteringConfig) -> GateResults:
+    """Closed-form fidelity of the scattering gate, for every row of the
+    config.
 
     F = 1 - 5/(4C)
           - (delta_p^2 + sigma_p^2)/(8 gamma^2 C^2) * [11 - 20(2g/kappa)^2 + 12(2g/kappa)^4]
@@ -420,12 +414,6 @@ def fidelity_analytic_batch(config: ScatteringConfig) -> GateResults:
     if not all_rows(np.isfinite(fidelity)):
         raise NonFinite("closed-form scattering fidelity overflows in some rows")
     return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside})
-
-
-def fidelity_analytic(config: ScatteringConfig) -> GateResult:
-    """Closed-form fidelity of a one-configuration config (see
-    fidelity_analytic_batch)."""
-    return fidelity_analytic_batch(config).single()
 
 
 def optimal_gate_time(cooperativity, gamma, gamma_eff) -> float:

@@ -4,9 +4,10 @@
 builds its grid with it. `golden_section_max` refines a 1-D maximum on
 every row of an array of brackets at once, as the fig8 optima do, and a
 scalar bracket is its 0-d case. `cooperativity_scaling` tabulates the
-cooperativity-limited fidelity of every scheme. Whole-grid evaluation runs
-on the batch evaluators of the three gates: `scattering.fidelity_*_batch`,
-`exchange.fidelity_*_exchange_batch` and `raman.fidelity_*_raman_batch`.
+cooperativity-limited fidelity of every scheme. Whole-grid evaluation needs
+no loop here: every evaluator of the three gates takes an array-valued config
+in one call, and CLI `sweep` stacks its grid points into one with
+`params.stack_configs`.
 """
 from __future__ import annotations
 

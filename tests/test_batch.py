@@ -98,13 +98,17 @@ def rows_to_check(seed, n):
     return sorted(i for i in picks | {0, n - 1, BLOCK - 1, BLOCK, CHUNK - 1, CHUNK} if i < n)
 
 
-def assert_rows_match(batch, scalar, rows):
+def assert_rows_match(evaluate, config, rows):
+    """Each listed row of one evaluator call on an array-valued config
+    matches the call on that row alone; returns the batch."""
+    batch = evaluate(config)
     for i in rows:
-        single = scalar(i)
+        single = evaluate(row(config, i)).single()
         assert single.fidelity == pytest.approx(batch.fidelity[i], rel=REL, abs=0.0)
         assert single.gate_time == pytest.approx(batch.gate_time[i], rel=REL, abs=0.0)
         assert single.notes == batch[i].notes
         assert single.method is batch.method
+    return batch
 
 
 @settings(max_examples=12, deadline=None)
@@ -114,11 +118,9 @@ def test_exchange_batch_matches_scalar(seed, n, per_row_cavity):
     rows = rows_to_check(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        numeric = ex.fidelity_numeric_exchange_batch(cfg)
-        analytic = ex.fidelity_analytic_exchange_batch(cfg)
+        numeric = assert_rows_match(ex.fidelity_numeric_exchange, cfg, rows)
+        analytic = assert_rows_match(ex.fidelity_analytic_exchange, cfg, rows)
         assert numeric.shape == analytic.shape == (n,)
-        assert_rows_match(numeric, lambda i: ex.fidelity_numeric_exchange(row(cfg, i)), rows)
-        assert_rows_match(analytic, lambda i: ex.fidelity_analytic_exchange(row(cfg, i)), rows)
 
 
 @settings(max_examples=12, deadline=None)
@@ -128,11 +130,9 @@ def test_raman_batch_matches_scalar(seed, n, per_row_cavity):
     rows = rows_to_check(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        numeric = rm.fidelity_numeric_raman_batch(cfg)
-        analytic = rm.fidelity_analytic_raman_batch(cfg)
+        numeric = assert_rows_match(rm.fidelity_numeric_raman, cfg, rows)
+        analytic = assert_rows_match(rm.fidelity_analytic_raman, cfg, rows)
         assert numeric.shape == analytic.shape == (n,)
-        assert_rows_match(numeric, lambda i: rm.fidelity_numeric_raman(row(cfg, i)), rows)
-        assert_rows_match(analytic, lambda i: rm.fidelity_analytic_raman(row(cfg, i)), rows)
 
 
 @settings(max_examples=12, deadline=None)
@@ -143,9 +143,8 @@ def test_lindblad_batch_matches_scalar(seed, n, per_row_cavity, raman):
     rows = rows_to_check(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        batch = lindblad.gate_fidelity_lindblad_batch(cfg)
+        batch = assert_rows_match(lindblad.gate_fidelity_lindblad, cfg, rows)
         assert batch.shape == (n,)
-        assert_rows_match(batch, lambda i: lindblad.gate_fidelity_lindblad(row(cfg, i)), rows)
 
 
 def test_grid_shape_is_kept():
@@ -153,18 +152,16 @@ def test_grid_shape_is_kept():
     two_photon = np.array([20.0, 40.0, 60.0])[:, None] * cav.kappa
     laser = np.array([1.0, 3.0])[None, :] * cav.kappa
     cfg = rm.symmetric_raman_config(cav, two_photon, laser, 0.05)
-    batch = rm.fidelity_numeric_raman_batch(cfg)
+    batch = rm.fidelity_numeric_raman(cfg)
     assert batch.shape == (3, 2)
     single = rm.symmetric_raman_config(cav, float(two_photon[2, 0]), float(laser[0, 1]), 0.05)
-    assert rm.fidelity_numeric_raman(single).fidelity == pytest.approx(
+    assert rm.fidelity_numeric_raman(single).single().fidelity == pytest.approx(
         batch.fidelity[2, 1], rel=REL, abs=0.0)
     # a cavity per row broadcasts with scalar detunings, on both paths
     cavities = CavitySystem.from_cooperativity(np.array([800.0, 8000.0]), 0.1, 1.0)
     cfg = rm.symmetric_raman_config(cavities, 40.0 * cavities.kappa, 3.0 * cavities.kappa, 0.05)
-    for batch_path, scalar_path in ((rm.fidelity_numeric_raman_batch, rm.fidelity_numeric_raman),
-                                    (rm.fidelity_analytic_raman_batch,
-                                     rm.fidelity_analytic_raman)):
-        assert_rows_match(batch_path(cfg), lambda i: scalar_path(row(cfg, i)), range(2))
+    for evaluate in (rm.fidelity_numeric_raman, rm.fidelity_analytic_raman):
+        assert_rows_match(evaluate, cfg, range(2))
 
 
 def array_configs():
@@ -280,7 +277,7 @@ def test_nan_row_raises_non_finite():
     bad = np.full(12, cfg.cavity.g)
     bad[7] = np.nan
     with pytest.raises(NonFinite):
-        rm.fidelity_numeric_raman_batch(dataclasses.replace(cfg, g_b=bad))
+        rm.fidelity_numeric_raman(dataclasses.replace(cfg, g_b=bad))
     h = random_lossy(np.random.default_rng(1), 4, 3)
     h[2, 0, 1] = np.nan
     with pytest.raises(NonFinite):
@@ -334,10 +331,8 @@ def test_config_checks_are_vectorised():
             cav, detuning=np.full(4, 40.0 * cav.kappa), mode=mode,
             splitting_eg=np.array([math.inf, 300.0, math.inf, 3000.0]) * cav.kappa,
             detuning_error=np.array([0.0, 0.01, 0.02, 0.0]))
-        assert_rows_match(ex.fidelity_numeric_exchange_batch(mixed),
-                          lambda i: ex.fidelity_numeric_exchange(row(mixed, i)), range(4))
-        assert_rows_match(ex.fidelity_analytic_exchange_batch(mixed),
-                          lambda i: ex.fidelity_analytic_exchange(row(mixed, i)), range(4))
+        assert_rows_match(ex.fidelity_numeric_exchange, mixed, range(4))
+        assert_rows_match(ex.fidelity_analytic_exchange, mixed, range(4))
     laser = np.array([10.0, 10.0, 10.0])
     with pytest.warns(ValidityWarning) as record:
         rm.RamanConfig(cav, laser, laser, 40.0, 40.0, rabi_a=np.array([1.0, 6.0, 7.0]))
@@ -348,10 +343,10 @@ def test_clamped_note_same_on_both_paths():
     cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
     cfg = ex.ExchangeConfig(cav, detuning=np.full(3, 40.0 * cav.kappa),
                             gamma_eff=np.array([0.0, 1e3, 0.0]))
-    batch = ex.fidelity_numeric_exchange_batch(cfg)
+    batch = ex.fidelity_numeric_exchange(cfg)
     assert batch.notes["clamped"].tolist() == [False, True, False]
     assert batch.fidelity[1] == 0.0
-    single = ex.fidelity_numeric_exchange(row(cfg, 1))
+    single = ex.fidelity_numeric_exchange(row(cfg, 1)).single()
     assert single.notes == ("clamped",) and single.fidelity == 0.0
 
 
@@ -428,7 +423,7 @@ def test_threaded_blocks_are_bit_identical(monkeypatch, started_threads, fig6a_b
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        f_pi = ex.relative_phase_fidelity(cfg)
+        f_pi = ex.phase_fidelity(*cfg.sectors(), cfg.gate_time)
     finally:
         sys.setswitchinterval(interval)
     assert f_pi.shape == expected.shape and np.array_equal(f_pi, expected)
@@ -490,7 +485,7 @@ def test_single_block_starts_no_thread(monkeypatch):
     lossy_sectors, params = lossy_pairs(BLOCK, [3])
     f_pi = ex.phase_fidelity(lossy_sectors, params, 3.0)
     assert f_pi.shape == (BLOCK,)
-    rm.fidelity_numeric_raman(row(raman_batch(2, 1), 0))   # a one-row evaluation
+    rm.fidelity_numeric_raman(row(raman_batch(2, 1), 0)).single()   # a one-row evaluation
 
 
 def test_workers_see_the_callers_errstate(monkeypatch, started_threads):

@@ -9,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cavity_gates import config as cfg_mod, exchange, lindblad, raman, scattering
+import cavity_gates
+from cavity_gates import cli, config as cfg_mod, exchange, lindblad, raman, scattering
 from cavity_gates.cli import main
 from cavity_gates.errors import ConfigError
+from cavity_gates.params import GateResults, config_shape
 
 YB_CONFIG = """
 [cavity]
@@ -353,12 +355,22 @@ def test_cli_evaluate_dispatches_to_the_library(yb_path, scheme, method, evaluat
     assert result.exit_code == 0, result.stderr
     record = json.loads(result.stdout)
     run = cfg_mod.load_config_text(YB_CONFIG)
-    expected = evaluator(cfg_mod.SCHEME_BUILDERS[scheme](run))
+    expected = evaluator(cfg_mod.SCHEME_BUILDERS[scheme](run)).single()
     assert (record["method"], record["fidelity"], record["gate_time"],
             record["success_probability"], record["notes"]) == (
         expected.method.value, expected.fidelity, expected.gate_time,
         expected.success_probability, list(expected.notes))
     assert record["gate_time_gamma"] == expected.gate_time * run.cavity.gamma
+
+
+def test_cli_evaluators_are_the_package_evaluators():
+    """Every (scheme, method) of the CLI maps to the package-level evaluator
+    of that name, which returns GateResults."""
+    run = cfg_mod.load_config_text(YB_CONFIG)
+    for (scheme, method), evaluator in cli._EVALUATORS.items():
+        assert getattr(cavity_gates, evaluator.__name__) is evaluator, (scheme, method)
+        result = evaluator(cfg_mod.SCHEME_BUILDERS[scheme](run))
+        assert isinstance(result, GateResults), (scheme, method)
 
 
 def test_cli_exit_code_evaluator_error(yb_path):
@@ -449,6 +461,18 @@ def test_cli_casestudy_warnings_on_stderr():
     assert json.loads(result.stdout)["parameters"]["cooperativity"] == 5.0
 
 
+def test_cli_casestudy_at_tiny_cooperativity():
+    """Far below C ~ 4.9e-6 the exchange ceiling no longer overflows cosh:
+    both exchange maxima are the 1/2 of a gate that imprints no phase, with
+    no overflow warning."""
+    result = CliRunner().invoke(main, ["casestudy", "--cooperativity", "1e-7"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["simple_exchange"]["fidelity"] == report["raman"]["fidelity"] == 0.5
+    assert "overflow" not in result.stderr and "cosh" not in result.stderr
+    assert exchange.cooperativity_limited_max_exchange(1e-7) == 0.5
+
+
 def test_cli_sweep_roundtrip(yb_path, tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, [
@@ -527,6 +551,58 @@ def test_cli_sweep_nan_row_on_point_error(yb_path):
     assert [math.isnan(row[1]) for row in rows] == [True, True, False]
     assert 0.0 < rows[2][1] < 1.0
     assert result.stderr.count("warning: detuning=") == 2
+
+
+def _spy_evaluator(monkeypatch, scheme, method):
+    """Record the shape of the config of every evaluator call that the CLI
+    makes for (scheme, method)."""
+    shapes = []
+    evaluator = cli._EVALUATORS[(scheme, method)]
+
+    def spy(config):
+        shapes.append(config_shape(config))
+        return evaluator(config)
+    monkeypatch.setitem(cli._EVALUATORS, (scheme, method), spy)
+    return shapes
+
+
+@pytest.mark.parametrize("scheme, method", [
+    (scheme, method) for scheme, method in cli._EVALUATORS])
+def test_cli_sweep_is_one_evaluator_call(yb_path, monkeypatch, scheme, method):
+    """A sweep whose points all evaluate makes one evaluator call, on the
+    stacked config of its grid."""
+    param = {"scattering": "delta_p", "simple_exchange": "detuning",
+             "raman": "laser_detuning"}[scheme]
+    lo, hi, unit = ("0", "40", "per_gamma") if scheme == "scattering" else ("5", "50", "per_kappa")
+    shapes = _spy_evaluator(monkeypatch, scheme, method)
+    result = CliRunner().invoke(main, [
+        "sweep", scheme, yb_path, "--param", param, "--minimum", lo, "--maximum", hi,
+        "--points", "5", "--unit", unit, "--method", method])
+    assert result.exit_code == 0, result.stderr
+    assert shapes == [(5,)]
+    assert not any(math.isnan(row[1]) for row in _sweep_rows(result.stdout))
+
+
+def test_cli_sweep_refused_batch_keeps_point_rows(yb_path, monkeypatch, tmp_path):
+    """A point that builds but fails to evaluate (the closed form overflows
+    far below kappa) makes the one batch call refuse. The sweep then
+    evaluates point by point: that point keeps its nan,nan row and its
+    warning, and the other rows are those of `evaluate`."""
+    shapes = _spy_evaluator(monkeypatch, "simple_exchange", "analytic")
+    result = _sweep_detuning(yb_path, minimum="1e-4", maximum="100")
+    assert result.exit_code == 0
+    assert shapes == [(3,), (), (), ()]
+    assert result.stdout.splitlines()[2] == "1.00000000000e-04,nan,nan"
+    assert result.stderr == ("warning: detuning=0.0001: fidelity is nan: the evaluation "
+                             "overflowed\n")
+    for value, fidelity, gate_time_gamma in _sweep_rows(result.stdout)[1:]:
+        path = tmp_path / "point.ini"
+        path.write_text(YB_CONFIG.replace("detuning = optimal",
+                                          f"detuning = {value!r} per_kappa"))
+        record = json.loads(CliRunner().invoke(
+            main, ["evaluate", "simple_exchange", str(path)]).stdout)
+        assert fidelity == pytest.approx(record["fidelity"], rel=1e-10)
+        assert gate_time_gamma == pytest.approx(record["gate_time_gamma"], rel=1e-10)
 
 
 @pytest.mark.parametrize("unit", ["per_kapa", "s"])

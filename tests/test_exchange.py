@@ -62,9 +62,9 @@ def test_tuning_maximizes_phase_fidelity():
     cfg0 = make_config(cooperativity=1000.0, detuning_over_kappa=10.0)
     unit = cfg0.cavity.g ** 2 / cfg0.detuning
     errors = np.linspace(-0.5, 0.5, 101) * unit
-    values = [ex.relative_phase_fidelity(
-        make_config(cooperativity=1000.0, detuning_over_kappa=10.0,
-                    detuning_error=float(e))) for e in errors]
+    configs = [make_config(cooperativity=1000.0, detuning_over_kappa=10.0,
+                           detuning_error=float(e)) for e in errors]
+    values = [ex.phase_fidelity(*cfg.sectors(), cfg.gate_time) for cfg in configs]
     assert abs(errors[int(np.argmax(values))]) <= 0.1 * unit
 
 
@@ -111,15 +111,14 @@ def test_f_pi_closed_form_even_in_error():
 def test_numeric_matches_closed_form_sampled():
     for dok in (10.0, 44.7, 200.0):
         cfg = make_config(detuning_over_kappa=dok)
-        f_num = ex.relative_phase_fidelity(cfg)
+        f_num = ex.phase_fidelity(*cfg.sectors(), cfg.gate_time)
         f_closed = ex.f_pi_closed_form(cfg)
         assert abs(f_num - f_closed) < 0.005
 
 
 def test_numeric_peak_near_ridge():
     grid = np.exp(np.linspace(math.log(10.0), math.log(200.0), 41))
-    values = [ex.fidelity_numeric_exchange(make_config(detuning_over_kappa=float(d))).fidelity
-              for d in grid]
+    values = ex.fidelity_numeric_exchange(make_config(detuning_over_kappa=grid)).fidelity
     best = grid[int(np.argmax(values))]
     ridge = 0.5 * math.sqrt(8000.0)
     assert abs(best / ridge - 1.0) < 0.12
@@ -129,7 +128,7 @@ def test_numeric_strong_coupling_oscillates():
     grid = np.linspace(1.0, 40.0, 60)
     values = np.array([
         ex.fidelity_numeric_exchange(
-            make_config(g_over_kappa=10.0, detuning_over_kappa=float(d))).fidelity
+            make_config(g_over_kappa=10.0, detuning_over_kappa=float(d))).single().fidelity
         for d in grid])
     peaks = sum(1 for i in range(1, len(values) - 1)
                 if values[i] > values[i - 1] and values[i] > values[i + 1])
@@ -150,8 +149,8 @@ def test_decoupled_amplitude_is_bare_decay():
 def test_gamma_enters_linearly():
     t = ex.exchange_gate_time(make_config().detuning, make_config().cavity.g,
                               make_config().cavity.g)
-    f0 = ex.fidelity_numeric_exchange(make_config()).fidelity
-    f1 = ex.fidelity_numeric_exchange(make_config(gamma_eff=0.01)).fidelity
+    f0 = ex.fidelity_numeric_exchange(make_config()).single().fidelity
+    f1 = ex.fidelity_numeric_exchange(make_config(gamma_eff=0.01)).single().fidelity
     assert f0 - f1 == pytest.approx(0.01 * t, rel=1e-9)
 
 
@@ -199,24 +198,24 @@ def test_equal_resonant_mode_equivalent():
     # ideal spectator: the two modes are exact mirror images
     kwargs = dict(cooperativity=2000.0, detuning_over_kappa=20.0)
     f_opposite = ex.fidelity_numeric_exchange(
-        make_config(mode=ex.ExchangeMode.OPPOSITE_RESONANT, **kwargs)).fidelity
+        make_config(mode=ex.ExchangeMode.OPPOSITE_RESONANT, **kwargs)).single().fidelity
     f_equal = ex.fidelity_numeric_exchange(
-        make_config(mode=ex.ExchangeMode.EQUAL_RESONANT, **kwargs)).fidelity
+        make_config(mode=ex.ExchangeMode.EQUAL_RESONANT, **kwargs)).single().fidelity
     assert f_opposite == pytest.approx(f_equal, abs=1e-12)
     # finite spectator splitting: equivalent up to the spectator-phase sign
     cfg = make_config(**kwargs)
     splitting = 50.0 * cfg.cavity.g ** 2 / cfg.detuning
     f_opposite = ex.fidelity_numeric_exchange(
         make_config(splitting_eg=splitting, mode=ex.ExchangeMode.OPPOSITE_RESONANT,
-                    **kwargs)).fidelity
+                    **kwargs)).single().fidelity
     f_equal = ex.fidelity_numeric_exchange(
         make_config(splitting_eg=splitting, mode=ex.ExchangeMode.EQUAL_RESONANT,
-                    **kwargs)).fidelity
+                    **kwargs)).single().fidelity
     assert f_opposite == pytest.approx(f_equal, abs=0.01)
 
 
 def test_analytic_result_wrapper():
-    result = ex.fidelity_analytic_exchange(make_config())
+    result = ex.fidelity_analytic_exchange(make_config()).single()
     assert result.method.value == "analytic"
     assert result.success_probability == 1.0
     assert 0.9 < result.fidelity < 1.0
@@ -230,7 +229,7 @@ def test_closed_form_far_below_kappa_is_non_finite(detuning):
     cfg = make_config(cooperativity=1000.0, g_over_kappa=0.1)
     tiny = ex.ExchangeConfig(cfg.cavity, detuning=detuning)
     with pytest.raises(NonFinite, match="fidelity is nan"):
-        ex.fidelity_analytic_exchange(tiny)
+        ex.fidelity_analytic_exchange(tiny).single()
     with pytest.raises(NonFinite, match="fidelity is nan"):
-        ex.fidelity_analytic_exchange_batch(
+        ex.fidelity_analytic_exchange(
             ex.ExchangeConfig(cfg.cavity, detuning=np.array([cfg.detuning, detuning])))

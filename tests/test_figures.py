@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavity_gates import figures, raman, scattering
+from cavity_gates.params import config_shape
 
 
 def test_figure_names():
@@ -37,27 +38,26 @@ def test_fig7_columns():
 
 
 def test_fig2_builders_make_batch_calls_only(monkeypatch):
-    """fig2a-c and fig8a-b evaluate whole columns at once: no one-row
-    scattering or Raman analytic call, and each fig2 builder is one call of
-    each scattering batch path (fig2a and fig2b stack their three cavity
-    regimes)."""
+    """fig2a-c and fig8a-b evaluate whole columns at once: every scattering
+    or Raman analytic call takes an array-valued config, and each fig2
+    builder is one call of each scattering evaluator (fig2a and fig2b stack
+    their three cavity regimes)."""
     calls = []
-    one_row = ("fidelity_numeric", "fidelity_analytic", "fidelity_analytic_raman")
-    for module, name in ((scattering, "fidelity_numeric_batch"),
-                         (scattering, "fidelity_analytic_batch"), (scattering, one_row[0]),
-                         (scattering, one_row[1]), (raman, one_row[2])):
-        def spy(*args, _name=name, _evaluate=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _evaluate(*args, **kwargs)
+    for module, name in ((scattering, "fidelity_numeric"), (scattering, "fidelity_analytic"),
+                         (raman, "fidelity_analytic_raman")):
+        def spy(config, _name=name, _evaluate=getattr(module, name)):
+            calls.append((_name, config_shape(config)))
+            return _evaluate(config)
         monkeypatch.setattr(module, name, spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in ("fig8a", "fig8b", "fig2a", "fig2b", "fig2c"):
             calls.clear()
             figures.build_figure(name)
-            assert not set(one_row) & set(calls), name
+            assert calls and all(shape for _, shape in calls), name
             if name.startswith("fig2"):
-                assert sorted(calls) == ["fidelity_analytic_batch", "fidelity_numeric_batch"], name
+                assert sorted(evaluator for evaluator, _ in calls) == [
+                    "fidelity_analytic", "fidelity_numeric"], name
 
 
 def test_fig2_pair_poles_make_no_lapack_call(monkeypatch):

@@ -57,7 +57,9 @@ def test_one_result_builder():
 def test_one_cli_error_boundary():
     """The CLI maps errors to exit codes in one place: `sys.exit` is called
     in `_fail` alone, and a ConfigError or CavityGateError is caught only by
-    the `_boundary` decorator and by `sweep`'s per-point handler."""
+    the `_boundary` decorator and by `sweep`'s point handlers: `sweep_cmd`
+    for a point whose config fails, `_evaluate_grid` for a refused batch and
+    for a point whose evaluation fails."""
     package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
     with open(os.path.join(package, "cli.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -73,7 +75,21 @@ def test_one_cli_error_boundary():
                           n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
                     owners["except"].append(function.name)
     assert owners == {"sys.exit": ["_fail"],
-                      "except": ["_boundary", "_boundary", "sweep_cmd"]}
+                      "except": ["_boundary", "_boundary", "_evaluate_grid", "_evaluate_grid",
+                                 "sweep_cmd"]}
+
+
+def test_no_batch_twins():
+    """Each (scheme, method) has one evaluator, which takes a scalar or an
+    array-valued config: no public name of the package or of its modules
+    ends in `_batch`."""
+    import importlib
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    modules = [cavity_gates] + [importlib.import_module(f"cavity_gates.{name[:-3]}")
+                                for name in sorted(os.listdir(package))
+                                if name.endswith(".py") and name != "__init__.py"]
+    assert [f"{module.__name__}.{name}" for module in modules for name in vars(module)
+            if name.endswith("_batch") and not name.startswith("_")] == []
 
 
 def test_one_unit_table():

@@ -13,7 +13,7 @@ from cavity_gates import linalg
 from cavity_gates.cli import main
 from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, fidelity_numeric_exchange,
-                                   fidelity_numeric_exchange_batch, optimal_detuning)
+                                   fidelity_numeric_exchange, optimal_detuning)
 from cavity_gates.params import CavitySystem
 from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
 
@@ -168,9 +168,9 @@ def test_exchange_failure_branch_vanishes():
     assert f_fail < 1e-8
     # hence the no-jump treatment is exact for this scheme, and the batched
     # closure carries no recycled weight for it
-    f_nh = fidelity_numeric_exchange(cfg).fidelity
+    f_nh = fidelity_numeric_exchange(cfg).single().fidelity
     assert orc.gate_fidelity(gos) == pytest.approx(f_nh, abs=1e-9)
-    assert lb.gate_fidelity_lindblad(cfg).fidelity == pytest.approx(f_nh, abs=1e-9)
+    assert lb.gate_fidelity_lindblad(cfg).single().fidelity == pytest.approx(f_nh, abs=1e-9)
 
 
 def test_lindblad_gate_fidelity_gauge():
@@ -192,7 +192,7 @@ def test_nonhermitian_equals_relative_phase_form():
     # |<frozen|phi(T)>| + |<active|phi(T)>| = (F_pi + 1)/2
     phi, _ = orc.propagate_exact(gos.system, gos.psi0, gos.gate_time)
     f_no_jump = abs(np.vdot(gos.ideal_frozen, phi)) + abs(np.vdot(gos.ideal_active, phi))
-    assert f_no_jump == pytest.approx(fidelity_numeric_raman(cfg).fidelity, abs=1e-10)
+    assert f_no_jump == pytest.approx(fidelity_numeric_raman(cfg).single().fidelity, abs=1e-10)
 
 
 def scheme_case(case):
@@ -264,8 +264,8 @@ def test_exact_closure_matches_superoperator_near_exceptional_point():
 def test_clamped_note_on_lindblad_and_numeric_paths():
     cav = CavitySystem.from_cooperativity(2000.0, 0.1, 1.0)
     cfg = ExchangeConfig(cav, detuning=optimal_detuning(cav.kappa, 2000.0), gamma_eff=50.0)
-    lindblad = lb.gate_fidelity_lindblad(cfg)
-    numeric = fidelity_numeric_exchange(cfg)
+    lindblad = lb.gate_fidelity_lindblad(cfg).single()
+    numeric = fidelity_numeric_exchange(cfg).single()
     for result in (lindblad, numeric):
         assert result.fidelity == 0.0
         assert result.notes == ("clamped",)
@@ -285,7 +285,7 @@ def config_row(config, shape, index):
 
 
 def assert_batch_matches_oracle(cfg, rel=1e-10):
-    batch = lb.gate_fidelity_lindblad_batch(cfg)
+    batch = lb.gate_fidelity_lindblad(cfg)
     for index in np.ndindex(batch.shape):
         single = config_row(cfg, batch.shape, index)
         expected = orc.gate_fidelity(orc.open_system(single), single.gamma_eff)
@@ -345,8 +345,8 @@ def test_exchange_lindblad_is_the_numeric_kernel(name):
     numeric path, so the two fidelities agree bit for bit: on fig4's weak
     and strong grids and on seeded random rows of both modes."""
     cfg = figure_grid(name) if name == "fig4" else random_exchange_batch(ExchangeMode(name))
-    lindblad = lb.gate_fidelity_lindblad_batch(cfg).fidelity
-    numeric = fidelity_numeric_exchange_batch(cfg).fidelity
+    lindblad = lb.gate_fidelity_lindblad(cfg).fidelity
+    numeric = fidelity_numeric_exchange(cfg).fidelity
     assert np.array_equal(lindblad, numeric), np.count_nonzero(lindblad != numeric)
 
 
@@ -356,7 +356,8 @@ def test_raman_recycling_lands_on_target():
     cfg = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 1000.0),
                                  20.0 * cav.kappa, 0.1)
     from cavity_gates.raman import fidelity_numeric_raman
-    assert lb.gate_fidelity_lindblad(cfg).fidelity > fidelity_numeric_raman(cfg).fidelity + 0.01
+    assert (lb.gate_fidelity_lindblad(cfg).single().fidelity
+            > fidelity_numeric_raman(cfg).single().fidelity + 0.01)
 
 
 #: the spectator sector of an ideal-splitting exchange row is the emitter-cavity
@@ -376,10 +377,10 @@ splitting_eg = ideal
 def test_exceptional_point_row_is_refused(tmp_path):
     cav = CavitySystem(g=0.25, kappa=1.0, gamma=1e-9)
     with pytest.raises(ConvergenceFailure, match="not trusted"):
-        lb.gate_fidelity_lindblad(ExchangeConfig(cav, detuning=1e-9))
+        lb.gate_fidelity_lindblad(ExchangeConfig(cav, detuning=1e-9)).single()
     # one such row refuses the whole batch
     with pytest.raises(ConvergenceFailure, match="on row 1"):
-        lb.gate_fidelity_lindblad_batch(ExchangeConfig(cav, detuning=np.array([10.0, 1e-9])))
+        lb.gate_fidelity_lindblad(ExchangeConfig(cav, detuning=np.array([10.0, 1e-9])))
     path = tmp_path / "exceptional.ini"
     path.write_text(EXCEPTIONAL_ROW)
     result = CliRunner().invoke(main, ["evaluate", "simple_exchange", str(path),
@@ -392,8 +393,8 @@ def test_exceptional_point_row_is_refused(tmp_path):
 
 @pytest.mark.parametrize("detuning", [1e300, 1e308, np.array([10.0, 1e300])],
                          ids=["1e300", "1e308", "array"])
-@pytest.mark.parametrize("evaluate", [fidelity_numeric_exchange_batch,
-                                      lb.gate_fidelity_lindblad_batch],
+@pytest.mark.parametrize("evaluate", [fidelity_numeric_exchange,
+                                      lb.gate_fidelity_lindblad],
                          ids=["numeric", "lindblad"])
 def test_overflowing_phase_is_non_finite(evaluate, detuning):
     """||H|| T past the double range raises NonFinite on both paths, and no

@@ -6,8 +6,7 @@ import pytest
 
 from cavity_gates import lindblad, raman as rm
 from cavity_gates.errors import NonFinite, ValidityWarning, ZeroDecoherence
-from cavity_gates.exchange import (optimal_gate_time_exchange, phase_fidelity,
-                                   relative_phase_fidelity, ridge_f_pi)
+from cavity_gates.exchange import optimal_gate_time_exchange, phase_fidelity, ridge_f_pi
 from cavity_gates.params import CavitySystem
 from lindblad_oracle import raman_open_system, sector_hamiltonians
 
@@ -75,7 +74,7 @@ def test_matched_rabi_optimizes_phase_fidelity():
     def f_pi(rabi_b):
         cfg = rm.RamanConfig(cav, det_a, det_b, two_photon, two_photon,
                              rabi_a=rabi_a, rabi_b=float(rabi_b))
-        return relative_phase_fidelity(cfg)
+        return phase_fidelity(*cfg.sectors(), cfg.gate_time)
 
     best = candidates[int(np.argmax([f_pi(o) for o in candidates]))]
     assert best == pytest.approx(matched, rel=0.02)
@@ -103,7 +102,7 @@ def test_matched_rabi_computed_once_per_evaluator_call(monkeypatch):
     monkeypatch.setattr(rm, "matched_rabi_b", lambda *args: calls.append(args) or matched(*args))
     for detuning in (2.0, np.array([1.0, 2.0, 4.0])):
         calls.clear()
-        rm.fidelity_analytic_raman_batch(make_config(detuning_over_kappa=detuning))
+        rm.fidelity_analytic_raman(make_config(detuning_over_kappa=detuning))
         assert len(calls) == 1
 
 
@@ -148,7 +147,7 @@ def test_strong_drive_oscillates_on_ridge():
     grid = np.exp(np.linspace(math.log(5.0), math.log(50.0), 40))
     values = np.array([
         rm.fidelity_numeric_raman(make_config(detuning_over_kappa=float(d),
-                                              rabi_over_detuning=1.0 / 3.0)).fidelity
+                                              rabi_over_detuning=1.0 / 3.0)).single().fidelity
         for d in grid])
     peaks = sum(1 for i in range(1, len(values) - 1)
                 if values[i] > values[i - 1] and values[i] > values[i + 1])
@@ -158,7 +157,7 @@ def test_strong_drive_oscillates_on_ridge():
 def test_ridge_maximum_mini_grid():
     grid = np.exp(np.linspace(math.log(5.0), math.log(500.0), 31))
     values = [rm.fidelity_numeric_raman(
-        make_config(two_photon_over_kappa=float(d))).fidelity for d in grid]
+        make_config(two_photon_over_kappa=float(d))).single().fidelity for d in grid]
     best = grid[int(np.argmax(values))]
     ridge = 0.5 * math.sqrt(8000.0)
     assert abs(best / ridge - 1.0) < 0.15
@@ -167,15 +166,15 @@ def test_ridge_maximum_mini_grid():
 def test_analytic_reduces_to_ridge_form_for_weak_drive():
     cfg = make_config(rabi_over_detuning=1e-4, detuning_over_kappa=10.0)
     expected = 0.5 * (ridge_f_pi(cfg.two_photon, cfg.cavity.kappa, 8000.0) + 1.0)
-    assert rm.fidelity_analytic_raman(cfg).fidelity == pytest.approx(
+    assert rm.fidelity_analytic_raman(cfg).single().fidelity == pytest.approx(
         expected, abs=1e-5)
 
 
 def test_analytic_matches_numeric_on_ridge():
     for dok in (0.5, 5.0, 50.0):
         cfg = make_config(detuning_over_kappa=dok)
-        f_num = rm.fidelity_numeric_raman(cfg).fidelity
-        f_ana = rm.fidelity_analytic_raman(cfg).fidelity
+        f_num = rm.fidelity_numeric_raman(cfg).single().fidelity
+        f_ana = rm.fidelity_analytic_raman(cfg).single().fidelity
         assert abs(f_num - f_ana) < 0.01
 
 
@@ -189,7 +188,7 @@ def test_analytic_rabi_boundary_dip():
     f_pi = ridge_f_pi(two_photon, cav.kappa, 8000.0)
     expected = 0.5 * (math.sin(math.pi / 4.0) * f_pi + 1.0)
     with pytest.warns(ValidityWarning):  # cavity-Rabi adiabatic boundary
-        result = rm.fidelity_analytic_raman(cfg)
+        result = rm.fidelity_analytic_raman(cfg).single()
     assert result.fidelity == pytest.approx(expected, abs=1e-4)
 
 
@@ -274,7 +273,8 @@ def test_phase_fidelity_matches_mpmath_expm(i, j):
                   for h in sectors)
         exact = float(abs(uu - ud) / 2)
     norm_t = max(np.linalg.norm(h, 2) for h in sectors) * t
-    assert abs(relative_phase_fidelity(cfg) - exact) <= 1e-2 * np.finfo(float).eps * norm_t
+    f_pi = phase_fidelity(*cfg.sectors(), cfg.gate_time)
+    assert abs(f_pi - exact) <= 1e-2 * np.finfo(float).eps * norm_t
 
 
 def test_shelved_sectors_carry_no_phase():
@@ -317,6 +317,6 @@ def test_overflowing_drive_is_non_finite_on_the_closed_form():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.simplefilter("ignore", ValidityWarning)   # the drive is past the edge
         with pytest.raises(NonFinite, match="fidelity is nan"):
-            rm.fidelity_analytic_raman(config)
+            rm.fidelity_analytic_raman(config).single()
         for evaluate in (rm.fidelity_numeric_raman, lindblad.gate_fidelity_lindblad):
             assert evaluate(config).fidelity == 0.5

@@ -134,7 +134,7 @@ def test_density_matrix_trace_deficit():
 
 def test_fidelity_numeric_cooperativity_limit():
     cfg = make_config(cooperativity=4000.0, gate_time=1e5)
-    result = sc.fidelity_numeric(cfg)
+    result = sc.fidelity_numeric(cfg).single()
     c = 4000.0
     assert result.fidelity == pytest.approx(1 - 1 / (c + 1) - 1 / (4 * c + 2), abs=1e-7)
     assert result.method.value == "numeric_amplitude"
@@ -143,15 +143,15 @@ def test_fidelity_numeric_cooperativity_limit():
 def test_fidelity_numeric_matches_analytic_fig2_point():
     cfg = make_config(cooperativity=4000.0, g_over_kappa=0.1, gate_time=2.0,
                       delta_p=30.0, gamma_eff=1e-5)
-    numeric = sc.fidelity_numeric(cfg).fidelity
-    analytic = sc.fidelity_analytic(cfg).fidelity
+    numeric = sc.fidelity_numeric(cfg).single().fidelity
+    analytic = sc.fidelity_analytic(cfg).single().fidelity
     assert abs(numeric - analytic) < 0.01
 
 
 def test_fidelity_numeric_single_interior_maximum():
     times = np.exp(np.linspace(math.log(0.05), math.log(50.0), 25))
     values = [sc.fidelity_numeric(make_config(gate_time=float(t), delta_p=30.0,
-                                              g_over_kappa=0.01, gamma_eff=1e-5)).fidelity
+                                              g_over_kappa=0.01, gamma_eff=1e-5)).single().fidelity
               for t in times]
     values = np.array(values)
     interior_peaks = sum(
@@ -164,8 +164,8 @@ def test_fidelity_numeric_single_interior_maximum():
 def test_fidelity_numeric_decoherence_first_order():
     base = make_config(g_over_kappa=0.1, gate_time=2.0)
     damped = make_config(g_over_kappa=0.1, gate_time=2.0, gamma_eff=1e-3)
-    f0 = sc.fidelity_numeric(base).fidelity
-    f1 = sc.fidelity_numeric(damped).fidelity
+    f0 = sc.fidelity_numeric(base).single().fidelity
+    f1 = sc.fidelity_numeric(damped).single().fidelity
     gamma_t = 1e-3 * 2.0
     assert f0 - f1 == pytest.approx(gamma_t, rel=0.02)
 
@@ -175,7 +175,7 @@ def test_fidelity_analytic_yb_case():
     cav = CavitySystem.from_cooperativity(50_000.0, 0.1, gamma)
     pulse = sc.PhotonPulse.from_gate_time(1.0 / gamma, delta_p=30.0 * gamma)
     cfg = sc.ScatteringConfig(cav, pulse, gamma_eff=0.5 / 6.6e-3)
-    result = sc.fidelity_analytic(cfg)
+    result = sc.fidelity_analytic(cfg).single()
     assert result.fidelity == pytest.approx(0.98, abs=3e-3)
     assert result.fidelity == pytest.approx(0.979744, abs=2e-6)  # frozen
     assert result.gate_time == pytest.approx(267.04e-6, rel=1e-4)
@@ -183,25 +183,25 @@ def test_fidelity_analytic_yb_case():
 
 def test_fidelity_analytic_ideal_limit():
     cfg = make_config(cooperativity=1e15, gate_time=1e6)
-    assert sc.fidelity_analytic(cfg).fidelity > 1 - 1e-10
+    assert sc.fidelity_analytic(cfg).single().fidelity > 1 - 1e-10
 
 
 def test_fidelity_analytic_common_mode_detuning_drops():
-    a = sc.fidelity_analytic(make_config(delta_eps_a=0.4, delta_eps_b=0.4)).fidelity
-    b = sc.fidelity_analytic(make_config()).fidelity
+    a = sc.fidelity_analytic(make_config(delta_eps_a=0.4, delta_eps_b=0.4)).single().fidelity
+    b = sc.fidelity_analytic(make_config()).single().fidelity
     assert a == b
 
 
 def test_fidelity_analytic_even_in_delta_p():
-    a = sc.fidelity_analytic(make_config(delta_p=25.0)).fidelity
-    b = sc.fidelity_analytic(make_config(delta_p=-25.0)).fidelity
+    a = sc.fidelity_analytic(make_config(delta_p=25.0)).single().fidelity
+    b = sc.fidelity_analytic(make_config(delta_p=-25.0)).single().fidelity
     assert a == b
 
 
 def test_fidelity_analytic_warns_outside_validity():
     cfg = make_config(cooperativity=4000.0, g_over_kappa=0.1, delta_p=2000.0)
     with pytest.warns(ValidityWarning):
-        sc.fidelity_analytic(cfg)
+        sc.fidelity_analytic(cfg).single()
 
 
 @pytest.mark.parametrize("delta_p", [1e160, np.array([30.0, 1e160])], ids=["scalar", "array"])
@@ -213,7 +213,7 @@ def test_fidelity_analytic_overflow_raises_for_every_shape(delta_p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         with pytest.raises(NonFinite, match="overflows"):
-            sc.fidelity_analytic_batch(cfg)
+            sc.fidelity_analytic(cfg)
 
 
 def test_spectral_wandering_average_equals_substitution():
@@ -224,9 +224,9 @@ def test_spectral_wandering_average_equals_substitution():
     average = 0.0
     for x, w in zip(nodes, weights):
         dp = math.sqrt(2.0) * sigma_star * x
-        average += w * sc.fidelity_analytic(make_config(delta_p=dp)).fidelity
+        average += w * sc.fidelity_analytic(make_config(delta_p=dp)).single().fidelity
     average /= math.sqrt(math.pi)
-    substituted = sc.fidelity_analytic(make_config(delta_p=sigma_star)).fidelity
+    substituted = sc.fidelity_analytic(make_config(delta_p=sigma_star)).single().fidelity
     assert average == pytest.approx(substituted, abs=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_optimal_gate_time_value_and_scaling():
 def test_optimal_gate_time_matches_analytic_argmax():
     times = np.linspace(1.5, 3.5, 201)
     values = [sc.fidelity_analytic(make_config(g_over_kappa=0.01, gate_time=float(t),
-                                               delta_p=30.0, gamma_eff=1e-5)).fidelity
+                                               delta_p=30.0, gamma_eff=1e-5)).single().fidelity
               for t in times]
     t_best = times[int(np.argmax(values))]
     assert t_best == pytest.approx(sc.optimal_gate_time(4000.0, 1.0, 1e-5), rel=0.02)
@@ -379,7 +379,7 @@ def test_pole_sum_eigensolves_coupled_states_only(monkeypatch):
     cav = CavitySystem.from_cooperativity(4000.0, 0.5, 1.0)
     pulse = sc.PhotonPulse.from_gate_time(np.array([0.5, 2.0, 20.0])[:, None],
                                           delta_p=np.array([0.0, 30.0]))
-    sc.fidelity_numeric_batch(sc.ScatteringConfig(cav, pulse, delta_eps_a=0.2, delta_eps_b=-0.1))
+    sc.fidelity_numeric(sc.ScatteringConfig(cav, pulse, delta_eps_a=0.2, delta_eps_b=-0.1))
     assert [h.shape for h in stacks] == [(6, 3, 3), (12, 2, 2)]
     assert all((h[:, 0, 1:] != 0).all() for h in stacks)
 
@@ -428,7 +428,7 @@ def test_forced_fallback_matches_pole_sum(cooperativity, g_over_kappa, delta_p, 
     assume(not fallback)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "EIG_COND_LIMIT", 0.0)
-        assert sc.fidelity_numeric(cfg).notes == ("matrix-function fallback",)
+        assert sc.fidelity_numeric(cfg).single().notes == ("matrix-function fallback",)
         change = np.abs(sc.reduced_density_matrix(cfg) - pole_sum).max()
     assert change <= 1e-11
 
@@ -465,7 +465,7 @@ def test_exceptional_point_row_takes_quadrature(monkeypatch, cavity):
     assert calls == [[True, False]]
     at_ep = dataclasses.replace(cfg, delta_eps_a=0.0, delta_eps_b=0.0)
     assert np.abs(rho[0] - quadrature_reference(at_ep)).max() <= 1e-13
-    batch = sc.fidelity_numeric_batch(cfg)
+    batch = sc.fidelity_numeric(cfg)
     assert [batch[i].notes for i in range(2)] == [("matrix-function fallback",), ()]
 
 
@@ -483,7 +483,7 @@ def test_pole_above_the_real_axis_takes_quadrature(monkeypatch):
     monkeypatch.setattr(linalg, "resolvent_poles", lifted)
     calls = spy_on_fallback(monkeypatch)
     cfg = make_config()
-    assert sc.fidelity_numeric(cfg).notes == ("matrix-function fallback",)
+    assert sc.fidelity_numeric(cfg).single().notes == ("matrix-function fallback",)
     assert calls == [[True]]
     assert np.abs(sc.reduced_density_matrix(cfg) - quadrature_reference(cfg)).max() <= 1e-13
 
@@ -498,7 +498,7 @@ def test_clamped_rows_are_marked(monkeypatch):
         np.moveaxis(rhos, 0, -1).astype(complex), np.ones(3, dtype=bool)))
     cav = CavitySystem.from_cooperativity(4000.0, 0.1, 1.0)
     cfg = sc.ScatteringConfig(cav, sc.PhotonPulse(1.0, delta_p=np.array([0.0, 1.0, 2.0])))
-    batch = sc.fidelity_numeric_batch(cfg)
+    batch = sc.fidelity_numeric(cfg)
     assert batch.notes["clamped"].tolist() == [False, True, True]
     assert batch.fidelity.tolist() == pytest.approx([math.sqrt(0.9), 1.0, 0.0])
     assert batch.success_probability.tolist() == pytest.approx([0.9, 1.0, 0.7])
@@ -513,12 +513,12 @@ def test_batch_rows_match_one_row_calls():
     delta_p = np.array([0.0, 30.0])
     cfg = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(gate_time, delta_p=delta_p),
                               delta_eps_a=0.2, gamma_eff=1e-4)
-    batch = sc.fidelity_numeric_batch(cfg)
+    batch = sc.fidelity_numeric(cfg)
     assert batch.shape == (3, 2)
     for i, j in np.ndindex(3, 2):
         single = sc.fidelity_numeric(sc.ScatteringConfig(
             cav, sc.PhotonPulse.from_gate_time(float(gate_time[i, 0]), float(delta_p[j])),
-            delta_eps_a=0.2, gamma_eff=1e-4))
+            delta_eps_a=0.2, gamma_eff=1e-4)).single()
         assert batch[i, j] == single
 
 
@@ -533,8 +533,8 @@ def test_cavity_rows_match_one_row_calls(monkeypatch):
     cfg = sc.ScatteringConfig(cavities, sc.PhotonPulse.from_gate_time(20.0, delta_p=0.5),
                               gamma_eff=np.array([0.0, 1e-4, 1.0]))
     with pytest.warns(ValidityWarning):
-        analytic = sc.fidelity_analytic_batch(cfg)
-    numeric = sc.fidelity_numeric_batch(cfg)
+        analytic = sc.fidelity_analytic(cfg)
+    numeric = sc.fidelity_numeric(cfg)
     assert calls == [[True, False, False]]
     assert numeric[0].notes == ("matrix-function fallback",)
     assert analytic[2].notes == ("outside validity domain", "clamped")
@@ -544,7 +544,7 @@ def test_cavity_rows_match_one_row_calls(monkeypatch):
             gamma_eff=float(cfg.gamma_eff[i]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            single = (sc.fidelity_numeric(one_row), sc.fidelity_analytic(one_row))
+            single = (sc.fidelity_numeric(one_row).single(), sc.fidelity_analytic(one_row).single())
         for batch, result in zip((numeric, analytic), single):
             assert batch[i].fidelity == pytest.approx(result.fidelity, rel=1e-12, abs=1e-15)
             assert batch[i].success_probability == pytest.approx(result.success_probability,
@@ -577,10 +577,10 @@ def test_stacked_regimes_match_their_slices(regimes, rows):
                                    sc.PhotonPulse.from_gate_time(gate_time, delta_p),
                                    delta_eps_a=delta, delta_eps_b=delta, gamma_eff=1e-5)
 
-    stacked = sc.fidelity_numeric_batch(config(g[:, None], kappa[:, None]))
+    stacked = sc.fidelity_numeric(config(g[:, None], kappa[:, None]))
     assert stacked.shape == (3, len(rows))
     for i in range(3):
-        alone = sc.fidelity_numeric_batch(config(g[i], kappa[i]))
+        alone = sc.fidelity_numeric(config(g[i], kappa[i]))
         for field in ("fidelity", "success_probability"):
             np.testing.assert_allclose(getattr(stacked, field)[i], getattr(alone, field),
                                        rtol=1e-14, atol=1e-15)
