@@ -170,8 +170,11 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     `params` and `gate_time`. Scalar inputs give a numpy scalar.
 
     `lossy_sectors(*params)` returns the stacked (H_eff_ud, H_eff_uu). Sectors
-    of one size share a `linalg` call (its fixed cost dominates small batches)
-    and the Raman 5x5 and 3x3 get one each, unpadded. Batches of more than 512
+    of one size share a `linalg.return_amplitudes` call (its fixed cost
+    dominates small batches) and the Raman 5x5 and 3x3 get one each,
+    unpadded. The 3x3 sectors (both exchange sectors, the Raman |uu> sector)
+    take the eigenvalue-only kernel `linalg.resolvent_poles`; the Raman 5x5
+    takes `linalg.eigenbasis`, with eigenvectors. Batches of more than 512
     rows are split into blocks of that size, so a grid of any size is built
     and propagated in bounded memory, at most 1,024 generators per call.
 

@@ -5,25 +5,35 @@ of many configurations, each started in its state 0. Two spectral kernels
 share one trust limit, EIG_COND_LIMIT; near an exceptional point the closed
 forms on a spectrum lose about its trust measure squared times epsilon.
 
+- `resolvent_poles` serves every generator of at most 3x3 and needs no
+  eigenvectors: the poles of <0|(z - H)^-1|0> are the eigenvalues (of a
+  2x2 stack in closed form with no LAPACK call, of a 3x3 stack from one
+  stacked `np.linalg.eigvals`, whose eigenvalues are `np.linalg.eig`'s bit
+  for bit) and the cofactor formula gives their residues w_k. A row is
+  trusted when 2 sum_k |w_k| is below the limit; for a complex-symmetric
+  2x2 that is exactly the Frobenius condition number, and on the
+  scattering 3x3 generators (fig2a-c and 20,000 random configs)
+  cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has three callers:
+  the scattering pole sum (3x3 stars and their 2x2 pairs), which sends
+  untrusted rows to a matrix function of the generators built on `solve`;
+  `return_amplitudes` on both exchange sectors and the Raman |uu> sector;
+  and the exchange-gate Lindblad closure.
 - `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
   `np.linalg.inv` of the eigenvectors V. A row is trusted when its
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
-  times it) is below the limit. It has two callers: `return_amplitudes`
-  sends untrusted rows to Taylor scaling-and-squaring, one row at a time,
-  and `lindblad.gate_fidelity_lindblad` refuses a whole batch with
-  ConvergenceFailure when any of its rows is untrusted. Both form
-  <0|e^{-itH}|0> with the same products in the same order.
-- `resolvent_poles` serves generators in star form (state 0 coupled to
-  every other state, those uncoupled from each other) and needs no
-  eigenvectors: the poles of <0|(z - H)^-1|0> are the eigenvalues (of a
-  2x2 stack in closed form with no LAPACK call, of larger ones from one
-  stacked `np.linalg.eigvals`) and a product formula gives their residues
-  w_k. A row is trusted when 2 sum_k |w_k| is below the limit; for a
-  complex-symmetric 2x2 that is exactly the Frobenius condition number, and
-  on the scattering 3x3 generators (fig2a-c and 20,000 random configs)
-  cond_F / sum_k |w_k| lies between 2.4 and 6.9.
-  Its one caller, the scattering pole sum, sends untrusted rows to a
-  matrix function of the generators, built on `solve`.
+  times it) is below the limit. It serves the Raman 5x5 |ud> sector in
+  `return_amplitudes`, and both Raman sectors in the Lindblad closure,
+  whose jump integral needs the amplitudes of the jump sources, not only
+  of the start state. The 5x5 keeps V_0k (V^-1)_k0 because its weights pin
+  the fig6a reference: on rows with ||H|| T >= 1e9, where two slow
+  eigenvalues nearly coincide, eigenvalue-only weights move hundreds of
+  fig6a cells past 1e-10 (ROADMAP item 2).
+
+`return_amplitudes` sends the untrusted rows of either kernel to Taylor
+scaling-and-squaring, one row at a time, and `lindblad.gate_fidelity_lindblad`
+refuses a whole batch with ConvergenceFailure when any of its rows is
+untrusted. Both form <0|e^{-itH}|0> from the same weights with the same
+products in the same order.
 
 In both kernels a NaN or Inf trust measure, and every row of a stack whose
 eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
@@ -69,7 +79,8 @@ class Poles(NamedTuple):
 
     values: np.ndarray   # (n, k) eigenvalues of H_j
     weights: np.ndarray  # (n, k) residues; they sum to 1
-    trusted: np.ndarray  # (n,) 2 sum_k |weights_jk| < EIG_COND_LIMIT
+    cond: np.ndarray     # (n,) 2 sum_k |weights_jk|; NaN or inf: a double pole
+    trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
 
 def eigenbasis(h) -> Eigenbasis:
@@ -94,43 +105,90 @@ def eigenbasis(h) -> Eigenbasis:
     return Eigenbasis(values, vectors, inverse, cond, trusted)
 
 
+def _residues(g, values):
+    """(eigenvalues, residues) of <0|(z - G_j)^-1|0> for a stack g (n, k, k):
+    pairs in closed form (`values` is not used), and 1 or 3 states from
+    their given eigenvalues `values` (n, k) by the cofactor formula."""
+    if g.shape[-1] == 2:
+        a, b, c, d = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+        mean, root = 0.5 * (a + d), np.sqrt((0.5 * (a - d))**2 + b * c)   # m, r
+        values = np.empty((len(g), 2), dtype=complex)
+        big = values[:, 0] = mean + np.where((mean.conj() * root).real < 0.0, -root, root)
+        values[:, 1] = (a * d - b * c) / big
+        return values, (values - d[:, None]) / (values - values[:, ::-1])
+    minor = (values[:, :, None] - np.diagonal(g, axis1=1, axis2=2)[:, None, 1:]).prod(-1)
+    if g.shape[-1] == 3:
+        minor -= g[:, 1, 2, None] * g[:, 2, 1, None]
+    gaps = values[:, :, None] - values[:, None, :] + np.eye(g.shape[-1])   # 1 at j = k
+    return values, minor / gaps.prod(-1)
+
+
 def resolvent_poles(h) -> Poles:
     """Poles and residues of <0|(z - H_j)^-1|0> for every generator of a
-    stack h (n, k, k) in star form: state 0 is coupled to every other state,
-    and those are not coupled to each other.
+    stack h (n, k, k) with k <= 3; a larger stack raises ValueError.
 
     The residue at the eigenvalue lambda_k is the adjugate formula
-    w_k = prod_{i>=1} (lambda_k - h_ii) / prod_{j!=k} (lambda_k - lambda_j),
-    equal to V[0,k] (V^-1 e_0)_k, so eigenvalues suffice: one `np.linalg.eigvals`
-    call, or for pairs [[a, b], [c, d]] the closed form lambda_1 = m + r of the
-    larger modulus, m = (a + d)/2, r = +-sqrt(((a - d)/2)^2 + bc), and
-    lambda_2 = (ad - bc)/lambda_1, whose small root keeps its relative accuracy.
-    A row is trusted when 2 sum_k |w_k| < EIG_COND_LIMIT (a row with a
-    double eigenvalue divides by zero and is not).
+    w_k = q(lambda_k) / prod_{j!=k} (lambda_k - lambda_j), equal to
+    V[0,k] (V^-1 e_0)_k, with q(z) = det(z - H_11) the minor of the start
+    state: (z - h_11)(z - h_22) - h_12 h_21 for a 3x3 (h_12 = 0 on a star)
+    and z - h_11 for a pair. So eigenvalues suffice: one `np.linalg.eigvals`
+    call, or for pairs [[a, b], [c, d]] the closed form lambda_1 = m + r of
+    the larger modulus, m = (a + d)/2, r = +-sqrt(((a - d)/2)^2 + bc), and
+    lambda_2 = (ad - bc)/lambda_1, whose small root keeps its relative
+    accuracy. A row is trusted when 2 sum_k |w_k| < EIG_COND_LIMIT; a row
+    with a double pole divides by zero and is not.
+
+    An untrusted row is solved again, in two ways that change no trusted
+    row. First, on its entries divided by the largest power of two not
+    above max |h_ij|, with `eigvals`' eigenvalues scaled alike: in the
+    double range that changes no bit, and where ||H|| nears its edge it
+    keeps finite the products that overflowed. Second, a state i >= 1
+    coupled to no other (row and column i zero off the diagonal) is not a
+    pole of the resolvent, but it may share its eigenvalue with another
+    state, where the formula is 0/0: a row still untrusted is solved
+    without such states, whose eigenvalues h_ii get weight 0. (On a trusted
+    row the formula gives h_ii a weight within rounding of 0, and exactly
+    0 when `eigvals` returns h_ii itself, as LAPACK's balancing does for an
+    isolated state.)
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
+    k = h.shape[-1]
+    if k > 3:
+        raise ValueError(f"resolvent_poles takes generators of at most 3x3, got {k}x{k}")
     if not np.isfinite(h).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if h.shape[-1] == 2:
-            a, b, c, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
-            mean, root = 0.5 * (a + d), np.sqrt((0.5 * (a - d))**2 + b * c)   # m, r
-            values = np.empty((len(h), 2), dtype=complex)
-            big = values[:, 0] = mean + np.where((mean.conj() * root).real < 0.0, -root, root)
-            values[:, 1] = (a * d - b * c) / big
-            weights = (values - d[:, None]) / (values - values[:, ::-1])
-        else:
+        values = None
+        if k != 2:
             try:
                 values = np.linalg.eigvals(h)
             except np.linalg.LinAlgError:
                 values = np.full(h.shape[:2], np.nan, dtype=complex)
-            below = values[:, :, None] - np.diagonal(h, axis1=1, axis2=2)[:, None, 1:]
-            gaps = values[:, :, None] - values[:, None, :] + np.eye(h.shape[-1])   # 1 at j = k
-            weights = below.prod(-1) / gaps.prod(-1)
-        trusted = 2.0 * abs(weights).sum(-1) < EIG_COND_LIMIT   # NaN counts as untrusted
-    return Poles(values, weights, trusted)
+        values, weights = _residues(h, values)
+        cond = 2.0 * abs(weights).sum(-1)
+        trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
+        if not trusted.all():
+            rows = (~trusted).nonzero()[0]
+            scale = np.ldexp(1.0, np.frexp(abs(h[rows]).max((1, 2)))[1] - 1)[:, None]
+            scaled, weights[rows] = _residues(h[rows] / scale[:, :, None], values[rows] / scale)
+            values[rows] = scaled * scale
+            cond[rows] = 2.0 * abs(weights[rows]).sum(-1)
+            trusted[rows] = cond[rows] < EIG_COND_LIMIT
+            rows = rows[~trusted[rows]]
+            off = (h[rows] != 0.0) & ~np.eye(k, dtype=bool)
+            decoupled = ~(off.any(1) | off.any(2))
+            decoupled[:, 0] = False
+            for drop in {tuple(row) for row in decoupled[decoupled.any(1)].tolist()}:
+                sub, keep = rows[(decoupled == drop).all(1)], ~np.array(drop)
+                rest = resolvent_poles(h[sub][:, keep][:, :, keep])
+                values[sub] = np.concatenate(
+                    [rest.values, np.diagonal(h[sub], axis1=1, axis2=2)[:, ~keep]], axis=1)
+                weights[sub] = 0.0
+                weights[sub, :keep.sum()] = rest.weights
+                cond[sub], trusted[sub] = rest.cond, rest.trusted
+    return Poles(values, weights, cond, trusted)
 
 
 def solve(a, b) -> np.ndarray:
@@ -172,7 +230,7 @@ def phases(values, t, trusted=True) -> np.ndarray:
     """e^{-i t_j lambda_jk} for eigenvalues values (n, k) and times t (n, 1)
     (or a scalar). Raises NonFinite when a trusted row's phase overflows
     (||H|| t past the double range); an untrusted row's phase that does is
-    set to 0, as that row's eigenbasis is not used."""
+    set to 0, as that row's spectrum is not used."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(-1j * t * values)
     finite = np.isfinite(out)
@@ -185,17 +243,23 @@ def phases(values, t, trusted=True) -> np.ndarray:
 
 
 def return_amplitudes(h, t) -> np.ndarray:
-    """<0| e^{-i t_j H_j} |0> = sum_k V_0k (V^-1)_k0 e^{-i t_j lambda_k} for
-    every generator of a stack h (n, k, k) of (generally non-Hermitian)
-    generators; t is a scalar or has shape (n,). Untrusted rows take Taylor
-    scaling-and-squaring."""
+    """<0| e^{-i t_j H_j} |0> = sum_k w_k e^{-i t_j lambda_k} for every
+    generator of a stack h (n, k, k) of (generally non-Hermitian)
+    generators; t is a scalar or has shape (n,). The residues w_k are those
+    of `resolvent_poles` for k <= 3 and V_0k (V^-1)_k0 of `eigenbasis` for
+    larger k. Untrusted rows take Taylor scaling-and-squaring."""
     h = np.asarray(h, dtype=complex)
-    basis = eigenbasis(h)
+    if h.ndim == 3 and h.shape[-1] > 3:
+        basis = eigenbasis(h)
+        values, weights = basis.values, basis.vectors[:, 0] * basis.inverse[:, :, 0]
+        trusted = basis.trusted
+    else:
+        values, weights, _, trusted = resolvent_poles(h)
     times = np.broadcast_to(np.asarray(t, dtype=float), len(h))
     if not np.isfinite(times).all():
         raise NonFinite("propagation time contains NaN or Inf entries")
-    out = (basis.vectors[:, 0] * basis.inverse[:, :, 0]
-           * phases(basis.values, times[:, None], basis.trusted)).sum(-1)
-    for i in (~basis.trusted).nonzero()[0]:
+    with np.errstate(invalid="ignore"):   # inf weights of untrusted rows, replaced below
+        out = (weights * phases(values, times[:, None], trusted)).sum(-1)
+    for i in (~trusted).nonzero()[0]:
         out[i] = _expm_squaring(-1j * times[i] * h[i])[0, 0]
     return out

@@ -20,16 +20,18 @@ path, and the recycled weight
 
 summed over the jumps c (rate r_c, source states src_ud and src_uu) that
 land on a state the target holds. The time integral is closed form over the
-eigenvalue pairs lambda_k - conj(lambda_l) of both sectors. F_pi and J come
-from one `linalg.eigenbasis` call per sector stack.
+eigenvalue pairs lambda_k - conj(lambda_l) of both sectors. For the Raman
+gate, F_pi and J come from one `linalg.eigenbasis` call per sector stack;
+for the exchange gate, which has no J, F_pi comes from one
+`linalg.resolvent_poles` call per sector stack, with no eigenvectors.
 
 Raman gate: photon loss and emitter decay leave the emitters in the frozen
 |d,s> and |d,d> ground states, which the target holds, so recycled
 population lands on the target and J > 0. Exchange gate: every jump lands
 in an A-ground state that the closing pi pulse re-excites, which the target
 does not hold. So J = 0 there, and the result equals the numeric path's
-(F_pi + 1)/2 - Gamma_eff T bit for bit: F_pi comes from the same eigenbasis
-and the same products as `linalg.return_amplitudes`.
+(F_pi + 1)/2 - Gamma_eff T bit for bit: F_pi comes from the same poles and
+residues and the same products as `linalg.return_amplitudes`.
 """
 from __future__ import annotations
 
@@ -59,37 +61,45 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     fidelity outside [0, 1] is clamped and carries the "clamped" note, as
     on the numeric path.
 
-    There is no fallback: the closed-form jump integral loses about cond^2
-    times machine epsilon, so a sector eigenbasis that `linalg` does not
-    trust on any row (near an exceptional point) raises ConvergenceFailure.
-    NaN or Inf in a generator, and an overlap that overflowed, raise
-    NonFinite.
+    There is no fallback: the closed-form jump integral, and the pole sum
+    of F_pi, lose about cond^2 times machine epsilon, so a sector spectrum
+    that `linalg` does not trust on any row (near an exceptional point)
+    raises ConvergenceFailure. NaN or Inf in a generator, a trusted row's
+    phase that overflows (checked first) and an overlap that overflowed
+    raise NonFinite.
     """
     lossy_sectors, params = config.sectors()
     gate_time = config.gate_time
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
     t = np.broadcast_to(gate_time, shape).reshape(n, 1)
-    values, amplitudes = [], []   # per sector: lambda_k (n, k), V_ik (V^-1)_k0 (n, k, k)
+    jumps = _TARGET_JUMPS[type(config)]
+    bases, amplitudes = [], []   # per sector: its spectrum, V_ik (V^-1)_k0 (n, k or 1, k)
     for h in lossy_sectors(*params):
         h = np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
-        basis = linalg.eigenbasis(h)
+        if jumps:
+            basis = linalg.eigenbasis(h)
+            amplitudes.append(basis.vectors * basis.inverse[:, None, :, 0])
+        else:   # the start state's return amplitude only, from the numeric path's kernel
+            basis = linalg.resolvent_poles(h)
+            amplitudes.append(basis.weights[:, None])
+        bases.append(basis)
+    # an overflowing phase of a trusted row raises NonFinite before any row is refused
+    rotations = [linalg.phases(basis.values, t, basis.trusted) for basis in bases]
+    for basis in bases:
         if not basis.trusted.all():
             row = int(np.argmin(basis.trusted))
             raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
                                      f"{basis.cond[row]:.2e} on row {row}): too near an "
                                      f"exceptional point")
-        values.append(basis.values)
-        amplitudes.append(basis.vectors * basis.inverse[:, None, :, 0])
-    ud, uu = ((a[:, 0] * linalg.phases(v, t)).sum(-1) for a, v in zip(amplitudes, values))
+    ud, uu = ((a[:, 0] * p).sum(-1) for a, p in zip(amplitudes, rotations))
     overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
-    jumps = _TARGET_JUMPS[type(config)]
     if jumps:
         # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
         u = np.stack([np.concatenate([np.zeros_like(a[:, 0]) if src is None else 0.5 * a[:, src]
                                       for a, src in zip(amplitudes, sources)], axis=-1)
                       for _, *sources in jumps], axis=1)
-        lam = np.concatenate(values, axis=-1)
+        lam = np.concatenate([basis.values for basis in bases], axis=-1)
         # int_0^T e^{-isz} ds over z = lambda_k - conj(lambda_l), with a small-|z|T branch
         z = lam[:, :, None] - lam.conj()[:, None, :]
         span = t[:, :, None]

@@ -11,12 +11,14 @@ and bandwidth relative to gamma*C.
 The numeric path needs no frequency quadrature. Each amplitude is rational
 in omega, s_i = 1 + sum_k a_ik/(omega - lambda_ik), with its poles lambda_ik
 the eigenvalues of the lossy generator H of the cavity and the emitters that
-couple in it (only spin-up emitters do). H is a star: the cavity couples to
-each emitter, and the emitters do not couple to each other. So the residues
-need no eigenvectors: a_ik = -i*kappa*w_k with
-w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j) over the
-emitter levels H_ee. `linalg.resolvent_poles` gives the poles (an
-eigenvalue-only solve) and the w_k of s_uu (cavity and two emitters) in one
+couple in it (only spin-up emitters do). The residues need no
+eigenvectors: a_ik = -i*kappa*w_k with w_k the cofactor residue of
+`linalg.resolvent_poles`. H is a star (the cavity couples to each emitter,
+and the emitters do not couple to each other), so the cavity's minor is a
+product over the emitter levels H_ee and
+w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j).
+`linalg.resolvent_poles` gives the poles (an eigenvalue-only solve) and
+the w_k of s_uu (cavity and two emitters) in one
 stacked call of 3x3 generators, and those of s_ud and s_du (cavity and one
 emitter) in one stacked call of 2x2 generators, solved in closed form with
 no LAPACK call; s_dd, the bare cavity, has the one pole -i*kappa/2 with

@@ -1,5 +1,6 @@
-"""The benchmark's figure workloads (`bench/workloads.py`) run on the
-package as it stands, so that a rename which breaks the benchmark fails a
+"""The benchmark's workloads (`bench/workloads.py`) run on the package as
+it stands and match their committed references, so that a rename which
+breaks the benchmark, or a change that moves a reference value, fails a
 test too. `bench/` is only imported here, never changed."""
 import importlib.util
 import os
@@ -25,3 +26,14 @@ def test_figure_workload_matches_its_reference(name, tmp_path):
     workload.load_reference()
     attempted, failed, problems = workload.check(workload.run_pass().outputs)
     assert attempted > 0 and failed == 0, problems
+
+
+def test_cli_workload_matches_its_seed0_reference(tmp_path):
+    """`cli_requests` at the seed whose responses are committed: one pass
+    through every evaluate, sweep and casestudy request matches every
+    reference response (the benchmark was the only guard of those)."""
+    workload = load_workloads().setup("cli_requests", 0, str(tmp_path))
+    workload.load_reference()
+    assert workload.reference is not None
+    attempted, failed, problems = workload.check(workload.run_pass().outputs)
+    assert attempted == len(workload.requests) and failed == 0, problems

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from cavity_gates import linalg
 from cavity_gates.errors import ConvergenceFailure, NonFinite
+from cavity_gates.exchange import ExchangeConfig
+from cavity_gates.params import CavitySystem
+from cavity_gates.raman import symmetric_raman_config
 
 
 def random_complex(shape, rng, scale=1.0):
@@ -115,14 +118,15 @@ def test_shape_validation():
         linalg.return_amplitudes(np.stack([np.eye(2)] * 3), np.ones(2))
 
 
-def test_return_amplitude_is_eigenbasis_sum():
-    # <0|e^{-itH}|0> = sum_k V_0k (V^-1)_k0 e^{-it lambda_k}, bit for bit the
-    # product order of the Lindblad closure, and within 1e-12 of the Taylor form
+def test_return_amplitude_is_pole_sum():
+    # <0|e^{-itH}|0> = sum_k w_k e^{-it lambda_k} over the poles and residues
+    # of `resolvent_poles`, bit for bit the product order of the Lindblad
+    # closure, and within 1e-12 of the Taylor form
     rng = np.random.default_rng(17)
     a = random_complex((3, 3), rng)
     h = a + a.conj().T - 0.5j * np.diag([1.0, 0.2, 0.0])
-    basis = linalg.eigenbasis(h[None])
-    terms = basis.vectors[0, 0] * basis.inverse[0, :, 0] * linalg.phases(basis.values, 2.0)[0]
+    poles = linalg.resolvent_poles(h[None])
+    terms = poles.weights[0] * linalg.phases(poles.values, 2.0)[0]
     assert amplitude_one(h, 2.0) == terms.sum()
     assert amplitude_one(h, 2.0) == pytest.approx(
         complex(linalg._expm_squaring(-2.0j * h)[0, 0]), rel=1e-12)
@@ -275,14 +279,27 @@ def nearest(values, reference):
     return np.take_along_axis(reference, order, -1)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_resolvent_poles_match_eigenbasis(k):
+def chain_stack(rng, n, k):
+    """n random lossy complex-symmetric chains: state i coupled to i + 1
+    only, as in the exchange and Raman sectors."""
+    h = np.zeros((n, k, k), dtype=complex)
+    h[:, np.arange(k), np.arange(k)] = (rng.standard_normal((n, k))
+                                         - 0.5j * rng.uniform(0.0, 2.0, (n, k)))
+    h[:, np.arange(k - 1), np.arange(1, k)] = h[:, np.arange(1, k), np.arange(k - 1)] = (
+        random_complex((n, k - 1), rng))
+    return h
+
+
+@pytest.mark.parametrize("family, k", [("star", 2), ("star", 3), ("chain", 3), ("lossy", 3)],
+                         ids=["2", "3", "chain-3", "lossy-3"])
+def test_resolvent_poles_match_eigenbasis(family, k):
     # the eigenvalue-only weights equal V[0,k] (V^-1 e_0)_k to within
-    # about eps (sum |w|)^2, and sum to 1 (the z -> infinity limit of z <0|(z - H)^-1|0>);
+    # about eps (sum |w|)^2, and sum to 1 (the z -> infinity limit of z <0|(z - H)^-1|0>),
+    # on stars, chains and general lossy generators (every entry coupled);
     # 3x3 poles are eig's eigenvalues, and pairs, solved in closed form, are
     # within a few eps relative of their 50-digit values
-    rng = np.random.default_rng(31 + k)
-    h = star_stack(rng, 2000, k)
+    rng = np.random.default_rng(31 + k + 10 * ("star", "chain", "lossy").index(family))
+    h = {"star": star_stack, "chain": chain_stack, "lossy": lossy_stack}[family](rng, 2000, k)
     basis = linalg.eigenbasis(h)
     poles = linalg.resolvent_poles(h)
     spread = abs(poles.weights).sum(-1)
@@ -298,7 +315,102 @@ def test_resolvent_poles_match_eigenbasis(k):
     change = abs(poles.weights - residues).max(-1)
     assert np.all(change <= 50 * np.finfo(float).eps * spread**2)
     assert abs(poles.weights.sum(-1) - 1.0).max() <= 50 * np.finfo(float).eps * spread.max()
+    assert np.array_equal(poles.cond, 2.0 * spread)
     assert np.array_equal(poles.trusted, 2.0 * spread < linalg.EIG_COND_LIMIT)
+
+
+def test_resolvent_poles_drop_decoupled_states():
+    """A state coupled to no other is not a pole. Where it shares its
+    eigenvalue with another state (the cofactor formula is 0/0 there), the
+    row is solved without it: its eigenvalue gets weight 0 and the rest are
+    the poles of the generator without it, so exact zero couplings give the
+    bare decay e^{-t/2} exactly. Elsewhere the formula gives it weight 0
+    itself, and a state coupled one way only is kept."""
+    pair = np.array([[-0.5j, 0.3], [0.3, 2.0 - 0.1j]])
+    h = np.zeros((4, 3, 3), dtype=complex)
+    h[0, :2, :2] = np.triu(pair)   # state 2 decoupled, its eigenvalue -0.5j that of state 0
+    h[0, 2, 2] = -0.5j
+    h[1] = np.diag([-0.5j, 5.0 - 0.5j, -0.5j])   # states 1 and 2 decoupled
+    h[2][np.ix_([0, 2], [0, 2])] = pair   # state 1 decoupled (not a chain), at 0.7
+    h[2, 1, 1] = 0.7
+    h[3, :2, :2] = pair          # state 2 coupled to state 1 one way only
+    h[3, 2, 2], h[3, 2, 1] = 1.0, 0.4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        poles = linalg.resolvent_poles(h)
+    reduced = linalg.resolvent_poles(np.triu(pair)[None])
+    assert poles.trusted.all()
+    assert np.array_equal(poles.values[0], [*reduced.values[0], -0.5j])
+    assert np.array_equal(poles.weights[0], [*reduced.weights[0], 0.0])
+    assert poles.cond[0] == reduced.cond[0]
+    assert np.array_equal(poles.values[1], h[1].diagonal())
+    assert np.array_equal(poles.weights[1], [1.0, 0.0, 0.0])
+    for row, dropped in ((2, 1), (3, 2)):
+        assert np.array_equal(poles.values[row], np.linalg.eigvals(h[row]))
+        decoupled = abs(poles.values[row] - h[row, dropped, dropped]).argmin()
+        assert abs(poles.weights[row, decoupled]) <= np.finfo(float).eps
+    assert linalg.return_amplitudes(h[1:2], 2.0)[0] == np.exp(-1.0)
+    out = linalg.return_amplitudes(h, 1.3)
+    for i in range(4):
+        assert abs(out[i] - linalg._expm_squaring(-1.3j * h[i])[0, 0]) < 1e-13
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_resolvent_poles_are_scale_free(k):
+    """The weights are formed on the generator divided by a power of two, so
+    a generator scaled by 2^m keeps its trust and its weights, up to
+    ||H|| ~ 1e300, where unscaled products overflow: pairs (closed form)
+    bit for bit with poles scaled exactly, 3x3s to eigvals' rounding."""
+    rng = np.random.default_rng(53 + k)
+    h = chain_stack(rng, 200, k)
+    poles = linalg.resolvent_poles(h)
+    for m in (-500, -40, 40, 990):
+        scaled = linalg.resolvent_poles(np.ldexp(h.real, m) + 1j * np.ldexp(h.imag, m))
+        assert np.array_equal(scaled.trusted, poles.trusted) and poles.trusted.all()
+        if k == 2:
+            assert np.array_equal(scaled.weights, poles.weights)
+            assert np.array_equal(scaled.values, np.ldexp(poles.values.real, m)
+                                  + 1j * np.ldexp(poles.values.imag, m))
+        else:
+            assert abs(scaled.weights - poles.weights).max() <= 1e-13
+
+
+def figure_sector(case):
+    """(3x3 generator, gate time) of one oracle row: a fig4 row (g/kappa 0.1
+    or 10, Delta/kappa 1 or 1e4) in either exchange sector, or the Raman |uu>
+    sector at a fig6a corner (delta/kappa 1e3, Delta/kappa 0.1 or 1e3)."""
+    figure, g_over_kappa, sector, detuning_over_kappa = case
+    if figure == "fig4":
+        cav = CavitySystem.from_cooperativity(8000.0, g_over_kappa, 1.0)
+        config = ExchangeConfig(cav, detuning=detuning_over_kappa * cav.kappa)
+    else:
+        cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+        config = symmetric_raman_config(cav, 1e3 * cav.kappa, detuning_over_kappa * cav.kappa,
+                                        0.05)
+    lossy_sectors, params = config.sectors()
+    h = lossy_sectors(*params)[("ud", "uu").index(sector)]
+    return np.asarray(h).reshape(3, 3), float(config.gate_time)
+
+
+ORACLE_ROWS = [("fig4", g, sector, d) for g in (0.1, 10.0) for d in (1.0, 1e4)
+               for sector in ("ud", "uu")] + [("fig6a", 0.1, "uu", d) for d in (0.1, 1e3)]
+
+
+@pytest.mark.parametrize("case", ORACLE_ROWS, ids=lambda case: "-".join(map(str, case)))
+def test_three_state_return_amplitude_matches_mpmath_expm(case):
+    """Return amplitudes of the eigenvalue-only kernel against a 40-digit
+    matrix exponential of the same double generator: within 10 eps
+    ||H||_2 T (measured up to 3.6 of it, at g/kappa = 10, Delta/kappa = 1,
+    where ||H||_2 T = 0.46; the fig6a corners have ||H||_2 T = 1.3e11 and
+    come within 3.1e-3 of it). The fig4 |uu> sector holds a decoupled state
+    (the ideal spectator)."""
+    import mpmath
+    h, t = figure_sector(case)
+    norm_t = np.linalg.norm(h, 2) * t
+    assert case[0] == "fig4" or norm_t >= 1e9
+    with mpmath.workdps(40):
+        exact = complex(mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(h.tolist()))[0, 0])
+    assert abs(amplitude_one(h, t) - exact) <= 10 * np.finfo(float).eps * norm_t
 
 
 def test_resolvent_pair_kernel_closed_form(monkeypatch):
@@ -352,7 +464,8 @@ def test_resolvent_poles_trust_is_frobenius_cond_for_symmetric_pairs():
 
 
 def test_resolvent_poles_refuse_and_distrust():
-    # NaN or Inf input raises NonFinite; a defective row (a double
+    # NaN or Inf input raises NonFinite, and a stack of more than three
+    # states (whatever its form) ValueError; a defective row (a double
     # eigenvalue, weights 0/0) is untrusted, and a LinAlgError from the
     # eigensolve leaves every row untrusted with NaN poles, both without a
     # RuntimeWarning
@@ -362,6 +475,10 @@ def test_resolvent_poles_refuse_and_distrust():
         linalg.resolvent_poles(np.array([[[0.0, np.inf], [1.0, 0.0]]]))
     with pytest.raises(ValueError):
         linalg.resolvent_poles(np.eye(2))
+    rng = np.random.default_rng(43)
+    for larger in (chain_stack(rng, 3, 4), star_stack(rng, 3, 5), lossy_stack(rng, 1, 5)):
+        with pytest.raises(ValueError, match="at most 3x3"):
+            linalg.resolvent_poles(larger)
     h = star_stack(np.random.default_rng(41), 3, 3)
 
     def fail(m):

@@ -13,7 +13,7 @@ from cavity_gates import linalg
 from cavity_gates.cli import main
 from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, fidelity_numeric_exchange,
-                                   fidelity_numeric_exchange, optimal_detuning)
+                                   optimal_detuning)
 from cavity_gates.params import CavitySystem
 from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
 
@@ -341,13 +341,43 @@ def random_exchange_batch(mode, n=400, seed=19):
 @pytest.mark.parametrize("name", ["fig4", *(mode.value for mode in ExchangeMode)])
 def test_exchange_lindblad_is_the_numeric_kernel(name):
     """With no recycled weight (J = 0), the Lindblad closure of the exchange
-    gate takes F_pi from the same eigenbasis and the same products as the
-    numeric path, so the two fidelities agree bit for bit: on fig4's weak
+    gate takes F_pi from the same poles and residues and the same products
+    as the numeric path, so the two fidelities agree bit for bit: on fig4's weak
     and strong grids and on seeded random rows of both modes."""
     cfg = figure_grid(name) if name == "fig4" else random_exchange_batch(ExchangeMode(name))
     lindblad = lb.gate_fidelity_lindblad(cfg).fidelity
     numeric = fidelity_numeric_exchange(cfg).fidelity
     assert np.array_equal(lindblad, numeric), np.count_nonzero(lindblad != numeric)
+
+
+def test_small_stacks_need_no_eigenvectors(monkeypatch):
+    """No 2x2 or 3x3 stack reaches `np.linalg.eig` or `np.linalg.inv`: not
+    on the simple-exchange numeric path or Lindblad closure on fig4's grid,
+    nor on the Raman numeric path on a slice of fig6b, where the 5x5 |ud>
+    sector alone keeps its eigenvectors (one `eig` and one `inv` call)."""
+    larger = []
+
+    def guard(name, call):
+        def guarded(a, *args, **kwargs):
+            if np.shape(a)[-1] <= 3:
+                raise AssertionError(f"np.linalg.{name} called on a stack of shape "
+                                     f"{np.shape(a)}")
+            larger.append(name)
+            return call(a, *args, **kwargs)
+        return guarded
+
+    for name in ("eig", "inv"):
+        monkeypatch.setattr(np.linalg, name, guard(name, getattr(np.linalg, name)))
+    fig4 = figure_grid("fig4")
+    fidelity_numeric_exchange(fig4)
+    lb.gate_fidelity_lindblad(fig4)
+    assert larger == []
+    cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+    fig6b = symmetric_raman_config(cav, optimal_two_photon(cav.kappa, 8000.0),
+                                   np.geomspace(0.1, 1e3, 11) * cav.kappa,
+                                   np.array([[0.05], [1.0 / 3.0]]))
+    fidelity_numeric_exchange(fig6b)
+    assert larger == ["eig", "inv"]
 
 
 def test_raman_recycling_lands_on_target():
