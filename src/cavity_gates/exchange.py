@@ -18,8 +18,10 @@ Numeric fields of either config, the cavity's included, may be numpy arrays
 that broadcast together (the mode stays one value); each evaluator takes
 every row at once, through the stacked propagation of `linalg` on the
 numeric path, and returns GateResults of the broadcast shape.
-`phase_fidelity` runs batches of more than 512 rows in 512-row blocks on
-every available CPU.
+`phase_fidelity` cuts a batch into equal blocks of at most 512 rows, as
+many as a multiple of the available CPUs where no block falls below 160
+rows, and runs them on one thread per CPU; a batch of fewer than 320 rows
+is one block and starts no thread.
 """
 from __future__ import annotations
 
@@ -157,11 +159,49 @@ def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, k
     return spectator, resonant
 
 
+#: most rows in one block: its `linalg.return_amplitudes` stacks hold at
+#: most 1,024 generators, so a grid of any size runs in bounded memory. Its
+#: temporaries stay below numpy's 256 KiB in-place threshold, past which a
+#: complex product is formed as b * a and may round differently, so a row
+#: does not depend on the size of its block
+MAX_BLOCK_ROWS = 512
+
+#: fewest rows in a block of a split batch. On a 2-core VM with one BLAS
+#: thread, two threads against one call (median time ratio): 3x3 sectors at
+#: 2 x 128 rows 1.11, 2 x 144 0.96, 2 x 160 0.88; Raman at 2 x 96 1.05,
+#: 2 x 128 0.80
+MIN_BLOCK_ROWS = 160
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _block_count(n, cpus):
+    """Number of equal blocks for n rows on `cpus` CPUs: the fewest blocks of
+    at most MAX_BLOCK_ROWS rows whose count is a multiple of `cpus`, or, where
+    that would leave a block below MIN_BLOCK_ROWS rows, as many blocks of at
+    least MIN_BLOCK_ROWS rows as there are CPUs to run them (at least one)."""
+    fewest = -(-n // MAX_BLOCK_ROWS)
+    return max(1, min(-(-fewest // cpus) * cpus, n // MIN_BLOCK_ROWS))
+
+
+def _block_f_pi(lossy_sectors, params, gate_time):
+    """F_pi of every row of one block, flat: the sectors of the broadcast
+    `params` and `gate_time` in one `linalg.return_amplitudes` call per
+    sector size. It never splits the block and starts no thread."""
+    shape = broadcast_shape(*params, gate_time)
+    n = math.prod(shape)
+    t = np.broadcast_to(gate_time, shape).ravel()
+    sectors = [np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
+               for h in lossy_sectors(*params)]
+    if sectors[0].shape == sectors[1].shape:
+        sectors, t = [np.concatenate(sectors)], np.tile(t, 2)
+    amp = np.concatenate([linalg.return_amplitudes(h, t) for h in sectors]).reshape(2, n)
+    return 0.5 * np.abs(amp[1] - amp[0])
 
 
 def phase_fidelity(lossy_sectors, params, gate_time):
@@ -174,61 +214,63 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     dominates small batches) and the Raman 5x5 and 3x3 get one each,
     unpadded. The 3x3 sectors (both exchange sectors, the Raman |uu> sector)
     take the eigenvalue-only kernel `linalg.resolvent_poles`; the Raman 5x5
-    takes `linalg.eigenbasis`, with eigenvectors. Batches of more than 512
-    rows are split into blocks of that size, so a grid of any size is built
-    and propagated in bounded memory, at most 1,024 generators per call.
+    takes `linalg.eigenbasis`, with eigenvectors.
 
-    The blocks run on W threads: W is the number of CPUs this process may
-    use (`os.sched_getaffinity`, else `os.cpu_count`), capped by the number
-    of blocks. Block i runs on worker i mod W and the calling thread is
-    worker 0, so W - 1 threads start, and all are joined before the call
-    returns (numpy's linalg gufuncs release the GIL). Each block's arithmetic
-    is that of a one-thread call, so every row is bit for bit the same
-    whatever W is; 512 rows or fewer start no thread. Each worker runs in a
-    copy of the caller's context, so the caller's `np.errstate` holds there,
-    and the first exception of any block (NonFinite, ConvergenceFailure, a
-    warning escalated to an error) is raised here after the joins.
+    The rows are cut into equal blocks (sizes differ by at most one row):
+    the fewest blocks of at most MAX_BLOCK_ROWS (512) rows whose count is a
+    multiple of W, the number of CPUs this process may use
+    (`os.sched_getaffinity`, else `os.cpu_count`), but no block of fewer
+    than MIN_BLOCK_ROWS (160) rows; a batch too small for two such blocks is
+    one block and starts no thread. So a grid of any size is built and
+    propagated in bounded memory, at most 1,024 generators per call, and
+    W CPUs get equal shares: 402 rows as 2 x 201 on two CPUs, 14,641 as
+    30 blocks of 488 or 489.
+
+    The blocks run on min(W, blocks) workers: block i runs on worker i mod W
+    and the calling thread is worker 0, so the others start as threads, and
+    all are joined before the call returns (numpy's linalg gufuncs release
+    the GIL). Each block's arithmetic is that of a one-block call, so every
+    row is bit for bit the same whatever W is. Each worker runs in a copy of
+    the caller's context, so the caller's `np.errstate` holds there, and the
+    first exception of any block (NonFinite, ConvergenceFailure, a warning
+    escalated to an error) is raised here after the joins.
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
-    block = 512
-    if n > block:
-        flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
-        f_pi = np.empty(n)
-        workers = min(_cpus(), -(-n // block))
-        errors = []
+    cpus = _cpus()
+    blocks = _block_count(n, cpus)
+    if blocks == 1:
+        return _block_f_pi(lossy_sectors, params, gate_time).reshape(shape)[()]
+    flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    workers = min(cpus, blocks)
+    f_pi = np.empty(n)
+    errors = []
 
-        def work(first):
-            try:
-                for s in range(first * block, n, workers * block):
-                    if errors:   # another block failed: its error is raised
-                        return
-                    f_pi[s:s + block] = phase_fidelity(
-                        lossy_sectors, [p[s:s + block] for p in flat[:-1]], flat[-1][s:s + block])
-            except BaseException as exc:   # raised by the caller, after the joins
-                errors.append(exc)
-
-        threads = []
+    def work(first):
         try:
-            for first in range(1, workers):
-                thread = threading.Thread(target=contextvars.copy_context().run,
-                                          args=(work, first))
-                thread.start()
-                threads.append(thread)
-            work(0)
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        return f_pi.reshape(shape)
-    t = np.broadcast_to(gate_time, shape).ravel()
-    sectors = [np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
-               for h in lossy_sectors(*params)]
-    if sectors[0].shape == sectors[1].shape:
-        sectors, t = [np.concatenate(sectors)], np.tile(t, 2)
-    amp = np.concatenate([linalg.return_amplitudes(h, t) for h in sectors]).reshape(2, n)
-    return (0.5 * np.abs(amp[1] - amp[0])).reshape(shape)[()]
+            for i in range(first, blocks, workers):
+                if errors:   # another block failed: its error is raised
+                    return
+                rows = slice(bounds[i], bounds[i + 1])
+                f_pi[rows] = _block_f_pi(lossy_sectors, [p[rows] for p in flat[:-1]],
+                                         flat[-1][rows])
+        except BaseException as exc:   # raised by the caller, after the joins
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, first))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return f_pi.reshape(shape)
 
 
 def ridge_f_pi(detuning, kappa, cooperativity):

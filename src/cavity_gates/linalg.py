@@ -39,12 +39,13 @@ In both kernels a NaN or Inf trust measure, and every row of a stack whose
 eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
 raises NonFinite, and so does a phase e^{-i t lambda} of a trusted row that
 overflows (`phases`, which `return_amplitudes` and the Lindblad closure
-share). No stack is split here: the callers size it
-(`exchange.phase_fidelity` passes at most 1,024 generators; the scattering
-pole sum passes one 3x3 generator per row of its config in one call and two
-2x2 ones per row in another; the Lindblad closure passes each sector stack
-of its config whole), and callers may run their stacks on several threads;
-numpy's linalg gufuncs release the GIL.
+share) and the Taylor generator t H of an untrusted row that overflows. No
+stack is split here: the callers size it (`exchange.phase_fidelity` passes
+one block of at most 512 rows, so at most 1,024 generators, per call, and
+may run its blocks on several threads; the scattering pole sum passes one
+3x3 generator per row of its config in one call and two 2x2 ones per row in
+another; the Lindblad closure passes each sector stack of its config
+whole); numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 
@@ -247,7 +248,8 @@ def return_amplitudes(h, t) -> np.ndarray:
     generator of a stack h (n, k, k) of (generally non-Hermitian)
     generators; t is a scalar or has shape (n,). The residues w_k are those
     of `resolvent_poles` for k <= 3 and V_0k (V^-1)_k0 of `eigenbasis` for
-    larger k. Untrusted rows take Taylor scaling-and-squaring."""
+    larger k. Untrusted rows take Taylor scaling-and-squaring; one whose
+    t_j H_j overflows raises NonFinite, as a trusted row's phase does."""
     h = np.asarray(h, dtype=complex)
     if h.ndim == 3 and h.shape[-1] > 3:
         basis = eigenbasis(h)
@@ -261,5 +263,10 @@ def return_amplitudes(h, t) -> np.ndarray:
     with np.errstate(invalid="ignore"):   # inf weights of untrusted rows, replaced below
         out = (weights * phases(values, times[:, None], trusted)).sum(-1)
     for i in (~trusted).nonzero()[0]:
-        out[i] = _expm_squaring(-1j * times[i] * h[i])[0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = -1j * times[i] * h[i]
+        if not np.isfinite(m).all():
+            raise NonFinite("propagation generator t H overflows: ||H|| t is past the "
+                            "double range")
+        out[i] = _expm_squaring(m)[0, 0]
     return out

@@ -1,9 +1,11 @@
 """The array evaluation core against the one-configuration path.
 
-Batches span sizes below, at and above the row block of `phase_fidelity`
-(512 rows, one stack of 1,024 generators) and that stack size itself; rows
-at the block boundaries are always compared. The blocks of a larger batch
-run on threads, which must leave every row bit for bit unchanged.
+Batches span sizes below, at and above the largest row block of
+`phase_fidelity` (512 rows, one stack of 1,024 generators) and that stack
+size itself; rows at the block boundaries are always compared. A batch of
+at least two floor-sized blocks (`exchange.MIN_BLOCK_ROWS` rows each) is cut
+into equal blocks that run on threads, which must leave every row bit for
+bit unchanged; a smaller batch is one block and starts no thread.
 """
 import dataclasses
 import math
@@ -25,8 +27,10 @@ from cavity_gates.errors import (ConvergenceFailure, NonFinite, ValidityWarning,
 from cavity_gates.params import CavitySystem, DecoherenceSpec
 from cavity_gates.scattering import PhotonPulse
 
-#: rows per block of exchange.phase_fidelity, and generators per linalg call
+#: most rows per block of exchange.phase_fidelity, and generators per linalg call
 BLOCK = 512
+#: fewest rows per block of a split batch
+FLOOR = ex.MIN_BLOCK_ROWS
 CHUNK = 2 * BLOCK
 SIZES = (1, 7, BLOCK, BLOCK + 1, CHUNK + 3)
 REL = 1e-12
@@ -403,21 +407,25 @@ def fig6a_config():
 
 
 @pytest.fixture(scope="module")
-def fig6a_blocks():
-    """(config, F_pi from one phase_fidelity call per 512-row block)."""
+def fig6a_one_thread():
+    """(config, F_pi from one block-kernel call per 512-row block). Not one
+    call on all 14,641 rows: numpy computes `a * b` into the temporary b in
+    place once b reaches 256 KiB, as `b * a`, and complex products are not
+    bit for bit commutative, so stacks that large round differently."""
     cfg = fig6a_config()
     lossy_sectors, params = cfg.sectors()
     shape = (121, 121)
     flat = [np.broadcast_to(p, shape).ravel() for p in (*params, cfg.gate_time)]
-    blocks = [ex.phase_fidelity(lossy_sectors, [p[s:s + BLOCK] for p in flat[:-1]],
-                                flat[-1][s:s + BLOCK]) for s in range(0, flat[0].size, BLOCK)]
+    blocks = [ex._block_f_pi(lossy_sectors, [p[s:s + BLOCK] for p in flat[:-1]],
+                             flat[-1][s:s + BLOCK]) for s in range(0, flat[0].size, BLOCK)]
     return cfg, np.concatenate(blocks).reshape(shape)
 
 
-@pytest.mark.parametrize("cpus", (1, 4))
-def test_threaded_blocks_are_bit_identical(monkeypatch, started_threads, fig6a_blocks, cpus):
+@pytest.mark.parametrize("cpus", (1, 2, 3, 4))
+def test_threaded_blocks_are_bit_identical(monkeypatch, started_threads, fig6a_one_thread,
+                                           cpus):
     # more workers than this machine may have cores, switching often
-    cfg, expected = fig6a_blocks
+    cfg, expected = fig6a_one_thread
     set_cpus(monkeypatch, cpus)
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -429,6 +437,39 @@ def test_threaded_blocks_are_bit_identical(monkeypatch, started_threads, fig6a_b
     assert f_pi.shape == expected.shape and np.array_equal(f_pi, expected)
     assert len(started_threads) == cpus - 1
     assert threading.active_count() == before   # every worker was joined
+
+
+@pytest.mark.parametrize("n, cpus, blocks", [
+    (1, 4, 1), (21, 4, 1), (2 * FLOOR - 1, 4, 1), (2 * FLOOR, 2, 2), (402, 2, 2), (402, 4, 2),
+    (BLOCK, 1, 1), (BLOCK + 1, 1, 2), (14641, 1, 29), (14641, 2, 30), (14641, 3, 30),
+    (14641, 4, 32)])
+def test_block_count(n, cpus, blocks):
+    """The fewest blocks of at most 512 rows whose count is a multiple of the
+    CPUs, but none below the floor: fig6b's 402 rows as 2 x 201 on two or
+    four CPUs, fig6a's 14,641 as 30 blocks of 488 or 489 on two."""
+    assert ex._block_count(n, cpus) == blocks
+
+
+def test_fig6b_batch_is_split_in_two(monkeypatch, started_threads):
+    """fig6b's 2 x 201 numeric rows run as two blocks of 201 rows on two
+    CPUs, one of them on one started thread, bit for bit as one block."""
+    set_cpus(monkeypatch, 2)
+    cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+    laser = np.exp(np.linspace(math.log(0.1), math.log(1e3), 201)) * cav.kappa
+    cfg = rm.symmetric_raman_config(cav, 0.5 * math.sqrt(8000.0) * cav.kappa, laser,
+                                    np.array([[0.05], [1.0 / 3.0]]))
+    kernel = ex._block_f_pi
+    unsplit = kernel(*cfg.sectors(), cfg.gate_time).reshape(2, 201)
+    sizes = []
+
+    def record(lossy_sectors, params, gate_time):
+        sizes.append(np.broadcast(*params, gate_time).size)
+        return kernel(lossy_sectors, params, gate_time)
+
+    monkeypatch.setattr(ex, "_block_f_pi", record)
+    f_pi = ex.phase_fidelity(*cfg.sectors(), cfg.gate_time)
+    assert sizes == [201, 201] and len(started_threads) == 1
+    assert f_pi.shape == (2, 201) and np.array_equal(f_pi, unsplit)
 
 
 def lossy_pairs(n, marked):
@@ -477,15 +518,19 @@ def test_worker_exception_reaches_caller(monkeypatch, started_threads):
 
 
 def test_single_block_starts_no_thread(monkeypatch):
+    """A batch smaller than two floor-sized blocks is one block on the
+    calling thread, and so are a one-row evaluation and the 21 rows of a
+    CLI sweep."""
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
     set_cpus(monkeypatch, 4)
     monkeypatch.setattr(threading, "Thread", refuse)
-    lossy_sectors, params = lossy_pairs(BLOCK, [3])
+    lossy_sectors, params = lossy_pairs(2 * FLOOR - 1, [3])
     f_pi = ex.phase_fidelity(lossy_sectors, params, 3.0)
-    assert f_pi.shape == (BLOCK,)
+    assert f_pi.shape == (2 * FLOOR - 1,)
     rm.fidelity_numeric_raman(row(raman_batch(2, 1), 0)).single()   # a one-row evaluation
+    assert ex.fidelity_numeric_exchange(exchange_batch(2, 21)).shape == (21,)
 
 
 def test_workers_see_the_callers_errstate(monkeypatch, started_threads):

@@ -126,3 +126,26 @@ def test_linalg_has_no_test_only_kernel():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "linalg"}
     assert public and sorted(public - called) == []
+
+
+def test_one_thread_executor():
+    """Threads start in one place: `threading` is used in one function of the
+    package, the block executor `exchange.phase_fidelity`, and the block
+    kernel `exchange._block_f_pi` does not call the executor (a kernel that
+    splits its block again starts threads inside threads)."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    users, kernel = [], None
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    if any(isinstance(n, ast.Name) and n.id == "threading"
+                           for n in ast.walk(node)):
+                        users.append(f"{name[:-3]}.{node.name}")
+                    if (name, node.name) == ("exchange.py", "_block_f_pi"):
+                        kernel = node
+    assert users == ["exchange.phase_fidelity"]
+    called = {ast.unparse(n.func) for n in ast.walk(kernel) if isinstance(n, ast.Call)}
+    assert kernel is not None and not {"phase_fidelity", "exchange.phase_fidelity"} & called

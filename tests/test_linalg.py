@@ -504,3 +504,15 @@ def test_phases_refuse_overflow_on_trusted_rows_only():
     out = linalg.phases(values, t, trusted=np.array([True, False]))
     assert out[1, 0] == 0.0
     assert np.array_equal(out[[0, 0, 1], [0, 1, 1]], np.exp(-1j * np.array([1.0, -0.5j, 1e10])))
+
+
+def test_untrusted_row_whose_generator_overflows_raises_non_finite():
+    """A double pole (untrusted) with ||t H|| past the double range goes to
+    the Taylor fallback, whose generator -i t H overflows: NonFinite, with
+    no RuntimeWarning, not an OverflowError from the squaring count."""
+    h = np.array([[[0.0, 1e300], [0.0, 0.0]]])
+    assert not linalg.resolvent_poles(h).trusted.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="overflows"):
+            linalg.return_amplitudes(h, 1e10)
