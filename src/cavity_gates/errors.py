@@ -11,16 +11,15 @@ class NonFinite(CavityGateError):
 
 class ConvergenceFailure(CavityGateError):
     """No numeric path converged: the Taylor fallback of
-    `linalg.return_amplitudes` did not truncate, the Lindblad closure, which
-    has no fallback, met a row whose sector spectrum `linalg` does not trust
-    (the residues of `linalg.resolvent_poles` for an exchange sector, the
-    eigenbasis of `linalg.eigenbasis` for a Raman one; trust measure at or
-    past the one trust limit of `linalg`, near an exceptional point), or
-    `linalg.solve` met a singular matrix (in the scattering matrix-function
-    fallback, for one). Poles that `linalg.resolvent_poles` does not trust
-    raise nothing on the numeric paths: `return_amplitudes` sends those rows
-    to its Taylor fallback and the scattering pole sum to its matrix
-    function."""
+    `linalg.return_amplitudes` did not truncate, the Raman Lindblad
+    closure, which has no fallback, met a row whose sector eigenbasis
+    `linalg.eigenbasis` does not trust (condition number at or past the one
+    trust limit of `linalg`, near an exceptional point), or `linalg.solve`
+    met a singular matrix (in the scattering matrix-function fallback, for
+    one). Poles that `linalg.resolvent_poles` does not trust raise nothing:
+    `return_amplitudes` sends those rows to its Taylor fallback (on the
+    numeric paths of both exchange gates and the simple exchange's
+    Lindblad check) and the scattering pole sum to its matrix function."""
 
 
 class DivergentDenominator(CavityGateError):

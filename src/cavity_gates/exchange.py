@@ -160,10 +160,7 @@ def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, k
 
 
 #: most rows in one block: its `linalg.return_amplitudes` stacks hold at
-#: most 1,024 generators, so a grid of any size runs in bounded memory. Its
-#: temporaries stay below numpy's 256 KiB in-place threshold, past which a
-#: complex product is formed as b * a and may round differently, so a row
-#: does not depend on the size of its block
+#: most 1,024 generators, so a grid of any size runs in bounded memory
 MAX_BLOCK_ROWS = 512
 
 #: fewest rows in a block of a split batch. On a 2-core VM with one BLAS

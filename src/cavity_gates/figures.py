@@ -164,12 +164,12 @@ def build_fig7():
     return FigureData("fig7", comments, header, rows)
 
 
-def _fig8_table(cooperativity=8000.0, g_over_kappa=0.1):
+def _fig8_table():
     """Optimal fidelities and gate times of the three gates over the fig8
     Gamma column, each a row-wise search through the analytic evaluators."""
+    cooperativity, g_over_kappa = 8000.0, 0.1
     gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
-    g2 = cav.g**2
 
     def scatter(log_t):
         cfg = _scatter_configs(cooperativity, g_over_kappa, gammas, 0.0, np.exp(log_t))
@@ -182,7 +182,7 @@ def _fig8_table(cooperativity=8000.0, g_over_kappa=0.1):
     def simple(log_d):
         d = np.exp(log_d)
         return (0.5 * (exchange.ridge_f_pi(d, cav.kappa, cooperativity) + 1.0)
-                - gammas * math.pi * d / g2)
+                - gammas * exchange.exchange_gate_time(d, cav.g, cav.g))
 
     ridge = math.log(exchange.optimal_detuning(cav.kappa, cooperativity))
     log_e, best_e = sweep.golden_section_max(simple, np.full_like(gammas, ridge - 5.0),
@@ -217,7 +217,8 @@ def _fig8_table(cooperativity=8000.0, g_over_kappa=0.1):
         if not active.any():
             break
     return (np.column_stack([gammas, best_s, best_e, best]),
-            np.column_stack([gammas, np.exp(log_t), math.pi * np.exp(log_e) / g2,
+            np.column_stack([gammas, np.exp(log_t),
+                             exchange.exchange_gate_time(np.exp(log_e), cav.g, cav.g),
                              raman_configs(log_d, log_x).gate_time]))
 
 

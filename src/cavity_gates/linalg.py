@@ -13,39 +13,41 @@ forms on a spectrum lose about its trust measure squared times epsilon.
   trusted when 2 sum_k |w_k| is below the limit; for a complex-symmetric
   2x2 that is exactly the Frobenius condition number, and on the
   scattering 3x3 generators (fig2a-c and 20,000 random configs)
-  cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has three callers:
-  the scattering pole sum (3x3 stars and their 2x2 pairs), which sends
-  untrusted rows to a matrix function of the generators built on `solve`;
-  `return_amplitudes` on both exchange sectors and the Raman |uu> sector;
-  and the exchange-gate Lindblad closure.
+  cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has two callers: the
+  scattering pole sum (3x3 stars and their 2x2 pairs), which sends
+  untrusted rows to a matrix function of the generators built on `solve`,
+  and `return_amplitudes` on both exchange sectors and the Raman |uu>
+  sector, which sends them to its Taylor fallback.
 - `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
   `np.linalg.inv` of the eigenvectors V. A row is trusted when its
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
   times it) is below the limit. It serves the Raman 5x5 |ud> sector in
-  `return_amplitudes`, and both Raman sectors in the Lindblad closure,
-  whose jump integral needs the amplitudes of the jump sources, not only
-  of the start state. The 5x5 keeps V_0k (V^-1)_k0 because its weights pin
-  the fig6a reference: on rows with ||H|| T >= 1e9, where two slow
-  eigenvalues nearly coincide, eigenvalue-only weights move hundreds of
-  fig6a cells past 1e-10 (ROADMAP item 2).
+  `return_amplitudes`, and both Raman sectors in the Raman Lindblad
+  closure, whose jump integral needs the amplitudes of the jump sources,
+  not only of the start state. The 5x5 keeps V_0k (V^-1)_k0 because its
+  weights pin the fig6a reference: on rows with ||H|| T >= 1e9, where two
+  slow eigenvalues nearly coincide, eigenvalue-only weights move hundreds
+  of fig6a cells past 1e-10 (ROADMAP item 2).
 
 `return_amplitudes` sends the untrusted rows of either kernel to Taylor
-scaling-and-squaring, one row at a time, and `lindblad.gate_fidelity_lindblad`
-refuses a whole batch with ConvergenceFailure when any of its rows is
-untrusted. Both form <0|e^{-itH}|0> from the same weights with the same
-products in the same order.
+scaling-and-squaring, one row at a time. It propagates the numeric path of
+both exchange gates and, through it, the simple exchange's Lindblad check.
+The Raman Lindblad closure has no fallback: it refuses a whole batch with
+ConvergenceFailure when any of its rows' eigenbases is untrusted.
 
-In both kernels a NaN or Inf trust measure, and every row of a stack whose
-eigensolve (or inverse) raises LinAlgError, are untrusted; NaN or Inf input
-raises NonFinite, and so does a phase e^{-i t lambda} of a trusted row that
-overflows (`phases`, which `return_amplitudes` and the Lindblad closure
-share) and the Taylor generator t H of an untrusted row that overflows. No
-stack is split here: the callers size it (`exchange.phase_fidelity` passes
-one block of at most 512 rows, so at most 1,024 generators, per call, and
-may run its blocks on several threads; the scattering pole sum passes one
-3x3 generator per row of its config in one call and two 2x2 ones per row in
-another; the Lindblad closure passes each sector stack of its config
-whole); numpy's linalg gufuncs release the GIL.
+In both kernels a NaN or Inf trust measure (products that overflowed, say),
+and every row of a stack whose eigensolve (or inverse) raises LinAlgError,
+are untrusted; NaN or Inf input raises NonFinite, and so does a propagation
+that overflows, with one message whichever route the row took: a phase
+e^{-i t lambda} of a trusted row (`phases`, which `return_amplitudes` and
+the Raman Lindblad closure share) or the Taylor generator t H of an
+untrusted row. No stack is split here: the callers size it
+(`exchange.phase_fidelity` passes one block of at most 512 rows, so at most
+1,024 generators, per call, and may run its blocks on several threads; the
+scattering pole sum passes one 3x3 generator per row of its config in one
+call and two 2x2 ones per row in another; the Raman Lindblad closure passes
+each sector stack of its config whole). A row's result does not depend on
+the size of its stack, and numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 
@@ -61,6 +63,9 @@ EIG_COND_LIMIT = 1e3
 
 #: truncation tolerance of the Taylor fallback
 SERIES_TOL = 1e-12
+
+#: the NonFinite text of an overflowing propagation, whichever route a row took
+_OVERFLOW = "propagation overflows: ||H|| t is past the double range"
 
 
 class Eigenbasis(NamedTuple):
@@ -139,18 +144,15 @@ def resolvent_poles(h) -> Poles:
     accuracy. A row is trusted when 2 sum_k |w_k| < EIG_COND_LIMIT; a row
     with a double pole divides by zero and is not.
 
-    An untrusted row is solved again, in two ways that change no trusted
-    row. First, on its entries divided by the largest power of two not
-    above max |h_ij|, with `eigvals`' eigenvalues scaled alike: in the
-    double range that changes no bit, and where ||H|| nears its edge it
-    keeps finite the products that overflowed. Second, a state i >= 1
-    coupled to no other (row and column i zero off the diagonal) is not a
-    pole of the resolvent, but it may share its eigenvalue with another
-    state, where the formula is 0/0: a row still untrusted is solved
-    without such states, whose eigenvalues h_ii get weight 0. (On a trusted
-    row the formula gives h_ii a weight within rounding of 0, and exactly
-    0 when `eigvals` returns h_ii itself, as LAPACK's balancing does for an
-    isolated state.)
+    An untrusted row is solved again once, in a way that changes no
+    trusted row: a state i >= 1 coupled to no other (row and column i zero
+    off the diagonal) is not a pole of the resolvent, but it may share its
+    eigenvalue with another state, where the formula is 0/0, so the row is
+    solved without such states, whose eigenvalues h_ii get weight 0. (On a
+    trusted row the formula gives h_ii a weight within rounding of 0, and
+    exactly 0 when `eigvals` returns h_ii itself, as LAPACK's balancing
+    does for an isolated state.) A row whose products overflow, where
+    ||H|| nears the edge of the double range, stays untrusted.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
@@ -172,12 +174,6 @@ def resolvent_poles(h) -> Poles:
         trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
         if not trusted.all():
             rows = (~trusted).nonzero()[0]
-            scale = np.ldexp(1.0, np.frexp(abs(h[rows]).max((1, 2)))[1] - 1)[:, None]
-            scaled, weights[rows] = _residues(h[rows] / scale[:, :, None], values[rows] / scale)
-            values[rows] = scaled * scale
-            cond[rows] = 2.0 * abs(weights[rows]).sum(-1)
-            trusted[rows] = cond[rows] < EIG_COND_LIMIT
-            rows = rows[~trusted[rows]]
             off = (h[rows] != 0.0) & ~np.eye(k, dtype=bool)
             decoupled = ~(off.any(1) | off.any(2))
             decoupled[:, 0] = False
@@ -237,8 +233,7 @@ def phases(values, t, trusted=True) -> np.ndarray:
     finite = np.isfinite(out)
     if not finite.all():
         if not (finite.all(-1) | ~np.asarray(trusted)).all():
-            raise NonFinite("propagation phase e^{-i t lambda} overflows: ||H|| t is past "
-                            "the double range")
+            raise NonFinite(_OVERFLOW)
         out[~finite] = 0.0
     return out
 
@@ -260,13 +255,14 @@ def return_amplitudes(h, t) -> np.ndarray:
     times = np.broadcast_to(np.asarray(t, dtype=float), len(h))
     if not np.isfinite(times).all():
         raise NonFinite("propagation time contains NaN or Inf entries")
+    # not `*`: on a large temporary numpy forms `phases * weights`, which may round
+    # differently, so a row's bits would depend on the size of its stack
     with np.errstate(invalid="ignore"):   # inf weights of untrusted rows, replaced below
-        out = (weights * phases(values, times[:, None], trusted)).sum(-1)
+        out = np.multiply(weights, phases(values, times[:, None], trusted)).sum(-1)
     for i in (~trusted).nonzero()[0]:
         with np.errstate(over="ignore", invalid="ignore"):
             m = -1j * times[i] * h[i]
         if not np.isfinite(m).all():
-            raise NonFinite("propagation generator t H overflows: ||H|| t is past the "
-                            "double range")
+            raise NonFinite(_OVERFLOW)
         out[i] = _expm_squaring(m)[0, 0]
     return out

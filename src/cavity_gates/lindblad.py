@@ -20,18 +20,16 @@ path, and the recycled weight
 
 summed over the jumps c (rate r_c, source states src_ud and src_uu) that
 land on a state the target holds. The time integral is closed form over the
-eigenvalue pairs lambda_k - conj(lambda_l) of both sectors. For the Raman
-gate, F_pi and J come from one `linalg.eigenbasis` call per sector stack;
-for the exchange gate, which has no J, F_pi comes from one
-`linalg.resolvent_poles` call per sector stack, with no eigenvectors.
+eigenvalue pairs lambda_k - conj(lambda_l) of both sectors.
 
 Raman gate: photon loss and emitter decay leave the emitters in the frozen
 |d,s> and |d,d> ground states, which the target holds, so recycled
-population lands on the target and J > 0. Exchange gate: every jump lands
+population lands on the target and J > 0; F_pi and J come from one
+`linalg.eigenbasis` call per sector stack. Exchange gate: every jump lands
 in an A-ground state that the closing pi pulse re-excites, which the target
-does not hold. So J = 0 there, and the result equals the numeric path's
-(F_pi + 1)/2 - Gamma_eff T bit for bit: F_pi comes from the same poles and
-residues and the same products as `linalg.return_amplitudes`.
+does not hold. So J = 0 there, F = (F_pi + 1)/2 - Gamma_eff T, and F_pi
+comes from `exchange.phase_fidelity`: the result is the numeric path's bit
+for bit, near an exceptional point too, where its Taylor fallback serves.
 """
 from __future__ import annotations
 
@@ -41,18 +39,15 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, NonFinite
-from .exchange import ExchangeConfig
+from .exchange import ExchangeConfig, phase_fidelity
 from .params import GateResults, Method, broadcast_shape, gate_results
 from .raman import RamanConfig
 
-#: jumps that land on a target state: (cavity rate, source in the |ud> block,
-#: source in the |uu> block or None)
-_TARGET_JUMPS = {
-    RamanConfig: (("kappa", 2, 2),       # cavity photon loss
-                  ("gamma", 1, 1),       # emitter A decay
-                  ("gamma", 3, None)),   # emitter B decay
-    ExchangeConfig: (),
-}
+#: Raman jumps that land on a target state: (cavity rate, source in the |ud>
+#: block, source in the |uu> block or None)
+_TARGET_JUMPS = (("kappa", 2, 2),       # cavity photon loss
+                 ("gamma", 1, 1),       # emitter A decay
+                 ("gamma", 3, None))    # emitter B decay
 
 
 def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
@@ -61,28 +56,29 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     fidelity outside [0, 1] is clamped and carries the "clamped" note, as
     on the numeric path.
 
-    There is no fallback: the closed-form jump integral, and the pole sum
-    of F_pi, lose about cond^2 times machine epsilon, so a sector spectrum
-    that `linalg` does not trust on any row (near an exceptional point)
-    raises ConvergenceFailure. NaN or Inf in a generator, a trusted row's
-    phase that overflows (checked first) and an overlap that overflowed
-    raise NonFinite.
+    An exchange config has J = 0, so F = (F_pi + 1)/2 - Gamma_eff T with
+    F_pi from `exchange.phase_fidelity`: `fidelity_numeric_exchange`'s
+    result bit for bit, near an exceptional point too. A Raman config has
+    no fallback: the closed-form jump integral loses about cond^2 times
+    machine epsilon, so a sector eigenbasis that `linalg` does not trust on
+    any row (near an exceptional point) raises ConvergenceFailure. NaN or
+    Inf in a generator, a phase that overflows (a trusted row's, checked
+    first) and an overlap that overflowed raise NonFinite.
     """
-    lossy_sectors, params = config.sectors()
     gate_time = config.gate_time
+    if isinstance(config, ExchangeConfig):   # J = 0: sqrt of the overlap is (1 + F_pi)/2
+        f_pi = phase_fidelity(*config.sectors(), gate_time)
+        return gate_results(0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time, gate_time,
+                            Method.LINDBLAD)
+    lossy_sectors, params = config.sectors()
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
     t = np.broadcast_to(gate_time, shape).reshape(n, 1)
-    jumps = _TARGET_JUMPS[type(config)]
-    bases, amplitudes = [], []   # per sector: its spectrum, V_ik (V^-1)_k0 (n, k or 1, k)
+    bases, amplitudes = [], []   # per sector: its eigenbasis, V_ik (V^-1)_k0 (n, k, k)
     for h in lossy_sectors(*params):
         h = np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
-        if jumps:
-            basis = linalg.eigenbasis(h)
-            amplitudes.append(basis.vectors * basis.inverse[:, None, :, 0])
-        else:   # the start state's return amplitude only, from the numeric path's kernel
-            basis = linalg.resolvent_poles(h)
-            amplitudes.append(basis.weights[:, None])
+        basis = linalg.eigenbasis(h)
+        amplitudes.append(basis.vectors * basis.inverse[:, None, :, 0])
         bases.append(basis)
     # an overflowing phase of a trusted row raises NonFinite before any row is refused
     rotations = [linalg.phases(basis.values, t, basis.trusted) for basis in bases]
@@ -93,24 +89,22 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
                                      f"{basis.cond[row]:.2e} on row {row}): too near an "
                                      f"exceptional point")
     ud, uu = ((a[:, 0] * p).sum(-1) for a, p in zip(amplitudes, rotations))
-    overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
-    if jumps:
-        # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
-        u = np.stack([np.concatenate([np.zeros_like(a[:, 0]) if src is None else 0.5 * a[:, src]
-                                      for a, src in zip(amplitudes, sources)], axis=-1)
-                      for _, *sources in jumps], axis=1)
-        lam = np.concatenate([basis.values for basis in bases], axis=-1)
-        # int_0^T e^{-isz} ds over z = lambda_k - conj(lambda_l), with a small-|z|T branch
-        z = lam[:, :, None] - lam.conj()[:, None, :]
-        span = t[:, :, None]
-        small = np.abs(z) * span < 1e-9
-        z_safe = np.where(small, 1.0, z)
-        integral = np.where(small, span * (1.0 - 0.5j * z * span),
-                            (1.0 - np.exp(-1j * z_safe * span)) / (1j * z_safe))
-        rates = np.stack([np.broadcast_to(getattr(config.cavity, name), shape).ravel()
-                          for name, *_ in jumps], axis=1)
-        weights = np.einsum("nck,nkl,ncl->nc", u, integral, u.conj()).real
-        overlap = overlap + 0.25 * (rates * weights).sum(-1)
+    # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
+    u = np.stack([np.concatenate([np.zeros_like(a[:, 0]) if src is None else 0.5 * a[:, src]
+                                  for a, src in zip(amplitudes, sources)], axis=-1)
+                  for _, *sources in _TARGET_JUMPS], axis=1)
+    lam = np.concatenate([basis.values for basis in bases], axis=-1)
+    # int_0^T e^{-isz} ds over z = lambda_k - conj(lambda_l), with a small-|z|T branch
+    z = lam[:, :, None] - lam.conj()[:, None, :]
+    span = t[:, :, None]
+    small = np.abs(z) * span < 1e-9
+    z_safe = np.where(small, 1.0, z)
+    integral = np.where(small, span * (1.0 - 0.5j * z * span),
+                        (1.0 - np.exp(-1j * z_safe * span)) / (1j * z_safe))
+    rates = np.stack([np.broadcast_to(getattr(config.cavity, name), shape).ravel()
+                      for name, *_ in _TARGET_JUMPS], axis=1)
+    weights = np.einsum("nck,nkl,ncl->nc", u, integral, u.conj()).real
+    overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2 + 0.25 * (rates * weights).sum(-1)
     if not np.isfinite(overlap).all():
         raise NonFinite("gate overlap is not finite: the propagation overflowed")
     f_gate = np.sqrt(np.clip(overlap, 0.0, 1.0)).reshape(shape) - config.gamma_eff * gate_time

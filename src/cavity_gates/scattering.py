@@ -239,7 +239,8 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     sbar = np.conj(spin_amplitudes(config, mirrored))   # (4_j, 8_k) + shape
     sigma = config.pulse.sigma_p
     z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
-    weights = residues * np.conj(1j * math.sqrt(0.5 * math.pi) / sigma * _faddeeva(z))
+    # not `*`, which may swap the complex operands on a large temporary (see `linalg`)
+    weights = np.multiply(residues, np.conj(1j * math.sqrt(0.5 * math.pi) / sigma * _faddeeva(z)))
     # t_ij sums amplitude i's poles; the other poles add exact zeros
     t = np.einsum("ik,k...,jk...->ij...", _POLE_OWNER, weights, sbar)
     rho = 0.25 * (1.0 + t + np.conj(np.swapaxes(t, 0, 1)))
@@ -344,9 +345,14 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     off by 8.2e-9 (at gamma = 1e-3 and at 8e-11), and at g = 2, kappa = 0.1,
     gamma = 2e-10, delta_eps_a = 8e10 by 2.1e-8, where the matrix-function
     form is within 3e-16 (the eigenvector residues gave 2.7e-9, 4.1e-9 and
-    2.1e-8). Refining the poles by Newton steps on the secular equation is
-    left to ROADMAP.md item 6: one step closed two of these rows but not
-    the third.
+    2.1e-8). The gap grows with the detuning, with no note: at g = 0.5,
+    kappa = 1, gamma = 0.01, T = 2, delta_p = 0.3, delta_eps_b = 0.1 the
+    pole sum is off the matrix-function form by 2.2e-4 at
+    delta_eps_a/gamma = 1e16 and by 3.6e-2 at 1e18 (F = 0.4814 against
+    0.4996), and by about 1e-2 from 1e22 to 1e52, where the matrix-function
+    form is within 6e-17 of an adaptive quadrature. Refining the poles by
+    Newton steps on the secular equation is left to ROADMAP.md item 6: one
+    step closed two of the rows above but not the third.
     """
     return _density_matrices(config)[0]
 

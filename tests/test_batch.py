@@ -408,17 +408,24 @@ def fig6a_config():
 
 @pytest.fixture(scope="module")
 def fig6a_one_thread():
-    """(config, F_pi from one block-kernel call per 512-row block). Not one
-    call on all 14,641 rows: numpy computes `a * b` into the temporary b in
-    place once b reaches 256 KiB, as `b * a`, and complex products are not
-    bit for bit commutative, so stacks that large round differently."""
+    """(config, F_pi from one block-kernel call on all 14,641 rows)."""
+    cfg = fig6a_config()
+    return cfg, ex._block_f_pi(*cfg.sectors(), cfg.gate_time).reshape(121, 121)
+
+
+def test_return_amplitudes_do_not_depend_on_stack_size():
+    """A row's bits do not depend on the size of its stack: fig6a's 14,641
+    |uu> generators in one call equal 512-row calls bit for bit. (numpy
+    multiplies into a temporary operand in place once it reaches 256 KiB,
+    which would form a complex product with its operands swapped.)"""
     cfg = fig6a_config()
     lossy_sectors, params = cfg.sectors()
-    shape = (121, 121)
-    flat = [np.broadcast_to(p, shape).ravel() for p in (*params, cfg.gate_time)]
-    blocks = [ex._block_f_pi(lossy_sectors, [p[s:s + BLOCK] for p in flat[:-1]],
-                             flat[-1][s:s + BLOCK]) for s in range(0, flat[0].size, BLOCK)]
-    return cfg, np.concatenate(blocks).reshape(shape)
+    h = lossy_sectors(*params)[1].reshape(-1, 3, 3)
+    t = np.broadcast_to(cfg.gate_time, (121, 121)).ravel()
+    whole = linalg.return_amplitudes(h, t)
+    blocks = [linalg.return_amplitudes(h[s:s + BLOCK], t[s:s + BLOCK])
+              for s in range(0, len(h), BLOCK)]
+    assert np.array_equal(whole, np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3, 4))

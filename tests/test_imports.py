@@ -149,3 +149,25 @@ def test_one_thread_executor():
     assert users == ["exchange.phase_fidelity"]
     called = {ast.unparse(n.func) for n in ast.walk(kernel) if isinstance(n, ast.Call)}
     assert kernel is not None and not {"phase_fidelity", "exchange.phase_fidelity"} & called
+
+
+def test_one_exchange_f_pi_route():
+    """The simple exchange has one F_pi route: `lindblad` calls neither
+    `linalg.resolvent_poles` nor `linalg.return_amplitudes`, and the
+    exchange branch of `gate_fidelity_lindblad` takes F_pi from
+    `exchange.phase_fidelity`, the numeric path's executor."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    with open(os.path.join(package, "lindblad.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+
+    def calls(node):
+        return {ast.unparse(n.func).rsplit(".", 1)[-1] for n in ast.walk(node)
+                if isinstance(n, ast.Call)}
+
+    assert not {"resolvent_poles", "return_amplitudes"} & calls(tree)
+    entry = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "gate_fidelity_lindblad")
+    branches = [node.body for node in ast.walk(entry) if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "isinstance(config, ExchangeConfig)"]
+    assert len(branches) == 1
+    assert "phase_fidelity" in set().union(*(calls(node) for node in branches[0]))

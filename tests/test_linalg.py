@@ -355,26 +355,6 @@ def test_resolvent_poles_drop_decoupled_states():
         assert abs(out[i] - linalg._expm_squaring(-1.3j * h[i])[0, 0]) < 1e-13
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_resolvent_poles_are_scale_free(k):
-    """The weights are formed on the generator divided by a power of two, so
-    a generator scaled by 2^m keeps its trust and its weights, up to
-    ||H|| ~ 1e300, where unscaled products overflow: pairs (closed form)
-    bit for bit with poles scaled exactly, 3x3s to eigvals' rounding."""
-    rng = np.random.default_rng(53 + k)
-    h = chain_stack(rng, 200, k)
-    poles = linalg.resolvent_poles(h)
-    for m in (-500, -40, 40, 990):
-        scaled = linalg.resolvent_poles(np.ldexp(h.real, m) + 1j * np.ldexp(h.imag, m))
-        assert np.array_equal(scaled.trusted, poles.trusted) and poles.trusted.all()
-        if k == 2:
-            assert np.array_equal(scaled.weights, poles.weights)
-            assert np.array_equal(scaled.values, np.ldexp(poles.values.real, m)
-                                  + 1j * np.ldexp(poles.values.imag, m))
-        else:
-            assert abs(scaled.weights - poles.weights).max() <= 1e-13
-
-
 def figure_sector(case):
     """(3x3 generator, gate time) of one oracle row: a fig4 row (g/kappa 0.1
     or 10, Delta/kappa 1 or 1e4) in either exchange sector, or the Raman |uu>

@@ -1,6 +1,7 @@
 """The batched Lindblad closure of `lindblad` against the joint-space
 oracle of `lindblad_oracle`, and the oracle against the full Liouvillian."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ import lindblad_oracle as orc
 from cavity_gates import lindblad as lb
 from cavity_gates import linalg
 from cavity_gates.cli import main
+from cavity_gates.config import build_raman, load_config_text
 from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, fidelity_numeric_exchange,
                                    optimal_detuning)
-from cavity_gates.params import CavitySystem
+from cavity_gates.params import CavitySystem, stack_configs
 from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
 
 
@@ -404,17 +406,66 @@ splitting_eg = ideal
 """
 
 
-def test_exceptional_point_row_is_refused(tmp_path):
+def test_exceptional_point_row_takes_the_numeric_path(tmp_path):
+    """An exchange row whose poles `linalg` does not trust is not refused:
+    the closure takes F_pi from `exchange.phase_fidelity`, whose Taylor
+    fallback serves that row, so the result is the numeric path's."""
     cav = CavitySystem(g=0.25, kappa=1.0, gamma=1e-9)
-    with pytest.raises(ConvergenceFailure, match="not trusted"):
-        lb.gate_fidelity_lindblad(ExchangeConfig(cav, detuning=1e-9)).single()
-    # one such row refuses the whole batch
-    with pytest.raises(ConvergenceFailure, match="on row 1"):
-        lb.gate_fidelity_lindblad(ExchangeConfig(cav, detuning=np.array([10.0, 1e-9])))
+    cfg = ExchangeConfig(cav, detuning=np.array([10.0, 1e-9]))
+    lossy_sectors, params = cfg.sectors()
+    h_uu = np.broadcast_to(lossy_sectors(*params)[1], (2, 3, 3))
+    assert linalg.resolvent_poles(h_uu).trusted.tolist() == [True, False]
+    lindblad = lb.gate_fidelity_lindblad(cfg)
+    assert np.array_equal(lindblad.fidelity, fidelity_numeric_exchange(cfg).fidelity)
+    assert lindblad.method.value == "lindblad"
     path = tmp_path / "exceptional.ini"
     path.write_text(EXCEPTIONAL_ROW)
-    result = CliRunner().invoke(main, ["evaluate", "simple_exchange", str(path),
-                                       "--method", "lindblad"])
+    records = {}
+    for method in ("lindblad", "numeric"):
+        result = CliRunner().invoke(main, ["evaluate", "simple_exchange", str(path),
+                                           "--method", method])
+        assert result.exit_code == 0, result.exception
+        assert result.stderr == ""
+        records[method] = json.loads(result.stdout)
+    assert records["lindblad"]["method"] == "lindblad"
+    assert records["lindblad"]["fidelity"] == records["numeric"]["fidelity"]
+
+
+#: one Raman row of the CLI's config format; its sector eigenbases grow less
+#: well conditioned with g/kappa
+RAMAN_ROW = """
+[cavity]
+cooperativity = 1000
+g_over_kappa = {g_over_kappa}
+gamma = 1 rad_s
+
+[scheme.raman]
+two_photon = optimal
+laser_detuning = 2 per_kappa
+rabi_over_detuning = 0.1
+"""
+
+
+def test_untrusted_raman_row_is_refused(monkeypatch, tmp_path):
+    """The Raman closure has no fallback. With the trust limit set between
+    two rows' condition numbers, the row past it refuses the whole batch
+    with ConvergenceFailure naming that row, and alone on the CLI it exits
+    3 with one `error:` line."""
+    texts = [RAMAN_ROW.format(g_over_kappa=g) for g in (0.1, 1.0)]
+    rows = [build_raman(load_config_text(text)) for text in texts]
+    conds = []
+    for cfg in rows:
+        lossy_sectors, params = cfg.sectors()
+        conds.append(max(linalg.eigenbasis(np.asarray(h).reshape(1, *h.shape[-2:])).cond[0]
+                         for h in lossy_sectors(*params)))
+    assert conds[0] < conds[1] < linalg.EIG_COND_LIMIT
+    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.5 * (conds[0] + conds[1]))
+    lb.gate_fidelity_lindblad(rows[0])
+    with pytest.raises(ConvergenceFailure, match="on row 1"):
+        lb.gate_fidelity_lindblad(stack_configs(rows))
+    path = tmp_path / "raman.ini"
+    path.write_text(texts[1])
+    result = CliRunner().invoke(main, ["evaluate", "raman", str(path), "--method", "lindblad"])
     assert result.exit_code == 3, result.exception
     assert result.stdout == ""
     assert result.stderr.startswith("error: eigenbasis of H_eff not trusted")
