@@ -309,9 +309,8 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
     run.check_all_read(scheme)
     out_text = "\n".join(lines) + "\n"
     if out_dir is not None:
-        csv_path, _ = _write_run(out_dir, "sweep.csv", out_text, f"sweep {scheme} {param}",
-                                 out_text)
-        click.echo(json.dumps({"outputs": [csv_path]}))
+        paths = _write_run(out_dir, "sweep.csv", out_text, f"sweep {scheme} {param}", out_text)
+        click.echo(json.dumps({"outputs": paths}))
     else:
         click.echo(out_text, nl=False)
 

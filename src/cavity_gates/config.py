@@ -83,7 +83,7 @@ def _read_ini(text: str) -> dict:
             if name == "DEFAULT":
                 raise ConfigError(f"config line {lineno}: the format has no [DEFAULT] section")
             if name in sections:
-                raise ConfigError(f"config line {lineno}: duplicate section [{name}]", key=name)
+                raise ConfigError(f"config line {lineno}: duplicate section [{name}]")
             section = sections[name] = {}
             key_indent = None
             continue
@@ -96,8 +96,7 @@ def _read_ini(text: str) -> dict:
         if split < 0 or not key:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {content!r}")
         if key in section:
-            raise ConfigError(f"config line {lineno}: duplicate key {name}.{key}",
-                              key=f"{name}.{key}")
+            raise ConfigError(f"config line {lineno}: duplicate key {name}.{key}")
         section[key] = content[split + 1:].strip()
         key_indent = indent
     return sections
@@ -116,13 +115,13 @@ def _split_quantity(raw: str, key: str):
         elif len(parts) == 2:
             number, unit = parts
         else:
-            raise ConfigError(f"{key}: expected '<value> [unit]', got {raw!r}", key=key)
+            raise ConfigError(f"{key}: expected '<value> [unit]', got {raw!r}")
     try:
         value = float(number)
     except ValueError:
-        raise ConfigError(f"{key}: {number!r} is not a number", key=key)
+        raise ConfigError(f"{key}: {number!r} is not a number")
     if not math.isfinite(value):
-        raise ConfigError(f"{key}: {number!r} is not a finite number", key=key)
+        raise ConfigError(f"{key}: {number!r} is not a finite number")
     return value, unit
 
 
@@ -151,7 +150,7 @@ class _Section:
         """The option's text, marked read; None when it is absent and has a default."""
         if option not in self.raw:
             if default is _REQUIRED:
-                raise ConfigError(f"{self.key(option)} is required", key=self.key(option))
+                raise ConfigError(f"{self.key(option)} is required")
             return None
         self.used.add(option)
         return self.raw[option]
@@ -162,13 +161,12 @@ class _Section:
         unit = unit or next(iter(units))
         if unit not in units:
             raise ConfigError(f"{self.key(option)}: unknown {kind} unit {unit!r}; expected one "
-                              f"of {sorted(units)}", key=self.key(option))
+                              f"of {sorted(units)}")
         scale = units[unit]
         if isinstance(scale, str):   # the section's gamma or kappa
             name, scale = scale, getattr(self, scale)
             if scale is None:
-                raise ConfigError(f"{self.key(option)}: {unit} unit requires {name}",
-                                  key=self.key(option))
+                raise ConfigError(f"{self.key(option)}: {unit} unit requires {name}")
         return value, scale
 
     def rate(self, option, default=_REQUIRED):
@@ -191,7 +189,7 @@ class _Section:
             return default
         value, unit = _split_quantity(text, self.key(option))
         if unit is not None:
-            raise ConfigError(f"{self.key(option)} must be dimensionless", key=self.key(option))
+            raise ConfigError(f"{self.key(option)} must be dimensionless")
         return value
 
     def word(self, option, default=None):
@@ -208,7 +206,7 @@ class RunConfig:
 
     def scheme_section(self, name: str) -> _Section:
         if name not in self.schemes:
-            raise ConfigError(f"config has no [scheme.{name}] section", key=f"scheme.{name}")
+            raise ConfigError(f"config has no [scheme.{name}] section")
         return self.schemes[name]
 
     def check_all_read(self, name: str):
@@ -217,7 +215,7 @@ class RunConfig:
         for section in (*self.common, self.scheme_section(name)):
             unread = [section.key(option) for option in section.raw if option not in section.used]
             if unread:
-                raise ConfigError(f"{unread[0]} is never read (misspelled?)", key=unread[0])
+                raise ConfigError(f"{unread[0]} is never read (misspelled?)")
 
 
 def _build_cavity(section: _Section) -> CavitySystem:
@@ -227,21 +225,20 @@ def _build_cavity(section: _Section) -> CavitySystem:
         c = section.number("cooperativity")
         gok = section.number("g_over_kappa")
         if gok is None:
-            raise ConfigError("cavity.g_over_kappa is required with cavity.cooperativity",
-                              key="cavity.g_over_kappa")
+            raise ConfigError("cavity.g_over_kappa is required with cavity.cooperativity")
         try:
             return CavitySystem.from_cooperativity(c, gok, gamma)
         except ValueError as exc:
-            raise ConfigError(f"cavity: {exc}", key="cavity.cooperativity")
+            raise ConfigError(f"cavity: {exc}")
     g = section.rate("g", None)
     kappa = section.rate("kappa", None)
     if g is None or kappa is None:
-        raise ConfigError("cavity needs either cooperativity+g_over_kappa or g+kappa",
-                          key="cavity.g" if g is None else "cavity.kappa")
+        raise ConfigError(f"{section.key('g' if g is None else 'kappa')} is required: the "
+                          "cavity needs either cooperativity+g_over_kappa or g+kappa")
     try:
         return CavitySystem(g=g, kappa=kappa, gamma=gamma)
     except ValueError as exc:
-        raise ConfigError(f"cavity: {exc}", key="cavity.g")
+        raise ConfigError(f"cavity: {exc}")
 
 
 def _build_decoherence(section: _Section) -> DecoherenceSpec:
@@ -254,13 +251,13 @@ def _build_decoherence(section: _Section) -> DecoherenceSpec:
             qubit_t2=section.duration("qubit_t2"),
         )
     except ValueError as exc:
-        raise ConfigError(f"decoherence: {exc}", key="decoherence")
+        raise ConfigError(f"decoherence: {exc}")
 
 
 def load_config_text(text: str) -> RunConfig:
     sections = _read_ini(text)
     if "cavity" not in sections:
-        raise ConfigError("missing [cavity] section", key="cavity")
+        raise ConfigError("missing [cavity] section")
     cavity_section = _Section("cavity", sections["cavity"])
     cavity = _build_cavity(cavity_section)
     # an absent [decoherence] section reads as an empty one: every rate 0
@@ -292,8 +289,7 @@ def build_scattering(run: RunConfig) -> ScatteringConfig:
     sigma_p = sec.rate("sigma_p", 0.0)
     gate_time = sec.duration("gate_time")
     if (sigma_p > 0.0) == (gate_time is not None):
-        raise ConfigError("scheme.scattering needs exactly one of sigma_p or gate_time",
-                          key=sec.key("sigma_p"))
+        raise ConfigError("scheme.scattering needs exactly one of sigma_p or gate_time")
     delta_p = sec.rate("delta_p", 0.0)
     try:
         if gate_time is not None:
@@ -307,7 +303,7 @@ def build_scattering(run: RunConfig) -> ScatteringConfig:
             gamma_eff=gamma_eff,
         )
     except ValueError as exc:
-        raise ConfigError(f"scheme.scattering: {exc}", key="scheme.scattering")
+        raise ConfigError(f"scheme.scattering: {exc}")
 
 
 def build_exchange(run: RunConfig) -> ExchangeConfig:
@@ -327,7 +323,7 @@ def build_exchange(run: RunConfig) -> ExchangeConfig:
                 "equal": ExchangeMode.EQUAL_RESONANT}[mode_word]
     except KeyError:
         raise ConfigError(f"scheme.simple_exchange.mode must be opposite or equal, "
-                          f"got {mode_word!r}", key=sec.key("mode"))
+                          f"got {mode_word!r}")
     try:
         return ExchangeConfig(
             cavity=cavity, detuning=detuning, splitting_eg=splitting,
@@ -336,7 +332,7 @@ def build_exchange(run: RunConfig) -> ExchangeConfig:
             mode=mode,
         )
     except ValueError as exc:
-        raise ConfigError(f"scheme.simple_exchange: {exc}", key="scheme.simple_exchange")
+        raise ConfigError(f"scheme.simple_exchange: {exc}")
 
 
 def build_raman(run: RunConfig) -> RamanConfig:
@@ -353,19 +349,17 @@ def build_raman(run: RunConfig) -> RamanConfig:
     rabi_over = sec.number("rabi_over_detuning")
     rabi_a = sec.rate("rabi_a", 0.0)
     if (rabi_over is None) == (rabi_a == 0.0):
-        raise ConfigError("scheme.raman needs exactly one of rabi_over_detuning or rabi_a",
-                          key=sec.key("rabi_a"))
+        raise ConfigError("scheme.raman needs exactly one of rabi_over_detuning or rabi_a")
     # a zero drive has no finite gate time
     if rabi_over is not None and not rabi_over > 0:
-        raise ConfigError(f"{sec.key('rabi_over_detuning')} must be > 0, got {rabi_over!r}",
-                          key=sec.key("rabi_over_detuning"))
+        raise ConfigError(f"{sec.key('rabi_over_detuning')} must be > 0, got {rabi_over!r}")
     kwargs = {}
     rabi_b_word = sec.word("rabi_b", "matched")
     if rabi_b_word != "matched":
         kwargs["rabi_b"] = sec.rate("rabi_b")
         if not kwargs["rabi_b"] > 0:
             raise ConfigError(f"{sec.key('rabi_b')} must be > 0 or matched, got "
-                              f"{kwargs['rabi_b']!r}", key=sec.key("rabi_b"))
+                              f"{kwargs['rabi_b']!r}")
     try:
         det_a = laser + 0.5 * laser_eps
         det_b = laser - 0.5 * laser_eps
@@ -379,7 +373,7 @@ def build_raman(run: RunConfig) -> RamanConfig:
             rabi_a=rabi_a, gamma_eff=gamma_eff, **kwargs,
         )
     except ValueError as exc:
-        raise ConfigError(f"scheme.raman: {exc}", key="scheme.raman")
+        raise ConfigError(f"scheme.raman: {exc}")
 
 
 SCHEME_BUILDERS = {

@@ -33,10 +33,6 @@ class ZeroDecoherence(CavityGateError):
 class ConfigError(CavityGateError):
     """A run configuration failed to parse or validate."""
 
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
-
 
 class ValidityWarning(UserWarning):
     """Inputs are outside the stated validity domain of an approximation."""

@@ -18,10 +18,9 @@ Numeric fields of either config, the cavity's included, may be numpy arrays
 that broadcast together (the mode stays one value); each evaluator takes
 every row at once, through the stacked propagation of `linalg` on the
 numeric path, and returns GateResults of the broadcast shape.
-`phase_fidelity` cuts a batch into equal blocks of at most 512 rows, as
-many as a multiple of the available CPUs where no block falls below 160
-rows, and runs them on one thread per CPU; a batch of fewer than 320 rows
-is one block and starts no thread.
+`phase_fidelity` gives each available CPU one contiguous share of a
+batch's rows, none below 160 rows, and walks each share in calls of at most
+512 rows; a batch of fewer than 320 rows starts no thread.
 """
 from __future__ import annotations
 
@@ -163,10 +162,10 @@ def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, k
 #: most 1,024 generators, so a grid of any size runs in bounded memory
 MAX_BLOCK_ROWS = 512
 
-#: fewest rows in a block of a split batch. On a 2-core VM with one BLAS
-#: thread, two threads against one call (median time ratio): 3x3 sectors at
-#: 2 x 128 rows 1.11, 2 x 144 0.96, 2 x 160 0.88; Raman at 2 x 96 1.05,
-#: 2 x 128 0.80
+#: fewest rows in a worker's share of a split batch. On a 2-core VM with one
+#: BLAS thread, two threads against one call (median time ratio): 3x3
+#: sectors at 2 x 128 rows 1.11, 2 x 144 0.96, 2 x 160 0.88; Raman at
+#: 2 x 96 1.05, 2 x 128 0.80
 MIN_BLOCK_ROWS = 160
 
 
@@ -175,15 +174,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _block_count(n, cpus):
-    """Number of equal blocks for n rows on `cpus` CPUs: the fewest blocks of
-    at most MAX_BLOCK_ROWS rows whose count is a multiple of `cpus`, or, where
-    that would leave a block below MIN_BLOCK_ROWS rows, as many blocks of at
-    least MIN_BLOCK_ROWS rows as there are CPUs to run them (at least one)."""
-    fewest = -(-n // MAX_BLOCK_ROWS)
-    return max(1, min(-(-fewest // cpus) * cpus, n // MIN_BLOCK_ROWS))
 
 
 def _block_f_pi(lossy_sectors, params, gate_time):
@@ -213,43 +203,39 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     take the eigenvalue-only kernel `linalg.resolvent_poles`; the Raman 5x5
     takes `linalg.eigenbasis`, with eigenvectors.
 
-    The rows are cut into equal blocks (sizes differ by at most one row):
-    the fewest blocks of at most MAX_BLOCK_ROWS (512) rows whose count is a
-    multiple of W, the number of CPUs this process may use
-    (`os.sched_getaffinity`, else `os.cpu_count`), but no block of fewer
-    than MIN_BLOCK_ROWS (160) rows; a batch too small for two such blocks is
-    one block and starts no thread. So a grid of any size is built and
-    propagated in bounded memory, at most 1,024 generators per call, and
-    W CPUs get equal shares: 402 rows as 2 x 201 on two CPUs, 14,641 as
-    30 blocks of 488 or 489.
+    The n rows run on W = max(1, min(CPUs, n // MIN_BLOCK_ROWS)) workers,
+    with CPUs the number this process may use (`os.sched_getaffinity`, else
+    `os.cpu_count`) and MIN_BLOCK_ROWS = 160. Worker w takes the contiguous
+    rows [w n/W, (w+1) n/W) and walks them in `_block_f_pi` calls of at most
+    MAX_BLOCK_ROWS (512) rows, so a grid of any size is built and propagated
+    in bounded memory, at most 1,024 generators per call: 402 rows run as
+    2 x 201 on two CPUs, 14,641 as 2 x 15 calls. A batch of at most 512 rows
+    on one worker is one call. A row's bits do not depend on the size of its
+    call, so every row is bit for bit the same whatever W is.
 
-    The blocks run on min(W, blocks) workers: block i runs on worker i mod W
-    and the calling thread is worker 0, so the others start as threads, and
-    all are joined before the call returns (numpy's linalg gufuncs release
-    the GIL). Each block's arithmetic is that of a one-block call, so every
-    row is bit for bit the same whatever W is. Each worker runs in a copy of
-    the caller's context, so the caller's `np.errstate` holds there, and the
-    first exception of any block (NonFinite, ConvergenceFailure, a warning
-    escalated to an error) is raised here after the joins.
+    The calling thread is worker 0 and the others start as threads, all
+    joined before the call returns (numpy's linalg gufuncs release the GIL).
+    Each worker runs in a copy of the caller's context, so the caller's
+    `np.errstate` holds there, and the first exception of any worker
+    (NonFinite, ConvergenceFailure, a warning escalated to an error) is
+    raised here after the joins.
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
-    cpus = _cpus()
-    blocks = _block_count(n, cpus)
-    if blocks == 1:
+    workers = max(1, min(_cpus(), n // MIN_BLOCK_ROWS))
+    if workers == 1 and n <= MAX_BLOCK_ROWS:
         return _block_f_pi(lossy_sectors, params, gate_time).reshape(shape)[()]
     flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    workers = min(cpus, blocks)
     f_pi = np.empty(n)
     errors = []
 
-    def work(first):
+    def work(w):
         try:
-            for i in range(first, blocks, workers):
-                if errors:   # another block failed: its error is raised
+            stop = (w + 1) * n // workers
+            for start in range(w * n // workers, stop, MAX_BLOCK_ROWS):
+                if errors:   # another worker failed: its error is raised
                     return
-                rows = slice(bounds[i], bounds[i + 1])
+                rows = slice(start, min(start + MAX_BLOCK_ROWS, stop))
                 f_pi[rows] = _block_f_pi(lossy_sectors, [p[rows] for p in flat[:-1]],
                                          flat[-1][rows])
         except BaseException as exc:   # raised by the caller, after the joins
@@ -257,8 +243,8 @@ def phase_fidelity(lossy_sectors, params, gate_time):
 
     threads = []
     try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, first))
+        for w in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, w))
             thread.start()
             threads.append(thread)
         work(0)

@@ -26,11 +26,16 @@ residue -i*kappa and needs no eigensolve.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
-with scipy's `wofz` to 2.3e-14 relative over the upper half plane. Rows
-whose poles `linalg` does not trust (2 sum_k |w_k| at or past its limit,
-near an exceptional point of a generator, where the pole sum can lose up
-to (sum_k |w_k|)^2 * machine epsilon) take the same sum as a rational
-matrix function of the generators, which needs no spectrum, instead.
+with scipy's `wofz` to 2.3e-14 relative over the upper half plane. Three
+kinds of row take the same sum as a rational matrix function of the
+generators, which needs no spectrum, instead: rows whose poles `linalg`
+does not trust (2 sum_k |w_k| at or past its limit, near an exceptional
+point of a generator, where the pole sum can lose up to
+(sum_k |w_k|)^2 * machine epsilon), rows with a pole rounded above the
+real axis, and rows where machine epsilon times max|H_ij|, the absolute
+error of every pole, reaches 1e-6 of sigma_p or of the narrowest coupled
+pole's width |Im lambda| (an emitter detuned far past the pulse-scale
+poles).
 
 Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
 may be numpy arrays that broadcast together. `fidelity_numeric` and
@@ -199,7 +204,7 @@ _POLE_OWNER = np.repeat(np.eye(4), (3, 2, 2, 1), axis=1)
 
 def _pole_sum(config: ScatteringConfig, shape: tuple):
     """Density matrices (4, 4) + shape of the pole sum, and the rows (flat,
-    of size prod(shape)) whose poles `linalg` trusts.
+    of size prod(shape)) whose poles it trusts (see the module docstring).
 
     s_i = 1 + sum_k a_ik/(omega - lambda_ik) over the poles of amplitude i:
     the eigenvalues of its coupled generator H (three for s_uu, two each for
@@ -235,6 +240,17 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     # I(lambda) below needs Im lambda <= 0, which rounding can break for an
     # emitter whose gamma is below machine epsilon times the generator's norm
     trusted &= (poles.imag <= 0.0).all(axis=0).reshape(n)
+    # `eigvals` errs by about eps max|H_ij| on every pole, so an emitter
+    # detuned far past the pulse-scale poles moves them by a visible fraction
+    # of their width. The bound 1e-6 on eps max|H_ij| / width sits far above
+    # fig2's worst row (2.2e-9) and below the mildest row seen off (0.027,
+    # 8e-9 in rho). max|H_ij| is the largest of kappa/2, g, |delta - i gamma/2|.
+    cav = config.cavity
+    norm = np.maximum(np.maximum(0.5 * kappa, cav.g),
+                      np.hypot(np.maximum(abs(config.delta_eps_a), abs(config.delta_eps_b)),
+                               0.5 * cav.gamma))
+    width = np.minimum(config.pulse.sigma_p, abs(poles[:7].imag).min(axis=0))
+    trusted &= (np.finfo(float).eps * norm < 1e-6 * width).reshape(n)
     mirrored = np.conj(poles)
     sbar = np.conj(spin_amplitudes(config, mirrored))   # (4_j, 8_k) + shape
     sigma = config.pulse.sigma_p
@@ -331,28 +347,14 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     trust limit; the eigenvector residues it replaced were off by as much
     (3.2e-14). The rows whose poles `linalg` does not trust (2 sum_k |w_k|
     at or past its limit; at the exceptional point itself it is ~1e8 and the
-    pole sum is off by up to 5e-9), or that have a pole rounded above the
-    real axis, take the matrix-function form of the same sum, in one stacked
-    evaluation. It is within 3e-16 of an adaptive quadrature at an
-    exceptional point, but off the pole sum by up to 3e-12 at large
-    kappa/sigma_p, where the pole sum is the more accurate.
-
-    One gap is not seen by the trust rule: the eigenvalues carry absolute
-    errors of about machine epsilon times ||H||, so an emitter detuned far
-    past the pulse-scale poles moves them by a visible fraction of their
-    width. At delta_eps_a = 6e10 against kappa = 190 (g = 0.45, T = 0.6,
-    delta_p = 3.5, delta_eps_b = 0.1) a trusted row, 2 sum_k |w_k| = 2, is
-    off by 8.2e-9 (at gamma = 1e-3 and at 8e-11), and at g = 2, kappa = 0.1,
-    gamma = 2e-10, delta_eps_a = 8e10 by 2.1e-8, where the matrix-function
-    form is within 3e-16 (the eigenvector residues gave 2.7e-9, 4.1e-9 and
-    2.1e-8). The gap grows with the detuning, with no note: at g = 0.5,
-    kappa = 1, gamma = 0.01, T = 2, delta_p = 0.3, delta_eps_b = 0.1 the
-    pole sum is off the matrix-function form by 2.2e-4 at
-    delta_eps_a/gamma = 1e16 and by 3.6e-2 at 1e18 (F = 0.4814 against
-    0.4996), and by about 1e-2 from 1e22 to 1e52, where the matrix-function
-    form is within 6e-17 of an adaptive quadrature. Refining the poles by
-    Newton steps on the secular equation is left to ROADMAP.md item 6: one
-    step closed two of the rows above but not the third.
+    pole sum is off by up to 5e-9), that have a pole rounded above the real
+    axis, or whose poles' absolute error, machine epsilon times max|H_ij|,
+    reaches 1e-6 of sigma_p or of the narrowest coupled pole's width (an
+    emitter detuned far past the pulse-scale poles), take the
+    matrix-function form of the same sum, in one stacked evaluation. It is
+    within 3e-16 of an adaptive quadrature at an exceptional point, but off
+    the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole sum
+    is the more accurate.
     """
     return _density_matrices(config)[0]
 

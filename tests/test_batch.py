@@ -1,11 +1,13 @@
 """The array evaluation core against the one-configuration path.
 
-Batches span sizes below, at and above the largest row block of
+Batches span sizes below, at and above the largest kernel call of
 `phase_fidelity` (512 rows, one stack of 1,024 generators) and that stack
-size itself; rows at the block boundaries are always compared. A batch of
-at least two floor-sized blocks (`exchange.MIN_BLOCK_ROWS` rows each) is cut
-into equal blocks that run on threads, which must leave every row bit for
-bit unchanged; a smaller batch is one block and starts no thread.
+size itself; rows at the call boundaries are always compared. A batch of at
+least two floor-sized shares (`exchange.MIN_BLOCK_ROWS` rows each) gives
+each of up to one worker per CPU a contiguous share of its rows, walked in
+calls of at most 512 rows, and the workers past the first run on threads,
+which must leave every row bit for bit unchanged; a smaller batch starts no
+thread.
 """
 import dataclasses
 import math
@@ -27,9 +29,9 @@ from cavity_gates.errors import (ConvergenceFailure, NonFinite, ValidityWarning,
 from cavity_gates.params import CavitySystem, DecoherenceSpec
 from cavity_gates.scattering import PhotonPulse
 
-#: most rows per block of exchange.phase_fidelity, and generators per linalg call
+#: most rows per block-kernel call of exchange.phase_fidelity, and generators per linalg call
 BLOCK = 512
-#: fewest rows per block of a split batch
+#: fewest rows per worker share of a split batch
 FLOOR = ex.MIN_BLOCK_ROWS
 CHUNK = 2 * BLOCK
 SIZES = (1, 7, BLOCK, BLOCK + 1, CHUNK + 3)
@@ -378,7 +380,7 @@ def test_optimum_helpers_take_arrays():
         rm.max_spectral_separation(kappa, 1.0, np.array([1e-3, 1e-3, 0.0, 1e-3]), c)
 
 
-# -- the threaded blocks of exchange.phase_fidelity ---------------------------
+# -- the threaded row shares of exchange.phase_fidelity -----------------------
 
 @pytest.fixture
 def started_threads(monkeypatch):
@@ -446,15 +448,31 @@ def test_threaded_blocks_are_bit_identical(monkeypatch, started_threads, fig6a_o
     assert threading.active_count() == before   # every worker was joined
 
 
-@pytest.mark.parametrize("n, cpus, blocks", [
+@pytest.mark.parametrize("n, cpus, calls", [
     (1, 4, 1), (21, 4, 1), (2 * FLOOR - 1, 4, 1), (2 * FLOOR, 2, 2), (402, 2, 2), (402, 4, 2),
     (BLOCK, 1, 1), (BLOCK + 1, 1, 2), (14641, 1, 29), (14641, 2, 30), (14641, 3, 30),
     (14641, 4, 32)])
-def test_block_count(n, cpus, blocks):
-    """The fewest blocks of at most 512 rows whose count is a multiple of the
-    CPUs, but none below the floor: fig6b's 402 rows as 2 x 201 on two or
-    four CPUs, fig6a's 14,641 as 30 blocks of 488 or 489 on two."""
-    assert ex._block_count(n, cpus) == blocks
+def test_block_count(monkeypatch, started_threads, n, cpus, calls):
+    """W = max(1, min(CPUs, n // 160)) workers each walk a contiguous share
+    of the rows in block-kernel calls of at most 512 rows, which cover every
+    row once: fig6b's 402 rows as 2 x 201 on two or four CPUs, fig6a's 14,641
+    as 2 x 15 calls on two. W - 1 threads start."""
+    set_cpus(monkeypatch, cpus)
+    lossy_sectors, params = lossy_pairs(n, ())
+    kernel = ex._block_f_pi
+    seen = []
+
+    def record(lossy_sectors, params, gate_time):
+        seen.append((threading.current_thread(), np.broadcast(*params, gate_time).size))
+        return kernel(lossy_sectors, params, gate_time)
+
+    monkeypatch.setattr(ex, "_block_f_pi", record)
+    f_pi = ex.phase_fidelity(lossy_sectors, params, 3.0)
+    workers = max(1, min(cpus, n // FLOOR))
+    sizes = [size for _, size in seen]
+    assert len(sizes) == calls and max(sizes) <= BLOCK and sum(sizes) == n
+    assert len(started_threads) == workers - 1 and len({t for t, _ in seen}) == workers
+    assert np.array_equal(f_pi, kernel(lossy_sectors, params, 3.0))
 
 
 def test_fig6b_batch_is_split_in_two(monkeypatch, started_threads):
@@ -507,7 +525,7 @@ def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
 
 
 def test_worker_exception_reaches_caller(monkeypatch, started_threads):
-    # with four blocks on four workers, block 1 runs on a started thread
+    # four workers of 512 rows each: worker 1 runs on a started thread
     set_cpus(monkeypatch, 4)
     seen = []
 
@@ -525,7 +543,7 @@ def test_worker_exception_reaches_caller(monkeypatch, started_threads):
 
 
 def test_single_block_starts_no_thread(monkeypatch):
-    """A batch smaller than two floor-sized blocks is one block on the
+    """A batch smaller than two floor-sized shares is one call on the
     calling thread, and so are a one-row evaluation and the 21 rows of a
     CLI sweep."""
     def refuse(*args, **kwargs):

@@ -130,8 +130,8 @@ def test_config_errors_name_keys():
     for cavity, key in (("", "cavity.g"), ("g = 2 rad_s\n", "cavity.kappa")):
         with pytest.raises(ConfigError) as err:
             cfg_mod.load_config_text("[cavity]\ngamma = 1 rad_s\n" + cavity)
-        assert "cooperativity+g_over_kappa or g+kappa" in str(err.value)
-        assert err.value.key == key
+        assert str(err.value) == (f"{key} is required: the cavity needs either "
+                                  "cooperativity+g_over_kappa or g+kappa")
     run = cfg_mod.load_config_text("[cavity]\ngamma = 1 rad_s\n"
                                    "cooperativity = 10\ng_over_kappa = 0.1\n")
     with pytest.raises(ConfigError) as err:
@@ -448,6 +448,18 @@ def test_cli_casestudy_bad_option_is_config_error(option, value):
     assert result.stderr.startswith(f"error: {option}") and result.stderr.count("\n") == 1
 
 
+def test_cli_casestudy_refused_input_is_evaluator_error():
+    """A finite option value whose cavity leaves the double range is refused
+    by the scheme with a ValueError, which the case study reports as an
+    evaluator error: exit 3, one `error:` line and no traceback."""
+    result = CliRunner().invoke(main, ["casestudy", "--g-over-kappa", "1e200"])
+    assert result.exit_code == 3, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stderr.endswith("out of the double range\n")
+
+
 def test_cli_casestudy_warnings_on_stderr():
     # warnings are echoed as `warning: <message>` lines, as by evaluate,
     # without source locations, and stdout stays the JSON report
@@ -483,6 +495,23 @@ def test_cli_sweep_roundtrip(yb_path, tmp_path):
     lines = [l for l in result.stdout.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "detuning,fidelity,gate_time_gamma"
     assert len(lines) == 4
+
+
+def test_cli_sweep_writes_files(yb_path, tmp_path):
+    """`sweep --out` writes the table and its run manifest, prints both paths
+    as `figure --out` does, and leaves stdout without the table."""
+    result = CliRunner().invoke(main, [
+        "sweep", "simple_exchange", yb_path, "--param", "detuning",
+        "--minimum", "50", "--maximum", "200", "--points", "3", "--log",
+        "--unit", "per_kappa", "--method", "analytic", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.stderr
+    csv_path, manifest_path = tmp_path / "sweep.csv", tmp_path / "sweep.manifest.json"
+    assert json.loads(result.stdout) == {"outputs": [str(csv_path), str(manifest_path)]}
+    lines = csv_path.read_text().splitlines()
+    assert lines[1] == "detuning,fidelity,gate_time_gamma" and len(lines) == 5
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["outputs"] == ["sweep.csv"]
+    assert manifest["command"] == "sweep simple_exchange detuning"
 
 
 def _sweep_detuning(path, param="detuning", minimum="50", maximum="200", points="3",

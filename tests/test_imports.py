@@ -171,3 +171,29 @@ def test_one_exchange_f_pi_route():
                 and ast.unparse(node.test) == "isinstance(config, ExchangeConfig)"]
     assert len(branches) == 1
     assert "phase_fidelity" in set().union(*(calls(node) for node in branches[0]))
+
+
+def test_no_orphaned_private_code():
+    """Every module-level private function or class of the package is
+    referenced in `src/` outside its own definition: a helper that only the
+    tests call, or that a refactor left behind, is dead code. (This
+    generalises `test_linalg_has_no_test_only_kernel` to private names of
+    every module.)"""
+    from collections import Counter
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read())
+    used = sum((names(tree) for tree in trees.values()), Counter())
+    orphans = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and used[node.name] <= names(node)[node.name]]
+    assert orphans == []

@@ -488,6 +488,44 @@ def test_pole_above_the_real_axis_takes_quadrature(monkeypatch):
     assert np.abs(sc.reduced_density_matrix(cfg) - quadrature_reference(cfg)).max() <= 1e-13
 
 
+#: (g, kappa, gamma, delta_eps_a, delta_eps_b, gate_time, delta_p) of rows with
+#: one emitter detuned far past the pulse-scale poles, and how far the pole
+#: sum's trusted rho was off the matrix-function form there
+FAR_DETUNED = [
+    (0.45, 190.0, 1e-3, 6e10, 0.1, 0.6, 3.5),                 # 8.2e-9
+    (0.45, 190.0, 8e-11, 6e10, 0.1, 0.6, 3.5),                # 8.2e-9, and "clamped"
+    (2.0, 0.1, 2e-10, 8e10, 0.1, 0.6, 3.5),                   # 2.1e-8, and "clamped"
+    (0.856, 0.498, 1.03e-4, -9.88e10, -0.898, 9.27, 0.092),   # 8.5e-7
+    (0.5, 1.0, 0.01, 1e14, 0.1, 2.0, 0.3),                    # delta_eps_a/gamma = 1e16: 2.2e-4
+    (0.5, 1.0, 0.01, 1e16, 0.1, 2.0, 0.3),                    # 1e18: 3.6e-2
+    (0.5, 1.0, 0.01, 1e50, 0.1, 2.0, 0.3),                    # 1e52: 1.0e-2
+    (0.5, 1.0, 0.01, 1e4, 0.1, 2.0, 0.3),                     # 1e6: 1.2e-14, stays trusted
+]
+
+
+def test_far_detuned_rows_take_the_matrix_function(monkeypatch):
+    """`eigvals` errs by about eps max|H_ij| on every pole, which the residue
+    trust rule does not see. Rows where that reaches 1e-6 of sigma_p or of
+    the narrowest coupled pole's width take the matrix-function form and say
+    so, and no longer come back "clamped"; at delta_eps_a/gamma = 1e18 and
+    1e52 F reads 0.4995851 (the pole sum gave 0.4814 and 0.4945). A row at
+    1e6, where the pole sum is within 1.2e-14, keeps it."""
+    g, kappa, gamma, delta_a, delta_b, gate_time, delta_p = np.array(FAR_DETUNED).T
+    cfg = sc.ScatteringConfig(CavitySystem(g=g, kappa=kappa, gamma=gamma),
+                              sc.PhotonPulse.from_gate_time(gate_time, delta_p=delta_p),
+                              delta_a, delta_b)
+    routed = np.arange(len(FAR_DETUNED)) < 7
+    calls = spy_on_fallback(monkeypatch)
+    rho, fallback = sc._density_matrices(cfg)
+    assert calls == [routed.tolist()] and fallback.tolist() == routed.tolist()
+    matrix_function = sc._matrix_function(cfg, routed.shape, routed)
+    assert np.array_equal(rho[routed], np.moveaxis(matrix_function, -1, 0))
+    batch = sc.fidelity_numeric(cfg)
+    assert [batch[i].notes for i in range(len(routed))] == (
+        [("matrix-function fallback",)] * 7 + [()])
+    assert batch.fidelity[5:7] == pytest.approx([0.4995851] * 2, abs=1e-7)
+
+
 def test_clamped_rows_are_marked(monkeypatch):
     """F^2 and the trace are clamped into [0, 1] and the row says so: a
     density matrix 1.1 |psi_T><psi_T| (F^2 and trace 1.1) and one with
