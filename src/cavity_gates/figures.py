@@ -5,8 +5,10 @@ figure carries a `#`-prefixed parameter block; swept quantities are marked
 with the SWEEP token so a single row can be reproduced through the
 command-line evaluate path. Every builder evaluates whole columns in one
 evaluator call each, a fig2 builder in one call of each scattering path
-(its g/kappa regimes a (3, 1) column); the fig8 optima are row-wise
-golden-section searches over the Gamma column, which fig8a and fig8b each run.
+(its g/kappa regimes a (3, 1) column). The fig8 optima are row-wise
+golden-section searches over the Gamma column on the closed-form kernels,
+validated once before the search and reported through the public
+evaluators; fig8a and fig8b each run them, by design (see `_fig8_table`).
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import exchange, raman, scattering, sweep
-from .params import CavitySystem
+from .params import CavitySystem, clamp_unit
 
 
 class FigureData(NamedTuple):
@@ -164,20 +166,60 @@ def build_fig7():
     return FigureData("fig7", comments, header, rows)
 
 
+def _fig8_raman_configs(cav, two_photon, log_d, log_x, gamma_eff):
+    """The symmetric Raman configs of the fig8 search points: laser detuning
+    e^log_d and Omega/Delta = e^log_x, capped at 0.45."""
+    return raman.symmetric_raman_config(cav, two_photon, np.exp(log_d),
+                                        np.minimum(np.exp(log_x), 0.45), gamma_eff)
+
+
+def _fig8_raman_objective(cav, two_photon, log_d, log_x, gamma_eff):
+    """fidelity_analytic_raman(_fig8_raman_configs(...)).fidelity bit for bit,
+    on the kernels with no config and no check. In a symmetric config the
+    mean detunings are the detunings themselves and the matched drive_b is
+    rabi_a exactly (matched_rabi_b scales it by sqrt(1.0))."""
+    big_d = np.exp(log_d)
+    rabi = np.minimum(np.exp(log_x), 0.45) * big_d
+    gate_time = raman._gate_time(cav.g, cav.g, rabi, rabi, two_photon, big_d, big_d)
+    return clamp_unit(raman._closed_form(cav, two_photon, big_d, np.sqrt(rabi * rabi),
+                                       cav.g * cav.g, gamma_eff, gate_time))
+
+
 def _fig8_table():
     """Optimal fidelities and gate times of the three gates over the fig8
-    Gamma column, each a row-wise search through the analytic evaluators."""
+    Gamma column, and each row's Raman optimum (Delta, Omega/Delta).
+
+    Each optimum is a row-wise golden-section search on its gate's
+    closed-form kernel, with no config or check per step. The searched
+    inputs are validated once instead: the scattering bracket ends by one
+    ScatteringConfig, and every Raman bracket by the coarse scan's
+    `fidelity_analytic_raman` call (each check is monotone in each searched
+    variable, so what holds at a box's ends holds inside it). The scattering
+    ends are not evaluated: a golden section never visits them, and at large
+    Gamma the short end lies outside the closed form's validity domain,
+    which would warn for a point no cell comes from. Each reported optimum
+    is evaluated once more through its public evaluator, so every cell
+    passes its checks and warns where it should. fig8a and fig8b each build
+    the table, by design: a table kept between builder calls would turn
+    every later build into a lookup.
+    """
     cooperativity, g_over_kappa = 8000.0, 0.1
     gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))
     cav = CavitySystem.from_cooperativity(cooperativity, g_over_kappa, 1.0)
 
-    def scatter(log_t):
-        cfg = _scatter_configs(cooperativity, g_over_kappa, gammas, 0.0, np.exp(log_t))
-        return scattering.fidelity_analytic(cfg).fidelity
+    def scatter_configs(log_t):
+        return _scatter_configs(cooperativity, g_over_kappa, gammas, 0.0, np.exp(log_t))
+
+    def scatter(log_t):   # fidelity_analytic(scatter_configs(log_t)).fidelity, bit for bit
+        sigma_p = scattering.GATE_TIME_FACTOR / np.exp(log_t)   # PhotonPulse.from_gate_time
+        return clamp_unit(scattering._closed_form(cav, 0.0, sigma_p, 0.0, 0.0, gammas,
+                                                scattering.GATE_TIME_FACTOR / sigma_p))
 
     t_guess = scattering.optimal_gate_time(cooperativity, 1.0, gammas)
-    log_t, best_s = sweep.golden_section_max(scatter, np.log(t_guess / 10.0),
-                                             np.log(10.0 * t_guess), tol=1e-6)
+    log_lo, log_hi = np.log(t_guess / 10.0), np.log(10.0 * t_guess)
+    scatter_configs(np.stack([log_lo, log_hi]))   # checks that hold on the whole bracket
+    log_t, _ = sweep.golden_section_max(scatter, log_lo, log_hi, tol=1e-6)
+    best_s = scattering.fidelity_analytic(scatter_configs(log_t)).fidelity
 
     def simple(log_d):
         d = np.exp(log_d)
@@ -190,40 +232,39 @@ def _fig8_table():
 
     two_photon = raman.optimal_two_photon(cav.kappa, cooperativity)
 
-    def raman_configs(log_d, log_x, gamma_eff=gammas):
-        return raman.symmetric_raman_config(cav, two_photon, np.exp(log_d),
-                                            np.minimum(np.exp(log_x), 0.45), gamma_eff)
-
     def f(log_d, log_x):
-        return raman.fidelity_analytic_raman(raman_configs(log_d, log_x)).fidelity
+        return _fig8_raman_objective(cav, two_photon, log_d, log_x, gammas)
 
     # coarse scan first, in one batch: the -Gamma*T clamp creates flat zero
     # plateaus that defeat a bare golden section
     d_grid = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)
     x_grid = np.linspace(math.log(1e-3), math.log(0.45), 31)
-    values = raman.fidelity_analytic_raman(
-        raman_configs(d_grid[:, None], x_grid, gammas[:, None, None])).fidelity
+    values = raman.fidelity_analytic_raman(_fig8_raman_configs(
+        cav, two_photon, d_grid[:, None], x_grid, gammas[:, None, None])).fidelity
     i, j = np.unravel_index(values.reshape(len(gammas), -1).argmax(axis=1), values.shape[1:])
     d_lo, d_hi = d_grid[np.maximum(i - 1, 0)], d_grid[np.minimum(i + 1, len(d_grid) - 1)]
     x_lo, x_hi = x_grid[np.maximum(j - 1, 0)], x_grid[np.minimum(j + 1, len(x_grid) - 1)]
-    log_d, log_x, best = d_grid[i], x_grid[j], values[np.arange(len(gammas)), i, j]
+    log_d, log_x = d_grid[i], x_grid[j]
     active = np.ones(len(gammas), dtype=bool)   # rows whose x has not yet converged
     for _ in range(10):
         new_d, _ = sweep.golden_section_max(lambda v: f(v, log_x), d_lo, d_hi, tol=1e-6)
-        new_x, new_best = sweep.golden_section_max(lambda v: f(new_d, v), x_lo, x_hi, tol=1e-6)
-        log_d, new_x, best = np.where(active, (new_d, new_x, new_best), (log_d, log_x, best))
+        new_x, _ = sweep.golden_section_max(lambda v: f(new_d, v), x_lo, x_hi, tol=1e-6)
+        log_d, new_x = np.where(active, (new_d, new_x), (log_d, log_x))
         active &= ~(abs(new_x - log_x) < 1e-6)
         log_x = new_x
         if not active.any():
             break
-    return (np.column_stack([gammas, best_s, best_e, best]),
+    best = raman.fidelity_analytic_raman(_fig8_raman_configs(cav, two_photon, log_d, log_x,
+                                                             gammas))
+    return (np.column_stack([gammas, best_s, best_e, best.fidelity]),
             np.column_stack([gammas, np.exp(log_t),
                              exchange.exchange_gate_time(np.exp(log_e), cav.g, cav.g),
-                             raman_configs(log_d, log_x).gate_time]))
+                             best.gate_time]),
+            np.column_stack([np.exp(log_d), np.minimum(np.exp(log_x), 0.45)]))
 
 
 def build_fig8(which):
-    fidelity, gate_time = _fig8_table()
+    fidelity, gate_time, _ = _fig8_table()
     comments = ("cooperativity = 8000", "g_over_kappa = 0.1",
                 "per-point optimum over gate time / detuning / drive strength")
     if which == "fig8a":

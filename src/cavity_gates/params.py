@@ -244,6 +244,12 @@ def _broadcast(value, shape, dtype):
     return value if value.shape == shape else np.broadcast_to(value, shape)
 
 
+def clamp_unit(values):
+    """Values clamped into [0, 1], NaN kept: the clamp of gate_results, which
+    a search on a closed-form kernel applies to match its evaluator."""
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
 def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
                  success_probability=None) -> GateResults:
     """Clamp gate fidelities into [0, 1], and success probabilities when
@@ -270,8 +276,7 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
         if any_row(np.isnan(probability)):
             raise NonFinite("success_probability is nan: the evaluation overflowed")
         clamped = clamped | (probability < 0.0) | (probability > 1.0)
-        probability = np.minimum(np.maximum(probability, 0.0), 1.0)
+        probability = clamp_unit(probability)
     masks = {note: _broadcast(mask, fidelity.shape, bool) for note, mask in (notes or {}).items()}
     masks["clamped"] = clamped
-    return GateResults(np.minimum(np.maximum(fidelity, 0.0), 1.0), gate_time, method, masks,
-                       probability)
+    return GateResults(clamp_unit(fidelity), gate_time, method, masks, probability)

@@ -178,16 +178,20 @@ def raman_gate_time(config: RamanConfig) -> float:
     om_a, om_b = config.rabi_a, config.drive_b
     if any_row((g_a <= 0) | (g_b <= 0) | (om_a <= 0) | (om_b <= 0)):
         raise ValueError("couplings and drives must be > 0 for a finite gate time")
-    d = config.two_photon
-    da, db = config.laser_detuning_a, config.laser_detuning_b
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = math.pi * (g_a**2 * da + g_b**2 * db + d * da * db) / (g_a * g_b * om_a * om_b)
+            t = _gate_time(g_a, g_b, om_a, om_b, config.two_photon, config.laser_detuning_a,
+                           config.laser_detuning_b)
     except (OverflowError, ZeroDivisionError):  # float arithmetic past the double range
         t = math.inf
     if not all_rows((t > 0) & (t < math.inf)):
         raise NonFinite("Raman gate time leaves the double range")
     return t
+
+
+def _gate_time(g_a, g_b, om_a, om_b, d, da, db):
+    """The expression of raman_gate_time, unchecked."""
+    return math.pi * (g_a**2 * da + g_b**2 * db + d * da * db) / (g_a * g_b * om_a * om_b)
 
 
 def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
@@ -212,7 +216,6 @@ def fidelity_analytic_raman(config: RamanConfig) -> GateResults:
     note "detuning errors not modeled".
     """
     gate_time = config.gate_time   # first: a T out of range raises NonFinite, not a warning
-    cav = config.cavity
     d = config.two_photon
     big_d = config.laser_detuning
     with np.errstate(over="ignore", invalid="ignore"):   # overflow: a NaN row, NonFinite
@@ -221,16 +224,25 @@ def fidelity_analytic_raman(config: RamanConfig) -> GateResults:
         if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
             warnings.warn("inputs are at the edge of the adiabatic regime "
                           "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
-        f_pi = ridge_f_pi(d, cav.kappa, cav.cooperativity)
-        prefactor = (
-            np.cos(np.pi * omega / (4.0 * big_d)) ** 2
-            * np.cos(np.pi * omega**2 / (2.0 * d * big_d)) ** 2
-            * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
-        )
-        f_gate = 0.5 * (prefactor * f_pi + 1.0) - config.gamma_eff * gate_time
+        f_gate = _closed_form(config.cavity, d, big_d, omega, g2, config.gamma_eff, gate_time)
     unmodeled = (config.two_photon_error > 0) | (config.laser_detuning_error > 0)
     return gate_results(f_gate, gate_time, Method.ANALYTIC,
                         {"detuning errors not modeled": unmodeled})
+
+
+def _closed_form(cavity, d, big_d, omega, g2, gamma_eff, gate_time):
+    """The unclamped F of fidelity_analytic_raman, unchecked, on arrays that
+    broadcast: mean two-photon and laser detunings d and big_d, the drives'
+    geometric mean omega and the couplings' product g2 at gate time T. An
+    overflowing row comes back inf or NaN (with a RuntimeWarning outside
+    np.errstate)."""
+    f_pi = ridge_f_pi(d, cavity.kappa, cavity.cooperativity)
+    prefactor = (
+        np.cos(np.pi * omega / (4.0 * big_d)) ** 2
+        * np.cos(np.pi * omega**2 / (2.0 * d * big_d)) ** 2
+        * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
+    )
+    return 0.5 * (prefactor * f_pi + 1.0) - gamma_eff * gate_time
 
 
 def max_fidelity_raman(config: RamanConfig) -> GateResult:

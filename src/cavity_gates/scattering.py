@@ -410,20 +410,32 @@ def fidelity_analytic(config: ScatteringConfig) -> GateResults:
                       "(C >> 1, detunings small against gamma*C)", ValidityWarning, stacklevel=2)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u = (2.0 * cav.g / cav.kappa) ** 2
-            bracket = 11.0 - 20.0 * u + 12.0 * u**2
-            fidelity = (
-                1.0
-                - 5.0 / (4.0 * c)
-                - (pulse.delta_p**2 + pulse.sigma_p**2) / (8.0 * scale**2) * bracket
-                - (config.delta_eps_a - config.delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
-                - config.gamma_eff * t_gate
-            )
+            fidelity = _closed_form(cav, pulse.delta_p, pulse.sigma_p, config.delta_eps_a,
+                                    config.delta_eps_b, config.gamma_eff, t_gate)
     except (OverflowError, ZeroDivisionError) as exc:  # float arithmetic past the double range
         raise NonFinite(f"closed-form scattering fidelity overflows: {exc}") from None
     if not all_rows(np.isfinite(fidelity)):
         raise NonFinite("closed-form scattering fidelity overflows in some rows")
     return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside})
+
+
+def _closed_form(cavity, delta_p, sigma_p, delta_eps_a, delta_eps_b, gamma_eff, gate_time):
+    """The unclamped F of fidelity_analytic, unchecked, on arrays that
+    broadcast with the cavity's rates. An overflowing row comes back inf or
+    NaN (with a RuntimeWarning outside np.errstate), and an overflowing
+    Python float raises OverflowError or ZeroDivisionError."""
+    c = cavity.cooperativity
+    gamma = cavity.gamma
+    scale = gamma * c
+    u = (2.0 * cavity.g / cavity.kappa) ** 2
+    bracket = 11.0 - 20.0 * u + 12.0 * u**2
+    return (
+        1.0
+        - 5.0 / (4.0 * c)
+        - (delta_p**2 + sigma_p**2) / (8.0 * scale**2) * bracket
+        - (delta_eps_a - delta_eps_b) ** 2 / (4.0 * gamma**2 * c)
+        - gamma_eff * gate_time
+    )
 
 
 def optimal_gate_time(cooperativity, gamma, gamma_eff) -> float:

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -40,9 +41,10 @@ def test_fig7_columns():
 
 def test_fig2_builders_make_batch_calls_only(monkeypatch):
     """fig2a-c and fig8a-b evaluate whole columns at once: every scattering
-    or Raman analytic call takes an array-valued config, and each fig2
-    builder is one call of each scattering evaluator (fig2a and fig2b stack
-    their three cavity regimes)."""
+    or Raman analytic call takes an array-valued config, every call of the
+    two closed-form kernels (the fig8 search objectives) is array-valued,
+    and each fig2 builder is one call of each scattering evaluator (fig2a
+    and fig2b stack their three cavity regimes)."""
     calls = []
     for module, name in ((scattering, "fidelity_numeric"), (scattering, "fidelity_analytic"),
                          (raman, "fidelity_analytic_raman")):
@@ -50,6 +52,14 @@ def test_fig2_builders_make_batch_calls_only(monkeypatch):
             calls.append((_name, config_shape(config)))
             return _evaluate(config)
         monkeypatch.setattr(module, name, spy)
+    kernels = {f"{module.__name__}._closed_form" for module in (scattering, raman)}
+    for module in (scattering, raman):
+        def kernel_spy(*args, _name=f"{module.__name__}._closed_form",
+                       _kernel=module._closed_form):
+            f_gate = _kernel(*args)
+            calls.append((_name, np.shape(f_gate)))
+            return f_gate
+        monkeypatch.setattr(module, "_closed_form", kernel_spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in ("fig8a", "fig8b", "fig2a", "fig2b", "fig2c"):
@@ -57,8 +67,43 @@ def test_fig2_builders_make_batch_calls_only(monkeypatch):
             figures.build_figure(name)
             assert calls and all(shape for _, shape in calls), name
             if name.startswith("fig2"):
-                assert sorted(evaluator for evaluator, _ in calls) == [
+                assert sorted(evaluator for evaluator, _ in calls if evaluator not in kernels) == [
                     "fidelity_analytic", "fidelity_numeric"], name
+            else:
+                assert kernels <= {evaluator for evaluator, _ in calls}, name
+
+
+def test_fig8_table_builds_few_configs(monkeypatch):
+    """The fig8 searches run on the closed-form kernels, not on a config per
+    golden-section step: one table builds two RamanConfigs (the coarse scan
+    and the optima; one per Raman objective call, 169, before) and two
+    ScatteringConfigs (the bracket ends and the optima)."""
+    built = collections.Counter()
+    for cls in (raman.RamanConfig, scattering.ScatteringConfig):
+        def counting(self, _check=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    figures._fig8_table()
+    assert 0 < built["RamanConfig"] <= 3 and 0 < built["ScatteringConfig"] <= 3, built
+
+
+def test_fig8_raman_objective_is_the_evaluator_on_the_coarse_grid():
+    """The fig8 Raman search objective equals `fidelity_analytic_raman` on
+    the configs it stands for, bit for bit, over the coarse scan's grid at
+    every Gamma row, and past the Omega/Delta cap of 0.45."""
+    cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
+    two_photon = raman.optimal_two_photon(cav.kappa, 8000.0)
+    gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))[:, None, None]
+    log_d = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)[:, None]
+    log_x = np.append(np.linspace(math.log(1e-3), math.log(0.45), 31), math.log(0.6))
+    objective = figures._fig8_raman_objective(cav, two_photon, log_d, log_x, gammas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        configs = figures._fig8_raman_configs(cav, two_photon, log_d, log_x, gammas)
+        expected = raman.fidelity_analytic_raman(configs).fidelity
+    assert objective.shape == (41, 41, 32) and (expected == 0.0).any()
+    assert np.array_equal(objective, expected)
 
 
 def test_fig2_pair_poles_make_no_lapack_call(monkeypatch):
@@ -145,8 +190,12 @@ def test_fig8_optima_hold_on_numeric_paths():
     """The fig8 optima are searched on the analytic paths; at every Gamma row
     the numeric path of the optimal configuration agrees: scattering within
     2e-4 (1.78e-4 measured) and simple exchange within 1e-6 (8.88e-7). The
-    Raman optima are not returned with their configurations."""
-    fidelity, gate_time = figures._fig8_table()
+    Raman analytic optimum, reported with its (Delta, Omega/Delta) and
+    carrying no note, lies above its numeric path on every row, by less than
+    1e-3 for Gamma <= 1.8e-4 (4.2e-5 at 1e-6, 9.2e-4 at 1.78e-4); the gap
+    grows with Gamma, to 7.5e-2 at Gamma = 7.5e-2, where Omega/Delta = 0.37
+    (ROADMAP items 8 and 9)."""
+    fidelity, gate_time, raman_optimum = figures._fig8_table()
     gammas = fidelity[:, 0]
     scatter = figures._scatter_configs(8000.0, 0.1, gammas, 0.0, gate_time[:, 1])
     numeric = scattering.fidelity_numeric(scatter).fidelity
@@ -157,6 +206,16 @@ def test_fig8_optima_hold_on_numeric_paths():
     numeric = exchange.fidelity_numeric_exchange(simple)
     assert numeric.gate_time == pytest.approx(gate_time[:, 2], rel=1e-14)
     assert np.abs(numeric.fidelity - fidelity[:, 2]).max() < 1e-6
+    configs = raman.symmetric_raman_config(cav, raman.optimal_two_photon(cav.kappa, 8000.0),
+                                           raman_optimum[:, 0], raman_optimum[:, 1], gammas)
+    analytic = raman.fidelity_analytic_raman(configs)
+    assert np.array_equal(analytic.fidelity, fidelity[:, 3])
+    assert np.array_equal(analytic.gate_time, gate_time[:, 3])
+    assert not any(mask.any() for mask in analytic.notes.values())
+    gap = fidelity[:, 3] - raman.fidelity_numeric_raman(configs).fidelity
+    assert (gap > 0).all()
+    small = gammas <= 1.8e-4
+    assert small.sum() == 19 and gap[small].max() < 1e-3
 
 
 def test_fig4_columns_and_peak():

@@ -7,7 +7,7 @@ import pytest
 from cavity_gates import lindblad, raman as rm
 from cavity_gates.errors import NonFinite, ValidityWarning, ZeroDecoherence
 from cavity_gates.exchange import optimal_gate_time_exchange, phase_fidelity, ridge_f_pi
-from cavity_gates.params import CavitySystem
+from cavity_gates.params import CavitySystem, clamp_unit
 from lindblad_oracle import raman_open_system, sector_hamiltonians
 
 
@@ -320,3 +320,43 @@ def test_overflowing_drive_is_non_finite_on_the_closed_form():
             rm.fidelity_analytic_raman(config).single()
         for evaluate in (rm.fidelity_numeric_raman, lindblad.gate_fidelity_lindblad):
             assert evaluate(config).fidelity == 0.5
+
+
+def _raman_family(rng, n, matched):
+    """n random Raman configs, C from 10 to 1e5 and g/kappa from 0.01 to 10:
+    the first third symmetric, the rest with unequal detunings and
+    couplings. drive_b is matched, or else set apart from rabi_a on the
+    asymmetric rows. Gamma up to 0.1 clamps some rows to 0."""
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi, n)
+
+    cav = CavitySystem.from_cooperativity(log_uniform(1, 5), log_uniform(-2, 1), 1.0)
+    two_photon, detuning = cav.kappa * log_uniform(-1, 3), cav.kappa * log_uniform(-1, 3)
+    rabi = log_uniform(-3, -0.4) * detuning
+    spread = np.where(np.arange(n) < n // 3, 0.0, rng.uniform(-0.3, 0.3, (4, n)))
+    return rm.RamanConfig(
+        cav, laser_detuning_a=detuning, laser_detuning_b=detuning * (1 + spread[0]),
+        two_photon_a=two_photon, two_photon_b=two_photon * (1 + spread[1]), rabi_a=rabi,
+        rabi_b=None if matched else rabi * (1 + spread[3]), g_a=cav.g,
+        g_b=cav.g * (1 + spread[2]), gamma_eff=log_uniform(-7, -1))
+
+
+def test_closed_form_kernel_is_the_evaluator_bit_for_bit():
+    """`fidelity_analytic_raman` is its checks around `_closed_form`: on
+    seeded families (symmetric rows, rows with the "detuning errors not
+    modeled" note, clamped rows, matched and unmatched drives), the
+    kernel's output, clamped as `gate_results` clamps it, equals the
+    evaluator's fidelity bit for bit."""
+    rng = np.random.default_rng(26)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for matched in (True, False, True, False):
+            cfg = _raman_family(rng, 300, matched)
+            result = rm.fidelity_analytic_raman(cfg)
+            kernel = rm._closed_form(cfg.cavity, cfg.two_photon, cfg.laser_detuning,
+                                     np.sqrt(cfg.rabi_a * cfg.drive_b),
+                                     cfg.coupling_a * cfg.coupling_b, cfg.gamma_eff,
+                                     cfg.gate_time)
+            assert np.array_equal(clamp_unit(kernel), result.fidelity)
+            unmodeled = result.notes["detuning errors not modeled"]
+            assert 0 < unmodeled.sum() < 300 and result.notes["clamped"].any()

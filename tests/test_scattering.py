@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cavity_gates.errors import DivergentDenominator, NonFinite, ValidityWarning
-from cavity_gates.params import CavitySystem
+from cavity_gates.params import CavitySystem, clamp_unit
 from cavity_gates import figures, linalg, scattering as sc
 
 
@@ -648,3 +648,29 @@ def test_stacked_regimes_match_their_slices(regimes, rows):
                                        rtol=1e-14, atol=1e-15)
         for note in ("matrix-function fallback", "clamped"):
             assert np.array_equal(stacked.notes[note][i], alone.notes[note])
+
+
+def test_closed_form_kernel_is_the_evaluator_bit_for_bit():
+    """`fidelity_analytic` is its checks around `_closed_form`: on seeded
+    families (C from 1 to 1e5, g/kappa from 0.01 to 10, detuned pulses and
+    emitters, rows outside the validity domain and clamped rows), the
+    kernel's output, clamped as `gate_results` clamps it, equals the
+    evaluator's fidelity bit for bit."""
+    rng = np.random.default_rng(26)
+    n = 400
+    for _ in range(3):
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(lo, hi, n)
+
+        cfg = make_config(log_uniform(0, 5), log_uniform(-2, 1), log_uniform(-2, 2),
+                          rng.normal(0.0, 30.0, n), log_uniform(-7, -0.5),
+                          rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            result = sc.fidelity_analytic(cfg)
+        kernel = sc._closed_form(cfg.cavity, cfg.pulse.delta_p, cfg.pulse.sigma_p,
+                                 cfg.delta_eps_a, cfg.delta_eps_b, cfg.gamma_eff,
+                                 cfg.pulse.gate_time)
+        assert np.array_equal(clamp_unit(kernel), result.fidelity)
+        outside = result.notes["outside validity domain"]
+        assert 0 < outside.sum() < n and result.notes["clamped"].any()

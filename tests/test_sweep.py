@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavity_gates import sweep
+from cavity_gates.errors import NonFinite
 
 
 def test_axis_values():
@@ -62,6 +63,29 @@ def test_golden_section_cosine():
     xs, fxs = sweep.golden_section_max(objective(slice(0, 2)), lo[:2], 2.0, tol=1e-6)
     for i in range(2):
         assert (xs[i], fxs[i]) == sweep.golden_section_max(objective(i), lo[i], 2.0, tol=1e-6)
+
+
+def test_golden_section_refuses_nan():
+    """A NaN objective value raises NonFinite: it neither comes back as the
+    optimum (the scalar case returned (0.99999967, nan)) nor steers a row
+    of a per-row bracket, while the rows it spares still converge alone."""
+    def scalar(v):
+        return math.nan if v > 0.3 else -(v - 0.5) ** 2
+
+    with pytest.raises(NonFinite, match="NaN"):
+        sweep.golden_section_max(scalar, -1.0, 1.0, tol=1e-6)
+
+    def rows(v):
+        return np.where(v > 0.3, np.nan, -(v - 0.5) ** 2)
+
+    lo, hi = np.array([-1.0, -1.0, 0.0]), np.array([0.2, 1.0, 0.25])
+    with pytest.raises(NonFinite, match="NaN"):
+        sweep.golden_section_max(rows, lo, hi, tol=1e-6)
+    x, fx = sweep.golden_section_max(rows, lo[[0, 2]], hi[[0, 2]], tol=1e-6)
+    assert x == pytest.approx([0.2, 0.25], abs=1e-5) and np.isfinite(fx).all()
+    # a NaN at a first interior point, before any step
+    with pytest.raises(NonFinite):
+        sweep.golden_section_max(lambda v: np.where(v < -0.2, np.nan, -v * v), -1.0, 1.0)
 
 
 def test_cooperativity_scaling_table():
