@@ -121,21 +121,10 @@ def exchange_gate_time(detuning, g_a, g_b) -> float:
     return math.pi * detuning / (g_a * g_b)
 
 
-def _subspace_block(shape, detuning, g_a, g_b, offset, kappa, gamma):
-    """Lossy 3x3 single-excitation blocks in the basis (excited-A,
-    one-photon, excited-B) with the B-state energy offset."""
-    h = np.zeros(shape + (3, 3), dtype=complex)
-    h[..., 0, 0] = -0.5j * gamma
-    h[..., 0, 1] = h[..., 1, 0] = g_a
-    h[..., 1, 1] = detuning - 0.5j * kappa
-    h[..., 1, 2] = h[..., 2, 1] = g_b
-    h[..., 2, 2] = offset - 0.5j * gamma
-    return h
-
-
 def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa, gamma,
                    mode):
-    """(H_eff_ud, H_eff_uu) stacked over the broadcast shape of the parameters.
+    """(H_eff_ud, H_eff_uu) as one array (2,) + the broadcast shape of the
+    parameters + (3, 3) of lossy (excited-A, one-photon, excited-B) blocks.
 
     Bases: |ud> sector (e2 down 0, up down 1, up e1 0) and |uu> sector
     (e2 up 0, up up 1, up e2 0). With the partner tuned, the resonant
@@ -145,17 +134,20 @@ def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, k
     """
     shape = broadcast_shape(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa,
                             gamma)
-    stark = (g_a**2 - g_res**2) / detuning
+    stark = (g_a * g_a - g_res * g_res) / detuning
     offset_res = -detuning_error - stark
-    resonant = _subspace_block(shape, detuning, g_a, g_res, offset_res, kappa, gamma)
-    sign = 1.0 if mode is ExchangeMode.OPPOSITE_RESONANT else -1.0
     ideal = np.isinf(splitting_eg)
-    spectator = _subspace_block(shape, detuning, g_a, np.where(ideal, 0.0, g_spec),
-                                np.where(ideal, 0.0, offset_res + sign * splitting_eg),
-                                kappa, gamma)
-    if mode is ExchangeMode.OPPOSITE_RESONANT:
-        return resonant, spectator
-    return spectator, resonant
+    h = np.zeros((2,) + shape + (3, 3), dtype=complex)
+    h[..., 0, 0] = -0.5j * gamma
+    h[..., 0, 1] = h[..., 1, 0] = g_a
+    h[..., 1, 1] = detuning - 0.5j * kappa
+    resonant, sign = (0, 1.0) if mode is ExchangeMode.OPPOSITE_RESONANT else (1, -1.0)
+    for sector, g_b, offset in ((resonant, g_res, offset_res),
+                                (1 - resonant, np.where(ideal, 0.0, g_spec),
+                                 np.where(ideal, 0.0, offset_res + sign * splitting_eg))):
+        h[sector, ..., 1, 2] = h[sector, ..., 2, 1] = g_b
+        h[sector, ..., 2, 2] = offset - 0.5j * gamma
+    return h
 
 
 #: most rows in one block: its `linalg.return_amplitudes` stacks hold at
@@ -177,18 +169,16 @@ def _cpus() -> int:
 
 
 def _block_f_pi(lossy_sectors, params, gate_time):
-    """F_pi of every row of one block, flat: the sectors of the broadcast
-    `params` and `gate_time` in one `linalg.return_amplitudes` call per
-    sector size. It never splits the block and starts no thread."""
-    shape = broadcast_shape(*params, gate_time)
-    n = math.prod(shape)
-    t = np.broadcast_to(gate_time, shape).ravel()
-    sectors = [np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
-               for h in lossy_sectors(*params)]
-    if sectors[0].shape == sectors[1].shape:
-        sectors, t = [np.concatenate(sectors)], np.tile(t, 2)
-    amp = np.concatenate([linalg.return_amplitudes(h, t) for h in sectors]).reshape(2, n)
-    return 0.5 * np.abs(amp[1] - amp[0])
+    """F_pi of every row of one block, of the broadcast shape of `params` and
+    `gate_time`: one `linalg.return_amplitudes` call on a stacked exchange
+    pair, one per sector on the Raman 5x5 and 3x3. It never splits the block
+    and starts no thread."""
+    sectors = lossy_sectors(*params)
+    if isinstance(sectors, np.ndarray):
+        ud, uu = linalg.return_amplitudes(sectors, gate_time)
+    else:
+        ud, uu = (linalg.return_amplitudes(h[None], gate_time)[0] for h in sectors)
+    return 0.5 * np.abs(uu - ud)
 
 
 def phase_fidelity(lossy_sectors, params, gate_time):
@@ -196,22 +186,22 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     starts in its state 0) for every row of the broadcast parameter arrays
     `params` and `gate_time`. Scalar inputs give a numpy scalar.
 
-    `lossy_sectors(*params)` returns the stacked (H_eff_ud, H_eff_uu). Sectors
-    of one size share a `linalg.return_amplitudes` call (its fixed cost
-    dominates small batches) and the Raman 5x5 and 3x3 get one each,
-    unpadded. The 3x3 sectors (both exchange sectors, the Raman |uu> sector)
-    take the eigenvalue-only kernel `linalg.resolvent_poles`; the Raman 5x5
-    takes `linalg.eigenbasis`, with eigenvectors.
+    `lossy_sectors(*params)` returns (H_eff_ud, H_eff_uu) over the broadcast
+    shape of the params: the exchange pair as one (2, ..., 3, 3) array, which
+    takes one `linalg.return_amplitudes` call, and the Raman 5x5 and 3x3 as
+    two arrays, one call each. The 3x3 sectors take the eigenvalue-only
+    kernel `linalg.resolvent_poles`, the Raman 5x5 `linalg.eigenbasis`.
 
-    The n rows run on W = max(1, min(CPUs, n // MIN_BLOCK_ROWS)) workers,
-    with CPUs the number this process may use (`os.sched_getaffinity`, else
-    `os.cpu_count`) and MIN_BLOCK_ROWS = 160. Worker w takes the contiguous
-    rows [w n/W, (w+1) n/W) and walks them in `_block_f_pi` calls of at most
-    MAX_BLOCK_ROWS (512) rows, so a grid of any size is built and propagated
-    in bounded memory, at most 1,024 generators per call: 402 rows run as
-    2 x 201 on two CPUs, 14,641 as 2 x 15 calls. A batch of at most 512 rows
-    on one worker is one call. A row's bits do not depend on the size of its
-    call, so every row is bit for bit the same whatever W is.
+    The n rows run on W = max(1, min(CPUs, n // MIN_BLOCK_ROWS)) workers, with
+    CPUs the number this process may use (`os.sched_getaffinity`, else
+    `os.cpu_count`, asked only when n >= 2 MIN_BLOCK_ROWS) and
+    MIN_BLOCK_ROWS = 160. Worker w takes the contiguous rows [w n/W, (w+1) n/W)
+    and walks them in `_block_f_pi` calls of at most MAX_BLOCK_ROWS (512) rows,
+    so a grid of any size is built and propagated in bounded memory, at most
+    1,024 generators per call: 402 rows run as 2 x 201 on two CPUs, 14,641 as
+    2 x 15 calls. A batch of at most 512 rows on one worker is one call. A
+    row's bits do not depend on the size of its call, so every row is bit for
+    bit the same whatever W is.
 
     The calling thread is worker 0 and the others start as threads, all
     joined before the call returns (numpy's linalg gufuncs release the GIL).
@@ -222,9 +212,9 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
-    workers = max(1, min(_cpus(), n // MIN_BLOCK_ROWS))
+    workers = min(_cpus(), n // MIN_BLOCK_ROWS) if n >= 2 * MIN_BLOCK_ROWS else 1
     if workers == 1 and n <= MAX_BLOCK_ROWS:
-        return _block_f_pi(lossy_sectors, params, gate_time).reshape(shape)[()]
+        return _block_f_pi(lossy_sectors, params, gate_time)[()]
     flat = [np.broadcast_to(p, shape).ravel() for p in (*params, gate_time)]
     f_pi = np.empty(n)
     errors = []
@@ -267,7 +257,7 @@ def ridge_f_pi(detuning, kappa, cooperativity):
     """
     d = np.asarray(detuning, dtype=float)
     out = (np.exp(-2.0 * np.pi * d / (cooperativity * kappa))
-           * 0.25 * (1.0 + np.exp(-np.pi * kappa / (2.0 * d))) ** 2)
+           * 0.25 * np.square(1.0 + np.exp(-np.pi * kappa / (2.0 * d))))
     return out if np.ndim(out) else float(out)
 
 
@@ -298,10 +288,11 @@ def f_pi_closed_form(config: ExchangeConfig):
     delta = config.detuning
     envelope = np.exp(-2.0 * np.pi * delta / (cav.cooperativity * cav.kappa)
                       - np.pi * cav.kappa / (2.0 * delta))
-    spectator_phase = np.exp(4j * np.pi * g2 / (delta * config.splitting_eg))
+    # np.divide, np.abs: Python's complex / and abs round unlike numpy's array loops
+    spectator_phase = np.exp(np.divide(4j * np.pi * g2, delta * config.splitting_eg))
     swap_term = (np.cosh(np.pi * cav.kappa / (2.0 * delta))
-                 * np.exp(-1j * np.pi * config.detuning_error * delta / g2))
-    return 0.5 * envelope * abs(spectator_phase + swap_term)
+                 * np.exp(np.divide(-1j * np.pi * config.detuning_error * delta, g2)))
+    return 0.5 * envelope * np.abs(spectator_phase + swap_term)
 
 
 def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResults:

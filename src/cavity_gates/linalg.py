@@ -1,7 +1,7 @@
 """Small dense complex matrix algebra for subspace Hamiltonians.
 
-Matrices here are <= 16x16 numpy arrays in stacks: generators H_j (n, k, k)
-of many configurations, each started in its state 0. Two spectral kernels
+Matrices here are 2x2, 3x3 and 5x5 generators H_j in stacks (n, k, k) of
+many configurations, each started in its state 0. Two spectral kernels
 share one trust limit, EIG_COND_LIMIT; near an exceptional point the closed
 forms on a spectrum lose about its trust measure squared times epsilon.
 
@@ -39,15 +39,13 @@ In both kernels a NaN or Inf trust measure (products that overflowed, say),
 and every row of a stack whose eigensolve (or inverse) raises LinAlgError,
 are untrusted; NaN or Inf input raises NonFinite, and so does a propagation
 that overflows, with one message whichever route the row took: a phase
-e^{-i t lambda} of a trusted row (`phases`, which `return_amplitudes` and
-the Raman Lindblad closure share) or the Taylor generator t H of an
-untrusted row. No stack is split here: the callers size it
-(`exchange.phase_fidelity` passes one block of at most 512 rows, so at most
-1,024 generators, per call, and may run its blocks on several threads; the
-scattering pole sum passes one 3x3 generator per row of its config in one
-call and two 2x2 ones per row in another; the Raman Lindblad closure passes
-each sector stack of its config whole). A row's result does not depend on
-the size of its stack, and numpy's linalg gufuncs release the GIL.
+e^{-i t lambda} of a trusted row (`phases`) or the Taylor generator t H of
+an untrusted row. No stack is split here: the callers size it, and each
+call makes one LAPACK call per kernel whatever its size. At one row the
+checks and bookkeeping still cost about three times the eigensolve: a
+one-row exchange pair takes about 50 us in `return_amplitudes`, 12 of them
+in `eigvals` (2-core VM, one BLAS thread). A row's result does not depend
+on the size of its stack, and numpy's linalg gufuncs release the GIL.
 """
 from __future__ import annotations
 
@@ -122,10 +120,12 @@ def _residues(g, values):
         big = values[:, 0] = mean + np.where((mean.conj() * root).real < 0.0, -root, root)
         values[:, 1] = (a * d - b * c) / big
         return values, (values - d[:, None]) / (values - values[:, ::-1])
-    minor = (values[:, :, None] - np.diagonal(g, axis1=1, axis2=2)[:, None, 1:]).prod(-1)
-    if g.shape[-1] == 3:
+    k = g.shape[-1]   # the diagonals below are strided views of the flat rows
+    minor = (values[:, :, None] - g.reshape(len(g), -1)[:, None, k + 1::k + 1]).prod(-1)
+    if k == 3:
         minor -= g[:, 1, 2, None] * g[:, 2, 1, None]
-    gaps = values[:, :, None] - values[:, None, :] + np.eye(g.shape[-1])   # 1 at j = k
+    gaps = values[:, :, None] - values[:, None, :]
+    gaps.reshape(len(g), -1)[:, ::k + 1] = 1.0   # 1 at j = k
     return values, minor / gaps.prod(-1)
 
 
@@ -224,10 +224,10 @@ def _expm_squaring(m: np.ndarray) -> np.ndarray:
 
 
 def phases(values, t, trusted=True) -> np.ndarray:
-    """e^{-i t_j lambda_jk} for eigenvalues values (n, k) and times t (n, 1)
-    (or a scalar). Raises NonFinite when a trusted row's phase overflows
-    (||H|| t past the double range); an untrusted row's phase that does is
-    set to 0, as that row's spectrum is not used."""
+    """e^{-i t_j lambda_jk} for eigenvalues values (..., k), times t that
+    broadcast with them and row trust flags (...). Raises NonFinite when a
+    trusted row's phase overflows (||H|| t past the double range); an
+    untrusted row's phase that does is set to 0, as its spectrum is unused."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(-1j * t * values)
     finite = np.isfinite(out)
@@ -239,30 +239,38 @@ def phases(values, t, trusted=True) -> np.ndarray:
 
 
 def return_amplitudes(h, t) -> np.ndarray:
-    """<0| e^{-i t_j H_j} |0> = sum_k w_k e^{-i t_j lambda_k} for every
-    generator of a stack h (n, k, k) of (generally non-Hermitian)
-    generators; t is a scalar or has shape (n,). The residues w_k are those
-    of `resolvent_poles` for k <= 3 and V_0k (V^-1)_k0 of `eigenbasis` for
-    larger k. Untrusted rows take Taylor scaling-and-squaring; one whose
-    t_j H_j overflows raises NonFinite, as a trusted row's phase does."""
+    """<0| e^{-i t_j H_j} |0> = sum_k w_k e^{-i t_j lambda_k} for a stack h
+    (..., k, k) of generators with at least one stack axis, in one kernel
+    call on the flattened stack: w_k of `resolvent_poles` for k <= 3, V_0k
+    (V^-1)_k0 of `eigenbasis` above. t is a scalar or broadcasts with the
+    stack axes, whose broadcast shape the result has. Untrusted rows take
+    Taylor scaling-and-squaring; one whose t_j H_j overflows raises
+    NonFinite, as a trusted row's phase does."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim == 3 and h.shape[-1] > 3:
-        basis = eigenbasis(h)
+    t = np.asarray(t, dtype=float)
+    if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
+    if not np.isfinite(t).all():
+        raise NonFinite("propagation time contains NaN or Inf entries")
+    if t.ndim:   # a time per row: one shape for both
+        h = np.broadcast_to(h, np.broadcast_shapes(h.shape[:-2], t.shape) + h.shape[-2:])
+    lead, k = h.shape[:-2], h.shape[-1]
+    flat = h.reshape(-1, k, k)
+    if k > 3:
+        basis = eigenbasis(flat)
         values, weights = basis.values, basis.vectors[:, 0] * basis.inverse[:, :, 0]
         trusted = basis.trusted
     else:
-        values, weights, _, trusted = resolvent_poles(h)
-    times = np.broadcast_to(np.asarray(t, dtype=float), len(h))
-    if not np.isfinite(times).all():
-        raise NonFinite("propagation time contains NaN or Inf entries")
+        values, weights, _, trusted = resolvent_poles(flat)
+    values, weights = values.reshape(lead + (k,)), weights.reshape(lead + (k,))
     # not `*`: on a large temporary numpy forms `phases * weights`, which may round
     # differently, so a row's bits would depend on the size of its stack
     with np.errstate(invalid="ignore"):   # inf weights of untrusted rows, replaced below
-        out = np.multiply(weights, phases(values, times[:, None], trusted)).sum(-1)
+        out = np.multiply(weights, phases(values, t[..., None], trusted.reshape(lead))).sum(-1)
     for i in (~trusted).nonzero()[0]:
         with np.errstate(over="ignore", invalid="ignore"):
-            m = -1j * times[i] * h[i]
+            m = -1j * np.broadcast_to(t, lead).flat[i] * flat[i]
         if not np.isfinite(m).all():
             raise NonFinite(_OVERFLOW)
-        out[i] = _expm_squaring(m)[0, 0]
+        out.flat[i] = _expm_squaring(m)[0, 0]
     return out

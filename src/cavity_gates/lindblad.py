@@ -33,21 +33,21 @@ for bit, near an exceptional point too, where its Taylor fallback serves.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, NonFinite
 from .exchange import ExchangeConfig, phase_fidelity
-from .params import GateResults, Method, broadcast_shape, gate_results
+from .params import GateResults, Method, gate_results
 from .raman import RamanConfig
 
-#: Raman jumps that land on a target state: (cavity rate, source in the |ud>
-#: block, source in the |uu> block or None)
-_TARGET_JUMPS = (("kappa", 2, 2),       # cavity photon loss
-                 ("gamma", 1, 1),       # emitter A decay
-                 ("gamma", 3, None))    # emitter B decay
+#: the cavity rates of the Raman jumps that land on a target state: cavity
+#: photon loss, emitter A decay and emitter B decay
+_TARGET_JUMPS = ("kappa", "gamma", "gamma")
+
+#: the source states of those jumps in the |ud> block and in the |uu> block,
+#: which has no emitter B
+_JUMP_SOURCES = ([2, 1, 3], [2, 1])
 
 
 def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
@@ -71,15 +71,11 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
         return gate_results(0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time, gate_time,
                             Method.LINDBLAD)
     lossy_sectors, params = config.sectors()
-    shape = broadcast_shape(*params, gate_time)
-    n = math.prod(shape)
-    t = np.broadcast_to(gate_time, shape).reshape(n, 1)
-    bases, amplitudes = [], []   # per sector: its eigenbasis, V_ik (V^-1)_k0 (n, k, k)
-    for h in lossy_sectors(*params):
-        h = np.broadcast_to(h, shape + h.shape[-2:]).reshape(n, *h.shape[-2:])
-        basis = linalg.eigenbasis(h)
-        amplitudes.append(basis.vectors * basis.inverse[:, None, :, 0])
-        bases.append(basis)
+    sectors = lossy_sectors(*params)
+    shape = sectors[0].shape[:-2]   # gate_time is a function of the params
+    t = np.broadcast_to(gate_time, shape).reshape(-1, 1)
+    bases = [linalg.eigenbasis(h.reshape(-1, *h.shape[-2:])) for h in sectors]
+    amplitudes = [b.vectors * b.inverse[:, None, :, 0] for b in bases]   # V_ik (V^-1)_k0
     # an overflowing phase of a trusted row raises NonFinite before any row is refused
     rotations = [linalg.phases(basis.values, t, basis.trusted) for basis in bases]
     for basis in bases:
@@ -90,10 +86,10 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
                                      f"exceptional point")
     ud, uu = ((a[:, 0] * p).sum(-1) for a, p in zip(amplitudes, rotations))
     # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
-    u = np.stack([np.concatenate([np.zeros_like(a[:, 0]) if src is None else 0.5 * a[:, src]
-                                  for a, src in zip(amplitudes, sources)], axis=-1)
-                  for _, *sources in _TARGET_JUMPS], axis=1)
     lam = np.concatenate([basis.values for basis in bases], axis=-1)
+    u = np.zeros((len(t), len(_TARGET_JUMPS), lam.shape[-1]), dtype=complex)
+    for a, sources, states in zip(amplitudes, _JUMP_SOURCES, (slice(0, 5), slice(5, 8))):
+        u[:, :len(sources), states] = 0.5 * a[:, sources]
     # int_0^T e^{-isz} ds over z = lambda_k - conj(lambda_l), with a small-|z|T branch
     z = lam[:, :, None] - lam.conj()[:, None, :]
     span = t[:, :, None]
@@ -101,10 +97,12 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     z_safe = np.where(small, 1.0, z)
     integral = np.where(small, span * (1.0 - 0.5j * z * span),
                         (1.0 - np.exp(-1j * z_safe * span)) / (1j * z_safe))
-    rates = np.stack([np.broadcast_to(getattr(config.cavity, name), shape).ravel()
-                      for name, *_ in _TARGET_JUMPS], axis=1)
+    rates = np.empty(shape + (len(_TARGET_JUMPS),))
+    for c, name in enumerate(_TARGET_JUMPS):
+        rates[..., c] = getattr(config.cavity, name)
     weights = np.einsum("nck,nkl,ncl->nc", u, integral, u.conj()).real
-    overlap = (0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2 + 0.25 * (rates * weights).sum(-1)
+    overlap = ((0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
+               + 0.25 * (rates.reshape(weights.shape) * weights).sum(-1))
     if not np.isfinite(overlap).all():
         raise NonFinite("gate overlap is not finite: the propagation overflowed")
     f_gate = np.sqrt(np.clip(overlap, 0.0, 1.0)).reshape(shape) - config.gamma_eff * gate_time

@@ -48,10 +48,11 @@ class CavitySystem:
             if not all_rows((value > 0) & (value < math.inf)):
                 raise ValueError(f"CavitySystem.{name} must be finite and > 0, got {value!r}")
         # finite rates can still give a C that overflows, or one that
-        # underflows to 0, which every scheme divides by
+        # underflows to 0, which every scheme divides by; g**2, unlike the
+        # property's g * g, raises on a float g^2 past the double range
         try:
             with np.errstate(over="ignore"):
-                cooperativity = self.cooperativity
+                cooperativity = 4.0 * self.g**2 / (self.kappa * self.gamma)
         except OverflowError:  # a float g**2 past the double range
             cooperativity = math.inf
         if not all_rows(cooperativity < math.inf):
@@ -62,7 +63,8 @@ class CavitySystem:
 
     @property
     def cooperativity(self) -> float:
-        return 4.0 * self.g**2 / (self.kappa * self.gamma)
+        # g * g: a float's g**2 is pow, which rounds unlike numpy's array square
+        return 4.0 * (self.g * self.g) / (self.kappa * self.gamma)
 
     @property
     def g_over_kappa(self) -> float:

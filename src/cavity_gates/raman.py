@@ -45,8 +45,8 @@ def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_pho
     This is the relation that numerically maximizes the phase fidelity
     (each system's light shift Omega_k^2/Delta_k must match).
     """
-    num = g_b**2 + two_photon * laser_detuning_b
-    den = g_a**2 + two_photon * laser_detuning_a
+    num = g_b * g_b + two_photon * laser_detuning_b
+    den = g_a * g_a + two_photon * laser_detuning_a
     if any_row(den <= 0) or any_row(num <= 0):
         raise ValueError("g^2 + delta*Delta must be > 0 for both systems")
     return rabi_a * np.sqrt(num / den)
@@ -191,7 +191,7 @@ def raman_gate_time(config: RamanConfig) -> float:
 
 def _gate_time(g_a, g_b, om_a, om_b, d, da, db):
     """The expression of raman_gate_time, unchecked."""
-    return math.pi * (g_a**2 * da + g_b**2 * db + d * da * db) / (g_a * g_b * om_a * om_b)
+    return math.pi * (g_a * g_a * da + g_b * g_b * db + d * da * db) / (g_a * g_b * om_a * om_b)
 
 
 def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
@@ -238,8 +238,8 @@ def _closed_form(cavity, d, big_d, omega, g2, gamma_eff, gate_time):
     np.errstate)."""
     f_pi = ridge_f_pi(d, cavity.kappa, cavity.cooperativity)
     prefactor = (
-        np.cos(np.pi * omega / (4.0 * big_d)) ** 2
-        * np.cos(np.pi * omega**2 / (2.0 * d * big_d)) ** 2
+        np.square(np.cos(np.pi * omega / (4.0 * big_d)))
+        * np.square(np.cos(np.pi * (omega * omega) / (2.0 * d * big_d)))
         * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
     )
     return 0.5 * (prefactor * f_pi + 1.0) - gamma_eff * gate_time

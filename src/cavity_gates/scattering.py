@@ -221,9 +221,9 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     """
     n = math.prod(shape)
     kappa = config.cavity.kappa
-    # the poles of s_uu, s_ud, s_du and s_dd in turn, as `_POLE_OWNER` lists them
-    poles = np.empty((8,) + shape, dtype=complex)
-    residues = np.empty_like(poles)   # divided by -i kappa until scaled below
+    # the poles of s_uu, s_ud, s_du and s_dd in turn, as `_POLE_OWNER` lists them,
+    # and their residues, divided by -i kappa until scaled below
+    poles, residues = np.empty((2, 8) + shape, dtype=complex)
     trusted = np.ones(n, dtype=bool)
     for h, count, owned in zip(_coupled_generators(config, shape), (1, 2),
                                (slice(0, 3), slice(3, 7))):

@@ -24,6 +24,7 @@ from cavity_gates import exchange as ex
 from cavity_gates import linalg, lindblad
 from cavity_gates import raman as rm
 from cavity_gates import scattering as sc
+from cavity_gates.cli import _EVALUATORS
 from cavity_gates.errors import (ConvergenceFailure, NonFinite, ValidityWarning,
                                  ZeroDecoherence)
 from cavity_gates.params import CavitySystem, DecoherenceSpec
@@ -35,7 +36,6 @@ BLOCK = 512
 FLOOR = ex.MIN_BLOCK_ROWS
 CHUNK = 2 * BLOCK
 SIZES = (1, 7, BLOCK, BLOCK + 1, CHUNK + 3)
-REL = 1e-12
 
 
 def log_uniform(rng, lo, hi, n):
@@ -106,12 +106,12 @@ def rows_to_check(seed, n):
 
 def assert_rows_match(evaluate, config, rows):
     """Each listed row of one evaluator call on an array-valued config
-    matches the call on that row alone; returns the batch."""
+    equals the call on that row alone bit for bit; returns the batch."""
     batch = evaluate(config)
     for i in rows:
         single = evaluate(row(config, i)).single()
-        assert single.fidelity == pytest.approx(batch.fidelity[i], rel=REL, abs=0.0)
-        assert single.gate_time == pytest.approx(batch.gate_time[i], rel=REL, abs=0.0)
+        assert single.fidelity == batch.fidelity[i]
+        assert single.gate_time == batch.gate_time[i]
         assert single.notes == batch[i].notes
         assert single.method is batch.method
     return batch
@@ -161,8 +161,7 @@ def test_grid_shape_is_kept():
     batch = rm.fidelity_numeric_raman(cfg)
     assert batch.shape == (3, 2)
     single = rm.symmetric_raman_config(cav, float(two_photon[2, 0]), float(laser[0, 1]), 0.05)
-    assert rm.fidelity_numeric_raman(single).single().fidelity == pytest.approx(
-        batch.fidelity[2, 1], rel=REL, abs=0.0)
+    assert rm.fidelity_numeric_raman(single).single().fidelity == batch.fidelity[2, 1]
     # a cavity per row broadcasts with scalar detunings, on both paths
     cavities = CavitySystem.from_cooperativity(np.array([800.0, 8000.0]), 0.1, 1.0)
     cfg = rm.symmetric_raman_config(cavities, 40.0 * cavities.kappa, 3.0 * cavities.kappa, 0.05)
@@ -215,7 +214,7 @@ def test_return_amplitudes_across_chunks(n):
     t = rng.uniform(0.1, 3.0, n)
     amps = linalg.return_amplitudes(h, t)
     for i in sorted({0, CHUNK - 1, CHUNK, n - 1} & set(range(n))):
-        assert amps[i] == pytest.approx(linalg.return_amplitudes(h[i:i + 1], t[i])[0], rel=REL)
+        assert amps[i] == linalg.return_amplitudes(h[i:i + 1], t[i])[0]
         assert amps[i] == pytest.approx(linalg._expm_squaring(-1j * t[i] * h[i])[0, 0], rel=1e-9)
 
 
@@ -500,7 +499,8 @@ def test_fig6b_batch_is_split_in_two(monkeypatch, started_threads):
 def lossy_pairs(n, marked):
     """phase_fidelity inputs of n rows of 2x2 generators: every row is a
     diagonal (trusted) pair but the marked ones, which sit at the g = kappa/4
-    exceptional point (untrusted: they take the Taylor fallback)."""
+    exceptional point (untrusted: they take the Taylor fallback). Both
+    sectors come in one array, as the exchange pair does."""
     ep = np.array([[0.0, 0.25], [0.25, -0.5j]])
     diag = np.diag([0.3, -0.2j])
     flag = np.zeros(n)
@@ -508,7 +508,7 @@ def lossy_pairs(n, marked):
 
     def lossy_sectors(flag):
         h = np.where(flag[..., None, None] == 1.0, ep, diag)
-        return h, 0.5 * h
+        return np.stack([h, 0.5 * h])
 
     return lossy_sectors, [flag]
 
@@ -556,6 +556,52 @@ def test_single_block_starts_no_thread(monkeypatch):
     assert f_pi.shape == (2 * FLOOR - 1,)
     rm.fidelity_numeric_raman(row(raman_batch(2, 1), 0)).single()   # a one-row evaluation
     assert ex.fidelity_numeric_exchange(exchange_batch(2, 21)).shape == (21,)
+
+
+#: LAPACK calls of a one-row evaluation, per (scheme, method)
+ONE_ROW_LAPACK = {
+    ("simple_exchange", "numeric"): {"eigvals": 1},
+    ("simple_exchange", "lindblad"): {"eigvals": 1},
+    ("raman", "numeric"): {"eig": 1, "inv": 1, "eigvals": 1},
+    ("raman", "lindblad"): {"eig": 2, "inv": 2},
+    ("scattering", "numeric"): {"eigvals": 1},
+    ("simple_exchange", "analytic"): {},
+    ("raman", "analytic"): {},
+    ("scattering", "analytic"): {},
+}
+
+
+@pytest.mark.parametrize("scheme, method", ONE_ROW_LAPACK)
+def test_one_row_lapack_budget(monkeypatch, scheme, method):
+    """A one-row evaluation pays for its eigensolve and not for the batch
+    machinery: exactly these `np.linalg` calls (one stack per sector size),
+    no thread and no CPU count."""
+    configs = {
+        "simple_exchange": row(exchange_batch(4, 1), 0),
+        "raman": row(raman_batch(4, 1), 0),
+        "scattering": sc.ScatteringConfig(CavitySystem.from_cooperativity(1e3, 0.3, 1.0),
+                                          PhotonPulse.from_gate_time(2.0, 3.0), 0.1, -0.2, 1e-4),
+    }
+    calls = {}
+
+    def counted(name, kernel):
+        def spy(a):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(a)
+        return spy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-row evaluation started a thread or asked for the CPUs")
+
+    for name in ("eig", "eigvals", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(ex, "_cpus", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        result = _EVALUATORS[(scheme, method)](configs[scheme]).single()
+    assert 0.0 < result.fidelity <= 1.0
+    assert calls == ONE_ROW_LAPACK[(scheme, method)]
 
 
 def test_workers_see_the_callers_errstate(monkeypatch, started_threads):

@@ -136,8 +136,9 @@ def test_eigvals_are_eigs_eigenvalues_on_exchange_figure_stacks(monkeypatch, nam
     stacks = {}
 
     def spy(h, t, _amplitudes=linalg.return_amplitudes):
-        stacks.setdefault(np.shape(h)[-1], []).append(
-            (np.array(h), np.broadcast_to(t, len(h)).copy()))
+        k = np.shape(h)[-1]
+        stacks.setdefault(k, []).append(
+            (np.array(h).reshape(-1, k, k), np.broadcast_to(t, np.shape(h)[:-2]).ravel()))
         return _amplitudes(h, t)
 
     monkeypatch.setattr(linalg, "return_amplitudes", spy)
