@@ -41,13 +41,16 @@ A key that nothing reads in [cavity], [decoherence] or the evaluated
 `sweep --param KEY` overwrites one key of the parsed [scheme.<name>]
 section at each grid point (keys are case-insensitive, as in the file).
 The values take the `--unit` suffix; without one they are bare numbers,
-which `config` reads in the key's own unit. The points are evaluated in one
-batch call, and point by point only if the evaluator refuses that batch. A
-key the scheme never reads, and a grid with fewer than 2 points, a
-non-finite or unordered range or a non-positive log range, are config
-errors. A point that fails becomes a `nan,nan` row; when every point fails
-(say, an unknown `--unit`), no table is printed and the exit code is that
-of the first point's error.
+which `config` reads in the key's own unit. The points whose configs build
+are evaluated in one batch call. A key the scheme never reads, and a grid
+with fewer than 2 points, a non-finite or unordered range or a
+non-positive log range, are config errors. A point that fails becomes a
+`nan,nan` row with a warning: one whose config fails, and one the
+evaluator refuses (its closed form overflows, say), with the error that
+`evaluate` gives it. When every point fails (say, an unknown `--unit`), no
+table is printed and the exit code is that of the first point's error; an
+evaluator error of the whole batch (the scattering gate has no Lindblad
+path) ends the sweep as it ends `evaluate`.
 
 Every number must be finite: `nan` and `inf` are config errors, as are
 values the scheme's inputs reject (a `splitting_eg`, a `gate_time`, a
@@ -75,7 +78,6 @@ import sys
 import warnings
 
 import click
-import numpy as np
 
 from . import __version__, casestudy, config as config_mod, figures
 from .errors import CavityGateError, ConfigError
@@ -145,28 +147,6 @@ def _evaluate(scheme, cfg, method):
             "the scattering gate has no Lindblad path; its numeric route is the "
             "exact amplitude integral (use --method numeric)")
     return evaluator(cfg)
-
-
-def _evaluate_grid(scheme, grid, method):
-    """Replace each grid point's config in `grid` by its (fidelity, gate
-    time), or by the CavityGateError of its evaluation (a point whose config
-    failed holds its error already). The configs are stacked and evaluated
-    in one batch call; only a refused batch is evaluated point by point."""
-    built = {i: cfg for i, cfg in grid.items() if not isinstance(cfg, CavityGateError)}
-    if not built:
-        return
-    try:
-        batch = _evaluate(scheme, stack_configs(list(built.values())), method)
-    except CavityGateError:
-        for i, cfg in built.items():
-            try:
-                result = _evaluate(scheme, cfg, method).single()
-                grid[i] = (result.fidelity, result.gate_time)
-            except CavityGateError as exc:
-                grid[i] = exc
-    else:
-        rows = np.stack([batch.fidelity, batch.gate_time], axis=-1)
-        grid.update(zip(built, np.broadcast_to(rows, (len(built), 2))))
 
 
 @click.group()
@@ -294,7 +274,12 @@ def sweep_cmd(scheme, config_file, param, vmin, vmax, points, log_scale, unit, m
                 grid[i] = config_mod.SCHEME_BUILDERS[scheme](run)
             except CavityGateError as exc:
                 grid[i] = exc
-        _evaluate_grid(scheme, grid, method)
+        built = [i for i, cfg in grid.items() if not isinstance(cfg, CavityGateError)]
+        if built:   # one batch call, whose refused rows hold their errors
+            batch = _evaluate(scheme, stack_configs([grid[i] for i in built]), method)
+            for row, i in enumerate(built):
+                row = row if batch.shape else ()   # equal configs stack to one
+                grid[i] = batch.refusal(row) or (batch.fidelity[row], batch.gate_time[row])
     errors = []
     for value, point in zip(values, grid.values()):
         if isinstance(point, CavityGateError):

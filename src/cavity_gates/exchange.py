@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg
 from .errors import ValidityWarning
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     broadcast_shape, gate_results)
+                     broadcast_shape, check_rates, gate_results)
 
 if TYPE_CHECKING:
     from .raman import RamanConfig
@@ -60,7 +60,7 @@ class ExchangeConfig:
     splitting_eg (> 0) is the spectator-transition splitting; math.inf marks
     the ideal isolated-spectator limit, row by row. detuning_error is the
     residual error in the partner's tuned resonance condition. Per-transition couplings
-    default to the cavity's g.
+    default to the cavity's g; a given one must be finite and > 0.
     """
 
     cavity: CavitySystem
@@ -75,12 +75,10 @@ class ExchangeConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not all_rows((self.detuning > 0) & (self.detuning < math.inf)):
-            raise ValueError("detuning must be finite and > 0")
+        check_rates(self, ("detuning", "g_up_a", "g_down_b", "g_up_b"))
         if not all_rows(self.splitting_eg > 0):
             raise ValueError("splitting_eg must be > 0 (math.inf for ideal)")
-        if not all_rows((self.gamma_eff >= 0) & (self.gamma_eff < math.inf)):
-            raise ValueError("gamma_eff must be finite and >= 0")
+        check_rates(self, ("gamma_eff",), zero=True)
         if not all_rows(np.isfinite(self.detuning_error)):
             raise ValueError("detuning_error must be finite")
 
@@ -105,6 +103,10 @@ class ExchangeConfig:
     def gate_time(self):
         """Excitation dwell time for a pi phase (exchange_gate_time)."""
         return exchange_gate_time(self.detuning, self.coupling_a, self.coupling_b_resonant)
+
+    def gate_time_refusals(self, gate_time) -> dict:
+        """None: `gate_results` refuses an exchange gate time out of range."""
+        return {}
 
     def sectors(self):
         """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
@@ -206,9 +208,10 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     The calling thread is worker 0 and the others start as threads, all
     joined before the call returns (numpy's linalg gufuncs release the GIL).
     Each worker runs in a copy of the caller's context, so the caller's
-    `np.errstate` holds there, and the first exception of any worker
-    (NonFinite, ConvergenceFailure, a warning escalated to an error) is
-    raised here after the joins.
+    `np.errstate` holds there, and the first exception of any worker (NaN
+    or Inf in a generator, a warning escalated to an error) is raised here
+    after the joins; a row whose propagation fails is not finite (see
+    `linalg.refusals`).
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
@@ -300,15 +303,17 @@ def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResul
     at the config's pi-phase gate time T, for every row of a config of
     either gate, with F_pi the `phase_fidelity` of its two sectors."""
     gate_time = config.gate_time
-    f_pi = phase_fidelity(*config.sectors(), gate_time)
-    f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
-    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN)
+    with np.errstate(over="ignore", invalid="ignore"):   # rows refused below
+        f_pi = phase_fidelity(*config.sectors(), gate_time)
+        f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
+    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN, refused={
+        **config.gate_time_refusals(gate_time), **linalg.refusals(gate_time, f_pi)})
 
 
 def fidelity_analytic_exchange(config: ExchangeConfig) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
     at the config's pi-phase gate time T, for every row of the config. A
-    detuning far below kappa overflows cosh: that row is NaN, and
+    detuning far below kappa overflows cosh: that row is refused with
     NonFinite, with no RuntimeWarning."""
     gate_time = config.gate_time
     with np.errstate(over="ignore", invalid="ignore"):

@@ -5,10 +5,11 @@ figure carries a `#`-prefixed parameter block; swept quantities are marked
 with the SWEEP token so a single row can be reproduced through the
 command-line evaluate path. Every builder evaluates whole columns in one
 evaluator call each, a fig2 builder in one call of each scattering path
-(its g/kappa regimes a (3, 1) column). The fig8 optima are row-wise
-golden-section searches over the Gamma column on the closed-form kernels,
-validated once before the search and reported through the public
-evaluators; fig8a and fig8b each run them, by design (see `_fig8_table`).
+(its g/kappa regimes a (3, 1) column); a refused cell raises its error
+(`GateResults.whole`). The fig8 optima are row-wise golden-section searches
+over the Gamma column on the closed-form kernels, validated once before the
+search and reported through the public evaluators; fig8a and fig8b each run
+them, by design (see `_fig8_table`).
 """
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ def _fig2(axis_name, axis_values, fixed, variable):
         header += [f"F_numeric_gk{gk:g}", f"F_analytic_gk{gk:g}"]
     batch = _scatter_configs(g_over_kappa=np.array(_SCATTER_REGIMES)[:, None], **fixed,
                              **{variable: axis_values})
-    columns = np.stack([scattering.fidelity_numeric(batch).fidelity,
-                        scattering.fidelity_analytic(batch).fidelity], axis=1)
+    columns = np.stack([scattering.fidelity_numeric(batch).whole().fidelity,
+                        scattering.fidelity_analytic(batch).whole().fidelity], axis=1)
     return header, np.column_stack([axis_values, *columns.reshape(-1, len(axis_values))])
 
 
@@ -92,8 +93,8 @@ def build_fig2b():
 def build_fig2c():
     values = np.exp(np.linspace(math.log(0.01), math.log(10.0), 121))
     batch = _scatter_configs(4000.0, values, 1e-5, 30.0, 2.0)
-    rows = np.column_stack([values, scattering.fidelity_numeric(batch).fidelity,
-                            scattering.fidelity_analytic(batch).fidelity])
+    rows = np.column_stack([values, scattering.fidelity_numeric(batch).whole().fidelity,
+                            scattering.fidelity_analytic(batch).whole().fidelity])
     comments = (
         "[cavity]", "cooperativity = 4000", "g_over_kappa = SWEEP", "gamma = 1 rad_s",
         "[decoherence]", "qubit_pure_dephasing = 4e-5 per_gamma",
@@ -105,9 +106,9 @@ def build_fig2c():
 def build_fig4():
     values = np.exp(np.linspace(math.log(1.0), math.log(1e4), 201))
     weak_and_strong = _exchange_configs(8000.0, np.array([[0.1], [10.0]]), values)
-    numeric = exchange.fidelity_numeric_exchange(weak_and_strong).fidelity
+    numeric = exchange.fidelity_numeric_exchange(weak_and_strong).whole().fidelity
     analytic = exchange.fidelity_analytic_exchange(_exchange_configs(8000.0, 0.1, values))
-    rows = np.column_stack([values, *numeric, analytic.fidelity])
+    rows = np.column_stack([values, *numeric, analytic.whole().fidelity])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.simple_exchange]", "detuning = SWEEP per_kappa",
@@ -124,7 +125,7 @@ def build_fig6a():
     # rows run over the laser detuning within each two-photon detuning
     dok, lok = np.meshgrid(grid, grid, indexing="ij")
     numeric = raman.fidelity_numeric_raman(_raman_configs(8000.0, 0.1, dok, lok, 0.05))
-    rows = np.column_stack([dok.ravel(), lok.ravel(), numeric.fidelity.ravel()])
+    rows = np.column_stack([dok.ravel(), lok.ravel(), numeric.whole().fidelity.ravel()])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.raman]", "two_photon = SWEEP per_kappa", "laser_detuning = SWEEP per_kappa",
@@ -139,10 +140,10 @@ def build_fig6a():
 def build_fig6b():
     ridge = 0.5 * math.sqrt(8000.0)
     values = np.exp(np.linspace(math.log(0.1), math.log(1e3), 201))
-    numeric = raman.fidelity_numeric_raman(
-        _raman_configs(8000.0, 0.1, ridge, values, np.array([[0.05], [1.0 / 3.0]]))).fidelity
+    numeric = raman.fidelity_numeric_raman(_raman_configs(
+        8000.0, 0.1, ridge, values, np.array([[0.05], [1.0 / 3.0]]))).whole().fidelity
     analytic = raman.fidelity_analytic_raman(_raman_configs(8000.0, 0.1, ridge, values, 0.05))
-    rows = np.column_stack([values, *numeric, analytic.fidelity])
+    rows = np.column_stack([values, *numeric, analytic.whole().fidelity])
     comments = (
         "[cavity]", "cooperativity = 8000", "g_over_kappa = 0.1", "gamma = 1 rad_s",
         "[scheme.raman]", "two_photon = optimal", "laser_detuning = SWEEP per_kappa",
@@ -219,7 +220,7 @@ def _fig8_table():
     log_lo, log_hi = np.log(t_guess / 10.0), np.log(10.0 * t_guess)
     scatter_configs(np.stack([log_lo, log_hi]))   # checks that hold on the whole bracket
     log_t, _ = sweep.golden_section_max(scatter, log_lo, log_hi, tol=1e-6)
-    best_s = scattering.fidelity_analytic(scatter_configs(log_t)).fidelity
+    best_s = scattering.fidelity_analytic(scatter_configs(log_t)).whole().fidelity
 
     def simple(log_d):
         d = np.exp(log_d)
@@ -240,7 +241,7 @@ def _fig8_table():
     d_grid = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)
     x_grid = np.linspace(math.log(1e-3), math.log(0.45), 31)
     values = raman.fidelity_analytic_raman(_fig8_raman_configs(
-        cav, two_photon, d_grid[:, None], x_grid, gammas[:, None, None])).fidelity
+        cav, two_photon, d_grid[:, None], x_grid, gammas[:, None, None])).whole().fidelity
     i, j = np.unravel_index(values.reshape(len(gammas), -1).argmax(axis=1), values.shape[1:])
     d_lo, d_hi = d_grid[np.maximum(i - 1, 0)], d_grid[np.minimum(i + 1, len(d_grid) - 1)]
     x_lo, x_hi = x_grid[np.maximum(j - 1, 0)], x_grid[np.minimum(j + 1, len(x_grid) - 1)]
@@ -255,7 +256,7 @@ def _fig8_table():
         if not active.any():
             break
     best = raman.fidelity_analytic_raman(_fig8_raman_configs(cav, two_photon, log_d, log_x,
-                                                             gammas))
+                                                             gammas)).whole()
     return (np.column_stack([gammas, best_s, best_e, best.fidelity]),
             np.column_stack([gammas, np.exp(log_t),
                              exchange.exchange_gate_time(np.exp(log_e), cav.g, cav.g),

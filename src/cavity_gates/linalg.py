@@ -32,20 +32,22 @@ forms on a spectrum lose about its trust measure squared times epsilon.
 `return_amplitudes` sends the untrusted rows of either kernel to Taylor
 scaling-and-squaring, one row at a time. It propagates the numeric path of
 both exchange gates and, through it, the simple exchange's Lindblad check.
-The Raman Lindblad closure has no fallback: it refuses a whole batch with
-ConvergenceFailure when any of its rows' eigenbases is untrusted.
+The Raman Lindblad closure has no fallback: it refuses each row whose
+eigenbasis is untrusted, with ConvergenceFailure.
 
 In both kernels a NaN or Inf trust measure (products that overflowed, say),
 and every row of a stack whose eigensolve (or inverse) raises LinAlgError,
-are untrusted; NaN or Inf input raises NonFinite, and so does a propagation
-that overflows, with one message whichever route the row took: a phase
-e^{-i t lambda} of a trusted row (`phases`) or the Taylor generator t H of
-an untrusted row. No stack is split here: the callers size it, and each
-call makes one LAPACK call per kernel whatever its size. At one row the
-checks and bookkeeping still cost about three times the eigensolve: a
-one-row exchange pair takes about 50 us in `return_amplitudes`, 12 of them
-in `eigvals` (2-core VM, one BLAS thread). A row's result does not depend
-on the size of its stack, and numpy's linalg gufuncs release the GIL.
+are untrusted. NaN or Inf in a generator raises NonFinite for the whole
+stack. A row whose propagation leaves the double range (a non-finite t, a
+phase e^{-i t lambda} or an untrusted row's Taylor generator t H past it)
+is not finite, and `refusals` names it for `params.gate_results`, with one
+overflow message whichever route the row took. No stack is split here: the
+callers size it, and each call makes one LAPACK call per kernel whatever
+its size. At one row the checks and bookkeeping still cost about three
+times the eigensolve: a one-row exchange pair takes about 50 us in
+`return_amplitudes`, 12 of them in `eigvals` (2-core VM, one BLAS thread).
+A row's result does not depend on the size of its stack, and numpy's linalg
+gufuncs release the GIL.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceFailure, NonFinite
+from .params import all_rows, any_row
 
 #: eigenvector condition number (or twice the residue sum of `resolvent_poles`)
 #: from which a spectrum is not trusted
@@ -63,7 +66,7 @@ EIG_COND_LIMIT = 1e3
 SERIES_TOL = 1e-12
 
 #: the NonFinite text of an overflowing propagation, whichever route a row took
-_OVERFLOW = "propagation overflows: ||H|| t is past the double range"
+OVERFLOW = "propagation overflows: ||H|| t is past the double range"
 
 
 class Eigenbasis(NamedTuple):
@@ -205,7 +208,8 @@ def solve(a, b) -> np.ndarray:
 
 
 def _expm_squaring(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a Taylor series truncated at SERIES_TOL."""
+    """Scaling-and-squaring with a Taylor series truncated at SERIES_TOL,
+    which it reaches within 12 terms: the k-th is at most 2^-k/k!."""
     norm = np.linalg.norm(m, 1)
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
     a = m / (2.0**squarings)
@@ -216,26 +220,21 @@ def _expm_squaring(m: np.ndarray) -> np.ndarray:
         result = result + term
         if np.abs(term).max() < SERIES_TOL:
             break
-    else:
-        raise ConvergenceFailure("Taylor series for the matrix exponential did not truncate")
     for _ in range(squarings):
         result = result @ result
     return result
 
 
-def phases(values, t, trusted=True) -> np.ndarray:
-    """e^{-i t_j lambda_jk} for eigenvalues values (..., k), times t that
-    broadcast with them and row trust flags (...). Raises NonFinite when a
-    trusted row's phase overflows (||H|| t past the double range); an
-    untrusted row's phase that does is set to 0, as its spectrum is unused."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-1j * t * values)
-    finite = np.isfinite(out)
-    if not finite.all():
-        if not (finite.all(-1) | ~np.asarray(trusted)).all():
-            raise NonFinite(_OVERFLOW)
-        out[~finite] = 0.0
-    return out
+def refusals(t, values) -> dict:
+    """{NonFinite: row mask} of the rows of `values`, computed row by row from
+    `return_amplitudes` at times t, that are not finite: a non-finite t, else
+    an overflow."""
+    if all_rows(finite := np.isfinite(values)):
+        return {}
+    timed = np.isfinite(t)
+    return {error: rows for error, rows in (
+        (NonFinite("propagation time contains NaN or Inf entries"), ~timed),
+        (NonFinite(OVERFLOW), ~finite & timed)) if any_row(rows)}
 
 
 def return_amplitudes(h, t) -> np.ndarray:
@@ -244,14 +243,12 @@ def return_amplitudes(h, t) -> np.ndarray:
     call on the flattened stack: w_k of `resolvent_poles` for k <= 3, V_0k
     (V^-1)_k0 of `eigenbasis` above. t is a scalar or broadcasts with the
     stack axes, whose broadcast shape the result has. Untrusted rows take
-    Taylor scaling-and-squaring; one whose t_j H_j overflows raises
-    NonFinite, as a trusted row's phase does."""
+    Taylor scaling-and-squaring. A row whose propagation leaves the double
+    range is not finite, with no RuntimeWarning: see `refusals`."""
     h = np.asarray(h, dtype=complex)
     t = np.asarray(t, dtype=float)
     if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
-    if not np.isfinite(t).all():
-        raise NonFinite("propagation time contains NaN or Inf entries")
     if t.ndim:   # a time per row: one shape for both
         h = np.broadcast_to(h, np.broadcast_shapes(h.shape[:-2], t.shape) + h.shape[-2:])
     lead, k = h.shape[:-2], h.shape[-1]
@@ -263,14 +260,12 @@ def return_amplitudes(h, t) -> np.ndarray:
     else:
         values, weights, _, trusted = resolvent_poles(flat)
     values, weights = values.reshape(lead + (k,)), weights.reshape(lead + (k,))
-    # not `*`: on a large temporary numpy forms `phases * weights`, which may round
+    # not `*`: on a large temporary numpy swaps the operands, which may round
     # differently, so a row's bits would depend on the size of its stack
-    with np.errstate(invalid="ignore"):   # inf weights of untrusted rows, replaced below
-        out = np.multiply(weights, phases(values, t[..., None], trusted.reshape(lead))).sum(-1)
-    for i in (~trusted).nonzero()[0]:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # untrusted rows replaced below
+        out = np.multiply(weights, np.exp(-1j * t[..., None] * values)).sum(-1)
+        for i in (~trusted).nonzero()[0]:
             m = -1j * np.broadcast_to(t, lead).flat[i] * flat[i]
-        if not np.isfinite(m).all():
-            raise NonFinite(_OVERFLOW)
-        out.flat[i] = _expm_squaring(m)[0, 0]
+            # past ||m||_1 = 2^1023 the scaling 2^-s leaves the double range; NaN fails
+            out.flat[i] = _expm_squaring(m)[0, 0] if np.abs(m).sum(0).max() < 2.0**1023 else np.nan
     return out

@@ -30,6 +30,10 @@ in an A-ground state that the closing pi pulse re-excites, which the target
 does not hold. So J = 0 there, F = (F_pi + 1)/2 - Gamma_eff T, and F_pi
 comes from `exchange.phase_fidelity`: the result is the numeric path's bit
 for bit, near an exceptional point too, where its Taylor fallback serves.
+
+A row-local failure refuses that row alone (see `params.GateResults`): a
+gate time or a propagation out of the double range, and a Raman row whose
+sector eigenbasis `linalg` does not trust, as the closure has no fallback.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ _TARGET_JUMPS = ("kappa", "gamma", "gamma")
 _JUMP_SOURCES = ([2, 1, 3], [2, 1])
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a row that overflows is refused below
 def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     """Full master-equation gate fidelity for every row of a config of
     either exchange gate, at its pi-phase gate time. A corrected
@@ -60,30 +65,23 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     F_pi from `exchange.phase_fidelity`: `fidelity_numeric_exchange`'s
     result bit for bit, near an exceptional point too. A Raman config has
     no fallback: the closed-form jump integral loses about cond^2 times
-    machine epsilon, so a sector eigenbasis that `linalg` does not trust on
-    any row (near an exceptional point) raises ConvergenceFailure. NaN or
-    Inf in a generator, a phase that overflows (a trusted row's, checked
-    first) and an overlap that overflowed raise NonFinite.
+    machine epsilon, so a row whose sector eigenbasis `linalg` does not
+    trust (near an exceptional point) is refused with ConvergenceFailure,
+    after a gate time out of range and before an overlap that overflows.
     """
     gate_time = config.gate_time
     if isinstance(config, ExchangeConfig):   # J = 0: sqrt of the overlap is (1 + F_pi)/2
         f_pi = phase_fidelity(*config.sectors(), gate_time)
         return gate_results(0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time, gate_time,
-                            Method.LINDBLAD)
+                            Method.LINDBLAD, refused=linalg.refusals(gate_time, f_pi))
+    refused = config.gate_time_refusals(gate_time)
     lossy_sectors, params = config.sectors()
     sectors = lossy_sectors(*params)
     shape = sectors[0].shape[:-2]   # gate_time is a function of the params
     t = np.broadcast_to(gate_time, shape).reshape(-1, 1)
     bases = [linalg.eigenbasis(h.reshape(-1, *h.shape[-2:])) for h in sectors]
     amplitudes = [b.vectors * b.inverse[:, None, :, 0] for b in bases]   # V_ik (V^-1)_k0
-    # an overflowing phase of a trusted row raises NonFinite before any row is refused
-    rotations = [linalg.phases(basis.values, t, basis.trusted) for basis in bases]
-    for basis in bases:
-        if not basis.trusted.all():
-            row = int(np.argmin(basis.trusted))
-            raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
-                                     f"{basis.cond[row]:.2e} on row {row}): too near an "
-                                     f"exceptional point")
+    rotations = [np.exp(-1j * t * basis.values) for basis in bases]
     ud, uu = ((a[:, 0] * p).sum(-1) for a, p in zip(amplitudes, rotations))
     # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
     lam = np.concatenate([basis.values for basis in bases], axis=-1)
@@ -103,7 +101,14 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     weights = np.einsum("nck,nkl,ncl->nc", u, integral, u.conj()).real
     overlap = ((0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
                + 0.25 * (rates.reshape(weights.shape) * weights).sum(-1))
-    if not np.isfinite(overlap).all():
-        raise NonFinite("gate overlap is not finite: the propagation overflowed")
+    trusted, finite = bases[0].trusted & bases[1].trusted, np.isfinite(overlap)
+    if not (trusted.all() and finite.all()):   # an untrusted row first: its overlap is unused
+        cond = np.where(bases[0].trusted, bases[1].cond, bases[0].cond)
+        for row in (~trusted).nonzero()[0]:
+            refused[ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
+                                       f"{cond[row]:.2e}): too near an exceptional point")] = (
+                np.arange(len(t)) == row).reshape(shape)
+        if not finite.all():
+            refused[NonFinite(linalg.OVERFLOW)] = ~finite.reshape(shape)
     f_gate = np.sqrt(np.clip(overlap, 0.0, 1.0)).reshape(shape) - config.gamma_eff * gate_time
-    return gate_results(f_gate, gate_time, Method.LINDBLAD)
+    return gate_results(f_gate, gate_time, Method.LINDBLAD, refused=refused)

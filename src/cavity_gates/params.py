@@ -42,18 +42,14 @@ class CavitySystem:
     gamma: float
 
     def __post_init__(self):
-        for name in ("g", "kappa", "gamma"):
-            value = getattr(self, name)
-            # written so that NaN fails
-            if not all_rows((value > 0) & (value < math.inf)):
-                raise ValueError(f"CavitySystem.{name} must be finite and > 0, got {value!r}")
+        check_rates(self, ("g", "kappa", "gamma"))
         # finite rates can still give a C that overflows, or one that
         # underflows to 0, which every scheme divides by; g**2, unlike the
         # property's g * g, raises on a float g^2 past the double range
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
                 cooperativity = 4.0 * self.g**2 / (self.kappa * self.gamma)
-        except OverflowError:  # a float g**2 past the double range
+        except (OverflowError, ZeroDivisionError):  # a float g**2 or 1/(kappa gamma) out of range
             cooperativity = math.inf
         if not all_rows(cooperativity < math.inf):
             raise ValueError(f"CavitySystem cooperativity 4 g^2/(kappa gamma) must be finite, "
@@ -105,10 +101,8 @@ class DecoherenceSpec:
     qubit_t2: float | None = None
 
     def __post_init__(self):
-        for name in ("qubit_relaxation", "qubit_pure_dephasing",
-                     "optical_pure_dephasing", "shelving_decay"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"DecoherenceSpec.{name} must be finite and >= 0")
+        check_rates(self, ("qubit_relaxation", "qubit_pure_dephasing", "optical_pure_dephasing",
+                           "shelving_decay"), zero=True)
         if self.qubit_t2 is not None and not self.qubit_t2 > 0:
             raise ValueError("DecoherenceSpec.qubit_t2 must be > 0 when given")
 
@@ -172,6 +166,17 @@ def all_rows(condition) -> bool:
     return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
 
 
+def check_rates(config, names, zero=False):
+    """ValueError unless each named field of a config is None or, on every
+    row, finite and > 0 (>= 0 with zero=True). Written so that NaN fails."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not all_rows(((value >= 0) if zero else (value > 0))
+                                              & (value < math.inf)):
+            raise ValueError(f"{type(config).__name__}.{name} must be finite and "
+                             f"{'>=' if zero else '>'} 0, got {value!r}")
+
+
 def broadcast_shape(*values) -> tuple:
     """Broadcast shape of scalars and arrays; () when all are scalars."""
     return np.broadcast(*values).shape
@@ -210,6 +215,9 @@ class GateResults:
     row. notes maps each note to a boolean mask of the rows it applies to;
     a row's GateResult carries the notes whose mask is set, in insertion
     order: the evaluator's own notes first, "clamped" last.
+    refused maps the error of each row-local failure (an overflow, say) to
+    the mask of the rows it refused (each mask sets a row). A refused row is
+    NaN in every field, and indexing it raises its first error.
     """
 
     fidelity: np.ndarray
@@ -217,12 +225,19 @@ class GateResults:
     method: Method
     notes: dict = field(default_factory=dict)
     success_probability: np.ndarray | float = 1.0
+    refused: dict = field(default_factory=dict)
 
     @property
     def shape(self) -> tuple:
         return self.fidelity.shape
 
+    def refusal(self, index):
+        """The first error of a refused row, None for any other."""
+        return next((error for error, mask in self.refused.items() if mask[index]), None)
+
     def __getitem__(self, index) -> GateResult:
+        if self.refused and (error := self.refusal(index)) is not None:
+            raise error.with_traceback(None)
         probability = self.success_probability
         return GateResult(
             fidelity=float(self.fidelity[index]), gate_time=float(self.gate_time[index]),
@@ -240,6 +255,12 @@ class GateResults:
                              f"{self.shape}")
         return self[(0,) * self.fidelity.ndim]
 
+    def whole(self) -> "GateResults":
+        """These results, unless a row was refused: then its error raises."""
+        if self.refused:
+            raise next(iter(self.refused)).with_traceback(None)
+        return self
+
 
 def _broadcast(value, shape, dtype):
     value = np.asarray(value, dtype=dtype)[()]
@@ -253,32 +274,39 @@ def clamp_unit(values):
 
 
 def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
-                 success_probability=None) -> GateResults:
+                 success_probability=None, refused: dict | None = None) -> GateResults:
     """Clamp gate fidelities into [0, 1], and success probabilities when
     given (a deterministic scheme gives none: every row's is 1), and mark
     every row where either was clamped with the "clamped" note, after the
-    caller's notes (note -> row mask). Raises NonFinite for NaN fidelities
-    or probabilities and for non-finite gate times (an evaluator that
-    overflowed), and ValueError for non-positive gate times, as GateResult
-    does."""
+    caller's notes (note -> row mask). The one owner of row refusals: after
+    the caller's (error -> row mask), rows are refused with NonFinite for a
+    NaN fidelity, a gate time not finite or not > 0 (an evaluator that
+    overflowed or underflowed), or a NaN probability; see GateResults."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
-    gate_time = _broadcast(gate_time, fidelity.shape, float)
-    if any_row(np.isnan(fidelity)):
-        raise NonFinite("fidelity is nan: the evaluation overflowed")
-    if not all_rows(np.isfinite(gate_time)):
-        raise NonFinite("gate_time is not finite: the evaluation overflowed")
-    if not all_rows(gate_time > 0):
-        raise ValueError("gate_time must be > 0")
+    shape = fidelity.shape
+    gate_time = _broadcast(gate_time, shape, float)
+    probability = (1.0 if success_probability is None
+                   else _broadcast(success_probability, shape, float))
+    refused = ({error: _broadcast(mask, shape, bool) for error, mask in refused.items()}
+               if refused else {})
+    if any_row(nan := np.isnan(fidelity)):
+        refused[NonFinite("fidelity is nan: the evaluation overflowed")] = nan
+    if not all_rows(finite := np.isfinite(gate_time)):
+        refused[NonFinite("gate_time is not finite: the evaluation overflowed")] = ~finite
+    if not all_rows(positive := gate_time > 0):
+        refused[NonFinite("gate_time must be > 0")] = ~positive
+    if success_probability is not None and any_row(nan := np.isnan(probability)):
+        refused[NonFinite("success_probability is nan: the evaluation overflowed")] = nan
+    if refused:
+        rows = np.logical_or.reduce(list(refused.values()))
+        fidelity, gate_time, probability = (np.where(rows, np.nan, value)[()]
+                                            for value in (fidelity, gate_time, probability))
     clamped = (fidelity < 0.0) | (fidelity > 1.0)
-    probability = 1.0
     if success_probability is not None:
-        probability = _broadcast(success_probability, fidelity.shape, float)
-        if any_row(np.isnan(probability)):
-            raise NonFinite("success_probability is nan: the evaluation overflowed")
         clamped = clamped | (probability < 0.0) | (probability > 1.0)
         probability = clamp_unit(probability)
-    masks = {note: _broadcast(mask, fidelity.shape, bool) for note, mask in (notes or {}).items()}
+    masks = {note: _broadcast(mask, shape, bool) for note, mask in (notes or {}).items()}
     masks["clamped"] = clamped
-    return GateResults(clamp_unit(fidelity), gate_time, method, masks, probability)
+    return GateResults(clamp_unit(fidelity), gate_time, method, masks, probability, refused)

@@ -32,7 +32,7 @@ from .errors import NonFinite, ValidityWarning, ZeroDecoherence
 from .exchange import (expanded_max_fidelity, fidelity_numeric_exchange, optimal_detuning,
                        ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
-                     broadcast_shape, gate_results)
+                     broadcast_shape, check_rates, gate_results)
 
 
 def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_photon):
@@ -75,13 +75,8 @@ class RamanConfig:
         # written so that NaN fails every check
         if not all_rows((self.two_photon > 0) & (self.two_photon < math.inf)):
             raise ValueError("two-photon detunings must be finite, with a mean > 0")
-        if not all_rows((self.laser_detuning_a > 0) & (self.laser_detuning_a < math.inf)
-                        & (self.laser_detuning_b > 0) & (self.laser_detuning_b < math.inf)):
-            raise ValueError("laser detunings must be finite and > 0")
-        for name in ("rabi_a", "rabi_b", "gamma_eff"):
-            value = getattr(self, name)
-            if value is not None and not all_rows((value >= 0) & (value < math.inf)):
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_rates(self, ("laser_detuning_a", "laser_detuning_b", "g_a", "g_b"))
+        check_rates(self, ("rabi_a", "rabi_b", "gamma_eff"), zero=True)
         if any_row(self.rabi_a / self.laser_detuning_a > 0.5):
             warnings.warn("drive is not weak against its detuning (Omega/Delta > 0.5); "
                           "adiabatic elimination is unreliable", ValidityWarning, stacklevel=2)
@@ -122,6 +117,13 @@ class RamanConfig:
     def gate_time(self):
         """Drive duration for a pi phase (raman_gate_time)."""
         return raman_gate_time(self)
+
+    def gate_time_refusals(self, gate_time) -> dict:
+        """{NonFinite: rows} of the gate time's rows out of the double range
+        (not finite and > 0), empty if none: every Raman path's first refusal."""
+        inside = (gate_time > 0) & (gate_time < math.inf)
+        return {} if all_rows(inside) else {NonFinite("Raman gate time leaves the double range"):
+                                            ~inside}
 
     def sectors(self):
         """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
@@ -172,26 +174,18 @@ def raman_gate_time(config: RamanConfig) -> float:
 
     T = pi (g_A^2 Delta_A + g_B^2 Delta_B + delta Delta_A Delta_B)
           / (g_A g_B Omega_A Omega_B).
-    A T out of the double range raises NonFinite, with no RuntimeWarning.
+    A zero drive (given, or underflowed) gives T = inf. A T out of the double
+    range warns of nothing, and every Raman path refuses its row.
     """
-    g_a, g_b = config.coupling_a, config.coupling_b
-    om_a, om_b = config.rabi_a, config.drive_b
-    if any_row((g_a <= 0) | (g_b <= 0) | (om_a <= 0) | (om_b <= 0)):
-        raise ValueError("couplings and drives must be > 0 for a finite gate time")
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = _gate_time(g_a, g_b, om_a, om_b, config.two_photon, config.laser_detuning_a,
-                           config.laser_detuning_b)
-    except (OverflowError, ZeroDivisionError):  # float arithmetic past the double range
-        t = math.inf
-    if not all_rows((t > 0) & (t < math.inf)):
-        raise NonFinite("Raman gate time leaves the double range")
-    return t
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _gate_time(config.coupling_a, config.coupling_b, config.rabi_a, config.drive_b,
+                          config.two_photon, config.laser_detuning_a, config.laser_detuning_b)
 
 
 def _gate_time(g_a, g_b, om_a, om_b, d, da, db):
-    """The expression of raman_gate_time, unchecked."""
-    return math.pi * (g_a * g_a * da + g_b * g_b * db + d * da * db) / (g_a * g_b * om_a * om_b)
+    """The expression of raman_gate_time, unchecked (np.divide: a float zero drive is inf)."""
+    return np.divide(math.pi * (g_a * g_a * da + g_b * g_b * db + d * da * db),
+                     g_a * g_b * om_a * om_b)
 
 
 def optimal_gate_time_raman(gamma, cooperativity, detuning_over_rabi) -> float:
@@ -215,19 +209,22 @@ def fidelity_analytic_raman(config: RamanConfig) -> GateResults:
     laser-detuning errors are not modeled; rows that have them carry the
     note "detuning errors not modeled".
     """
-    gate_time = config.gate_time   # first: a T out of range raises NonFinite, not a warning
+    gate_time = config.gate_time
     d = config.two_photon
     big_d = config.laser_detuning
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow: a NaN row, NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow: a NaN row, refused
         omega = np.sqrt(config.rabi_a * config.drive_b)
         g2 = config.coupling_a * config.coupling_b
-        if any_row((g2 / (d * big_d) > 0.5) | ((big_d > 0) & (omega / big_d > 0.5))):
+        edge = (g2 / (d * big_d) > 0.5) | (omega / big_d > 0.5)
+        # a row refused for its gate time warns of nothing: its error says why
+        if any_row(edge) and any_row(edge & (gate_time > 0) & (gate_time < math.inf)):
             warnings.warn("inputs are at the edge of the adiabatic regime "
                           "(cavity Rabi or drive Rabi limit)", ValidityWarning, stacklevel=2)
         f_gate = _closed_form(config.cavity, d, big_d, omega, g2, config.gamma_eff, gate_time)
     unmodeled = (config.two_photon_error > 0) | (config.laser_detuning_error > 0)
     return gate_results(f_gate, gate_time, Method.ANALYTIC,
-                        {"detuning errors not modeled": unmodeled})
+                        {"detuning errors not modeled": unmodeled},
+                        refused=config.gate_time_refusals(gate_time))
 
 
 def _closed_form(cavity, d, big_d, omega, g2, gamma_eff, gate_time):

@@ -54,8 +54,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DivergentDenominator, NonFinite, ValidityWarning, ZeroDecoherence
-from .params import (CavitySystem, GateResults, Method, all_rows, any_row, config_shape,
-                     gate_results)
+from .params import (CavitySystem, GateResults, Method, all_rows, any_row, check_rates,
+                     config_shape, gate_results)
 
 LN2 = math.log(2.0)
 
@@ -83,8 +83,7 @@ class PhotonPulse:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not all_rows(self.sigma_p > 0):
-            raise ValueError("PhotonPulse.sigma_p must be > 0")
+        check_rates(self, ("sigma_p",))
         if not all_rows(abs(self.delta_p) < math.inf):
             raise ValueError("PhotonPulse.delta_p must be finite")
 
@@ -117,11 +116,9 @@ class ScatteringConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not all_rows((abs(self.delta_eps_a) < math.inf) & (abs(self.delta_eps_b) < math.inf)
-                        & (abs(self.gamma_eff) < math.inf)):
-            raise ValueError("detunings and gamma_eff must be finite")
-        if not all_rows(self.gamma_eff >= 0):
-            raise ValueError("gamma_eff must be >= 0")
+        if not all_rows((abs(self.delta_eps_a) < math.inf) & (abs(self.delta_eps_b) < math.inf)):
+            raise ValueError("detunings must be finite")
+        check_rates(self, ("gamma_eff",), zero=True)
 
 
 def spin_amplitudes(config: ScatteringConfig, omega):
@@ -137,8 +134,9 @@ def spin_amplitudes(config: ScatteringConfig, omega):
     cav = config.cavity
     w = np.asarray(omega)
     bare = cav.kappa / 2.0 - 1j * w
-    term_a = cav.g**2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
-    term_b = cav.g**2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
+    g2 = cav.g * cav.g   # a float's g**2 is pow, which rounds unlike numpy's array square
+    term_a = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
+    term_b = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
     denoms = (bare + term_a + term_b, bare + term_a, bare + term_b, bare)
     if any((abs(d) < 1e-300).any() for d in denoms):
         raise DivergentDenominator("reflection denominator vanished")
@@ -255,8 +253,10 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     sbar = np.conj(spin_amplitudes(config, mirrored))   # (4_j, 8_k) + shape
     sigma = config.pulse.sigma_p
     z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
-    # not `*`, which may swap the complex operands on a large temporary (see `linalg`)
-    weights = np.multiply(residues, np.conj(1j * math.sqrt(0.5 * math.pi) / sigma * _faddeeva(z)))
+    # not `*`, which may swap the complex operands on a large temporary (see `linalg`),
+    # and np.divide: a Python complex / rounds unlike numpy's array loop
+    weights = np.multiply(residues, np.conj(np.divide(1j * math.sqrt(0.5 * math.pi), sigma)
+                                            * _faddeeva(z)))
     # t_ij sums amplitude i's poles; the other poles add exact zeros
     t = np.einsum("ik,k...,jk...->ij...", _POLE_OWNER, weights, sbar)
     rho = 0.25 * (1.0 + t + np.conj(np.swapaxes(t, 0, 1)))
@@ -374,7 +374,8 @@ def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     """
     t_gate = config.pulse.gate_time
     rho, fallback = _density_matrices(config)
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    # the real populations, summed in order: np.trace's complex sum is pairwise on a stack
+    trace = np.diagonal(rho, axis1=-2, axis2=-1).real.sum(-1)
     coherent = np.einsum("i,...ij,j->...", IDEAL_TARGET, rho, IDEAL_TARGET).real
     decay = -(8.0 / 3.0) * config.gamma_eff * t_gate
     # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
@@ -394,8 +395,8 @@ def fidelity_analytic(config: ScatteringConfig) -> GateResults:
     Valid for C >> 1 and delta_p, sigma_p small against gamma*C (and
     delta_eps small against gamma); rows outside that domain carry the note
     "outside validity domain" and emit a ValidityWarning. Fidelities are
-    clamped to [0, 1] (rows marked "clamped"). Any row whose terms overflow
-    raises NonFinite.
+    clamped to [0, 1] (rows marked "clamped"). A row whose terms overflow
+    is refused with NonFinite.
     """
     cav = config.cavity
     c = cav.cooperativity
@@ -408,15 +409,17 @@ def fidelity_analytic(config: ScatteringConfig) -> GateResults:
     if any_row(outside):
         warnings.warn("inputs outside the closed-form validity domain "
                       "(C >> 1, detunings small against gamma*C)", ValidityWarning, stacklevel=2)
+    message = "closed-form scattering fidelity overflows"
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             fidelity = _closed_form(cav, pulse.delta_p, pulse.sigma_p, config.delta_eps_a,
                                     config.delta_eps_b, config.gamma_eff, t_gate)
-    except (OverflowError, ZeroDivisionError) as exc:  # float arithmetic past the double range
-        raise NonFinite(f"closed-form scattering fidelity overflows: {exc}") from None
-    if not all_rows(np.isfinite(fidelity)):
-        raise NonFinite("closed-form scattering fidelity overflows in some rows")
-    return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside})
+    except (OverflowError, ZeroDivisionError) as exc:  # float arithmetic past the double range,
+        # on a field that every row shares
+        fidelity, message = np.full(config_shape(config), math.nan), f"{message}: {exc}"
+    finite = np.isfinite(fidelity)
+    return gate_results(fidelity, t_gate, Method.ANALYTIC, {"outside validity domain": outside},
+                        refused={} if all_rows(finite) else {NonFinite(message): ~finite})
 
 
 def _closed_form(cavity, delta_p, sigma_p, delta_eps_a, delta_eps_b, gamma_eff, gate_time):

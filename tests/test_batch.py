@@ -12,6 +12,7 @@ thread.
 import dataclasses
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -85,13 +86,26 @@ def raman_batch(seed, n, per_row_cavity=False):
     return rm.RamanConfig(cav, **fields)
 
 
+def scattering_batch(seed, n, per_row_cavity=False):
+    """Scattering configs; about one row in ten has an emitter detuned far
+    past the pulse-scale poles, which takes the matrix-function fallback."""
+    rng = np.random.default_rng(seed)
+    cav = random_cavity(rng, n if per_row_cavity else None)
+    far = np.where(rng.random(n) < 0.1, 1e12, 1.0)
+    pulse = PhotonPulse.from_gate_time(log_uniform(rng, 0.1, 50.0, n),
+                                       delta_p=rng.uniform(-100.0, 100.0, n))
+    return sc.ScatteringConfig(cav, pulse, delta_eps_a=rng.uniform(-1.0, 1.0, n) * far,
+                               delta_eps_b=rng.uniform(-1.0, 1.0, n),
+                               gamma_eff=log_uniform(rng, 1e-7, 0.1, n))
+
+
 def row(config, i):
     """The one-configuration config of row i of an array-valued config, its
-    cavity included."""
+    cavity and pulse included."""
     changes = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, CavitySystem):
+        if dataclasses.is_dataclass(value):
             changes[f.name] = row(value, i)
         elif isinstance(value, np.ndarray):
             changes[f.name] = float(value[i])
@@ -106,14 +120,20 @@ def rows_to_check(seed, n):
 
 def assert_rows_match(evaluate, config, rows):
     """Each listed row of one evaluator call on an array-valued config
-    equals the call on that row alone bit for bit; returns the batch."""
+    equals the call on that row alone bit for bit (fidelity, gate time,
+    success probability, notes and method), and a refused row is refused
+    alone with the same error; returns the batch."""
     batch = evaluate(config)
     for i in rows:
+        error = batch.refusal(i)
+        if error is not None:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                evaluate(row(config, i)).single()
+            continue
         single = evaluate(row(config, i)).single()
         assert single.fidelity == batch.fidelity[i]
         assert single.gate_time == batch.gate_time[i]
-        assert single.notes == batch[i].notes
-        assert single.method is batch.method
+        assert single == batch[i]
     return batch
 
 
@@ -142,6 +162,20 @@ def test_raman_batch_matches_scalar(seed, n, per_row_cavity):
 
 
 @settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES[:3]),
+       per_row_cavity=st.booleans())
+def test_scattering_numeric_batch_matches_scalar(seed, n, per_row_cavity):
+    """The scattering numeric path, pole sum and matrix-function rows alike,
+    so that CLI `sweep` and `evaluate` agree bit for bit. (The closed form
+    keeps a float `**2`, which can round unlike numpy's square.)"""
+    cfg = scattering_batch(seed, n, per_row_cavity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        batch = assert_rows_match(sc.fidelity_numeric, cfg, rows_to_check(seed, n))
+    assert batch.shape == (n,)
+
+
+@settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES), per_row_cavity=st.booleans(),
        raman=st.booleans())
 def test_lindblad_batch_matches_scalar(seed, n, per_row_cavity, raman):
@@ -151,6 +185,27 @@ def test_lindblad_batch_matches_scalar(seed, n, per_row_cavity, raman):
         warnings.simplefilter("ignore", ValidityWarning)
         batch = assert_rows_match(lindblad.gate_fidelity_lindblad, cfg, rows)
         assert batch.shape == (n,)
+
+
+def test_refused_rows_stay_rows():
+    """1,000 simple-exchange rows at C = 5e4, g/kappa = 0.1 (kappa = 1.25e6
+    gamma), with Delta log-spaced from 2e3 gamma to 2e6 gamma: the 41 rows
+    below about kappa/450 overflow the closed form. One call refuses those
+    rows alone (NaN, with their error) and returns the 959 others, every
+    row equal to its one-row call; so do 500 of the rows on the numeric
+    path, which overflows nowhere."""
+    cav = CavitySystem.from_cooperativity(5e4, 0.1, 1.0)
+    detuning = np.exp(np.linspace(math.log(2e3), math.log(2e6), 1000))
+    analytic = assert_rows_match(ex.fidelity_analytic_exchange,
+                                 ex.ExchangeConfig(cav, detuning=detuning), range(1000))
+    refused = np.isnan(analytic.fidelity)
+    assert refused.tolist() == [True] * 41 + [False] * 959
+    assert np.isnan(analytic.gate_time[refused]).all()
+    assert [(str(error), mask.tolist()) for error, mask in analytic.refused.items()] == [
+        ("fidelity is nan: the evaluation overflowed", refused.tolist())]
+    numeric = assert_rows_match(ex.fidelity_numeric_exchange,
+                                ex.ExchangeConfig(cav, detuning=detuning[::2]), range(500))
+    assert numeric.refused == {} and np.isfinite(numeric.fidelity).all()
 
 
 def test_grid_shape_is_kept():
@@ -272,23 +327,24 @@ def test_second_order_exceptional_point_row(monkeypatch):
 
 
 def test_nan_row_raises_non_finite():
-    # a NaN detuning is rejected by the config; a NaN coupling (not checked
-    # there) reaches the propagation, which raises NonFinite
+    # a NaN detuning or coupling is rejected by the config, and NaN in a
+    # generator by the propagation, for the whole batch; a non-finite time
+    # is a row-local failure: that row's amplitude is not finite, and refused
     cfg = raman_batch(5, 12)
-    bad = cfg.two_photon_b.copy()
-    bad[7] = np.nan
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, two_photon_b=bad)
-    bad = np.full(12, cfg.cavity.g)
-    bad[7] = np.nan
-    with pytest.raises(NonFinite):
-        rm.fidelity_numeric_raman(dataclasses.replace(cfg, g_b=bad))
+    for name, value in (("two_photon_b", cfg.two_photon_b), ("g_b", np.full(12, cfg.cavity.g))):
+        bad = value.copy()
+        bad[7] = np.nan
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, **{name: bad})
     h = random_lossy(np.random.default_rng(1), 4, 3)
     h[2, 0, 1] = np.nan
     with pytest.raises(NonFinite):
         linalg.return_amplitudes(h, 1.0)
-    with pytest.raises(NonFinite):
-        linalg.return_amplitudes(h[:2], np.array([1.0, np.inf]))
+    t = np.array([1.0, np.inf])
+    amps = linalg.return_amplitudes(h[:2], t)
+    assert amps[0] == linalg.return_amplitudes(h[:1], 1.0)[0] and not np.isfinite(amps[1])
+    [(error, mask)] = linalg.refusals(t, amps).items()
+    assert isinstance(error, NonFinite) and mask.tolist() == [False, True]
 
 
 def test_config_checks_are_vectorised():
@@ -513,15 +569,18 @@ def lossy_pairs(n, marked):
     return lossy_sectors, [flag]
 
 
-def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
+def test_nan_time_in_last_block_is_a_refused_row(monkeypatch, started_threads):
+    """A NaN time, a row-local failure, makes that row's F_pi not finite in
+    the last block of the last worker and leaves every other row as it was."""
     set_cpus(monkeypatch, 4)
     n = 3 * BLOCK + 5
     lossy_sectors, params = lossy_pairs(n, ())
     t = np.full(n, 2.0)
     t[-1] = np.nan
-    with pytest.raises(NonFinite):
-        ex.phase_fidelity(lossy_sectors, params, t)
+    f_pi = ex.phase_fidelity(lossy_sectors, params, t)
     assert len(started_threads) == 3
+    assert not np.isfinite(f_pi[-1]) and np.array_equal(f_pi[:-1], ex.phase_fidelity(
+        lossy_sectors, [params[0][:-1]], 2.0))
 
 
 def test_worker_exception_reaches_caller(monkeypatch, started_threads):

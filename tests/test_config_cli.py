@@ -259,11 +259,25 @@ RAMAN_TIME = "error: Raman gate time leaves the double range"
       "warning: inputs are at the edge of the adiabatic regime (cavity Rabi or drive Rabi "
       "limit)",
       OVERFLOW]),
+    # T = pi Delta/g^2 underflows to 0: a refused row, not a traceback
+    *(("simple_exchange", {"detuning = optimal": "detuning = 5e-324 rad_s"}, method, 3,
+       ["error: gate_time must be > 0"]) for method in ("numeric", "lindblad")),
+    # kappa gamma underflows to 0, so C = 4 g^2/(kappa gamma) is not finite
+    ("scattering", {"gamma = 596 hz": "gamma = hz: 1e-300"}, "analytic", 2,
+     ["error: cavity: CavitySystem cooperativity 4 g^2/(kappa gamma) must be finite, got inf"]),
+    # sigma_p = 8 pi sqrt(2 ln 2)/T overflows: the pulse refuses it
+    ("scattering", {"gate_time = 1 inv_gamma": "gate_time = 1e-320 s"}, "numeric", 2,
+     ["error: scheme.scattering: PhotonPulse.sigma_p must be finite and > 0, got inf"]),
+    # Omega_A = (Omega/Delta) Delta underflows to 0: no finite gate time
+    ("raman", {"laser_detuning = 2 per_kappa": "laser_detuning = 1e-300 rad_s",
+               "rabi_over_detuning = 0.1": "rabi_over_detuning = 1e-300"}, "numeric", 3,
+     [RAMAN_TIME]),
 ], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
         "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow",
         "infinite-gate-time",
         *(f"raman-gate-time-overflow-{method}" for method in ("analytic", "numeric", "lindblad")),
-        "raman-drive-overflow"])
+        "raman-drive-overflow", "gate-time-underflow-numeric", "gate-time-underflow-lindblad",
+        "kappa-gamma-underflow", "pulse-width-overflow", "raman-drive-underflow"])
 def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, code, stderr):
     """Finite numbers past what the double range can carry through an
     evaluation: cavity rates are config errors, the rest evaluator errors.
@@ -614,13 +628,13 @@ def test_cli_sweep_is_one_evaluator_call(yb_path, monkeypatch, scheme, method):
 
 def test_cli_sweep_refused_batch_keeps_point_rows(yb_path, monkeypatch, tmp_path):
     """A point that builds but fails to evaluate (the closed form overflows
-    far below kappa) makes the one batch call refuse. The sweep then
-    evaluates point by point: that point keeps its nan,nan row and its
-    warning, and the other rows are those of `evaluate`."""
+    far below kappa) is a refused row of the one batch call: that point
+    gets its nan,nan row and its warning, with the error that `evaluate`
+    gives it, and the other rows are those of `evaluate`."""
     shapes = _spy_evaluator(monkeypatch, "simple_exchange", "analytic")
     result = _sweep_detuning(yb_path, minimum="1e-4", maximum="100")
     assert result.exit_code == 0
-    assert shapes == [(3,), (), (), ()]
+    assert shapes == [(3,)]
     assert result.stdout.splitlines()[2] == "1.00000000000e-04,nan,nan"
     assert result.stderr == ("warning: detuning=0.0001: fidelity is nan: the evaluation "
                              "overflowed\n")
@@ -808,7 +822,7 @@ _FUZZ_BASE = {
                      "laser_detuning_error": None, "rabi_a": None, "rabi_b": None},
 }
 _FUZZ_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
-                                 "1e160", "5%", "", "2", "0.5", "40", "1e4"])
+                                 "5e-324", "1e160", "5%", "", "2", "0.5", "40", "1e4"])
 _FUZZ_UNITS = st.sampled_from(["", " rad_s", " hz", " per_gamma", " per_kappa", " s",
                                " inv_gamma", " bogus"])
 _FUZZ_VALUES = (st.builds("{}{}".format, _FUZZ_NUMBERS, _FUZZ_UNITS)
@@ -817,7 +831,8 @@ _FUZZ_VALUES = (st.builds("{}{}".format, _FUZZ_NUMBERS, _FUZZ_UNITS)
 _FUZZ_EXTRAS = st.sampled_from(["[scheme.raman]\nrabi_a = 1 rad_s", "[DEFAULT]\ngamma = 1 rad_s",
                                 "[unknown]\nfoo = 1", "[cavity]\ngamma = 1 rad_s",
                                 "  per_kappa", "gamma = 1 rad_s", "x"])
-_FUZZ_OPTIONS = st.sampled_from(["nan", "inf", "0", "-1", "1e300", "1e-300", "5", "3000", "0.1"])
+_FUZZ_OPTIONS = st.sampled_from(["nan", "inf", "0", "-1", "1e300", "1e-300", "5e-324", "5", "3000",
+                                 "0.1"])
 
 
 _FUZZ_KEYS = [(section, key) for section, keys in _FUZZ_BASE.items() for key in keys]

@@ -20,13 +20,27 @@ def make_config(cooperativity=8000.0, g_over_kappa=0.1, detuning_over_kappa=None
     return ex.ExchangeConfig(cav, detuning=detuning, **kwargs)
 
 
+def uncoupled_sectors(cfg):
+    """(sector builder, params) of a config with every coupling zero, which
+    the config itself refuses."""
+    lossy_sectors, params = cfg.sectors()
+    return lossy_sectors, (params[0], 0.0, 0.0, 0.0, *params[4:])
+
+
 def test_hamiltonians_uncoupled_diagonal():
-    cfg = make_config(detuning_over_kappa=3.0, splitting_eg=50.0, detuning_error=0.4,
-                      g_up_a=0.0, g_down_b=0.0, g_up_b=0.0)
-    ham = sector_hamiltonians(cfg)
+    cfg = make_config(detuning_over_kappa=3.0, splitting_eg=50.0, detuning_error=0.4)
+    lossy_sectors, params = uncoupled_sectors(cfg)
+    h_up_down, h_up_up = lossy_sectors(*params).real
     delta = cfg.detuning
-    assert np.allclose(ham.h_up_down, np.diag([0.0, delta, -0.4]))
-    assert np.allclose(ham.h_up_up, np.diag([0.0, delta, 50.0 - 0.4]))
+    assert np.allclose(h_up_down, np.diag([0.0, delta, -0.4]))
+    assert np.allclose(h_up_up, np.diag([0.0, delta, 50.0 - 0.4]))
+
+
+@pytest.mark.parametrize("name", ["g_up_a", "g_down_b", "g_up_b"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan])])
+def test_couplings_are_checked_at_construction(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        make_config(**{name: value})
 
 
 def test_hamiltonians_symmetric_real():
@@ -136,14 +150,13 @@ def test_numeric_strong_coupling_oscillates():
 
 
 def test_decoupled_amplitude_is_bare_decay():
-    cfg = make_config(detuning_over_kappa=5.0, g_up_a=0.0, g_down_b=0.0, g_up_b=0.0,
-                      splitting_eg=100.0)
-    ham = sector_hamiltonians(cfg)
+    lossy_sectors, params = uncoupled_sectors(make_config(detuning_over_kappa=5.0,
+                                                          splitting_eg=100.0))
     t = 2.0
-    amp = linalg.return_amplitudes(ham.h_eff_up_down[None], t)[0]
+    amp = linalg.return_amplitudes(lossy_sectors(*params)[0][None], t)[0]
     assert amp == pytest.approx(math.exp(-t / 2.0), rel=1e-12)
     # zero couplings, no finite gate time: propagate for a fixed one
-    assert ex.phase_fidelity(*cfg.sectors(), t) == pytest.approx(0.0, abs=1e-12)
+    assert ex.phase_fidelity(lossy_sectors, params, t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gamma_enters_linearly():
@@ -225,11 +238,15 @@ def test_analytic_result_wrapper():
 def test_closed_form_far_below_kappa_is_non_finite(detuning):
     """cosh(pi kappa/(2 Delta)) overflows for Delta below about kappa/450:
     the closed form refuses the row with NonFinite, on the scalar and the
-    batch path, and raises no RuntimeWarning (an error in this suite)."""
+    batch path (that row alone, NaN), and raises no RuntimeWarning (an
+    error in this suite)."""
     cfg = make_config(cooperativity=1000.0, g_over_kappa=0.1)
     tiny = ex.ExchangeConfig(cfg.cavity, detuning=detuning)
     with pytest.raises(NonFinite, match="fidelity is nan"):
         ex.fidelity_analytic_exchange(tiny).single()
+    batch = ex.fidelity_analytic_exchange(
+        ex.ExchangeConfig(cfg.cavity, detuning=np.array([cfg.detuning, detuning])))
+    assert batch[0] == ex.fidelity_analytic_exchange(cfg).single()
+    assert np.isnan(batch.fidelity[1]) and np.isnan(batch.gate_time[1])
     with pytest.raises(NonFinite, match="fidelity is nan"):
-        ex.fidelity_analytic_exchange(
-            ex.ExchangeConfig(cfg.cavity, detuning=np.array([cfg.detuning, detuning])))
+        batch[1]

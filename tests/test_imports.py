@@ -57,9 +57,9 @@ def test_one_result_builder():
 def test_one_cli_error_boundary():
     """The CLI maps errors to exit codes in one place: `sys.exit` is called
     in `_fail` alone, and a ConfigError or CavityGateError is caught only by
-    the `_boundary` decorator and by `sweep`'s point handlers: `sweep_cmd`
-    for a point whose config fails, `_evaluate_grid` for a refused batch and
-    for a point whose evaluation fails."""
+    the `_boundary` decorator and by `sweep_cmd` for a point whose config
+    fails. A point whose evaluation fails is a refused row of the one batch
+    call, which `sweep_cmd` reads without catching anything."""
     package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
     with open(os.path.join(package, "cli.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -75,8 +75,7 @@ def test_one_cli_error_boundary():
                           n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
                     owners["except"].append(function.name)
     assert owners == {"sys.exit": ["_fail"],
-                      "except": ["_boundary", "_boundary", "_evaluate_grid", "_evaluate_grid",
-                                 "sweep_cmd"]}
+                      "except": ["_boundary", "_boundary", "sweep_cmd"]}
 
 
 def test_no_batch_twins():

@@ -448,9 +448,10 @@ rabi_over_detuning = 0.1
 
 def test_untrusted_raman_row_is_refused(monkeypatch, tmp_path):
     """The Raman closure has no fallback. With the trust limit set between
-    two rows' condition numbers, the row past it refuses the whole batch
-    with ConvergenceFailure naming that row, and alone on the CLI it exits
-    3 with one `error:` line."""
+    two rows' condition numbers, the row past it is refused with
+    ConvergenceFailure, in a batch as alone, and the other row of the batch
+    is its one-row result; alone on the CLI it exits 3 with one `error:`
+    line."""
     texts = [RAMAN_ROW.format(g_over_kappa=g) for g in (0.1, 1.0)]
     rows = [build_raman(load_config_text(text)) for text in texts]
     conds = []
@@ -460,9 +461,14 @@ def test_untrusted_raman_row_is_refused(monkeypatch, tmp_path):
                          for h in lossy_sectors(*params)))
     assert conds[0] < conds[1] < linalg.EIG_COND_LIMIT
     monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.5 * (conds[0] + conds[1]))
-    lb.gate_fidelity_lindblad(rows[0])
-    with pytest.raises(ConvergenceFailure, match="on row 1"):
-        lb.gate_fidelity_lindblad(stack_configs(rows))
+    batch = lb.gate_fidelity_lindblad(stack_configs(rows))
+    assert batch[0] == lb.gate_fidelity_lindblad(rows[0]).single()
+    assert np.isnan(batch.fidelity[1]) and np.isnan(batch.gate_time[1])
+    with pytest.raises(ConvergenceFailure, match="eigenbasis of H_eff not trusted") as alone:
+        lb.gate_fidelity_lindblad(rows[1]).single()
+    with pytest.raises(ConvergenceFailure) as in_batch:
+        batch[1]
+    assert str(in_batch.value) == str(alone.value)
     path = tmp_path / "raman.ini"
     path.write_text(texts[1])
     result = CliRunner().invoke(main, ["evaluate", "raman", str(path), "--method", "lindblad"])
@@ -478,8 +484,12 @@ def test_untrusted_raman_row_is_refused(monkeypatch, tmp_path):
                                       lb.gate_fidelity_lindblad],
                          ids=["numeric", "lindblad"])
 def test_overflowing_phase_is_non_finite(evaluate, detuning):
-    """||H|| T past the double range raises NonFinite on both paths, and no
-    RuntimeWarning escapes first: the suite turns those into errors."""
+    """||H|| T past the double range refuses the row with NonFinite on both
+    paths, and no RuntimeWarning escapes first: the suite turns those into
+    errors. In an array config the other row is its one-row result."""
     cav = CavitySystem(g=0.1, kappa=1.0, gamma=1.0)
+    results = evaluate(ExchangeConfig(cav, detuning=detuning))
+    if results.shape:
+        assert results[0] == evaluate(ExchangeConfig(cav, detuning=detuning[0])).single()
     with pytest.raises(NonFinite):
-        evaluate(ExchangeConfig(cav, detuning=detuning))
+        results[-1] if results.shape else results.single()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,15 +99,63 @@ def test_gate_result_validation():
                    method=Method.ANALYTIC)
 
 
+def assert_last_row_refused(results, message):
+    """The last row of results is refused with NonFinite(message), NaN in
+    every field, and the rows before it are kept."""
+    last = (-1,) * len(results.shape)
+    assert np.isnan(results.fidelity[last]) and np.isnan(results.gate_time[last])
+    assert np.isnan(np.broadcast_to(results.success_probability, results.shape)[last])
+    with pytest.raises(NonFinite, match=f"^{message}"):
+        results[last]
+    with pytest.raises(NonFinite, match=f"^{message}"):
+        results.whole()
+    if results.shape:
+        assert results[0].fidelity == 0.5 and results[0].success_probability == 1.0
+
+
 @pytest.mark.parametrize("gate_time", [math.inf, -math.inf, math.nan,
                                        np.array([1.0, math.inf])])
 def test_gate_results_refuse_non_finite_gate_time(gate_time):
     # an overflowed gate time is an evaluator error, not a result
-    with pytest.raises(NonFinite, match="gate_time is not finite"):
-        gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
+    results = gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
+    assert_last_row_refused(results, "gate_time is not finite")
 
 
 @pytest.mark.parametrize("gate_time", [0.0, -1.0, np.array([1.0, 0.0])])
 def test_gate_results_refuse_non_positive_gate_time(gate_time):
-    with pytest.raises(ValueError, match="gate_time must be > 0"):
-        gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
+    # an underflowed gate time is an evaluator error too, not a config error
+    results = gate_results(np.full(np.shape(gate_time), 0.5), gate_time, Method.ANALYTIC)
+    assert_last_row_refused(results, "gate_time must be > 0")
+
+
+def test_gate_results_keep_the_first_refusal_of_a_row():
+    """A row's first refusal wins: the caller's, in its order, then NaN
+    fidelity, gate time and NaN probability. A row none refuses is kept and
+    a batch with no refused row has no `refused` entry."""
+    caller = NonFinite("the caller's")
+    results = gate_results(np.array([0.5, math.nan, math.nan, 0.5, 0.5]),
+                           np.array([1.0, 1.0, math.inf, math.inf, 2.0]), Method.NUMERIC_AMPLITUDE,
+                           success_probability=np.array([0.5, 0.5, 0.5, 0.5, math.nan]),
+                           refused={caller: np.array([False, False, True, False, False])})
+    assert results[0].fidelity == 0.5
+    messages = []
+    for row in range(1, 5):
+        with pytest.raises(NonFinite) as refused:
+            results[row]
+        messages.append(str(refused.value))
+    assert messages == ["fidelity is nan: the evaluation overflowed", "the caller's",
+                        "gate_time is not finite: the evaluation overflowed",
+                        "success_probability is nan: the evaluation overflowed"]
+    assert np.isnan(results.success_probability[1:]).all()
+    assert gate_results(np.array([0.5, 1.5]), 1.0, Method.ANALYTIC).refused == {}
+
+
+def test_cavity_with_overflowing_array_rates_warns_nothing():
+    """Array rates whose g^2 and kappa gamma both overflow make C = inf/inf:
+    refused with the ValueError alone, not a RuntimeWarning first (an error
+    in this suite)."""
+    rates = np.array([1e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="cooperativity .* must be finite"):
+            CavitySystem(g=rates, kappa=rates, gamma=rates)

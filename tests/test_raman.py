@@ -7,7 +7,7 @@ import pytest
 from cavity_gates import lindblad, raman as rm
 from cavity_gates.errors import NonFinite, ValidityWarning, ZeroDecoherence
 from cavity_gates.exchange import optimal_gate_time_exchange, phase_fidelity, ridge_f_pi
-from cavity_gates.params import CavitySystem, clamp_unit
+from cavity_gates.params import CavitySystem, clamp_unit, stack_configs
 from lindblad_oracle import raman_open_system, sector_hamiltonians
 
 
@@ -23,13 +23,22 @@ def make_config(cooperativity=8000.0, g_over_kappa=0.1, two_photon_over_kappa=No
 
 
 def test_hamiltonian_uncoupled_diagonal():
+    # the config refuses zero couplings, so its sector builder gets them directly
     cav = CavitySystem.from_cooperativity(100.0, 0.1, 1.0)
     cfg = rm.RamanConfig(cav, laser_detuning_a=7.0, laser_detuning_b=5.0,
-                         two_photon_a=3.0, two_photon_b=2.0,
-                         rabi_a=0.0, rabi_b=0.0, g_a=0.0, g_b=0.0)
-    ham = sector_hamiltonians(cfg)
-    assert np.allclose(ham.h_up_down, np.diag([0.0, 7.0, -3.0, 5.0 + (2.0 - 3.0), 2.0 - 3.0]))
-    assert np.allclose(ham.h_up_up, np.diag([0.0, 7.0, -3.0]))
+                         two_photon_a=3.0, two_photon_b=2.0, rabi_a=0.0, rabi_b=0.0)
+    lossy_sectors, params = cfg.sectors()
+    h_up_down, h_up_up = (h.real for h in lossy_sectors(*params[:4], 0.0, 0.0, *params[6:]))
+    assert np.allclose(h_up_down, np.diag([0.0, 7.0, -3.0, 5.0 + (2.0 - 3.0), 2.0 - 3.0]))
+    assert np.allclose(h_up_up, np.diag([0.0, 7.0, -3.0]))
+
+
+@pytest.mark.parametrize("name", ["g_a", "g_b"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan])])
+def test_couplings_are_checked_at_construction(name, value):
+    cav = CavitySystem.from_cooperativity(100.0, 0.1, 1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        rm.RamanConfig(cav, 7.0, 5.0, 3.0, 2.0, rabi_a=0.1, **{name: value})
 
 
 def test_two_photon_resonance_degenerate_corners():
@@ -130,10 +139,18 @@ def test_gate_time_yb_case():
     assert rm.raman_gate_time(cfg) == pytest.approx(t_o, rel=1e-3)
 
 
-def test_gate_time_requires_drive():
+@pytest.mark.parametrize("evaluate", [rm.fidelity_analytic_raman, rm.fidelity_numeric_raman,
+                                      lindblad.gate_fidelity_lindblad],
+                         ids=["analytic", "numeric", "lindblad"])
+def test_gate_time_requires_drive(evaluate):
+    """With no drive there is no finite gate time: every Raman path refuses
+    the row, as for an overflowing gate time."""
     cfg = make_config(rabi_over_detuning=0.0)
-    with pytest.raises(ValueError):
-        rm.raman_gate_time(cfg)
+    assert rm.raman_gate_time(cfg) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match="^Raman gate time leaves the double range$"):
+            evaluate(cfg).single()
 
 
 def test_drives_off_gives_half():
@@ -294,14 +311,22 @@ def test_config_warns_for_strong_drive():
                                       rm.fidelity_numeric_raman, lindblad.gate_fidelity_lindblad],
                          ids=["gate-time", "analytic", "numeric", "lindblad"])
 def test_overflowing_gate_time_is_non_finite(evaluate):
-    """A gate time past the double range (d Delta_A Delta_B overflows) raises
-    NonFinite on every Raman path, and no RuntimeWarning escapes first."""
-    config = rm.RamanConfig(CavitySystem(0.1, 1.0, 1.0), 1e300, 1e300, 10.0, 10.0,
-                            rabi_a=1e299)
+    """A gate time past the double range (d Delta_A Delta_B overflows) is
+    not finite, and every Raman path refuses its row with NonFinite, in an array
+    config too, where the other row is its one-row result; no RuntimeWarning
+    escapes first."""
+    rows = [rm.RamanConfig(CavitySystem(0.1, 1.0, 1.0), laser, laser, 10.0, 10.0, rabi_a=rabi)
+            for laser, rabi in ((1.0, 0.1), (1e300, 1e299))]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFinite, match="gate time"):
-            evaluate(config)
+        results = evaluate(stack_configs(rows))
+        if evaluate is rm.raman_gate_time:
+            assert results[0] == rm.raman_gate_time(rows[0]) and not np.isfinite(results[1])
+            return
+        assert results[0] == evaluate(rows[0]).single()
+        for refused in (lambda: results[1], evaluate(rows[1]).single):
+            with pytest.raises(NonFinite, match="^Raman gate time leaves the double range$"):
+                refused()
 
 
 

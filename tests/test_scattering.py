@@ -204,16 +204,29 @@ def test_fidelity_analytic_warns_outside_validity():
         sc.fidelity_analytic(cfg).single()
 
 
-@pytest.mark.parametrize("delta_p", [1e160, np.array([30.0, 1e160])], ids=["scalar", "array"])
-def test_fidelity_analytic_overflow_raises_for_every_shape(delta_p):
-    """A row whose closed-form terms overflow raises NonFinite whether it
-    comes alone or in an array config, with no RuntimeWarning."""
+@pytest.mark.parametrize("delta_p, delta_eps_a, refused", [
+    (1e160, 0.0, [True]), (np.array([30.0, 1e160]), 0.0, [False, True]),
+    (np.array([30.0, 40.0]), 1e300, [True, True])], ids=["scalar", "array", "shared-field"])
+def test_fidelity_analytic_overflow_raises_for_every_shape(delta_p, delta_eps_a, refused):
+    """A row whose closed-form terms overflow is refused with NonFinite
+    whether it comes alone or in an array config, where the other row is
+    kept, with no RuntimeWarning. A field that every row shares and whose
+    float square overflows refuses every row."""
     cav = CavitySystem.from_cooperativity(1000.0, 0.1, 1.0)
-    cfg = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(1.0, delta_p=delta_p))
+    cfg = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(1.0, delta_p=delta_p),
+                              delta_eps_a=delta_eps_a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        with pytest.raises(NonFinite, match="overflows"):
-            sc.fidelity_analytic(cfg)
+        results = sc.fidelity_analytic(cfg)
+    kept = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(1.0, delta_p=30.0))
+    for row, is_refused in enumerate(refused):
+        index = (row,) if results.shape else ()
+        if not is_refused:
+            assert results[index] == sc.fidelity_analytic(kept).single()
+            continue
+        assert np.isnan(results.fidelity[index])
+        with pytest.raises(NonFinite, match="^closed-form scattering fidelity overflows"):
+            results[index]
 
 
 def test_spectral_wandering_average_equals_substitution():
