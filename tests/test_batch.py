@@ -28,7 +28,7 @@ from cavity_gates import scattering as sc
 from cavity_gates.cli import _EVALUATORS
 from cavity_gates.errors import (ConvergenceFailure, NonFinite, ValidityWarning,
                                  ZeroDecoherence)
-from cavity_gates.params import CavitySystem, DecoherenceSpec
+from cavity_gates.params import CavitySystem, DecoherenceSpec, Method, gate_results
 from cavity_gates.scattering import PhotonPulse
 
 #: most rows per block-kernel call of exchange.phase_fidelity, and generators per linalg call
@@ -569,9 +569,10 @@ def lossy_pairs(n, marked):
     return lossy_sectors, [flag]
 
 
-def test_nan_time_in_last_block_is_a_refused_row(monkeypatch, started_threads):
+def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
     """A NaN time, a row-local failure, makes that row's F_pi not finite in
-    the last block of the last worker and leaves every other row as it was."""
+    the last block of the last worker and leaves every other row as it was;
+    reading that row, once refused, raises NonFinite."""
     set_cpus(monkeypatch, 4)
     n = 3 * BLOCK + 5
     lossy_sectors, params = lossy_pairs(n, ())
@@ -581,6 +582,10 @@ def test_nan_time_in_last_block_is_a_refused_row(monkeypatch, started_threads):
     assert len(started_threads) == 3
     assert not np.isfinite(f_pi[-1]) and np.array_equal(f_pi[:-1], ex.phase_fidelity(
         lossy_sectors, [params[0][:-1]], 2.0))
+    results = gate_results(f_pi, t, Method.NON_HERMITIAN, refused=linalg.refusals(t, f_pi))
+    assert np.logical_or.reduce(list(results.refused.values())).nonzero()[0].tolist() == [n - 1]
+    with pytest.raises(NonFinite, match="^propagation time contains NaN or Inf entries$"):
+        results[-1]
 
 
 def test_worker_exception_reaches_caller(monkeypatch, started_threads):

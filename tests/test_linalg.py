@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cavity_gates import linalg
 from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import ExchangeConfig
-from cavity_gates.params import CavitySystem
+from cavity_gates.params import CavitySystem, Method, gate_results
 from cavity_gates.raman import symmetric_raman_config
 
 
@@ -475,34 +476,39 @@ def test_resolvent_poles_refuse_and_distrust():
     assert not poles.trusted.any() and np.isnan(poles.values).all()
 
 
-def test_overflowing_phase_is_not_finite():
+def test_phases_refuse_overflow_on_trusted_rows_only():
     """A trusted row whose phase e^{-i t lambda} is past the double range is
-    not finite, an overflow to `refusals`, with no RuntimeWarning; the other
-    rows are their one-row results."""
-    h = np.array([[[1.0, 0.5], [0.5, -0.5j]], [[1e300, 0.0], [0.0, 1.0]]])
-    t = np.array([1.0, 1e10])
-    assert linalg.resolvent_poles(h).trusted.all()
+    not finite, an overflow to `refusals`, with no RuntimeWarning. An
+    untrusted row, whose pole sum is not used, is not refused for it: it
+    takes its Taylor result. The other rows are their one-row results."""
+    h = np.array([[[1.0, 0.5], [0.5, -0.5j]], [[1e300, 0.0], [0.0, 1.0]],
+                  [[0.0, 1.0], [0.0, 0.0]]])
+    t = np.array([1.0, 1e10, 1e10])
+    assert linalg.resolvent_poles(h).trusted.tolist() == [True, True, False]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = linalg.return_amplitudes(h, t)
     assert out[0] == linalg.return_amplitudes(h[:1], 1.0)[0] and not np.isfinite(out[1])
+    assert out[2] == 1.0   # e^{-i t N} = 1 - i t N for the nilpotent N
     [(error, rows)] = linalg.refusals(t, out).items()
-    assert str(error) == linalg.OVERFLOW and rows.tolist() == [False, True]
+    assert str(error) == linalg.OVERFLOW and rows.tolist() == [False, True, False]
 
 
-@pytest.mark.parametrize("h, t", [
-    (np.array([[[0.0, 1e300], [0.0, 0.0]]]), 1e10),   # -i t H overflows
-    (np.array([[[0.0, 1e300], [0.0, 0.0]]]), 1e8),    # ||t H||_1 = 1e308 >= 2^1023
-], ids=["inf", "past-2^1023"])
-def test_untrusted_row_whose_generator_overflows_is_nan(h, t):
+def test_untrusted_row_whose_generator_overflows_raises_non_finite():
     """A double pole (untrusted) with ||t H|| past the double range goes to
-    the Taylor fallback, whose generator -i t H overflows, or whose scaling
-    2^-s would: the row is NaN, an overflow to `refusals`, with no
-    RuntimeWarning and no OverflowError from the squaring count."""
+    the Taylor fallback, whose generator -i t H overflows (t = 1e10), or
+    whose scaling 2^-s would (t = 1e8: ||t H||_1 = 1e308 >= 2^1023): the
+    row is NaN, with no RuntimeWarning and no OverflowError from the
+    squaring count, and reading it raises the NonFinite overflow that
+    `refusals` names."""
+    h = np.array([[[0.0, 1e300], [0.0, 0.0]]])
     assert not linalg.resolvent_poles(h).trusted.any()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = linalg.return_amplitudes(h, t)
-    assert np.isnan(out[0])
-    [error] = linalg.refusals(t, out)
-    assert isinstance(error, NonFinite) and str(error) == linalg.OVERFLOW
+    for t in (1e10, 1e8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linalg.return_amplitudes(h, t)
+        assert np.isnan(out[0])
+        results = gate_results(np.abs(out), t, Method.NON_HERMITIAN,
+                               refused=linalg.refusals(t, out))
+        with pytest.raises(NonFinite, match=f"^{re.escape(linalg.OVERFLOW)}$"):
+            results.single()
