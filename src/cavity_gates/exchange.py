@@ -117,10 +117,13 @@ class ExchangeConfig:
 
 
 def exchange_gate_time(detuning, g_a, g_b) -> float:
-    """Excitation dwell time for a pi phase: T = pi * Delta / (g_a * g_b)."""
+    """Excitation dwell time for a pi phase: T = pi * Delta / (g_a * g_b).
+    A T out of the double range (g_a g_b underflowed, say) warns of nothing,
+    and `gate_results` refuses its row."""
     if any_row(g_a <= 0) or any_row(g_b <= 0):
         raise ValueError("couplings must be > 0")
-    return math.pi * detuning / (g_a * g_b)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.divide(math.pi * detuning, g_a * g_b)
 
 
 def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa, gamma,

@@ -13,11 +13,14 @@ forms on a spectrum lose about its trust measure squared times epsilon.
   trusted when 2 sum_k |w_k| is below the limit; for a complex-symmetric
   2x2 that is exactly the Frobenius condition number, and on the
   scattering 3x3 generators (fig2a-c and 20,000 random configs)
-  cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has two callers: the
-  scattering pole sum (3x3 stars and their 2x2 pairs), which sends
-  untrusted rows to a matrix function of the generators built on `solve`,
-  and `return_amplitudes` on both exchange sectors and the Raman |uu>
-  sector, which sends them to its Taylor fallback.
+  cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has two callers. The
+  scattering pole sum passes the 3x3 stars of its rows with distinct
+  emitters, and one stack of pairs: the one-emitter blocks of every row
+  and the bright pairs of the rows with identical emitters (so fig2a-c
+  make no LAPACK call). It sends untrusted rows to a matrix function of the
+  generators built on `solve`. `return_amplitudes` passes both exchange
+  sectors and the Raman |uu> sector, and sends untrusted rows to its
+  Taylor fallback.
 - `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
   `np.linalg.inv` of the eigenvectors V. A row is trusted when its
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k

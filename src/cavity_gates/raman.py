@@ -44,12 +44,20 @@ def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_pho
     which tends to Omega_A * sqrt(Delta_B/Delta_A) for g^2 << delta*Delta.
     This is the relation that numerically maximizes the phase fidelity
     (each system's light shift Omega_k^2/Delta_k must match).
+
+    Both sums are > 0 in exact arithmetic for the positive rates of a
+    RamanConfig. Where the drive is not a finite number (both sums
+    underflowed to 0, or a sum or the product overflowed) it is 0, with no
+    RuntimeWarning: that row has no finite gate time, and every Raman path
+    refuses it, as it refuses a drive that underflows.
     """
     num = g_b * g_b + two_photon * laser_detuning_b
     den = g_a * g_a + two_photon * laser_detuning_a
-    if any_row(den <= 0) or any_row(num <= 0):
+    if any_row(den < 0) or any_row(num < 0):
         raise ValueError("g^2 + delta*Delta must be > 0 for both systems")
-    return rabi_a * np.sqrt(num / den)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        drive = rabi_a * np.sqrt(np.divide(num, den))
+    return np.where(np.isfinite(drive), drive, 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ def fidelity_analytic_raman(config: RamanConfig) -> GateResults:
     with np.errstate(over="ignore", invalid="ignore"):   # overflow: a NaN row, refused
         omega = np.sqrt(config.rabi_a * config.drive_b)
         g2 = config.coupling_a * config.coupling_b
-        edge = (g2 / (d * big_d) > 0.5) | (omega / big_d > 0.5)
+        edge = (np.divide(g2, d * big_d) > 0.5) | (omega / big_d > 0.5)
         # a row refused for its gate time warns of nothing: its error says why
         if any_row(edge) and any_row(edge & (gate_time > 0) & (gate_time < math.inf)):
             warnings.warn("inputs are at the edge of the adiabatic regime "
@@ -237,7 +245,7 @@ def _closed_form(cavity, d, big_d, omega, g2, gamma_eff, gate_time):
     prefactor = (
         np.square(np.cos(np.pi * omega / (4.0 * big_d)))
         * np.square(np.cos(np.pi * (omega * omega) / (2.0 * d * big_d)))
-        * np.sin((np.pi / 2.0) / (1.0 + g2 / (d * big_d)))
+        * np.sin((np.pi / 2.0) / (1.0 + np.divide(g2, d * big_d)))
     )
     return 0.5 * (prefactor * f_pi + 1.0) - gamma_eff * gate_time
 

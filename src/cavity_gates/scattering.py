@@ -18,11 +18,16 @@ and the emitters do not couple to each other), so the cavity's minor is a
 product over the emitter levels H_ee and
 w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j).
 `linalg.resolvent_poles` gives the poles (an eigenvalue-only solve) and
-the w_k of s_uu (cavity and two emitters) in one
-stacked call of 3x3 generators, and those of s_ud and s_du (cavity and one
-emitter) in one stacked call of 2x2 generators, solved in closed form with
-no LAPACK call; s_dd, the bare cavity, has the one pole -i*kappa/2 with
-residue -i*kappa and needs no eigensolve.
+the w_k of s_ud and s_du (cavity and one emitter) in one stacked call of
+2x2 generators, solved in closed form with no LAPACK call. s_uu (cavity
+and two emitters) joins that call on every row with identical emitters
+(delta_eps_a == delta_eps_b bit for bit, as on every fig2 row): there the
+dark state (|a> - |b>)/sqrt(2) has no cavity component and H maps it to
+(delta - i*gamma/2) times itself, so its pole has residue exactly 0, and
+the bright state (|a> + |b>)/sqrt(2) couples to the cavity with sqrt(2)*g,
+a pair like the others. The other rows' s_uu take one stacked `eigvals`
+call of 3x3 generators. s_dd, the bare cavity, has the one pole
+-i*kappa/2 with residue -i*kappa and needs no eigensolve.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -186,9 +191,9 @@ def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
 
 
 def _coupled_generators(config: ScatteringConfig, shape: tuple):
-    """The stacks the pole sum eigensolves, each amplitude over its coupled
-    states only: s_uu's generators (n, 3, 3), and s_ud's (cavity, emitter a)
-    blocks followed by s_du's (cavity, emitter b) blocks (2n, 2, 2), with
+    """The generators of the pole sum, each amplitude over its coupled
+    states only: s_uu's (n, 3, 3), and s_ud's (cavity, emitter a) blocks
+    followed by s_du's (cavity, emitter b) blocks (2n, 2, 2), with
     n = prod(shape). s_dd couples no emitter and has no stack."""
     n = math.prod(shape)
     h = _generators(config, shape)
@@ -205,14 +210,26 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     of size prod(shape)) whose poles it trusts (see the module docstring).
 
     s_i = 1 + sum_k a_ik/(omega - lambda_ik) over the poles of amplitude i:
-    the eigenvalues of its coupled generator H (three for s_uu, two each for
-    s_ud and s_du, from one `linalg.resolvent_poles` call per stack of
-    `_coupled_generators`: `eigvals` on the 3x3 stack, the closed form on the
-    pairs), with
+    the eigenvalues of its coupled generator H of `_coupled_generators`
+    (three for s_uu, two each for s_ud and s_du), with
     a_ik = -i kappa w_k, w_k = prod_{e>=1} (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j)
-    the residue of <0|(omega - H)^-1|0> (zeroed on untrusted rows, inf at a double pole),
-    and for s_dd the bare cavity pole -i kappa/2 with residue -i kappa. s_i s_j* has
-    simple poles only, so
+    the residue of <0|(omega - H)^-1|0> (inf at a double pole), and for s_dd
+    the bare cavity pole -i kappa/2 with residue -i kappa.
+
+    A row with identical emitters (delta_eps_a == delta_eps_b bit for bit;
+    one g couples both) needs no 3x3 eigensolve. Its s_uu generator has the
+    dark state (|a> - |b>)/sqrt(2), which H maps to (delta - i gamma/2) times
+    itself and which has no cavity component, so its pole delta - i gamma/2
+    has residue exactly 0, and the bright pair
+    [[-i kappa/2, sqrt(2) g], [sqrt(2) g, delta - i gamma/2]] carries both
+    other poles. The bright pairs join the s_ud and s_du blocks in one
+    `linalg.resolvent_poles` call, solved in closed form; only the other
+    rows' s_uu generators take a second call, `eigvals` on their 3x3 stack.
+    Both routes face the same trust rules, and a row that fails one gets
+    residues 0 on the bare cavity pole, so that its pole terms, which the
+    fallback replaces, stay finite.
+
+    s_i s_j* has simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
     sbar_j(x) = conj(s_j(conj x)) and I(lambda) = integral N(omega)/(omega - lambda) d omega
     = conj(i sqrt(pi/2)/sigma_p w(z)), z = (conj(lambda) - delta_p)/(sqrt(2) sigma_p).
@@ -222,19 +239,32 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     # the poles of s_uu, s_ud, s_du and s_dd in turn, as `_POLE_OWNER` lists them,
     # and their residues, divided by -i kappa until scaled below
     poles, residues = np.empty((2, 8) + shape, dtype=complex)
+    flat = poles.reshape(8, n), residues.reshape(8, n)   # views
+    stars, pairs = _coupled_generators(config, shape)
+    same = stars[:, 1, 1] == stars[:, 2, 2]   # identical emitters (both couple with g)
+    split = same.any()
+    rest = ~same if split else slice(None)   # the rows whose s_uu takes the 3x3 stack
     trusted = np.ones(n, dtype=bool)
-    for h, count, owned in zip(_coupled_generators(config, shape), (1, 2),
-                               (slice(0, 3), slice(3, 7))):
-        found = linalg.resolvent_poles(h)
-        k = h.shape[-1]
-        for out, x in ((poles, found.values), (residues, found.weights)):
-            out[owned] = x.reshape(count, n, k).transpose(0, 2, 1).reshape((count * k,) + shape)
-        trusted &= found.trusted.reshape(count, n).all(axis=0)
-    if not trusted.all():
-        residues.reshape(8, n)[:, ~trusted] = 0.0
+    if len(rest_stars := stars[rest]):
+        found = linalg.resolvent_poles(rest_stars)
+        for out, x in zip(flat, (found.values, found.weights)):
+            out[:3, rest] = x.T
+        trusted[rest] = found.trusted
+    if split:
+        bright = stars[same, :2, :2]
+        bright[:, 0, 1] = bright[:, 1, 0] = math.sqrt(2.0) * bright[:, 0, 1]
+        pairs = np.concatenate([pairs, bright])
+    found = linalg.resolvent_poles(pairs)
+    for out, x in zip(flat, (found.values, found.weights)):
+        out[3:7] = x[:2 * n].reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
+    trusted &= found.trusted[:2 * n].reshape(2, n).all(axis=0)
+    if split:   # the bright pairs follow the 2n one-emitter blocks
+        for out, x in zip(flat, (found.values, found.weights)):
+            out[:2, same] = x[2 * n:].T
+        flat[0][2, same], flat[1][2, same] = stars[same, 2, 2], 0.0   # the dark pole
+        trusted[same] &= found.trusted[2 * n:]
     poles[7] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[7] = 1.0
-    residues *= -1j * kappa
     # I(lambda) below needs Im lambda <= 0, which rounding can break for an
     # emitter whose gamma is below machine epsilon times the generator's norm
     trusted &= (poles.imag <= 0.0).all(axis=0).reshape(n)
@@ -249,6 +279,10 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
                                0.5 * cav.gamma))
     width = np.minimum(config.pulse.sigma_p, abs(poles[:7].imag).min(axis=0))
     trusted &= (np.finfo(float).eps * norm < 1e-6 * width).reshape(n)
+    if not trusted.all():   # the fallback's rows: no far, inf or NaN pole term
+        flat[0][:, ~trusted] = flat[0][7, ~trusted]
+        flat[1][:, ~trusted] = 0.0
+    residues *= -1j * kappa
     mirrored = np.conj(poles)
     sbar = np.conj(spin_amplitudes(config, mirrored))   # (4_j, 8_k) + shape
     sigma = config.pulse.sigma_p
@@ -343,18 +377,19 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     (s_uu's bright state and the one-emitter blocks of s_ud and s_du, both
     emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to 50/gamma), it
     stays below 2.7e-14 up to a 2 sum_k |w_k| of 632 (one-emitter block,
-    Frobenius cond 632) and 752 (bright state, cond 921), just inside the
-    trust limit; the eigenvector residues it replaced were off by as much
-    (3.2e-14). The rows whose poles `linalg` does not trust (2 sum_k |w_k|
-    at or past its limit; at the exceptional point itself it is ~1e8 and the
-    pole sum is off by up to 5e-9), that have a pole rounded above the real
-    axis, or whose poles' absolute error, machine epsilon times max|H_ij|,
-    reaches 1e-6 of sigma_p or of the narrowest coupled pole's width (an
-    emitter detuned far past the pulse-scale poles), take the
-    matrix-function form of the same sum, in one stacked evaluation. It is
-    within 3e-16 of an adaptive quadrature at an exceptional point, but off
-    the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole sum
-    is the more accurate.
+    Frobenius cond 632), and below 4.5e-14 up to 752 on s_uu's bright pair
+    in closed form (on the same 54 rows the 3x3 `eigvals` it replaced was
+    within 1.3e-14), just inside the trust limit; the eigenvector residues
+    used before either were off by as much (3.2e-14). The rows whose poles
+    `linalg` does not trust (2 sum_k |w_k| at or past its limit; at the
+    exceptional point itself it is ~1e8 and the pole sum is off by up to
+    5e-9), that have a pole rounded above the real axis, or whose poles'
+    absolute error, machine epsilon times max|H_ij|, reaches 1e-6 of
+    sigma_p or of the narrowest coupled pole's width (an emitter detuned
+    far past the pulse-scale poles), take the matrix-function form of the
+    same sum, in one stacked evaluation. It is within 3e-16 of an adaptive
+    quadrature at an exceptional point, but off the pole sum by up to
+    3e-12 at large kappa/sigma_p, where the pole sum is the more accurate.
     """
     return _density_matrices(config)[0]
 

@@ -88,15 +88,20 @@ def raman_batch(seed, n, per_row_cavity=False):
 
 def scattering_batch(seed, n, per_row_cavity=False):
     """Scattering configs; about one row in ten has an emitter detuned far
-    past the pulse-scale poles, which takes the matrix-function fallback."""
+    past the pulse-scale poles, which takes the matrix-function fallback,
+    and about one in three has identical emitters, whose s_uu splits into a
+    bright pair and a dark state."""
     rng = np.random.default_rng(seed)
     cav = random_cavity(rng, n if per_row_cavity else None)
     far = np.where(rng.random(n) < 0.1, 1e12, 1.0)
     pulse = PhotonPulse.from_gate_time(log_uniform(rng, 0.1, 50.0, n),
                                        delta_p=rng.uniform(-100.0, 100.0, n))
-    return sc.ScatteringConfig(cav, pulse, delta_eps_a=rng.uniform(-1.0, 1.0, n) * far,
-                               delta_eps_b=rng.uniform(-1.0, 1.0, n),
-                               gamma_eff=log_uniform(rng, 1e-7, 0.1, n))
+    delta_a = rng.uniform(-1.0, 1.0, n) * far
+    delta_b = rng.uniform(-1.0, 1.0, n)
+    gamma_eff = log_uniform(rng, 1e-7, 0.1, n)
+    same = rng.random(n) < 0.3
+    return sc.ScatteringConfig(cav, pulse, delta_eps_a=delta_a,
+                               delta_eps_b=np.where(same, delta_a, delta_b), gamma_eff=gamma_eff)
 
 
 def row(config, i):
@@ -629,6 +634,7 @@ ONE_ROW_LAPACK = {
     ("raman", "numeric"): {"eig": 1, "inv": 1, "eigvals": 1},
     ("raman", "lindblad"): {"eig": 2, "inv": 2},
     ("scattering", "numeric"): {"eigvals": 1},
+    ("scattering-identical", "numeric"): {},
     ("simple_exchange", "analytic"): {},
     ("raman", "analytic"): {},
     ("scattering", "analytic"): {},
@@ -639,31 +645,35 @@ ONE_ROW_LAPACK = {
 def test_one_row_lapack_budget(monkeypatch, scheme, method):
     """A one-row evaluation pays for its eigensolve and not for the batch
     machinery: exactly these `np.linalg` calls (one stack per sector size),
-    no thread and no CPU count."""
+    no thread and no CPU count. Identical scattering emitters need no
+    eigensolve: their s_uu is a bright pair in closed form."""
+    scattering = sc.ScatteringConfig(CavitySystem.from_cooperativity(1e3, 0.3, 1.0),
+                                     PhotonPulse.from_gate_time(2.0, 3.0), 0.1, -0.2, 1e-4)
     configs = {
         "simple_exchange": row(exchange_batch(4, 1), 0),
         "raman": row(raman_batch(4, 1), 0),
-        "scattering": sc.ScatteringConfig(CavitySystem.from_cooperativity(1e3, 0.3, 1.0),
-                                          PhotonPulse.from_gate_time(2.0, 3.0), 0.1, -0.2, 1e-4),
+        "scattering": scattering,
+        "scattering-identical": dataclasses.replace(scattering, delta_eps_b=0.1),
     }
     calls = {}
 
     def counted(name, kernel):
-        def spy(a):
+        def spy(*args):
             calls[name] = calls.get(name, 0) + 1
-            return kernel(a)
+            return kernel(*args)
         return spy
 
     def refuse(*args, **kwargs):
         raise AssertionError("a one-row evaluation started a thread or asked for the CPUs")
 
-    for name in ("eig", "eigvals", "inv"):
+    for name in ("eig", "eigvals", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(threading, "Thread", refuse)
     monkeypatch.setattr(ex, "_cpus", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        result = _EVALUATORS[(scheme, method)](configs[scheme]).single()
+        evaluate = _EVALUATORS[(scheme.removesuffix("-identical"), method)]
+        result = evaluate(configs[scheme]).single()
     assert 0.0 < result.fidelity <= 1.0
     assert calls == ONE_ROW_LAPACK[(scheme, method)]
 

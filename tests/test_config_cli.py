@@ -296,6 +296,20 @@ def test_cli_extreme_number_is_not_a_traceback(tmp_path, scheme, edits, method, 
     assert result.stderr.splitlines() == stderr
 
 
+def test_cli_far_detuned_emitter_warns_of_nothing(tmp_path):
+    """An emitter detuned to 1e300 rad/s takes the scattering gate's
+    matrix-function fallback: `evaluate` prints the result with that note,
+    and no numpy RuntimeWarning reaches stderr (it used to print 13
+    "invalid value" lines from pole terms the fallback replaces)."""
+    path = tmp_path / "far.ini"
+    path.write_text(YB_CONFIG.replace("gate_time = 1 inv_gamma",
+                                      "gate_time = 1 inv_gamma\ndelta_eps_a = 1e300 rad_s"))
+    result = CliRunner().invoke(main, ["evaluate", "scattering", str(path), "--method", "numeric"])
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["notes"] == ["matrix-function fallback"]
+
+
 @pytest.mark.parametrize("method", ["analytic", "numeric", "lindblad"])
 def test_cli_config_warnings_are_echoed(tmp_path, method):
     """A warning raised while the scheme config is built (a strong Raman

@@ -91,6 +91,27 @@ def test_gate_time_formulas():
         2 * ex.exchange_gate_time(delta, cav.g, cav.g), rel=1e-12)
 
 
+@pytest.mark.parametrize("evaluate", [ex.fidelity_numeric_exchange,
+                                      ex.fidelity_analytic_exchange],
+                         ids=["numeric", "analytic"])
+def test_underflowing_couplings_refuse_their_row(evaluate):
+    """g_a g_b underflows to 0 at couplings of 1e-170: T = pi Delta/(g_a g_b)
+    is not finite, so the row is refused with NonFinite, alone in an array
+    config, where the other row is its one-row result; no ZeroDivisionError
+    and no RuntimeWarning."""
+    cav = make_config(cooperativity=1000.0, g_over_kappa=0.1).cavity
+    tiny = ex.ExchangeConfig(cav, detuning=1.0, g_up_a=1e-170, g_down_b=1e-170)
+    with pytest.raises(NonFinite):
+        evaluate(tiny).single()
+    g = np.array([cav.g, 1e-170])
+    batch = evaluate(ex.ExchangeConfig(cav, detuning=np.array([10.0 * cav.kappa, 1.0]),
+                                       g_up_a=g, g_down_b=g))
+    assert batch[0] == evaluate(ex.ExchangeConfig(cav, detuning=10.0 * cav.kappa)).single()
+    assert np.isnan(batch.fidelity[1]) and np.isnan(batch.gate_time[1])
+    with pytest.raises(NonFinite):
+        batch[1]
+
+
 def test_gate_time_yb_case():
     gamma = 2 * math.pi * 596.0
     assert ex.optimal_gate_time_exchange(gamma, 50_000.0) == pytest.approx(7.5036e-6, rel=1e-4)

@@ -152,6 +152,30 @@ def test_gate_time_requires_drive():
                 evaluate(cfg).single()
 
 
+@pytest.mark.parametrize("evaluate", [rm.fidelity_analytic_raman, rm.fidelity_numeric_raman,
+                                      lindblad.gate_fidelity_lindblad],
+                         ids=["analytic", "numeric", "lindblad"])
+def test_underflowing_matched_drive_refuses_its_row(evaluate):
+    """g^2 + delta Delta is > 0 for every RamanConfig, but at couplings of
+    1e-170 and detunings of 1e-200 both sums underflow to 0 and the matched
+    drive is 0/0: it is 0, as an underflowed drive is, and every Raman path
+    refuses that row alone (its gate time is 0/0 too), with no
+    RuntimeWarning, where it used to raise a ValueError for the whole batch."""
+    cav = CavitySystem.from_cooperativity(1000.0, 0.1, 1.0)
+    laser, two_photon, tiny = 2.0 * cav.kappa, rm.optimal_two_photon(cav.kappa, 1000.0), 1e-200
+    rows = [rm.RamanConfig(cav, laser, laser, two_photon, two_photon, rabi_a=0.05 * laser,
+                           g_a=cav.g, g_b=cav.g),
+            rm.RamanConfig(cav, tiny, tiny, tiny, tiny, rabi_a=1e-201, g_a=1e-170, g_b=1e-170)]
+    assert rows[1].drive_b == 0.0 and not np.isfinite(rm.raman_gate_time(rows[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = evaluate(stack_configs(rows))
+        assert results[0] == evaluate(rows[0]).single()
+        for refused in (lambda: results[1], evaluate(rows[1]).single):
+            with pytest.raises(NonFinite, match="^Raman gate time leaves the double range$"):
+                refused()
+
+
 def test_drives_off_gives_half():
     cfg = make_config(rabi_over_detuning=0.0)
     # no drive, no finite gate time: propagate for a fixed one

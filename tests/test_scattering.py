@@ -415,6 +415,94 @@ def test_pole_sum_needs_no_eigenvectors(monkeypatch):
     assert calls == [] and trusted.tolist() == [True, True]
 
 
+def test_identical_emitters_join_the_pairs(monkeypatch):
+    """A row with identical emitters sends its s_uu bright pair, with
+    coupling sqrt(2) g, to the stack of pairs, and only the other rows'
+    s_uu generators to the 3x3 stack; with no such other row there is no 3x3
+    stack, and no `eigvals` call."""
+    stacks = []
+    resolvent_poles = linalg.resolvent_poles
+
+    def spy(h):
+        stacks.append(np.array(h))
+        return resolvent_poles(h)
+
+    monkeypatch.setattr(linalg, "resolvent_poles", spy)
+    cfg = make_config(g_over_kappa=0.5, delta_p=np.array([0.0, 30.0, 5.0]),
+                      delta_eps_a=0.2, delta_eps_b=np.array([0.2, -0.1, 0.2]))
+    sc.fidelity_numeric(cfg)
+    assert [h.shape for h in stacks] == [(1, 3, 3), (8, 2, 2)]
+    g = cfg.cavity.g
+    assert stacks[0][0, 2, 2] == -0.1 - 0.5j and (stacks[1][6:, 1, 1] == 0.2 - 0.5j).all()
+    assert (stacks[1][6:, 0, 1] == math.sqrt(2.0) * g).all()
+    stacks.clear()
+    sc.fidelity_numeric(dataclasses.replace(cfg, delta_eps_b=0.2))
+    assert [h.shape for h in stacks] == [(9, 2, 2)]
+
+
+def test_identical_emitters_match_their_neighbours():
+    """1,000 seeded rows with identical emitters (the dark state and the
+    bright pair) against the same rows with delta_eps_b one ulp higher,
+    which take the 3x3 `eigvals` route: within 1e-14 + 1e-16 cond^2, with
+    cond the bright pair's 2 sum_k |w_k| (measured: 3.7e-15 over 4,000
+    rows). Against the matrix-function form within 1e-11, the bound of the
+    forced fallback (measured: 1.6e-12). Both routes trust every row."""
+    rng = np.random.default_rng(29)
+    n = 1000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    cav = CavitySystem.from_cooperativity(log_uniform(1.0, 1e5), log_uniform(0.01, 10.0), 1.0)
+    pulse = sc.PhotonPulse.from_gate_time(log_uniform(0.1, 50.0), rng.uniform(-100.0, 100.0, n))
+    delta = rng.uniform(-0.5, 0.5, n)
+    same = sc.ScatteringConfig(cav, pulse, delta, delta)
+    rho, trusted = sc._pole_sum(same, (n,))
+    neighbour, neighbour_trusted = sc._pole_sum(
+        dataclasses.replace(same, delta_eps_b=np.nextafter(delta, math.inf)), (n,))
+    assert trusted.all() and neighbour_trusted.all()
+    bright = sc._coupled_generators(same, (n,))[0][:, :2, :2].copy()
+    bright[:, 0, 1] = bright[:, 1, 0] = math.sqrt(2.0) * cav.g
+    cond = linalg.resolvent_poles(bright).cond
+    assert (np.abs(rho - neighbour).max(axis=(0, 1)) <= 1e-14 + 1e-16 * cond**2).all()
+    assert np.abs(rho - sc._matrix_function(same, (n,), trusted)).max() <= 1e-11
+
+
+def test_bright_pair_exceptional_point_takes_the_fallback(monkeypatch):
+    """At sqrt(2) g = (kappa - gamma)/4 with both emitters resonant, the
+    bright pair is at its exceptional point: its closed-form poles are not
+    trusted, so the row takes the matrix-function fallback and says so,
+    with no `eigvals` call; detuned together by 0.3 gamma it is trusted."""
+    def refuse(h):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    calls = spy_on_fallback(monkeypatch)
+    cavity = CavitySystem(g=1.0, kappa=1.0 + 4.0 * math.sqrt(2.0), gamma=1.0)
+    detuning = np.array([0.0, 0.3])
+    cfg = sc.ScatteringConfig(cavity, sc.PhotonPulse.from_gate_time(20.0, delta_p=0.5),
+                              delta_eps_a=detuning, delta_eps_b=detuning)
+    pair = np.array([[-0.5j * cavity.kappa, math.sqrt(2.0)], [math.sqrt(2.0), -0.5j]])
+    assert not linalg.resolvent_poles(pair[None]).trusted[0]
+    batch = sc.fidelity_numeric(cfg)
+    assert calls == [[True, False]]
+    assert [batch[i].notes for i in range(2)] == [("matrix-function fallback",), ()]
+    one_row = dataclasses.replace(cfg, delta_eps_a=0.0, delta_eps_b=0.0)
+    assert sc.fidelity_numeric(one_row).single() == batch[0]
+
+
+def test_far_detuned_emitter_warns_of_nothing():
+    """An emitter detuned to 1e300 rad/s has poles that `linalg` does not
+    trust; the row takes the matrix-function fallback and says so, and
+    the pole terms computed for it raise no RuntimeWarning (the suite turns
+    each into an error), alone or beside a pole-sum row."""
+    cfg = make_config(delta_eps_a=np.array([1e300, 0.1]))
+    batch = sc.fidelity_numeric(cfg)
+    assert [batch[i].notes for i in range(2)] == [("matrix-function fallback",), ()]
+    one_row = sc.fidelity_numeric(make_config(delta_eps_a=1e300)).single()
+    assert one_row == batch[0] and 0.0 < one_row.fidelity < 1.0
+
+
 @settings(deadline=None)
 @given(cooperativity=st.floats(1.0, 1e5), g_over_kappa=st.floats(0.01, 10.0),
        delta_p=st.floats(-100.0, 100.0), gate_time=st.floats(0.1, 50.0),
@@ -575,7 +663,9 @@ def test_batch_rows_match_one_row_calls():
 
 def test_density_matrices_do_not_depend_on_batch_size():
     """A row's bits do not depend on the size of its batch: 4,096 seeded
-    rows in one call equal 256-row calls bit for bit."""
+    rows in one call equal 256-row calls bit for bit. About half the rows
+    have identical emitters, so the stacks of pairs and of 3x3 generators
+    differ in size between the calls."""
     rng = np.random.default_rng(41)
     n = 4096
 
@@ -585,12 +675,14 @@ def test_density_matrices_do_not_depend_on_batch_size():
     cav = CavitySystem.from_cooperativity(uniform(1.0, 1e5), uniform(0.01, 10.0), 1.0)
     cfg = sc.ScatteringConfig(cav, sc.PhotonPulse.from_gate_time(uniform(0.1, 50.0),
                                                                  rng.uniform(-100.0, 100.0, n)),
-                              delta_eps_a=rng.uniform(-0.5, 0.5, n))
+                              delta_eps_a=(delta := rng.uniform(-0.5, 0.5, n)),
+                              delta_eps_b=np.where(rng.random(n) < 0.5, delta, 0.0))
 
     def rows(s):
         return sc.ScatteringConfig(
             CavitySystem(cav.g[s], cav.kappa[s], 1.0),
-            sc.PhotonPulse(cfg.pulse.sigma_p[s], cfg.pulse.delta_p[s]), cfg.delta_eps_a[s])
+            sc.PhotonPulse(cfg.pulse.sigma_p[s], cfg.pulse.delta_p[s]), cfg.delta_eps_a[s],
+            cfg.delta_eps_b[s])
 
     whole = sc.reduced_density_matrix(cfg)
     parts = [sc.reduced_density_matrix(rows(slice(s, s + 256))) for s in range(0, n, 256)]
