@@ -19,15 +19,21 @@ product over the emitter levels H_ee and
 w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j).
 `linalg.resolvent_poles` gives the poles (an eigenvalue-only solve) and
 the w_k of s_ud and s_du (cavity and one emitter) in one stacked call of
-2x2 generators, solved in closed form with no LAPACK call. s_uu (cavity
-and two emitters) joins that call on every row with identical emitters
-(delta_eps_a == delta_eps_b bit for bit, as on every fig2 row): there the
-dark state (|a> - |b>)/sqrt(2) has no cavity component and H maps it to
-(delta - i*gamma/2) times itself, so its pole has residue exactly 0, and
-the bright state (|a> + |b>)/sqrt(2) couples to the cavity with sqrt(2)*g,
-a pair like the others. The other rows' s_uu take one stacked `eigvals`
-call of 3x3 generators. s_dd, the bare cavity, has the one pole
--i*kappa/2 with residue -i*kappa and needs no eigensolve.
+2x2 generators, solved in closed form with no LAPACK call. s_dd, the bare
+cavity, has the one pole -i*kappa/2 with residue -i*kappa and needs no
+eigensolve. A row with distinct emitters has four distinct amplitudes and
+eight poles; its s_uu (cavity and two emitters) takes one stacked
+`eigvals` call of 3x3 generators. A row with identical emitters
+(delta_eps_a == delta_eps_b bit for bit, as on every fig2 row) has three
+distinct amplitudes and five poles. Its s_du is s_ud bit for bit (the two
+generators are equal), so it adds no pole and no term, and rho takes s_ud's
+row and column for s_du's. Its s_uu splits in two: the dark state
+(|a> - |b>)/sqrt(2) has no cavity component and H maps it to
+(delta - i*gamma/2) times itself, so its pole has residue exactly 0 and
+needs no term, and the bright state (|a> + |b>)/sqrt(2) couples to the
+cavity with sqrt(2)*g, a pair that joins the call of the others. Each row
+evaluates the amplitudes and the Gaussian averages on its own poles only,
+and each amplitude's pole terms are summed over its own poles.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -40,7 +46,7 @@ point of a generator, where the pole sum can lose up to
 real axis, and rows where machine epsilon times max|H_ij|, the absolute
 error of every pole, reaches 1e-6 of sigma_p or of the narrowest coupled
 pole's width |Im lambda| (an emitter detuned far past the pulse-scale
-poles).
+poles; the dark pole's gamma/2 counts, though it takes no term).
 
 Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
 may be numpy arrays that broadcast together. `fidelity_numeric` and
@@ -54,6 +60,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +208,33 @@ def _coupled_generators(config: ScatteringConfig, shape: tuple):
     return h[0].reshape(n, 3, 3), pairs.reshape(2 * n, 2, 2)
 
 
-#: which amplitude (s_uu, s_ud, s_du, s_dd) owns each of the eight poles of `_pole_sum`
-_POLE_OWNER = np.repeat(np.eye(4), (3, 2, 2, 1), axis=1)
+class _Layout(NamedTuple):
+    """The distinct amplitudes of one kind of row, and where their poles
+    lie: each amplitude's poles are consecutive, an amplitude with more
+    poles comes first, and the cavity pole is last."""
+
+    amplitudes: tuple      # which of `spin_amplitudes`' (s_uu, s_ud, s_du, s_dd) each one is
+    first: np.ndarray      # the first pole of each
+    further: tuple         # (m, poles): the next pole of each of the first m amplitudes, in turn
+    expand: tuple | None   # the index of (uu, ud, du, dd) into rho of the distinct amplitudes
+
+
+def _layout(amplitudes, counts, expand=None) -> _Layout:
+    """The _Layout of amplitudes with the given (falling) numbers of poles."""
+    first = np.cumsum((0,) + counts[:-1])
+    further = []
+    for d in range(1, counts[0]):
+        m = sum(c > d for c in counts)   # the amplitudes with more than d poles
+        further.append((m, first[:m] + d))
+    return _Layout(amplitudes, first, tuple(further),
+                   None if expand is None else np.ix_(expand, expand))
+
+
+#: identical emitters: s_uu's bright pair, s_ud's pair (s_du is the same
+#: function of omega) and the cavity pole; the dark pole has residue 0
+_IDENTICAL = _layout((0, 1, 3), (2, 2, 1), expand=(0, 1, 1, 2))
+#: distinct emitters: s_uu's three poles, s_ud's and s_du's pairs, the cavity pole
+_DISTINCT = _layout((0, 1, 2, 3), (3, 2, 2, 1))
 
 
 def _pole_sum(config: ScatteringConfig, shape: tuple):
@@ -217,17 +249,21 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     the bare cavity pole -i kappa/2 with residue -i kappa.
 
     A row with identical emitters (delta_eps_a == delta_eps_b bit for bit;
-    one g couples both) needs no 3x3 eigensolve. Its s_uu generator has the
-    dark state (|a> - |b>)/sqrt(2), which H maps to (delta - i gamma/2) times
-    itself and which has no cavity component, so its pole delta - i gamma/2
-    has residue exactly 0, and the bright pair
-    [[-i kappa/2, sqrt(2) g], [sqrt(2) g, delta - i gamma/2]] carries both
-    other poles. The bright pairs join the s_ud and s_du blocks in one
-    `linalg.resolvent_poles` call, solved in closed form; only the other
-    rows' s_uu generators take a second call, `eigvals` on their 3x3 stack.
-    Both routes face the same trust rules, and a row that fails one gets
+    one g couples both) has three distinct amplitudes and five poles, and
+    needs no 3x3 eigensolve. Its s_ud and s_du generators are equal, so s_du
+    is s_ud bit for bit and takes neither a pole nor a term of its own. Its
+    s_uu generator has the dark state (|a> - |b>)/sqrt(2), which H maps to
+    (delta - i gamma/2) times itself and which has no cavity component, so
+    its pole delta - i gamma/2 has residue exactly 0 and no term; the bright
+    pair [[-i kappa/2, sqrt(2) g], [sqrt(2) g, delta - i gamma/2]] carries
+    both other poles. So the pairs of every row (s_ud's, and s_du's or the
+    bright pair's) take one `linalg.resolvent_poles` call, solved in closed
+    form; only the other rows' s_uu generators take a second call, `eigvals`
+    on their 3x3 stack. Both kinds of row face the same trust rules (the
+    dark pole's width gamma/2 included), and a row that fails one gets
     residues 0 on the bare cavity pole, so that its pole terms, which the
-    fallback replaces, stay finite.
+    fallback replaces, stay finite. A batch of one kind of row is evaluated
+    as it is; a mixed batch evaluates each kind on its own rows.
 
     s_i s_j* has simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
@@ -235,39 +271,74 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     = conj(i sqrt(pi/2)/sigma_p w(z)), z = (conj(lambda) - delta_p)/(sqrt(2) sigma_p).
     """
     n = math.prod(shape)
-    kappa = config.cavity.kappa
-    # the poles of s_uu, s_ud, s_du and s_dd in turn, as `_POLE_OWNER` lists them,
-    # and their residues, divided by -i kappa until scaled below
-    poles, residues = np.empty((2, 8) + shape, dtype=complex)
-    flat = poles.reshape(8, n), residues.reshape(8, n)   # views
+    if not n:
+        return np.empty((4, 4) + shape, dtype=complex), np.ones(0, dtype=bool)
     stars, pairs = _coupled_generators(config, shape)
     same = stars[:, 1, 1] == stars[:, 2, 2]   # identical emitters (both couple with g)
-    split = same.any()
-    rest = ~same if split else slice(None)   # the rows whose s_uu takes the 3x3 stack
-    trusted = np.ones(n, dtype=bool)
-    if len(rest_stars := stars[rest]):
-        found = linalg.resolvent_poles(rest_stars)
-        for out, x in zip(flat, (found.values, found.weights)):
-            out[:3, rest] = x.T
-        trusted[rest] = found.trusted
-    if split:
-        bright = stars[same, :2, :2]
-        bright[:, 0, 1] = bright[:, 1, 0] = math.sqrt(2.0) * bright[:, 0, 1]
-        pairs = np.concatenate([pairs, bright])
+    distinct = ~same
+    bright = n + np.count_nonzero(distinct)   # where the bright pairs start in the pair stack
+    split = n < bright < 2 * n
+    if bright > n:
+        star = linalg.resolvent_poles(stars[distinct if split else slice(None)])
+    if bright < 2 * n:   # s_ud's pairs, then the distinct rows' s_du pairs, then the bright pairs
+        bright_pairs = stars[same, :2, :2]
+        bright_pairs[:, 0, 1] = bright_pairs[:, 1, 0] = math.sqrt(2.0) * bright_pairs[:, 0, 1]
+        pairs = np.concatenate([pairs[:n], pairs[n:][distinct], bright_pairs])
     found = linalg.resolvent_poles(pairs)
-    for out, x in zip(flat, (found.values, found.weights)):
-        out[3:7] = x[:2 * n].reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
-    trusted &= found.trusted[:2 * n].reshape(2, n).all(axis=0)
-    if split:   # the bright pairs follow the 2n one-emitter blocks
-        for out, x in zip(flat, (found.values, found.weights)):
-            out[:2, same] = x[2 * n:].T
-        flat[0][2, same], flat[1][2, same] = stars[same, 2, 2], 0.0   # the dark pole
-        trusted[same] &= found.trusted[2 * n:]
-    poles[7] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
-    residues[7] = 1.0
+    kinds = []   # (layout, rows, poles, residues, trusted) of each kind of row present
+    if bright < 2 * n:
+        rows = same if split else slice(None)
+        poles, residues = np.empty((2, 5, len(pairs) - bright), dtype=complex)
+        for out, x in zip((poles, residues), (found.values, found.weights)):
+            out[:2], out[2:4] = x[bright:].T, x[:n][rows].T
+        kinds.append((_IDENTICAL, rows, poles, residues,
+                      found.trusted[bright:] & found.trusted[:n][rows]))
+    if bright > n:
+        rows = distinct if split else slice(None)
+        poles, residues = np.empty((2, 8, bright - n), dtype=complex)
+        for out, x, y in zip((poles, residues), (star.values, star.weights),
+                             (found.values, found.weights)):
+            out[:3], out[3:5], out[5:7] = x.T, y[:n][rows].T, y[n:bright].T
+        kinds.append((_DISTINCT, rows, poles, residues,
+                      star.trusted & found.trusted[:n][rows] & found.trusted[n:bright]))
+    if not split:
+        (layout, _, poles, residues, trusted), = kinds
+        lead = poles.shape[:1] + shape
+        rho, trusted = _pole_terms(config, layout, poles.reshape(lead), residues.reshape(lead),
+                                   trusted.reshape(shape))
+        return rho, trusted.reshape(n)
+    rho = np.empty((4, 4, n), dtype=complex)
+    trusted = np.empty(n, dtype=bool)
+    for layout, rows, poles, residues, ok in kinds:
+        rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), layout,
+                                                     poles, residues, ok)
+    return rho.reshape((4, 4) + shape), trusted
+
+
+def _rows(config: ScatteringConfig, shape: tuple, rows: np.ndarray) -> ScatteringConfig:
+    """The config of the flat rows selected by the mask `rows`, each field
+    an array of one value per row."""
+    def at(x):
+        return np.broadcast_to(x, shape).reshape(-1)[rows]
+
+    cav, pulse = config.cavity, config.pulse
+    return ScatteringConfig(CavitySystem(at(cav.g), at(cav.kappa), at(cav.gamma)),
+                            PhotonPulse(at(pulse.sigma_p), at(pulse.delta_p)),
+                            at(config.delta_eps_a), at(config.delta_eps_b), at(config.gamma_eff))
+
+
+def _pole_terms(config: ScatteringConfig, layout: _Layout, poles, residues, trusted):
+    """Density matrices (4, 4) + rows of the pole sum over one layout's
+    poles and residues (p,) + rows, whose last slot this fills with the
+    cavity pole, and the rows whose poles it trusts: those that `linalg`
+    trusts (the mask `trusted`) and that pass the module docstring's other
+    two rules. The rows broadcast with the config's fields."""
+    kappa = config.cavity.kappa
+    poles[-1] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
+    residues[-1] = 1.0
     # I(lambda) below needs Im lambda <= 0, which rounding can break for an
     # emitter whose gamma is below machine epsilon times the generator's norm
-    trusted &= (poles.imag <= 0.0).all(axis=0).reshape(n)
+    trusted = trusted & (poles.imag <= 0.0).all(axis=0)
     # `eigvals` errs by about eps max|H_ij| on every pole, so an emitter
     # detuned far past the pulse-scale poles moves them by a visible fraction
     # of their width. The bound 1e-6 on eps max|H_ij| / width sits far above
@@ -277,23 +348,31 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     norm = np.maximum(np.maximum(0.5 * kappa, cav.g),
                       np.hypot(np.maximum(abs(config.delta_eps_a), abs(config.delta_eps_b)),
                                0.5 * cav.gamma))
-    width = np.minimum(config.pulse.sigma_p, abs(poles[:7].imag).min(axis=0))
-    trusted &= (np.finfo(float).eps * norm < 1e-6 * width).reshape(n)
+    width = np.minimum(config.pulse.sigma_p, abs(poles[:-1].imag).min(axis=0))
+    if layout is _IDENTICAL:
+        width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's
+    trusted &= np.finfo(float).eps * norm < 1e-6 * width
     if not trusted.all():   # the fallback's rows: no far, inf or NaN pole term
-        flat[0][:, ~trusted] = flat[0][7, ~trusted]
-        flat[1][:, ~trusted] = 0.0
+        poles[:, ~trusted] = poles[-1, ~trusted]
+        residues[:, ~trusted] = 0.0
     residues *= -1j * kappa
     mirrored = np.conj(poles)
-    sbar = np.conj(spin_amplitudes(config, mirrored))   # (4_j, 8_k) + shape
+    amplitudes = spin_amplitudes(config, mirrored)
+    sbar = np.conj([amplitudes[j] for j in layout.amplitudes])   # (j, k) + rows
     sigma = config.pulse.sigma_p
     z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
     # not `*`, which may swap the complex operands on a large temporary (see `linalg`),
     # and np.divide: a Python complex / rounds unlike numpy's array loop
     weights = np.multiply(residues, np.conj(np.divide(1j * math.sqrt(0.5 * math.pi), sigma)
                                             * _faddeeva(z)))
-    # t_ij sums amplitude i's poles; the other poles add exact zeros
-    t = np.einsum("ik,k...,jk...->ij...", _POLE_OWNER, weights, sbar)
-    rho = 0.25 * (1.0 + t + np.conj(np.swapaxes(t, 0, 1)))
+    # t[j, i] sums sbar_j over amplitude i's own poles, in pole order
+    terms = np.multiply(weights, sbar)
+    t = terms[:, layout.first]
+    for m, further in layout.further:
+        t[:, :m] += terms[:, further]
+    rho = 0.25 * (1.0 + np.swapaxes(t, 0, 1) + np.conj(t))
+    if layout.expand is not None:
+        rho = rho[layout.expand]
     return rho, trusted
 
 
@@ -322,12 +401,14 @@ def _matrix_function(config: ScatteringConfig, shape: tuple, rows: np.ndarray) -
     over the emitters k coupled in amplitude j. For H with its spectrum in the
     closed lower half plane, exceptional point or not, all three are invertible.
     """
-    def at(x):  # the selected rows of a field, to broadcast against (m, 3, 3)
-        return np.broadcast_to(x, shape).reshape(-1)[rows][:, None, None]
+    config = _rows(config, shape, rows)
+
+    def at(x):  # a field of the selected rows, to broadcast against (m, 3, 3)
+        return x[:, None, None]
 
     cav, pulse = config.cavity, config.pulse
     kappa, scaled = at(cav.kappa), math.sqrt(2.0) * at(pulse.sigma_p)
-    h = _generators(config, shape).reshape(4, -1, 3, 3)[:, rows]
+    h = _generators(config, cav.kappa.shape)
     eye = np.eye(3)
     scale, coeff = _weideman()
     inv_d = linalg.solve((scale - 1j * at(pulse.delta_p) / scaled) * eye + 1j * h / scaled, eye)
@@ -368,11 +449,16 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
 
     The integral is the exact pole sum over the reflection poles, with the
     Gaussian average of each pole term a Faddeeva function w(z) (see the
-    module docstring). Over 9,000 random configs (C from 1 to 1e5, g/kappa
-    from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma)
-    it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its error bound
-    grows as (sum_k |w_k|)^2 * machine epsilon towards an exceptional point
-    of a generator, with w_k the residues of `linalg.resolvent_poles`.
+    module docstring). A row with distinct emitters sums eight poles over
+    its four amplitudes; a row with identical emitters sums five over three,
+    s_uu, s_ud and s_dd, and repeats s_ud's row and column of rho for s_du,
+    bit for bit. It skips s_uu's dark pole, whose residue is exactly 0
+    because the dark state has no cavity component. Over 9,000 random
+    configs (C from 1 to 1e5, g/kappa from 0.01 to 10, |delta_p| <= 100
+    gamma, T from 0.1/gamma to 50/gamma) it agreed with a Gauss-Legendre
+    quadrature to 1.4e-14. Its error bound grows as
+    (sum_k |w_k|)^2 * machine epsilon towards an exceptional point of a
+    generator, with w_k the residues of `linalg.resolvent_poles`.
     Measured against an adaptive quadrature near both exceptional points
     (s_uu's bright state and the one-emitter blocks of s_ud and s_du, both
     emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to 50/gamma), it
@@ -396,16 +482,19 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
 
 def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     """Gate fidelity from the exact amplitude integral (no small-parameter
-    expansion), conditioned on photon detection, for every row of the
-    config.
+    expansion), for every row of the config.
 
     F = sqrt(<psi_T| rho' |psi_T>) against the ideal state
     (1/2)(|uu> + |ud> + |du> - |dd>), where rho' scales every spin coherence
     of rho by e^{-(8/3) Gamma T}, which reproduces F = 1 - Gamma*T to first
-    order. The reduced-state trace is reported as the heralding probability
-    proxy. F^2 and the trace are clamped into [0, 1] (rows marked
-    "clamped"), and rows that took the matrix-function form are marked
-    "matrix-function fallback".
+    order. rho' is not renormalised: F^2 is the unnormalised overlap, and
+    the photon loss that lowers the trace of rho below 1 lowers F too. The
+    fidelity is not conditioned on photon detection; the trace is reported
+    separately as the success probability (heralding probability proxy).
+    Whether the conditioned overlap F^2/trace is the better reading is
+    ROADMAP item 8's open question. F^2 and the trace are clamped into
+    [0, 1] (rows marked "clamped"), and rows that took the matrix-function
+    form are marked "matrix-function fallback".
     """
     t_gate = config.pulse.gate_time
     rho, fallback = _density_matrices(config)

@@ -417,9 +417,10 @@ def test_pole_sum_needs_no_eigenvectors(monkeypatch):
 
 def test_identical_emitters_join_the_pairs(monkeypatch):
     """A row with identical emitters sends its s_uu bright pair, with
-    coupling sqrt(2) g, to the stack of pairs, and only the other rows'
-    s_uu generators to the 3x3 stack; with no such other row there is no 3x3
-    stack, and no `eigvals` call."""
+    coupling sqrt(2) g, and its s_ud pair to the stack of pairs, but no s_du
+    pair, which is s_ud's; only the other rows' s_uu generators go to the
+    3x3 stack. With no such other row there is no 3x3 stack, and no
+    `eigvals` call."""
     stacks = []
     resolvent_poles = linalg.resolvent_poles
 
@@ -431,13 +432,72 @@ def test_identical_emitters_join_the_pairs(monkeypatch):
     cfg = make_config(g_over_kappa=0.5, delta_p=np.array([0.0, 30.0, 5.0]),
                       delta_eps_a=0.2, delta_eps_b=np.array([0.2, -0.1, 0.2]))
     sc.fidelity_numeric(cfg)
-    assert [h.shape for h in stacks] == [(1, 3, 3), (8, 2, 2)]
+    assert [h.shape for h in stacks] == [(1, 3, 3), (6, 2, 2)]
     g = cfg.cavity.g
-    assert stacks[0][0, 2, 2] == -0.1 - 0.5j and (stacks[1][6:, 1, 1] == 0.2 - 0.5j).all()
-    assert (stacks[1][6:, 0, 1] == math.sqrt(2.0) * g).all()
+    assert stacks[0][0, 2, 2] == -0.1 - 0.5j and stacks[1][3, 1, 1] == -0.1 - 0.5j
+    assert (stacks[1][:3, 1, 1] == 0.2 - 0.5j).all() and (stacks[1][:4, 0, 1] == g).all()
+    assert (stacks[1][4:, 1, 1] == 0.2 - 0.5j).all()
+    assert (stacks[1][4:, 0, 1] == math.sqrt(2.0) * g).all()
     stacks.clear()
     sc.fidelity_numeric(dataclasses.replace(cfg, delta_eps_b=0.2))
-    assert [h.shape for h in stacks] == [(9, 2, 2)]
+    assert [h.shape for h in stacks] == [(6, 2, 2)]
+
+
+def test_pole_budget(monkeypatch):
+    """The amplitudes and the Faddeeva function are evaluated on each row's
+    own poles only: five on a row with identical emitters (the bright pair,
+    s_ud's pair and the cavity pole; no dark pole, no s_du pair) and eight
+    on a row with distinct emitters. fig2a-c, 787 rows with identical
+    emitters in three batch calls, take 3,935 nodes (6,296 at eight per
+    row); a mixed batch makes one call per kind of row."""
+    nodes = {"spin_amplitudes": [], "_faddeeva": []}
+
+    def spy(name):
+        original = getattr(sc, name)
+
+        def call(*args):
+            nodes[name].append(np.size(args[-1]))
+            return original(*args)
+        return call
+
+    for name in nodes:
+        monkeypatch.setattr(sc, name, spy(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("fig2a", "fig2b", "fig2c"):
+            figures.build_figure(name)
+    assert {name: (len(v), sum(v)) for name, v in nodes.items()} == dict.fromkeys(nodes, (3, 3935))
+    for delta_eps_b, budget in ((-0.2, [8]), (0.1, [5]), (np.array([0.1, -0.2, 0.1]), [10, 8])):
+        for v in nodes.values():
+            v.clear()
+        sc.fidelity_numeric(make_config(delta_eps_a=0.1, delta_eps_b=delta_eps_b))
+        assert nodes == dict.fromkeys(nodes, budget)
+
+
+@pytest.mark.parametrize("delta_eps_b", [0.1, -0.2])
+def test_empty_batch(delta_eps_b):
+    """A batch of no rows, of either kind, gives empty results."""
+    cfg = make_config(gate_time=np.array([]), delta_eps_a=0.1, delta_eps_b=delta_eps_b)
+    assert sc.reduced_density_matrix(cfg).shape == (0, 4, 4)
+    assert sc.fidelity_numeric(cfg).fidelity.shape == (0,)
+
+
+def test_identical_emitters_repeat_s_ud():
+    """On 2,000 seeded rows with identical emitters, about one in ten
+    detuned far enough to take the matrix-function fallback, rho's du row
+    and column are its ud row and column bit for bit."""
+    rng = np.random.default_rng(30)
+    n = 2000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    cav = CavitySystem.from_cooperativity(log_uniform(1.0, 1e5), log_uniform(0.01, 10.0), 1.0)
+    pulse = sc.PhotonPulse.from_gate_time(log_uniform(0.1, 50.0), rng.uniform(-100.0, 100.0, n))
+    delta = rng.uniform(-1.0, 1.0, n) * np.where(rng.random(n) < 0.1, 1e12, 1.0)
+    rho, fallback = sc._density_matrices(sc.ScatteringConfig(cav, pulse, delta, delta))
+    assert 100 < fallback.sum() < 300
+    assert np.array_equal(rho[:, 1], rho[:, 2]) and np.array_equal(rho[:, :, 1], rho[:, :, 2])
 
 
 def test_identical_emitters_match_their_neighbours():
