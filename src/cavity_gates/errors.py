@@ -26,7 +26,13 @@ class ConvergenceFailure(CavityGateError):
 
 
 class DivergentDenominator(CavityGateError):
-    """Reflection-amplitude denominator vanished (unphysical coincidence)."""
+    """A reflection-amplitude denominator of `scattering.spin_amplitudes`
+    has a modulus below 1e-300; it raises for the whole call. The pole sum
+    evaluates the amplitudes at the mirrored poles of its trusted rows,
+    where s_dd's denominator at the cavity pole is kappa, so a trusted row
+    with kappa below 1e-300 raises it for its batch. Rows bound for the
+    matrix-function fallback are evaluated at a placeholder pole where no
+    denominator vanishes, and raise nothing."""
 
 
 class ZeroDecoherence(CavityGateError):

@@ -14,10 +14,11 @@ forms on a spectrum lose about its trust measure squared times epsilon.
   2x2 that is exactly the Frobenius condition number, and on the
   scattering 3x3 generators (fig2a-c and 20,000 random configs)
   cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has two callers. The
-  scattering pole sum passes the 3x3 stars of its rows with distinct
-  emitters, and one stack of pairs: the one-emitter blocks of every row
-  and the bright pairs of the rows with identical emitters (so fig2a-c
-  make no LAPACK call). It sends untrusted rows to a matrix function of the
+  scattering pole sum makes its calls per kind of row: rows with identical
+  emitters pass one stack of pairs, their bright pairs and their
+  one-emitter blocks, so fig2a-c make no LAPACK call; rows with distinct
+  emitters pass their 3x3 stars, and then a stack of their two
+  one-emitter blocks. It sends untrusted rows to a matrix function of the
   generators built on `solve`. `return_amplitudes` passes both exchange
   sectors and the Raman |uu> sector, and sends untrusted rows to its
   Taylor fallback.

@@ -13,27 +13,27 @@ in omega, s_i = 1 + sum_k a_ik/(omega - lambda_ik), with its poles lambda_ik
 the eigenvalues of the lossy generator H of the cavity and the emitters that
 couple in it (only spin-up emitters do). The residues need no
 eigenvectors: a_ik = -i*kappa*w_k with w_k the cofactor residue of
-`linalg.resolvent_poles`. H is a star (the cavity couples to each emitter,
-and the emitters do not couple to each other), so the cavity's minor is a
-product over the emitter levels H_ee and
+`linalg.resolvent_poles`. H is an arrowhead (the cavity couples to each
+emitter, and the emitters do not couple to each other), so the cavity's
+minor is a product over the emitter levels H_ee and
 w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j).
-`linalg.resolvent_poles` gives the poles (an eigenvalue-only solve) and
-the w_k of s_ud and s_du (cavity and one emitter) in one stacked call of
-2x2 generators, solved in closed form with no LAPACK call. s_dd, the bare
-cavity, has the one pole -i*kappa/2 with residue -i*kappa and needs no
-eigensolve. A row with distinct emitters has four distinct amplitudes and
-eight poles; its s_uu (cavity and two emitters) takes one stacked
-`eigvals` call of 3x3 generators. A row with identical emitters
-(delta_eps_a == delta_eps_b bit for bit, as on every fig2 row) has three
-distinct amplitudes and five poles. Its s_du is s_ud bit for bit (the two
-generators are equal), so it adds no pole and no term, and rho takes s_ud's
-row and column for s_du's. Its s_uu splits in two: the dark state
-(|a> - |b>)/sqrt(2) has no cavity component and H maps it to
-(delta - i*gamma/2) times itself, so its pole has residue exactly 0 and
-needs no term, and the bright state (|a> + |b>)/sqrt(2) couples to the
-cavity with sqrt(2)*g, a pair that joins the call of the others. Each row
-evaluates the amplitudes and the Gaussian averages on its own poles only,
-and each amplitude's pole terms are summed over its own poles.
+s_dd, the bare cavity, has the one pole -i*kappa/2 with residue -i*kappa
+and needs no eigensolve. Rows come in two kinds, read from the config
+fields, and each kind builds only the generators it eigensolves:
+- a row with identical emitters (delta_eps_a == delta_eps_b bit for bit,
+  as on every fig2 row) has three distinct amplitudes and five poles. Its
+  s_du is s_ud bit for bit (the two generators are equal), so it adds no
+  pole and no term, and rho takes s_ud's row and column for s_du's. Its
+  s_uu splits in two: the dark state (|a> - |b>)/sqrt(2) has no cavity
+  component and H maps it to (delta - i*gamma/2) times itself, so its pole
+  has residue exactly 0 and needs no term, and the bright state
+  (|a> + |b>)/sqrt(2) couples to the cavity with sqrt(2)*g. Its two pairs
+  are solved in closed form with no LAPACK call;
+- a row with distinct emitters has four distinct amplitudes and eight
+  poles: its s_uu (cavity and two emitters) takes a stacked 3x3 `eigvals`
+  call, and its s_ud and s_du (cavity and one emitter) the closed form.
+Each row evaluates the amplitudes and the Gaussian averages on its own
+poles only, and each amplitude's pole terms are summed over its own poles.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -181,31 +181,30 @@ def _faddeeva(z):
     return (2.0 * p / d + 1.0 / math.sqrt(math.pi)) / d
 
 
-def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
-    """Lossy cavity-emitter generators of (s_uu, s_ud, s_du, s_dd), shape
-    (4,) + shape + (3, 3): cavity at -i*kappa/2, each coupled emitter at
-    delta_k - i*gamma/2 with g to the cavity; an uncoupled emitter is a
-    decoupled zero state."""
-    cav = config.cavity
-    h = np.zeros((4,) + shape + (3, 3), dtype=complex)
-    h[..., 0, 0] = -0.5j * cav.kappa
-    # emitter a is coupled in (s_uu, s_ud), emitter b in (s_uu, s_du): see _COUPLED
-    for slot, delta, amplitudes in ((1, config.delta_eps_a, slice(0, 2)),
-                                    (2, config.delta_eps_b, slice(0, 3, 2))):
-        h[amplitudes, ..., slot, slot] = delta - 0.5j * cav.gamma
-        h[amplitudes, ..., 0, slot] = h[amplitudes, ..., slot, 0] = cav.g
+def _arrowheads(cavity: CavitySystem, shape: tuple, generators) -> np.ndarray:
+    """Lossy cavity-plus-emitter generators, (len(generators),) + shape +
+    (k + 1, k + 1): the cavity (state 0) at -i*kappa/2 and, in generator j,
+    emitter state e at delta - i*gamma/2 with coupling g to the cavity for
+    (g, delta) = generators[j][e - 1], or a decoupled zero state for None."""
+    k = len(generators[0])
+    h = np.zeros((len(generators),) + shape + (k + 1, k + 1), dtype=complex)
+    h[..., 0, 0] = -0.5j * cavity.kappa
+    for h_j, emitters in zip(h, generators):
+        for e, emitter in enumerate(emitters, 1):
+            if emitter is not None:
+                g, delta = emitter
+                h_j[..., e, e] = delta - 0.5j * cavity.gamma
+                h_j[..., 0, e] = h_j[..., e, 0] = g
     return h
 
 
-def _coupled_generators(config: ScatteringConfig, shape: tuple):
-    """The generators of the pole sum, each amplitude over its coupled
-    states only: s_uu's (n, 3, 3), and s_ud's (cavity, emitter a) blocks
-    followed by s_du's (cavity, emitter b) blocks (2n, 2, 2), with
-    n = prod(shape). s_dd couples no emitter and has no stack."""
-    n = math.prod(shape)
-    h = _generators(config, shape)
-    pairs = np.stack([h[1, ..., :2, :2], h[2, ..., ::2, ::2]])
-    return h[0].reshape(n, 3, 3), pairs.reshape(2 * n, 2, 2)
+def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
+    """Generators of (s_uu, s_ud, s_du, s_dd), shape (4,) + shape + (3, 3),
+    with emitters (a, b) coupled as in _COUPLED and an uncoupled emitter a
+    decoupled zero state."""
+    cav = config.cavity
+    a, b = (cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)
+    return _arrowheads(cav, shape, ((a, b), (a, None), (None, b), (None, None)))
 
 
 class _Layout(NamedTuple):
@@ -242,28 +241,19 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     of size prod(shape)) whose poles it trusts (see the module docstring).
 
     s_i = 1 + sum_k a_ik/(omega - lambda_ik) over the poles of amplitude i:
-    the eigenvalues of its coupled generator H of `_coupled_generators`
-    (three for s_uu, two each for s_ud and s_du), with
+    the eigenvalues of its generator H over the states coupled in it, with
     a_ik = -i kappa w_k, w_k = prod_{e>=1} (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j)
     the residue of <0|(omega - H)^-1|0> (inf at a double pole), and for s_dd
     the bare cavity pole -i kappa/2 with residue -i kappa.
 
-    A row with identical emitters (delta_eps_a == delta_eps_b bit for bit;
-    one g couples both) has three distinct amplitudes and five poles, and
-    needs no 3x3 eigensolve. Its s_ud and s_du generators are equal, so s_du
-    is s_ud bit for bit and takes neither a pole nor a term of its own. Its
-    s_uu generator has the dark state (|a> - |b>)/sqrt(2), which H maps to
-    (delta - i gamma/2) times itself and which has no cavity component, so
-    its pole delta - i gamma/2 has residue exactly 0 and no term; the bright
-    pair [[-i kappa/2, sqrt(2) g], [sqrt(2) g, delta - i gamma/2]] carries
-    both other poles. So the pairs of every row (s_ud's, and s_du's or the
-    bright pair's) take one `linalg.resolvent_poles` call, solved in closed
-    form; only the other rows' s_uu generators take a second call, `eigvals`
-    on their 3x3 stack. Both kinds of row face the same trust rules (the
-    dark pole's width gamma/2 included), and a row that fails one gets
-    residues 0 on the bare cavity pole, so that its pole terms, which the
-    fallback replaces, stay finite. A batch of one kind of row is evaluated
-    as it is; a mixed batch evaluates each kind on its own rows.
+    Each kind of row (see the module docstring) builds only the generators
+    it eigensolves, from the config fields. Identical rows send their bright
+    pairs [[-i kappa/2, sqrt(2) g], [sqrt(2) g, delta - i gamma/2]] and
+    their s_ud pairs to one `linalg.resolvent_poles` call. Distinct rows
+    send their s_uu stars to one call, and the stars' (cavity, emitter)
+    blocks, their s_ud and s_du pairs, to another. A batch of one kind of
+    row is evaluated as it is; a mixed batch evaluates each kind on its own
+    rows.
 
     s_i s_j* has simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
@@ -271,47 +261,18 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     = conj(i sqrt(pi/2)/sigma_p w(z)), z = (conj(lambda) - delta_p)/(sqrt(2) sigma_p).
     """
     n = math.prod(shape)
-    if not n:
-        return np.empty((4, 4) + shape, dtype=complex), np.ones(0, dtype=bool)
-    stars, pairs = _coupled_generators(config, shape)
-    same = stars[:, 1, 1] == stars[:, 2, 2]   # identical emitters (both couple with g)
-    distinct = ~same
-    bright = n + np.count_nonzero(distinct)   # where the bright pairs start in the pair stack
-    split = n < bright < 2 * n
-    if bright > n:
-        star = linalg.resolvent_poles(stars[distinct if split else slice(None)])
-    if bright < 2 * n:   # s_ud's pairs, then the distinct rows' s_du pairs, then the bright pairs
-        bright_pairs = stars[same, :2, :2]
-        bright_pairs[:, 0, 1] = bright_pairs[:, 1, 0] = math.sqrt(2.0) * bright_pairs[:, 0, 1]
-        pairs = np.concatenate([pairs[:n], pairs[n:][distinct], bright_pairs])
-    found = linalg.resolvent_poles(pairs)
-    kinds = []   # (layout, rows, poles, residues, trusted) of each kind of row present
-    if bright < 2 * n:
-        rows = same if split else slice(None)
-        poles, residues = np.empty((2, 5, len(pairs) - bright), dtype=complex)
-        for out, x in zip((poles, residues), (found.values, found.weights)):
-            out[:2], out[2:4] = x[bright:].T, x[:n][rows].T
-        kinds.append((_IDENTICAL, rows, poles, residues,
-                      found.trusted[bright:] & found.trusted[:n][rows]))
-    if bright > n:
-        rows = distinct if split else slice(None)
-        poles, residues = np.empty((2, 8, bright - n), dtype=complex)
-        for out, x, y in zip((poles, residues), (star.values, star.weights),
-                             (found.values, found.weights)):
-            out[:3], out[3:5], out[5:7] = x.T, y[:n][rows].T, y[n:bright].T
-        kinds.append((_DISTINCT, rows, poles, residues,
-                      star.trusted & found.trusted[:n][rows] & found.trusted[n:bright]))
-    if not split:
-        (layout, _, poles, residues, trusted), = kinds
-        lead = poles.shape[:1] + shape
-        rho, trusted = _pole_terms(config, layout, poles.reshape(lead), residues.reshape(lead),
-                                   trusted.reshape(shape))
-        return rho, trusted.reshape(n)
-    rho = np.empty((4, 4, n), dtype=complex)
-    trusted = np.empty(n, dtype=bool)
-    for layout, rows, poles, residues, ok in kinds:
-        rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), layout,
-                                                     poles, residues, ok)
+    # np.equal broadcasts the fields to the batch's shape for a third of
+    # np.broadcast_to's cost, which is about 1 % of a one-row call
+    same = np.equal(config.delta_eps_a, config.delta_eps_b,
+                    out=np.empty(shape, dtype=bool)).reshape(n)
+    rho, trusted = np.empty((4, 4, n), dtype=complex), np.empty(n, dtype=bool)
+    for layout, rows in ((_IDENTICAL, same), (_DISTINCT, ~same)):
+        count = np.count_nonzero(rows)
+        if not count:   # before the test for every row, which an empty batch passes
+            continue
+        if count == n:
+            return _pole_terms(config, shape, layout)
+        rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), (count,), layout)
     return rho.reshape((4, 4) + shape), trusted
 
 
@@ -327,24 +288,44 @@ def _rows(config: ScatteringConfig, shape: tuple, rows: np.ndarray) -> Scatterin
                             at(config.delta_eps_a), at(config.delta_eps_b), at(config.gamma_eff))
 
 
-def _pole_terms(config: ScatteringConfig, layout: _Layout, poles, residues, trusted):
-    """Density matrices (4, 4) + rows of the pole sum over one layout's
-    poles and residues (p,) + rows, whose last slot this fills with the
-    cavity pole, and the rows whose poles it trusts: those that `linalg`
-    trusts (the mask `trusted`) and that pass the module docstring's other
-    two rules. The rows broadcast with the config's fields."""
-    kappa = config.cavity.kappa
+def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
+    """Density matrices (4, 4) + shape of the pole sum over rows of one
+    layout's kind (see `_pole_sum`), and the rows (flat) whose poles it
+    trusts: those that `linalg` trusts and that pass the module docstring's
+    other two rules. A row that fails one takes no pole term of its own,
+    since the fallback replaces its rho."""
+    cav = config.cavity
+    kappa = cav.kappa
+    n = math.prod(shape)
+    if layout is _IDENTICAL:
+        pairs = linalg.resolvent_poles(_arrowheads(
+            cav, shape, (((math.sqrt(2.0) * cav.g, config.delta_eps_a),),
+                         ((cav.g, config.delta_eps_a),))).reshape(2 * n, 2, 2))
+        poles, residues = np.empty((2, 5, n), dtype=complex)
+        for out, x in zip((poles, residues), (pairs.values, pairs.weights)):
+            out[:2], out[2:4] = x[:n].T, x[n:].T
+        trusted = pairs.trusted[:n] & pairs.trusted[n:]
+    else:   # s_uu's star, whose (cavity, emitter) blocks are s_ud's and s_du's pairs
+        h = _arrowheads(cav, shape, (((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)),))
+        star = linalg.resolvent_poles(h.reshape(n, 3, 3))
+        pairs = linalg.resolvent_poles(
+            np.stack([h[0, ..., :2, :2], h[0, ..., ::2, ::2]]).reshape(2 * n, 2, 2))
+        poles, residues = np.empty((2, 8, n), dtype=complex)
+        for out, x, y in zip((poles, residues), (star.values, star.weights),
+                             (pairs.values, pairs.weights)):
+            out[:3], out[3:5], out[5:7] = x.T, y[:n].T, y[n:].T
+        trusted = star.trusted & pairs.trusted[:n] & pairs.trusted[n:]
+    poles, residues = poles.reshape((-1,) + shape), residues.reshape((-1,) + shape)
     poles[-1] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[-1] = 1.0
     # I(lambda) below needs Im lambda <= 0, which rounding can break for an
     # emitter whose gamma is below machine epsilon times the generator's norm
-    trusted = trusted & (poles.imag <= 0.0).all(axis=0)
+    trusted = trusted.reshape(shape) & (poles.imag <= 0.0).all(axis=0)
     # `eigvals` errs by about eps max|H_ij| on every pole, so an emitter
     # detuned far past the pulse-scale poles moves them by a visible fraction
     # of their width. The bound 1e-6 on eps max|H_ij| / width sits far above
     # fig2's worst row (2.2e-9) and below the mildest row seen off (0.027,
     # 8e-9 in rho). max|H_ij| is the largest of kappa/2, g, |delta - i gamma/2|.
-    cav = config.cavity
     norm = np.maximum(np.maximum(0.5 * kappa, cav.g),
                       np.hypot(np.maximum(abs(config.delta_eps_a), abs(config.delta_eps_b)),
                                0.5 * cav.gamma))
@@ -352,8 +333,10 @@ def _pole_terms(config: ScatteringConfig, layout: _Layout, poles, residues, trus
     if layout is _IDENTICAL:
         width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's
     trusted &= np.finfo(float).eps * norm < 1e-6 * width
-    if not trusted.all():   # the fallback's rows: no far, inf or NaN pole term
-        poles[:, ~trusted] = poles[-1, ~trusted]
+    # the fallback's rows: no far, inf or NaN pole term, and at the pole -i every
+    # denominator of `spin_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
+    if not trusted.all():
+        poles[:, ~trusted] = -1j
         residues[:, ~trusted] = 0.0
     residues *= -1j * kappa
     mirrored = np.conj(poles)
@@ -373,7 +356,7 @@ def _pole_terms(config: ScatteringConfig, layout: _Layout, poles, residues, trus
     rho = 0.25 * (1.0 + np.swapaxes(t, 0, 1) + np.conj(t))
     if layout.expand is not None:
         rho = rho[layout.expand]
-    return rho, trusted
+    return rho, trusted.reshape(n)
 
 
 def _arrow_inverse(a: np.ndarray) -> np.ndarray:
@@ -449,9 +432,11 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
 
     The integral is the exact pole sum over the reflection poles, with the
     Gaussian average of each pole term a Faddeeva function w(z) (see the
-    module docstring). A row with distinct emitters sums eight poles over
-    its four amplitudes; a row with identical emitters sums five over three,
-    s_uu, s_ud and s_dd, and repeats s_ud's row and column of rho for s_du,
+    module docstring), each kind of row on its own poles. A row with
+    distinct emitters sums eight poles over its four amplitudes, from its
+    3x3 s_uu generator and its s_ud and s_du pairs. A row with identical
+    emitters sums five over three, s_uu, s_ud and s_dd, from its bright pair
+    and its s_ud pair, and repeats s_ud's row and column of rho for s_du,
     bit for bit. It skips s_uu's dark pole, whose residue is exactly 0
     because the dark state has no cavity component. Over 9,000 random
     configs (C from 1 to 1e5, g/kappa from 0.01 to 10, |delta_p| <= 100
@@ -464,18 +449,17 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to 50/gamma), it
     stays below 2.7e-14 up to a 2 sum_k |w_k| of 632 (one-emitter block,
     Frobenius cond 632), and below 4.5e-14 up to 752 on s_uu's bright pair
-    in closed form (on the same 54 rows the 3x3 `eigvals` it replaced was
-    within 1.3e-14), just inside the trust limit; the eigenvector residues
-    used before either were off by as much (3.2e-14). The rows whose poles
+    in closed form, just inside the trust limit. The rows whose poles
     `linalg` does not trust (2 sum_k |w_k| at or past its limit; at the
     exceptional point itself it is ~1e8 and the pole sum is off by up to
     5e-9), that have a pole rounded above the real axis, or whose poles'
     absolute error, machine epsilon times max|H_ij|, reaches 1e-6 of
     sigma_p or of the narrowest coupled pole's width (an emitter detuned
     far past the pulse-scale poles), take the matrix-function form of the
-    same sum, in one stacked evaluation. It is within 3e-16 of an adaptive
-    quadrature at an exceptional point, but off the pole sum by up to
-    3e-12 at large kappa/sigma_p, where the pole sum is the more accurate.
+    same sum, in one stacked evaluation, and no pole term of their own. It
+    is within 3e-16 of an adaptive quadrature at an exceptional point, but
+    off the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole
+    sum is the more accurate.
     """
     return _density_matrices(config)[0]
 

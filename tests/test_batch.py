@@ -10,6 +10,7 @@ which must leave every row bit for bit unchanged; a smaller batch starts no
 thread.
 """
 import dataclasses
+import enum
 import math
 import os
 import re
@@ -190,6 +191,49 @@ def test_lindblad_batch_matches_scalar(seed, n, per_row_cavity, raman):
         warnings.simplefilter("ignore", ValidityWarning)
         batch = assert_rows_match(lindblad.gate_fidelity_lindblad, cfg, rows)
         assert batch.shape == (n,)
+
+
+FAMILIES = {"scattering": scattering_batch, "simple_exchange": exchange_batch,
+            "raman": raman_batch}
+
+
+def in_units(config, factor):
+    """The same gate with every rate scaled by `factor` (so every time by
+    1/factor): every float field of the config and of its parts."""
+    changes = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = in_units(value, factor)
+        elif value is not None and not isinstance(value, enum.Enum):
+            changes[f.name] = value * factor
+    return dataclasses.replace(config, **changes)
+
+
+@pytest.mark.parametrize("scheme, method", _EVALUATORS)
+def test_unit_change_keeps_every_fidelity(scheme, method):
+    """The same gate in other units, on two seeded 250-row families (one
+    cavity, and one per row). Rates x4 and times x1/4 are exact in binary
+    floating point, and numpy's `eig` and `eigvals` are bit-equivariant
+    under 4^k, so every fidelity is bit-identical and every gate time is
+    exactly a quarter. x2 is exact too but changes LAPACK's rounding, and
+    the a <-> b emitter swap is the same scattering gate: on both
+    scattering paths neither moves a fidelity by more than 1e-14 (measured
+    on scattering numeric: 2.2e-16 at x2, 3.3e-16 under the swap)."""
+    evaluate = _EVALUATORS[(scheme, method)]
+    for seed in (0, 1):
+        config = FAMILIES[scheme](seed, 250, per_row_cavity=bool(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            base = evaluate(config)
+            quarter = evaluate(in_units(config, 4.0))
+            assert np.array_equal(quarter.fidelity, base.fidelity, equal_nan=True)
+            assert np.array_equal(quarter.gate_time, base.gate_time / 4.0, equal_nan=True)
+            if scheme == "scattering":
+                swapped = dataclasses.replace(config, delta_eps_a=config.delta_eps_b,
+                                              delta_eps_b=config.delta_eps_a)
+                for other in (in_units(config, 2.0), swapped):
+                    assert np.abs(evaluate(other).fidelity - base.fidelity).max() <= 1e-14
 
 
 def test_refused_rows_stay_rows():

@@ -310,6 +310,19 @@ def test_cli_far_detuned_emitter_warns_of_nothing(tmp_path):
     assert json.loads(result.stdout)["notes"] == ["matrix-function fallback"]
 
 
+def test_cli_vanishing_kappa_takes_the_fallback(tmp_path):
+    """kappa = 1e-301 rad/s (g = 1e-150 rad/s, C = 40) is below the 1e-300
+    guard of the reflection denominators: the scattering row takes the
+    matrix-function fallback and `evaluate` exits 0 with that note (it
+    exited 3, "reflection denominator vanished")."""
+    path = tmp_path / "tiny-kappa.ini"
+    path.write_text(YB_CONFIG.replace("cooperativity = 50000\ng_over_kappa = 0.1\ngamma = 596 hz",
+                                      "g = 1e-150 rad_s\nkappa = 1e-301 rad_s\ngamma = 1 rad_s"))
+    result = CliRunner().invoke(main, ["evaluate", "scattering", str(path), "--method", "numeric"])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["notes"] == ["matrix-function fallback"]
+
+
 @pytest.mark.parametrize("method", ["analytic", "numeric", "lindblad"])
 def test_cli_config_warnings_are_echoed(tmp_path, method):
     """A warning raised while the scheme config is built (a strong Raman

@@ -331,9 +331,8 @@ def quadrature_reference(cfg, span=12.0):
     sigma, delta_p = float(cfg.pulse.sigma_p), float(cfg.pulse.delta_p)
     kappa, g2, gamma = float(cfg.cavity.kappa), float(cfg.cavity.g) ** 2, float(cfg.cavity.gamma)
     delta_a, delta_b = float(cfg.delta_eps_a), float(cfg.delta_eps_b)
-    triple, pairs = sc._coupled_generators(cfg, ())
-    poles = np.concatenate([np.linalg.eigvals(triple).ravel(), np.linalg.eigvals(pairs).ravel(),
-                            [-0.5j * kappa]])
+    poles = np.concatenate([np.linalg.eigvals(h).ravel() for h in coupled_generators(cfg)]
+                           + [[-0.5j * kappa]])
     widths = np.multiply.outer((0.0, 1.0, -1.0, 4.0, -4.0, 16.0, -16.0), abs(poles.imag))
     points = np.unique((poles.real + widths - delta_p) / sigma)
 
@@ -350,11 +349,17 @@ def quadrature_reference(cfg, span=12.0):
                     points=points[abs(points) < span], limit=10_000)[0]
 
 
+def coupled_generators(cfg):
+    """The generators of a one-row config over their coupled states: s_uu's
+    (1, 3, 3), and the (cavity, emitter) blocks (2, 2, 2) of s_ud and s_du."""
+    h = sc._generators(cfg, ())
+    return h[:1], np.stack([h[1, :2, :2], h[2, ::2, ::2]])
+
+
 def generator_cond(cfg):
-    """The largest eigenvector condition number of the generators the pole
-    sum eigensolves: s_uu's 3x3 and the 2x2 blocks of s_ud and s_du."""
-    return max(linalg.eigenbasis(h).cond.max()
-               for h in sc._coupled_generators(cfg, ()))
+    """The largest eigenvector condition number of s_uu's 3x3 generator and
+    the 2x2 blocks of s_ud and s_du."""
+    return max(linalg.eigenbasis(h).cond.max() for h in coupled_generators(cfg))
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,27 +381,6 @@ def test_pole_sum_matches_quadrature(cooperativity, g_over_kappa, delta_p, gate_
     assert change <= 1e-12 + 1e-16 * generator_cond(cfg) ** 2
 
 
-def test_pole_sum_eigensolves_coupled_states_only(monkeypatch):
-    """One batch call of n rows makes exactly two eigensolves: s_uu's (n, 3, 3)
-    stack and one (2n, 2, 2) stack of the s_ud and s_du blocks. Every
-    generator couples each of its states to the cavity, so s_dd (the bare
-    cavity) and decoupled states are never eigensolved."""
-    stacks = []
-    resolvent_poles = linalg.resolvent_poles
-
-    def spy(h):
-        stacks.append(np.array(h))
-        return resolvent_poles(h)
-
-    monkeypatch.setattr(linalg, "resolvent_poles", spy)
-    cav = CavitySystem.from_cooperativity(4000.0, 0.5, 1.0)
-    pulse = sc.PhotonPulse.from_gate_time(np.array([0.5, 2.0, 20.0])[:, None],
-                                          delta_p=np.array([0.0, 30.0]))
-    sc.fidelity_numeric(sc.ScatteringConfig(cav, pulse, delta_eps_a=0.2, delta_eps_b=-0.1))
-    assert [h.shape for h in stacks] == [(6, 3, 3), (12, 2, 2)]
-    assert all((h[:, 0, 1:] != 0).all() for h in stacks)
-
-
 def test_pole_sum_needs_no_eigenvectors(monkeypatch):
     """The pole sum takes its poles from `np.linalg.eigvals` and its
     residues from them: it calls neither `np.linalg.eig` nor `np.linalg.inv`."""
@@ -416,11 +400,14 @@ def test_pole_sum_needs_no_eigenvectors(monkeypatch):
 
 
 def test_identical_emitters_join_the_pairs(monkeypatch):
-    """A row with identical emitters sends its s_uu bright pair, with
-    coupling sqrt(2) g, and its s_ud pair to the stack of pairs, but no s_du
-    pair, which is s_ud's; only the other rows' s_uu generators go to the
-    3x3 stack. With no such other row there is no 3x3 stack, and no
-    `eigvals` call."""
+    """Each kind of row eigensolves its own generators, each over its
+    coupled states only (every state couples to the cavity, so s_dd and
+    decoupled states are never eigensolved). Rows with identical emitters
+    send their s_uu bright pairs, with coupling sqrt(2) g, and then their
+    s_ud pairs to one stack of pairs, and no s_du pair, which is s_ud's.
+    Rows with distinct emitters send their s_uu generators to a 3x3 stack,
+    and then their s_ud and s_du pairs to a stack of pairs. A batch of
+    identical rows makes no `eigvals` call."""
     stacks = []
     resolvent_poles = linalg.resolvent_poles
 
@@ -428,19 +415,45 @@ def test_identical_emitters_join_the_pairs(monkeypatch):
         stacks.append(np.array(h))
         return resolvent_poles(h)
 
+    def eigensolved(config):
+        stacks.clear()
+        sc.fidelity_numeric(config)
+        assert all((h[:, 0, 1:] != 0).all() for h in stacks)
+        return list(stacks)
+
     monkeypatch.setattr(linalg, "resolvent_poles", spy)
     cfg = make_config(g_over_kappa=0.5, delta_p=np.array([0.0, 30.0, 5.0]),
                       delta_eps_a=0.2, delta_eps_b=np.array([0.2, -0.1, 0.2]))
-    sc.fidelity_numeric(cfg)
-    assert [h.shape for h in stacks] == [(1, 3, 3), (6, 2, 2)]
+    mixed = eigensolved(cfg)   # rows 0 and 2 identical, row 1 distinct
+    assert [h.shape for h in mixed] == [(4, 2, 2), (1, 3, 3), (2, 2, 2)]
+    pairs, star, distinct_pairs = mixed
     g = cfg.cavity.g
-    assert stacks[0][0, 2, 2] == -0.1 - 0.5j and stacks[1][3, 1, 1] == -0.1 - 0.5j
-    assert (stacks[1][:3, 1, 1] == 0.2 - 0.5j).all() and (stacks[1][:4, 0, 1] == g).all()
-    assert (stacks[1][4:, 1, 1] == 0.2 - 0.5j).all()
-    assert (stacks[1][4:, 0, 1] == math.sqrt(2.0) * g).all()
-    stacks.clear()
-    sc.fidelity_numeric(dataclasses.replace(cfg, delta_eps_b=0.2))
-    assert [h.shape for h in stacks] == [(6, 2, 2)]
+    assert (pairs[:, 1, 1] == 0.2 - 0.5j).all()
+    assert (pairs[:2, 0, 1] == math.sqrt(2.0) * g).all() and (pairs[2:, 0, 1] == g).all()
+    assert star[0, 1, 1] == 0.2 - 0.5j and star[0, 2, 2] == -0.1 - 0.5j
+    assert distinct_pairs[0, 1, 1] == 0.2 - 0.5j and distinct_pairs[1, 1, 1] == -0.1 - 0.5j
+    assert (distinct_pairs[:, 0, 1] == g).all()
+    identical = dataclasses.replace(cfg, delta_eps_b=0.2)
+    assert [h.shape for h in eigensolved(identical)] == [(6, 2, 2)]
+    grid = sc.ScatteringConfig(CavitySystem.from_cooperativity(4000.0, 0.5, 1.0),
+                               sc.PhotonPulse.from_gate_time(np.array([0.5, 2.0, 20.0])[:, None],
+                                                             delta_p=np.array([0.0, 30.0])),
+                               delta_eps_a=0.2, delta_eps_b=-0.1)
+    assert [h.shape for h in eigensolved(grid)] == [(6, 3, 3), (12, 2, 2)]
+
+
+def test_fig2_builds_no_dense_generators(monkeypatch):
+    """Every fig2a-c row has identical emitters, whose pole sum builds its
+    pairs from the config fields: `_generators`, the dense (4, 3, 3)
+    generators of the matrix-function fallback, is never called."""
+    def refuse(config, shape):
+        raise AssertionError("scattering._generators called")
+
+    monkeypatch.setattr(sc, "_generators", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for name in ("fig2a", "fig2b", "fig2c"):
+            figures.build_figure(name)
 
 
 def test_pole_budget(monkeypatch):
@@ -521,8 +534,7 @@ def test_identical_emitters_match_their_neighbours():
     neighbour, neighbour_trusted = sc._pole_sum(
         dataclasses.replace(same, delta_eps_b=np.nextafter(delta, math.inf)), (n,))
     assert trusted.all() and neighbour_trusted.all()
-    bright = sc._coupled_generators(same, (n,))[0][:, :2, :2].copy()
-    bright[:, 0, 1] = bright[:, 1, 0] = math.sqrt(2.0) * cav.g
+    bright = sc._arrowheads(cav, (n,), [[(math.sqrt(2.0) * cav.g, delta)]])[0]
     cond = linalg.resolvent_poles(bright).cond
     assert (np.abs(rho - neighbour).max(axis=(0, 1)) <= 1e-14 + 1e-16 * cond**2).all()
     assert np.abs(rho - sc._matrix_function(same, (n,), trusted)).max() <= 1e-11
@@ -561,6 +573,25 @@ def test_far_detuned_emitter_warns_of_nothing():
     assert [batch[i].notes for i in range(2)] == [("matrix-function fallback",), ()]
     one_row = sc.fidelity_numeric(make_config(delta_eps_a=1e300)).single()
     assert one_row == batch[0] and 0.0 < one_row.fidelity < 1.0
+
+
+def test_vanishing_kappa_row_takes_the_fallback_alone():
+    """A row with kappa = 1e-301 (g = 1e-150, C = 40) takes the
+    matrix-function fallback. Its pole terms, which the fallback replaces,
+    are evaluated at a placeholder pole where no denominator of
+    `spin_amplitudes` vanishes (at the cavity pole s_dd's is kappa, below
+    the 1e-300 guard), so its batch raises no DivergentDenominator: the row
+    is the fallback's own, and the other row (C = 4) equals its one-row call
+    bit for bit."""
+    cfg = sc.ScatteringConfig(CavitySystem(np.array([1e-150, 1.0]), np.array([1e-301, 1.0]), 1.0),
+                              sc.PhotonPulse(1.0))
+    batch = sc.fidelity_numeric(cfg)
+    assert [batch[i].notes for i in range(2)] == [("matrix-function fallback",), ()]
+    routed = np.array([True, False])
+    assert np.array_equal(sc.reduced_density_matrix(cfg)[0],
+                          sc._matrix_function(cfg, routed.shape, routed)[:, :, 0])
+    one_row = sc.ScatteringConfig(CavitySystem(1.0, 1.0, 1.0), sc.PhotonPulse(1.0))
+    assert sc.fidelity_numeric(one_row).single() == batch[1]
 
 
 @settings(deadline=None)
