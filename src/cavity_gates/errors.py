@@ -27,12 +27,12 @@ class ConvergenceFailure(CavityGateError):
 
 class DivergentDenominator(CavityGateError):
     """A reflection-amplitude denominator of `scattering.spin_amplitudes`
-    has a modulus below 1e-300; it raises for the whole call. The pole sum
-    evaluates the amplitudes at the mirrored poles of its trusted rows,
-    where s_dd's denominator at the cavity pole is kappa, so a trusted row
-    with kappa below 1e-300 raises it for its batch. Rows bound for the
-    matrix-function fallback are evaluated at a placeholder pole where no
-    denominator vanishes, and raise nothing."""
+    is exactly 0: the caller's omega is at a pole of an amplitude (omega =
+    -i kappa/2 for s_dd, say). It raises for the whole call. The pole sum
+    evaluates the amplitudes at mirrored poles, in the closed upper half
+    plane, and the matrix-function fallback's rows at a placeholder pole +i,
+    where no denominator vanishes: a valid config raises nothing unless
+    kappa/2 underflows to 0."""
 
 
 class ZeroDecoherence(CavityGateError):

@@ -27,9 +27,10 @@ Raman gate: photon loss and emitter decay leave the emitters in the frozen
 population lands on the target and J > 0; F_pi and J come from one
 `linalg.eigenbasis` call per sector stack. Exchange gate: every jump lands
 in an A-ground state that the closing pi pulse re-excites, which the target
-does not hold. So J = 0 there, F = (F_pi + 1)/2 - Gamma_eff T, and F_pi
-comes from `exchange.phase_fidelity`: the result is the numeric path's bit
-for bit, near an exceptional point too, where its Taylor fallback serves.
+does not hold. So J = 0 there and F = (F_pi + 1)/2 - Gamma_eff T, the
+numeric path's formula: the check returns the result of
+`exchange.fidelity_numeric_exchange` with the Lindblad method, bit for bit,
+near an exceptional point too, where its Taylor fallback serves.
 
 A row-local failure refuses that row alone (see `params.GateResults`): a
 gate time or a propagation out of the double range, and a Raman row whose
@@ -37,11 +38,13 @@ sector eigenbasis `linalg` does not trust, as the closure has no fallback.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, NonFinite
-from .exchange import ExchangeConfig, phase_fidelity
+from .exchange import ExchangeConfig, fidelity_numeric_exchange
 from .params import GateResults, Method, gate_results
 from .raman import RamanConfig
 
@@ -61,19 +64,17 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     fidelity outside [0, 1] is clamped and carries the "clamped" note, as
     on the numeric path.
 
-    An exchange config has J = 0, so F = (F_pi + 1)/2 - Gamma_eff T with
-    F_pi from `exchange.phase_fidelity`: `fidelity_numeric_exchange`'s
-    result bit for bit, near an exceptional point too. A Raman config has
+    An exchange config has J = 0, so F = (F_pi + 1)/2 - Gamma_eff T, which
+    is `fidelity_numeric_exchange`'s result relabelled: the same numbers and
+    refusals bit for bit, near an exceptional point too. A Raman config has
     no fallback: the closed-form jump integral loses about cond^2 times
     machine epsilon, so a row whose sector eigenbasis `linalg` does not
     trust (near an exceptional point) is refused with ConvergenceFailure,
     after a gate time out of range and before an overlap that overflows.
     """
-    gate_time = config.gate_time
     if isinstance(config, ExchangeConfig):   # J = 0: sqrt of the overlap is (1 + F_pi)/2
-        f_pi = phase_fidelity(*config.sectors(), gate_time)
-        return gate_results(0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time, gate_time,
-                            Method.LINDBLAD, refused=linalg.refusals(gate_time, f_pi))
+        return dataclasses.replace(fidelity_numeric_exchange(config), method=Method.LINDBLAD)
+    gate_time = config.gate_time
     refused = config.gate_time_refusals(gate_time)
     lossy_sectors, params = config.sectors()
     sectors = lossy_sectors(*params)

@@ -19,21 +19,29 @@ minor is a product over the emitter levels H_ee and
 w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j).
 s_dd, the bare cavity, has the one pole -i*kappa/2 with residue -i*kappa
 and needs no eigensolve. Rows come in two kinds, read from the config
-fields, and each kind builds only the generators it eigensolves:
+fields; each kind builds only the generators it eigensolves, and
+`_pole_terms` states each kind's poles, amplitudes and sums in its own
+branch:
 - a row with identical emitters (delta_eps_a == delta_eps_b bit for bit,
-  as on every fig2 row) has three distinct amplitudes and five poles. Its
-  s_du is s_ud bit for bit (the two generators are equal), so it adds no
-  pole and no term, and rho takes s_ud's row and column for s_du's. Its
+  as on every fig2 row) has three distinct amplitudes, s_uu, s_ud and
+  s_dd, and five poles: two of s_uu, two of s_ud, then the cavity pole.
+  Its s_du is s_ud bit for bit (the two generators are equal), so it adds
+  no pole and no term, and rho takes s_ud's row and column for s_du's. Its
   s_uu splits in two: the dark state (|a> - |b>)/sqrt(2) has no cavity
   component and H maps it to (delta - i*gamma/2) times itself, so its pole
   has residue exactly 0 and needs no term, and the bright state
-  (|a> + |b>)/sqrt(2) couples to the cavity with sqrt(2)*g. Its two pairs
-  are solved in closed form with no LAPACK call;
+  (|a> + |b>)/sqrt(2) couples to the cavity with sqrt(2)*g. The bright
+  pair [[-i*kappa/2, sqrt(2)*g], [sqrt(2)*g, delta - i*gamma/2]] and the
+  s_ud pair take one `linalg.resolvent_poles` call, in closed form with no
+  LAPACK call;
 - a row with distinct emitters has four distinct amplitudes and eight
-  poles: its s_uu (cavity and two emitters) takes a stacked 3x3 `eigvals`
-  call, and its s_ud and s_du (cavity and one emitter) the closed form.
+  poles: three of s_uu, two each of s_ud and s_du, then the cavity pole.
+  Its s_uu star (cavity and two emitters) takes a stacked 3x3 `eigvals`
+  call, and the star's (cavity, emitter) blocks, its s_ud and s_du pairs,
+  a second call in closed form.
 Each row evaluates the amplitudes and the Gaussian averages on its own
-poles only, and each amplitude's pole terms are summed over its own poles.
+poles only, and each amplitude's pole terms are summed over its own poles,
+in pole order.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -60,7 +68,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +149,11 @@ def spin_amplitudes(config: ScatteringConfig, omega):
     spin-down emitters are far detuned (their term vanishes). omega may be
     complex (the amplitudes continue analytically off the real axis) and
     broadcasts with the config's fields; a scalar result is a Python complex.
+    An omega at a pole of an amplitude, where a denominator is exactly 0
+    (omega = -i kappa/2 for s_dd, say), raises DivergentDenominator for the
+    whole call. On the real axis and in the closed upper half plane, where
+    the package evaluates them, every denominator has a real part of at
+    least kappa/2, which is 0 only if it underflows.
     """
     cav = config.cavity
     w = np.asarray(omega)
@@ -150,7 +162,7 @@ def spin_amplitudes(config: ScatteringConfig, omega):
     term_a = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
     term_b = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
     denoms = (bare + term_a + term_b, bare + term_a, bare + term_b, bare)
-    if any((abs(d) < 1e-300).any() for d in denoms):
+    if any((d == 0).any() for d in denoms):
         raise DivergentDenominator("reflection denominator vanished")
     ratios = (1.0 - cav.kappa / d for d in denoms)
     return tuple(complex(r) if r.ndim == 0 else r for r in ratios)
@@ -207,33 +219,8 @@ def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
     return _arrowheads(cav, shape, ((a, b), (a, None), (None, b), (None, None)))
 
 
-class _Layout(NamedTuple):
-    """The distinct amplitudes of one kind of row, and where their poles
-    lie: each amplitude's poles are consecutive, an amplitude with more
-    poles comes first, and the cavity pole is last."""
-
-    amplitudes: tuple      # which of `spin_amplitudes`' (s_uu, s_ud, s_du, s_dd) each one is
-    first: np.ndarray      # the first pole of each
-    further: tuple         # (m, poles): the next pole of each of the first m amplitudes, in turn
-    expand: tuple | None   # the index of (uu, ud, du, dd) into rho of the distinct amplitudes
-
-
-def _layout(amplitudes, counts, expand=None) -> _Layout:
-    """The _Layout of amplitudes with the given (falling) numbers of poles."""
-    first = np.cumsum((0,) + counts[:-1])
-    further = []
-    for d in range(1, counts[0]):
-        m = sum(c > d for c in counts)   # the amplitudes with more than d poles
-        further.append((m, first[:m] + d))
-    return _Layout(amplitudes, first, tuple(further),
-                   None if expand is None else np.ix_(expand, expand))
-
-
-#: identical emitters: s_uu's bright pair, s_ud's pair (s_du is the same
-#: function of omega) and the cavity pole; the dark pole has residue 0
-_IDENTICAL = _layout((0, 1, 3), (2, 2, 1), expand=(0, 1, 1, 2))
-#: distinct emitters: s_uu's three poles, s_ud's and s_du's pairs, the cavity pole
-_DISTINCT = _layout((0, 1, 2, 3), (3, 2, 2, 1))
+#: rho's (uu, ud, du, dd) rows and columns from an identical row's (s_uu, s_ud, s_dd)
+_DU_FROM_UD = np.ix_((0, 1, 1, 2), (0, 1, 1, 2))
 
 
 def _pole_sum(config: ScatteringConfig, shape: tuple):
@@ -246,14 +233,9 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     the residue of <0|(omega - H)^-1|0> (inf at a double pole), and for s_dd
     the bare cavity pole -i kappa/2 with residue -i kappa.
 
-    Each kind of row (see the module docstring) builds only the generators
-    it eigensolves, from the config fields. Identical rows send their bright
-    pairs [[-i kappa/2, sqrt(2) g], [sqrt(2) g, delta - i gamma/2]] and
-    their s_ud pairs to one `linalg.resolvent_poles` call. Distinct rows
-    send their s_uu stars to one call, and the stars' (cavity, emitter)
-    blocks, their s_ud and s_du pairs, to another. A batch of one kind of
-    row is evaluated as it is; a mixed batch evaluates each kind on its own
-    rows.
+    Each kind of row (see the module docstring) is summed by `_pole_terms`.
+    A batch of one kind is evaluated as it is; a mixed batch evaluates each
+    kind on its own rows.
 
     s_i s_j* has simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
@@ -266,13 +248,14 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     same = np.equal(config.delta_eps_a, config.delta_eps_b,
                     out=np.empty(shape, dtype=bool)).reshape(n)
     rho, trusted = np.empty((4, 4, n), dtype=complex), np.empty(n, dtype=bool)
-    for layout, rows in ((_IDENTICAL, same), (_DISTINCT, ~same)):
+    for identical, rows in ((True, same), (False, ~same)):
         count = np.count_nonzero(rows)
         if not count:   # before the test for every row, which an empty batch passes
             continue
         if count == n:
-            return _pole_terms(config, shape, layout)
-        rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), (count,), layout)
+            return _pole_terms(config, shape, identical)
+        rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), (count,),
+                                                     identical)
     return rho.reshape((4, 4) + shape), trusted
 
 
@@ -288,16 +271,18 @@ def _rows(config: ScatteringConfig, shape: tuple, rows: np.ndarray) -> Scatterin
                             at(config.delta_eps_a), at(config.delta_eps_b), at(config.gamma_eff))
 
 
-def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
-    """Density matrices (4, 4) + shape of the pole sum over rows of one
-    layout's kind (see `_pole_sum`), and the rows (flat) whose poles it
-    trusts: those that `linalg` trusts and that pass the module docstring's
-    other two rules. A row that fails one takes no pole term of its own,
-    since the fallback replaces its rho."""
+def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
+    """Density matrices (4, 4) + shape of the pole sum (see `_pole_sum`)
+    over rows of one kind, with identical or distinct emitters (see the
+    module docstring), and the rows (flat) whose poles it trusts: those that
+    `linalg` trusts and that pass the module docstring's other two rules. A
+    row that fails one takes no pole term of its own, since the fallback
+    replaces its rho."""
     cav = config.cavity
     kappa = cav.kappa
     n = math.prod(shape)
-    if layout is _IDENTICAL:
+    width = config.pulse.sigma_p
+    if identical:   # s_uu's bright pair, s_ud's pair, the cavity pole; s_du is s_ud
         pairs = linalg.resolvent_poles(_arrowheads(
             cav, shape, (((math.sqrt(2.0) * cav.g, config.delta_eps_a),),
                          ((cav.g, config.delta_eps_a),))).reshape(2 * n, 2, 2))
@@ -305,6 +290,8 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
         for out, x in zip((poles, residues), (pairs.values, pairs.weights)):
             out[:2], out[2:4] = x[:n].T, x[n:].T
         trusted = pairs.trusted[:n] & pairs.trusted[n:]
+        width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's, which takes no term
+        kept = (0, 1, 3)
     else:   # s_uu's star, whose (cavity, emitter) blocks are s_ud's and s_du's pairs
         h = _arrowheads(cav, shape, (((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)),))
         star = linalg.resolvent_poles(h.reshape(n, 3, 3))
@@ -315,6 +302,7 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
                              (pairs.values, pairs.weights)):
             out[:3], out[3:5], out[5:7] = x.T, y[:n].T, y[n:].T
         trusted = star.trusted & pairs.trusted[:n] & pairs.trusted[n:]
+        kept = (0, 1, 2, 3)
     poles, residues = poles.reshape((-1,) + shape), residues.reshape((-1,) + shape)
     poles[-1] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[-1] = 1.0
@@ -329,9 +317,7 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
     norm = np.maximum(np.maximum(0.5 * kappa, cav.g),
                       np.hypot(np.maximum(abs(config.delta_eps_a), abs(config.delta_eps_b)),
                                0.5 * cav.gamma))
-    width = np.minimum(config.pulse.sigma_p, abs(poles[:-1].imag).min(axis=0))
-    if layout is _IDENTICAL:
-        width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's
+    width = np.minimum(width, abs(poles[:-1].imag).min(axis=0))
     trusted &= np.finfo(float).eps * norm < 1e-6 * width
     # the fallback's rows: no far, inf or NaN pole term, and at the pole -i every
     # denominator of `spin_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
@@ -341,7 +327,7 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
     residues *= -1j * kappa
     mirrored = np.conj(poles)
     amplitudes = spin_amplitudes(config, mirrored)
-    sbar = np.conj([amplitudes[j] for j in layout.amplitudes])   # (j, k) + rows
+    sbar = np.conj([amplitudes[j] for j in kept])   # (j, k) + rows
     sigma = config.pulse.sigma_p
     z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
     # not `*`, which may swap the complex operands on a large temporary (see `linalg`),
@@ -349,14 +335,16 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, layout: _Layout):
     weights = np.multiply(residues, np.conj(np.divide(1j * math.sqrt(0.5 * math.pi), sigma)
                                             * _faddeeva(z)))
     # t[j, i] sums sbar_j over amplitude i's own poles, in pole order
-    terms = np.multiply(weights, sbar)
-    t = terms[:, layout.first]
-    for m, further in layout.further:
-        t[:, :m] += terms[:, further]
+    p = np.multiply(weights, sbar)
+    if identical:   # poles 0-1, 2-3 and 4
+        t = p[:, ::2]
+        t[:, :2] += p[:, 1::2]
+    else:   # poles 0-2, 3-4, 5-6 and 7
+        t = p[:, 1::2]
+        t[:, 0] += p[:, 0]   # p1 + p0 is p0 + p1 bit for bit
+        t[:, :3] += p[:, 2::2]
     rho = 0.25 * (1.0 + np.swapaxes(t, 0, 1) + np.conj(t))
-    if layout.expand is not None:
-        rho = rho[layout.expand]
-    return rho, trusted.reshape(n)
+    return (rho[_DU_FROM_UD] if identical else rho), trusted.reshape(n)
 
 
 def _arrow_inverse(a: np.ndarray) -> np.ndarray:
@@ -431,17 +419,12 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     photon-loss-weighted amplitude reduction.
 
     The integral is the exact pole sum over the reflection poles, with the
-    Gaussian average of each pole term a Faddeeva function w(z) (see the
-    module docstring), each kind of row on its own poles. A row with
-    distinct emitters sums eight poles over its four amplitudes, from its
-    3x3 s_uu generator and its s_ud and s_du pairs. A row with identical
-    emitters sums five over three, s_uu, s_ud and s_dd, from its bright pair
-    and its s_ud pair, and repeats s_ud's row and column of rho for s_du,
-    bit for bit. It skips s_uu's dark pole, whose residue is exactly 0
-    because the dark state has no cavity component. Over 9,000 random
-    configs (C from 1 to 1e5, g/kappa from 0.01 to 10, |delta_p| <= 100
-    gamma, T from 0.1/gamma to 50/gamma) it agreed with a Gauss-Legendre
-    quadrature to 1.4e-14. Its error bound grows as
+    Gaussian average of each pole term a Faddeeva function w(z), each kind
+    of row on its own poles (see the module docstring): a row with
+    identical emitters repeats s_ud's row and column of rho for s_du, bit
+    for bit. Over 9,000 random configs (C from 1 to 1e5, g/kappa from 0.01
+    to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma) it agreed
+    with a Gauss-Legendre quadrature to 1.4e-14. Its error bound grows as
     (sum_k |w_k|)^2 * machine epsilon towards an exceptional point of a
     generator, with w_k the residues of `linalg.resolvent_poles`.
     Measured against an adaptive quadrature near both exceptional points

@@ -311,8 +311,9 @@ def test_cli_far_detuned_emitter_warns_of_nothing(tmp_path):
 
 
 def test_cli_vanishing_kappa_takes_the_fallback(tmp_path):
-    """kappa = 1e-301 rad/s (g = 1e-150 rad/s, C = 40) is below the 1e-300
-    guard of the reflection denominators: the scattering row takes the
+    """kappa = 1e-301 rad/s (g = 1e-150 rad/s, C = 40): the cavity-like
+    pole's width, about kappa/2 + 2 g^2/gamma = 2e-300, is far below machine
+    epsilon times the generator's norm, so the scattering row takes the
     matrix-function fallback and `evaluate` exits 0 with that note (it
     exited 3, "reflection denominator vanished")."""
     path = tmp_path / "tiny-kappa.ini"
@@ -321,6 +322,24 @@ def test_cli_vanishing_kappa_takes_the_fallback(tmp_path):
     result = CliRunner().invoke(main, ["evaluate", "scattering", str(path), "--method", "numeric"])
     assert result.exit_code == 0, result.stderr
     assert json.loads(result.stdout)["notes"] == ["matrix-function fallback"]
+
+
+def test_cli_vanishing_kappa_trusted_row_evaluates(tmp_path):
+    """kappa = 1e-301 rad/s with g = gamma = 1 rad/s: the pole sum trusts
+    the row and evaluates s_dd at the mirrored cavity pole i kappa/2, where
+    its denominator is kappa, small but not 0. `evaluate` exits 0 (it
+    exited 3, "reflection denominator vanished", when every denominator
+    below 1e-300 raised). A cavity that narrow reflects the photon
+    unchanged on every spin state, to about kappa/gamma: no phase flip, so
+    F = 1/2, and no photon is lost."""
+    path = tmp_path / "tiny-kappa.ini"
+    path.write_text("[cavity]\ng = 1 rad_s\nkappa = 1e-301 rad_s\ngamma = 1 rad_s\n"
+                    "[scheme.scattering]\ngate_time = 2 inv_gamma\n")
+    result = CliRunner().invoke(main, ["evaluate", "scattering", str(path), "--method", "numeric"])
+    assert result.exit_code == 0, result.stderr
+    response = json.loads(result.stdout)
+    assert (response["fidelity"], response["success_probability"]) == (0.5, 1.0)
+    assert response["notes"] == []
 
 
 @pytest.mark.parametrize("method", ["analytic", "numeric", "lindblad"])

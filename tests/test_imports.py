@@ -153,8 +153,8 @@ def test_one_thread_executor():
 def test_one_exchange_f_pi_route():
     """The simple exchange has one F_pi route: `lindblad` calls neither
     `linalg.resolvent_poles` nor `linalg.return_amplitudes`, and the
-    exchange branch of `gate_fidelity_lindblad` takes F_pi from
-    `exchange.phase_fidelity`, the numeric path's executor."""
+    exchange branch of `gate_fidelity_lindblad` returns the numeric path's
+    result, `exchange.fidelity_numeric_exchange`, relabelled."""
     package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
     with open(os.path.join(package, "lindblad.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -169,7 +169,7 @@ def test_one_exchange_f_pi_route():
     branches = [node.body for node in ast.walk(entry) if isinstance(node, ast.If)
                 and ast.unparse(node.test) == "isinstance(config, ExchangeConfig)"]
     assert len(branches) == 1
-    assert "phase_fidelity" in set().union(*(calls(node) for node in branches[0]))
+    assert "fidelity_numeric_exchange" in set().union(*(calls(node) for node in branches[0]))
 
 
 def test_no_orphaned_private_code():

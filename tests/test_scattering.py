@@ -54,11 +54,14 @@ def test_uncoupled_reflection_is_pure_phase(omega):
 
 
 def test_divergent_denominator():
-    # C = 4 g^2/(kappa gamma) = 4e-19 > 0, but every reflection denominator,
-    # about kappa/2 = 5e-302 at omega = 0, is below the 1e-300 guard
+    # C = 4 g^2/(kappa gamma) = 4e-19 > 0. At omega = 0 every reflection
+    # denominator is about kappa/2 = 5e-302, small but not 0, and s_dd is
+    # exactly -1; at s_dd's pole omega = -i kappa/2 its denominator is 0
     cav = CavitySystem(g=1e-160, kappa=1e-301, gamma=1.0)
+    config = sc.ScatteringConfig(cav, sc.PhotonPulse(1.0))
+    assert sc.spin_amplitudes(config, 0.0)[3] == -1.0
     with pytest.raises(DivergentDenominator):
-        sc.spin_amplitudes(sc.ScatteringConfig(cav, sc.PhotonPulse(1.0)), 0.0)
+        sc.spin_amplitudes(config, -0.5j * cav.kappa)
 
 
 def test_amplitudes_ideal_limit():
@@ -579,10 +582,9 @@ def test_vanishing_kappa_row_takes_the_fallback_alone():
     """A row with kappa = 1e-301 (g = 1e-150, C = 40) takes the
     matrix-function fallback. Its pole terms, which the fallback replaces,
     are evaluated at a placeholder pole where no denominator of
-    `spin_amplitudes` vanishes (at the cavity pole s_dd's is kappa, below
-    the 1e-300 guard), so its batch raises no DivergentDenominator: the row
-    is the fallback's own, and the other row (C = 4) equals its one-row call
-    bit for bit."""
+    `spin_amplitudes` vanishes, so its batch raises no DivergentDenominator:
+    the row is the fallback's own, and the other row (C = 4) equals its
+    one-row call bit for bit."""
     cfg = sc.ScatteringConfig(CavitySystem(np.array([1e-150, 1.0]), np.array([1e-301, 1.0]), 1.0),
                               sc.PhotonPulse(1.0))
     batch = sc.fidelity_numeric(cfg)
