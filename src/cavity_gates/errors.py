@@ -6,23 +6,23 @@ class CavityGateError(Exception):
 
 
 class NonFinite(CavityGateError):
-    """NaN or Inf in an input (a generator, a linear system), which raises
-    for the whole batch, or an evaluation that leaves the double range on a
-    row (an overflow, a gate time that underflows to 0), which refuses that
-    row alone: see `params.GateResults`."""
+    """NaN or Inf in a generator, which raises for the whole batch, or an
+    evaluation that leaves the double range on a row (an overflow, a gate
+    time that underflows to 0), which refuses that row alone: see
+    `params.GateResults`. A linear system (`linalg.solve`) raises nothing:
+    its NaN, Inf or singular row is NaN, and refused as such."""
 
 
 class ConvergenceFailure(CavityGateError):
-    """No numeric path converged. The Raman Lindblad closure, which has no
-    fallback, refuses each row whose sector eigenbasis `linalg.eigenbasis`
-    does not trust (condition number at or past the one trust limit of
-    `linalg`, near an exceptional point) with it: see `params.GateResults`.
-    `linalg.solve` raises it for the whole batch on a singular matrix (in
-    the scattering matrix-function fallback, for one). Poles that
-    `linalg.resolvent_poles` does not trust raise nothing:
-    `return_amplitudes` sends those rows to its Taylor fallback (on the
-    numeric paths of both exchange gates and the simple exchange's
-    Lindblad check) and the scattering pole sum to its matrix function."""
+    """No numeric path converged. Only the Raman Lindblad closure, which has
+    no fallback, refuses rows with it: each row whose sector eigenbasis
+    `linalg.eigenbasis` does not trust (condition number at or past the one
+    trust limit of `linalg`, near an exceptional point), see
+    `params.GateResults`. Poles that `linalg.resolvent_poles` does not
+    trust raise nothing: `return_amplitudes` sends those rows to its Taylor
+    fallback (on the numeric paths of both exchange gates and the simple
+    exchange's Lindblad check) and the scattering pole sum to its matrix
+    function."""
 
 
 class DivergentDenominator(CavityGateError):

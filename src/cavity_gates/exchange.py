@@ -104,10 +104,6 @@ class ExchangeConfig:
         """Excitation dwell time for a pi phase (exchange_gate_time)."""
         return exchange_gate_time(self.detuning, self.coupling_a, self.coupling_b_resonant)
 
-    def gate_time_refusals(self, gate_time) -> dict:
-        """None: `gate_results` refuses an exchange gate time out of range."""
-        return {}
-
     def sectors(self):
         """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
         params = (self.detuning, self.coupling_a, self.coupling_b_resonant,
@@ -309,8 +305,7 @@ def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResul
     with np.errstate(over="ignore", invalid="ignore"):   # rows refused below
         f_pi = phase_fidelity(*config.sectors(), gate_time)
         f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
-    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN, refused={
-        **config.gate_time_refusals(gate_time), **linalg.refusals(gate_time, f_pi)})
+    return gate_results(f_gate, gate_time, Method.NON_HERMITIAN, refused=linalg.refusals(f_pi))
 
 
 def fidelity_analytic_exchange(config: ExchangeConfig) -> GateResults:

@@ -42,12 +42,13 @@ eigenbasis is untrusted, with ConvergenceFailure.
 In both kernels a NaN or Inf trust measure (products that overflowed, say),
 and every row of a stack whose eigensolve (or inverse) raises LinAlgError,
 are untrusted. NaN or Inf in a generator raises NonFinite for the whole
-stack. A row whose propagation leaves the double range (a non-finite t, a
-phase e^{-i t lambda} or an untrusted row's Taylor generator t H past it)
-is not finite, and `refusals` names it for `params.gate_results`, with one
-overflow message whichever route the row took. No stack is split here: the
-callers size it, and each call makes one LAPACK call per kernel whatever
-its size. At one row the checks and bookkeeping still cost about three
+stack. A row whose propagation leaves the double range (a phase
+e^{-i t lambda} or an untrusted row's Taylor generator t H past it) is not
+finite, and `refusals` names it for `params.gate_results`, with one
+overflow message whichever route the row took. `solve` raises nothing: a
+NaN, Inf or singular system makes its own row NaN. No stack is split here:
+the callers size it, and each call makes one LAPACK call per kernel
+whatever its size. At one row the checks and bookkeeping still cost about three
 times the eigensolve: a one-row exchange pair takes about 50 us in
 `return_amplitudes`, 12 of them in `eigvals` (2-core VM, one BLAS thread).
 A row's result does not depend on the size of its stack, and numpy's linalg
@@ -59,8 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFinite
-from .params import all_rows, any_row
+from .errors import NonFinite
+from .params import all_rows
 
 #: eigenvector condition number (or twice the residue sum of `resolvent_poles`)
 #: from which a spectrum is not trusted
@@ -197,17 +198,19 @@ def resolvent_poles(h) -> Poles:
 
 def solve(a, b) -> np.ndarray:
     """x_j = a_j^-1 b_j for square matrices a (..., k, k) and vectors b
-    (..., k, one axis fewer than a) or matrices b (..., k, m). NaN or Inf
-    input raises NonFinite, and a singular a_j ConvergenceFailure."""
+    (..., k, one axis fewer than a) or matrices b (..., k, m), row by row: a
+    NaN, Inf or singular (exact zero LU pivot) system makes its own row NaN
+    and no other row moves. It raises nothing."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NonFinite("linear system contains NaN or Inf entries")
     vectors = b.ndim == a.ndim - 1
+    b = b[..., None] if vectors else b
     try:
-        x = np.linalg.solve(a, b[..., None] if vectors else b)
-    except np.linalg.LinAlgError:
-        raise ConvergenceFailure("singular matrix in a stacked linear solve") from None
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:   # a zero pivot; slogdet's sign is 0 at the same one
+        singular = (np.linalg.slogdet(a)[0] == 0)[..., None, None]
+        x = np.linalg.solve(np.where(singular, np.eye(a.shape[-1]), a), b)
+        x = np.where(singular, np.nan, x)
     return x[..., 0] if vectors else x
 
 
@@ -229,16 +232,13 @@ def _expm_squaring(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def refusals(t, values) -> dict:
-    """{NonFinite: row mask} of the rows of `values`, computed row by row from
-    `return_amplitudes` at times t, that are not finite: a non-finite t, else
-    an overflow."""
+def refusals(values) -> dict:
+    """{NonFinite(OVERFLOW): row mask} of the rows of `values`, computed row
+    by row from `return_amplitudes`, that are not finite (a time out of
+    range too: `gate_results` refuses that row for it first); {} if none."""
     if all_rows(finite := np.isfinite(values)):
         return {}
-    timed = np.isfinite(t)
-    return {error: rows for error, rows in (
-        (NonFinite("propagation time contains NaN or Inf entries"), ~timed),
-        (NonFinite(OVERFLOW), ~finite & timed)) if any_row(rows)}
+    return {NonFinite(OVERFLOW): ~finite}
 
 
 def return_amplitudes(h, t) -> np.ndarray:

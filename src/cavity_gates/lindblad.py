@@ -33,8 +33,9 @@ numeric path's formula: the check returns the result of
 near an exceptional point too, where its Taylor fallback serves.
 
 A row-local failure refuses that row alone (see `params.GateResults`): a
-gate time or a propagation out of the double range, and a Raman row whose
-sector eigenbasis `linalg` does not trust, as the closure has no fallback.
+gate time out of the double range, then a Raman row whose sector
+eigenbasis `linalg` does not trust (the package's one ConvergenceFailure:
+the closure has no fallback), then a propagation out of the double range.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ _TARGET_JUMPS = ("kappa", "gamma", "gamma")
 _JUMP_SOURCES = ([2, 1, 3], [2, 1])
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a row that overflows is refused below
 def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     """Full master-equation gate fidelity for every row of a config of
     either exchange gate, at its pi-phase gate time. A corrected
@@ -74,8 +74,13 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     """
     if isinstance(config, ExchangeConfig):   # J = 0: sqrt of the overlap is (1 + F_pi)/2
         return dataclasses.replace(fidelity_numeric_exchange(config), method=Method.LINDBLAD)
+    return _raman_lindblad(config)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a row that overflows is refused below
+def _raman_lindblad(config: RamanConfig) -> GateResults:
+    """`gate_fidelity_lindblad` of a Raman config: the closure with its J."""
     gate_time = config.gate_time
-    refused = config.gate_time_refusals(gate_time)
     lossy_sectors, params = config.sectors()
     sectors = lossy_sectors(*params)
     shape = sectors[0].shape[:-2]   # gate_time is a function of the params
@@ -103,6 +108,7 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     overlap = ((0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
                + 0.25 * (rates.reshape(weights.shape) * weights).sum(-1))
     trusted, finite = bases[0].trusted & bases[1].trusted, np.isfinite(overlap)
+    refused = {}
     if not (trusted.all() and finite.all()):   # an untrusted row first: its overlap is unused
         cond = np.where(bases[0].trusted, bases[1].cond, bases[0].cond)
         for row in (~trusted).nonzero()[0]:

@@ -216,8 +216,9 @@ class GateResults:
     a row's GateResult carries the notes whose mask is set, in insertion
     order: the evaluator's own notes first, "clamped" last.
     refused maps the error of each row-local failure (an overflow, say) to
-    the mask of the rows it refused (each mask sets a row). A refused row is
-    NaN in every field, and indexing it raises its first error.
+    the mask of the rows it refused (each mask sets a row), in the order of
+    `gate_results`. A refused row is NaN in every field, and indexing it
+    raises its first error.
     """
 
     fidelity: np.ndarray
@@ -278,10 +279,10 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     """Clamp gate fidelities into [0, 1], and success probabilities when
     given (a deterministic scheme gives none: every row's is 1), and mark
     every row where either was clamped with the "clamped" note, after the
-    caller's notes (note -> row mask). The one owner of row refusals: after
-    the caller's (error -> row mask), rows are refused with NonFinite for a
-    NaN fidelity, a gate time not finite or not > 0 (an evaluator that
-    overflowed or underflowed), or a NaN probability; see GateResults."""
+    caller's notes (note -> row mask). The one owner of row refusals: rows
+    are refused with NonFinite for a gate time not finite or not > 0 (it
+    overflowed or underflowed; no path refuses it elsewhere), then for the
+    caller's (error -> row mask), a NaN fidelity or a NaN probability."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
@@ -289,14 +290,15 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     gate_time = _broadcast(gate_time, shape, float)
     probability = (1.0 if success_probability is None
                    else _broadcast(success_probability, shape, float))
-    refused = ({error: _broadcast(mask, shape, bool) for error, mask in refused.items()}
-               if refused else {})
-    if any_row(nan := np.isnan(fidelity)):
-        refused[NonFinite("fidelity is nan: the evaluation overflowed")] = nan
+    caller, refused = refused or {}, {}
     if not all_rows(finite := np.isfinite(gate_time)):
         refused[NonFinite("gate_time is not finite: the evaluation overflowed")] = ~finite
     if not all_rows(positive := gate_time > 0):
         refused[NonFinite("gate_time must be > 0")] = ~positive
+    for error, mask in caller.items():
+        refused[error] = _broadcast(mask, shape, bool)
+    if any_row(nan := np.isnan(fidelity)):
+        refused[NonFinite("fidelity is nan: the evaluation overflowed")] = nan
     if success_probability is not None and any_row(nan := np.isnan(probability)):
         refused[NonFinite("success_probability is nan: the evaluation overflowed")] = nan
     if refused:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFinite, ValidityWarning, ZeroDecoherence
+from .errors import ValidityWarning, ZeroDecoherence
 from .exchange import (expanded_max_fidelity, fidelity_numeric_exchange, optimal_detuning,
                        ridge_f_pi)
 from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, any_row,
@@ -126,13 +126,6 @@ class RamanConfig:
         """Drive duration for a pi phase (raman_gate_time)."""
         return raman_gate_time(self)
 
-    def gate_time_refusals(self, gate_time) -> dict:
-        """{NonFinite: rows} of the gate time's rows out of the double range
-        (not finite and > 0), empty if none: every Raman path's first refusal."""
-        inside = (gate_time > 0) & (gate_time < math.inf)
-        return {} if all_rows(inside) else {NonFinite("Raman gate time leaves the double range"):
-                                            ~inside}
-
     def sectors(self):
         """(builder of the stacked (H_eff_ud, H_eff_uu), its parameters)."""
         params = (self.two_photon_a, self.two_photon_b, self.rabi_a, self.drive_b,
@@ -183,7 +176,7 @@ def raman_gate_time(config: RamanConfig) -> float:
     T = pi (g_A^2 Delta_A + g_B^2 Delta_B + delta Delta_A Delta_B)
           / (g_A g_B Omega_A Omega_B).
     A zero drive (given, or underflowed) gives T = inf. A T out of the double
-    range warns of nothing, and every Raman path refuses its row.
+    range warns of nothing, and `gate_results` refuses its row.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _gate_time(config.coupling_a, config.coupling_b, config.rabi_a, config.drive_b,
@@ -231,8 +224,7 @@ def fidelity_analytic_raman(config: RamanConfig) -> GateResults:
         f_gate = _closed_form(config.cavity, d, big_d, omega, g2, config.gamma_eff, gate_time)
     unmodeled = (config.two_photon_error > 0) | (config.laser_detuning_error > 0)
     return gate_results(f_gate, gate_time, Method.ANALYTIC,
-                        {"detuning errors not modeled": unmodeled},
-                        refused=config.gate_time_refusals(gate_time))
+                        {"detuning errors not modeled": unmodeled})
 
 
 def _closed_form(cavity, d, big_d, omega, g2, gamma_eff, gate_time):

@@ -463,14 +463,15 @@ def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     [0, 1] (rows marked "clamped"), and rows that took the matrix-function
     form are marked "matrix-function fallback".
     """
-    t_gate = config.pulse.gate_time
-    rho, fallback = _density_matrices(config)
-    # the real populations, summed in order: np.trace's complex sum is pairwise on a stack
-    trace = np.diagonal(rho, axis1=-2, axis2=-1).real.sum(-1)
-    coherent = np.einsum("i,...ij,j->...", IDEAL_TARGET, rho, IDEAL_TARGET).real
-    decay = -(8.0 / 3.0) * config.gamma_eff * t_gate
-    # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
-    f2 = np.exp(decay) * coherent - np.expm1(decay) * trace / 4.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # T out of range: refused
+        t_gate = config.pulse.gate_time
+        rho, fallback = _density_matrices(config)
+        # the real populations, summed in order: np.trace's complex sum is pairwise on a stack
+        trace = np.diagonal(rho, axis1=-2, axis2=-1).real.sum(-1)
+        coherent = np.einsum("i,...ij,j->...", IDEAL_TARGET, rho, IDEAL_TARGET).real
+        decay = -(8.0 / 3.0) * config.gamma_eff * t_gate
+        # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
+        f2 = np.exp(decay) * coherent - np.expm1(decay) * trace / 4.0
     return gate_results(np.copysign(np.sqrt(np.abs(f2)), f2), t_gate, Method.NUMERIC_AMPLITUDE,
                         {"matrix-function fallback": fallback}, success_probability=trace)
 
@@ -493,7 +494,6 @@ def fidelity_analytic(config: ScatteringConfig) -> GateResults:
     c = cav.cooperativity
     gamma = cav.gamma
     pulse = config.pulse
-    t_gate = pulse.gate_time
     scale = gamma * c
     outside = ((c < 10) | (abs(pulse.delta_p) > 0.25 * scale) | (pulse.sigma_p > 0.25 * scale)
                | (abs(config.delta_eps_a) > gamma) | (abs(config.delta_eps_b) > gamma))
@@ -503,6 +503,7 @@ def fidelity_analytic(config: ScatteringConfig) -> GateResults:
     message = "closed-form scattering fidelity overflows"
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t_gate = pulse.gate_time   # out of the double range: refused by gate_results
             fidelity = _closed_form(cav, pulse.delta_p, pulse.sigma_p, config.delta_eps_a,
                                     config.delta_eps_b, config.gamma_eff, t_gate)
     except (OverflowError, ZeroDivisionError) as exc:  # float arithmetic past the double range,

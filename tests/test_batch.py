@@ -29,7 +29,8 @@ from cavity_gates import scattering as sc
 from cavity_gates.cli import _EVALUATORS
 from cavity_gates.errors import (ConvergenceFailure, NonFinite, ValidityWarning,
                                  ZeroDecoherence)
-from cavity_gates.params import CavitySystem, DecoherenceSpec, Method, gate_results
+from cavity_gates.params import (CavitySystem, DecoherenceSpec, Method, gate_results,
+                                 stack_configs)
 from cavity_gates.scattering import PhotonPulse
 
 #: most rows per block-kernel call of exchange.phase_fidelity, and generators per linalg call
@@ -250,6 +251,36 @@ def test_unit_change_keeps_every_fidelity(scheme, method):
                 assert np.abs(evaluate(swapped).fidelity - base.fidelity).max() <= 1e-14
 
 
+def time_overflow_rows(scheme):
+    """A valid config, then one whose gate time T overflows to inf:
+    sigma_p = 5e-324 (scattering), Delta = 1e308 with Gamma_eff = 0 (simple
+    exchange) or a laser detuning of 1e300 (Raman)."""
+    if scheme == "scattering":
+        cav = CavitySystem.from_cooperativity(1000.0, 0.1, 1.0)
+        return [sc.ScatteringConfig(cav, PhotonPulse(sigma)) for sigma in (1.0, 5e-324)]
+    cav = CavitySystem(0.1, 1.0, 1.0)
+    if scheme == "simple_exchange":
+        return [ex.ExchangeConfig(cav, detuning=detuning) for detuning in (5.0, 1e308)]
+    return [rm.RamanConfig(cav, laser, laser, 10.0, 10.0, rabi_a=0.1 * laser)
+            for laser in (1.0, 1e300)]
+
+
+@pytest.mark.parametrize("scheme, method", _EVALUATORS)
+def test_gate_time_out_of_range_is_refused_first(scheme, method):
+    """On every (scheme, method) path, `gate_results` refuses a row whose
+    gate time leaves the double range for its gate time, before the
+    overflow of its fidelity or propagation, and no RuntimeWarning escapes;
+    the valid row beside it is its one-row result bit for bit."""
+    evaluate = _EVALUATORS[(scheme, method)]
+    rows = time_overflow_rows(scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = evaluate(stack_configs(rows))
+        assert results[0] == evaluate(rows[0]).single()
+    with pytest.raises(NonFinite, match="^gate_time is not finite: the evaluation overflowed$"):
+        results[1]
+
+
 def test_refused_rows_stay_rows():
     """1,000 simple-exchange rows at C = 5e4, g/kappa = 0.1 (kappa = 1.25e6
     gamma), with Delta log-spaced from 2e3 gamma to 2e6 gamma: the 41 rows
@@ -406,7 +437,7 @@ def test_nan_row_raises_non_finite():
     t = np.array([1.0, np.inf])
     amps = linalg.return_amplitudes(h[:2], t)
     assert amps[0] == linalg.return_amplitudes(h[:1], 1.0)[0] and not np.isfinite(amps[1])
-    [(error, mask)] = linalg.refusals(t, amps).items()
+    [(error, mask)] = linalg.refusals(amps).items()
     assert isinstance(error, NonFinite) and mask.tolist() == [False, True]
 
 
@@ -635,7 +666,8 @@ def lossy_pairs(n, marked):
 def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
     """A NaN time, a row-local failure, makes that row's F_pi not finite in
     the last block of the last worker and leaves every other row as it was;
-    reading that row, once refused, raises NonFinite."""
+    reading that row, once refused, raises the NonFinite of its gate time,
+    which `gate_results` puts before the overflow that `refusals` names."""
     set_cpus(monkeypatch, 4)
     n = 3 * BLOCK + 5
     lossy_sectors, params = lossy_pairs(n, ())
@@ -645,9 +677,9 @@ def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
     assert len(started_threads) == 3
     assert not np.isfinite(f_pi[-1]) and np.array_equal(f_pi[:-1], ex.phase_fidelity(
         lossy_sectors, [params[0][:-1]], 2.0))
-    results = gate_results(f_pi, t, Method.NON_HERMITIAN, refused=linalg.refusals(t, f_pi))
+    results = gate_results(f_pi, t, Method.NON_HERMITIAN, refused=linalg.refusals(f_pi))
     assert np.logical_or.reduce(list(results.refused.values())).nonzero()[0].tolist() == [n - 1]
-    with pytest.raises(NonFinite, match="^propagation time contains NaN or Inf entries$"):
+    with pytest.raises(NonFinite, match="^gate_time is not finite: the evaluation overflowed$"):
         results[-1]
 
 

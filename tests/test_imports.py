@@ -54,6 +54,31 @@ def test_one_result_builder():
     assert offenders == []
 
 
+def test_one_gate_time_and_convergence_owner():
+    """A gate time out of range is refused in `params.gate_results` alone:
+    its two NonFinite messages are built in `params` and nowhere else, and
+    no config class has a `gate_time_refusals` hook. ConvergenceFailure is
+    constructed in `lindblad` alone (the Raman closure's untrusted rows):
+    `linalg.solve` raises nothing."""
+    package = os.path.dirname(os.path.abspath(cavity_gates.__file__))
+    patterns = {"gate time": r'NonFinite\("gate_time (is not finite|must be > 0)',
+                "ConvergenceFailure": r"(?<!class )\bConvergenceFailure\("}
+    owners = {kind: [] for kind in patterns}
+    hooks = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                text = fh.read()
+            for kind, pattern in patterns.items():
+                owners[kind] += [name] * len(re.findall(pattern, text))
+            hooks += [f"{name}:{node.name}" for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.ClassDef)
+                      and any(getattr(item, "name", None) == "gate_time_refusals"
+                              for item in node.body)]
+    assert owners == {"gate time": ["params.py"] * 2, "ConvergenceFailure": ["lindblad.py"]}
+    assert hooks == []
+
+
 def test_one_cli_error_boundary():
     """The CLI maps errors to exit codes in one place: `sys.exit` is called
     in `_fail` alone, and a ConfigError or CavityGateError is caught only by

@@ -129,22 +129,26 @@ def test_gate_results_refuse_non_positive_gate_time(gate_time):
 
 
 def test_gate_results_keep_the_first_refusal_of_a_row():
-    """A row's first refusal wins: the caller's, in its order, then NaN
-    fidelity, gate time and NaN probability. A row none refuses is kept and
-    a batch with no refused row has no `refused` entry."""
+    """A row's first refusal wins: a gate time not finite or not > 0, then
+    the caller's, in its order, then NaN fidelity and NaN probability. A row
+    none refuses is kept and a batch with no refused row has no `refused`
+    entry."""
     caller = NonFinite("the caller's")
-    results = gate_results(np.array([0.5, math.nan, math.nan, 0.5, 0.5]),
-                           np.array([1.0, 1.0, math.inf, math.inf, 2.0]), Method.NUMERIC_AMPLITUDE,
-                           success_probability=np.array([0.5, 0.5, 0.5, 0.5, math.nan]),
-                           refused={caller: np.array([False, False, True, False, False])})
+    nan, inf = math.nan, math.inf
+    results = gate_results(np.array([0.5, nan, nan, 0.5, nan, nan, 0.5]),
+                           np.array([1.0, 1.0, 1.0, inf, inf, 0.0, 2.0]),
+                           Method.NUMERIC_AMPLITUDE,
+                           success_probability=np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, nan]),
+                           refused={caller: np.array([0, 0, 1, 1, 0, 0, 0], dtype=bool)})
     assert results[0].fidelity == 0.5
     messages = []
-    for row in range(1, 5):
+    for row in range(1, 7):
         with pytest.raises(NonFinite) as refused:
             results[row]
         messages.append(str(refused.value))
-    assert messages == ["fidelity is nan: the evaluation overflowed", "the caller's",
-                        "gate_time is not finite: the evaluation overflowed",
+    time = "gate_time is not finite: the evaluation overflowed"
+    assert messages == ["fidelity is nan: the evaluation overflowed", "the caller's", time, time,
+                        "gate_time must be > 0",
                         "success_probability is nan: the evaluation overflowed"]
     assert np.isnan(results.success_probability[1:]).all()
     assert gate_results(np.array([0.5, 1.5]), 1.0, Method.ANALYTIC).refused == {}

@@ -596,6 +596,24 @@ def test_vanishing_kappa_row_takes_the_fallback_alone():
     assert sc.fidelity_numeric(one_row).single() == batch[1]
 
 
+def test_singular_fallback_row_is_refused_alone():
+    """kappa = 5e-324 (g = sqrt(20 kappa), C = 80) takes the fallback, whose
+    linear system is then exactly singular: `linalg.solve` makes that row
+    NaN, which is refused with NonFinite, where it used to raise for the
+    whole batch. The kappa = 1 row beside it is its one-row call bit for
+    bit, and no RuntimeWarning escapes."""
+    kappa = np.array([1.0, 5e-324])
+    cfg = sc.ScatteringConfig(CavitySystem(np.sqrt(20.0 * kappa), kappa, 1.0),
+                              sc.PhotonPulse(1.0))
+    one_row = sc.ScatteringConfig(CavitySystem(math.sqrt(20.0), 1.0, 1.0), sc.PhotonPulse(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = sc.fidelity_numeric(cfg)
+        assert batch[0] == sc.fidelity_numeric(one_row).single()
+    with pytest.raises(NonFinite, match="^fidelity is nan: the evaluation overflowed$"):
+        batch[1]
+
+
 @settings(deadline=None)
 @given(cooperativity=st.floats(1.0, 1e5), g_over_kappa=st.floats(0.01, 10.0),
        delta_p=st.floats(-100.0, 100.0), gate_time=st.floats(0.1, 50.0),
