@@ -199,8 +199,9 @@ def resolvent_poles(h) -> Poles:
 def solve(a, b) -> np.ndarray:
     """x_j = a_j^-1 b_j for square matrices a (..., k, k) and vectors b
     (..., k, one axis fewer than a) or matrices b (..., k, m), row by row: a
-    NaN, Inf or singular (exact zero LU pivot) system makes its own row NaN
-    and no other row moves. It raises nothing."""
+    NaN, Inf or singular (exact zero LU pivot) system, or one whose solution
+    overflows, makes its own row NaN and no other row moves. It raises
+    nothing and warns of nothing."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     vectors = b.ndim == a.ndim - 1
@@ -211,6 +212,9 @@ def solve(a, b) -> np.ndarray:
         singular = (np.linalg.slogdet(a)[0] == 0)[..., None, None]
         x = np.linalg.solve(np.where(singular, np.eye(a.shape[-1]), a), b)
         x = np.where(singular, np.nan, x)
+    # LAPACK overflows quietly to inf, which the caller's arithmetic would turn
+    # into NaN with a RuntimeWarning
+    x = np.where(np.isfinite(x).all((-2, -1), keepdims=True), x, np.nan)
     return x[..., 0] if vectors else x
 
 

@@ -185,9 +185,17 @@ def broadcast_shape(*values) -> tuple:
 def config_shape(config) -> tuple:
     """Broadcast shape of a config dataclass's array fields, those of the
     configs it holds (cavity, pulse) included; () for one configuration."""
-    shapes = [config_shape(value) if dataclasses.is_dataclass(value) else np.shape(value)
-              for value in vars(config).values()]
-    return np.broadcast_shapes(*shapes) if any(shapes) else ()
+    return broadcast_shape(*_leaves(config))
+
+
+def _leaves(config):
+    """The fields of a config dataclass, those of the configs it holds in
+    their place."""
+    for value in vars(config).values():
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value)
+        else:
+            yield value
 
 
 def stack_configs(configs):
@@ -280,9 +288,10 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     given (a deterministic scheme gives none: every row's is 1), and mark
     every row where either was clamped with the "clamped" note, after the
     caller's notes (note -> row mask). The one owner of row refusals: rows
-    are refused with NonFinite for a gate time not finite or not > 0 (it
-    overflowed or underflowed; no path refuses it elsewhere), then for the
-    caller's (error -> row mask), a NaN fidelity or a NaN probability."""
+    are refused with NonFinite for a gate time not finite or not > 0 (an
+    overflow, a zero drive or an underflow; no path refuses it elsewhere),
+    then for the caller's (error -> row mask), a NaN fidelity or a NaN
+    probability."""
     # a one-configuration batch works on numpy scalars, whose comparisons
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
@@ -292,7 +301,7 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
                    else _broadcast(success_probability, shape, float))
     caller, refused = refused or {}, {}
     if not all_rows(finite := np.isfinite(gate_time)):
-        refused[NonFinite("gate_time is not finite: the evaluation overflowed")] = ~finite
+        refused[NonFinite("gate_time is not finite")] = ~finite
     if not all_rows(positive := gate_time > 0):
         refused[NonFinite("gate_time must be > 0")] = ~positive
     for error, mask in caller.items():

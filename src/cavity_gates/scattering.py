@@ -39,9 +39,11 @@ branch:
   Its s_uu star (cavity and two emitters) takes a stacked 3x3 `eigvals`
   call, and the star's (cavity, emitter) blocks, its s_ud and s_du pairs,
   a second call in closed form.
-Each row evaluates the amplitudes and the Gaussian averages on its own
-poles only, and each amplitude's pole terms are summed over its own poles,
-in pole order.
+Each row evaluates the Gaussian averages on its own poles only, and at
+each pole its own distinct amplitudes only (three on a row with identical
+emitters, four on one with distinct emitters), all of a kind's in one
+stacked call of `_amplitudes`; each amplitude's pole terms are summed over
+its own poles, in pole order.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -67,7 +69,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,6 +85,9 @@ GATE_TIME_FACTOR = 8.0 * math.pi * math.sqrt(2.0 * LN2)
 
 #: ideal two-qubit target (1/2)(|uu> + |ud> + |du> - |dd>)
 IDEAL_TARGET = np.array([0.5, 0.5, 0.5, -0.5])
+
+#: weights of rho's entries, row-major, in <psi_T| rho |psi_T>
+_COHERENT = np.outer(IDEAL_TARGET, IDEAL_TARGET).reshape(16, 1)
 
 #: terms of the rational expansion of the Faddeeva function
 _W_TERMS = 36
@@ -153,19 +158,39 @@ def spin_amplitudes(config: ScatteringConfig, omega):
     (omega = -i kappa/2 for s_dd, say), raises DivergentDenominator for the
     whole call. On the real axis and in the closed upper half plane, where
     the package evaluates them, every denominator has a real part of at
-    least kappa/2, which is 0 only if it underflows.
+    least kappa/2, which is 0 only if it underflows. Where delta_eps_a ==
+    delta_eps_b bit for bit, s_du is s_ud bit for bit. This is the
+    four-amplitude form of the kernel `_amplitudes`, which the pole sum
+    calls for each kind of row's distinct amplitudes only.
     """
+    return tuple(complex(s) if s.ndim == 0 else s for s in _amplitudes(config, omega, False))
+
+
+def _amplitudes(config: ScatteringConfig, omega, identical: bool) -> np.ndarray:
+    """The distinct amplitudes of `spin_amplitudes`, stacked (j,) + the
+    broadcast shape of omega and the config's fields: (s_uu, s_ud, s_dd)
+    where every row has identical emitters (s_du is s_ud, and term_b is
+    term_a), else (s_uu, s_ud, s_du, s_dd). Each denominator is built once,
+    in the operation order of the four-amplitude call, and all of them are
+    checked and divided in one pass each."""
     cav = config.cavity
     w = np.asarray(omega)
     bare = cav.kappa / 2.0 - 1j * w
     g2 = cav.g * cav.g   # a float's g**2 is pow, which rounds unlike numpy's array square
     term_a = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
-    term_b = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
-    denoms = (bare + term_a + term_b, bare + term_a, bare + term_b, bare)
-    if any((d == 0).any() for d in denoms):
+    term_b = term_a if identical else g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
+    shape = np.broadcast_shapes(np.shape(bare), np.shape(term_a), np.shape(term_b))
+    d = np.empty((3 if identical else 4,) + shape, dtype=complex)
+    # d[j, ...]: a 0-d view, where d[j] of a scalar omega would be a copy
+    np.add(bare, term_a, out=d[1, ...])        # s_ud's
+    np.add(d[1], term_b, out=d[0, ...])        # s_uu's: (bare + term_a) + term_b
+    if not identical:
+        np.add(bare, term_b, out=d[2, ...])    # s_du's
+    d[-1] = bare                               # s_dd's
+    if not d.all():   # an exact 0 (a NaN is not one)
         raise DivergentDenominator("reflection denominator vanished")
-    ratios = (1.0 - cav.kappa / d for d in denoms)
-    return tuple(complex(r) if r.ndim == 0 else r for r in ratios)
+    np.divide(cav.kappa, d, out=d)
+    return np.subtract(1.0, d, out=d)
 
 
 @functools.cache
@@ -291,7 +316,6 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
             out[:2], out[2:4] = x[:n].T, x[n:].T
         trusted = pairs.trusted[:n] & pairs.trusted[n:]
         width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's, which takes no term
-        kept = (0, 1, 3)
     else:   # s_uu's star, whose (cavity, emitter) blocks are s_ud's and s_du's pairs
         h = _arrowheads(cav, shape, (((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)),))
         star = linalg.resolvent_poles(h.reshape(n, 3, 3))
@@ -302,32 +326,35 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
                              (pairs.values, pairs.weights)):
             out[:3], out[3:5], out[5:7] = x.T, y[:n].T, y[n:].T
         trusted = star.trusted & pairs.trusted[:n] & pairs.trusted[n:]
-        kept = (0, 1, 2, 3)
     poles, residues = poles.reshape((-1,) + shape), residues.reshape((-1,) + shape)
     poles[-1] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[-1] = 1.0
     # I(lambda) below needs Im lambda <= 0, which rounding can break for an
     # emitter whose gamma is below machine epsilon times the generator's norm
-    trusted = trusted.reshape(shape) & (poles.imag <= 0.0).all(axis=0)
+    # (the cavity pole's -kappa/2 cannot); where it holds, the narrowest
+    # coupled pole's width is -highest
+    highest = poles[:-1].imag.max(axis=0)
+    trusted = trusted.reshape(shape) & (highest <= 0.0)
+    width = np.minimum(width, -highest)
     # `eigvals` errs by about eps max|H_ij| on every pole, so an emitter
     # detuned far past the pulse-scale poles moves them by a visible fraction
     # of their width. The bound 1e-6 on eps max|H_ij| / width sits far above
     # fig2's worst row (2.2e-9) and below the mildest row seen off (0.027,
     # 8e-9 in rho). max|H_ij| is the largest of kappa/2, g, |delta - i gamma/2|.
-    norm = np.maximum(np.maximum(0.5 * kappa, cav.g),
-                      np.hypot(np.maximum(abs(config.delta_eps_a), abs(config.delta_eps_b)),
-                               0.5 * cav.gamma))
-    width = np.minimum(width, abs(poles[:-1].imag).min(axis=0))
+    detuning = abs(config.delta_eps_a)
+    if not identical:
+        detuning = np.maximum(detuning, abs(config.delta_eps_b))
+    norm = np.maximum(np.maximum(0.5 * kappa, cav.g), np.hypot(detuning, 0.5 * cav.gamma))
     trusted &= np.finfo(float).eps * norm < 1e-6 * width
     # the fallback's rows: no far, inf or NaN pole term, and at the pole -i every
-    # denominator of `spin_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
+    # denominator of `_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
     if not trusted.all():
         poles[:, ~trusted] = -1j
         residues[:, ~trusted] = 0.0
     residues *= -1j * kappa
     mirrored = np.conj(poles)
-    amplitudes = spin_amplitudes(config, mirrored)
-    sbar = np.conj([amplitudes[j] for j in kept])   # (j, k) + rows
+    sbar = _amplitudes(config, mirrored, identical)   # (j, k) + rows
+    np.conjugate(sbar, out=sbar)
     sigma = config.pulse.sigma_p
     z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
     # not `*`, which may swap the complex operands on a large temporary (see `linalg`),
@@ -400,14 +427,14 @@ def _matrix_function(config: ScatteringConfig, shape: tuple, rows: np.ndarray) -
 
 
 def _density_matrices(config: ScatteringConfig):
-    """(rho of the config's broadcast shape + (4, 4), mask of the rows that
-    took the matrix-function fallback)."""
+    """(rho of shape (4, 4) + the config's broadcast shape, and the mask of
+    the rows that took the matrix-function fallback)."""
     shape = config_shape(config)
     rho, trusted = _pole_sum(config, shape)
     flat, fallback = rho.reshape(4, 4, -1), ~trusted
     if fallback.any():
         flat[:, :, fallback] = _matrix_function(config, shape, fallback)
-    return rho.transpose(tuple(range(2, rho.ndim)) + (0, 1)), fallback.reshape(shape)
+    return rho, fallback.reshape(shape)
 
 
 def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
@@ -444,7 +471,8 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     off the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole
     sum is the more accurate.
     """
-    return _density_matrices(config)[0]
+    rho = _density_matrices(config)[0]
+    return rho.transpose(tuple(range(2, rho.ndim)) + (0, 1))
 
 
 def fidelity_numeric(config: ScatteringConfig) -> GateResults:
@@ -463,15 +491,26 @@ def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     [0, 1] (rows marked "clamped"), and rows that took the matrix-function
     form are marked "matrix-function fallback".
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # T out of range: refused
+    with np.errstate(over="ignore"):   # T out of range: refused by gate_results
         t_gate = config.pulse.gate_time
-        rho, fallback = _density_matrices(config)
-        # the real populations, summed in order: np.trace's complex sum is pairwise on a stack
-        trace = np.diagonal(rho, axis1=-2, axis2=-1).real.sum(-1)
-        coherent = np.einsum("i,...ij,j->...", IDEAL_TARGET, rho, IDEAL_TARGET).real
+    if any_row(out_of_range := ~np.isfinite(t_gate)):
+        # a placeholder sigma_p, kappa, keeps such a row's pole sum in range and quiet;
+        # gate_results refuses the row
+        pulse = config.pulse
+        config = replace(config, pulse=PhotonPulse(
+            np.where(out_of_range, config.cavity.kappa, pulse.sigma_p), pulse.delta_p))
+    rho, fallback = _density_matrices(config)
+    # rho's 16 entries in row-major order, real and imaginary parts side by side: each sum
+    # below runs over the outer axis, entry by entry in that order, for a batch of any
+    # size (over a flat axis, a one-row sum would be pairwise), so that a row's F is bit
+    # for bit its one-row call's
+    parts = np.ascontiguousarray(rho).reshape(16, -1).view(float)
+    coherent = (_COHERENT * parts).sum(0)[::2].reshape(rho.shape[2:])
+    trace = parts[::5].sum(0)[::2].reshape(rho.shape[2:])   # the populations
+    with np.errstate(over="ignore", invalid="ignore"):   # -inf or NaN for a T out of range
         decay = -(8.0 / 3.0) * config.gamma_eff * t_gate
-        # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
-        f2 = np.exp(decay) * coherent - np.expm1(decay) * trace / 4.0
+    # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
+    f2 = np.exp(decay) * coherent - np.expm1(decay) * trace / 4.0
     return gate_results(np.copysign(np.sqrt(np.abs(f2)), f2), t_gate, Method.NUMERIC_AMPLITUDE,
                         {"matrix-function fallback": fallback}, success_probability=trace)
 

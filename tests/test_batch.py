@@ -277,7 +277,7 @@ def test_gate_time_out_of_range_is_refused_first(scheme, method):
         warnings.simplefilter("error", RuntimeWarning)
         results = evaluate(stack_configs(rows))
         assert results[0] == evaluate(rows[0]).single()
-    with pytest.raises(NonFinite, match="^gate_time is not finite: the evaluation overflowed$"):
+    with pytest.raises(NonFinite, match="^gate_time is not finite$"):
         results[1]
 
 
@@ -679,7 +679,7 @@ def test_nan_time_in_last_block_raises(monkeypatch, started_threads):
         lossy_sectors, [params[0][:-1]], 2.0))
     results = gate_results(f_pi, t, Method.NON_HERMITIAN, refused=linalg.refusals(f_pi))
     assert np.logical_or.reduce(list(results.refused.values())).nonzero()[0].tolist() == [n - 1]
-    with pytest.raises(NonFinite, match="^gate_time is not finite: the evaluation overflowed$"):
+    with pytest.raises(NonFinite, match="^gate_time is not finite$"):
         results[-1]
 
 

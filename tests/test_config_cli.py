@@ -214,7 +214,7 @@ def test_cli_bad_number_is_config_error(tmp_path, scheme, old, new, method):
 
 
 OVERFLOW = "error: fidelity is nan: the evaluation overflowed"
-TIME_OVERFLOW = "error: gate_time is not finite: the evaluation overflowed"
+TIME_NOT_FINITE = "error: gate_time is not finite"
 
 
 # C = 1000, where each of these numbers used to end in a traceback (exit 1),
@@ -229,7 +229,7 @@ TIME_OVERFLOW = "error: gate_time is not finite: the evaluation overflowed"
     ("simple_exchange", {"detuning = optimal": "detuning = 1e-300 rad_s"}, "analytic", 3,
      [OVERFLOW]),
     ("raman", {"two_photon = optimal": "two_photon = 1e300 rad_s"}, "analytic", 3,
-     [TIME_OVERFLOW]),
+     [TIME_NOT_FINITE]),
     ("scattering", {"delta_p = 30 per_gamma": "delta_p = 1e160 rad_s"}, "analytic", 3,
      ["warning: inputs outside the closed-form validity domain (C >> 1, detunings small "
       "against gamma*C)",
@@ -242,11 +242,11 @@ TIME_OVERFLOW = "error: gate_time is not finite: the evaluation overflowed"
                          "qubit_t2 = 6.6e-3 s\noptical_pure_dephasing = 9e3 rad_s":
                          "qubit_pure_dephasing = 0.01 rad_s",
                          "detuning = optimal": "detuning = 1e308 rad_s"}, "analytic", 3,
-     [TIME_OVERFLOW]),
+     [TIME_NOT_FINITE]),
     # T = pi (... + delta Delta_A Delta_B)/(...) overflows on every Raman method
     *(("raman", {"two_photon = optimal": "two_photon = 10 rad_s",
                  "laser_detuning = 2 per_kappa": "laser_detuning = 1e300 rad_s"}, method, 3,
-       [TIME_OVERFLOW])
+       [TIME_NOT_FINITE])
       for method in ("analytic", "numeric", "lindblad")),
     # T = 3e-299 is finite, but Omega_A Omega_B overflows in the closed form
     ("raman", {"cooperativity = 1000\ng_over_kappa = 0.1\ngamma = 596 hz":
@@ -271,7 +271,7 @@ TIME_OVERFLOW = "error: gate_time is not finite: the evaluation overflowed"
     # Omega_A = (Omega/Delta) Delta underflows to 0: no finite gate time
     ("raman", {"laser_detuning = 2 per_kappa": "laser_detuning = 1e-300 rad_s",
                "rabi_over_detuning = 0.1": "rabi_over_detuning = 1e-300"}, "numeric", 3,
-     [TIME_OVERFLOW]),
+     [TIME_NOT_FINITE]),
 ], ids=["kappa-underflow", "cooperativity-overflow", "exchange-nan-fidelity",
         "raman-nan-fidelity", "scattering-overflow", "lindblad-overflow",
         "infinite-gate-time",
@@ -708,8 +708,7 @@ def test_cli_sweep_overflowing_gate_time_is_a_row(tmp_path):
     assert result.exit_code == 0, result.stderr
     assert [math.isnan(row[1]) and math.isnan(row[2]) for row in _sweep_rows(result.stdout)] == [
         True, False, False]
-    assert result.stderr == ("warning: sigma_p=9.88131e-324: gate_time is not finite: the "
-                             "evaluation overflowed\n")
+    assert result.stderr == "warning: sigma_p=9.88131e-324: gate_time is not finite\n"
 
 
 @pytest.mark.parametrize("unit", ["per_kapa", "s"])

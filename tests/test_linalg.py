@@ -213,8 +213,9 @@ def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
 
 def test_solve_stacks_of_vectors_and_matrices():
     """`solve` takes a stack of vectors (one axis fewer than the matrices)
-    or of matrices, row by row: a NaN, Inf or singular system makes its own
-    row NaN, with no raise and no RuntimeWarning, and every other row is
+    or of matrices, row by row: a NaN, Inf or singular system, or one whose
+    solution overflows (a 1e-300 matrix against a 1e300 vector), makes its
+    own row NaN, with no raise and no RuntimeWarning, and every other row is
     bit for bit as in the stack without it."""
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
@@ -231,8 +232,10 @@ def test_solve_stacks_of_vectors_and_matrices():
     bad = np.zeros((2, 5), dtype=bool)
     bad[1, 2] = True
     nan_a = np.where(bad[..., None, None] & np.eye(3, dtype=bool), np.nan, a)
+    tiny_a = np.where(bad[..., None, None], 1e-300 * a, a)
+    huge_b = np.where(bad[..., None], 1e300 * b, b)
     for a_bad, b_bad, clean in ((nan_a, b, x), (a, inf_b, x), (singular, b, x),
-                                (singular, np.eye(3), inverse)):
+                                (singular, np.eye(3), inverse), (tiny_a, huge_b, x)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = linalg.solve(a_bad, b_bad)

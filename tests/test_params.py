@@ -146,7 +146,7 @@ def test_gate_results_keep_the_first_refusal_of_a_row():
         with pytest.raises(NonFinite) as refused:
             results[row]
         messages.append(str(refused.value))
-    time = "gate_time is not finite: the evaluation overflowed"
+    time = "gate_time is not finite"
     assert messages == ["fidelity is nan: the evaluation overflowed", "the caller's", time, time,
                         "gate_time must be > 0",
                         "success_probability is nan: the evaluation overflowed"]

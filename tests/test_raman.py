@@ -11,7 +11,7 @@ from cavity_gates.params import CavitySystem, clamp_unit, stack_configs
 from lindblad_oracle import raman_open_system, sector_hamiltonians
 
 #: the refusal of a gate time past the double range, on every path
-TIME_OVERFLOW = "^gate_time is not finite: the evaluation overflowed$"
+TIME_NOT_FINITE = "^gate_time is not finite$"
 
 
 def make_config(cooperativity=8000.0, g_over_kappa=0.1, two_photon_over_kappa=None,
@@ -151,7 +151,7 @@ def test_gate_time_requires_drive():
                      lindblad.gate_fidelity_lindblad):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NonFinite, match=TIME_OVERFLOW):
+            with pytest.raises(NonFinite, match=TIME_NOT_FINITE):
                 evaluate(cfg).single()
 
 
@@ -175,7 +175,7 @@ def test_underflowing_matched_drive_refuses_its_row(evaluate):
         results = evaluate(stack_configs(rows))
         assert results[0] == evaluate(rows[0]).single()
         for refused in (lambda: results[1], evaluate(rows[1]).single):
-            with pytest.raises(NonFinite, match=TIME_OVERFLOW):
+            with pytest.raises(NonFinite, match=TIME_NOT_FINITE):
                 refused()
 
 
@@ -351,7 +351,7 @@ def test_overflowing_gate_time_is_non_finite(evaluate):
             return
         assert results[0] == evaluate(rows[0]).single()
         for refused in (lambda: results[1], evaluate(rows[1]).single):
-            with pytest.raises(NonFinite, match=TIME_OVERFLOW):
+            with pytest.raises(NonFinite, match=TIME_NOT_FINITE):
                 refused()
 
 

@@ -463,31 +463,67 @@ def test_pole_budget(monkeypatch):
     """The amplitudes and the Faddeeva function are evaluated on each row's
     own poles only: five on a row with identical emitters (the bright pair,
     s_ud's pair and the cavity pole; no dark pole, no s_du pair) and eight
-    on a row with distinct emitters. fig2a-c, 787 rows with identical
-    emitters in three batch calls, take 3,935 nodes (6,296 at eight per
-    row); a mixed batch makes one call per kind of row."""
-    nodes = {"spin_amplitudes": [], "_faddeeva": []}
+    on a row with distinct emitters; and at each pole only the row's
+    distinct amplitudes: three with identical emitters (s_du is s_ud), four
+    with distinct ones. fig2a-c, 787 rows with identical emitters in three
+    batch calls, take 3,935 nodes (6,296 at eight per row) and 11,805
+    amplitude evaluations (15,740 at four per node); a mixed batch makes one
+    call per kind of row."""
+    nodes = {"_amplitudes": [], "_faddeeva": []}
+    amplitudes = []
 
-    def spy(name):
+    def spy(name, position):
         original = getattr(sc, name)
 
         def call(*args):
-            nodes[name].append(np.size(args[-1]))
-            return original(*args)
+            nodes[name].append(np.size(args[position]))
+            result = original(*args)
+            if name == "_amplitudes":
+                amplitudes.append(result.size)
+            return result
         return call
 
-    for name in nodes:
-        monkeypatch.setattr(sc, name, spy(name))
+    monkeypatch.setattr(sc, "_amplitudes", spy("_amplitudes", 1))   # (config, omega, identical)
+    monkeypatch.setattr(sc, "_faddeeva", spy("_faddeeva", 0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in ("fig2a", "fig2b", "fig2c"):
             figures.build_figure(name)
     assert {name: (len(v), sum(v)) for name, v in nodes.items()} == dict.fromkeys(nodes, (3, 3935))
-    for delta_eps_b, budget in ((-0.2, [8]), (0.1, [5]), (np.array([0.1, -0.2, 0.1]), [10, 8])):
-        for v in nodes.values():
+    assert sum(amplitudes) == 3 * 3935 == 11805
+    for delta_eps_b, budget, evaluations in ((-0.2, [8], [32]), (0.1, [5], [15]),
+                                             (np.array([0.1, -0.2, 0.1]), [10, 8], [30, 32])):
+        for v in (*nodes.values(), amplitudes):
             v.clear()
         sc.fidelity_numeric(make_config(delta_eps_a=0.1, delta_eps_b=delta_eps_b))
-        assert nodes == dict.fromkeys(nodes, budget)
+        assert nodes == dict.fromkeys(nodes, budget) and amplitudes == evaluations
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_amplitude_kernel_matches_spin_amplitudes(identical):
+    """On 500 seeded rows, at real and at upper-half-plane omega, the pole
+    sum's stacked kernel gives each kind of row its distinct amplitudes bit
+    for bit as `spin_amplitudes` gives them: (s_uu, s_ud, s_dd) with
+    identical emitters, where `spin_amplitudes`' s_du is its s_ud bit for
+    bit, and all four with distinct ones."""
+    rng = np.random.default_rng(34)
+    n = 500
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    cav = CavitySystem.from_cooperativity(log_uniform(1.0, 1e5), log_uniform(0.01, 10.0), 1.0)
+    delta_a = rng.uniform(-1.0, 1.0, n)
+    cfg = sc.ScatteringConfig(cav, sc.PhotonPulse(1.0), delta_a,
+                              delta_a if identical else rng.uniform(-1.0, 1.0, n))
+    scale = cav.kappa * log_uniform(1e-3, 1e2)
+    for omega in (scale * rng.normal(size=(3, n)),
+                  scale * (rng.normal(size=(3, n)) + 1j * np.abs(rng.normal(size=(3, n))))):
+        s_uu, s_ud, s_du, s_dd = sc.spin_amplitudes(cfg, omega)
+        kept = (s_uu, s_ud, s_dd) if identical else (s_uu, s_ud, s_du, s_dd)
+        assert sc._amplitudes(cfg, omega, identical).tobytes() == np.stack(kept).tobytes()
+        if identical:
+            assert s_du.tobytes() == s_ud.tobytes()
 
 
 @pytest.mark.parametrize("delta_eps_b", [0.1, -0.2])
@@ -513,7 +549,7 @@ def test_identical_emitters_repeat_s_ud():
     delta = rng.uniform(-1.0, 1.0, n) * np.where(rng.random(n) < 0.1, 1e12, 1.0)
     rho, fallback = sc._density_matrices(sc.ScatteringConfig(cav, pulse, delta, delta))
     assert 100 < fallback.sum() < 300
-    assert np.array_equal(rho[:, 1], rho[:, 2]) and np.array_equal(rho[:, :, 1], rho[:, :, 2])
+    assert np.array_equal(rho[1], rho[2]) and np.array_equal(rho[:, 1], rho[:, 2])
 
 
 def test_identical_emitters_match_their_neighbours():
@@ -598,10 +634,12 @@ def test_vanishing_kappa_row_takes_the_fallback_alone():
 
 def test_singular_fallback_row_is_refused_alone():
     """kappa = 5e-324 (g = sqrt(20 kappa), C = 80) takes the fallback, whose
-    linear system is then exactly singular: `linalg.solve` makes that row
-    NaN, which is refused with NonFinite, where it used to raise for the
-    whole batch. The kappa = 1 row beside it is its one-row call bit for
-    bit, and no RuntimeWarning escapes."""
+    second linear system is then singular in floating point: its solution
+    overflows, and `linalg.solve` makes that row NaN, which is refused with
+    NonFinite, where it used to raise for the whole batch. The kappa = 1 row
+    beside it is its one-row call bit for bit, and no RuntimeWarning
+    escapes, though `fidelity_numeric` no longer evaluates it under
+    np.errstate."""
     kappa = np.array([1.0, 5e-324])
     cfg = sc.ScatteringConfig(CavitySystem(np.sqrt(20.0 * kappa), kappa, 1.0),
                               sc.PhotonPulse(1.0))
@@ -612,6 +650,27 @@ def test_singular_fallback_row_is_refused_alone():
         assert batch[0] == sc.fidelity_numeric(one_row).single()
     with pytest.raises(NonFinite, match="^fidelity is nan: the evaluation overflowed$"):
         batch[1]
+
+
+def test_overflow_on_a_valid_row_warns(monkeypatch):
+    """Only the gate time and the decay are evaluated under np.errstate, so
+    an overflow in a valid row's pole sum is not hidden: a Faddeeva value of
+    inf on the first of two valid rows raises its RuntimeWarning (an error
+    under the suite's filters), and that row alone is refused."""
+    faddeeva = sc._faddeeva
+
+    def overflowing(z):
+        w = faddeeva(z)
+        w[..., 0] = math.inf
+        return w
+
+    monkeypatch.setattr(sc, "_faddeeva", overflowing)
+    with pytest.warns(RuntimeWarning):
+        batch = sc.fidelity_numeric(make_config(gate_time=np.array([2.0, 3.0])))
+    with pytest.raises(NonFinite, match="^fidelity is nan"):
+        batch[0]
+    monkeypatch.undo()
+    assert batch[1] == sc.fidelity_numeric(make_config(gate_time=3.0)).single()
 
 
 @settings(deadline=None)
@@ -731,7 +790,7 @@ def test_far_detuned_rows_take_the_matrix_function(monkeypatch):
     rho, fallback = sc._density_matrices(cfg)
     assert calls == [routed.tolist()] and fallback.tolist() == routed.tolist()
     matrix_function = sc._matrix_function(cfg, routed.shape, routed)
-    assert np.array_equal(rho[routed], np.moveaxis(matrix_function, -1, 0))
+    assert np.array_equal(rho[:, :, routed], matrix_function)
     batch = sc.fidelity_numeric(cfg)
     assert [batch[i].notes for i in range(len(routed))] == (
         [("matrix-function fallback",)] * 7 + [()])
@@ -890,3 +949,30 @@ def test_closed_form_kernel_is_the_evaluator_bit_for_bit():
         assert np.array_equal(clamp_unit(kernel), result.fidelity)
         outside = result.notes["outside validity domain"]
         assert 0 < outside.sum() < n and result.notes["clamped"].any()
+
+
+def test_fidelity_does_not_depend_on_batch_size():
+    """F's sum over rho's 16 entries runs in one order for any batch: 4,096
+    seeded rows with distinct emitters in one call equal their 256-row calls
+    and their first 50 one-row calls bit for bit. (That sum once followed
+    the memory layout numpy chose: 451 of these rows differed from their
+    256-row calls, by up to 4 ulp.)"""
+    rng = np.random.default_rng(34)
+    n = 4096
+
+    def uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    cav = CavitySystem.from_cooperativity(uniform(1.0, 1e5), uniform(0.01, 10.0), 1.0)
+    pulse = sc.PhotonPulse.from_gate_time(uniform(0.1, 50.0), rng.uniform(-100.0, 100.0, n))
+    delta_a, delta_b = rng.uniform(-0.5, 0.5, (2, n))
+
+    def fidelity(s):
+        return sc.fidelity_numeric(sc.ScatteringConfig(
+            CavitySystem(cav.g[s], cav.kappa[s], 1.0),
+            sc.PhotonPulse(pulse.sigma_p[s], pulse.delta_p[s]), delta_a[s], delta_b[s])).fidelity
+
+    whole = fidelity(slice(None))
+    assert np.array_equal(whole, np.concatenate([fidelity(slice(s, s + 256))
+                                                 for s in range(0, n, 256)]))
+    assert np.array_equal(whole[:50], [fidelity(i) for i in range(50)])
