@@ -158,7 +158,8 @@ MAX_BLOCK_ROWS = 512
 #: fewest rows in a worker's share of a split batch. On a 2-core VM with one
 #: BLAS thread, two threads against one call (median time ratio): 3x3
 #: sectors at 2 x 128 rows 1.11, 2 x 144 0.96, 2 x 160 0.88; Raman at
-#: 2 x 96 1.05, 2 x 128 0.80
+#: 2 x 96 1.05, 2 x 128 0.80. They hold once the process has run threaded work
+#: for about a second; before that, two threads gained nothing at any size
 MIN_BLOCK_ROWS = 160
 
 

@@ -273,7 +273,8 @@ class GateResults:
 
 def _broadcast(value, shape, dtype):
     value = np.asarray(value, dtype=dtype)[()]
-    return value if value.shape == shape else np.broadcast_to(value, shape)
+    # np.full's copy costs a third of np.broadcast_to's view
+    return value if value.shape == shape else np.full(shape, value, dtype)
 
 
 def clamp_unit(values):
@@ -296,14 +297,15 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     # are much cheaper than those of 0-d arrays
     fidelity = np.asarray(f_gate, dtype=float)[()]
     shape = fidelity.shape
-    gate_time = _broadcast(gate_time, shape, float)
+    # T keeps its own shape (a pulse column, say) until a refusal or the result needs the batch's
+    gate_time = np.asarray(gate_time, dtype=float)[()]
     probability = (1.0 if success_probability is None
                    else _broadcast(success_probability, shape, float))
     caller, refused = refused or {}, {}
     if not all_rows(finite := np.isfinite(gate_time)):
-        refused[NonFinite("gate_time is not finite")] = ~finite
+        refused[NonFinite("gate_time is not finite")] = _broadcast(~finite, shape, bool)
     if not all_rows(positive := gate_time > 0):
-        refused[NonFinite("gate_time must be > 0")] = ~positive
+        refused[NonFinite("gate_time must be > 0")] = _broadcast(~positive, shape, bool)
     for error, mask in caller.items():
         refused[error] = _broadcast(mask, shape, bool)
     if any_row(nan := np.isnan(fidelity)):
@@ -320,4 +322,5 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
         probability = clamp_unit(probability)
     masks = {note: _broadcast(mask, shape, bool) for note, mask in (notes or {}).items()}
     masks["clamped"] = clamped
-    return GateResults(clamp_unit(fidelity), gate_time, method, masks, probability, refused)
+    return GateResults(clamp_unit(fidelity), _broadcast(gate_time, shape, float), method, masks,
+                       probability, refused)

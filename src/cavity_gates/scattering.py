@@ -39,11 +39,14 @@ branch:
   Its s_uu star (cavity and two emitters) takes a stacked 3x3 `eigvals`
   call, and the star's (cavity, emitter) blocks, its s_ud and s_du pairs,
   a second call in closed form.
-Each row evaluates the Gaussian averages on its own poles only, and at
-each pole its own distinct amplitudes only (three on a row with identical
-emitters, four on one with distinct emitters), all of a kind's in one
-stacked call of `_amplitudes`; each amplitude's pole terms are summed over
-its own poles, in pole order.
+Poles, residues, the first two trust rules below and the amplitudes at the
+poles depend on the generator alone (g, kappa, gamma, the detunings): a
+batch of one kind computes them once per distinct generator (fig2a's 363
+rows have 3), and a mixed batch once per row (`_rows`). Each row evaluates
+the Gaussian averages on its own poles only, and at each pole its own
+distinct amplitudes only (three with identical emitters, four with
+distinct ones), all of a kind's in one stacked call of `_amplitudes`; each
+amplitude's pole terms are summed over its own poles, in pole order.
 The Gaussian average of each pole term is the Faddeeva function w(z),
 written here in numpy with Weideman's rational expansion (J. A. C.
 Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
@@ -259,8 +262,8 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     the bare cavity pole -i kappa/2 with residue -i kappa.
 
     Each kind of row (see the module docstring) is summed by `_pole_terms`.
-    A batch of one kind is evaluated as it is; a mixed batch evaluates each
-    kind on its own rows.
+    A batch of one kind is evaluated as it is, each distinct generator once;
+    a mixed batch evaluates each kind on its own rows, one generator per row.
 
     s_i s_j* has simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
@@ -302,22 +305,25 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
     module docstring), and the rows (flat) whose poles it trusts: those that
     `linalg` trusts and that pass the module docstring's other two rules. A
     row that fails one takes no pole term of its own, since the fallback
-    replaces its rho."""
+    replaces its rho. It solves each distinct generator once."""
     cav = config.cavity
     kappa = cav.kappa
-    n = math.prod(shape)
+    # the stages up to the width rule run once per distinct generator, on its fields' shape
+    own = np.broadcast(cav.g, kappa, cav.gamma, config.delta_eps_a, config.delta_eps_b).shape
+    own = (1,) * (len(shape) - len(own)) + own
+    n = math.prod(own)
     width = config.pulse.sigma_p
     if identical:   # s_uu's bright pair, s_ud's pair, the cavity pole; s_du is s_ud
         pairs = linalg.resolvent_poles(_arrowheads(
-            cav, shape, (((math.sqrt(2.0) * cav.g, config.delta_eps_a),),
-                         ((cav.g, config.delta_eps_a),))).reshape(2 * n, 2, 2))
+            cav, own, (((math.sqrt(2.0) * cav.g, config.delta_eps_a),),
+                       ((cav.g, config.delta_eps_a),))).reshape(2 * n, 2, 2))
         poles, residues = np.empty((2, 5, n), dtype=complex)
         for out, x in zip((poles, residues), (pairs.values, pairs.weights)):
             out[:2], out[2:4] = x[:n].T, x[n:].T
         trusted = pairs.trusted[:n] & pairs.trusted[n:]
         width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's, which takes no term
     else:   # s_uu's star, whose (cavity, emitter) blocks are s_ud's and s_du's pairs
-        h = _arrowheads(cav, shape, (((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)),))
+        h = _arrowheads(cav, own, (((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)),))
         star = linalg.resolvent_poles(h.reshape(n, 3, 3))
         pairs = linalg.resolvent_poles(
             np.stack([h[0, ..., :2, :2], h[0, ..., ::2, ::2]]).reshape(2 * n, 2, 2))
@@ -326,7 +332,7 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
                              (pairs.values, pairs.weights)):
             out[:3], out[3:5], out[5:7] = x.T, y[:n].T, y[n:].T
         trusted = star.trusted & pairs.trusted[:n] & pairs.trusted[n:]
-    poles, residues = poles.reshape((-1,) + shape), residues.reshape((-1,) + shape)
+    poles, residues = poles.reshape((-1,) + own), residues.reshape((-1,) + own)
     poles[-1] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[-1] = 1.0
     # I(lambda) below needs Im lambda <= 0, which rounding can break for an
@@ -334,7 +340,7 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
     # (the cavity pole's -kappa/2 cannot); where it holds, the narrowest
     # coupled pole's width is -highest
     highest = poles[:-1].imag.max(axis=0)
-    trusted = trusted.reshape(shape) & (highest <= 0.0)
+    trusted = trusted.reshape(own) & (highest <= 0.0)
     width = np.minimum(width, -highest)
     # `eigvals` errs by about eps max|H_ij| on every pole, so an emitter
     # detuned far past the pulse-scale poles moves them by a visible fraction
@@ -345,18 +351,23 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
     if not identical:
         detuning = np.maximum(detuning, abs(config.delta_eps_b))
     norm = np.maximum(np.maximum(0.5 * kappa, cav.g), np.hypot(detuning, 0.5 * cav.gamma))
-    trusted &= np.finfo(float).eps * norm < 1e-6 * width
-    # the fallback's rows: no far, inf or NaN pole term, and at the pole -i every
-    # denominator of `_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
+    trusted = np.logical_and(trusted, np.finfo(float).eps * norm < 1e-6 * width,
+                             out=np.empty(shape, dtype=bool))
+    # the fallback's rows, on the batch's shape: no far, inf or NaN pole term, and at the pole
+    # -i every denominator of `_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
     if not trusted.all():
+        poles, residues = (np.array(np.broadcast_to(x, x.shape[:1] + shape))
+                           for x in (poles, residues))
         poles[:, ~trusted] = -1j
         residues[:, ~trusted] = 0.0
     residues *= -1j * kappa
     mirrored = np.conj(poles)
-    sbar = _amplitudes(config, mirrored, identical)   # (j, k) + rows
+    sbar = _amplitudes(config, mirrored, identical)   # (j, k) + generators, or + rows
     np.conjugate(sbar, out=sbar)
     sigma = config.pulse.sigma_p
-    z = (mirrored - config.pulse.delta_p) / (math.sqrt(2.0) * sigma)
+    # on the batch's shape, which may hold axes of gamma_eff's alone
+    z = np.subtract(mirrored, config.pulse.delta_p, out=np.empty(poles.shape[:1] + shape, complex))
+    z /= math.sqrt(2.0) * sigma
     # not `*`, which may swap the complex operands on a large temporary (see `linalg`),
     # and np.divide: a Python complex / rounds unlike numpy's array loop
     weights = np.multiply(residues, np.conj(np.divide(1j * math.sqrt(0.5 * math.pi), sigma)
@@ -371,7 +382,7 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
         t[:, 0] += p[:, 0]   # p1 + p0 is p0 + p1 bit for bit
         t[:, :3] += p[:, 2::2]
     rho = 0.25 * (1.0 + np.swapaxes(t, 0, 1) + np.conj(t))
-    return (rho[_DU_FROM_UD] if identical else rho), trusted.reshape(n)
+    return (rho[_DU_FROM_UD] if identical else rho), trusted.reshape(-1)
 
 
 def _arrow_inverse(a: np.ndarray) -> np.ndarray:
@@ -447,13 +458,14 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
 
     The integral is the exact pole sum over the reflection poles, with the
     Gaussian average of each pole term a Faddeeva function w(z), each kind
-    of row on its own poles (see the module docstring): a row with
-    identical emitters repeats s_ud's row and column of rho for s_du, bit
-    for bit. Over 9,000 random configs (C from 1 to 1e5, g/kappa from 0.01
-    to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma) it agreed
-    with a Gauss-Legendre quadrature to 1.4e-14. Its error bound grows as
-    (sum_k |w_k|)^2 * machine epsilon towards an exceptional point of a
-    generator, with w_k the residues of `linalg.resolvent_poles`.
+    of row on its own poles, solved once per distinct generator (see the
+    module docstring): a row with identical emitters repeats s_ud's row and
+    column of rho for s_du, bit for bit. Over 9,000 random configs (C from 1
+    to 1e5, g/kappa from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma
+    to 50/gamma) it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its
+    error bound grows as (sum_k |w_k|)^2 * machine epsilon towards an
+    exceptional point of a generator, with w_k the residues of
+    `linalg.resolvent_poles`.
     Measured against an adaptive quadrature near both exceptional points
     (s_uu's bright state and the one-emitter blocks of s_ud and s_du, both
     emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to 50/gamma), it

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cavity_gates.errors import DivergentDenominator, NonFinite, ValidityWarning
-from cavity_gates.params import CavitySystem, clamp_unit
+from cavity_gates.params import CavitySystem, clamp_unit, config_shape
 from cavity_gates import figures, linalg, scattering as sc
+from test_batch import row
 
 
 def make_config(cooperativity=4000.0, g_over_kappa=0.1, gate_time=2.0, delta_p=0.0,
@@ -410,7 +411,10 @@ def test_identical_emitters_join_the_pairs(monkeypatch):
     s_ud pairs to one stack of pairs, and no s_du pair, which is s_ud's.
     Rows with distinct emitters send their s_uu generators to a 3x3 stack,
     and then their s_ud and s_du pairs to a stack of pairs. A batch of
-    identical rows makes no `eigvals` call."""
+    identical rows makes no `eigvals` call. A batch of one kind solves each
+    distinct generator once, on the broadcast shape of the generator's own
+    fields (a shared cavity and shared detunings: one generator for every
+    pulse row); a mixed batch solves each kind's rows one by one."""
     stacks = []
     resolvent_poles = linalg.resolvent_poles
 
@@ -437,12 +441,15 @@ def test_identical_emitters_join_the_pairs(monkeypatch):
     assert distinct_pairs[0, 1, 1] == 0.2 - 0.5j and distinct_pairs[1, 1, 1] == -0.1 - 0.5j
     assert (distinct_pairs[:, 0, 1] == g).all()
     identical = dataclasses.replace(cfg, delta_eps_b=0.2)
-    assert [h.shape for h in eigensolved(identical)] == [(6, 2, 2)]
+    assert [h.shape for h in eigensolved(identical)] == [(2, 2, 2)]
+    per_row = dataclasses.replace(identical, delta_eps_a=np.array([0.2, 0.3, 0.4]),
+                                  delta_eps_b=np.array([0.2, 0.3, 0.4]))
+    assert [h.shape for h in eigensolved(per_row)] == [(6, 2, 2)]
     grid = sc.ScatteringConfig(CavitySystem.from_cooperativity(4000.0, 0.5, 1.0),
                                sc.PhotonPulse.from_gate_time(np.array([0.5, 2.0, 20.0])[:, None],
                                                              delta_p=np.array([0.0, 30.0])),
                                delta_eps_a=0.2, delta_eps_b=-0.1)
-    assert [h.shape for h in eigensolved(grid)] == [(6, 3, 3), (12, 2, 2)]
+    assert [h.shape for h in eigensolved(grid)] == [(1, 3, 3), (2, 2, 2)]
 
 
 def test_fig2_builds_no_dense_generators(monkeypatch):
@@ -465,10 +472,13 @@ def test_pole_budget(monkeypatch):
     s_ud's pair and the cavity pole; no dark pole, no s_du pair) and eight
     on a row with distinct emitters; and at each pole only the row's
     distinct amplitudes: three with identical emitters (s_du is s_ud), four
-    with distinct ones. fig2a-c, 787 rows with identical emitters in three
-    batch calls, take 3,935 nodes (6,296 at eight per row) and 11,805
-    amplitude evaluations (15,740 at four per node); a mixed batch makes one
-    call per kind of row."""
+    with distinct ones. The amplitudes depend on the generator only, so they
+    are evaluated once per distinct generator, and the Faddeeva function,
+    which depends on the pulse, once per row. fig2a-c, 787 rows with
+    identical emitters in three batch calls, take 3,935 Faddeeva nodes
+    (6,296 at eight per row); their 3 + 3 + 121 generators take 635
+    amplitude nodes and 1,905 amplitude evaluations (11,805 once per row).
+    A mixed batch makes one call per kind of row."""
     nodes = {"_amplitudes": [], "_faddeeva": []}
     amplitudes = []
 
@@ -485,12 +495,18 @@ def test_pole_budget(monkeypatch):
 
     monkeypatch.setattr(sc, "_amplitudes", spy("_amplitudes", 1))   # (config, omega, identical)
     monkeypatch.setattr(sc, "_faddeeva", spy("_faddeeva", 0))
+    stacks = []
+    resolvent_poles = linalg.resolvent_poles
+    monkeypatch.setattr(linalg, "resolvent_poles",
+                        lambda h: stacks.append(h.shape) or resolvent_poles(h))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in ("fig2a", "fig2b", "fig2c"):
             figures.build_figure(name)
-    assert {name: (len(v), sum(v)) for name, v in nodes.items()} == dict.fromkeys(nodes, (3, 3935))
-    assert sum(amplitudes) == 3 * 3935 == 11805
+    assert stacks == [(6, 2, 2), (6, 2, 2), (242, 2, 2)]   # one generator per regime, or per row
+    assert {name: (len(v), sum(v)) for name, v in nodes.items()} == {
+        "_amplitudes": (3, 635), "_faddeeva": (3, 3935)}
+    assert sum(amplitudes) == 3 * 635 == 1905
     for delta_eps_b, budget, evaluations in ((-0.2, [8], [32]), (0.1, [5], [15]),
                                              (np.array([0.1, -0.2, 0.1]), [10, 8], [30, 32])):
         for v in (*nodes.values(), amplitudes):
@@ -976,3 +992,72 @@ def test_fidelity_does_not_depend_on_batch_size():
     assert np.array_equal(whole, np.concatenate([fidelity(slice(s, s + 256))
                                                  for s in range(0, n, 256)]))
     assert np.array_equal(whole[:50], [fidelity(i) for i in range(50)])
+
+
+#: (cavity, pulse, delta_eps_a, gamma_eff, generators) of batches whose
+#: generators are shared across rows: the CLI delta_p sweep, fig2's three
+#: regimes against 121 gate times, an empty pulse, a far-detuned emitter
+#: whose width rule sends 4 of its 7 pulse rows to the fallback, and rows
+#: that only gamma_eff tells apart, alone or against a pulse axis
+_SHARED = {
+    "scalar-x-21": (CavitySystem.from_cooperativity(4000.0, 0.3, 1.0),
+                    sc.PhotonPulse(1.0, np.linspace(0.0, 40.0, 21)), 0.1, 1e-5, 1),
+    "3x1-x-121": (CavitySystem.from_cooperativity(4000.0, np.array([[0.01], [0.5], [10.0]]), 1.0),
+                  sc.PhotonPulse.from_gate_time(np.geomspace(0.05, 50.0, 121), 30.0), 0.1, 1e-5,
+                  3),
+    "2x1-x-0": (CavitySystem.from_cooperativity(4000.0, np.array([[0.1], [2.0]]), 1.0),
+                sc.PhotonPulse(np.ones(0)), 0.1, 1e-5, 0),
+    "far-detuned": (CavitySystem.from_cooperativity(4000.0, 0.3, 1.0),
+                    sc.PhotonPulse(np.geomspace(1e-9, 2.0, 7)), 5e6, 1e-5, 1),
+    "gamma_eff-3": (CavitySystem.from_cooperativity(4000.0, 0.3, 1.0), sc.PhotonPulse(1.0), 0.1,
+                    np.array([0.0, 1e-4, 1e-3]), 1),
+    "gamma_eff-3x1-x-4": (CavitySystem.from_cooperativity(4000.0, 0.3, 1.0),
+                          sc.PhotonPulse(np.array([0.5, 1.0, 2.0, 4.0])), 0.1,
+                          np.array([[0.0], [1e-4], [1e-3]]), 1),
+}
+
+
+@pytest.mark.parametrize("identical", [True, False])
+@pytest.mark.parametrize("name", _SHARED)
+def test_shared_generators_match_per_row_generators(monkeypatch, name, identical):
+    """A batch whose cavity and detunings are shared across rows solves
+    each distinct generator once, on the generator fields' own shape
+    right-aligned to the batch's: one stack of 2 m pairs with identical
+    emitters, or m 3x3 stars and 2 m pairs with distinct ones, for m
+    generators (none for an empty batch). rho is of the batch's shape, and
+    rho, the fallback mask and the results equal bit for bit those of the
+    same rows with every field one value per row, whose generators are one
+    per row, and those of the one-row calls."""
+    cav, pulse, delta_a, gamma_eff, m = _SHARED[name]
+    shared = sc.ScatteringConfig(cav, pulse, delta_a, delta_a if identical else -0.2, gamma_eff)
+    shape = config_shape(shared)
+    per_row = sc._rows(shared, shape, np.ones(math.prod(shape), dtype=bool))
+    stacks = []
+    resolvent_poles = linalg.resolvent_poles
+
+    def spy(h):
+        stacks.append(np.shape(h))
+        return resolvent_poles(h)
+
+    monkeypatch.setattr(linalg, "resolvent_poles", spy)
+    rho, fallback = sc._density_matrices(shared)
+    assert stacks == ([] if not m else [(2 * m, 2, 2)] if identical
+                      else [(m, 3, 3), (2 * m, 2, 2)])
+    assert rho.shape == (4, 4) + shape and fallback.shape == shape
+    assert sc.reduced_density_matrix(shared).shape == shape + (4, 4)
+    results = sc.fidelity_numeric(shared)
+    expected_rho, expected_fallback = sc._density_matrices(per_row)
+    expected = sc.fidelity_numeric(per_row)
+    assert rho.reshape(4, 4, -1).tobytes() == expected_rho.tobytes()
+    assert np.array_equal(fallback.reshape(-1), expected_fallback)
+    for field in ("fidelity", "success_probability", "gate_time"):
+        assert getattr(results, field).reshape(-1).tobytes() == getattr(expected, field).tobytes()
+    assert all(np.array_equal(results.notes[k].reshape(-1), expected.notes[k])
+               for k in expected.notes)
+    if name == "far-detuned":
+        assert fallback.tolist() == [True] * 4 + [False] * 3
+    for i, index in enumerate(np.ndindex(shape)):
+        one_rho, one_fallback = sc._density_matrices(row(per_row, i))
+        assert rho[(...,) + index].tobytes() == one_rho.tobytes()
+        assert fallback[index] == one_fallback
+        assert results[index] == sc.fidelity_numeric(row(per_row, i)).single()
