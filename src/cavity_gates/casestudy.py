@@ -8,7 +8,9 @@ transition, and a cavity at cooperativity 50 000 with g/kappa = 0.1.
 from __future__ import annotations
 
 import math
+import warnings
 
+from .errors import ValidityWarning
 from .exchange import ExchangeConfig, max_fidelity_exchange, optimal_detuning
 from .params import CavitySystem, DecoherenceSpec, Scheme
 from .raman import max_fidelity_raman, optimal_two_photon, symmetric_raman_config
@@ -28,10 +30,17 @@ DEFAULTS = dict(
 )
 
 
+#: the notes of a reported result that it warns of, and what each says
+_FLAGGED = {"outside validity domain": "outside its closed form's validity domain",
+            "clamped": "clamped into [0, 1]"}
+
+
 def run_case_study(**overrides) -> dict:
     """Maximum fidelity and gate time of each scheme, analytic path.
 
-    Returns a JSON-ready dict; gate times are in seconds.
+    Returns a JSON-ready dict; gate times are in seconds. A reported result
+    that carries the note "outside validity domain" or "clamped" (a
+    closed-form 0.0, say) emits a ValidityWarning naming its scheme.
     """
     p = dict(DEFAULTS)
     unknown = set(overrides) - set(p)
@@ -45,36 +54,24 @@ def run_case_study(**overrides) -> dict:
 
     pulse = PhotonPulse.from_gate_time(p["scattering_gate_time_gamma"] / cavity.gamma,
                                        delta_p=p["delta_p_over_gamma"] * cavity.gamma)
-    scattering_cfg = ScatteringConfig(
-        cavity, pulse, gamma_eff=decoherence.effective_rate(Scheme.SCATTERING))
-    scattering_res = fidelity_analytic(scattering_cfg).single()
-
-    exchange_cfg = ExchangeConfig(
-        cavity,
-        detuning=optimal_detuning(cavity.kappa, cavity.cooperativity),
-        splitting_eg=p["splitting_eg"],
-        gamma_eff=decoherence.effective_rate(Scheme.SIMPLE_EXCHANGE))
-    exchange_res = max_fidelity_exchange(exchange_cfg)
-
-    raman_cfg = symmetric_raman_config(
-        cavity,
-        two_photon=optimal_two_photon(cavity.kappa, cavity.cooperativity),
-        laser_detuning=p["laser_detuning_over_kappa"] * cavity.kappa,
-        rabi_over_detuning=p["rabi_over_detuning"],
-        gamma_eff=decoherence.effective_rate(Scheme.RAMAN))
-    raman_res = max_fidelity_raman(raman_cfg)
-
-    def entry(result):
-        return {
-            "fidelity": result.fidelity,
-            "gate_time_s": result.gate_time,
-            "method": result.method.value,
-        }
-
-    return {
-        "schema_version": 1,
-        "parameters": p,
-        "scattering": entry(scattering_res),
-        "simple_exchange": entry(exchange_res),
-        "raman": entry(raman_res),
+    results = {
+        "scattering": fidelity_analytic(ScatteringConfig(
+            cavity, pulse, gamma_eff=decoherence.effective_rate(Scheme.SCATTERING))).single(),
+        "simple_exchange": max_fidelity_exchange(ExchangeConfig(
+            cavity, detuning=optimal_detuning(cavity.kappa, cavity.cooperativity),
+            splitting_eg=p["splitting_eg"],
+            gamma_eff=decoherence.effective_rate(Scheme.SIMPLE_EXCHANGE))),
+        "raman": max_fidelity_raman(symmetric_raman_config(
+            cavity, two_photon=optimal_two_photon(cavity.kappa, cavity.cooperativity),
+            laser_detuning=p["laser_detuning_over_kappa"] * cavity.kappa,
+            rabi_over_detuning=p["rabi_over_detuning"],
+            gamma_eff=decoherence.effective_rate(Scheme.RAMAN))),
     }
+    for scheme, result in results.items():
+        for note in result.notes:
+            if note in _FLAGGED:
+                warnings.warn(f"{scheme}: the reported fidelity {result.fidelity:.6g} is "
+                              f"{_FLAGGED[note]}", ValidityWarning, stacklevel=2)
+    return {"schema_version": 1, "parameters": p, **{
+        scheme: {"fidelity": result.fidelity, "gate_time_s": result.gate_time,
+                 "method": result.method.value} for scheme, result in results.items()}}

@@ -69,10 +69,9 @@ def _read_ini(text: str) -> dict:
     for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line or ";" in line:
             line = _strip_comment(line)
-        content = line.strip()
-        if not content:
+        if not (content := line.strip()):
             continue
-        indent = len(line) - len(line.lstrip())
+        indent = len(line) - len(line.lstrip()) if line[0].isspace() else 0
         if key_indent is not None and indent > key_indent:
             raise ConfigError(f"config line {lineno}: indented continuation line "
                               f"{content!r}; a value must fit on its key's line")
@@ -90,38 +89,38 @@ def _read_ini(text: str) -> dict:
         if section is None:
             raise ConfigError(f"config line {lineno}: {content!r} comes before the first "
                               "[section] header")
-        equals, colon = content.find("="), content.find(":")
-        split = equals if colon < 0 or 0 <= equals < colon else colon
-        key = content[:split].rstrip().lower()
-        if split < 0 or not key:
+        key, split, value = content.partition("=")
+        if ":" in key:   # the first ":" comes before the first "="
+            key, split, value = content.partition(":")
+        if not split or not (key := key.rstrip().lower()):
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {content!r}")
         if key in section:
             raise ConfigError(f"config line {lineno}: duplicate key {name}.{key}")
-        section[key] = content[split + 1:].strip()
+        section[key] = value.strip()
         key_indent = indent
     return sections
 
 
-def _split_quantity(raw: str, key: str):
-    """Parse '596 hz', 'hz: 596' or a bare finite number into (value, unit|None)."""
-    text = raw.strip()
-    if ":" in text:
-        unit, _, number = text.partition(":")
+def _split_quantity(raw: str):
+    """Parse '596 hz', 'hz: 596' or a bare finite number into (value,
+    unit|None); ValueError saying what is wrong."""
+    if ":" in raw:
+        unit, _, number = raw.partition(":")
         unit, number = unit.strip(), number.strip()
     else:
-        parts = text.split()
+        parts = raw.split()
         if len(parts) == 1:
             unit, number = None, parts[0]
         elif len(parts) == 2:
             number, unit = parts
         else:
-            raise ConfigError(f"{key}: expected '<value> [unit]', got {raw!r}")
+            raise ValueError(f"expected '<value> [unit]', got {raw!r}")
     try:
         value = float(number)
     except ValueError:
-        raise ConfigError(f"{key}: {number!r} is not a number")
+        raise ValueError(f"{number!r} is not a number") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key}: {number!r} is not a finite number")
+        raise ValueError(f"{number!r} is not a finite number")
     return value, unit
 
 
@@ -129,7 +128,7 @@ _REQUIRED = object()
 
 #: unit -> scale of a rate: the value times the scale is the angular rate.
 #: A scale named "gamma" or "kappa" is that cavity rate, once it is known.
-#: In both tables the first unit is that of a bare number.
+#: In both tables the first unit is that of a bare number, of scale 1.
 _RATE_UNITS = {"rad_s": 1.0, "hz": 2.0 * math.pi, "per_gamma": "gamma", "per_kappa": "kappa"}
 #: unit -> scale of a duration: the value divided by the scale is the time
 _TIME_UNITS = {"s": 1.0, "inv_gamma": "gamma"}
@@ -146,21 +145,24 @@ class _Section:
     def key(self, option):
         return f"{self.name}.{option}"
 
-    def _text(self, option, default):
-        """The option's text, marked read; None when it is absent and has a default."""
-        if option not in self.raw:
+    def _quantity(self, option, default, units, kind):
+        """(value, scale) of a quantity in the table `units` ({} for a
+        number), marked read, or (default, None) when it is absent; a bare
+        number is in the table's first unit, of scale 1: its scale is None."""
+        if (text := self.raw.get(option)) is None:
             if default is _REQUIRED:
                 raise ConfigError(f"{self.key(option)} is required")
-            return None
+            return default, None
         self.used.add(option)
-        return self.raw[option]
-
-    def _quantity(self, option, text, units, kind):
-        """(value, scale) of a quantity whose bare number is in the table's first unit."""
-        value, unit = _split_quantity(text, self.key(option))
-        unit = unit or next(iter(units))
+        try:
+            value, unit = _split_quantity(text)
+        except ValueError as exc:
+            raise ConfigError(f"{self.key(option)}: {exc}") from None
+        if unit is None or units and not unit:   # ": 596" has no unit either
+            return value, None
         if unit not in units:
-            raise ConfigError(f"{self.key(option)}: unknown {kind} unit {unit!r}; expected one "
+            raise ConfigError(f"{self.key(option)} must be dimensionless" if not units else
+                              f"{self.key(option)}: unknown {kind} unit {unit!r}; expected one "
                               f"of {sorted(units)}")
         scale = units[unit]
         if isinstance(scale, str):   # the section's gamma or kappa
@@ -170,31 +172,21 @@ class _Section:
         return value, scale
 
     def rate(self, option, default=_REQUIRED):
-        text = self._text(option, default)
-        if text is None:
-            return default
-        value, scale = self._quantity(option, text, _RATE_UNITS, "rate")
-        return value * scale
+        value, scale = self._quantity(option, default, _RATE_UNITS, "rate")
+        return value if scale is None else value * scale
 
     def duration(self, option, default=None):
-        text = self._text(option, default)
-        if text is None:
-            return default
-        value, scale = self._quantity(option, text, _TIME_UNITS, "time")
-        return value / scale
+        value, scale = self._quantity(option, default, _TIME_UNITS, "time")
+        return value if scale is None else value / scale
 
     def number(self, option, default=None):
-        text = self._text(option, default)
-        if text is None:
-            return default
-        value, unit = _split_quantity(text, self.key(option))
-        if unit is not None:
-            raise ConfigError(f"{self.key(option)} must be dimensionless")
-        return value
+        return self._quantity(option, default, {}, "")[0]
 
     def word(self, option, default=None):
-        text = self._text(option, default)
-        return default if text is None else text.strip().lower()
+        if (text := self.raw.get(option)) is None:
+            return default
+        self.used.add(option)
+        return text.strip().lower()
 
 
 @dataclass
@@ -213,9 +205,9 @@ class RunConfig:
         """After the scheme is built: raise ConfigError naming the first key
         of [cavity], [decoherence] or [scheme.<name>] that nothing read."""
         for section in (*self.common, self.scheme_section(name)):
-            unread = [section.key(option) for option in section.raw if option not in section.used]
-            if unread:
-                raise ConfigError(f"{unread[0]} is never read (misspelled?)")
+            if not section.used.issuperset(section.raw):
+                unread = next(option for option in section.raw if option not in section.used)
+                raise ConfigError(f"{section.key(unread)} is never read (misspelled?)")
 
 
 def _build_cavity(section: _Section) -> CavitySystem:

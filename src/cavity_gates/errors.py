@@ -6,11 +6,11 @@ class CavityGateError(Exception):
 
 
 class NonFinite(CavityGateError):
-    """NaN or Inf in a generator, which raises for the whole batch, or an
-    evaluation that leaves the double range on a row (an overflow, a gate
-    time that underflows to 0), which refuses that row alone: see
-    `params.GateResults`. A linear system (`linalg.solve`) raises nothing:
-    its NaN, Inf or singular row is NaN, and refused as such."""
+    """An evaluation that leaves the double range on a row (an overflow, a
+    generator past it, a gate time that underflows to 0), which refuses
+    that row alone: see `params.GateResults`. A linear system
+    (`linalg.solve`) raises nothing: its NaN, Inf or singular row is NaN,
+    and refused as such."""
 
 
 class ConvergenceFailure(CavityGateError):

@@ -17,10 +17,8 @@ sector builder and parameters (`sectors()`) and its pi-phase `gate_time`.
 Numeric fields of either config, the cavity's included, may be numpy arrays
 that broadcast together (the mode stays one value); each evaluator takes
 every row at once, through the stacked propagation of `linalg` on the
-numeric path, and returns GateResults of the broadcast shape.
-`phase_fidelity` gives each available CPU one contiguous share of a
-batch's rows, none below 160 rows, and walks each share in calls of at most
-512 rows; a batch of fewer than 320 rows starts no thread.
+numeric path (split over the CPUs by `phase_fidelity`), and returns
+GateResults of the broadcast shape.
 """
 from __future__ import annotations
 
@@ -112,14 +110,14 @@ class ExchangeConfig:
         return functools.partial(_lossy_sectors, mode=self.mode), params
 
 
+@np.errstate(over="ignore", divide="ignore")
 def exchange_gate_time(detuning, g_a, g_b) -> float:
     """Excitation dwell time for a pi phase: T = pi * Delta / (g_a * g_b).
     A T out of the double range (g_a g_b underflowed, say) warns of nothing,
     and `gate_results` refuses its row."""
     if any_row(g_a <= 0) or any_row(g_b <= 0):
         raise ValueError("couplings must be > 0")
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.divide(math.pi * detuning, g_a * g_b)
+    return np.divide(math.pi * detuning, g_a * g_b)
 
 
 def _lossy_sectors(detuning, g_a, g_res, g_spec, detuning_error, splitting_eg, kappa, gamma,
@@ -196,22 +194,20 @@ def phase_fidelity(lossy_sectors, params, gate_time):
 
     The n rows run on W = max(1, min(CPUs, n // MIN_BLOCK_ROWS)) workers, with
     CPUs the number this process may use (`os.sched_getaffinity`, else
-    `os.cpu_count`, asked only when n >= 2 MIN_BLOCK_ROWS) and
-    MIN_BLOCK_ROWS = 160. Worker w takes the contiguous rows [w n/W, (w+1) n/W)
-    and walks them in `_block_f_pi` calls of at most MAX_BLOCK_ROWS (512) rows,
-    so a grid of any size is built and propagated in bounded memory, at most
-    1,024 generators per call: 402 rows run as 2 x 201 on two CPUs, 14,641 as
-    2 x 15 calls. A batch of at most 512 rows on one worker is one call. A
-    row's bits do not depend on the size of its call, so every row is bit for
-    bit the same whatever W is.
+    `os.cpu_count`, asked only when n >= 2 MIN_BLOCK_ROWS). Worker w takes
+    the contiguous rows [w n/W, (w+1) n/W) and walks them in `_block_f_pi`
+    calls of at most MAX_BLOCK_ROWS rows, so a grid of any size runs in
+    bounded memory: 402 rows run as 2 x 201 on two CPUs, 14,641 as 2 x 15
+    calls, and a batch of at most 512 rows on one worker is one call. A
+    row's bits do not depend on the size of its call, nor on W.
 
     The calling thread is worker 0 and the others start as threads, all
     joined before the call returns (numpy's linalg gufuncs release the GIL).
     Each worker runs in a copy of the caller's context, so the caller's
-    `np.errstate` holds there, and the first exception of any worker (NaN
-    or Inf in a generator, a warning escalated to an error) is raised here
-    after the joins; a row whose propagation fails is not finite (see
-    `linalg.refusals`).
+    `np.errstate` holds there, and the first exception of any worker (a
+    warning escalated to an error, say) is raised here after the joins; a
+    row whose propagation fails, or whose generator is not finite, is not
+    finite (see `linalg.refusals`).
     """
     shape = broadcast_shape(*params, gate_time)
     n = math.prod(shape)
@@ -298,25 +294,25 @@ def f_pi_closed_form(config: ExchangeConfig):
     return 0.5 * envelope * np.abs(spectator_phase + swap_term)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # rows refused by gate_results
 def fidelity_numeric_exchange(config: ExchangeConfig | RamanConfig) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from non-Hermitian propagation
     at the config's pi-phase gate time T, for every row of a config of
     either gate, with F_pi the `phase_fidelity` of its two sectors."""
     gate_time = config.gate_time
-    with np.errstate(over="ignore", invalid="ignore"):   # rows refused below
-        f_pi = phase_fidelity(*config.sectors(), gate_time)
-        f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
+    f_pi = phase_fidelity(*config.sectors(), gate_time)
+    f_gate = 0.5 * (f_pi + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.NON_HERMITIAN, refused=linalg.refusals(f_pi))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fidelity_analytic_exchange(config: ExchangeConfig) -> GateResults:
     """Gate fidelity (F_pi + 1)/2 - Gamma*T from the adiabatic closed form
     at the config's pi-phase gate time T, for every row of the config. A
     detuning far below kappa overflows cosh: that row is refused with
     NonFinite, with no RuntimeWarning."""
     gate_time = config.gate_time
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
+    f_gate = 0.5 * (f_pi_closed_form(config) + 1.0) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.ANALYTIC)
 
 

@@ -7,52 +7,42 @@ forms on a spectrum lose about its trust measure squared times epsilon.
 
 - `resolvent_poles` serves every generator of at most 3x3 and needs no
   eigenvectors: the poles of <0|(z - H)^-1|0> are the eigenvalues (of a
-  2x2 stack in closed form with no LAPACK call, of a 3x3 stack from one
-  stacked `np.linalg.eigvals`, whose eigenvalues are `np.linalg.eig`'s bit
-  for bit) and the cofactor formula gives their residues w_k. A row is
-  trusted when 2 sum_k |w_k| is below the limit; for a complex-symmetric
-  2x2 that is exactly the Frobenius condition number, and on the
-  scattering 3x3 generators (fig2a-c and 20,000 random configs)
-  cond_F / sum_k |w_k| lies between 2.4 and 6.9. It has two callers. The
-  scattering pole sum makes its calls per kind of row: rows with identical
-  emitters pass one stack of pairs, their bright pairs and their
-  one-emitter blocks, so fig2a-c make no LAPACK call; rows with distinct
-  emitters pass their 3x3 stars, and then a stack of their two
-  one-emitter blocks. It sends untrusted rows to a matrix function of the
-  generators built on `solve`. `return_amplitudes` passes both exchange
-  sectors and the Raman |uu> sector, and sends untrusted rows to its
-  Taylor fallback.
+  3x3 stack from one stacked `np.linalg.eigvals`, whose eigenvalues are
+  `np.linalg.eig`'s bit for bit; of pairs in closed form, `pair_poles`,
+  which takes their entries) and the cofactor formula gives their
+  residues w_k. A row is trusted when 2 sum_k |w_k| is below the limit;
+  for a complex-symmetric 2x2 that is exactly the Frobenius condition
+  number, and on the scattering 3x3 generators (fig2a-c and 20,000 random
+  configs) cond_F / sum_k |w_k| lies between 2.4 and 6.9. The scattering
+  pole sum passes its 3x3 stars, and its (cavity, emitter) pairs to
+  `pair_poles`; `return_amplitudes` passes both exchange sectors and the
+  Raman |uu> sector.
 - `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
   `np.linalg.inv` of the eigenvectors V. A row is trusted when its
   Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
   times it) is below the limit. It serves the Raman 5x5 |ud> sector in
   `return_amplitudes`, and both Raman sectors in the Raman Lindblad
-  closure, whose jump integral needs the amplitudes of the jump sources,
-  not only of the start state. The 5x5 keeps V_0k (V^-1)_k0 because its
-  weights pin the fig6a reference: on rows with ||H|| T >= 1e9, where two
-  slow eigenvalues nearly coincide, eigenvalue-only weights move hundreds
-  of fig6a cells past 1e-10 (ROADMAP item 2).
+  closure, whose jump integral needs the amplitudes of the jump sources.
+  The 5x5 keeps V_0k (V^-1)_k0: on fig6a rows with ||H|| T >= 1e9,
+  eigenvalue-only weights move hundreds of cells past 1e-10 (ROADMAP
+  item 2).
 
-`return_amplitudes` sends the untrusted rows of either kernel to Taylor
-scaling-and-squaring, one row at a time. It propagates the numeric path of
-both exchange gates and, through it, the simple exchange's Lindblad check.
-The Raman Lindblad closure has no fallback: it refuses each row whose
-eigenbasis is untrusted, with ConvergenceFailure.
+Untrusted rows take `return_amplitudes`' Taylor scaling-and-squaring, one
+row at a time, or the scattering pole sum's matrix function built on
+`solve`; the Raman Lindblad closure refuses them with ConvergenceFailure. A
+NaN or Inf trust measure, and every row of a finite stack whose eigensolve
+(or inverse) raises LinAlgError, are untrusted. NaN or Inf in a generator,
+which numpy's own scan in `eig` and `eigvals` refuses for the whole stack,
+makes that row NaN alone. A row whose propagation leaves the double range
+is not finite, and `refusals` names it for `params.gate_results`. `solve`
+raises nothing: a NaN, Inf or singular system makes its own row NaN.
 
-In both kernels a NaN or Inf trust measure (products that overflowed, say),
-and every row of a stack whose eigensolve (or inverse) raises LinAlgError,
-are untrusted. NaN or Inf in a generator raises NonFinite for the whole
-stack. A row whose propagation leaves the double range (a phase
-e^{-i t lambda} or an untrusted row's Taylor generator t H past it) is not
-finite, and `refusals` names it for `params.gate_results`, with one
-overflow message whichever route the row took. `solve` raises nothing: a
-NaN, Inf or singular system makes its own row NaN. No stack is split here:
-the callers size it, and each call makes one LAPACK call per kernel
-whatever its size. At one row the checks and bookkeeping still cost about three
-times the eigensolve: a one-row exchange pair takes about 50 us in
-`return_amplitudes`, 12 of them in `eigvals` (2-core VM, one BLAS thread).
-A row's result does not depend on the size of its stack, and numpy's linalg
-gufuncs release the GIL.
+Each public kernel enters np.errstate once, and the kernels it calls none.
+No stack is split here: a row's result does not depend on the size of its
+stack, and numpy's linalg gufuncs release the GIL. At one row the
+bookkeeping costs about twice the eigensolve: a one-row exchange pair takes
+about 33 us in `return_amplitudes`, 11 of them in `eigvals` (2-core VM, one
+BLAS thread).
 """
 from __future__ import annotations
 
@@ -81,7 +71,7 @@ class Eigenbasis(NamedTuple):
     values: np.ndarray   # (n, k)
     vectors: np.ndarray  # (n, k, k) V
     inverse: np.ndarray  # (n, k, k) V^-1
-    cond: np.ndarray     # (n,) ||V_j||_F ||V_j^-1||_F in [cond_2, k cond_2]; NaN: eig/inv raised
+    cond: np.ndarray     # (n,) ||V_j||_F ||V_j^-1||_F in [cond_2, k cond_2]; NaN: not solved
     trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
 
@@ -95,48 +85,71 @@ class Poles(NamedTuple):
     trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
 
-def eigenbasis(h) -> Eigenbasis:
-    """Eigenbasis of every generator of a stack h (n, k, k)."""
+#: every public kernel's floating-point state, entered once per call: a row that
+#: overflows, or divides by zero at a double pole, is inf or NaN and warns of nothing
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _stack(h) -> np.ndarray:
+    """h as a complex stack (n, k, k); ValueError for any other shape."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise NonFinite("matrix contains NaN or Inf entries")
+    return h
+
+
+def _apart(kernel, h, bad):
+    """`kernel`'s result on a stack h whose rows `bad` hold NaN or Inf: they
+    are NaN in every field and trusted, for the caller's one finiteness
+    check, and the other rows are solved without them."""
+    result = kernel(np.where(bad[:, None, None], 0.0, h))
+    for field in result[:-1]:
+        field[bad] = np.nan
+    result.trusted[bad] = True
+    return result
+
+
+@_quiet
+def eigenbasis(h) -> Eigenbasis:
+    """Eigenbasis of every generator of a stack h (n, k, k)."""
+    return _eigenbasis(_stack(h))
+
+
+def _eigenbasis(h) -> Eigenbasis:
     try:
         values, vectors = np.linalg.eig(h)
         inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
+        if (bad := ~np.isfinite(h).all((1, 2))).any():
+            return _apart(_eigenbasis, h, bad)
         values = np.full(h.shape[:2], np.nan, dtype=complex)
         vectors = inverse = np.full_like(h, np.nan)
     # ||V||_F^2 = k (eig's columns are unit); a defective row's ||V^-1||^2 is inf
-    with np.errstate(over="ignore"):
-        cond = np.sqrt(h.shape[-1] * (abs(inverse)**2).sum((1, 2)))
+    cond = np.sqrt(h.shape[-1] * (abs(inverse)**2).sum((1, 2)))
     trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
-    if not trusted.all():   # the identity keeps untrusted coordinates finite
+    if not all_rows(trusted):   # the identity keeps untrusted coordinates finite
         vectors[~trusted] = inverse[~trusted] = np.eye(h.shape[-1])
     return Eigenbasis(values, vectors, inverse, cond, trusted)
 
 
-def _residues(g, values):
-    """(eigenvalues, residues) of <0|(z - G_j)^-1|0> for a stack g (n, k, k):
-    pairs in closed form (`values` is not used), and 1 or 3 states from
-    their given eigenvalues `values` (n, k) by the cofactor formula."""
-    if g.shape[-1] == 2:
-        a, b, c, d = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-        mean, root = 0.5 * (a + d), np.sqrt((0.5 * (a - d))**2 + b * c)   # m, r
-        values = np.empty((len(g), 2), dtype=complex)
-        big = values[:, 0] = mean + np.where((mean.conj() * root).real < 0.0, -root, root)
-        values[:, 1] = (a * d - b * c) / big
-        return values, (values - d[:, None]) / (values - values[:, ::-1])
-    k = g.shape[-1]   # the diagonals below are strided views of the flat rows
-    minor = (values[:, :, None] - g.reshape(len(g), -1)[:, None, k + 1::k + 1]).prod(-1)
-    if k == 3:
-        minor -= g[:, 1, 2, None] * g[:, 2, 1, None]
-    gaps = values[:, :, None] - values[:, None, :]
-    gaps.reshape(len(g), -1)[:, ::k + 1] = 1.0   # 1 at j = k
-    return values, minor / gaps.prod(-1)
+def _trust(values, weights) -> Poles:
+    cond = 2.0 * abs(weights).sum(-1)
+    return Poles(values, weights, cond, cond < EIG_COND_LIMIT)   # NaN counts as untrusted
 
 
+@_quiet
+def pair_poles(a, b, c, d) -> Poles:
+    """`resolvent_poles` of the pairs [[a_j, b_j], [c_j, d_j]], given by
+    their entries: arrays that broadcast to the shape (n,) of d. Their
+    callers' pairs are coupled (b c != 0): no retry for a decoupled state."""
+    mean, root = 0.5 * (a + d), np.sqrt((0.5 * (a - d))**2 + b * c)   # m, r
+    values = np.empty((len(d), 2), dtype=complex)
+    big = values[:, 0] = mean + np.where((mean.conj() * root).real < 0.0, -root, root)
+    values[:, 1] = (a * d - b * c) / big
+    return _trust(values, (values - d[:, None]) / (values - values[:, ::-1]))
+
+
+@_quiet
 def resolvent_poles(h) -> Poles:
     """Poles and residues of <0|(z - H_j)^-1|0> for every generator of a
     stack h (n, k, k) with k <= 3; a larger stack raises ValueError.
@@ -144,56 +157,59 @@ def resolvent_poles(h) -> Poles:
     The residue at the eigenvalue lambda_k is the adjugate formula
     w_k = q(lambda_k) / prod_{j!=k} (lambda_k - lambda_j), equal to
     V[0,k] (V^-1 e_0)_k, with q(z) = det(z - H_11) the minor of the start
-    state: (z - h_11)(z - h_22) - h_12 h_21 for a 3x3 (h_12 = 0 on a star)
-    and z - h_11 for a pair. So eigenvalues suffice: one `np.linalg.eigvals`
-    call, or for pairs [[a, b], [c, d]] the closed form lambda_1 = m + r of
-    the larger modulus, m = (a + d)/2, r = +-sqrt(((a - d)/2)^2 + bc), and
-    lambda_2 = (ad - bc)/lambda_1, whose small root keeps its relative
-    accuracy. A row is trusted when 2 sum_k |w_k| < EIG_COND_LIMIT; a row
-    with a double pole divides by zero and is not.
+    state. For pairs [[a, b], [c, d]] the closed form takes lambda_1 = m + r
+    of the larger modulus, m = (a + d)/2, r = +-sqrt(((a - d)/2)^2 + bc),
+    and lambda_2 = (ad - bc)/lambda_1, whose small root keeps its relative
+    accuracy. A row with a double pole divides by zero and is untrusted.
 
     An untrusted row is solved again once, in a way that changes no
-    trusted row: a state i >= 1 coupled to no other (row and column i zero
-    off the diagonal) is not a pole of the resolvent, but it may share its
-    eigenvalue with another state, where the formula is 0/0, so the row is
-    solved without such states, whose eigenvalues h_ii get weight 0. (On a
-    trusted row the formula gives h_ii a weight within rounding of 0, and
-    exactly 0 when `eigvals` returns h_ii itself, as LAPACK's balancing
-    does for an isolated state.) A row whose products overflow, where
-    ||H|| nears the edge of the double range, stays untrusted.
+    trusted row: a state i >= 1 coupled to no other is not a pole of the
+    resolvent, but may share its eigenvalue with another state (0/0), so
+    the row is solved without such states, whose eigenvalues h_ii get
+    weight 0 (on a trusted row within rounding of 0, and exactly 0 when
+    `eigvals` returns h_ii itself, as LAPACK's balancing does for an
+    isolated state). A row whose products overflow stays untrusted.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
-    k = h.shape[-1]
-    if k > 3:
+    h = _stack(h)
+    if (k := h.shape[-1]) > 3:
         raise ValueError(f"resolvent_poles takes generators of at most 3x3, got {k}x{k}")
-    if not np.isfinite(h).all():
-        raise NonFinite("matrix contains NaN or Inf entries")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = None
-        if k != 2:
-            try:
-                values = np.linalg.eigvals(h)
-            except np.linalg.LinAlgError:
-                values = np.full(h.shape[:2], np.nan, dtype=complex)
-        values, weights = _residues(h, values)
-        cond = 2.0 * abs(weights).sum(-1)
-        trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
-        if not trusted.all():
-            rows = (~trusted).nonzero()[0]
-            off = (h[rows] != 0.0) & ~np.eye(k, dtype=bool)
-            decoupled = ~(off.any(1) | off.any(2))
-            decoupled[:, 0] = False
-            for drop in {tuple(row) for row in decoupled[decoupled.any(1)].tolist()}:
-                sub, keep = rows[(decoupled == drop).all(1)], ~np.array(drop)
-                rest = resolvent_poles(h[sub][:, keep][:, :, keep])
-                values[sub] = np.concatenate(
-                    [rest.values, np.diagonal(h[sub], axis1=1, axis2=2)[:, ~keep]], axis=1)
-                weights[sub] = 0.0
-                weights[sub, :keep.sum()] = rest.weights
-                cond[sub], trusted[sub] = rest.cond, rest.trusted
-    return Poles(values, weights, cond, trusted)
+    return _resolvent_poles(h)
+
+
+def _resolvent_poles(h) -> Poles:
+    n, k = h.shape[:2]
+    if k == 2:
+        # the undecorated kernel (functools.wraps keeps it): the state is entered
+        poles = pair_poles.__wrapped__(h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1])
+    else:
+        try:
+            values = np.linalg.eigvals(h)
+        except np.linalg.LinAlgError:
+            if (bad := ~np.isfinite(h).all((1, 2))).any():
+                return _apart(_resolvent_poles, h, bad)
+            values = np.full((n, k), np.nan, dtype=complex)
+        # q(lambda_k) over the diagonal's strided view of the flat rows; 1 at j = k in the gaps
+        minor = (values[:, :, None] - h.reshape(n, -1)[:, None, k + 1::k + 1]).prod(-1)
+        if k == 3:
+            minor -= h[:, 1, 2, None] * h[:, 2, 1, None]
+        gaps = values[:, :, None] - values[:, None, :]
+        gaps.reshape(n, -1)[:, ::k + 1] = 1.0
+        poles = _trust(values, minor / gaps.prod(-1))
+    if not all_rows(poles.trusted):
+        values, weights, cond, trusted = poles
+        rows = (~trusted).nonzero()[0]
+        off = (h[rows] != 0.0) & ~np.eye(k, dtype=bool)
+        decoupled = ~(off.any(1) | off.any(2))
+        decoupled[:, 0] = False
+        for drop in {tuple(row) for row in decoupled[decoupled.any(1)].tolist()}:
+            sub, keep = rows[(decoupled == drop).all(1)], ~np.array(drop)
+            rest = _resolvent_poles(h[sub][:, keep][:, :, keep])
+            values[sub] = np.concatenate(
+                [rest.values, np.diagonal(h[sub], axis1=1, axis2=2)[:, ~keep]], axis=1)
+            weights[sub] = 0.0
+            weights[sub, :keep.sum()] = rest.weights
+            cond[sub], trusted[sub] = rest.cond, rest.trusted
+    return poles
 
 
 def solve(a, b) -> np.ndarray:
@@ -245,6 +261,7 @@ def refusals(values) -> dict:
     return {NonFinite(OVERFLOW): ~finite}
 
 
+@_quiet
 def return_amplitudes(h, t) -> np.ndarray:
     """<0| e^{-i t_j H_j} |0> = sum_k w_k e^{-i t_j lambda_k} for a stack h
     (..., k, k) of generators with at least one stack axis, in one kernel
@@ -252,7 +269,8 @@ def return_amplitudes(h, t) -> np.ndarray:
     (V^-1)_k0 of `eigenbasis` above. t is a scalar or broadcasts with the
     stack axes, whose broadcast shape the result has. Untrusted rows take
     Taylor scaling-and-squaring. A row whose propagation leaves the double
-    range is not finite, with no RuntimeWarning: see `refusals`."""
+    range, or whose generator holds NaN or Inf, is not finite, with no
+    RuntimeWarning: see `refusals`."""
     h = np.asarray(h, dtype=complex)
     t = np.asarray(t, dtype=float)
     if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
@@ -260,18 +278,19 @@ def return_amplitudes(h, t) -> np.ndarray:
     if t.ndim:   # a time per row: one shape for both
         h = np.broadcast_to(h, np.broadcast_shapes(h.shape[:-2], t.shape) + h.shape[-2:])
     lead, k = h.shape[:-2], h.shape[-1]
-    flat = h.reshape(-1, k, k)
+    flat = h if h.ndim == 3 else h.reshape(-1, k, k)
     if k > 3:
-        basis = eigenbasis(flat)
+        basis = _eigenbasis(flat)
         values, weights = basis.values, basis.vectors[:, 0] * basis.inverse[:, :, 0]
         trusted = basis.trusted
     else:
-        values, weights, _, trusted = resolvent_poles(flat)
-    values, weights = values.reshape(lead + (k,)), weights.reshape(lead + (k,))
+        values, weights, _, trusted = _resolvent_poles(flat)
+    if h.ndim > 3:
+        values, weights = values.reshape(lead + (k,)), weights.reshape(lead + (k,))
     # not `*`: on a large temporary numpy swaps the operands, which may round
     # differently, so a row's bits would depend on the size of its stack
-    with np.errstate(over="ignore", invalid="ignore"):   # untrusted rows replaced below
-        out = np.multiply(weights, np.exp(-1j * t[..., None] * values)).sum(-1)
+    out = np.multiply(weights, np.exp(-1j * t[..., None] * values)).sum(-1)
+    if not all_rows(trusted):
         for i in (~trusted).nonzero()[0]:
             m = -1j * np.broadcast_to(t, lead).flat[i] * flat[i]
             # past ||m||_1 = 2^1023 the scaling 2^-s leaves the double range; NaN fails

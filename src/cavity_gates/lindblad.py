@@ -35,7 +35,8 @@ near an exceptional point too, where its Taylor fallback serves.
 A row-local failure refuses that row alone (see `params.GateResults`): a
 gate time out of the double range, then a Raman row whose sector
 eigenbasis `linalg` does not trust (the package's one ConvergenceFailure:
-the closure has no fallback), then a propagation out of the double range.
+the closure has no fallback), then a propagation or a generator out of the
+double range.
 """
 from __future__ import annotations
 
@@ -46,16 +47,13 @@ import numpy as np
 from . import linalg
 from .errors import ConvergenceFailure, NonFinite
 from .exchange import ExchangeConfig, fidelity_numeric_exchange
-from .params import GateResults, Method, gate_results
+from .params import GateResults, Method, all_rows, any_row, clamp_unit, gate_results
 from .raman import RamanConfig
 
-#: the cavity rates of the Raman jumps that land on a target state: cavity
-#: photon loss, emitter A decay and emitter B decay
-_TARGET_JUMPS = ("kappa", "gamma", "gamma")
-
-#: the source states of those jumps in the |ud> block and in the |uu> block,
-#: which has no emitter B
-_JUMP_SOURCES = ([2, 1, 3], [2, 1])
+#: each block's rows of V_ik (V^-1)_k0: its start state 0, then the sources of
+#: the Raman jumps that land on a target state, cavity photon loss, emitter A
+#: decay and emitter B decay (the |uu> block has no emitter B)
+_JUMP_ROWS = (np.array([0, 2, 1, 3]), np.array([0, 2, 1]))
 
 
 def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
@@ -77,45 +75,45 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     return _raman_lindblad(config)
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a row that overflows is refused below
+# a row that overflows is refused below; z = 0 divides by zero in the unused branch
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _raman_lindblad(config: RamanConfig) -> GateResults:
     """`gate_fidelity_lindblad` of a Raman config: the closure with its J."""
     gate_time = config.gate_time
     lossy_sectors, params = config.sectors()
     sectors = lossy_sectors(*params)
     shape = sectors[0].shape[:-2]   # gate_time is a function of the params
-    t = np.broadcast_to(gate_time, shape).reshape(-1, 1)
+    t = np.full(shape, gate_time).reshape(-1, 1)
     bases = [linalg.eigenbasis(h.reshape(-1, *h.shape[-2:])) for h in sectors]
-    amplitudes = [b.vectors * b.inverse[:, None, :, 0] for b in bases]   # V_ik (V^-1)_k0
-    rotations = [np.exp(-1j * t * basis.values) for basis in bases]
-    ud, uu = ((a[:, 0] * p).sum(-1) for a, p in zip(amplitudes, rotations))
-    # a_c(s) = sum_k u_ck e^{-is lambda_k} over the eigenvalues of both sectors
+    # both sectors side by side: their eigenvalues and _JUMP_ROWS, 0 where a block has none
     lam = np.concatenate([basis.values for basis in bases], axis=-1)
-    u = np.zeros((len(t), len(_TARGET_JUMPS), lam.shape[-1]), dtype=complex)
-    for a, sources, states in zip(amplitudes, _JUMP_SOURCES, (slice(0, 5), slice(5, 8))):
-        u[:, :len(sources), states] = 0.5 * a[:, sources]
+    a = np.zeros((len(t), len(_JUMP_ROWS[0]), lam.shape[-1]), dtype=complex)
+    for basis, rows, states in zip(bases, _JUMP_ROWS, (slice(0, 5), slice(5, 8))):
+        np.multiply(basis.vectors.take(rows, 1), basis.inverse[:, None, :, 0],
+                    out=a[:, :len(rows), states])
+    start = a[:, 0] * np.exp(-1j * t * lam)
+    ud, uu = start[:, :5].sum(-1), start[:, 5:].sum(-1)
+    u = 0.5 * a[:, 1:]   # a_c(s) = sum_k u_ck e^{-is lambda_k}
     # int_0^T e^{-isz} ds over z = lambda_k - conj(lambda_l), with a small-|z|T branch
     z = lam[:, :, None] - lam.conj()[:, None, :]
     span = t[:, :, None]
-    small = np.abs(z) * span < 1e-9
-    z_safe = np.where(small, 1.0, z)
-    integral = np.where(small, span * (1.0 - 0.5j * z * span),
-                        (1.0 - np.exp(-1j * z_safe * span)) / (1j * z_safe))
-    rates = np.empty(shape + (len(_TARGET_JUMPS),))
-    for c, name in enumerate(_TARGET_JUMPS):
-        rates[..., c] = getattr(config.cavity, name)
+    integral = (1.0 - np.exp(-1j * z * span)) / (1j * z)
+    if any_row(small := np.abs(z) * span < 1e-9):
+        integral = np.where(small, span * (1.0 - 0.5j * z * span), integral)
+    rates = np.empty(shape + (3,))   # kappa, gamma, gamma
+    rates[..., 0], rates[..., 1:] = config.cavity.kappa, np.asarray(config.cavity.gamma)[..., None]
     weights = np.einsum("nck,nkl,ncl->nc", u, integral, u.conj()).real
     overlap = ((0.5 * (1.0 + 0.5 * np.abs(uu - ud))) ** 2
                + 0.25 * (rates.reshape(weights.shape) * weights).sum(-1))
     trusted, finite = bases[0].trusted & bases[1].trusted, np.isfinite(overlap)
     refused = {}
-    if not (trusted.all() and finite.all()):   # an untrusted row first: its overlap is unused
+    if not all_rows(trusted & finite):   # an untrusted row first: its overlap is unused
         cond = np.where(bases[0].trusted, bases[1].cond, bases[0].cond)
         for row in (~trusted).nonzero()[0]:
             refused[ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
                                        f"{cond[row]:.2e}): too near an exceptional point")] = (
                 np.arange(len(t)) == row).reshape(shape)
-        if not finite.all():
+        if not all_rows(finite):
             refused[NonFinite(linalg.OVERFLOW)] = ~finite.reshape(shape)
-    f_gate = np.sqrt(np.clip(overlap, 0.0, 1.0)).reshape(shape) - config.gamma_eff * gate_time
+    f_gate = np.sqrt(clamp_unit(overlap)).reshape(shape) - config.gamma_eff * gate_time
     return gate_results(f_gate, gate_time, Method.LINDBLAD, refused=refused)

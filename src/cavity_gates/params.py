@@ -41,14 +41,14 @@ class CavitySystem:
     kappa: float
     gamma: float
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")   # C refused below
     def __post_init__(self):
         check_rates(self, ("g", "kappa", "gamma"))
         # finite rates can still give a C that overflows, or one that
         # underflows to 0, which every scheme divides by; g**2, unlike the
         # property's g * g, raises on a float g^2 past the double range
         try:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
-                cooperativity = 4.0 * self.g**2 / (self.kappa * self.gamma)
+            cooperativity = 4.0 * self.g**2 / (self.kappa * self.gamma)
         except (OverflowError, ZeroDivisionError):  # a float g**2 or 1/(kappa gamma) out of range
             cooperativity = math.inf
         if not all_rows(cooperativity < math.inf):
@@ -67,6 +67,7 @@ class CavitySystem:
         return self.g / self.kappa
 
     @classmethod
+    @np.errstate(over="ignore", divide="ignore")
     def from_cooperativity(cls, cooperativity, g_over_kappa, gamma=1.0):
         """Build a system from (C, g/kappa, gamma), scalars or arrays.
 
@@ -76,9 +77,8 @@ class CavitySystem:
         if not all_rows((cooperativity > 0) & (g_over_kappa > 0) & (gamma > 0)):
             raise ValueError("cooperativity, g_over_kappa and gamma must be > 0")
         try:
-            with np.errstate(over="ignore", divide="ignore"):
-                kappa = cooperativity * gamma / (4.0 * g_over_kappa**2)
-                g = g_over_kappa * kappa
+            kappa = cooperativity * gamma / (4.0 * g_over_kappa**2)
+            g = g_over_kappa * kappa
         except (OverflowError, ZeroDivisionError):  # a float g_over_kappa**2 out of range
             raise ValueError(f"g_over_kappa = {g_over_kappa!r} puts kappa = "
                              "C*gamma/(4*(g/kappa)^2) out of the double range") from None
@@ -158,12 +158,14 @@ class GateResult:
 def any_row(condition) -> bool:
     """True when a condition holds for at least one row. Accepts the Python
     or numpy scalars of a one-configuration call as well as arrays."""
-    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
+    return np.count_nonzero(condition) > 0 if isinstance(condition, np.ndarray) else bool(condition)
 
 
 def all_rows(condition) -> bool:
     """True when a condition holds for every row (scalars or arrays)."""
-    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+    if isinstance(condition, np.ndarray):   # a third of the cost of `ndarray.all`
+        return np.count_nonzero(condition) == condition.size
+    return bool(condition)
 
 
 def check_rates(config, names, zero=False):
@@ -178,8 +180,12 @@ def check_rates(config, names, zero=False):
 
 
 def broadcast_shape(*values) -> tuple:
-    """Broadcast shape of scalars and arrays; () when all are scalars."""
-    return np.broadcast(*values).shape
+    """Broadcast shape of scalars and arrays; () when all are scalars, which
+    `np.broadcast` is not given (each would cost it an array)."""
+    return np.broadcast(_NO_AXES, *[v for v in values if not isinstance(v, _SCALARS)]).shape
+
+
+_SCALARS, _NO_AXES = (int, float, complex, np.generic), np.empty(())
 
 
 def config_shape(config) -> tuple:
@@ -190,9 +196,9 @@ def config_shape(config) -> tuple:
 
 def _leaves(config):
     """The fields of a config dataclass, those of the configs it holds in
-    their place."""
+    their place (a dataclass instance has `__dataclass_fields__`)."""
     for value in vars(config).values():
-        if dataclasses.is_dataclass(value):
+        if hasattr(value, "__dataclass_fields__"):
             yield from _leaves(value)
         else:
             yield value
@@ -302,15 +308,17 @@ def gate_results(f_gate, gate_time, method: Method, notes: dict | None = None,
     probability = (1.0 if success_probability is None
                    else _broadcast(success_probability, shape, float))
     caller, refused = refused or {}, {}
-    if not all_rows(finite := np.isfinite(gate_time)):
-        refused[NonFinite("gate_time is not finite")] = _broadcast(~finite, shape, bool)
-    if not all_rows(positive := gate_time > 0):
-        refused[NonFinite("gate_time must be > 0")] = _broadcast(~positive, shape, bool)
+    # comparisons, not np.isfinite and np.isnan, which cost a numpy scalar far more
+    if not all_rows((gate_time > 0.0) & (gate_time < math.inf)):   # NaN fails both
+        if not all_rows(finite := np.isfinite(gate_time)):
+            refused[NonFinite("gate_time is not finite")] = _broadcast(~finite, shape, bool)
+        if not all_rows(positive := gate_time > 0):
+            refused[NonFinite("gate_time must be > 0")] = _broadcast(~positive, shape, bool)
     for error, mask in caller.items():
         refused[error] = _broadcast(mask, shape, bool)
-    if any_row(nan := np.isnan(fidelity)):
+    if any_row(nan := fidelity != fidelity):   # NaN alone is not itself
         refused[NonFinite("fidelity is nan: the evaluation overflowed")] = nan
-    if success_probability is not None and any_row(nan := np.isnan(probability)):
+    if success_probability is not None and any_row(nan := probability != probability):
         refused[NonFinite("success_probability is nan: the evaluation overflowed")] = nan
     if refused:
         rows = np.logical_or.reduce(list(refused.values()))

@@ -35,6 +35,7 @@ from .params import (CavitySystem, GateResult, GateResults, Method, all_rows, an
                      broadcast_shape, check_rates, gate_results)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_photon):
     """Drive amplitude of system B that balances the two dressed ground-state
     shifts, keeping the two-photon process resonant:
@@ -55,9 +56,9 @@ def matched_rabi_b(rabi_a, g_a, g_b, laser_detuning_a, laser_detuning_b, two_pho
     den = g_a * g_a + two_photon * laser_detuning_a
     if any_row(den < 0) or any_row(num < 0):
         raise ValueError("g^2 + delta*Delta must be > 0 for both systems")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        drive = rabi_a * np.sqrt(np.divide(num, den))
-    return np.where(np.isfinite(drive), drive, 0.0)[()]
+    drive = rabi_a * np.sqrt(np.divide(num, den))
+    finite = drive < math.inf   # drive >= 0 or NaN; np.where only where a row needs it
+    return drive if all_rows(finite) else np.where(finite, drive, 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ def _lossy_sectors(d_a, d_b, om_a, om_b, g_a, g_b, det_a, det_b, kappa, gamma):
 fidelity_numeric_raman = fidelity_numeric_exchange
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def raman_gate_time(config: RamanConfig) -> float:
     """Drive duration for a pi phase on |ud>:
 
@@ -178,9 +180,8 @@ def raman_gate_time(config: RamanConfig) -> float:
     A zero drive (given, or underflowed) gives T = inf. A T out of the double
     range warns of nothing, and `gate_results` refuses its row.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _gate_time(config.coupling_a, config.coupling_b, config.rabi_a, config.drive_b,
-                          config.two_photon, config.laser_detuning_a, config.laser_detuning_b)
+    return _gate_time(config.coupling_a, config.coupling_b, config.rabi_a, config.drive_b,
+                      config.two_photon, config.laser_detuning_a, config.laser_detuning_b)
 
 
 def _gate_time(g_a, g_b, om_a, om_b, d, da, db):

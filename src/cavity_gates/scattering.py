@@ -19,47 +19,40 @@ minor is a product over the emitter levels H_ee and
 w_k = prod_e (lambda_k - H_ee) / prod_{j!=k} (lambda_k - lambda_j).
 s_dd, the bare cavity, has the one pole -i*kappa/2 with residue -i*kappa
 and needs no eigensolve. Rows come in two kinds, read from the config
-fields; each kind builds only the generators it eigensolves, and
-`_pole_terms` states each kind's poles, amplitudes and sums in its own
-branch:
+fields, and `_pole_terms` states each kind's poles, amplitudes and sums:
 - a row with identical emitters (delta_eps_a == delta_eps_b bit for bit,
   as on every fig2 row) has three distinct amplitudes, s_uu, s_ud and
-  s_dd, and five poles: two of s_uu, two of s_ud, then the cavity pole.
-  Its s_du is s_ud bit for bit (the two generators are equal), so it adds
-  no pole and no term, and rho takes s_ud's row and column for s_du's. Its
-  s_uu splits in two: the dark state (|a> - |b>)/sqrt(2) has no cavity
-  component and H maps it to (delta - i*gamma/2) times itself, so its pole
-  has residue exactly 0 and needs no term, and the bright state
-  (|a> + |b>)/sqrt(2) couples to the cavity with sqrt(2)*g. The bright
-  pair [[-i*kappa/2, sqrt(2)*g], [sqrt(2)*g, delta - i*gamma/2]] and the
-  s_ud pair take one `linalg.resolvent_poles` call, in closed form with no
-  LAPACK call;
+  s_dd (its s_du is s_ud bit for bit, and rho repeats s_ud's row and
+  column), and five poles: two of s_uu, two of s_ud, then the cavity pole.
+  Its s_uu splits in two: the dark state (|a> - |b>)/sqrt(2) has no cavity
+  component, so its pole at delta - i*gamma/2 has residue exactly 0, and
+  the bright state couples to the cavity with sqrt(2)*g. The bright pair
+  and the s_ud pair take one `linalg.pair_poles` call on their entries,
+  in closed form with no LAPACK call;
 - a row with distinct emitters has four distinct amplitudes and eight
   poles: three of s_uu, two each of s_ud and s_du, then the cavity pole.
   Its s_uu star (cavity and two emitters) takes a stacked 3x3 `eigvals`
-  call, and the star's (cavity, emitter) blocks, its s_ud and s_du pairs,
-  a second call in closed form.
+  call, and its s_ud and s_du pairs, the star's (cavity, emitter) blocks,
+  a `linalg.pair_poles` call.
 Poles, residues, the first two trust rules below and the amplitudes at the
 poles depend on the generator alone (g, kappa, gamma, the detunings): a
 batch of one kind computes them once per distinct generator (fig2a's 363
 rows have 3), and a mixed batch once per row (`_rows`). Each row evaluates
 the Gaussian averages on its own poles only, and at each pole its own
-distinct amplitudes only (three with identical emitters, four with
-distinct ones), all of a kind's in one stacked call of `_amplitudes`; each
-amplitude's pole terms are summed over its own poles, in pole order.
-The Gaussian average of each pole term is the Faddeeva function w(z),
-written here in numpy with Weideman's rational expansion (J. A. C.
-Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms, which agrees
-with scipy's `wofz` to 2.3e-14 relative over the upper half plane. Three
-kinds of row take the same sum as a rational matrix function of the
-generators, which needs no spectrum, instead: rows whose poles `linalg`
-does not trust (2 sum_k |w_k| at or past its limit, near an exceptional
-point of a generator, where the pole sum can lose up to
-(sum_k |w_k|)^2 * machine epsilon), rows with a pole rounded above the
-real axis, and rows where machine epsilon times max|H_ij|, the absolute
-error of every pole, reaches 1e-6 of sigma_p or of the narrowest coupled
-pole's width |Im lambda| (an emitter detuned far past the pulse-scale
-poles; the dark pole's gamma/2 counts, though it takes no term).
+distinct amplitudes only, all of a kind's in one stacked call of
+`_amplitudes`; each amplitude's pole terms are summed over its own poles,
+in pole order. The Gaussian average of each pole term is the Faddeeva
+function w(z), written here in numpy with Weideman's rational expansion
+(J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) at 36 terms,
+which agrees with scipy's `wofz` to 2.3e-14 relative over the upper half
+plane. Three kinds of row take the same sum as a rational matrix function
+of the generators, which needs no spectrum, instead: rows whose poles
+`linalg` does not trust (near an exceptional point of a generator, where
+the pole sum can lose up to (sum_k |w_k|)^2 * machine epsilon), rows with
+a pole rounded above the real axis, and rows where machine epsilon times
+max|H_ij|, the absolute error of every pole, reaches 1e-6 of sigma_p or of
+the narrowest coupled pole's width |Im lambda| (an emitter detuned far
+past the pulse-scale poles; the dark pole's gamma/2 counts).
 
 Numeric fields of ScatteringConfig, its PhotonPulse and its CavitySystem
 may be numpy arrays that broadcast together. `fidelity_numeric` and
@@ -78,8 +71,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DivergentDenominator, NonFinite, ValidityWarning, ZeroDecoherence
-from .params import (CavitySystem, GateResults, Method, all_rows, any_row, check_rates,
-                     config_shape, gate_results)
+from .params import (CavitySystem, GateResults, Method, all_rows, any_row, broadcast_shape,
+                     check_rates, config_shape, gate_results)
 
 LN2 = math.log(2.0)
 
@@ -91,6 +84,9 @@ IDEAL_TARGET = np.array([0.5, 0.5, 0.5, -0.5])
 
 #: weights of rho's entries, row-major, in <psi_T| rho |psi_T>
 _COHERENT = np.outer(IDEAL_TARGET, IDEAL_TARGET).reshape(16, 1)
+
+#: machine epsilon, the relative error of `eigvals` against max|H_ij|
+_EPS = np.finfo(float).eps
 
 #: terms of the rational expansion of the Faddeeva function
 _W_TERMS = 36
@@ -182,7 +178,7 @@ def _amplitudes(config: ScatteringConfig, omega, identical: bool) -> np.ndarray:
     g2 = cav.g * cav.g   # a float's g**2 is pow, which rounds unlike numpy's array square
     term_a = g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_a - w))
     term_b = term_a if identical else g2 / (cav.gamma / 2.0 + 1j * (config.delta_eps_b - w))
-    shape = np.broadcast_shapes(np.shape(bare), np.shape(term_a), np.shape(term_b))
+    shape = np.broadcast(bare, term_a, term_b).shape
     d = np.empty((3 if identical else 4,) + shape, dtype=complex)
     # d[j, ...]: a 0-d view, where d[j] of a scalar omega would be a copy
     np.add(bare, term_a, out=d[1, ...])        # s_ud's
@@ -190,7 +186,7 @@ def _amplitudes(config: ScatteringConfig, omega, identical: bool) -> np.ndarray:
     if not identical:
         np.add(bare, term_b, out=d[2, ...])    # s_du's
     d[-1] = bare                               # s_dd's
-    if not d.all():   # an exact 0 (a NaN is not one)
+    if not all_rows(d):   # an exact 0 (a NaN is not one)
         raise DivergentDenominator("reflection denominator vanished")
     np.divide(cav.kappa, d, out=d)
     return np.subtract(1.0, d, out=d)
@@ -238,6 +234,21 @@ def _arrowheads(cavity: CavitySystem, shape: tuple, generators) -> np.ndarray:
     return h
 
 
+def _pairs(poles, residues, cavity: CavitySystem, shape: tuple, couplings, emitters):
+    """Poles and residues of the pairs [[-i*kappa/2, g_j], [g_j, e_j]] of
+    zip(couplings, emitters) over `shape`, pair after pair into the rows
+    (4, n) `poles` and `residues`; returns the rows (n,) `linalg` trusts."""
+    entries = np.empty((3, 2) + shape, dtype=complex)
+    entries[0] = -0.5j * cavity.kappa
+    for j, (g, e) in enumerate(zip(couplings, emitters)):
+        entries[1, j], entries[2, j] = g, e
+    a, g, e = entries.reshape(3, -1)
+    pairs = linalg.pair_poles(a, g, g, e)
+    for out, x in zip((poles, residues), (pairs.values, pairs.weights)):
+        out.reshape(2, 2, -1)[...] = x.reshape(2, -1, 2).transpose(0, 2, 1)
+    return pairs.trusted.reshape(2, -1).all(0)
+
+
 def _generators(config: ScatteringConfig, shape: tuple) -> np.ndarray:
     """Generators of (s_uu, s_ud, s_du, s_dd), shape (4,) + shape + (3, 3),
     with emitters (a, b) coupled as in _COUPLED and an uncoupled emitter a
@@ -261,9 +272,8 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     the residue of <0|(omega - H)^-1|0> (inf at a double pole), and for s_dd
     the bare cavity pole -i kappa/2 with residue -i kappa.
 
-    Each kind of row (see the module docstring) is summed by `_pole_terms`.
-    A batch of one kind is evaluated as it is, each distinct generator once;
-    a mixed batch evaluates each kind on its own rows, one generator per row.
+    `_pole_terms` sums a batch of one kind as it is, each distinct generator
+    once, and each kind of a mixed batch on its own rows.
 
     s_i s_j* has simple poles only, so
     4 rho_ij = 1 + sum_k a_ik sbar_j(lambda_ik) I(lambda_ik) + conj(same with i <-> j),
@@ -275,15 +285,13 @@ def _pole_sum(config: ScatteringConfig, shape: tuple):
     # np.broadcast_to's cost, which is about 1 % of a one-row call
     same = np.equal(config.delta_eps_a, config.delta_eps_b,
                     out=np.empty(shape, dtype=bool)).reshape(n)
+    if n and (count := np.count_nonzero(same)) in (0, n):   # one kind of row
+        return _pole_terms(config, shape, count == n)
     rho, trusted = np.empty((4, 4, n), dtype=complex), np.empty(n, dtype=bool)
-    for identical, rows in ((True, same), (False, ~same)):
-        count = np.count_nonzero(rows)
-        if not count:   # before the test for every row, which an empty batch passes
-            continue
-        if count == n:
-            return _pole_terms(config, shape, identical)
-        rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), (count,),
-                                                     identical)
+    for identical, rows in ((True, same), (False, ~same)):   # both kinds, or no row
+        if count := np.count_nonzero(rows):
+            rho[:, :, rows], trusted[rows] = _pole_terms(_rows(config, shape, rows), (count,),
+                                                         identical)
     return rho.reshape((4, 4) + shape), trusted
 
 
@@ -309,29 +317,22 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
     cav = config.cavity
     kappa = cav.kappa
     # the stages up to the width rule run once per distinct generator, on its fields' shape
-    own = np.broadcast(cav.g, kappa, cav.gamma, config.delta_eps_a, config.delta_eps_b).shape
+    own = broadcast_shape(cav.g, kappa, cav.gamma, config.delta_eps_a, config.delta_eps_b)
     own = (1,) * (len(shape) - len(own)) + own
     n = math.prod(own)
     width = config.pulse.sigma_p
+    emitter_a = config.delta_eps_a - 0.5j * cav.gamma
+    poles, residues = np.empty((2, 5 if identical else 8, n), dtype=complex)
     if identical:   # s_uu's bright pair, s_ud's pair, the cavity pole; s_du is s_ud
-        pairs = linalg.resolvent_poles(_arrowheads(
-            cav, own, (((math.sqrt(2.0) * cav.g, config.delta_eps_a),),
-                       ((cav.g, config.delta_eps_a),))).reshape(2 * n, 2, 2))
-        poles, residues = np.empty((2, 5, n), dtype=complex)
-        for out, x in zip((poles, residues), (pairs.values, pairs.weights)):
-            out[:2], out[2:4] = x[:n].T, x[n:].T
-        trusted = pairs.trusted[:n] & pairs.trusted[n:]
+        trusted = _pairs(poles[:4], residues[:4], cav, own, (math.sqrt(2.0) * cav.g, cav.g),
+                         (emitter_a, emitter_a))
         width = np.minimum(width, 0.5 * cav.gamma)   # the dark pole's, which takes no term
     else:   # s_uu's star, whose (cavity, emitter) blocks are s_ud's and s_du's pairs
-        h = _arrowheads(cav, own, (((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b)),))
-        star = linalg.resolvent_poles(h.reshape(n, 3, 3))
-        pairs = linalg.resolvent_poles(
-            np.stack([h[0, ..., :2, :2], h[0, ..., ::2, ::2]]).reshape(2 * n, 2, 2))
-        poles, residues = np.empty((2, 8, n), dtype=complex)
-        for out, x, y in zip((poles, residues), (star.values, star.weights),
-                             (pairs.values, pairs.weights)):
-            out[:3], out[3:5], out[5:7] = x.T, y[:n].T, y[n:].T
-        trusted = star.trusted & pairs.trusted[:n] & pairs.trusted[n:]
+        emitters = ((cav.g, config.delta_eps_a), (cav.g, config.delta_eps_b))
+        star = linalg.resolvent_poles(_arrowheads(cav, own, (emitters,)).reshape(n, 3, 3))
+        poles[:3], residues[:3] = star.values.T, star.weights.T
+        trusted = star.trusted & _pairs(poles[3:7], residues[3:7], cav, own, (cav.g, cav.g),
+                                        (emitter_a, config.delta_eps_b - 0.5j * cav.gamma))
     poles, residues = poles.reshape((-1,) + own), residues.reshape((-1,) + own)
     poles[-1] = -0.5j * kappa   # s_dd = 1 - i kappa/(omega + i kappa/2)
     residues[-1] = 1.0
@@ -351,11 +352,11 @@ def _pole_terms(config: ScatteringConfig, shape: tuple, identical: bool):
     if not identical:
         detuning = np.maximum(detuning, abs(config.delta_eps_b))
     norm = np.maximum(np.maximum(0.5 * kappa, cav.g), np.hypot(detuning, 0.5 * cav.gamma))
-    trusted = np.logical_and(trusted, np.finfo(float).eps * norm < 1e-6 * width,
+    trusted = np.logical_and(trusted, _EPS * norm < 1e-6 * width,
                              out=np.empty(shape, dtype=bool))
     # the fallback's rows, on the batch's shape: no far, inf or NaN pole term, and at the pole
     # -i every denominator of `_amplitudes` has a real part >= 1 (at -i kappa/2 s_dd's is kappa)
-    if not trusted.all():
+    if not all_rows(trusted):
         poles, residues = (np.array(np.broadcast_to(x, x.shape[:1] + shape))
                            for x in (poles, residues))
         poles[:, ~trusted] = -1j
@@ -456,32 +457,21 @@ def reduced_density_matrix(config: ScatteringConfig) -> np.ndarray:
     (uu, ud, du, dd). Hermitian; trace <= 1, the deficit being the
     photon-loss-weighted amplitude reduction.
 
-    The integral is the exact pole sum over the reflection poles, with the
-    Gaussian average of each pole term a Faddeeva function w(z), each kind
-    of row on its own poles, solved once per distinct generator (see the
-    module docstring): a row with identical emitters repeats s_ud's row and
-    column of rho for s_du, bit for bit. Over 9,000 random configs (C from 1
-    to 1e5, g/kappa from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma
-    to 50/gamma) it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its
-    error bound grows as (sum_k |w_k|)^2 * machine epsilon towards an
-    exceptional point of a generator, with w_k the residues of
-    `linalg.resolvent_poles`.
-    Measured against an adaptive quadrature near both exceptional points
-    (s_uu's bright state and the one-emitter blocks of s_ud and s_du, both
-    emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to 50/gamma), it
-    stays below 2.7e-14 up to a 2 sum_k |w_k| of 632 (one-emitter block,
-    Frobenius cond 632), and below 4.5e-14 up to 752 on s_uu's bright pair
-    in closed form, just inside the trust limit. The rows whose poles
-    `linalg` does not trust (2 sum_k |w_k| at or past its limit; at the
-    exceptional point itself it is ~1e8 and the pole sum is off by up to
-    5e-9), that have a pole rounded above the real axis, or whose poles'
-    absolute error, machine epsilon times max|H_ij|, reaches 1e-6 of
-    sigma_p or of the narrowest coupled pole's width (an emitter detuned
-    far past the pulse-scale poles), take the matrix-function form of the
-    same sum, in one stacked evaluation, and no pole term of their own. It
-    is within 3e-16 of an adaptive quadrature at an exceptional point, but
-    off the pole sum by up to 3e-12 at large kappa/sigma_p, where the pole
-    sum is the more accurate.
+    The integral is the exact pole sum over the reflection poles (see the
+    module docstring). Over 9,000 random configs (C from 1 to 1e5, g/kappa
+    from 0.01 to 10, |delta_p| <= 100 gamma, T from 0.1/gamma to 50/gamma)
+    it agreed with a Gauss-Legendre quadrature to 1.4e-14. Its error grows
+    as (sum_k |w_k|)^2 * machine epsilon towards an exceptional point of a
+    generator: against an adaptive quadrature near both exceptional points
+    (both emitters detuned by 0.1 to 1e-5 gamma, T from 2/gamma to
+    50/gamma) it stays below 2.7e-14 up to a 2 sum_k |w_k| of 632 on a
+    one-emitter block, and below 4.5e-14 up to 752 on s_uu's bright pair,
+    just inside the trust limit. At the exceptional point itself (2 sum_k
+    |w_k| ~ 1e8) the pole sum is off by up to 5e-9; the rows that fail a
+    trust rule take the matrix-function form of the same sum, in one
+    stacked evaluation, which is within 3e-16 of an adaptive quadrature at
+    an exceptional point, but off the pole sum by up to 3e-12 at large
+    kappa/sigma_p, where the pole sum is the more accurate.
     """
     rho = _density_matrices(config)[0]
     return rho.transpose(tuple(range(2, rho.ndim)) + (0, 1))
@@ -503,8 +493,9 @@ def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     [0, 1] (rows marked "clamped"), and rows that took the matrix-function
     form are marked "matrix-function fallback".
     """
-    with np.errstate(over="ignore"):   # T out of range: refused by gate_results
+    with np.errstate(over="ignore", invalid="ignore"):   # T out of range: refused by gate_results
         t_gate = config.pulse.gate_time
+        decay = -(8.0 / 3.0) * config.gamma_eff * t_gate   # -inf or NaN for such a T
     if any_row(out_of_range := ~np.isfinite(t_gate)):
         # a placeholder sigma_p, kappa, keeps such a row's pole sum in range and quiet;
         # gate_results refuses the row
@@ -519,8 +510,6 @@ def fidelity_numeric(config: ScatteringConfig) -> GateResults:
     parts = np.ascontiguousarray(rho).reshape(16, -1).view(float)
     coherent = (_COHERENT * parts).sum(0)[::2].reshape(rho.shape[2:])
     trace = parts[::5].sum(0)[::2].reshape(rho.shape[2:])   # the populations
-    with np.errstate(over="ignore", invalid="ignore"):   # -inf or NaN for a T out of range
-        decay = -(8.0 / 3.0) * config.gamma_eff * t_gate
     # every IDEAL_TARGET weight squared is 1/4, so the populations add trace/4
     f2 = np.exp(decay) * coherent - np.expm1(decay) * trace / 4.0
     return gate_results(np.copysign(np.sqrt(np.abs(f2)), f2), t_gate, Method.NUMERIC_AMPLITUDE,

@@ -121,6 +121,8 @@ def propagate_exact(system: OpenSystem, psi0, t: float):
     psi0 = np.asarray(psi0, dtype=complex)
     if not np.isfinite(psi0).all():
         raise NonFinite("state contains NaN or Inf entries")
+    if not np.isfinite(h_eff).all():   # `linalg.eigenbasis` makes such a row NaN
+        raise NonFinite("matrix contains NaN or Inf entries")
     basis = linalg.eigenbasis(h_eff[None])
     if not basis.trusted[0]:
         raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "

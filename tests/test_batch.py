@@ -421,24 +421,47 @@ def test_second_order_exceptional_point_row(monkeypatch):
 
 
 def test_nan_row_raises_non_finite():
-    # a NaN detuning or coupling is rejected by the config, and NaN in a
-    # generator by the propagation, for the whole batch; a non-finite time
-    # is a row-local failure: that row's amplitude is not finite, and refused
+    """A NaN detuning or coupling is rejected by the config. A generator
+    that overflows is refused on its own row, as a non-finite time is: on
+    both Raman paths, overflowing detunings (refused first for their gate
+    time) and an overflowing generator at a finite gate time (refused as a
+    propagation overflow) leave every other row bit for bit as it was, and
+    no RuntimeWarning escapes. In `linalg`, a NaN generator's amplitude is
+    not finite and `refusals` names it."""
     cfg = raman_batch(5, 12)
     for name, value in (("two_photon_b", cfg.two_photon_b), ("g_b", np.full(12, cfg.cavity.g))):
         bad = value.copy()
         bad[7] = np.nan
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, **{name: bad})
+    huge = dataclasses.replace(cfg, **{name: np.where(np.arange(12) == 7, 1.7e308,
+                                                      getattr(cfg, name))
+                                       for name in ("laser_detuning_b", "two_photon_b")})
+    cavity = CavitySystem(0.5, 1.0, 1.0)
+    with pytest.warns(ValidityWarning, match="drive is not weak"):
+        pair = stack_configs([
+            rm.RamanConfig(cavity, 10.0, 10.0, 5.0, 5.0, rabi_a=1.0, rabi_b=1.0, g_b=0.5),
+            rm.RamanConfig(cavity, 1e-310, 1e308, 1.0, 1e308, rabi_a=1e-5, rabi_b=1e6, g_b=0.5)])
+    assert np.isfinite(pair.gate_time).all()
+    for evaluate in (rm.fidelity_numeric_raman, lindblad.gate_fidelity_lindblad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", ValidityWarning)
+            clean, results, both = evaluate(cfg), evaluate(huge), evaluate(pair)
+        keep = np.arange(12) != 7
+        assert results.fidelity[keep].tobytes() == clean.fidelity[keep].tobytes()
+        assert str(results.refusal(7)) == "gate_time is not finite"
+        assert all(results.refusal(i) is None for i in keep.nonzero()[0])
+        assert both[0] == evaluate(row(pair, 0)).single()
+        with pytest.raises(NonFinite, match=f"^{re.escape(linalg.OVERFLOW)}$"):
+            both[1]
     h = random_lossy(np.random.default_rng(1), 4, 3)
     h[2, 0, 1] = np.nan
-    with pytest.raises(NonFinite):
-        linalg.return_amplitudes(h, 1.0)
-    t = np.array([1.0, np.inf])
-    amps = linalg.return_amplitudes(h[:2], t)
-    assert amps[0] == linalg.return_amplitudes(h[:1], 1.0)[0] and not np.isfinite(amps[1])
+    t = np.array([1.0, 1.0, 1.0, np.inf])
+    amps = linalg.return_amplitudes(h, t)
+    assert amps[0] == linalg.return_amplitudes(h[:1], 1.0)[0] and not np.isfinite(amps[2:]).any()
     [(error, mask)] = linalg.refusals(amps).items()
-    assert isinstance(error, NonFinite) and mask.tolist() == [False, True]
+    assert isinstance(error, NonFinite) and mask.tolist() == [False, False, True, True]
 
 
 def test_config_checks_are_vectorised():
@@ -766,6 +789,59 @@ def test_one_row_lapack_budget(monkeypatch, scheme, method):
         result = evaluate(configs[scheme]).single()
     assert 0.0 < result.fidelity <= 1.0
     assert calls == ONE_ROW_LAPACK[(scheme, method)]
+
+
+#: np.errstate contexts that the package enters in a one-row evaluation: the
+#: evaluator's own, one per gate-time or matched-drive helper and one per
+#: public `linalg` kernel call, none between kernels (numpy's `eig`, `inv` and
+#: `eigvals` enter their own, which are not counted)
+ONE_ROW_ERRSTATE = {
+    ("simple_exchange", "numeric"): 3,
+    ("simple_exchange", "lindblad"): 3,
+    ("raman", "numeric"): 5,
+    ("raman", "lindblad"): 5,
+    ("scattering", "numeric"): 3,
+    ("scattering-identical", "numeric"): 2,
+    ("simple_exchange", "analytic"): 2,
+    ("raman", "analytic"): 3,
+    ("scattering", "analytic"): 1,
+}
+
+
+@pytest.mark.parametrize("scheme, method", ONE_ROW_ERRSTATE)
+def test_one_row_errstate_budget(monkeypatch, scheme, method):
+    """A one-row evaluation enters each floating-point state once where it
+    needs one, and no kernel enters one inside another: at most these
+    `np.errstate` contexts, entered by a `with` or as a decorator, both of
+    which build their state with numpy's `_make_extobj`."""
+    config = pytest.importorskip("numpy._core._ufunc_config")
+    if not hasattr(config, "_make_extobj"):
+        pytest.skip("numpy < 2 builds no error-state object")
+    scattering = sc.ScatteringConfig(CavitySystem.from_cooperativity(1e3, 0.3, 1.0),
+                                     PhotonPulse.from_gate_time(2.0, 3.0), 0.1, -0.2, 1e-4)
+    configs = {
+        "simple_exchange": row(exchange_batch(4, 1), 0),
+        "raman": row(raman_batch(4, 1), 0),
+        "scattering": scattering,
+        "scattering-identical": dataclasses.replace(scattering, delta_eps_b=0.1),
+    }
+    owners = []
+    make = config._make_extobj
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)   # errstate.__enter__, or the decorator's wrapper
+        owners.append(frame.f_locals["func"].__module__ if frame.f_code.co_name == "inner"
+                      else frame.f_back.f_globals["__name__"])
+        return make(*args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        evaluate = _EVALUATORS[(scheme.removesuffix("-identical"), method)]
+        monkeypatch.setattr(config, "_make_extobj", spy)
+        result = evaluate(configs[scheme]).single()
+    assert 0.0 < result.fidelity <= 1.0
+    ours = [owner for owner in owners if owner.startswith("cavity_gates")]
+    assert len(ours) == ONE_ROW_ERRSTATE[(scheme, method)], owners
 
 
 def test_workers_see_the_callers_errstate(monkeypatch, started_threads):

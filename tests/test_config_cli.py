@@ -522,15 +522,35 @@ def test_cli_casestudy_refused_input_is_evaluator_error():
 
 def test_cli_casestudy_warnings_on_stderr():
     # warnings are echoed as `warning: <message>` lines, as by evaluate,
-    # without source locations, and stdout stays the JSON report
+    # without source locations, and stdout stays the JSON report; each
+    # reported result outside its validity domain or clamped says so too
     result = CliRunner().invoke(main, ["casestudy", "--cooperativity", "5"])
     assert result.exit_code == 0
     lines = result.stderr.splitlines()
     assert lines == ["warning: inputs outside the closed-form validity domain "
                      "(C >> 1, detunings small against gamma*C)",
                      "warning: expansion assumes C >> 1",
-                     "warning: expansion assumes C >> 1"]
+                     "warning: expansion assumes C >> 1",
+                     "warning: scattering: the reported fidelity 0 is outside its closed "
+                     "form's validity domain",
+                     "warning: scattering: the reported fidelity 0 is clamped into [0, 1]",
+                     "warning: simple_exchange: the reported fidelity 0 is clamped into [0, 1]",
+                     "warning: raman: the reported fidelity 0 is clamped into [0, 1]"]
     assert json.loads(result.stdout)["parameters"]["cooperativity"] == 5.0
+
+
+def test_cli_casestudy_warns_of_a_clamped_result():
+    """At C = 1000 and g/kappa = 3 the scattering closed form is clamped to
+    0.0: the report is unchanged and exits 0, and one `warning:` line says
+    so. The default point reports nothing on stderr."""
+    result = CliRunner().invoke(main, ["casestudy", "--cooperativity", "1000",
+                                       "--g-over-kappa", "3"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["scattering"]["fidelity"] == 0.0
+    assert report["simple_exchange"]["fidelity"] == pytest.approx(0.669, abs=1e-3)
+    assert result.stderr == "warning: scattering: the reported fidelity 0 is clamped into [0, 1]\n"
+    assert CliRunner().invoke(main, ["casestudy"]).stderr == ""
 
 
 def test_cli_casestudy_at_tiny_cooperativity():

@@ -102,12 +102,19 @@ def test_norm_monotone_under_decay():
 
 
 def test_non_finite_rejected():
-    # NaN or Inf in a generator is an input error; a NaN time, a row-local
-    # failure, gives an amplitude that is not finite
-    with pytest.raises(NonFinite):
-        amplitude_one(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0)
-    with pytest.raises(NonFinite):
-        amplitude_one(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
+    # NaN or Inf in a generator, like a NaN time, is a row-local failure:
+    # that row's amplitude is not finite, an overflow to `refusals`, with no
+    # RuntimeWarning, and the other rows are their one-row results
+    rng = np.random.default_rng(17)
+    for k in (2, 3, 5):
+        h = lossy_stack(rng, 3, k)
+        h[1, 0, 0], h[2, k - 1, 1] = np.nan, np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linalg.return_amplitudes(h, 1.0)
+        assert out[0] == amplitude_one(h[0], 1.0) and not np.isfinite(out[1:]).any()
+        [(error, rows)] = linalg.refusals(out).items()
+        assert str(error) == linalg.OVERFLOW and rows.tolist() == [False, True, True]
     assert not np.isfinite(amplitude_one(np.eye(2), np.nan))
 
 
@@ -455,15 +462,26 @@ def test_resolvent_poles_trust_is_frobenius_cond_for_symmetric_pairs():
 
 
 def test_resolvent_poles_refuse_and_distrust():
-    # NaN or Inf input raises NonFinite, and a stack of more than three
-    # states (whatever its form) ValueError; a defective row (a double
-    # eigenvalue, weights 0/0) is untrusted, and a LinAlgError from the
-    # eigensolve leaves every row untrusted with NaN poles, both without a
-    # RuntimeWarning
-    with pytest.raises(NonFinite):
-        linalg.resolvent_poles(np.array([[[np.nan, 1.0], [1.0, 0.0]]]))
-    with pytest.raises(NonFinite):
-        linalg.resolvent_poles(np.array([[[0.0, np.inf], [1.0, 0.0]]]))
+    # a row with NaN or Inf in its generator is NaN on its own: `eigvals`,
+    # whose scan raises for the whole stack, solves the other rows without
+    # it, and it counts as trusted, for its caller to refuse as not finite
+    # (a pair's closed form is NaN there and untrusted); a stack of more
+    # than three states (whatever its form) raises ValueError; a defective
+    # row (a double eigenvalue, weights 0/0) is untrusted, and a LinAlgError
+    # of a finite stack's eigensolve leaves every row untrusted with NaN
+    # poles, all without a RuntimeWarning
+    finite = star_stack(np.random.default_rng(47), 3, 3)
+    bad = finite.copy()
+    bad[1, 2, 2], bad[2, 0, 1] = np.nan, np.inf
+    pair = np.array([[[np.nan, 1.0], [1.0, 0.0]], [[0.0, np.inf], [1.0, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        poles, pairs = linalg.resolvent_poles(bad), linalg.resolvent_poles(pair)
+    for field, one in zip(poles, linalg.resolvent_poles(finite[:1])):
+        assert np.array_equal(field[:1], one)
+    assert np.isnan(poles.values[1:]).all() and np.isnan(poles.weights[1:]).all()
+    assert np.isnan(poles.cond[1:]).all() and poles.trusted.all()
+    assert np.isnan(pairs.values).all() and not pairs.trusted.any()
     with pytest.raises(ValueError):
         linalg.resolvent_poles(np.eye(2))
     rng = np.random.default_rng(43)

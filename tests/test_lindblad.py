@@ -243,8 +243,8 @@ def test_exact_closure_raises_at_exceptional_point():
 
 def test_exact_closure_rejects_non_finite():
     # NaN passes the Hermiticity and absorbing checks, whose comparisons are
-    # all false; the eigenbasis kernel rejects it before the eigensolver, and
-    # the oracle rejects a NaN start state itself
+    # all false; the oracle rejects it before the eigensolver (whose kernel
+    # makes that row NaN), and a NaN start state too
     system = emitter_cavity_pair(0.3)
     h = system.hamiltonian.copy()
     h[0, 1] = h[1, 0] = np.nan

@@ -403,6 +403,24 @@ def test_pole_sum_needs_no_eigenvectors(monkeypatch):
     assert calls == [] and trusted.tolist() == [True, True]
 
 
+def spy_on_eigensolves(monkeypatch, record):
+    """Send each stack that the pole sum solves to `record`, as dense
+    generators (n, k, k): the 3x3 stacks of `linalg.resolvent_poles`, and
+    the pairs of `linalg.pair_poles`, which takes their entries."""
+    resolvent_poles, pair_poles = linalg.resolvent_poles, linalg.pair_poles
+
+    def dense(h):
+        record(np.array(h))
+        return resolvent_poles(h)
+
+    def pairs(a, b, c, d):
+        record(np.moveaxis(np.array(np.broadcast_arrays(a, b, c, d)).reshape(2, 2, -1), -1, 0))
+        return pair_poles(a, b, c, d)
+
+    monkeypatch.setattr(linalg, "resolvent_poles", dense)
+    monkeypatch.setattr(linalg, "pair_poles", pairs)
+
+
 def test_identical_emitters_join_the_pairs(monkeypatch):
     """Each kind of row eigensolves its own generators, each over its
     coupled states only (every state couples to the cavity, so s_dd and
@@ -416,11 +434,6 @@ def test_identical_emitters_join_the_pairs(monkeypatch):
     fields (a shared cavity and shared detunings: one generator for every
     pulse row); a mixed batch solves each kind's rows one by one."""
     stacks = []
-    resolvent_poles = linalg.resolvent_poles
-
-    def spy(h):
-        stacks.append(np.array(h))
-        return resolvent_poles(h)
 
     def eigensolved(config):
         stacks.clear()
@@ -428,7 +441,7 @@ def test_identical_emitters_join_the_pairs(monkeypatch):
         assert all((h[:, 0, 1:] != 0).all() for h in stacks)
         return list(stacks)
 
-    monkeypatch.setattr(linalg, "resolvent_poles", spy)
+    spy_on_eigensolves(monkeypatch, stacks.append)
     cfg = make_config(g_over_kappa=0.5, delta_p=np.array([0.0, 30.0, 5.0]),
                       delta_eps_a=0.2, delta_eps_b=np.array([0.2, -0.1, 0.2]))
     mixed = eigensolved(cfg)   # rows 0 and 2 identical, row 1 distinct
@@ -496,9 +509,7 @@ def test_pole_budget(monkeypatch):
     monkeypatch.setattr(sc, "_amplitudes", spy("_amplitudes", 1))   # (config, omega, identical)
     monkeypatch.setattr(sc, "_faddeeva", spy("_faddeeva", 0))
     stacks = []
-    resolvent_poles = linalg.resolvent_poles
-    monkeypatch.setattr(linalg, "resolvent_poles",
-                        lambda h: stacks.append(h.shape) or resolvent_poles(h))
+    spy_on_eigensolves(monkeypatch, lambda h: stacks.append(h.shape))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in ("fig2a", "fig2b", "fig2c"):
@@ -761,13 +772,14 @@ def test_pole_above_the_real_axis_takes_quadrature(monkeypatch):
     put a pole just above the real axis (seen for gamma = 4e-11 against an
     emitter detuning of 3e10); such a row takes the matrix-function fallback,
     which needs no poles, and matches an adaptive quadrature to 1e-13."""
-    resolvent_poles = linalg.resolvent_poles
+    def lifted(kernel):
+        def lift(*args):
+            found = kernel(*args)
+            return found._replace(values=found.values.real + 1e-9j)
+        return lift
 
-    def lifted(h):
-        found = resolvent_poles(h)
-        return found._replace(values=found.values.real + 1e-9j)
-
-    monkeypatch.setattr(linalg, "resolvent_poles", lifted)
+    for name in ("resolvent_poles", "pair_poles"):
+        monkeypatch.setattr(linalg, name, lifted(getattr(linalg, name)))
     calls = spy_on_fallback(monkeypatch)
     cfg = make_config()
     assert sc.fidelity_numeric(cfg).single().notes == ("matrix-function fallback",)
@@ -1033,13 +1045,7 @@ def test_shared_generators_match_per_row_generators(monkeypatch, name, identical
     shape = config_shape(shared)
     per_row = sc._rows(shared, shape, np.ones(math.prod(shape), dtype=bool))
     stacks = []
-    resolvent_poles = linalg.resolvent_poles
-
-    def spy(h):
-        stacks.append(np.shape(h))
-        return resolvent_poles(h)
-
-    monkeypatch.setattr(linalg, "resolvent_poles", spy)
+    spy_on_eigensolves(monkeypatch, lambda h: stacks.append(h.shape))
     rho, fallback = sc._density_matrices(shared)
     assert stacks == ([] if not m else [(2 * m, 2, 2)] if identical
                       else [(m, 3, 3), (2 * m, 2, 2)])
