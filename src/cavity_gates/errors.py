@@ -16,8 +16,9 @@ class NonFinite(CavityGateError):
 class ConvergenceFailure(CavityGateError):
     """No numeric path converged. Only the Raman Lindblad closure, which has
     no fallback, refuses rows with it: each row whose sector eigenbasis
-    `linalg.eigenbasis` does not trust (condition number at or past the one
-    trust limit of `linalg`, near an exceptional point), see
+    `linalg.eigenbasis` does not trust (the residue measure
+    2 sum_k |V_ik c_k| of its start state or of a jump source at or past
+    the one trust limit of `linalg`, near an exceptional point), see
     `params.GateResults`. Poles that `linalg.resolvent_poles` does not
     trust raise nothing: `return_amplitudes` sends those rows to its Taylor
     fallback (on the numeric paths of both exchange gates and the simple

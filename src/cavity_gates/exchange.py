@@ -190,7 +190,9 @@ def phase_fidelity(lossy_sectors, params, gate_time):
     shape of the params: the exchange pair as one (2, ..., 3, 3) array, which
     takes one `linalg.return_amplitudes` call, and the Raman 5x5 and 3x3 as
     two arrays, one call each. The 3x3 sectors take the eigenvalue-only
-    kernel `linalg.resolvent_poles`, the Raman 5x5 `linalg.eigenbasis`.
+    kernel `linalg.resolvent_poles`, the Raman 5x5 `linalg.eigenbasis`
+    (eigenvectors and the start state's coordinates, no inverse); both
+    judge a row by the same residue rule.
 
     The n rows run on W = max(1, min(CPUs, n // MIN_BLOCK_ROWS)) workers, with
     CPUs the number this process may use (`os.sched_getaffinity`, else

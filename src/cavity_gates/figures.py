@@ -174,16 +174,43 @@ def _fig8_raman_configs(cav, two_photon, log_d, log_x, gamma_eff):
                                         np.minimum(np.exp(log_x), 0.45), gamma_eff)
 
 
-def _fig8_raman_objective(cav, two_photon, log_d, log_x, gamma_eff):
-    """fidelity_analytic_raman(_fig8_raman_configs(...)).fidelity bit for bit,
-    on the kernels with no config and no check. In a symmetric config the
-    mean detunings are the detunings themselves and the matched drive_b is
-    rabi_a exactly (matched_rabi_b scales it by sqrt(1.0))."""
-    big_d = np.exp(log_d)
-    rabi = np.minimum(np.exp(log_x), 0.45) * big_d
-    gate_time = raman._gate_time(cav.g, cav.g, rabi, rabi, two_photon, big_d, big_d)
-    return clamp_unit(raman._closed_form(cav, two_photon, big_d, np.sqrt(rabi * rabi),
-                                       cav.g * cav.g, gamma_eff, gate_time))
+def _fig8_raman_objectives(cav, two_photon, gamma_eff):
+    """The fig8 Raman search objective along each of its two axes:
+    along_d(log_x) is a function of log_d at fixed log_x, and along_x(log_d)
+    one of log_x at fixed log_d. Each value is
+    fidelity_analytic_raman(_fig8_raman_configs(...)).fidelity bit for bit,
+    on the kernels' operations in their order, with no config and no check:
+    in a symmetric config the mean detunings are the detunings themselves
+    and the matched drive_b is rabi_a exactly (matched_rabi_b scales it by
+    sqrt(1.0)). What a search holds fixed is computed once: F_pi and g g
+    per table, the capped Omega/Delta per search along Delta, and at a
+    fixed Delta the gate-time numerator, 4 Delta, 2 delta Delta and the sin
+    factor."""
+    f_pi = exchange.ridge_f_pi(two_photon, cav.kappa, cav.cooperativity)
+    g2 = cav.g * cav.g
+
+    def at_delta(big_d):   # raman._gate_time's numerator and _closed_form's Delta terms
+        return (big_d, math.pi * (g2 * big_d + g2 * big_d + two_photon * big_d * big_d),
+                4.0 * big_d, 2.0 * two_photon * big_d,
+                np.sin((np.pi / 2.0) / (1.0 + np.divide(g2, two_photon * big_d))))
+
+    def objective(ratio, big_d, numerator, four_d, two_dd, sine):
+        rabi = ratio * big_d
+        omega = np.sqrt(rabi * rabi)
+        gate_time = np.divide(numerator, g2 * rabi * rabi)
+        prefactor = (np.square(np.cos(np.pi * omega / four_d))
+                     * np.square(np.cos(np.pi * (omega * omega) / two_dd)) * sine)
+        return clamp_unit(0.5 * (prefactor * f_pi + 1.0) - gamma_eff * gate_time)
+
+    def along_d(log_x):
+        ratio = np.minimum(np.exp(log_x), 0.45)
+        return lambda log_d: objective(ratio, *at_delta(np.exp(log_d)))
+
+    def along_x(log_d):
+        fixed = at_delta(np.exp(log_d))
+        return lambda log_x: objective(np.minimum(np.exp(log_x), 0.45), *fixed)
+
+    return along_d, along_x
 
 
 def _fig8_table():
@@ -191,18 +218,20 @@ def _fig8_table():
     Gamma column, and each row's Raman optimum (Delta, Omega/Delta).
 
     Each optimum is a row-wise golden-section search on its gate's
-    closed-form kernel, with no config or check per step. The searched
-    inputs are validated once instead: the scattering bracket ends by one
-    ScatteringConfig, and every Raman bracket by the coarse scan's
-    `fidelity_analytic_raman` call (each check is monotone in each searched
-    variable, so what holds at a box's ends holds inside it). The scattering
-    ends are not evaluated: a golden section never visits them, and at large
-    Gamma the short end lies outside the closed form's validity domain,
-    which would warn for a point no cell comes from. Each reported optimum
-    is evaluated once more through its public evaluator, so every cell
-    passes its checks and warns where it should. fig8a and fig8b each build
-    the table, by design: a table kept between builder calls would turn
-    every later build into a lookup.
+    closed-form kernel, with no config or check per step; the Raman
+    coordinate ascent computes the terms each search holds fixed once
+    (`_fig8_raman_objectives`), and each value is still the evaluator's bit
+    for bit. The searched inputs are validated once instead: the scattering
+    bracket ends by one ScatteringConfig, and every Raman bracket by the
+    coarse scan's `fidelity_analytic_raman` call (each check is monotone in
+    each searched variable, so what holds at a box's ends holds inside it).
+    The scattering ends are not evaluated: a golden section never visits
+    them, and at large Gamma the short end lies outside the closed form's
+    validity domain, which would warn for a point no cell comes from. Each
+    reported optimum is evaluated once more through its public evaluator,
+    so every cell passes its checks and warns where it should. fig8a and
+    fig8b each build the table, by design: a table kept between builder
+    calls would turn every later build into a lookup.
     """
     cooperativity, g_over_kappa = 8000.0, 0.1
     gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))
@@ -232,9 +261,7 @@ def _fig8_table():
                                              ridge + 3.0, tol=1e-6)
 
     two_photon = raman.optimal_two_photon(cav.kappa, cooperativity)
-
-    def f(log_d, log_x):
-        return _fig8_raman_objective(cav, two_photon, log_d, log_x, gammas)
+    along_d, along_x = _fig8_raman_objectives(cav, two_photon, gammas)
 
     # coarse scan first, in one batch: the -Gamma*T clamp creates flat zero
     # plateaus that defeat a bare golden section
@@ -248,8 +275,8 @@ def _fig8_table():
     log_d, log_x = d_grid[i], x_grid[j]
     active = np.ones(len(gammas), dtype=bool)   # rows whose x has not yet converged
     for _ in range(10):
-        new_d, _ = sweep.golden_section_max(lambda v: f(v, log_x), d_lo, d_hi, tol=1e-6)
-        new_x, _ = sweep.golden_section_max(lambda v: f(new_d, v), x_lo, x_hi, tol=1e-6)
+        new_d, _ = sweep.golden_section_max(along_d(log_x), d_lo, d_hi, tol=1e-6)
+        new_x, _ = sweep.golden_section_max(along_x(new_d), x_lo, x_hi, tol=1e-6)
         log_d, new_x = np.where(active, (new_d, new_x), (log_d, log_x))
         active &= ~(abs(new_x - log_x) < 1e-6)
         log_x = new_x

@@ -1,41 +1,44 @@
 """Small dense complex matrix algebra for subspace Hamiltonians.
 
 Matrices here are 2x2, 3x3 and 5x5 generators H_j in stacks (n, k, k) of
-many configurations, each started in its state 0. Two spectral kernels
-share one trust limit, EIG_COND_LIMIT; near an exceptional point the closed
-forms on a spectrum lose about its trust measure squared times epsilon.
+many configurations, each started in its state 0. Both spectral kernels
+write the return amplitude as a pole sum, <0|e^{-itH}|0> = sum_k w_k
+e^{-it lambda_k}, and draw the trust line with one rule: a row is trusted
+when 2 sum_k |w_k| is below EIG_COND_LIMIT. Near an exceptional point the
+closed forms on a spectrum lose about that measure squared times epsilon.
 
 - `resolvent_poles` serves every generator of at most 3x3 and needs no
   eigenvectors: the poles of <0|(z - H)^-1|0> are the eigenvalues (of a
   3x3 stack from one stacked `np.linalg.eigvals`, whose eigenvalues are
   `np.linalg.eig`'s bit for bit; of pairs in closed form, `pair_poles`,
   which takes their entries) and the cofactor formula gives their
-  residues w_k. A row is trusted when 2 sum_k |w_k| is below the limit;
-  for a complex-symmetric 2x2 that is exactly the Frobenius condition
-  number, and on the scattering 3x3 generators (fig2a-c and 20,000 random
-  configs) cond_F / sum_k |w_k| lies between 2.4 and 6.9. The scattering
-  pole sum passes its 3x3 stars, and its (cavity, emitter) pairs to
-  `pair_poles`; `return_amplitudes` passes both exchange sectors and the
-  Raman |uu> sector.
+  residues w_k. For a complex-symmetric 2x2, 2 sum_k |w_k| is exactly the
+  Frobenius condition number ||V||_F ||V^-1||_F of the eigenvectors; on
+  the scattering 3x3 generators (fig2a-c and 20,000 random configs)
+  cond_F / sum_k |w_k| lies between 2.4 and 6.9. The scattering pole sum
+  passes its 3x3 stars, and its (cavity, emitter) pairs to `pair_poles`;
+  `return_amplitudes` passes both exchange sectors and the Raman |uu>
+  sector.
 - `eigenbasis` makes one stacked `np.linalg.eig` and one stacked
-  `np.linalg.inv` of the eigenvectors V. A row is trusted when its
-  Frobenius condition number ||V||_F ||V^-1||_F (from the 2-norm one to k
-  times it) is below the limit. It serves the Raman 5x5 |ud> sector in
-  `return_amplitudes`, and both Raman sectors in the Raman Lindblad
-  closure, whose jump integral needs the amplitudes of the jump sources.
-  The 5x5 keeps V_0k (V^-1)_k0: on fig6a rows with ||H|| T >= 1e9,
-  eigenvalue-only weights move hundreds of cells past 1e-10 (ROADMAP
-  item 2).
+  `np.linalg.solve` of V c = e_0 for the start state's coordinates c,
+  the only part of V^-1 that a caller reads; its residues are w_k =
+  V_0k c_k. It serves the Raman 5x5 |ud> sector in `return_amplitudes`,
+  and both Raman sectors in the Raman Lindblad closure, whose jump
+  integral needs the amplitudes V_ik c_k of the jump sources i: a row is
+  trusted there when those hold to the rule too. The 5x5 keeps
+  eigenvectors: on fig6a rows with ||H|| T >= 1e9, eigenvalue-only weights
+  move hundreds of cells past 1e-10 (ROADMAP item 2).
 
 Untrusted rows take `return_amplitudes`' Taylor scaling-and-squaring, one
 row at a time, or the scattering pole sum's matrix function built on
 `solve`; the Raman Lindblad closure refuses them with ConvergenceFailure. A
 NaN or Inf trust measure, and every row of a finite stack whose eigensolve
-(or inverse) raises LinAlgError, are untrusted. NaN or Inf in a generator,
-which numpy's own scan in `eig` and `eigvals` refuses for the whole stack,
-makes that row NaN alone. A row whose propagation leaves the double range
-is not finite, and `refusals` names it for `params.gate_results`. `solve`
-raises nothing: a NaN, Inf or singular system makes its own row NaN.
+(or the solve on its eigenvectors) raises LinAlgError, are untrusted. NaN
+or Inf in a generator, which numpy's own scan in `eig` and `eigvals`
+refuses for the whole stack, makes that row NaN alone. A row whose
+propagation leaves the double range is not finite, and `refusals` names it
+for `params.gate_results`. `solve` raises nothing: a NaN, Inf or singular
+system makes its own row NaN.
 
 Each public kernel enters np.errstate once, and the kernels it calls none.
 No stack is split here: a row's result does not depend on the size of its
@@ -46,6 +49,7 @@ BLAS thread).
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +57,7 @@ import numpy as np
 from .errors import NonFinite
 from .params import all_rows
 
-#: eigenvector condition number (or twice the residue sum of `resolvent_poles`)
-#: from which a spectrum is not trusted
+#: twice the residue sum, 2 sum_k |w_k|, from which a spectrum is not trusted
 EIG_COND_LIMIT = 1e3
 
 #: truncation tolerance of the Taylor fallback
@@ -65,13 +68,16 @@ OVERFLOW = "propagation overflows: ||H|| t is past the double range"
 
 
 class Eigenbasis(NamedTuple):
-    """H_j = V_j diag(values_j) V_j^-1 per row (column 0 of V_j^-1: the start
-    state's coordinates); untrusted rows hold the identity, no usable basis."""
+    """H_j = V_j diag(values_j) V_j^-1 per row, with the start state's
+    coordinates c_j = V_j^-1 e_0 and the residues V_ik c_k of the states i
+    the caller reads; untrusted rows hold V = 1 and c = e_0, no usable
+    basis."""
 
     values: np.ndarray   # (n, k)
     vectors: np.ndarray  # (n, k, k) V
-    inverse: np.ndarray  # (n, k, k) V^-1
-    cond: np.ndarray     # (n,) ||V_j||_F ||V_j^-1||_F in [cond_2, k cond_2]; NaN: not solved
+    coords: np.ndarray   # (n, k) c, which solves V c = e_0
+    weights: np.ndarray  # (n, k) V_0k c_k, or (n, r, k) V_ik c_k of r states i
+    cond: np.ndarray     # (n,) 2 sum_k |V_ik c_k|, the largest over i; NaN: not solved
     trusted: np.ndarray  # (n,) cond < EIG_COND_LIMIT
 
 
@@ -110,31 +116,61 @@ def _apart(kernel, h, bad):
 
 
 @_quiet
-def eigenbasis(h) -> Eigenbasis:
-    """Eigenbasis of every generator of a stack h (n, k, k)."""
-    return _eigenbasis(_stack(h))
+def eigenbasis(h, states=None) -> Eigenbasis:
+    """Eigenbasis of every generator of a stack h (n, k, k), with the
+    residues V_ik c_k of the start state i = 0, or of each state i of an
+    array `states`. A row is trusted when each of them is: the amplitude
+    <i|e^{-itH}|0> = sum_k V_ik c_k e^{-it lambda_k} holds to the rule of
+    <0|e^{-itH}|0>."""
+    return _eigenbasis(_stack(h), states)
 
 
-def _eigenbasis(h) -> Eigenbasis:
+@functools.cache
+def _start(k) -> np.ndarray:
+    """e_0 of size k as one (1, k, 1) right-hand side, which `np.linalg.solve`
+    broadcasts over a stack; a (k, 1) one numpy 1.x would read as vectors."""
+    return np.eye(k, 1, dtype=complex)[None]
+
+
+def _eigenbasis(h, states=None) -> Eigenbasis:
+    k = h.shape[-1]
     try:
         values, vectors = np.linalg.eig(h)
-        inverse = np.linalg.inv(vectors)
+        # V^-1 e_0 bit for bit: LAPACK's gesv, which `inv` runs on the identity
+        coords = np.linalg.solve(vectors, _start(k))[..., 0]
     except np.linalg.LinAlgError:
         if (bad := ~np.isfinite(h).all((1, 2))).any():
-            return _apart(_eigenbasis, h, bad)
-        values = np.full(h.shape[:2], np.nan, dtype=complex)
-        vectors = inverse = np.full_like(h, np.nan)
-    # ||V||_F^2 = k (eig's columns are unit); a defective row's ||V^-1||^2 is inf
-    cond = np.sqrt(h.shape[-1] * (abs(inverse)**2).sum((1, 2)))
-    trusted = cond < EIG_COND_LIMIT   # NaN counts as untrusted
-    if not all_rows(trusted):   # the identity keeps untrusted coordinates finite
-        vectors[~trusted] = inverse[~trusted] = np.eye(h.shape[-1])
-    return Eigenbasis(values, vectors, inverse, cond, trusted)
+            return _apart(functools.partial(_eigenbasis, states=states), h, bad)
+        values, coords = np.full((2,) + h.shape[:2], np.nan, dtype=complex)
+        vectors = np.full_like(h, np.nan)
+    if states is None:
+        weights = vectors[:, 0] * coords
+    else:
+        weights = vectors.take(states, 1) * coords[:, None]
+    cond, trusted = _residue_trust(weights)
+    if not all_rows(trusted):   # V = 1 and c = e_0 keep them finite
+        start = np.eye(k)[0]
+        vectors[~trusted], coords[~trusted] = np.eye(k), start
+        weights[~trusted] = start if states is None else np.eye(k)[states] * start
+    return Eigenbasis(values, vectors, coords, weights, cond, trusted)
+
+
+def _residue_trust(weights):
+    """(cond, trusted) per row of residues w (n, k) or (n, r, k): the one
+    trust measure of both spectral kernels, 2 sum_k |w_k| (over r states its
+    largest), and whether it is below EIG_COND_LIMIT, which NaN is not. The
+    measure is at least 2 when the residues sum to 1, as a return amplitude's
+    do."""
+    # `sum`'s reduction without its Python wrapper, which a one-row call would feel
+    spread = np.add.reduce(abs(weights), -1)
+    if spread.ndim > 1:
+        spread = np.maximum.reduce(spread, -1)
+    cond = 2.0 * spread
+    return cond, cond < EIG_COND_LIMIT
 
 
 def _trust(values, weights) -> Poles:
-    cond = 2.0 * abs(weights).sum(-1)
-    return Poles(values, weights, cond, cond < EIG_COND_LIMIT)   # NaN counts as untrusted
+    return Poles(values, weights, *_residue_trust(weights))
 
 
 @_quiet
@@ -266,7 +302,7 @@ def return_amplitudes(h, t) -> np.ndarray:
     """<0| e^{-i t_j H_j} |0> = sum_k w_k e^{-i t_j lambda_k} for a stack h
     (..., k, k) of generators with at least one stack axis, in one kernel
     call on the flattened stack: w_k of `resolvent_poles` for k <= 3, V_0k
-    (V^-1)_k0 of `eigenbasis` above. t is a scalar or broadcasts with the
+    c_k of `eigenbasis` above. t is a scalar or broadcasts with the
     stack axes, whose broadcast shape the result has. Untrusted rows take
     Taylor scaling-and-squaring. A row whose propagation leaves the double
     range, or whose generator holds NaN or Inf, is not finite, with no
@@ -279,12 +315,8 @@ def return_amplitudes(h, t) -> np.ndarray:
         h = np.broadcast_to(h, np.broadcast_shapes(h.shape[:-2], t.shape) + h.shape[-2:])
     lead, k = h.shape[:-2], h.shape[-1]
     flat = h if h.ndim == 3 else h.reshape(-1, k, k)
-    if k > 3:
-        basis = _eigenbasis(flat)
-        values, weights = basis.values, basis.vectors[:, 0] * basis.inverse[:, :, 0]
-        trusted = basis.trusted
-    else:
-        values, weights, _, trusted = _resolvent_poles(flat)
+    basis = _eigenbasis(flat) if k > 3 else _resolvent_poles(flat)
+    values, weights, trusted = basis.values, basis.weights, basis.trusted
     if h.ndim > 3:
         values, weights = values.reshape(lead + (k,)), weights.reshape(lead + (k,))
     # not `*`: on a large temporary numpy swaps the operands, which may round

@@ -25,18 +25,20 @@ eigenvalue pairs lambda_k - conj(lambda_l) of both sectors.
 Raman gate: photon loss and emitter decay leave the emitters in the frozen
 |d,s> and |d,d> ground states, which the target holds, so recycled
 population lands on the target and J > 0; F_pi and J come from one
-`linalg.eigenbasis` call per sector stack. Exchange gate: every jump lands
-in an A-ground state that the closing pi pulse re-excites, which the target
-does not hold. So J = 0 there and F = (F_pi + 1)/2 - Gamma_eff T, the
+`linalg.eigenbasis` call per sector stack, which returns the residues
+V_ik c_k (c = V^-1 e_0, from a solve) of the start state and of the jump
+sources, the only amplitudes the closure integrates. Exchange gate: every
+jump lands in an A-ground state that the closing pi pulse re-excites, which
+the target does not hold. So J = 0 there and F = (F_pi + 1)/2 - Gamma_eff T, the
 numeric path's formula: the check returns the result of
 `exchange.fidelity_numeric_exchange` with the Lindblad method, bit for bit,
 near an exceptional point too, where its Taylor fallback serves.
 
 A row-local failure refuses that row alone (see `params.GateResults`): a
 gate time out of the double range, then a Raman row whose sector
-eigenbasis `linalg` does not trust (the package's one ConvergenceFailure:
-the closure has no fallback), then a propagation or a generator out of the
-double range.
+eigenbasis `linalg` does not trust, for its start state or for a jump
+source (the package's one ConvergenceFailure: the closure has no
+fallback), then a propagation or a generator out of the double range.
 """
 from __future__ import annotations
 
@@ -50,9 +52,9 @@ from .exchange import ExchangeConfig, fidelity_numeric_exchange
 from .params import GateResults, Method, all_rows, any_row, clamp_unit, gate_results
 from .raman import RamanConfig
 
-#: each block's rows of V_ik (V^-1)_k0: its start state 0, then the sources of
-#: the Raman jumps that land on a target state, cavity photon loss, emitter A
-#: decay and emitter B decay (the |uu> block has no emitter B)
+#: each block's states i of the residues V_ik c_k: its start state 0, then the
+#: sources of the Raman jumps that land on a target state, cavity photon loss,
+#: emitter A decay and emitter B decay (the |uu> block has no emitter B)
 _JUMP_ROWS = (np.array([0, 2, 1, 3]), np.array([0, 2, 1]))
 
 
@@ -66,9 +68,12 @@ def gate_fidelity_lindblad(config: ExchangeConfig | RamanConfig) -> GateResults:
     is `fidelity_numeric_exchange`'s result relabelled: the same numbers and
     refusals bit for bit, near an exceptional point too. A Raman config has
     no fallback: the closed-form jump integral loses about cond^2 times
-    machine epsilon, so a row whose sector eigenbasis `linalg` does not
-    trust (near an exceptional point) is refused with ConvergenceFailure,
-    after a gate time out of range and before an overlap that overflows.
+    machine epsilon, with cond = 2 sum_k |V_ik c_k| the residue measure of
+    an amplitude it integrates. So a row is refused with ConvergenceFailure
+    when that measure reaches `linalg`'s limit (near an exceptional point)
+    for a sector's start state or for any jump source, after a gate time
+    out of range and before an overlap that overflows; the error names the
+    largest measure of the first sector that fails.
     """
     if isinstance(config, ExchangeConfig):   # J = 0: sqrt of the overlap is (1 + F_pi)/2
         return dataclasses.replace(fidelity_numeric_exchange(config), method=Method.LINDBLAD)
@@ -84,13 +89,13 @@ def _raman_lindblad(config: RamanConfig) -> GateResults:
     sectors = lossy_sectors(*params)
     shape = sectors[0].shape[:-2]   # gate_time is a function of the params
     t = np.full(shape, gate_time).reshape(-1, 1)
-    bases = [linalg.eigenbasis(h.reshape(-1, *h.shape[-2:])) for h in sectors]
+    bases = [linalg.eigenbasis(h.reshape(-1, *h.shape[-2:]), rows)
+             for h, rows in zip(sectors, _JUMP_ROWS)]
     # both sectors side by side: their eigenvalues and _JUMP_ROWS, 0 where a block has none
     lam = np.concatenate([basis.values for basis in bases], axis=-1)
     a = np.zeros((len(t), len(_JUMP_ROWS[0]), lam.shape[-1]), dtype=complex)
-    for basis, rows, states in zip(bases, _JUMP_ROWS, (slice(0, 5), slice(5, 8))):
-        np.multiply(basis.vectors.take(rows, 1), basis.inverse[:, None, :, 0],
-                    out=a[:, :len(rows), states])
+    for basis, columns in zip(bases, (slice(0, 5), slice(5, 8))):
+        a[:, :basis.weights.shape[1], columns] = basis.weights
     start = a[:, 0] * np.exp(-1j * t * lam)
     ud, uu = start[:, :5].sum(-1), start[:, 5:].sum(-1)
     u = 0.5 * a[:, 1:]   # a_c(s) = sum_k u_ck e^{-is lambda_k}

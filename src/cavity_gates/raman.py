@@ -86,7 +86,7 @@ class RamanConfig:
             raise ValueError("two-photon detunings must be finite, with a mean > 0")
         check_rates(self, ("laser_detuning_a", "laser_detuning_b", "g_a", "g_b"))
         check_rates(self, ("rabi_a", "rabi_b", "gamma_eff"), zero=True)
-        if any_row(self.rabi_a / self.laser_detuning_a > 0.5):
+        if any_row(self.rabi_a > 0.5 * self.laser_detuning_a):   # no quotient to overflow
             warnings.warn("drive is not weak against its detuning (Omega/Delta > 0.5); "
                           "adiabatic elimination is unreliable", ValidityWarning, stacklevel=2)
 

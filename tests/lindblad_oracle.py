@@ -108,26 +108,28 @@ def propagate_exact(system: OpenSystem, psi0, t: float):
         rho(t) = |phi(t)><phi(t)| +
                  sum_c rate_c int_0^t (L_c phi(s)) (L_c phi(s))^dag ds,
 
-    with the time integral done in closed form over the eigenbasis of H_eff
-    from `linalg.eigenbasis`. Exact (up to the eigendecomposition) because
+    with the time integral done in closed form over the eigenbasis of H_eff,
+    taken from `np.linalg` itself (a general psi0 needs the whole V^-1), not
+    from the kernel under test. Exact (up to the eigendecomposition) because
     jumped population is frozen. There is no fallback: the closed-form jump
-    integral loses about cond^2 * machine epsilon, so an eigenbasis that
-    `linalg` does not trust (near an exceptional point of H_eff) raises
-    ConvergenceFailure. NaN or Inf in the system or the state raises
-    NonFinite.
+    integral loses about cond^2 * machine epsilon, so an eigenbasis whose
+    Frobenius condition number ||V||_F ||V^-1||_F reaches `linalg`'s limit
+    (near an exceptional point of H_eff) raises ConvergenceFailure. NaN or
+    Inf in the system or the state raises NonFinite.
     """
     _check_absorbing(system)
     h_eff = effective_hamiltonian(system)
     psi0 = np.asarray(psi0, dtype=complex)
     if not np.isfinite(psi0).all():
         raise NonFinite("state contains NaN or Inf entries")
-    if not np.isfinite(h_eff).all():   # `linalg.eigenbasis` makes such a row NaN
+    if not np.isfinite(h_eff).all():   # `np.linalg.eig` raises for the whole matrix
         raise NonFinite("matrix contains NaN or Inf entries")
-    basis = linalg.eigenbasis(h_eff[None])
-    if not basis.trusted[0]:
+    evals, vecs = np.linalg.eig(h_eff)
+    cond = np.linalg.cond(vecs, "fro")   # inf for a singular V
+    if not cond < linalg.EIG_COND_LIMIT:
         raise ConvergenceFailure(f"eigenbasis of H_eff not trusted (condition number "
-                                 f"{basis.cond[0]:.2e}): too near an exceptional point")
-    evals, vecs, coeff = basis.values[0], basis.vectors[0], basis.inverse[0] @ psi0
+                                 f"{cond:.2e}): too near an exceptional point")
+    coeff = np.linalg.inv(vecs) @ psi0
     phi_t = vecs @ (coeff * np.exp(-1j * evals * t))
     rho = np.outer(phi_t, phi_t.conj())
     z = evals[:, None] - evals.conj()[None, :]

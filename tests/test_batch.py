@@ -744,8 +744,8 @@ def test_single_block_starts_no_thread(monkeypatch):
 ONE_ROW_LAPACK = {
     ("simple_exchange", "numeric"): {"eigvals": 1},
     ("simple_exchange", "lindblad"): {"eigvals": 1},
-    ("raman", "numeric"): {"eig": 1, "inv": 1, "eigvals": 1},
-    ("raman", "lindblad"): {"eig": 2, "inv": 2},
+    ("raman", "numeric"): {"eig": 1, "solve": 1, "eigvals": 1},
+    ("raman", "lindblad"): {"eig": 2, "solve": 2},
     ("scattering", "numeric"): {"eigvals": 1},
     ("scattering-identical", "numeric"): {},
     ("simple_exchange", "analytic"): {},
@@ -793,8 +793,8 @@ def test_one_row_lapack_budget(monkeypatch, scheme, method):
 
 #: np.errstate contexts that the package enters in a one-row evaluation: the
 #: evaluator's own, one per gate-time or matched-drive helper and one per
-#: public `linalg` kernel call, none between kernels (numpy's `eig`, `inv` and
-#: `eigvals` enter their own, which are not counted)
+#: public `linalg` kernel call, none between kernels (numpy's `eig`, `solve`
+#: and `eigvals` enter their own, which are not counted)
 ONE_ROW_ERRSTATE = {
     ("simple_exchange", "numeric"): 3,
     ("simple_exchange", "lindblad"): 3,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavity_gates import exchange, figures, linalg, raman, scattering
-from cavity_gates.params import CavitySystem, config_shape
+from cavity_gates.params import CavitySystem, clamp_unit, config_shape
 
 
 def test_figure_names():
@@ -42,7 +42,8 @@ def test_fig7_columns():
 def test_fig2_builders_make_batch_calls_only(monkeypatch):
     """fig2a-c and fig8a-b evaluate whole columns at once: every scattering
     or Raman analytic call takes an array-valued config, every call of the
-    two closed-form kernels (the fig8 search objectives) is array-valued,
+    two closed-form kernels (the fig8 scattering search objective and both
+    evaluators) is array-valued,
     and each fig2 builder is one call of each scattering evaluator (fig2a
     and fig2b stack their three cavity regimes)."""
     calls = []
@@ -88,22 +89,52 @@ def test_fig8_table_builds_few_configs(monkeypatch):
     assert 0 < built["RamanConfig"] <= 3 and 0 < built["ScatteringConfig"] <= 3, built
 
 
-def test_fig8_raman_objective_is_the_evaluator_on_the_coarse_grid():
-    """The fig8 Raman search objective equals `fidelity_analytic_raman` on
-    the configs it stands for, bit for bit, over the coarse scan's grid at
-    every Gamma row, and past the Omega/Delta cap of 0.45."""
+def fig8_raman_objective(cav, two_photon, log_d, log_x, gamma_eff):
+    """The fig8 Raman objective with nothing held fixed: raman's kernels on
+    the symmetric config of each point, whose matched drive_b is rabi_a."""
+    big_d = np.exp(log_d)
+    rabi = np.minimum(np.exp(log_x), 0.45) * big_d
+    gate_time = raman._gate_time(cav.g, cav.g, rabi, rabi, two_photon, big_d, big_d)
+    return clamp_unit(raman._closed_form(cav, two_photon, big_d, np.sqrt(rabi * rabi),
+                                       cav.g * cav.g, gamma_eff, gate_time))
+
+
+def test_fig8_raman_objective_is_the_evaluator_on_the_coarse_grid(monkeypatch):
+    """The fig8 Raman search objectives equal `fidelity_analytic_raman` on
+    the configs they stand for, bit for bit, over the coarse scan's grid at
+    every Gamma row, and past the Omega/Delta cap of 0.45: along Delta at
+    every coarse Omega/Delta, and along Omega/Delta at every coarse Delta.
+    The table's optima, which no golden covers, are those of the same
+    search on the objective with nothing held fixed."""
     cav = CavitySystem.from_cooperativity(8000.0, 0.1, 1.0)
     two_photon = raman.optimal_two_photon(cav.kappa, 8000.0)
-    gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))[:, None, None]
-    log_d = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)[:, None]
+    gammas = np.exp(np.linspace(math.log(1e-6), math.log(1e-1), 41))[:, None]
+    log_d = np.linspace(math.log(0.1 * cav.kappa), math.log(1e4 * cav.kappa), 41)
     log_x = np.append(np.linspace(math.log(1e-3), math.log(0.45), 31), math.log(0.6))
-    objective = figures._fig8_raman_objective(cav, two_photon, log_d, log_x, gammas)
+    along_d, along_x = figures._fig8_raman_objectives(cav, two_photon, gammas)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        configs = figures._fig8_raman_configs(cav, two_photon, log_d, log_x, gammas)
+        configs = figures._fig8_raman_configs(cav, two_photon, log_d[:, None], log_x,
+                                              gammas[:, :, None])
         expected = raman.fidelity_analytic_raman(configs).fidelity
-    assert objective.shape == (41, 41, 32) and (expected == 0.0).any()
-    assert np.array_equal(objective, expected)
+    assert expected.shape == (41, 41, 32) and (expected == 0.0).any()
+    for j, x in enumerate(log_x):
+        assert np.array_equal(along_d(x)(log_d), expected[:, :, j]), j
+    for i, d in enumerate(log_d):
+        assert np.array_equal(along_x(d)(log_x), expected[:, i, :]), i
+    assert np.array_equal(fig8_raman_objective(cav, two_photon, log_d[:, None], log_x,
+                                               gammas[:, :, None]), expected)
+    table = figures._fig8_table()
+
+    def unhoisted(cav, two_photon, gamma_eff):
+        return (lambda log_x: lambda log_d: fig8_raman_objective(cav, two_photon, log_d, log_x,
+                                                                 gamma_eff),
+                lambda log_d: lambda log_x: fig8_raman_objective(cav, two_photon, log_d, log_x,
+                                                                 gamma_eff))
+
+    monkeypatch.setattr(figures, "_fig8_raman_objectives", unhoisted)
+    for found, reference in zip(table, figures._fig8_table()):
+        assert found.tobytes() == reference.tobytes()
 
 
 def test_fig2_pair_poles_make_no_lapack_call(monkeypatch):

@@ -1,3 +1,4 @@
+import os
 import re
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavity_gates import linalg
+from cavity_gates import linalg, raman
 from cavity_gates.errors import NonFinite
 from cavity_gates.exchange import ExchangeConfig
 from cavity_gates.params import CavitySystem, Method, gate_results
@@ -151,7 +152,7 @@ def test_eigenbasis_trust_flag():
     basis = linalg.eigenbasis(h)
     assert basis.trusted.tolist() == [True, False]
     assert basis.cond[0] < linalg.EIG_COND_LIMIT <= basis.cond[1]
-    assert np.abs(basis.vectors[0] @ basis.inverse[0, :, 0] - np.eye(2)[0]).max() < 1e-12
+    assert np.abs(basis.vectors[0] @ basis.coords[0] - np.eye(2)[0]).max() < 1e-12
 
 
 def lossy_stack(rng, n, k):
@@ -163,34 +164,67 @@ def lossy_stack(rng, n, k):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), n=st.integers(1, 6))
 def test_eigenbasis_cond_bounds_two_norm_cond(seed, k, n):
-    # the Frobenius condition number lies between cond_2(V) and k cond_2(V),
-    # and the start-state coordinates reproduce e_0 to within cond * 1e-12
+    # the trust measure is 2 sum_k |V_0k c_k|: at least 2, as the residues
+    # sum to 1, and at most 2 sqrt(k) cond_2(V), as |V_0k| <= 1 (unit
+    # columns) and ||c||_2 <= ||V^-1||_2; the start-state coordinates
+    # reproduce e_0 to within cond * 1e-12
     rng = np.random.default_rng(seed)
     h = lossy_stack(rng, n, k)
     basis = linalg.eigenbasis(h)
-    cond_2 = np.linalg.cond(np.linalg.eig(h)[1])
-    assert np.all(cond_2 <= basis.cond * (1 + 1e-12))
-    assert np.all(basis.cond <= k * cond_2 * (1 + 1e-12))
-    residual = np.abs(np.einsum("nij,nj->ni", basis.vectors, basis.inverse[:, :, 0])
+    vectors = np.linalg.eig(h)[1]
+    assert np.array_equal(basis.cond, 2.0 * abs(vectors[:, 0] * basis.coords).sum(-1))
+    assert np.all(basis.cond >= 2.0 - 1e-12 * basis.cond)
+    assert np.all(basis.cond <= 2.0 * np.sqrt(k) * np.linalg.cond(vectors) * (1 + 1e-9))
+    residual = np.abs(np.einsum("nij,nj->ni", basis.vectors, basis.coords)
                       - np.eye(k)[0]).max(axis=1)
     assert np.all(residual <= 1e-12 * basis.cond)
 
 
+def raman_chains(rng, n):
+    """n seeded Raman |ud> sectors (5x5 chains), log-uniform over four
+    decades of every rate and detuning, asymmetric in both systems."""
+    def draw(lo, hi):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+    two_photon_a, two_photon_b = draw(1.0, 1e4), draw(1.0, 1e4)
+    return raman._lossy_sectors(two_photon_a, two_photon_b, draw(0.1, 1e3), draw(0.1, 1e3),
+                                draw(1.0, 1e2), draw(1.0, 1e2), draw(10.0, 1e5),
+                                draw(10.0, 1e5), draw(10.0, 1e3), 1.0)[0]
+
+
+def test_eigenbasis_weights_are_the_inverse_column():
+    # the residues from the solve of V c = e_0 are V_0k (V^-1)_k0 from the
+    # whole inverse, to within 4 eps sum_k |w_k|, on seeded Raman chains
+    h = raman_chains(np.random.default_rng(53), 2000)
+    basis = linalg.eigenbasis(h)
+    assert basis.trusted.all()
+    vectors = np.linalg.eig(h)[1]
+    expected = vectors[:, 0] * np.linalg.inv(vectors)[:, :, 0]
+    spread = abs(basis.weights).sum(-1, keepdims=True)
+    assert np.all(abs(basis.weights - expected) <= 4 * np.finfo(float).eps * spread)
+    assert np.array_equal(basis.weights, basis.vectors[:, 0] * basis.coords)
+
+
 def test_defective_row_is_untrusted():
-    # an exactly defective row (||V^-1|| ~ 1e292) in a stack of good rows:
-    # cond = inf without a RuntimeWarning, the Taylor fallback on that row,
-    # and the other rows bit for bit their one-row calls
+    # a defective row whose start state is not an eigenvector, the nilpotent
+    # [[i, 1], [1, -i]] (weights ~ 1e15), in a stack of good rows: untrusted
+    # without a RuntimeWarning, the Taylor fallback on that row, and the
+    # other rows bit for bit their one-row calls. A Jordan row whose start
+    # state is its eigenvector has c = e_0 and the exact spectral value 1
     rng = np.random.default_rng(29)
+    nilpotent = np.array([[1j, 1.0], [1.0, -1j]])
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     h = lossy_stack(rng, 4, 2)
-    h[2] = jordan
+    h[2] = nilpotent
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         basis = linalg.eigenbasis(h)
         out = linalg.return_amplitudes(h, 0.7)
+        start = linalg.eigenbasis(jordan[None])
+        assert linalg.return_amplitudes(jordan[None], 0.7)[0] == 1.0
     assert basis.trusted.tolist() == [True, True, False, True]
-    assert basis.cond[2] == np.inf
-    assert out[2] == linalg._expm_squaring(-0.7j * jordan)[0, 0]
+    assert basis.cond[2] >= linalg.EIG_COND_LIMIT
+    assert out[2] == linalg._expm_squaring(-0.7j * nilpotent)[0, 0]
+    assert start.trusted[0] and np.array_equal(start.coords[0], [1.0, 0.0])
     for i in (0, 1, 3):
         one = linalg.eigenbasis(h[i:i + 1])
         for field, value in zip(basis, one):
@@ -198,17 +232,33 @@ def test_defective_row_is_untrusted():
         assert out[i] == amplitude_one(h[i], 0.7)
 
 
+def test_eigenbasis_states_share_the_start_state_rule():
+    # with states, the residues V_ik c_k of each and the largest measure:
+    # on [[0, 0], [1, 0]] the start state's residues are (0, 1) (its
+    # amplitude, 1, is exact) but state 1's cancel between +-5e291, so the
+    # row is untrusted and holds V = 1; a random row's state 0 is the default
+    rng = np.random.default_rng(59)
+    h = np.stack([lossy_stack(rng, 1, 2)[0], [[0.0, 0.0], [1.0, 0.0]]])
+    start, both = linalg.eigenbasis(h), linalg.eigenbasis(h, np.arange(2))
+    assert start.trusted.tolist() == [True, True] and both.trusted.tolist() == [True, False]
+    assert start.cond[1] == 2.0 and both.cond[1] > 1e291
+    assert np.array_equal(both.weights[0, 0], start.weights[0])
+    assert np.array_equal(both.weights[0], both.vectors[0] * both.coords[0])
+    assert np.array_equal(both.weights[1], np.diag([1.0, 0.0]))
+    assert np.array_equal(both.vectors[1], np.eye(2))
+
+
 def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
-    # a LinAlgError from the eigensolve or from the inverse of its vectors
+    # a LinAlgError from the eigensolve or from the solve on its vectors
     # leaves every row of the stack untrusted
     rng = np.random.default_rng(23)
     a = random_complex((3, 4, 4), rng)
     h = a + a.conj().swapaxes(1, 2) - 0.5j * np.eye(4)
 
-    def fail(m):
+    def fail(*args):
         raise np.linalg.LinAlgError("did not converge")
 
-    for failing in ("eig", "inv"):
+    for failing in ("eig", "solve"):
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, failing, fail)
             basis = linalg.eigenbasis(h)
@@ -216,6 +266,19 @@ def test_failed_eigensolve_falls_back_on_every_row(monkeypatch):
             out = linalg.return_amplitudes(h, 0.7)
         for i in range(3):
             assert abs(out[i] - linalg._expm_squaring(-0.7j * h[i])[0, 0]) < 1e-12
+
+
+def test_no_full_inverse():
+    """No module of the package inverts a matrix: `eigenbasis` solves for
+    the one column of V^-1 that its callers read."""
+    package = os.path.dirname(os.path.abspath(linalg.__file__))
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                offenders += [f"{name}:{i}" for i, line in enumerate(fh, 1)
+                              if re.search(r"\blinalg\.inv\b|\binv\(", line)]
+    assert offenders == []
 
 
 def test_solve_stacks_of_vectors_and_matrices():
@@ -321,7 +384,7 @@ def test_resolvent_poles_match_eigenbasis(family, k):
     basis = linalg.eigenbasis(h)
     poles = linalg.resolvent_poles(h)
     spread = abs(poles.weights).sum(-1)
-    residues = basis.vectors[:, 0, :] * basis.inverse[:, :, 0]
+    residues = basis.weights
     if k == 2:
         exact = nearest(poles.values, mpmath_pair_eigenvalues(h))
         assert np.all(abs(poles.values - exact) <= 8 * np.finfo(float).eps * abs(exact))

@@ -3,6 +3,7 @@ oracle of `lindblad_oracle`, and the oracle against the full Liouvillian."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cavity_gates.errors import ConvergenceFailure, NonFinite
 from cavity_gates.exchange import (ExchangeConfig, ExchangeMode, fidelity_numeric_exchange,
                                    optimal_detuning)
 from cavity_gates.params import CavitySystem, stack_configs
-from cavity_gates.raman import optimal_two_photon, symmetric_raman_config
+from cavity_gates.raman import RamanConfig, optimal_two_photon, symmetric_raman_config
 
 
 def superoperator_rho(system, psi0, t):
@@ -353,10 +354,10 @@ def test_exchange_lindblad_is_the_numeric_kernel(name):
 
 
 def test_small_stacks_need_no_eigenvectors(monkeypatch):
-    """No 2x2 or 3x3 stack reaches `np.linalg.eig` or `np.linalg.inv`: not
+    """No 2x2 or 3x3 stack reaches `np.linalg.eig` or `np.linalg.solve`: not
     on the simple-exchange numeric path or Lindblad closure on fig4's grid,
     nor on the Raman numeric path on a slice of fig6b, where the 5x5 |ud>
-    sector alone keeps its eigenvectors (one `eig` and one `inv` call)."""
+    sector alone keeps its eigenvectors (one `eig` and one `solve` call)."""
     larger = []
 
     def guard(name, call):
@@ -368,7 +369,7 @@ def test_small_stacks_need_no_eigenvectors(monkeypatch):
             return call(a, *args, **kwargs)
         return guarded
 
-    for name in ("eig", "inv"):
+    for name in ("eig", "solve"):
         monkeypatch.setattr(np.linalg, name, guard(name, getattr(np.linalg, name)))
     fig4 = figure_grid("fig4")
     fidelity_numeric_exchange(fig4)
@@ -379,7 +380,7 @@ def test_small_stacks_need_no_eigenvectors(monkeypatch):
                                    np.geomspace(0.1, 1e3, 11) * cav.kappa,
                                    np.array([[0.05], [1.0 / 3.0]]))
     fidelity_numeric_exchange(fig6b)
-    assert larger == ["eig", "inv"]
+    assert larger == ["eig", "solve"]
 
 
 def test_raman_recycling_lands_on_target():
@@ -454,11 +455,7 @@ def test_untrusted_raman_row_is_refused(monkeypatch, tmp_path):
     line."""
     texts = [RAMAN_ROW.format(g_over_kappa=g) for g in (0.1, 1.0)]
     rows = [build_raman(load_config_text(text)) for text in texts]
-    conds = []
-    for cfg in rows:
-        lossy_sectors, params = cfg.sectors()
-        conds.append(max(linalg.eigenbasis(np.asarray(h).reshape(1, *h.shape[-2:])).cond[0]
-                         for h in lossy_sectors(*params)))
+    conds = [max(closure_conds(cfg)) for cfg in rows]
     assert conds[0] < conds[1] < linalg.EIG_COND_LIMIT
     monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.5 * (conds[0] + conds[1]))
     batch = lb.gate_fidelity_lindblad(stack_configs(rows))
@@ -493,3 +490,39 @@ def test_overflowing_phase_is_non_finite(evaluate, detuning):
         assert results[0] == evaluate(ExchangeConfig(cav, detuning=detuning[0])).single()
     with pytest.raises(NonFinite):
         results[-1] if results.shape else results.single()
+
+
+def closure_conds(cfg, states=lb._JUMP_ROWS):
+    """Each sector's trust measure in the Raman closure of a one-row config:
+    over the start state and the jump sources, or over `states`."""
+    lossy_sectors, params = cfg.sectors()
+    return [linalg.eigenbasis(np.asarray(h).reshape(1, *h.shape[-2:]), rows).cond[0]
+            for h, rows in zip(lossy_sectors(*params), states)]
+
+
+@pytest.mark.filterwarnings("ignore::cavity_gates.errors.ValidityWarning")
+def test_untrusted_jump_source_is_refused(monkeypatch):
+    """The closure integrates the jump sources' amplitudes V_ik c_k too, and
+    holds them to the start state's rule: on the seeded Raman row whose
+    sources' measure most exceeds its start state's (by 30 %, in the |ud>
+    sector), a limit between the two refuses the row, naming the larger."""
+    rng = np.random.default_rng(5)
+    n = 20000
+    two_photon_a, two_photon_b, rabi_a, rabi_b, g_a, g_b, det_a, det_b, kappa = (
+        np.exp(rng.uniform(math.log(lo), math.log(hi), n)) for lo, hi in
+        ((1.0, 1e4), (1.0, 1e4), (0.1, 1e3), (0.1, 1e3), (1.0, 1e2), (1.0, 1e2),
+         (10.0, 1e5), (10.0, 1e5), (10.0, 1e3)))
+    batch = RamanConfig(CavitySystem(g_a, kappa, 1.0), det_a, det_b, two_photon_a,
+                        two_photon_b, rabi_a, rabi_b, g_a, g_b)
+    lossy_sectors, params = batch.sectors()
+    h_ud = lossy_sectors(*params)[0]
+    ratio = linalg.eigenbasis(h_ud, lb._JUMP_ROWS[0]).cond / linalg.eigenbasis(h_ud).cond
+    cfg = config_row(batch, (n,), ratio.argmax())
+    start, sources = max(closure_conds(cfg, (0, 0))), max(closure_conds(cfg))
+    assert sources > 1.25 * start
+    trusted = lb.gate_fidelity_lindblad(cfg).single()
+    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.5 * (start + sources))
+    with pytest.raises(ConvergenceFailure, match=re.escape(f"condition number {sources:.2e}")):
+        lb.gate_fidelity_lindblad(cfg).single()
+    monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 1.01 * sources)
+    assert lb.gate_fidelity_lindblad(cfg).single() == trusted

@@ -373,6 +373,23 @@ def test_overflowing_drive_is_non_finite_on_the_closed_form():
             assert evaluate(config).fidelity == 0.5
 
 
+def test_weak_drive_check_does_not_overflow():
+    """RamanConfig checks Omega/Delta > 0.5 without dividing: a row whose
+    quotient overflows (Omega_A = 10 against Delta_A = 1e-310) builds with
+    no RuntimeWarning, in an array config as in a scalar one, and both warn
+    that the drive is not weak."""
+    cavity = CavitySystem(0.5, 1.0, 1.0)
+    builds = (lambda: rm.RamanConfig(cavity, np.array([10.0, 1e-310]), np.array([10.0, 1e308]),
+                                     5.0, 5.0, rabi_a=np.array([1.0, 10.0])),
+              lambda: rm.RamanConfig(cavity, 1e-310, 1e308, 5.0, 5.0, rabi_a=10.0))
+    for build in builds:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        assert [w.category for w in caught] == [ValidityWarning]
+        assert "drive is not weak" in str(caught[0].message)
+
+
 def _raman_family(rng, n, matched):
     """n random Raman configs, C from 10 to 1e5 and g/kappa from 0.01 to 10:
     the first third symmetric, the rest with unequal detunings and
