@@ -494,31 +494,28 @@ def test_overflowing_phase_is_non_finite(evaluate, detuning):
 
 def closure_conds(cfg, states=lb._JUMP_ROWS):
     """Each sector's trust measure in the Raman closure of a one-row config:
-    over the start state and the jump sources, or over `states`."""
+    over the start state and the jump sources, or over `states` (None: the
+    start state alone)."""
     lossy_sectors, params = cfg.sectors()
     return [linalg.eigenbasis(np.asarray(h).reshape(1, *h.shape[-2:]), rows).cond[0]
             for h, rows in zip(lossy_sectors(*params), states)]
 
 
+#: a Raman row whose jump sources' residue measure exceeds its start state's
+#: by 30 % in both sectors (4.37 against 3.35): the largest excess among
+#: 20,000 seeded rows, log-uniform over every rate and detuning, rounded
+JUMP_SOURCE_ROW = dict(laser_detuning_a=11.04, laser_detuning_b=10695.0, two_photon_a=2.448,
+                       two_photon_b=1.028, rabi_a=33.92, rabi_b=32.0, g_a=56.46, g_b=1.253)
+
+
 @pytest.mark.filterwarnings("ignore::cavity_gates.errors.ValidityWarning")
 def test_untrusted_jump_source_is_refused(monkeypatch):
     """The closure integrates the jump sources' amplitudes V_ik c_k too, and
-    holds them to the start state's rule: on the seeded Raman row whose
-    sources' measure most exceeds its start state's (by 30 %, in the |ud>
-    sector), a limit between the two refuses the row, naming the larger."""
-    rng = np.random.default_rng(5)
-    n = 20000
-    two_photon_a, two_photon_b, rabi_a, rabi_b, g_a, g_b, det_a, det_b, kappa = (
-        np.exp(rng.uniform(math.log(lo), math.log(hi), n)) for lo, hi in
-        ((1.0, 1e4), (1.0, 1e4), (0.1, 1e3), (0.1, 1e3), (1.0, 1e2), (1.0, 1e2),
-         (10.0, 1e5), (10.0, 1e5), (10.0, 1e3)))
-    batch = RamanConfig(CavitySystem(g_a, kappa, 1.0), det_a, det_b, two_photon_a,
-                        two_photon_b, rabi_a, rabi_b, g_a, g_b)
-    lossy_sectors, params = batch.sectors()
-    h_ud = lossy_sectors(*params)[0]
-    ratio = linalg.eigenbasis(h_ud, lb._JUMP_ROWS[0]).cond / linalg.eigenbasis(h_ud).cond
-    cfg = config_row(batch, (n,), ratio.argmax())
-    start, sources = max(closure_conds(cfg, (0, 0))), max(closure_conds(cfg))
+    holds them to the start state's rule: with the trust limit between the
+    start states' measure and the sources', the row is refused, naming the
+    larger; past the sources' it is evaluated."""
+    cfg = RamanConfig(CavitySystem(56.46, 182.1, 1.0), **JUMP_SOURCE_ROW)
+    start, sources = max(closure_conds(cfg, (None, None))), max(closure_conds(cfg))
     assert sources > 1.25 * start
     trusted = lb.gate_fidelity_lindblad(cfg).single()
     monkeypatch.setattr(linalg, "EIG_COND_LIMIT", 0.5 * (start + sources))
